@@ -1,6 +1,7 @@
 //! E12: delta-driven sparse round execution — dense vs sparse-frontier
 //! compact elimination on long-convergence-tail workloads, gated in CI on the
-//! deterministic `node_updates` counters (see `bench/baselines/frontier-tiny.json`).
+//! deterministic `node_updates` counters (its `E12` records in
+//! `bench/baselines/tiny.json`).
 
 #![deny(deprecated)]
 use dkc_bench::{ExpArgs, Report};

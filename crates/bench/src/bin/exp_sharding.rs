@@ -2,8 +2,8 @@
 //! sharded execution (per-shard node-state arenas exchanging
 //! `BoundaryDelta` wire frames) vs the unsharded sparse lockstep reference,
 //! asserted byte-identical on every deterministic counter and gated in CI on
-//! the v6 `boundary_bits`/`boundary_nodes` counters (see
-//! `bench/baselines/sharding-tiny.json`).
+//! the `boundary_bits`/`boundary_nodes` counters (its `E15` records in
+//! `bench/baselines/tiny.json`).
 //!
 //! Pass `--shards <n>` to narrow the default {1, 2, 4, 8} sweep to one shard
 //! count, `--shard-seed <seed>` to move the hash partition, and fault flags

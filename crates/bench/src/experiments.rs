@@ -17,14 +17,14 @@ use dkc_core::orientation::orientation_from_compact;
 use dkc_core::ratio::ApproxRatio;
 use dkc_core::surviving::surviving_numbers;
 use dkc_core::threshold::ThresholdSet;
-use dkc_distsim::ExecutionMode;
+use dkc_distsim::{ExecutionMode, RoundStats, RunMetrics};
 use dkc_flow::{dense_decomposition, densest_subgraph, exact_unit_orientation};
 use dkc_graph::generators::{complete_graph, fig1_gadget, tree_with_leaf_clique, Fig1Variant};
 use dkc_graph::properties::diameter_double_sweep;
 use dkc_graph::{CsrGraph, NodeId};
 // Wall-clock audit (dkc-lint D02 allowlist): every `Instant::now` in this
 // file times a phase for a table column or a record's wall_clock_ms /
-// messages_per_sec; the check_bench.sh-gated counters never depend on it
+// messages_per_sec; the counters `dkc-bench check` gates never depend on it
 // (crates/bench/tests/wall_clock_isolation.rs pins this).
 use std::time::Instant;
 
@@ -475,12 +475,13 @@ pub fn exp_message_size(scale: WorkloadScale, lambdas: &[f64], epsilon: f64) -> 
             &exact.metrics,
         ));
         let budget = dkc_distsim::congest_budget_bits(n, 1);
+        let exact_totals = exact.metrics.totals();
         out.table.row(vec![
             workload.name.into(),
             "0 (reals)".into(),
-            exact.metrics.max_message_bits().to_string(),
-            f1(exact.metrics.total_payload_bits() as f64 / 1e3),
-            f1(exact.metrics.total_wire_bits() as f64 / 1e3),
+            exact_totals.max_message_bits.to_string(),
+            f1(exact_totals.payload_bits as f64 / 1e3),
+            f1(exact_totals.wire_bits as f64 / 1e3),
             f3(1.0),
             budget.to_string(),
         ]);
@@ -498,12 +499,13 @@ pub fn exp_message_size(scale: WorkloadScale, lambdas: &[f64], epsilon: f64) -> 
                 &quantized.metrics,
             ));
             let ratio = ApproxRatio::compute(&exact.surviving, &quantized.surviving);
+            let totals = quantized.metrics.totals();
             out.table.row(vec![
                 workload.name.into(),
                 format!("{lambda}"),
-                quantized.metrics.max_message_bits().to_string(),
-                f1(quantized.metrics.total_payload_bits() as f64 / 1e3),
-                f1(quantized.metrics.total_wire_bits() as f64 / 1e3),
+                totals.max_message_bits.to_string(),
+                f1(totals.payload_bits as f64 / 1e3),
+                f1(totals.wire_bits as f64 / 1e3),
                 f3(ratio.max),
                 budget.to_string(),
             ]);
@@ -663,7 +665,7 @@ fn push_scaling_row(out: &mut ExperimentOutput, workload: &str, n: usize) {
         workload.into(),
         n.to_string(),
         seq.rounds.to_string(),
-        seq.total_messages.to_string(),
+        seq.counters.messages.to_string(),
         format!("{:.1}", seq.wall_clock_ms),
         format!("{:.1}", par.wall_clock_ms),
         mmsg(seq),
@@ -1129,6 +1131,7 @@ pub fn exp_byzantine(
             let stale = mean_overestimation(&run.surviving, &exact_core);
             let exact_ratio = ApproxRatio::compute(&exact_run.coreness, &exact_core);
             let exact_under = mean_underestimation(&exact_run.coreness, &exact_core);
+            let totals = run.metrics.totals();
             *scenario_error.entry(scenario.clone()).or_insert(0.0) += under;
             let converged = run
                 .metrics
@@ -1151,8 +1154,8 @@ pub fn exp_byzantine(
                 scenario,
                 budget.to_string(),
                 converged,
-                run.metrics.byzantine_accusations().to_string(),
-                run.metrics.quarantined_nodes().to_string(),
+                totals.byzantine_accusations.to_string(),
+                totals.quarantined_nodes.to_string(),
                 ratio.lower_bound_violations.to_string(),
                 f3(under),
                 f3(stale),
@@ -1244,20 +1247,12 @@ pub fn exp_ingest(scale: WorkloadScale) -> ExperimentOutput {
                 scale: scale.name().into(),
                 wall_clock_ms: secs * 1e3,
                 rounds: parsed.graph.num_nodes(),
-                total_messages: edges,
-                payload_bits: bytes * 8,
-                max_message_bits: 64 - max_ext.leading_zeros() as usize,
-                wire_bits: 0,
-                node_updates: 0,
-                dropped_loss: 0,
-                dropped_burst: 0,
-                dropped_partition: 0,
-                dropped_byzantine: 0,
-                crashed_nodes: 0,
-                byzantine_accusations: 0,
-                quarantined_nodes: 0,
-                boundary_bits: 0,
-                boundary_nodes: 0,
+                counters: RoundStats {
+                    messages: edges,
+                    payload_bits: bytes * 8,
+                    max_message_bits: 64 - max_ext.leading_zeros() as usize,
+                    ..RoundStats::default()
+                },
                 messages_per_sec: if secs > 0.0 { edges as f64 / secs } else { 0.0 },
             });
             out.table.row(vec![
@@ -1377,23 +1372,18 @@ pub fn exp_sharding(
                     "{}-{scenario}: sharded ({z} shards) in-neighbour sets diverged",
                     workload.name
                 );
-                // …and on every deterministic counter check_bench.sh gates on
-                // (boundary_bits/boundary_nodes are the sharded run's own).
+                // …and on every deterministic counter the baseline gate
+                // checks (boundary_bits/boundary_nodes are the sharded run's
+                // own).
                 let rm = &reference.metrics;
                 let sm = &sharded.metrics;
-                let identical = rm.num_rounds() == sm.num_rounds()
-                    && rm.total_messages() == sm.total_messages()
-                    && rm.total_payload_bits() == sm.total_payload_bits()
-                    && rm.max_message_bits() == sm.max_message_bits()
-                    && rm.total_wire_bits() == sm.total_wire_bits()
-                    && rm.total_node_updates() == sm.total_node_updates()
-                    && rm.total_dropped_loss() == sm.total_dropped_loss()
-                    && rm.total_dropped_burst() == sm.total_dropped_burst()
-                    && rm.total_dropped_partition() == sm.total_dropped_partition()
-                    && rm.total_dropped_byzantine() == sm.total_dropped_byzantine()
-                    && rm.crashed_nodes() == sm.crashed_nodes()
-                    && rm.byzantine_accusations() == sm.byzantine_accusations()
-                    && rm.quarantined_nodes() == sm.quarantined_nodes();
+                let unsharded = |m: &RunMetrics| RoundStats {
+                    boundary_bits: 0,
+                    boundary_nodes: 0,
+                    ..m.totals()
+                };
+                let identical =
+                    rm.num_rounds() == sm.num_rounds() && unsharded(rm) == unsharded(sm);
                 assert!(
                     identical,
                     "{}-{scenario}: sharded ({z} shards) deterministic counters \
@@ -1445,7 +1435,7 @@ mod tests {
         assert_eq!(out.records.len(), 2, "one record per ring size");
         for r in &out.records {
             assert_eq!(r.experiment, "E1");
-            assert!(r.total_messages > 0, "simulated run must count messages");
+            assert!(r.counters.messages > 0, "simulated run must count messages");
             assert!(r.scale.is_empty(), "gadget runs are scale-agnostic");
         }
     }
@@ -1482,13 +1472,13 @@ mod tests {
             assert!(sparse.workload.ends_with("-sparse"), "{}", sparse.workload);
             assert_eq!(dense.rounds, sparse.rounds);
             assert!(
-                sparse.node_updates * 4 <= dense.node_updates,
+                sparse.counters.node_updates * 4 <= dense.counters.node_updates,
                 "{}: sparse ran {} of dense's {} node updates (> 25%)",
                 sparse.workload,
-                sparse.node_updates,
-                dense.node_updates
+                sparse.counters.node_updates,
+                dense.counters.node_updates
             );
-            assert!(sparse.total_messages <= dense.total_messages);
+            assert!(sparse.counters.messages <= dense.counters.messages);
         }
     }
 
@@ -1497,7 +1487,14 @@ mod tests {
         let strip = |out: ExperimentOutput| {
             out.records
                 .into_iter()
-                .map(|r| (r.workload, r.rounds, r.total_messages, r.node_updates))
+                .map(|r| {
+                    (
+                        r.workload,
+                        r.rounds,
+                        r.counters.messages,
+                        r.counters.node_updates,
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         let a = strip(exp_frontier(WorkloadScale::Tiny));
@@ -1526,11 +1523,15 @@ mod tests {
                 .rsplit_once("-shards")
                 .is_some_and(|(_, z)| z.parse::<usize>().unwrap() > 1);
             if sharded_with_boundary {
-                assert!(r.boundary_bits > 0, "{}: no boundary traffic", r.workload);
-                assert!(r.boundary_nodes > 0, "{}", r.workload);
+                assert!(
+                    r.counters.boundary_bits > 0,
+                    "{}: no boundary traffic",
+                    r.workload
+                );
+                assert!(r.counters.boundary_nodes > 0, "{}", r.workload);
             } else {
-                assert_eq!(r.boundary_bits, 0, "{}", r.workload);
-                assert_eq!(r.boundary_nodes, 0, "{}", r.workload);
+                assert_eq!(r.counters.boundary_bits, 0, "{}", r.workload);
+                assert_eq!(r.counters.boundary_nodes, 0, "{}", r.workload);
             }
         }
         // The composed fault plan actually dropped and crashed something.
@@ -1539,8 +1540,8 @@ mod tests {
             .iter()
             .find(|r| r.workload.contains("-composed-"))
             .expect("composed scenario records");
-        assert!(faulty.dropped_loss > 0);
-        assert!(faulty.crashed_nodes > 0);
+        assert!(faulty.counters.dropped_loss > 0);
+        assert!(faulty.counters.crashed_nodes > 0);
     }
 
     /// A `--shards`/`--shard-seed` override narrows the sweep to one count.
@@ -1563,9 +1564,9 @@ mod tests {
                     (
                         r.workload,
                         r.rounds,
-                        r.total_messages,
-                        r.payload_bits,
-                        r.max_message_bits,
+                        r.counters.messages,
+                        r.counters.payload_bits,
+                        r.counters.max_message_bits,
                     )
                 })
                 .collect::<Vec<_>>()
@@ -1594,12 +1595,12 @@ mod tests {
                     (
                         r.workload,
                         r.rounds,
-                        r.total_messages,
-                        r.node_updates,
-                        r.dropped_loss,
-                        r.dropped_burst,
-                        r.dropped_partition,
-                        r.crashed_nodes,
+                        r.counters.messages,
+                        r.counters.node_updates,
+                        r.counters.dropped_loss,
+                        r.counters.dropped_burst,
+                        r.counters.dropped_partition,
+                        r.counters.crashed_nodes,
                     )
                 })
                 .collect::<Vec<_>>()
@@ -1658,10 +1659,11 @@ mod tests {
                 .iter()
                 .find(|r| r.workload == format!("{}-none", workload.name))
                 .expect("control record");
-            assert_eq!(control.rounds, plain.metrics.num_rounds());
-            assert_eq!(control.total_messages, plain.metrics.total_messages());
-            assert_eq!(control.node_updates, plain.metrics.total_node_updates());
-            assert_eq!(control.payload_bits, plain.metrics.total_payload_bits());
+            let plain = ExperimentRecord::from_metrics("", "", "", &plain.metrics);
+            assert_eq!(
+                (control.rounds, control.counters),
+                (plain.rounds, plain.counters)
+            );
         }
     }
 
@@ -1674,7 +1676,7 @@ mod tests {
         for pair in out.records.chunks(2) {
             assert!(pair[0].workload.ends_with("-none"));
             assert!(pair[1].workload.ends_with("-custom"));
-            assert!(pair[1].dropped_loss > 0);
+            assert!(pair[1].counters.dropped_loss > 0);
         }
     }
 
@@ -1691,17 +1693,14 @@ mod tests {
             assert!(seq.workload.ends_with("-seq"));
             assert!(par.workload.ends_with("-par"));
             assert_eq!(seq.rounds, par.rounds);
-            assert_eq!(seq.total_messages, par.total_messages);
-            assert_eq!(seq.payload_bits, par.payload_bits);
-            assert_eq!(seq.max_message_bits, par.max_message_bits);
-            assert_eq!(seq.node_updates, par.node_updates);
+            assert_eq!(seq.counters, par.counters);
         }
         // The sparse pair must do no more work than the dense pair.
         let dense = &out.records[0];
         let sparse = &out.records[2];
         assert!(sparse.workload.contains("sparse"));
         assert_eq!(dense.rounds, sparse.rounds);
-        assert!(sparse.node_updates <= dense.node_updates);
-        assert!(sparse.total_messages <= dense.total_messages);
+        assert!(sparse.counters.node_updates <= dense.counters.node_updates);
+        assert!(sparse.counters.messages <= dense.counters.messages);
     }
 }

@@ -1,11 +1,10 @@
 //! Machine-readable experiment reports.
 //!
-//! Every `exp_*` binary accepts `--json <path>` and serializes its
-//! measurements as a [`Report`]: one [`ExperimentRecord`] per protocol (or
-//! reference) run, carrying the **deterministic counters** CI gates on
-//! (rounds, delivered messages, payload bits, max message bits) plus the
-//! non-deterministic timing columns (wall-clock, derived messages/sec) that
-//! make regressions visible without failing builds.
+//! Every `exp_*` binary (and `dkc coreness`) accepts `--json <path>` and
+//! serializes its measurements as a [`Report`]: one [`ExperimentRecord`] per
+//! protocol (or reference) run, carrying the **deterministic counters** CI
+//! gates on plus the non-deterministic timing columns (wall-clock, derived
+//! messages/sec) that make regressions visible without failing builds.
 //!
 //! Schema (version 6):
 //!
@@ -23,56 +22,27 @@
 //!       "rounds": 21,
 //!       "total_messages": 399900,
 //!       "payload_bits": 25593600,
-//!       "max_message_bits": 64,
-//!       "wire_bits": 26803200,
-//!       "node_updates": 42000,
-//!       "dropped_loss": 120,
-//!       "dropped_burst": 0,
-//!       "dropped_partition": 0,
-//!       "dropped_byzantine": 0,
-//!       "crashed_nodes": 0,
-//!       "byzantine_accusations": 0,
-//!       "quarantined_nodes": 0,
-//!       "boundary_bits": 0,
-//!       "boundary_nodes": 0,
+//!       "…": "one key per gated counter",
 //!       "messages_per_sec": 31992000.0
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! ## Schema migration
-//!
-//! Version 2 added the deterministic `node_updates` counter — the number of
-//! node steps the executor actually ran, the CI-gateable measure of the
-//! sparse frontier executor's active-set work reduction. Version 3 (the
-//! `FaultPlan` PR) adds the four deterministic fault counters
-//! (`dropped_loss`, `dropped_burst`, `dropped_partition`, `crashed_nodes`)
-//! that E13 gates on. Version 4 (the wire-codec PR) adds `wire_bits`: the
-//! **measured** total size of the length-prefixed encoded frames every
-//! delivered message would occupy on the wire, as opposed to the
-//! `MessageSize`-estimated `payload_bits` (see `dkc_distsim::wire`).
-//! Version 5 (the byzantine-fault PR) adds the three deterministic byzantine
-//! counters (`dropped_byzantine`, `byzantine_accusations`,
-//! `quarantined_nodes`) that E14 gates on. Version 6 (the sharding PR) adds
-//! the two deterministic sharded-execution counters (`boundary_bits`,
-//! `boundary_nodes`) that E15 gates on: the cross-shard `BoundaryDelta`
-//! frame traffic and the distinct boundary senders per round (both 0 for
-//! unsharded and single-shard runs).
-//! Older reports are still **read**: a missing counter
-//! introduced by a later version defaults to 0 and the parsed report is
-//! upgraded in memory (its `schema_version` becomes the current one), so
-//! re-serializing always emits the current schema. In a report carrying the
-//! version that introduced a field, that field is mandatory. Baselines under
-//! `bench/baselines/` are committed in v6 form; `scripts/check_bench.sh`
-//! understands all six versions.
+//! The gated counters are `rounds` plus the run totals of every
+//! `dkc_distsim::COUNTERS` row with a report key, written in table order
+//! ([`ExperimentRecord::gated`]); every one is mandatory. Key order inside a
+//! record carries no meaning. The `dkc-bench` binary gates a fresh report
+//! against the committed `bench/baselines/tiny.json` on exactly these
+//! counters (`dkc-bench check`) and installs a verified report as the
+//! baseline (`dkc-bench rebaseline`); the timing fields are never gated.
 //!
 //! Serialization goes through the vendored `serde` data model into
-//! `serde_json`; parsing uses `serde_json::Value` accessors so malformed
-//! reports produce field-level error messages.
+//! `serde_json`; parsing uses `serde_json::Value` accessors and reports every
+//! malformed field of every record, not only the first.
 
 use crate::workloads::WorkloadScale;
-use dkc_distsim::RunMetrics;
+use dkc_distsim::{RoundStats, RunMetrics, COUNTERS};
 use serde::{Serialize, SerializeStruct, Serializer};
 use serde_json::Value;
 use std::path::Path;
@@ -81,14 +51,10 @@ use std::time::Duration;
 /// Version stamp written into every report; bump when the schema changes.
 pub const SCHEMA_VERSION: u64 = 6;
 
-/// Oldest schema version [`Report::from_json`] still accepts (upgrading it
-/// to [`SCHEMA_VERSION`] in memory).
-pub const MIN_SUPPORTED_SCHEMA_VERSION: u64 = 1;
-
 /// One measured run: the deterministic protocol counters plus timing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentRecord {
-    /// Experiment id (`"E1"`–`"E12"`).
+    /// Experiment id (`"E1"`–`"E15"`).
     pub experiment: String,
     /// Workload / instance label (e.g. `"ba"`, `"fig1-ring-64"`).
     pub workload: String,
@@ -99,54 +65,11 @@ pub struct ExperimentRecord {
     pub wall_clock_ms: f64,
     /// Rounds executed (deterministic).
     pub rounds: usize,
-    /// Total delivered messages (deterministic).
-    pub total_messages: usize,
-    /// Total delivered payload bits (deterministic).
-    pub payload_bits: usize,
-    /// Largest delivered message, in bits (deterministic).
-    pub max_message_bits: usize,
-    /// Total **measured** wire size of the delivered messages: the bits their
-    /// length-prefixed encoded frames occupy (deterministic; see
-    /// `dkc_distsim::wire`). Unlike `payload_bits` — the `MessageSize`
-    /// *estimate* — this is what the codec actually produces, identical
-    /// across execution modes and thread counts. 0 for records migrated from
-    /// schema ≤ 3 and for non-simulated records.
-    pub wire_bits: usize,
-    /// Number of node steps the executor ran across all rounds
-    /// (deterministic; see `dkc_distsim::RoundStats::node_updates`). Dense
-    /// execution runs every non-halted node every round; the sparse frontier
-    /// executor runs only the touched set — this counter is what the E12
-    /// frontier experiment gates on. 0 for centralized/ingestion records and
-    /// for records migrated from schema v1.
-    pub node_updates: usize,
-    /// Copies dropped by the i.i.d. loss component of the run's
-    /// `FaultPlan` (deterministic; 0 for fault-free runs and for records
-    /// migrated from schema ≤ 2).
-    pub dropped_loss: usize,
-    /// Copies dropped inside burst-outage windows (deterministic).
-    pub dropped_burst: usize,
-    /// Copies dropped by partition cuts (deterministic).
-    pub dropped_partition: usize,
-    /// Copies dropped by byzantine senders selectively muting (deterministic;
-    /// 0 for byzantine-free runs and for records migrated from schema ≤ 4).
-    pub dropped_byzantine: usize,
-    /// Nodes crash-stopped by the end of the run (deterministic).
-    pub crashed_nodes: usize,
-    /// Byzantine accusation events accumulated over the run (deterministic;
-    /// the pure hash schedule of `dkc_distsim::ByzantineModel`, identical
-    /// across every execution mode).
-    pub byzantine_accusations: usize,
-    /// Nodes quarantined by the end of the run (deterministic).
-    pub quarantined_nodes: usize,
-    /// Total bits of encoded cross-shard `BoundaryDelta` frames exchanged
-    /// under sharded execution (deterministic; 0 for unsharded, single-shard,
-    /// and non-simulated runs, and for records migrated from schema ≤ 5).
-    /// Frame overhead only — the delivered copies themselves are already in
-    /// `wire_bits`, identically to unsharded execution.
-    pub boundary_bits: usize,
-    /// Distinct boundary nodes that sent cross-shard messages, summed over
-    /// rounds (deterministic; 0 whenever `boundary_bits` is 0).
-    pub boundary_nodes: usize,
+    /// The run totals of the gated counters (deterministic; see
+    /// `dkc_distsim::COUNTERS`). Ungated counters are always 0 here, and
+    /// records of non-simulated runs leave the counters they do not measure
+    /// at 0.
+    pub counters: RoundStats,
     /// Derived throughput: `total_messages / wall_clock` (non-deterministic,
     /// 0 when no messages or no measurable time).
     pub messages_per_sec: f64,
@@ -163,33 +86,31 @@ impl ExperimentRecord {
         scale: impl Into<String>,
         metrics: &RunMetrics,
     ) -> Self {
+        let totals = metrics.totals();
+        let mut counters = RoundStats::default();
+        for ((c, kept), total) in COUNTERS
+            .iter()
+            .zip(counters.values_mut())
+            .zip(totals.values())
+        {
+            if c.report_key.is_some() {
+                *kept = total;
+            }
+        }
         ExperimentRecord {
             experiment: experiment.into(),
             workload: workload.into(),
             scale: scale.into(),
             wall_clock_ms: metrics.elapsed().as_secs_f64() * 1e3,
             rounds: metrics.num_rounds(),
-            total_messages: metrics.total_messages(),
-            payload_bits: metrics.total_payload_bits(),
-            max_message_bits: metrics.max_message_bits(),
-            wire_bits: metrics.total_wire_bits(),
-            node_updates: metrics.total_node_updates(),
-            dropped_loss: metrics.total_dropped_loss(),
-            dropped_burst: metrics.total_dropped_burst(),
-            dropped_partition: metrics.total_dropped_partition(),
-            dropped_byzantine: metrics.total_dropped_byzantine(),
-            crashed_nodes: metrics.crashed_nodes(),
-            byzantine_accusations: metrics.byzantine_accusations(),
-            quarantined_nodes: metrics.quarantined_nodes(),
-            boundary_bits: metrics.total_boundary_bits(),
-            boundary_nodes: metrics.total_boundary_nodes(),
+            counters,
             messages_per_sec: metrics.messages_per_sec(),
         }
     }
 
     /// Builds a record from bare round/message totals (for protocols that
     /// expose counts but not full metrics, e.g. the four-phase weak-densest
-    /// pipeline); bit counters stay zero.
+    /// pipeline); the other counters stay zero.
     pub fn from_counts(
         experiment: impl Into<String>,
         workload: impl Into<String>,
@@ -199,26 +120,12 @@ impl ExperimentRecord {
         total_messages: usize,
     ) -> Self {
         ExperimentRecord {
-            experiment: experiment.into(),
-            workload: workload.into(),
-            scale: scale.into(),
-            wall_clock_ms: wall.as_secs_f64() * 1e3,
-            rounds,
-            total_messages,
-            payload_bits: 0,
-            max_message_bits: 0,
-            wire_bits: 0,
-            node_updates: 0,
-            dropped_loss: 0,
-            dropped_burst: 0,
-            dropped_partition: 0,
-            dropped_byzantine: 0,
-            crashed_nodes: 0,
-            byzantine_accusations: 0,
-            quarantined_nodes: 0,
-            boundary_bits: 0,
-            boundary_nodes: 0,
+            counters: RoundStats {
+                messages: total_messages,
+                ..RoundStats::default()
+            },
             messages_per_sec: derive_throughput(total_messages, wall),
+            ..Self::centralized(experiment, workload, scale, wall, rounds)
         }
     }
 
@@ -237,22 +144,15 @@ impl ExperimentRecord {
             scale: scale.into(),
             wall_clock_ms: wall.as_secs_f64() * 1e3,
             rounds,
-            total_messages: 0,
-            payload_bits: 0,
-            max_message_bits: 0,
-            wire_bits: 0,
-            node_updates: 0,
-            dropped_loss: 0,
-            dropped_burst: 0,
-            dropped_partition: 0,
-            dropped_byzantine: 0,
-            crashed_nodes: 0,
-            byzantine_accusations: 0,
-            quarantined_nodes: 0,
-            boundary_bits: 0,
-            boundary_nodes: 0,
+            counters: RoundStats::default(),
             messages_per_sec: 0.0,
         }
+    }
+
+    /// The gated counters as `(report key, value)` pairs: `rounds`, then
+    /// the run totals in `dkc_distsim::COUNTERS` order.
+    pub fn gated(&self) -> impl Iterator<Item = (&'static str, usize)> + '_ {
+        std::iter::once(("rounds", self.rounds)).chain(self.counters.gated())
     }
 
     /// Field-level validity check used by the smoke tests.
@@ -284,26 +184,15 @@ fn derive_throughput(total_messages: usize, wall: Duration) -> f64 {
 
 impl Serialize for ExperimentRecord {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("ExperimentRecord", 20)?;
+        let fields = 5 + self.gated().count();
+        let mut s = serializer.serialize_struct("ExperimentRecord", fields)?;
         s.serialize_field("experiment", &self.experiment)?;
         s.serialize_field("workload", &self.workload)?;
         s.serialize_field("scale", &self.scale)?;
         s.serialize_field("wall_clock_ms", &self.wall_clock_ms)?;
-        s.serialize_field("rounds", &self.rounds)?;
-        s.serialize_field("total_messages", &self.total_messages)?;
-        s.serialize_field("payload_bits", &self.payload_bits)?;
-        s.serialize_field("max_message_bits", &self.max_message_bits)?;
-        s.serialize_field("wire_bits", &self.wire_bits)?;
-        s.serialize_field("node_updates", &self.node_updates)?;
-        s.serialize_field("dropped_loss", &self.dropped_loss)?;
-        s.serialize_field("dropped_burst", &self.dropped_burst)?;
-        s.serialize_field("dropped_partition", &self.dropped_partition)?;
-        s.serialize_field("dropped_byzantine", &self.dropped_byzantine)?;
-        s.serialize_field("crashed_nodes", &self.crashed_nodes)?;
-        s.serialize_field("byzantine_accusations", &self.byzantine_accusations)?;
-        s.serialize_field("quarantined_nodes", &self.quarantined_nodes)?;
-        s.serialize_field("boundary_bits", &self.boundary_bits)?;
-        s.serialize_field("boundary_nodes", &self.boundary_nodes)?;
+        for (key, value) in self.gated() {
+            s.serialize_field(key, &value)?;
+        }
         s.serialize_field("messages_per_sec", &self.messages_per_sec)?;
         s.end()
     }
@@ -320,8 +209,7 @@ pub struct Report {
     pub scale: String,
     /// Free-form provenance notes (e.g. `"resumed from checkpoint at round
     /// 12"`). Serialized only when non-empty, so reports without notes — and
-    /// every committed baseline — are byte-identical to plain v4 reports;
-    /// readers of any version ignore an absent `notes` array.
+    /// every committed baseline — carry no `notes` key.
     pub notes: Vec<String>,
     /// All measured runs, in execution order.
     pub records: Vec<ExperimentRecord>,
@@ -395,24 +283,41 @@ impl Report {
         s
     }
 
-    /// Parses and validates a JSON report. Reports written with schema
-    /// version 1 are upgraded in memory: their records' missing
-    /// `node_updates` defaults to 0 and the report's `schema_version` becomes
-    /// the current [`SCHEMA_VERSION`] (see the module docs on migration).
+    /// Parses and validates a JSON report of the current schema. A report
+    /// with malformed records is rejected with one line per problem — every
+    /// missing or mistyped field of every record.
     pub fn from_json(text: &str) -> Result<Report, String> {
         let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
         let version = field_u64(&value, "schema_version")?;
-        if !(MIN_SUPPORTED_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {version} \
-                 (supported: {MIN_SUPPORTED_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
+            ));
+        }
+        let mut problems = Vec::new();
+        let mut records = Vec::new();
+        let values = value
+            .get("records")
+            .and_then(Value::as_array)
+            .ok_or("missing records array")?;
+        for (i, v) in values.iter().enumerate() {
+            match record_from_value(v) {
+                Ok(r) => records.push(r),
+                Err(errs) => problems.extend(errs.into_iter().map(|e| format!("record {i}: {e}"))),
+            }
+        }
+        if !problems.is_empty() {
+            return Err(format!(
+                "{} malformed record problem(s):\n  - {}",
+                problems.len(),
+                problems.join("\n  - ")
             ));
         }
         let report = Report {
-            schema_version: SCHEMA_VERSION,
+            schema_version: version,
             suite: field_str(&value, "suite")?,
             scale: field_str(&value, "scale")?,
-            // Optional in every version: absent means "no notes".
+            // Optional: absent means "no notes".
             notes: match value.get("notes") {
                 None => Vec::new(),
                 Some(v) => v
@@ -426,14 +331,7 @@ impl Report {
                     })
                     .collect::<Result<_, _>>()?,
             },
-            records: value
-                .get("records")
-                .and_then(Value::as_array)
-                .ok_or("missing records array")?
-                .iter()
-                .enumerate()
-                .map(|(i, v)| record_from_value(v, version).map_err(|e| format!("record {i}: {e}")))
-                .collect::<Result<_, _>>()?,
+            records,
         };
         report.validate()?;
         Ok(report)
@@ -474,10 +372,6 @@ fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
-fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
-    field_u64(v, key).map(|x| x as usize)
-}
-
 fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Value::as_f64)
@@ -491,52 +385,38 @@ fn field_str(v: &Value, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
-fn record_from_value(v: &Value, schema_version: u64) -> Result<ExperimentRecord, String> {
-    Ok(ExperimentRecord {
-        experiment: field_str(v, "experiment")?,
-        workload: field_str(v, "workload")?,
-        scale: field_str(v, "scale")?,
-        wall_clock_ms: field_f64(v, "wall_clock_ms")?,
-        rounds: field_usize(v, "rounds")?,
-        total_messages: field_usize(v, "total_messages")?,
-        payload_bits: field_usize(v, "payload_bits")?,
-        max_message_bits: field_usize(v, "max_message_bits")?,
-        // The measured wire counter arrived in v4; older reports default to 0.
-        wire_bits: field_usize_since(v, "wire_bits", schema_version, 4)?,
-        // v1 predates the counter; v2 and later require it.
-        node_updates: if schema_version >= 2 {
-            field_usize(v, "node_updates")?
-        } else {
-            v.get("node_updates").and_then(Value::as_u64).unwrap_or(0) as usize
-        },
-        // The fault counters arrived in v3; older reports default them to 0.
-        dropped_loss: field_usize_since(v, "dropped_loss", schema_version, 3)?,
-        dropped_burst: field_usize_since(v, "dropped_burst", schema_version, 3)?,
-        dropped_partition: field_usize_since(v, "dropped_partition", schema_version, 3)?,
-        // The byzantine counters arrived in v5; older reports default to 0.
-        dropped_byzantine: field_usize_since(v, "dropped_byzantine", schema_version, 5)?,
-        crashed_nodes: field_usize_since(v, "crashed_nodes", schema_version, 3)?,
-        byzantine_accusations: field_usize_since(v, "byzantine_accusations", schema_version, 5)?,
-        quarantined_nodes: field_usize_since(v, "quarantined_nodes", schema_version, 5)?,
-        // The sharding counters arrived in v6; older reports default to 0.
-        boundary_bits: field_usize_since(v, "boundary_bits", schema_version, 6)?,
-        boundary_nodes: field_usize_since(v, "boundary_nodes", schema_version, 6)?,
-        messages_per_sec: field_f64(v, "messages_per_sec")?,
+/// `r`'s value, or the type's default with the error noted in `problems`.
+fn keep<T: Default>(r: Result<T, String>, problems: &mut Vec<String>) -> T {
+    r.unwrap_or_else(|e| {
+        problems.push(e);
+        T::default()
     })
 }
 
-/// A counter that became mandatory in schema version `since`: required at or
-/// above it, defaulting to 0 (while still read if present) below it.
-fn field_usize_since(
-    v: &Value,
-    key: &str,
-    schema_version: u64,
-    since: u64,
-) -> Result<usize, String> {
-    if schema_version >= since {
-        field_usize(v, key)
+/// Reads one record, collecting every missing or mistyped field.
+fn record_from_value(v: &Value) -> Result<ExperimentRecord, Vec<String>> {
+    let mut p = Vec::new();
+    let record = ExperimentRecord {
+        experiment: keep(field_str(v, "experiment"), &mut p),
+        workload: keep(field_str(v, "workload"), &mut p),
+        scale: keep(field_str(v, "scale"), &mut p),
+        wall_clock_ms: keep(field_f64(v, "wall_clock_ms"), &mut p),
+        rounds: keep(field_u64(v, "rounds"), &mut p) as usize,
+        counters: {
+            let mut counters = RoundStats::default();
+            for (c, slot) in COUNTERS.iter().zip(counters.values_mut()) {
+                if let Some(key) = c.report_key {
+                    *slot = keep(field_u64(v, key), &mut p) as usize;
+                }
+            }
+            counters
+        },
+        messages_per_sec: keep(field_f64(v, "messages_per_sec"), &mut p),
+    };
+    if p.is_empty() {
+        Ok(record)
     } else {
-        Ok(v.get(key).and_then(Value::as_u64).unwrap_or(0) as usize)
+        Err(p)
     }
 }
 
@@ -553,20 +433,22 @@ mod tests {
                 scale: "".into(), // stamped by extend
                 wall_clock_ms: 12.25,
                 rounds: 21,
-                total_messages: 399_900,
-                payload_bits: 25_593_600,
-                max_message_bits: 64,
-                wire_bits: 26_803_200,
-                node_updates: 42_000,
-                dropped_loss: 120,
-                dropped_burst: 7,
-                dropped_partition: 0,
-                dropped_byzantine: 5,
-                crashed_nodes: 3,
-                byzantine_accusations: 9,
-                quarantined_nodes: 2,
-                boundary_bits: 1_088,
-                boundary_nodes: 6,
+                counters: RoundStats {
+                    messages: 399_900,
+                    payload_bits: 25_593_600,
+                    max_message_bits: 64,
+                    wire_bits: 26_803_200,
+                    node_updates: 42_000,
+                    dropped_loss: 120,
+                    dropped_burst: 7,
+                    dropped_byzantine: 5,
+                    crashed_nodes: 3,
+                    byzantine_accusations: 9,
+                    quarantined_nodes: 2,
+                    boundary_bits: 1_088,
+                    boundary_nodes: 6,
+                    ..RoundStats::default()
+                },
                 messages_per_sec: 3.2e7,
             },
             ExperimentRecord::centralized("E2", "grid", "tiny", Duration::from_micros(1500), 17),
@@ -592,11 +474,11 @@ mod tests {
     #[test]
     fn counters_survive_round_trip_exactly() {
         let mut report = sample_report();
-        report.records[0].total_messages = usize::MAX / 2;
-        report.records[0].payload_bits = (1usize << 53) + 1; // beyond f64 exactness
+        report.records[0].counters.messages = usize::MAX / 2;
+        report.records[0].counters.payload_bits = (1usize << 53) + 1; // beyond f64 exactness
         let parsed = Report::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.records[0].total_messages, usize::MAX / 2);
-        assert_eq!(parsed.records[0].payload_bits, (1usize << 53) + 1);
+        assert_eq!(parsed.records[0].counters.messages, usize::MAX / 2);
+        assert_eq!(parsed.records[0].counters.payload_bits, (1usize << 53) + 1);
     }
 
     #[test]
@@ -615,167 +497,29 @@ mod tests {
         assert!(err.contains("rounds"), "{err}");
     }
 
-    /// Strips every line mentioning one of `fields` from a report's JSON.
-    fn strip_fields(json: &str, fields: &[&str]) -> String {
-        json.lines()
-            .filter(|l| !fields.iter().any(|f| l.contains(f)))
+    #[test]
+    fn every_gated_counter_is_mandatory_and_every_gap_is_reported() {
+        let json = sample_report().to_json();
+        let gated: Vec<&str> = sample_report().records[0].gated().map(|(k, _)| k).collect();
+        assert_eq!(gated.len(), 15, "rounds plus the table's report keys");
+        // Strip every gated key from both records: one error names them all.
+        let stripped: String = json
+            .lines()
+            .filter(|l| !gated.iter().any(|k| l.contains(&format!("\"{k}\""))))
             .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    const FAULT_COUNTERS: [&str; 4] = [
-        "dropped_loss",
-        "dropped_burst",
-        "dropped_partition",
-        "crashed_nodes",
-    ];
-
-    const BYZANTINE_COUNTERS: [&str; 3] = [
-        "dropped_byzantine",
-        "byzantine_accusations",
-        "quarantined_nodes",
-    ];
-
-    const SHARDING_COUNTERS: [&str; 2] = ["boundary_bits", "boundary_nodes"];
-
-    #[test]
-    fn v1_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v1 report: no node_updates, no fault counters,
-        // no wire_bits, no byzantine counters, no sharding counters anywhere.
-        let v1 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 1"),
-            &["node_updates", "wire_bits"],
-        );
-        let v1 = strip_fields(&v1, &FAULT_COUNTERS);
-        let v1 = strip_fields(&v1, &BYZANTINE_COUNTERS);
-        let v1 = strip_fields(&v1, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v1).expect("v1 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert!(parsed.records.iter().all(|r| r.node_updates == 0));
-        assert!(parsed.records.iter().all(|r| r.wire_bits == 0));
-        assert!(parsed.records.iter().all(|r| r.dropped_loss == 0
-            && r.dropped_burst == 0
-            && r.dropped_partition == 0
-            && r.dropped_byzantine == 0
-            && r.crashed_nodes == 0
-            && r.byzantine_accusations == 0
-            && r.quarantined_nodes == 0
-            && r.boundary_bits == 0
-            && r.boundary_nodes == 0));
-        // Re-serializing emits the current schema with the fields present.
-        let rewritten = parsed.to_json();
-        assert!(rewritten.contains("\"schema_version\": 6"));
-        assert!(rewritten.contains("\"node_updates\": 0"));
-        assert!(rewritten.contains("\"dropped_loss\": 0"));
-        assert!(rewritten.contains("\"wire_bits\": 0"));
-        assert!(rewritten.contains("\"dropped_byzantine\": 0"));
-        assert!(rewritten.contains("\"boundary_bits\": 0"));
-        // In a v2-or-later report, node_updates is mandatory.
-        let v2_missing = strip_fields(&sample_report().to_json(), &["node_updates"]);
-        let err = Report::from_json(&v2_missing).unwrap_err();
-        assert!(err.contains("node_updates"), "{err}");
-    }
-
-    #[test]
-    fn v2_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v2 report: node_updates present; fault
-        // counters, wire_bits, byzantine and sharding counters absent.
-        let v2 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 2"),
-            &FAULT_COUNTERS,
-        );
-        let v2 = strip_fields(&v2, &["wire_bits"]);
-        let v2 = strip_fields(&v2, &BYZANTINE_COUNTERS);
-        let v2 = strip_fields(&v2, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v2).expect("v2 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].node_updates, 42_000, "v2 fields kept");
-        assert!(parsed.records.iter().all(|r| r.dropped_loss == 0
-            && r.dropped_burst == 0
-            && r.dropped_partition == 0
-            && r.crashed_nodes == 0));
-        // In a v3-or-later report every fault counter is mandatory.
-        for counter in FAULT_COUNTERS {
-            let missing = strip_fields(&sample_report().to_json(), &[counter]);
-            let err = Report::from_json(&missing).unwrap_err();
-            assert!(err.contains(counter), "{counter}: {err}");
+            .join("\n");
+        let err = Report::from_json(&stripped).unwrap_err();
+        assert!(err.starts_with("30 malformed record problem(s)"), "{err}");
+        for key in &gated {
+            assert!(
+                err.contains(&format!("record 1: missing or non-integer field \"{key}\"")),
+                "{key}: {err}"
+            );
         }
-    }
-
-    #[test]
-    fn v3_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v3 report: everything but wire_bits, the
-        // byzantine counters, and the sharding counters present.
-        let v3 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 3"),
-            &["wire_bits"],
-        );
-        let v3 = strip_fields(&v3, &BYZANTINE_COUNTERS);
-        let v3 = strip_fields(&v3, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v3).expect("v3 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].dropped_loss, 120, "v3 fields kept");
-        assert!(parsed.records.iter().all(|r| r.wire_bits == 0));
-        // In a v4-or-later report the measured wire counter is mandatory.
-        let missing = strip_fields(&sample_report().to_json(), &["wire_bits"]);
-        let err = Report::from_json(&missing).unwrap_err();
-        assert!(err.contains("wire_bits"), "{err}");
-    }
-
-    #[test]
-    fn v4_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v4 report: everything but the byzantine and
-        // sharding counters present.
-        let v4 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 4"),
-            &BYZANTINE_COUNTERS,
-        );
-        let v4 = strip_fields(&v4, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v4).expect("v4 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].wire_bits, 26_803_200, "v4 fields kept");
-        assert!(parsed.records.iter().all(|r| r.dropped_byzantine == 0
-            && r.byzantine_accusations == 0
-            && r.quarantined_nodes == 0));
-        // In a v5-or-later report every byzantine counter is mandatory.
-        for counter in BYZANTINE_COUNTERS {
-            let missing = strip_fields(&sample_report().to_json(), &[counter]);
-            let err = Report::from_json(&missing).unwrap_err();
-            assert!(err.contains(counter), "{counter}: {err}");
-        }
-    }
-
-    #[test]
-    fn v5_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v5 report: everything but the sharding
-        // counters present.
-        let v5 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 5"),
-            &SHARDING_COUNTERS,
-        );
-        let parsed = Report::from_json(&v5).expect("v5 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].byzantine_accusations, 9, "v5 fields kept");
-        assert!(parsed
-            .records
-            .iter()
-            .all(|r| r.boundary_bits == 0 && r.boundary_nodes == 0));
-        // In a v6 report both sharding counters are mandatory.
-        for counter in SHARDING_COUNTERS {
-            let missing = strip_fields(&sample_report().to_json(), &[counter]);
-            let err = Report::from_json(&missing).unwrap_err();
-            assert!(err.contains(counter), "{counter}: {err}");
-        }
+        // Reports of older schema versions are no longer read.
+        let v5 = json.replace("\"schema_version\": 6", "\"schema_version\": 5");
+        let err = Report::from_json(&v5).unwrap_err();
+        assert!(err.contains("unsupported schema_version 5"), "{err}");
     }
 
     #[test]
@@ -811,7 +555,6 @@ mod tests {
 
     #[test]
     fn from_metrics_uses_executor_timing() {
-        use dkc_distsim::RoundStats;
         let mut metrics = RunMetrics::new();
         metrics.push(RoundStats {
             round: 1,
@@ -829,12 +572,16 @@ mod tests {
         metrics.add_elapsed(Duration::from_millis(100));
         let rec = ExperimentRecord::from_metrics("E9", "ba-10", "tiny", &metrics);
         assert_eq!(rec.rounds, 1);
-        assert_eq!(rec.total_messages, 1000);
-        assert_eq!(rec.payload_bits, 64_000);
-        assert_eq!(rec.wire_bits, 96_000);
-        assert_eq!(rec.node_updates, 10);
-        assert_eq!(rec.boundary_bits, 544);
-        assert_eq!(rec.boundary_nodes, 3);
+        assert_eq!(
+            rec.counters,
+            RoundStats {
+                sending_nodes: 0,
+                changed_nodes: 0,
+                round: 0,
+                ..metrics.totals()
+            },
+            "the gated totals, with the ungated counters cleared"
+        );
         assert!((rec.messages_per_sec - 10_000.0).abs() < 1e-9);
         assert!((rec.wall_clock_ms - 100.0).abs() < 1e-9);
         assert!(rec.validate().is_ok());
@@ -851,8 +598,8 @@ mod tests {
             500,
         );
         assert_eq!(rec.rounds, 54);
-        assert_eq!(rec.total_messages, 500);
-        assert_eq!(rec.payload_bits, 0);
+        assert_eq!(rec.counters.messages, 500);
+        assert_eq!(rec.counters.payload_bits, 0);
         assert!((rec.messages_per_sec - 250.0).abs() < 1e-9);
     }
 

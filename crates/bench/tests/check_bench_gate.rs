@@ -1,40 +1,27 @@
-//! Negative tests for `scripts/check_bench.sh`: a doctored report — a
-//! missing counter key, a missing identity field, a stripped `records`
-//! array, multi-counter drift — must fail the gate with a clear,
-//! per-problem message instead of a raw traceback or a first-failure exit.
-//!
-//! The tests shell out to bash + python3 exactly as CI does; on hosts
-//! without either they skip (the gate itself only runs in CI).
+//! Negative tests for `dkc-bench check`: a doctored report — missing counter
+//! keys, a missing identity field, a renamed `records` array, multi-counter
+//! drift, a missing or an unexpected record — must fail the gate with a
+//! clear, per-problem message instead of a first-failure exit. Plus the
+//! `rebaseline` round trip.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Output;
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .unwrap()
-        .parent()
-        .unwrap()
-        .to_path_buf()
-}
-
-fn have_tools() -> bool {
-    ["bash", "python3"].iter().all(|t| {
-        Command::new(t)
-            .arg("--version")
-            .output()
-            .map(|o| o.status.success())
-            .unwrap_or(false)
-    })
-}
-
-fn run_gate(report: &Path, baseline: &Path) -> Output {
-    Command::new("bash")
-        .arg(repo_root().join("scripts/check_bench.sh"))
-        .arg(report)
-        .arg(baseline)
+fn dkc_bench(args: &[&Path]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_dkc-bench"))
+        .args(args)
         .output()
-        .expect("failed to spawn bash")
+        .expect("failed to spawn dkc-bench")
+}
+
+fn run_gate(report: &Path, baseline: &Path) -> (Option<i32>, String) {
+    let out = dkc_bench(&[Path::new("check"), report, baseline]);
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (out.status.code(), text)
 }
 
 fn sample_report() -> dkc_bench::Report {
@@ -60,6 +47,12 @@ fn sample_report() -> dkc_bench::Report {
     report
 }
 
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dkc-gate-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
     let path = dir.join(name);
     std::fs::write(&path, text).unwrap();
@@ -68,76 +61,122 @@ fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
 
 #[test]
 fn doctored_reports_fail_with_per_counter_messages() {
-    if !have_tools() {
-        eprintln!("skipping: bash/python3 not available");
-        return;
-    }
-    let dir = std::env::temp_dir().join(format!("dkc-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("check");
     let good_json = sample_report().to_json();
     let baseline = write(&dir, "baseline.json", &good_json);
 
     // Sanity: an identical report passes.
-    let ok = run_gate(&write(&dir, "same.json", &good_json), &baseline);
-    assert!(ok.status.success(), "identical report must pass the gate");
+    let (code, text) = run_gate(&write(&dir, "same.json", &good_json), &baseline);
+    assert_eq!(
+        code,
+        Some(0),
+        "identical report must pass the gate:\n{text}"
+    );
 
     // Doctored: strip TWO counter keys from the first record. The gate must
-    // fail and name BOTH counters (not die after the first), without a
-    // Python traceback.
+    // fail and name BOTH counters (not stop after the first).
     let doctored = good_json
         .replacen("\"node_updates\": 10,\n", "", 1)
         .replacen("\"dropped_partition\": 0,\n", "", 1);
     assert_ne!(doctored, good_json, "doctoring must change the report");
-    let out = run_gate(&write(&dir, "missing_counters.json", &doctored), &baseline);
-    assert_eq!(out.status.code(), Some(1), "gate must fail with exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (code, text) = run_gate(&write(&dir, "missing_counters.json", &doctored), &baseline);
+    assert_eq!(code, Some(1), "gate must fail with exit 1:\n{text}");
     assert!(
-        stdout.contains("missing counter 'node_updates'"),
-        "must name node_updates:\n{stdout}{stderr}"
+        text.contains("record 0: missing or non-integer field \"node_updates\""),
+        "must name node_updates:\n{text}"
     );
     assert!(
-        stdout.contains("missing counter 'dropped_partition'"),
-        "must name dropped_partition too (every problem reported):\n{stdout}{stderr}"
+        text.contains("record 0: missing or non-integer field \"dropped_partition\""),
+        "must name dropped_partition too (every problem reported):\n{text}"
     );
-    assert!(!stderr.contains("Traceback"), "no raw traceback:\n{stderr}");
 
-    // Doctored: a record without its identity fields.
+    // Doctored: a record without its identity field.
     let doctored = good_json.replacen("\"experiment\": \"E1\",\n", "", 1);
-    let out = run_gate(&write(&dir, "missing_identity.json", &doctored), &baseline);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (code, text) = run_gate(&write(&dir, "missing_identity.json", &doctored), &baseline);
+    assert_eq!(code, Some(1));
     assert!(
-        stdout.contains("missing identity field"),
-        "must report the missing identity field:\n{stdout}"
+        text.contains("record 0: missing or non-string field \"experiment\""),
+        "must report the missing identity field:\n{text}"
     );
 
     // Doctored: the records array renamed away entirely.
     let doctored = good_json.replacen("\"records\"", "\"wrecks\"", 1);
-    let out = run_gate(&write(&dir, "no_records.json", &doctored), &baseline);
-    assert!(!out.status.success());
-    let combined = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let (code, text) = run_gate(&write(&dir, "no_records.json", &doctored), &baseline);
+    assert_eq!(code, Some(1));
     assert!(
-        combined.contains("records"),
-        "must point at the missing records field:\n{combined}"
+        text.contains("missing records array"),
+        "must point at the missing records field:\n{text}"
     );
-    assert!(!combined.contains("Traceback"), "{combined}");
 
-    // Drifted counters are still caught (the pre-existing behaviour), with
-    // every drifted counter named.
+    // Drifted counters are caught, with every drifted counter named.
     let doctored = good_json
         .replacen("\"total_messages\": 120", "\"total_messages\": 121", 1)
         .replacen("\"wire_bits\": 9000", "\"wire_bits\": 9001", 1);
-    let out = run_gate(&write(&dir, "drift.json", &doctored), &baseline);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("counter drift"), "{stdout}");
-    assert!(stdout.contains("total_messages: 120 -> 121"), "{stdout}");
-    assert!(stdout.contains("wire_bits: 9000 -> 9001"), "{stdout}");
+    let (code, text) = run_gate(&write(&dir, "drift.json", &doctored), &baseline);
+    assert_eq!(code, Some(1));
+    assert!(text.contains("counter drift"), "{text}");
+    assert!(text.contains("total_messages: 120 -> 121"), "{text}");
+    assert!(text.contains("wire_bits: 9000 -> 9001"), "{text}");
 
+    // A record the baseline has and the report lacks, and one the baseline
+    // lacks, are both reported in the same run.
+    let mut renamed = sample_report();
+    renamed.records[1].workload = "wl-c".into();
+    let (code, text) = run_gate(&write(&dir, "renamed.json", &renamed.to_json()), &baseline);
+    assert_eq!(code, Some(1));
+    assert!(
+        text.contains("missing record (\"E2\", \"wl-b\", \"tiny\")"),
+        "{text}"
+    );
+    assert!(
+        text.contains("unexpected new record (\"E2\", \"wl-c\", \"tiny\")"),
+        "{text}"
+    );
+    assert!(
+        text.contains("2 deterministic-counter failure(s)"),
+        "{text}"
+    );
+
+    // Timing fields are never gated.
+    let mut retimed = sample_report();
+    retimed.records[0].wall_clock_ms = 1234.5;
+    retimed.records[0].messages_per_sec = 9.0;
+    let (code, text) = run_gate(&write(&dir, "retimed.json", &retimed.to_json()), &baseline);
+    assert_eq!(code, Some(0), "{text}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rebaseline_verifies_then_zeroes_timings() {
+    let dir = scratch_dir("rebaseline");
+    let mut timed = sample_report();
+    timed.records[0].wall_clock_ms = 12.5;
+    timed.records[1].messages_per_sec = 3.0e6;
+    let report = write(&dir, "report.json", &timed.to_json());
+    let baseline = dir.join("baseline.json");
+
+    let out = dkc_bench(&[Path::new("rebaseline"), &report, &baseline]);
+    assert!(out.status.success(), "{out:?}");
+    let installed = dkc_bench::Report::read_from(&baseline).unwrap();
+    assert!(installed
+        .records
+        .iter()
+        .all(|r| r.wall_clock_ms == 0.0 && r.messages_per_sec == 0.0));
+    assert_eq!(run_gate(&report, &baseline).0, Some(0));
+
+    // A malformed report is refused and the baseline is left untouched.
+    let before = std::fs::read_to_string(&baseline).unwrap();
+    let bad = write(
+        &dir,
+        "bad.json",
+        &timed.to_json().replacen("\"rounds\": 1,\n", "", 1),
+    );
+    let out = dkc_bench(&[Path::new("rebaseline"), &bad, &baseline]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(std::fs::read_to_string(&baseline).unwrap(), before);
+
+    // Usage errors exit 2.
+    assert_eq!(dkc_bench(&[Path::new("check")]).status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -144,18 +144,7 @@ fn json_reports_are_deterministic_in_counters() {
         report
             .records
             .into_iter()
-            .map(|r| {
-                (
-                    r.experiment,
-                    r.workload,
-                    r.scale,
-                    r.rounds,
-                    r.total_messages,
-                    r.payload_bits,
-                    r.max_message_bits,
-                    r.node_updates,
-                )
-            })
+            .map(|r| (r.experiment, r.workload, r.scale, r.rounds, r.counters))
             .collect::<Vec<_>>()
     };
     let mut runs = Vec::new();

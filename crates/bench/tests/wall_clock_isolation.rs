@@ -6,33 +6,21 @@
 //! (`crates/bench/src/experiments.rs`) — all on the dkc-lint D02 allowlist.
 //! Those readings may only ever reach the two timing fields of an
 //! [`ExperimentRecord`] (`wall_clock_ms`, `messages_per_sec`), never the
-//! fifteen deterministic counters `scripts/check_bench.sh` gates on. These
-//! tests pin both halves of that contract.
+//! deterministic counters `dkc-bench check` gates on
+//! ([`ExperimentRecord::gated`]). These tests pin both halves of that
+//! contract.
 
 use dkc_bench::report::ExperimentRecord;
 use dkc_distsim::{RoundStats, RunMetrics};
 use std::time::Duration;
 
+/// A round with every counter nonzero and distinct.
 fn busy_round(round: usize) -> RoundStats {
-    RoundStats {
-        round,
-        messages: 1_000,
-        payload_bits: 64_000,
-        wire_bits: 96_000,
-        max_message_bits: 64,
-        sending_nodes: 10,
-        changed_nodes: 10,
-        node_updates: 17,
-        dropped_loss: 3,
-        dropped_burst: 2,
-        dropped_partition: 1,
-        dropped_byzantine: 4,
-        crashed_nodes: 1,
-        byzantine_accusations: 6,
-        quarantined_nodes: 2,
-        boundary_bits: 544,
-        boundary_nodes: 3,
+    let mut stats = RoundStats::default();
+    for (i, v) in stats.values_mut().into_iter().enumerate() {
+        *v = 7 * (i + 1);
     }
+    RoundStats { round, ..stats }
 }
 
 #[test]
@@ -44,22 +32,10 @@ fn elapsed_time_only_reaches_the_timing_fields() {
     let a = ExperimentRecord::from_metrics("E1", "w", "tiny", &fast);
     let b = ExperimentRecord::from_metrics("E1", "w", "tiny", &slow);
 
-    // Every check_bench.sh-gated counter is identical across the two runs…
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.total_messages, b.total_messages);
-    assert_eq!(a.payload_bits, b.payload_bits);
-    assert_eq!(a.max_message_bits, b.max_message_bits);
-    assert_eq!(a.wire_bits, b.wire_bits);
-    assert_eq!(a.node_updates, b.node_updates);
-    assert_eq!(a.dropped_loss, b.dropped_loss);
-    assert_eq!(a.dropped_burst, b.dropped_burst);
-    assert_eq!(a.dropped_partition, b.dropped_partition);
-    assert_eq!(a.dropped_byzantine, b.dropped_byzantine);
-    assert_eq!(a.crashed_nodes, b.crashed_nodes);
-    assert_eq!(a.byzantine_accusations, b.byzantine_accusations);
-    assert_eq!(a.quarantined_nodes, b.quarantined_nodes);
-    assert_eq!(a.boundary_bits, b.boundary_bits);
-    assert_eq!(a.boundary_nodes, b.boundary_nodes);
+    // Every gated counter is identical across the two runs, and nonzero…
+    let gated: Vec<_> = a.gated().collect();
+    assert_eq!(gated, b.gated().collect::<Vec<_>>());
+    assert!(gated.iter().all(|&(_, v)| v > 0), "{gated:?}");
 
     // …and the wall clock moved only the two timing fields.
     assert!((a.wall_clock_ms - 10.0).abs() < 1e-9);
@@ -74,59 +50,41 @@ fn elapsed_time_only_reaches_the_timing_fields() {
         scale: _,
         wall_clock_ms: _,
         rounds: _,
-        total_messages: _,
-        payload_bits: _,
-        max_message_bits: _,
-        wire_bits: _,
-        node_updates: _,
-        dropped_loss: _,
-        dropped_burst: _,
-        dropped_partition: _,
-        dropped_byzantine: _,
-        crashed_nodes: _,
-        byzantine_accusations: _,
-        quarantined_nodes: _,
-        boundary_bits: _,
-        boundary_nodes: _,
+        counters: _,
         messages_per_sec: _,
     } = a;
 }
 
 #[test]
-fn check_bench_gates_exactly_the_deterministic_counters() {
-    let script_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/check_bench.sh");
-    let script = std::fs::read_to_string(script_path).unwrap();
-
-    // Extract the COUNTERS tuple literal from the embedded python.
-    let start = script
-        .find("COUNTERS = (")
-        .expect("check_bench.sh must declare its COUNTERS tuple");
-    let tuple = &script[start..start + script[start..].find(')').unwrap()];
-    let gated: Vec<&str> = tuple.split('"').skip(1).step_by(2).collect();
-
-    let deterministic = [
-        "rounds",
-        "total_messages",
-        "payload_bits",
-        "max_message_bits",
-        "wire_bits",
-        "node_updates",
-        "dropped_loss",
-        "dropped_burst",
-        "dropped_partition",
-        "dropped_byzantine",
-        "crashed_nodes",
-        "byzantine_accusations",
-        "quarantined_nodes",
-        "boundary_bits",
-        "boundary_nodes",
-    ];
-    assert_eq!(
-        gated, deterministic,
-        "check_bench.sh must gate exactly the deterministic counters"
-    );
+fn gated_keys_are_exactly_the_baseline_counters() {
+    let record = ExperimentRecord::from_metrics("E1", "w", "tiny", &RunMetrics::new());
+    let gated: Vec<&str> = record.gated().map(|(key, _)| key).collect();
     assert!(
         !gated.contains(&"wall_clock_ms") && !gated.contains(&"messages_per_sec"),
         "timing fields must never be gated"
     );
+
+    // The committed baseline's records carry the identity, the two timing
+    // fields, and exactly the gated counters — no more, no fewer.
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../bench/baselines/tiny.json"
+    );
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let first = doc.get("records").and_then(|r| r.as_array()).unwrap()[0]
+        .as_object()
+        .unwrap();
+    let mut keys: Vec<&str> = first.iter().map(|(k, _)| k).collect();
+    let mut expected = gated.clone();
+    expected.extend([
+        "experiment",
+        "workload",
+        "scale",
+        "wall_clock_ms",
+        "messages_per_sec",
+    ]);
+    keys.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(keys, expected, "gated counters must match the baseline's");
 }

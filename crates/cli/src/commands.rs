@@ -366,49 +366,43 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
             cfg.every
         );
     }
+    let t = approx.metrics.totals();
     let _ = writeln!(
         out,
         "compact elimination: {} rounds, guaranteed factor {:.3}, {} messages, max message {} bits",
-        approx.rounds,
-        approx.guaranteed_factor,
-        approx.metrics.total_messages(),
-        approx.metrics.max_message_bits()
+        approx.rounds, approx.guaranteed_factor, t.messages, t.max_message_bits
     );
     let _ = writeln!(
         out,
         "traffic: {} payload bits estimated, {} wire bits measured (encoded frames)",
-        approx.metrics.total_payload_bits(),
-        approx.metrics.total_wire_bits()
+        t.payload_bits, t.wire_bits
     );
-    if approx.metrics.total_boundary_bits() > 0 {
+    if t.boundary_bits > 0 {
         let _ = writeln!(
             out,
             "sharded execution: {} boundary bits in cross-shard delta frames, \
              {} boundary senders summed over rounds",
-            approx.metrics.total_boundary_bits(),
-            approx.metrics.total_boundary_nodes()
+            t.boundary_bits, t.boundary_nodes
         );
     }
     if !faults.is_trivial() {
-        let m = &approx.metrics;
         let _ = writeln!(
             out,
             "fault injection: {} dropped (loss {}, burst {}, partition {}, byzantine-mute {}), \
              {} crashed nodes; \
              values remain upper bounds but the factor is no longer guaranteed",
-            m.total_dropped(),
-            m.total_dropped_loss(),
-            m.total_dropped_burst(),
-            m.total_dropped_partition(),
-            m.total_dropped_byzantine(),
-            m.crashed_nodes()
+            approx.metrics.total_dropped(),
+            t.dropped_loss,
+            t.dropped_burst,
+            t.dropped_partition,
+            t.dropped_byzantine,
+            t.crashed_nodes
         );
         if faults.byzantine.is_some() {
             let _ = writeln!(
                 out,
                 "byzantine detection: {} accusations, {} nodes quarantined",
-                m.byzantine_accusations(),
-                m.quarantined_nodes()
+                t.byzantine_accusations, t.quarantined_nodes
             );
         }
     }
@@ -763,14 +757,9 @@ mod tests {
         let resumed = dkc_bench::Report::read_from(&res_json).unwrap();
         let (a, b) = (&reference.records[0], &resumed.records[0]);
         assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.total_messages, b.total_messages);
-        assert_eq!(a.wire_bits, b.wire_bits);
-        assert_eq!(a.node_updates, b.node_updates);
-        assert_eq!(a.dropped_loss, b.dropped_loss);
-        assert_eq!(a.boundary_bits, b.boundary_bits);
-        assert_eq!(a.boundary_nodes, b.boundary_nodes);
+        assert_eq!(a.counters, b.counters);
         assert!(
-            a.boundary_bits > 0,
+            a.counters.boundary_bits > 0,
             "3 shards must exchange boundary frames"
         );
     }
@@ -1015,15 +1004,7 @@ mod tests {
         let resumed = dkc_bench::Report::read_from(&res_json).unwrap();
         let (a, b) = (&reference.records[0], &resumed.records[0]);
         assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.total_messages, b.total_messages);
-        assert_eq!(a.payload_bits, b.payload_bits);
-        assert_eq!(a.max_message_bits, b.max_message_bits);
-        assert_eq!(a.wire_bits, b.wire_bits);
-        assert_eq!(a.node_updates, b.node_updates);
-        assert_eq!(a.dropped_loss, b.dropped_loss);
-        assert_eq!(a.dropped_burst, b.dropped_burst);
-        assert_eq!(a.dropped_partition, b.dropped_partition);
-        assert_eq!(a.crashed_nodes, b.crashed_nodes);
+        assert_eq!(a.counters, b.counters);
         // The resumed report carries a provenance note; the reference does not.
         assert!(reference.notes.is_empty());
         assert!(
@@ -1098,7 +1079,7 @@ mod tests {
         let report = dkc_bench::Report::read_from(&report_path).unwrap();
         assert_eq!(report.suite, "cli-coreness");
         assert_eq!(report.records.len(), 1);
-        assert!(report.records[0].total_messages > 0);
+        assert!(report.records[0].counters.messages > 0);
         assert_eq!(report.records[0].scale, "custom");
     }
 }

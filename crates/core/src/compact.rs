@@ -36,8 +36,8 @@ use crate::update::{suffix_scan, UpdateOrder};
 use dkc_distsim::message::QuantizedValue;
 use dkc_distsim::wire::{WireError, WireReader, WireWriter};
 use dkc_distsim::{
-    CheckpointError, Delivery, ExecutionMode, FaultPlan, NetworkBuilder, NodeContext, NodeProgram,
-    Outgoing, RunMetrics, SnapshotState,
+    CheckpointError, Delivery, ExecutionMode, FaultPlan, Network, NetworkBuilder, NodeContext,
+    NodeProgram, Outgoing, RunMetrics, SnapshotState,
 };
 use dkc_graph::{CsrGraph, NodeId, Partitioner, WeightedGraph};
 use serde::ser::Serialize;
@@ -327,6 +327,19 @@ impl CompactNode<'_> {
     pub fn surviving_number(&self) -> f64 {
         *self.b
     }
+
+    /// `Update` over the cached neighbour values in the current `order`: the
+    /// surviving number rounded down to Λ, and the position in `order` from
+    /// which neighbours belong to `N_v`.
+    fn recompute(&self, ctx: &NodeContext<'_>) -> (f64, usize) {
+        let (raw, include_from) = suffix_scan(
+            &*self.order,
+            &*self.values,
+            ctx.neighbor_weights(),
+            ctx.self_loop(),
+        );
+        (self.threshold_set.round_down(raw), include_from)
+    }
 }
 
 impl NodeProgram for CompactNode<'_> {
@@ -368,13 +381,7 @@ impl NodeProgram for CompactNode<'_> {
             inv: &mut *self.inv,
         }
         .resort_decreased(&*self.values, &mut self.scratch[..changed_count]);
-        let (raw, include_from) = suffix_scan(
-            &*self.order,
-            &*self.values,
-            ctx.neighbor_weights(),
-            ctx.self_loop(),
-        );
-        let rounded = self.threshold_set.round_down(raw);
+        let (rounded, include_from) = self.recompute(ctx);
         debug_assert!(
             rounded <= *self.b + 1e-9,
             "surviving number increased: {} -> {rounded}",
@@ -650,6 +657,7 @@ pub(crate) fn execute(
     }
     if let Some((_, state)) = resume {
         net.restore_state(state)?;
+        check_restored_surviving(&net, csr)?;
     }
     let started_from = net.round();
     if started_from > spec.rounds {
@@ -671,6 +679,28 @@ pub(crate) fn execute(
         metrics,
     };
     Ok((outcome, started_from))
+}
+
+/// Every executed `Update` leaves `b` equal to what it computes from the
+/// node's values, order and edge weights, and no later round changes one
+/// without the other. A restored node that has updated (`last_update_round
+/// != 0`) and breaks this was not written by a run: resuming it would let a
+/// surviving number increase, so it is rejected here.
+fn check_restored_surviving(
+    net: &Network<CompactNode<'_>>,
+    csr: &CsrGraph,
+) -> Result<(), CheckpointError> {
+    for v in csr.nodes() {
+        let node = net.program(v);
+        if *node.last_update_round != 0
+            && node.recompute(&NodeContext::new(csr, v, net.round())).0 != *node.b
+        {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpointed surviving number of node {v} disagrees with its neighbour values"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -863,7 +893,10 @@ mod tests {
                 );
             }
             // Quantized messages must be smaller than full words.
-            assert!(quantized.metrics.max_message_bits() < exact.metrics.max_message_bits());
+            assert!(
+                quantized.metrics.totals().max_message_bits
+                    < exact.metrics.totals().max_message_bits
+            );
         }
     }
 

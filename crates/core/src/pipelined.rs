@@ -363,8 +363,8 @@ mod tests {
         let batched = run_aggregation(&g, &forest, &elim, ExecutionMode::Sequential);
         let pipelined = run_pipelined_aggregation(&g, &forest, &elim, ExecutionMode::Sequential);
         // Batched messages grow with T; pipelined stay at ~130 bits.
-        assert!(batched.metrics.max_message_bits() > 96 * rounds / 2);
-        assert!(pipelined.metrics.max_message_bits() <= 129);
+        assert!(batched.metrics.totals().max_message_bits > 96 * rounds / 2);
+        assert!(pipelined.metrics.totals().max_message_bits <= 129);
         // Pipelining costs extra rounds but stays within the 3T + O(1) budget.
         assert!(pipelined.rounds >= batched.rounds);
         assert!(pipelined.rounds <= 3 * rounds + forest.rounds + 6);

@@ -279,6 +279,13 @@ fn corrupted_checkpoint_files_are_rejected() {
         matches!(err, CheckpointError::Mismatch(_)),
         "unsorted order: {err}"
     );
+    // A `b` in domain but below what the node's own values give is
+    // rejected too, before a resumed round could raise it again.
+    let err = stamp(b_at, &0f64.to_le_bytes());
+    assert!(
+        matches!(err, CheckpointError::Mismatch(_)),
+        "inconsistent surviving number: {err}"
+    );
 
     // The magic constant itself is what the file starts with.
     assert_eq!(&bytes[..4], &CHECKPOINT_MAGIC);

@@ -62,7 +62,7 @@ proptest! {
         let sparse_par = run(&g, rounds, threshold_set, loss, ExecutionMode::SparseParallel);
         let mailbox = run(&g, rounds, threshold_set, loss, ExecutionMode::Mailbox);
 
-        // Protocol output: byte-identical across all four modes.
+        // Protocol output: byte-identical across all five modes.
         let surviving_bits = |o: &CompactOutcome| -> Vec<u64> {
             o.surviving.iter().map(|b| b.to_bits()).collect()
         };
@@ -101,8 +101,8 @@ proptest! {
             <= dense_seq.metrics.total_node_updates());
         prop_assert!(sparse_seq.metrics.total_messages()
             <= dense_seq.metrics.total_messages());
-        prop_assert!(sparse_seq.metrics.total_payload_bits()
-            <= dense_seq.metrics.total_payload_bits());
+        prop_assert!(sparse_seq.metrics.totals().payload_bits
+            <= dense_seq.metrics.totals().payload_bits);
         prop_assert_eq!(sparse_seq.metrics.num_rounds(), dense_seq.metrics.num_rounds());
 
         // changed_nodes (quiescence signal) agrees round by round across
@@ -221,12 +221,12 @@ proptest! {
             <= dense_seq.metrics.total_messages());
         prop_assert_eq!(sparse_seq.metrics.crashed_nodes(), dense_seq.metrics.crashed_nodes());
         prop_assert_eq!(
-            sparse_seq.metrics.byzantine_accusations(),
-            dense_seq.metrics.byzantine_accusations()
+            sparse_seq.metrics.totals().byzantine_accusations,
+            dense_seq.metrics.totals().byzantine_accusations
         );
         prop_assert_eq!(
-            sparse_seq.metrics.quarantined_nodes(),
-            dense_seq.metrics.quarantined_nodes()
+            sparse_seq.metrics.totals().quarantined_nodes,
+            dense_seq.metrics.totals().quarantined_nodes
         );
 
         // Fault-free equivalence: a trivial plan reproduces the loss=None

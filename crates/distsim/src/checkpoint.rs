@@ -39,7 +39,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::faults::{BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, PartitionModel};
-use crate::metrics::RoundStats;
+use crate::metrics::{RoundStats, COUNTERS};
 use crate::wire::{WireCodec, WireError, WireReader, WireWriter};
 use serde::ser::{Serialize, SerializeStruct, Serializer};
 
@@ -400,51 +400,25 @@ pub fn validate_plan(plan: &FaultPlan) -> Result<(), CheckpointError> {
     Ok(())
 }
 
+/// `RoundStats` in checkpoints: every counter of the table as a
+/// little-endian u64, in [`crate::metrics::COUNTERS`] order.
 impl Serialize for RoundStats {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("RoundStats", 17)?;
-        s.serialize_field("round", &self.round)?;
-        s.serialize_field("messages", &self.messages)?;
-        s.serialize_field("payload_bits", &self.payload_bits)?;
-        s.serialize_field("wire_bits", &self.wire_bits)?;
-        s.serialize_field("max_message_bits", &self.max_message_bits)?;
-        s.serialize_field("sending_nodes", &self.sending_nodes)?;
-        s.serialize_field("changed_nodes", &self.changed_nodes)?;
-        s.serialize_field("node_updates", &self.node_updates)?;
-        s.serialize_field("dropped_loss", &self.dropped_loss)?;
-        s.serialize_field("dropped_burst", &self.dropped_burst)?;
-        s.serialize_field("dropped_partition", &self.dropped_partition)?;
-        s.serialize_field("dropped_byzantine", &self.dropped_byzantine)?;
-        s.serialize_field("crashed_nodes", &self.crashed_nodes)?;
-        s.serialize_field("byzantine_accusations", &self.byzantine_accusations)?;
-        s.serialize_field("quarantined_nodes", &self.quarantined_nodes)?;
-        s.serialize_field("boundary_bits", &self.boundary_bits)?;
-        s.serialize_field("boundary_nodes", &self.boundary_nodes)?;
+        let mut s = serializer.serialize_struct("RoundStats", COUNTERS.len())?;
+        for (c, v) in COUNTERS.iter().zip(self.values()) {
+            s.serialize_field(c.name, &v)?;
+        }
         s.end()
     }
 }
 
 impl WireCodec for RoundStats {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RoundStats {
-            round: usize::decode(r)?,
-            messages: usize::decode(r)?,
-            payload_bits: usize::decode(r)?,
-            wire_bits: usize::decode(r)?,
-            max_message_bits: usize::decode(r)?,
-            sending_nodes: usize::decode(r)?,
-            changed_nodes: usize::decode(r)?,
-            node_updates: usize::decode(r)?,
-            dropped_loss: usize::decode(r)?,
-            dropped_burst: usize::decode(r)?,
-            dropped_partition: usize::decode(r)?,
-            dropped_byzantine: usize::decode(r)?,
-            crashed_nodes: usize::decode(r)?,
-            byzantine_accusations: usize::decode(r)?,
-            quarantined_nodes: usize::decode(r)?,
-            boundary_bits: usize::decode(r)?,
-            boundary_nodes: usize::decode(r)?,
-        })
+        let mut stats = RoundStats::default();
+        for v in stats.values_mut() {
+            *v = usize::decode(r)?;
+        }
+        Ok(stats)
     }
 }
 
@@ -508,6 +482,37 @@ mod tests {
             boundary_nodes: 3,
         });
         round_trip(&RoundStats::default());
+    }
+
+    /// The checkpoint layout of `RoundStats` is pinned: 17 little-endian
+    /// u64 in this field order. Reordering or growing the counter table
+    /// changes it and needs a `CHECKPOINT_VERSION` bump.
+    #[test]
+    fn round_stats_layout_is_pinned() {
+        let stats = RoundStats {
+            round: 1,
+            messages: 2,
+            payload_bits: 3,
+            wire_bits: 4,
+            max_message_bits: 5,
+            sending_nodes: 6,
+            changed_nodes: 7,
+            node_updates: 8,
+            dropped_loss: 9,
+            dropped_burst: 10,
+            dropped_partition: 11,
+            dropped_byzantine: 12,
+            crashed_nodes: 13,
+            byzantine_accusations: 14,
+            quarantined_nodes: 15,
+            boundary_bits: 16,
+            boundary_nodes: 17,
+        };
+        let golden: Vec<u8> = (1u64..=17).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(encode_payload(&stats), golden);
+        let mut r = WireReader::new(&golden);
+        assert_eq!(RoundStats::decode(&mut r).unwrap(), stats);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use faults::{
     PartitionModel,
 };
 pub use message::{MessageSize, Tamper};
-pub use metrics::{RoundStats, RunMetrics};
+pub use metrics::{Counter, Reducer, RoundStats, RunMetrics, COUNTERS};
 pub use network::{ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder};
 pub use program::{Delivery, NodeContext, NodeProgram, Outgoing};
 pub use shard::{BoundaryDelta, BoundaryRecord, ShardFrameError};

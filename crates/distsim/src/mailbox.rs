@@ -66,26 +66,10 @@ enum Packet {
     EndOfRound,
 }
 
-/// Per-shard, per-round statistics merged by the coordinator.
-#[derive(Clone, Copy, Default)]
-struct PartialStats {
-    messages: usize,
-    payload_bits: usize,
-    wire_bits: usize,
-    max_message_bits: usize,
-    sending_nodes: usize,
-    changed_nodes: usize,
-    node_updates: usize,
-    dropped_loss: usize,
-    dropped_burst: usize,
-    dropped_partition: usize,
-    dropped_byzantine: usize,
-}
-
 /// Shard-to-coordinator messages.
 enum ToCoordinator {
-    /// End of one round on one shard.
-    Round(PartialStats),
+    /// End of one round on one shard: its share of the round's statistics.
+    Round(RoundStats),
     /// Shard shutdown: the node ids charged with decode failures (one entry
     /// per rejected frame).
     Done(Vec<u32>),
@@ -144,9 +128,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         round,
         metrics,
         faults,
-        crash_schedule,
-        byz_accusation_schedule,
-        quarantine_schedule,
+        schedules,
         mailbox_capacity,
         max_frame_bytes,
         decode_faults,
@@ -231,22 +213,12 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         // and release (or stop) the next round.
         for k in 1..=max_rounds {
             let r = start_round + k;
-            let mut merged = PartialStats::default();
+            let mut merged = RoundStats::default();
             let mut seen = 0usize;
             while seen < num_shards {
                 match coord_rx.recv().expect("shard exited before round end") {
                     ToCoordinator::Round(p) => {
-                        merged.messages += p.messages;
-                        merged.payload_bits += p.payload_bits;
-                        merged.wire_bits += p.wire_bits;
-                        merged.max_message_bits = merged.max_message_bits.max(p.max_message_bits);
-                        merged.sending_nodes += p.sending_nodes;
-                        merged.changed_nodes += p.changed_nodes;
-                        merged.node_updates += p.node_updates;
-                        merged.dropped_loss += p.dropped_loss;
-                        merged.dropped_burst += p.dropped_burst;
-                        merged.dropped_partition += p.dropped_partition;
-                        merged.dropped_byzantine += p.dropped_byzantine;
+                        merged.merge(&p);
                         seen += 1;
                     }
                     ToCoordinator::Done(_) => {
@@ -254,26 +226,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
                     }
                 }
             }
-            let stats = RoundStats {
-                round: r,
-                messages: merged.messages,
-                payload_bits: merged.payload_bits,
-                wire_bits: merged.wire_bits,
-                max_message_bits: merged.max_message_bits,
-                sending_nodes: merged.sending_nodes,
-                changed_nodes: merged.changed_nodes,
-                node_updates: merged.node_updates,
-                dropped_loss: merged.dropped_loss,
-                dropped_burst: merged.dropped_burst,
-                dropped_partition: merged.dropped_partition,
-                dropped_byzantine: merged.dropped_byzantine,
-                crashed_nodes: crash_schedule.partition_point(|&cr| (cr as usize) <= r),
-                byzantine_accusations: byz_accusation_schedule
-                    .partition_point(|&ar| (ar as usize) <= r),
-                quarantined_nodes: quarantine_schedule.partition_point(|&qr| (qr as usize) <= r),
-                boundary_bits: 0,
-                boundary_nodes: 0,
-            };
+            let stats = schedules.close(merged, r);
             metrics.push(stats);
             executed = k;
             let stop = k == max_rounds || (stop_on_quiescent && stats.changed_nodes == 0);
@@ -356,7 +309,7 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
     for k in 1..=max_rounds {
         let r = start_round + k;
         let round_stamp = r as u64;
-        let mut partial = PartialStats::default();
+        let mut partial = RoundStats::default();
 
         // Send phase: every local node broadcasts; frames go out per arc.
         for li in 0..cells.len() {
@@ -366,17 +319,7 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
             // send loop, so clearing up front is equivalent).
             cells[li].inbox.clear();
             let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, true, &mut cells[li]);
-            if acct.messages > 0 {
-                partial.sending_nodes += 1;
-                partial.messages += acct.messages;
-                partial.payload_bits += acct.payload_bits;
-                partial.wire_bits += acct.wire_bits;
-                partial.max_message_bits = partial.max_message_bits.max(acct.max_message_bits);
-            }
-            partial.dropped_loss += acct.dropped_loss;
-            partial.dropped_burst += acct.dropped_burst;
-            partial.dropped_partition += acct.dropped_partition;
-            partial.dropped_byzantine += acct.dropped_byzantine;
+            partial.merge(&acct.row());
 
             let sender = NodeId::new(i);
             let arc_base = graph.arc_offset(sender);

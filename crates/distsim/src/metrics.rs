@@ -1,79 +1,174 @@
 //! Round-by-round message and bit accounting.
+//!
+//! Every counter is declared once, as a row of the table below: its field
+//! name, its doc, its [`Reducer`] over rounds, and — for the counters CI
+//! gates — its report key. The [`RoundStats`] struct, its
+//! [`RoundStats::merge`], the run totals ([`RunMetrics::totals`]), the
+//! checkpoint codec and the benchmark report's counters all derive from it,
+//! so adding a counter is one row plus the code that computes it.
 
 use std::time::Duration;
 
-/// Statistics for one synchronous round.
-///
-/// All counters reflect **delivered** communication: under a
-/// [`crate::faults::FaultPlan`], dropped copies are not counted in the
-/// message/bit totals (the receiver never saw them, and the round/bit budgets
-/// of the paper are statements about successful communication) — instead each
-/// dropped copy increments the per-component drop counter of the fault that
-/// claimed it. Copies addressed to a crashed (or program-halted) node still
-/// count as delivered: the sender put them on the wire and cannot know the
-/// receiver is dead.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RoundStats {
+/// How a counter folds over the rounds of a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reducer {
+    /// The per-round values add up.
+    Sum,
+    /// The largest per-round value.
+    Max,
+    /// The value of the last round (the round number and the cumulative,
+    /// schedule-driven counters).
+    Last,
+}
+
+impl Reducer {
+    /// Folds the later value `x` into the accumulator `acc`.
+    #[inline]
+    pub fn fold(self, acc: usize, x: usize) -> usize {
+        match self {
+            Reducer::Sum => acc + x,
+            Reducer::Max => acc.max(x),
+            Reducer::Last => x,
+        }
+    }
+}
+
+/// One row of the counter table ([`COUNTERS`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter {
+    /// The [`RoundStats`] field name.
+    pub name: &'static str,
+    /// How the counter folds over rounds.
+    pub reducer: Reducer,
+    /// The key of the run total in a benchmark report, for the counters CI
+    /// gates against the committed baseline; `None` for ungated counters.
+    pub report_key: Option<&'static str>,
+}
+
+macro_rules! counter_table {
+    ($($(#[doc = $doc:literal])+ $field:ident: $reducer:ident $(=> $key:literal)?;)+) => {
+        /// Statistics for one synchronous round.
+        ///
+        /// All counters reflect **delivered** communication: under a
+        /// [`crate::faults::FaultPlan`], dropped copies are not counted in
+        /// the message/bit totals (the receiver never saw them, and the
+        /// round/bit budgets of the paper are statements about successful
+        /// communication) — instead each dropped copy increments the
+        /// per-component drop counter of the fault that claimed it. Copies
+        /// addressed to a crashed (or program-halted) node still count as
+        /// delivered: the sender put them on the wire and cannot know the
+        /// receiver is dead.
+        #[derive(Clone, Copy, Debug, Default, PartialEq)]
+        pub struct RoundStats {
+            $($(#[doc = $doc])+ pub $field: usize,)+
+        }
+
+        /// The counter table: one row per [`RoundStats`] field, in
+        /// declaration order, which is also the checkpoint layout.
+        pub const COUNTERS: &[Counter] = &[$(Counter {
+            name: stringify!($field),
+            reducer: Reducer::$reducer,
+            report_key: counter_table!(@key $($key)?),
+        }),+];
+
+        impl RoundStats {
+            /// Every counter's value, in [`COUNTERS`] order.
+            pub fn values(&self) -> [usize; COUNTERS.len()] {
+                [$(self.$field),+]
+            }
+
+            /// Every counter, mutably, in [`COUNTERS`] order.
+            pub fn values_mut(&mut self) -> [&mut usize; COUNTERS.len()] {
+                [$(&mut self.$field),+]
+            }
+
+            /// Folds `other` in as the later of the two, each counter by its
+            /// [`Reducer`]. Folding the rounds of a run gives its totals;
+            /// folding a round's per-sender rows or per-shard partials gives
+            /// the round's statistics, with the last-value counters set by
+            /// the builder afterwards.
+            #[inline]
+            pub fn merge(&mut self, other: &RoundStats) {
+                $(self.$field = Reducer::$reducer.fold(self.$field, other.$field);)+
+            }
+        }
+    };
+    (@key) => { None };
+    (@key $key:literal) => { Some($key) };
+}
+
+counter_table! {
     /// The round number (1-based).
-    pub round: usize,
+    round: Last;
     /// Number of (point-to-point) messages delivered this round. A broadcast
     /// from a node of degree `d` counts as `d` messages, matching the way the
     /// LOCAL/CONGEST literature counts per-edge communication.
-    pub messages: usize,
+    messages: Sum => "total_messages";
     /// Total payload bits delivered this round.
-    pub payload_bits: usize,
+    payload_bits: Sum => "payload_bits";
     /// Total *measured* wire bits delivered this round: each delivered copy's
     /// length-prefixed encoded frame (see [`crate::wire`]), as opposed to the
     /// analytical `payload_bits` estimate from
     /// [`crate::message::MessageSize`]. Byte-identical across execution modes
     /// and thread counts.
-    pub wire_bits: usize,
+    wire_bits: Sum => "wire_bits";
     /// Largest single delivered message payload (bits) this round — the
     /// quantity bounded by the CONGEST model.
-    pub max_message_bits: usize,
+    max_message_bits: Max => "max_message_bits";
     /// Number of nodes that had at least one message delivered.
-    pub sending_nodes: usize,
+    sending_nodes: Sum;
     /// Number of nodes whose observable state changed in the receive phase.
-    pub changed_nodes: usize,
+    changed_nodes: Sum;
     /// Number of nodes that executed their receive/update step this round.
     /// Dense execution runs every non-halted node; the sparse frontier
     /// executor runs only nodes that were delivered a message (plus every
     /// node once, in round 1). Deterministic across machines and execution
     /// modes of the same activation kind — this is the CI-gateable measure of
     /// the active-set work reduction.
-    pub node_updates: usize,
+    node_updates: Sum => "node_updates";
     /// Message copies dropped this round by the i.i.d. loss component of the
     /// [`crate::faults::FaultPlan`]. Deterministic.
-    pub dropped_loss: usize,
+    dropped_loss: Sum => "dropped_loss";
     /// Message copies dropped this round inside a burst-outage window.
-    pub dropped_burst: usize,
+    dropped_burst: Sum => "dropped_burst";
     /// Message copies dropped this round by the active partition cut.
-    pub dropped_partition: usize,
+    dropped_partition: Sum => "dropped_partition";
     /// Message copies dropped this round by byzantine senders selectively
     /// muting (see [`crate::faults::ByzantineModel`]). Deterministic.
-    pub dropped_byzantine: usize,
+    dropped_byzantine: Sum => "dropped_byzantine";
     /// Number of nodes that have crash-stopped as of this round (cumulative,
     /// monotone non-decreasing across rounds). Deterministic.
-    pub crashed_nodes: usize,
+    crashed_nodes: Last => "crashed_nodes";
     /// Total byzantine accusation events through this round (cumulative
     /// across rounds and nodes). Accusations are a pure hash schedule of the
     /// plan — independent of delivered traffic — so the counter is identical
     /// across *all* execution modes, like [`RoundStats::crashed_nodes`].
-    pub byzantine_accusations: usize,
+    byzantine_accusations: Last => "byzantine_accusations";
     /// Number of nodes quarantined as of this round (cumulative, monotone
     /// non-decreasing; schedule-driven and identical across all modes).
-    pub quarantined_nodes: usize,
+    quarantined_nodes: Last => "quarantined_nodes";
     /// Measured wire bits of the cross-shard `BoundaryDelta` frames exchanged
     /// this round under sharded execution ([`crate::NetworkBuilder::shards`];
     /// frame overhead and record encodings — the per-copy bits of the
     /// deliveries themselves are already in [`RoundStats::wire_bits`],
     /// identically to unsharded execution). Zero when unsharded and with a
     /// single shard.
-    pub boundary_bits: usize,
+    boundary_bits: Sum => "boundary_bits";
     /// Number of distinct boundary nodes whose updates crossed a shard cut
     /// this round (frontier ∩ boundary set, counted once per sender even when
     /// it ships to several peer shards). Zero outside sharded execution.
-    pub boundary_nodes: usize,
+    boundary_nodes: Sum => "boundary_nodes";
+}
+
+impl RoundStats {
+    /// The gated counters as `(report key, value)` pairs, in [`COUNTERS`]
+    /// order.
+    pub fn gated(&self) -> impl Iterator<Item = (&'static str, usize)> {
+        COUNTERS
+            .iter()
+            .zip(self.values())
+            .filter_map(|(c, v)| Some((c.report_key?, v)))
+    }
 }
 
 /// Accumulated statistics for a full protocol run.
@@ -135,93 +230,56 @@ impl RunMetrics {
         self.rounds.len()
     }
 
-    /// Total number of messages across all rounds.
-    pub fn total_messages(&self) -> usize {
-        self.rounds.iter().map(|r| r.messages).sum()
+    /// The run totals: every counter folded over the rounds by its
+    /// [`Reducer`] (sums, the largest `max_message_bits`, and the last
+    /// round's number and cumulative counters; all 0 for empty metrics).
+    pub fn totals(&self) -> RoundStats {
+        let mut totals = RoundStats::default();
+        for r in &self.rounds {
+            totals.merge(r);
+        }
+        totals
     }
 
-    /// Total payload bits across all rounds.
-    pub fn total_payload_bits(&self) -> usize {
-        self.rounds.iter().map(|r| r.payload_bits).sum()
+    /// Total number of messages across all rounds.
+    pub fn total_messages(&self) -> usize {
+        self.totals().messages
     }
 
     /// Total measured wire bits across all rounds (see
     /// [`RoundStats::wire_bits`]).
     pub fn total_wire_bits(&self) -> usize {
-        self.rounds.iter().map(|r| r.wire_bits).sum()
+        self.totals().wire_bits
     }
 
     /// Total number of executed node steps across all rounds (see
     /// [`RoundStats::node_updates`]).
     pub fn total_node_updates(&self) -> usize {
-        self.rounds.iter().map(|r| r.node_updates).sum()
-    }
-
-    /// The largest single message payload observed in any round.
-    pub fn max_message_bits(&self) -> usize {
-        self.rounds
-            .iter()
-            .map(|r| r.max_message_bits)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total copies dropped by the i.i.d. loss component across all rounds.
-    pub fn total_dropped_loss(&self) -> usize {
-        self.rounds.iter().map(|r| r.dropped_loss).sum()
-    }
-
-    /// Total copies dropped inside burst-outage windows across all rounds.
-    pub fn total_dropped_burst(&self) -> usize {
-        self.rounds.iter().map(|r| r.dropped_burst).sum()
-    }
-
-    /// Total copies dropped by partition cuts across all rounds.
-    pub fn total_dropped_partition(&self) -> usize {
-        self.rounds.iter().map(|r| r.dropped_partition).sum()
-    }
-
-    /// Total copies dropped by byzantine muting across all rounds.
-    pub fn total_dropped_byzantine(&self) -> usize {
-        self.rounds.iter().map(|r| r.dropped_byzantine).sum()
+        self.totals().node_updates
     }
 
     /// Total copies dropped by any fault component across all rounds.
     pub fn total_dropped(&self) -> usize {
-        self.total_dropped_loss()
-            + self.total_dropped_burst()
-            + self.total_dropped_partition()
-            + self.total_dropped_byzantine()
+        let t = self.totals();
+        t.dropped_loss + t.dropped_burst + t.dropped_partition + t.dropped_byzantine
     }
 
     /// Number of nodes that had crash-stopped by the end of the run (the
     /// cumulative counter of the last recorded round; 0 for empty metrics).
     pub fn crashed_nodes(&self) -> usize {
-        self.rounds.last().map_or(0, |r| r.crashed_nodes)
-    }
-
-    /// Total byzantine accusation events over the run (the cumulative
-    /// counter of the last recorded round; 0 for empty metrics).
-    pub fn byzantine_accusations(&self) -> usize {
-        self.rounds.last().map_or(0, |r| r.byzantine_accusations)
-    }
-
-    /// Number of nodes quarantined by the end of the run (the cumulative
-    /// counter of the last recorded round; 0 for empty metrics).
-    pub fn quarantined_nodes(&self) -> usize {
-        self.rounds.last().map_or(0, |r| r.quarantined_nodes)
+        self.totals().crashed_nodes
     }
 
     /// Total cross-shard `BoundaryDelta` wire bits across all rounds (see
     /// [`RoundStats::boundary_bits`]).
     pub fn total_boundary_bits(&self) -> usize {
-        self.rounds.iter().map(|r| r.boundary_bits).sum()
+        self.totals().boundary_bits
     }
 
     /// Total boundary-node shipments across all rounds (see
     /// [`RoundStats::boundary_nodes`]).
     pub fn total_boundary_nodes(&self) -> usize {
-        self.rounds.iter().map(|r| r.boundary_nodes).sum()
+        self.totals().boundary_nodes
     }
 
     /// The last round in which any node's state changed (`None` if no round
@@ -264,8 +322,11 @@ mod tests {
         });
         assert_eq!(m.num_rounds(), 2);
         assert_eq!(m.total_messages(), 14);
-        assert_eq!(m.total_payload_bits(), 896);
-        assert_eq!(m.max_message_bits(), 128);
+        let totals = m.totals();
+        assert_eq!(totals.payload_bits, 896);
+        assert_eq!(totals.max_message_bits, 128);
+        assert_eq!(totals.round, 2, "last-value counters keep the last round's");
+        assert_eq!(totals.sending_nodes, 7);
         assert_eq!(m.last_active_round(), Some(1));
     }
 
@@ -274,7 +335,7 @@ mod tests {
         let m = RunMetrics::new();
         assert_eq!(m.num_rounds(), 0);
         assert_eq!(m.total_messages(), 0);
-        assert_eq!(m.max_message_bits(), 0);
+        assert_eq!(m.totals(), RoundStats::default());
         assert_eq!(m.last_active_round(), None);
         assert_eq!(m.elapsed(), Duration::ZERO);
         assert_eq!(m.messages_per_sec(), 0.0);
@@ -297,5 +358,40 @@ mod tests {
         m.add_elapsed(Duration::from_millis(300));
         assert_eq!(m.elapsed(), Duration::from_millis(500));
         assert!((m.messages_per_sec() - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn table_rows_name_the_fields_they_fold() {
+        let names: Vec<&str> = COUNTERS.iter().map(|c| c.name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "counter names are unique");
+        // Row i folds field i: a value planted in one field moves exactly
+        // that row, by that row's reducer.
+        for (i, c) in COUNTERS.iter().enumerate() {
+            let mut acc = RoundStats::default();
+            *acc.values_mut()[i] = 5;
+            let mut later = RoundStats::default();
+            *later.values_mut()[i] = 3;
+            acc.merge(&later);
+            let expected = c.reducer.fold(5, 3);
+            assert_eq!(acc.values()[i], expected, "{}", c.name);
+            assert_eq!(acc.values().iter().sum::<usize>(), expected, "{}", c.name);
+        }
+        let stats = RoundStats {
+            round: 4,
+            messages: 9,
+            sending_nodes: 2,
+            changed_nodes: 1,
+            ..RoundStats::default()
+        };
+        let gated: Vec<_> = stats.gated().collect();
+        assert_eq!(
+            gated.len(),
+            COUNTERS.len() - 3,
+            "round/sending/changed are ungated"
+        );
+        assert_eq!(gated[0], ("total_messages", 9));
     }
 }

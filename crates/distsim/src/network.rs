@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 /// activation kind produce **identical** results. The dense modes run every
 /// non-halted node every round; the sparse modes run only the active frontier
 /// and require [`NodeProgram::DELTA_DRIVEN`] (for delta-driven programs all
-/// four modes produce identical protocol results — the dense modes remain
+/// five modes produce identical protocol results — the dense modes remain
 /// available for A/B measurements).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
@@ -174,6 +174,57 @@ impl SendAccount {
     pub(crate) fn any_dropped(&self) -> bool {
         self.dropped_loss + self.dropped_burst + self.dropped_partition + self.dropped_byzantine > 0
     }
+
+    /// This sender's share of its round's statistics, for
+    /// [`RoundStats::merge`].
+    #[inline]
+    pub(crate) fn row(&self) -> RoundStats {
+        RoundStats {
+            messages: self.messages,
+            payload_bits: self.payload_bits,
+            wire_bits: self.wire_bits,
+            max_message_bits: self.max_message_bits,
+            sending_nodes: usize::from(self.messages > 0),
+            dropped_loss: self.dropped_loss,
+            dropped_burst: self.dropped_burst,
+            dropped_partition: self.dropped_partition,
+            dropped_byzantine: self.dropped_byzantine,
+            ..RoundStats::default()
+        }
+    }
+}
+
+/// The sorted rounds of every schedule-driven event under the installed
+/// fault plan: crashes ([`FaultPlan::crash_schedule`]), byzantine accusations
+/// ([`FaultPlan::byz_accusation_schedule`]) and quarantine entries
+/// ([`FaultPlan::quarantine_schedule`]). All empty without a plan, and
+/// identical in every mode.
+#[derive(Default)]
+pub(crate) struct Schedules {
+    crash: Vec<u32>,
+    accusations: Vec<u32>,
+    quarantine: Vec<u32>,
+}
+
+impl Schedules {
+    fn for_plan(plan: &FaultPlan, n: usize) -> Self {
+        Schedules {
+            crash: plan.crash_schedule(n),
+            accusations: plan.byz_accusation_schedule(n),
+            quarantine: plan.quarantine_schedule(n),
+        }
+    }
+
+    /// Completes a round's statistics: its number and the cumulative
+    /// schedule-driven counters as of that round.
+    pub(crate) fn close(&self, mut stats: RoundStats, round: usize) -> RoundStats {
+        let through = |schedule: &[u32]| schedule.partition_point(|&r| (r as usize) <= round);
+        stats.round = round;
+        stats.crashed_nodes = through(&self.crash);
+        stats.byzantine_accusations = through(&self.accusations);
+        stats.quarantined_nodes = through(&self.quarantine);
+        stats
+    }
 }
 
 /// Outcome of one node's receive phase.
@@ -236,16 +287,8 @@ pub struct Network<P: NodeProgram> {
     /// The installed fault plan; `None` ⇔ the plan is trivial, so the
     /// fault-free hot path runs with zero fault bookkeeping.
     pub(crate) faults: Option<FaultPlan>,
-    /// Sorted crash rounds of every node that ever crashes under the plan
-    /// (see [`FaultPlan::crash_schedule`]); empty without a crash component.
-    pub(crate) crash_schedule: Vec<u32>,
-    /// Sorted rounds of every byzantine accusation event under the plan
-    /// (see [`FaultPlan::byz_accusation_schedule`]); empty without a
-    /// byzantine component. Schedule-driven, so identical in every mode.
-    pub(crate) byz_accusation_schedule: Vec<u32>,
-    /// Sorted quarantine-entry rounds of every node the plan ever
-    /// quarantines (see [`FaultPlan::quarantine_schedule`]).
-    pub(crate) quarantine_schedule: Vec<u32>,
+    /// The plan's crash, accusation and quarantine rounds.
+    pub(crate) schedules: Schedules,
     /// Whether executors charge measured `wire_bits` (see
     /// [`NetworkBuilder::wire_accounting`]). The mailbox backend encodes
     /// frames regardless; this only gates the counter.
@@ -653,9 +696,7 @@ impl<P: NodeProgram> Network<P> {
             metrics: RunMetrics::new(),
             mode: ExecutionMode::default(),
             faults: None,
-            crash_schedule: Vec::new(),
-            byz_accusation_schedule: Vec::new(),
-            quarantine_schedule: Vec::new(),
+            schedules: Schedules::default(),
             wire_accounting: true,
             mailbox_threads: None,
             mailbox_capacity: NetworkBuilder::DEFAULT_MAILBOX_CAPACITY,
@@ -726,38 +767,11 @@ impl<P: NodeProgram> Network<P> {
         assert_eq!(self.round, 0, "install the fault plan before running");
         if plan.is_trivial() {
             self.faults = None;
-            self.crash_schedule = Vec::new();
-            self.byz_accusation_schedule = Vec::new();
-            self.quarantine_schedule = Vec::new();
+            self.schedules = Schedules::default();
         } else {
-            let n = self.cells.len();
-            self.crash_schedule = plan.crash_schedule(n);
-            self.byz_accusation_schedule = plan.byz_accusation_schedule(n);
-            self.quarantine_schedule = plan.quarantine_schedule(n);
+            self.schedules = Schedules::for_plan(&plan, self.cells.len());
             self.faults = Some(plan);
         }
-    }
-
-    /// The number of nodes that have crash-stopped as of `round` under the
-    /// installed plan.
-    fn crashed_count(&self, round: usize) -> usize {
-        self.crash_schedule
-            .partition_point(|&r| (r as usize) <= round)
-    }
-
-    /// Cumulative byzantine accusation events through `round` under the
-    /// installed plan (schedule-driven — see
-    /// [`FaultPlan::byz_accusation_schedule`]).
-    fn accusation_count(&self, round: usize) -> usize {
-        self.byz_accusation_schedule
-            .partition_point(|&r| (r as usize) <= round)
-    }
-
-    /// The number of nodes quarantined as of `round` under the installed
-    /// plan.
-    fn quarantined_count(&self, round: usize) -> usize {
-        self.quarantine_schedule
-            .partition_point(|&r| (r as usize) <= round)
     }
 
     /// The simulated topology.
@@ -875,27 +889,9 @@ impl<P: NodeProgram> Network<P> {
         }
 
         // Reduce the per-sender accounting rows (cheap: plain integers).
-        let mut messages = 0usize;
-        let mut payload_bits = 0usize;
-        let mut wire_bits = 0usize;
-        let mut max_message_bits = 0usize;
-        let mut sending_nodes = 0usize;
-        let mut dropped_loss = 0usize;
-        let mut dropped_burst = 0usize;
-        let mut dropped_partition = 0usize;
-        let mut dropped_byzantine = 0usize;
+        let mut stats = RoundStats::default();
         for (_, acct) in &self.outboxes {
-            if acct.messages > 0 {
-                sending_nodes += 1;
-                messages += acct.messages;
-                payload_bits += acct.payload_bits;
-                wire_bits += acct.wire_bits;
-                max_message_bits = max_message_bits.max(acct.max_message_bits);
-            }
-            dropped_loss += acct.dropped_loss;
-            dropped_burst += acct.dropped_burst;
-            dropped_partition += acct.dropped_partition;
-            dropped_byzantine += acct.dropped_byzantine;
+            stats.merge(&acct.row());
         }
 
         // Multicast scatter: each sender stamps its own CSR arc positions for
@@ -1033,28 +1029,9 @@ impl<P: NodeProgram> Network<P> {
                 );
             }
         }
-        let changed_nodes = self.step_results.iter().filter(|r| r.changed).count();
-        let node_updates = self.step_results.iter().filter(|r| r.ran).count();
-
-        RoundStats {
-            round,
-            messages,
-            payload_bits,
-            wire_bits,
-            max_message_bits,
-            sending_nodes,
-            changed_nodes,
-            node_updates,
-            dropped_loss,
-            dropped_burst,
-            dropped_partition,
-            dropped_byzantine,
-            crashed_nodes: self.crashed_count(round),
-            byzantine_accusations: self.accusation_count(round),
-            quarantined_nodes: self.quarantined_count(round),
-            boundary_bits: 0,
-            boundary_nodes: 0,
-        }
+        stats.changed_nodes = self.step_results.iter().filter(|r| r.changed).count();
+        stats.node_updates = self.step_results.iter().filter(|r| r.ran).count();
+        self.schedules.close(stats, round)
     }
 
     /// Sparse activation: only the frontier broadcasts, only touched nodes
@@ -1117,13 +1094,7 @@ impl<P: NodeProgram> Network<P> {
             // Quiescent: the round is a no-op (and costs O(1)). The
             // cumulative schedule-driven counters still report, matching
             // dense rounds.
-            return RoundStats {
-                round,
-                crashed_nodes: self.crashed_count(round),
-                byzantine_accusations: self.accusation_count(round),
-                quarantined_nodes: self.quarantined_count(round),
-                ..RoundStats::default()
-            };
+            return self.schedules.close(RoundStats::default(), round);
         }
 
         // Phase 1: frontier nodes produce their outgoing messages, with the
@@ -1132,17 +1103,7 @@ impl<P: NodeProgram> Network<P> {
         // exactly the rounds a dense run would have delivered it; a crashed
         // frontier node produces nothing and silently leaves the frontier
         // (it can never report a change again).
-        let mut messages = 0usize;
-        let mut payload_bits = 0usize;
-        let mut wire_bits = 0usize;
-        let mut max_message_bits = 0usize;
-        let mut sending_nodes = 0usize;
-        let mut dropped_loss = 0usize;
-        let mut dropped_burst = 0usize;
-        let mut dropped_partition = 0usize;
-        let mut dropped_byzantine = 0usize;
-        let mut boundary_bits = 0usize;
-        let mut boundary_nodes = 0usize;
+        let mut stats = RoundStats::default();
         self.resend.clear();
         let wire = self.wire_accounting;
         for idx in 0..self.frontier.len() {
@@ -1151,17 +1112,7 @@ impl<P: NodeProgram> Network<P> {
                 produce_outgoing(&self.graph, self.faults, round, u, wire, &mut self.cells[u]);
             let acct = row.1;
             self.outboxes[u] = row;
-            if acct.messages > 0 {
-                sending_nodes += 1;
-                messages += acct.messages;
-                payload_bits += acct.payload_bits;
-                wire_bits += acct.wire_bits;
-                max_message_bits = max_message_bits.max(acct.max_message_bits);
-            }
-            dropped_loss += acct.dropped_loss;
-            dropped_burst += acct.dropped_burst;
-            dropped_partition += acct.dropped_partition;
-            dropped_byzantine += acct.dropped_byzantine;
+            stats.merge(&acct.row());
             if acct.any_dropped() {
                 self.resend.push(u as u32);
             }
@@ -1385,7 +1336,7 @@ impl<P: NodeProgram> Network<P> {
                             records: std::mem::take(&mut st.pair_bufs[src * s + dst]),
                         };
                         let frame = crate::wire::encode_frame(&delta);
-                        boundary_bits += 8 * frame.len();
+                        stats.boundary_bits += 8 * frame.len();
                         // A boundary frame aggregates a whole cut's frontier,
                         // so it is not subject to the per-node-message frame
                         // cap; both checks are infallible here because the
@@ -1415,15 +1366,14 @@ impl<P: NodeProgram> Network<P> {
                 }
                 st.senders_scratch.sort_unstable();
                 st.senders_scratch.dedup();
-                boundary_nodes = st.senders_scratch.len();
+                stats.boundary_nodes = st.senders_scratch.len();
             }
         }
         self.touch_list.sort_unstable();
 
         // Phase 3: touched nodes run their step; nodes that changed (plus
         // re-senders) form the next frontier.
-        let node_updates = self.touch_list.len();
-        let mut changed_nodes = 0usize;
+        stats.node_updates = self.touch_list.len();
         self.next_frontier.clear();
         match self.mode {
             ExecutionMode::SparseParallel => {
@@ -1446,7 +1396,7 @@ impl<P: NodeProgram> Network<P> {
                     .collect_into_vec(&mut self.step_results);
                 for &v in &self.touch_list {
                     if self.step_results[v as usize].changed {
-                        changed_nodes += 1;
+                        stats.changed_nodes += 1;
                         self.next_frontier.push(v);
                     }
                 }
@@ -1457,7 +1407,7 @@ impl<P: NodeProgram> Network<P> {
                     let ctx = NodeContext::new(&self.graph, NodeId::new(v), round);
                     let NodeCell { program, inbox } = &mut self.cells[v];
                     if program.receive(&ctx, inbox) {
-                        changed_nodes += 1;
+                        stats.changed_nodes += 1;
                         self.next_frontier.push(v as u32);
                     }
                 }
@@ -1467,26 +1417,7 @@ impl<P: NodeProgram> Network<P> {
         self.next_frontier.sort_unstable();
         self.next_frontier.dedup();
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-
-        RoundStats {
-            round,
-            messages,
-            payload_bits,
-            wire_bits,
-            max_message_bits,
-            sending_nodes,
-            changed_nodes,
-            node_updates,
-            dropped_loss,
-            dropped_burst,
-            dropped_partition,
-            dropped_byzantine,
-            crashed_nodes: self.crashed_count(round),
-            byzantine_accusations: self.accusation_count(round),
-            quarantined_nodes: self.quarantined_count(round),
-            boundary_bits,
-            boundary_nodes,
-        }
+        self.schedules.close(stats, round)
     }
 
     /// Runs exactly `rounds` rounds.
@@ -2286,7 +2217,7 @@ mod tests {
         );
         // Accounting counted exactly the delivered copies.
         assert_eq!(metrics.total_messages(), expected.len());
-        assert_eq!(metrics.total_dropped_loss(), rounds * 4 - expected.len());
+        assert_eq!(metrics.totals().dropped_loss, rounds * 4 - expected.len());
         // The parallel executor agrees exactly (the program accumulates
         // duplicates, so it is not delta-driven and the sparse modes do not
         // apply to it).
@@ -2348,8 +2279,8 @@ mod tests {
         );
         let mut reference = min_id_faulty(&g, ExecutionMode::Sequential, plan);
         reference.run(30);
-        assert!(reference.metrics().byzantine_accusations() > 0);
-        assert!(reference.metrics().quarantined_nodes() > 0);
+        assert!(reference.metrics().totals().byzantine_accusations > 0);
+        assert!(reference.metrics().totals().quarantined_nodes > 0);
         for mode in &ALL_LEGS[1..] {
             let mut net = min_id_faulty(&g, *mode, plan);
             net.run(30);
@@ -2457,7 +2388,7 @@ mod tests {
             rounds[3].messages <= (12 - quarantined.len()) * 11 * ByzantineModel::SPAM_FACTOR,
             "quarantined senders still on the wire in round 4"
         );
-        assert_eq!(net.metrics().quarantined_nodes(), quarantined.len());
+        assert_eq!(net.metrics().totals().quarantined_nodes, quarantined.len());
     }
 
     /// A byzantine window opening AFTER the protocol has quiesced must
@@ -2602,11 +2533,11 @@ mod tests {
                 assert_eq!(net.program(v).best, 0, "{mode:?} node {v}");
             }
             assert!(
-                net.metrics().total_dropped_partition() > 0,
+                net.metrics().totals().dropped_partition > 0,
                 "{mode:?}: the cut never dropped anything"
             );
-            assert_eq!(net.metrics().total_dropped_loss(), 0);
-            assert_eq!(net.metrics().total_dropped_burst(), 0);
+            assert_eq!(net.metrics().totals().dropped_loss, 0);
+            assert_eq!(net.metrics().totals().dropped_burst, 0);
         }
         // Sparse and dense deliver the same rounds-to-convergence.
         let mut dense = min_id_faulty(&g, ExecutionMode::Sequential, plan);
@@ -2630,8 +2561,8 @@ mod tests {
             assert_eq!(dense.program(v).best, 0, "node {v}");
             assert_eq!(sparse.program(v).best, 0, "node {v}");
         }
-        assert!(dense.metrics().total_dropped_burst() > 0);
-        assert_eq!(dense.metrics().total_dropped_loss(), 0);
+        assert!(dense.metrics().totals().dropped_burst > 0);
+        assert_eq!(dense.metrics().totals().dropped_loss, 0);
         // Burst drops plus delivered copies account for every copy a dense
         // round put on the wire: n-1 edges, 2 copies per edge per round.
         let per_round_copies = 2 * (10 - 1);
@@ -2657,10 +2588,10 @@ mod tests {
         let mut net = min_id_faulty(&g, ExecutionMode::Sequential, plan);
         net.run(8);
         let m = net.metrics();
-        assert!(m.total_dropped_loss() > 0);
-        assert!(m.total_dropped_burst() > 0);
-        assert!(m.total_dropped_partition() > 0);
-        assert!(m.total_dropped_byzantine() > 0);
+        assert!(m.totals().dropped_loss > 0);
+        assert!(m.totals().dropped_burst > 0);
+        assert!(m.totals().dropped_partition > 0);
+        assert!(m.totals().dropped_byzantine > 0);
         // 8*7 copies put on the wire per round (mute-only byzantine nodes
         // still send every copy — a hashed half just vanishes in flight);
         // all either delivered or attributed to exactly one fault component.

@@ -112,7 +112,10 @@ mod tests {
             .iter()
             .any(|f| f == "crates/distsim/src/wire.rs"));
         assert!(ws.rust_files.iter().any(|f| f == "src/lib.rs"));
-        assert!(ws.shell_files.iter().any(|f| f == "scripts/check_bench.sh"));
+        assert!(ws
+            .shell_files
+            .iter()
+            .any(|f| f == "scripts/crash_recovery_smoke.sh"));
         assert!(
             !ws.rust_files.iter().any(|f| f.starts_with("vendor/")),
             "vendored stand-ins must not be scanned"

@@ -47,8 +47,8 @@ fn main() {
         println!(
             " {:<17}| {:>12} | {:>11.1} | {:>9.3} | {:>10.3}",
             name,
-            run.metrics.max_message_bits(),
-            run.metrics.total_payload_bits() as f64 / 1e6,
+            run.metrics.totals().max_message_bits,
+            run.metrics.totals().payload_bits as f64 / 1e6,
             ratio.max,
             ratio.mean
         );

@@ -57,7 +57,7 @@ fn main() {
     println!(
         "messages sent: {}, largest message: {} bits",
         approx.metrics.total_messages(),
-        approx.metrics.max_message_bits()
+        approx.metrics.totals().max_message_bits
     );
     assert!(stats.max <= 2.0 * (1.0 + epsilon) + 1e-9);
     assert_eq!(stats.lower_bound_violations, 0);

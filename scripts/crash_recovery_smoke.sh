@@ -11,20 +11,22 @@
 #    process mid-run (asserting the run did NOT finish: its report file must
 #    not exist).
 # 3. Resumes from the checkpoint with `--resume` and diffs the resumed
-#    report against the reference via scripts/check_bench.sh: every
-#    deterministic counter (rounds, messages, payload/wire bits, node
-#    updates, all four fault-drop counters) must be byte-identical.
+#    report against the reference via `dkc-bench check`: every gated
+#    deterministic counter must be byte-identical.
 #
-# Uses the release binary directly — NOT `cargo run` — so the SIGKILL hits
+# Uses the release binaries directly — NOT `cargo run` — so the SIGKILL hits
 # the simulator process itself instead of orphaning it behind cargo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 DKC=target/release/dkc
-if [[ ! -x "$DKC" ]]; then
-    echo "crash_recovery_smoke: $DKC not built (run: cargo build --release)" >&2
-    exit 2
-fi
+GATE=target/release/dkc-bench
+for bin in "$DKC" "$GATE"; do
+    if [[ ! -x "$bin" ]]; then
+        echo "crash_recovery_smoke: $bin not built (run: cargo build --release --workspace)" >&2
+        exit 2
+    fi
+done
 
 fixture=bench/fixtures/web-tiny.edges
 workdir=$(mktemp -d)
@@ -77,5 +79,5 @@ fi
 grep "resumed from checkpoint at round" <<<"$out"
 
 echo "crash_recovery_smoke: diffing deterministic counters (resumed vs reference)"
-scripts/check_bench.sh "$resumed" "$ref"
+"$GATE" check "$resumed" "$ref"
 echo "crash_recovery_smoke: OK — killed run resumed byte-identically"
