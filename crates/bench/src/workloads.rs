@@ -105,7 +105,7 @@ impl WorkloadScale {
 /// * `--quarantine <threshold>` — stop delivering from a byzantine node once
 ///   it accumulates `threshold` accusations (requires `--byzantine`)
 /// * `--fault-seed <seed>` — seed shared by all fault components
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExpArgs {
     /// The workload scale to run at.
     pub scale: WorkloadScale,
@@ -123,6 +123,21 @@ pub struct ExpArgs {
     pub shards: Option<usize>,
     /// Seed of the deterministic hash partitioner (`--shard-seed`).
     pub shard_seed: u64,
+}
+
+impl Default for ExpArgs {
+    fn default() -> Self {
+        ExpArgs {
+            scale: WorkloadScale::default(),
+            json: None,
+            threads: None,
+            // `--mode lockstep`: the dense lockstep executor.
+            mode: dkc_distsim::ExecutionMode::Parallel,
+            faults: dkc_distsim::FaultPlan::default(),
+            shards: None,
+            shard_seed: 0,
+        }
+    }
 }
 
 impl ExpArgs {

@@ -290,13 +290,12 @@ fn run_spec(
     };
     let shard_seed: u64 = parsed.flag_num("shard-seed", 0)?;
     Ok(RunSpec {
-        rounds,
         threshold_set,
-        mode: ExecutionMode::Parallel,
         faults,
         shards,
         shard_seed,
         checkpoint,
+        ..RunSpec::new(rounds)
     })
 }
 
@@ -338,13 +337,9 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
                 ));
             }
         }
-        let resumed = resume_compact_elimination(
-            g,
-            std::path::Path::new(&resume_path),
-            ExecutionMode::Parallel,
-            ckpt.as_ref(),
-        )
-        .map_err(|e| format!("failed to resume from {resume_path}: {e}"))?;
+        let resumed =
+            resume_compact_elimination(g, std::path::Path::new(&resume_path), ckpt.as_ref())
+                .map_err(|e| format!("failed to resume from {resume_path}: {e}"))?;
         (resumed.spec, resumed.outcome, Some(resumed.resumed_from))
     } else {
         let spec = run_spec(parsed, g.num_nodes(), ckpt.clone())?;
@@ -1015,6 +1010,62 @@ mod tests {
             "{:?}",
             resumed.notes
         );
+    }
+
+    /// `--resume` runs under the activation the checkpoint was written with:
+    /// a dense checkpoint resumes dense and one written by the default run
+    /// resumes sparse, each finishing exactly like its uninterrupted run.
+    #[test]
+    fn coreness_resume_follows_the_checkpoint_activation() {
+        let path = temp_graph();
+        let ds = read_dataset(&path, DatasetFormat::EdgeList).unwrap();
+        let g = &ds.graph;
+        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
+        let pid = std::process::id();
+        let runs = [
+            ("dense", RunSpec::new(8).mode(ExecutionMode::Parallel)),
+            ("default", RunSpec::new(8)),
+        ]
+        .map(|(tag, spec)| (tag, run_compact_elimination(g, &spec).unwrap(), spec));
+        // The two activations send different traffic, so the counters tell
+        // which one a resume ran.
+        assert_ne!(runs[0].1.metrics.rounds(), runs[1].1.metrics.rounds());
+        for (tag, reference, spec) in runs {
+            let ck = dir.join(format!("activation-{tag}-{pid}.dkck"));
+            let json = dir.join(format!("activation-{tag}-{pid}.json"));
+            let cfg = CheckpointConfig {
+                path: ck.clone(),
+                every: 3,
+            };
+            run_compact_elimination(g, &spec.checkpoint(cfg)).unwrap();
+            let args = [
+                "coreness",
+                &path,
+                "--resume",
+                &ck.to_string_lossy(),
+                "--top",
+                "80",
+                "--json",
+                &json.to_string_lossy(),
+            ]
+            .map(String::from);
+            let out = crate::run(&args).unwrap();
+            assert!(out.contains("resumed from checkpoint at round 6"), "{out}");
+            // Every node's printed value matches the uninterrupted run.
+            for v in 0..g.num_nodes() {
+                let line = format!(
+                    "  node {}: beta = {:.3}\n",
+                    ds.external(NodeId::new(v)),
+                    reference.surviving[v]
+                );
+                assert!(out.contains(&line), "{tag}: missing {line:?} in\n{out}");
+            }
+            // So does every counter.
+            let report = dkc_bench::Report::read_from(&json).unwrap();
+            let expected =
+                dkc_bench::ExperimentRecord::from_metrics("cli", "", "", &reference.metrics);
+            assert_eq!(report.records[0].counters, expected.counters, "{tag}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::compact::{execute, CompactOutcome, RunSpec};
 use crate::threshold::ThresholdSet;
 use dkc_distsim::checkpoint::{
-    decode_checkpoint, read_checkpoint_bytes, validate_plan, CheckpointError,
+    decode_checkpoint, read_checkpoint_bytes, state_is_sparse, validate_plan, CheckpointError,
 };
 use dkc_distsim::wire::{WireCodec, WireReader, WireWriter};
 use dkc_distsim::{ExecutionMode, FaultPlan};
@@ -184,23 +184,24 @@ pub struct ResumedRun {
     /// The round the checkpoint was written at (execution continued from
     /// `resumed_from + 1`).
     pub resumed_from: usize,
-    /// The run recovered from the preamble: round target, threshold set Λ,
-    /// fault plan and shard topology, plus the caller's mode and
+    /// The run recovered from the checkpoint: round target, threshold set Λ,
+    /// fault plan, shard topology and activation, plus the caller's
     /// checkpointing.
     pub spec: RunSpec,
 }
 
 /// Resumes a run from the checkpoint at `path` and completes it. The run
-/// parameters — round target, threshold set, fault plan, shard topology —
-/// come from the checkpoint, not from flags; the caller chooses only the
-/// execution backend (`mode`, which must be of the same sparse/dense family
-/// the checkpoint was written under) and optionally keeps checkpointing via
-/// `cfg`. A sharded checkpoint (`shards > 0` in the preamble) resumes under
-/// sharded execution with the recorded partition; `mode` is then ignored.
+/// comes from the checkpoint, not from flags: the preamble gives the round
+/// target, threshold set, fault plan and shard topology, and the executor
+/// state's activation picks the mode — [`ExecutionMode::SparseParallel`]
+/// for a checkpoint written sparse, [`ExecutionMode::Parallel`] for one
+/// written dense (modes of one activation are byte-identical). A sharded
+/// checkpoint (`shards > 0` in the preamble) resumes under sharded execution
+/// with the recorded partition. The caller only chooses whether to keep
+/// checkpointing, via `cfg`.
 pub fn resume_compact_elimination(
     g: &WeightedGraph,
     path: &Path,
-    mode: ExecutionMode,
     cfg: Option<&CheckpointConfig>,
 ) -> Result<ResumedRun, CheckpointError> {
     let image = read_checkpoint_bytes(path)?;
@@ -223,10 +224,15 @@ pub fn resume_compact_elimination(
                 .to_string(),
         ));
     }
+    let mode = if state_is_sparse(state)? {
+        ExecutionMode::SparseParallel
+    } else {
+        ExecutionMode::Parallel
+    };
     let spec = RunSpec {
         rounds: pre.rounds_target as usize,
         threshold_set: pre.threshold_set,
-        mode,
+        mode: Some(mode),
         faults: pre.faults,
         shards: pre.shards as usize,
         shard_seed: pre.shard_seed,
@@ -337,7 +343,7 @@ mod tests {
         assert_eq!(plain.metrics.rounds(), checkpointed.metrics.rounds());
 
         // The file now holds the round-12 boundary; resume finishes 13..14.
-        let resumed = resume_compact_elimination(&g, &cfg.path, mode, None).unwrap();
+        let resumed = resume_compact_elimination(&g, &cfg.path, None).unwrap();
         assert_eq!(resumed.resumed_from, 12);
         assert_eq!(resumed.spec.rounds, 14);
         assert_eq!(resumed.spec.threshold_set, threshold);
@@ -367,10 +373,8 @@ mod tests {
         assert_eq!(plain.surviving, checkpointed.surviving);
         assert_eq!(plain.metrics.rounds(), checkpointed.metrics.rounds());
 
-        // Resume reads the shard topology from the preamble; the mode
-        // argument is ignored for sharded checkpoints.
-        let resumed =
-            resume_compact_elimination(&g, &cfg.path, ExecutionMode::Sequential, None).unwrap();
+        // Resume reads the shard topology from the preamble.
+        let resumed = resume_compact_elimination(&g, &cfg.path, None).unwrap();
         assert_eq!(resumed.resumed_from, 12);
         assert_eq!((resumed.spec.shards, resumed.spec.shard_seed), (4, 77));
         assert_eq!(plain.surviving, resumed.outcome.surviving);
@@ -395,13 +399,9 @@ mod tests {
         // edge adds arcs, by the arc-count check — either way a Mismatch).
         let mut reweighted = path_graph(10);
         reweighted.add_edge(dkc_graph::NodeId::new(3), dkc_graph::NodeId::new(4), 2.0);
-        let err =
-            resume_compact_elimination(&reweighted, &cfg.path, ExecutionMode::Sequential, None)
-                .unwrap_err();
+        let err = resume_compact_elimination(&reweighted, &cfg.path, None).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
-        let err =
-            resume_compact_elimination(&path_graph(11), &cfg.path, ExecutionMode::Sequential, None)
-                .unwrap_err();
+        let err = resume_compact_elimination(&path_graph(11), &cfg.path, None).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -514,9 +514,11 @@ pub struct RunSpec {
     pub rounds: usize,
     /// The threshold set Λ.
     pub threshold_set: ThresholdSet,
-    /// The execution backend of an unsharded run (ignored when `shards > 0`:
-    /// sharded rounds always take the sparse sequential path).
-    pub mode: ExecutionMode,
+    /// The execution backend of an unsharded run; `None` takes the
+    /// `NetworkBuilder` default, [`ExecutionMode::SparseParallel`] (ignored
+    /// when `shards > 0`: sharded rounds always take the sparse sequential
+    /// path).
+    pub mode: Option<ExecutionMode>,
     /// The deterministic fault plan (trivial = fault-free).
     pub faults: FaultPlan,
     /// Shard count: 0 = unsharded; ≥ 1 = per-shard node-state arenas
@@ -536,7 +538,7 @@ impl RunSpec {
         RunSpec {
             rounds,
             threshold_set: ThresholdSet::Reals,
-            mode: ExecutionMode::default(),
+            mode: None,
             faults: FaultPlan::none(),
             shards: 0,
             shard_seed: 0,
@@ -552,7 +554,7 @@ impl RunSpec {
 
     /// Sets the execution backend of an unsharded run.
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+        self.mode = Some(mode);
         self
     }
 
@@ -644,8 +646,10 @@ pub(crate) fn execute(
         .checkpoint_every(spec.checkpoint.as_ref().map_or(0, |c| c.every.max(1)));
     let builder = if spec.shards > 0 {
         builder.shards(spec.shards).shard_seed(spec.shard_seed)
+    } else if let Some(mode) = spec.mode {
+        builder.mode(mode)
     } else {
-        builder.mode(spec.mode)
+        builder
     };
     let mut net = builder.build_from_parts(csr.clone(), programs);
     if let Some(cfg) = &spec.checkpoint {

@@ -300,25 +300,22 @@ pub fn run_aggregation(
 ) -> AggregationOutcome {
     let mode = mode.dense();
     let rounds_budget = 2 * elim.rounds + forest.rounds + 4;
-    let mut net = NetworkBuilder::new()
-        .mode(mode)
-        .build(g, |ctx| {
-            let v = ctx.node();
-            let own_num = elim.num[v.index()].clone();
-            AggregationNode {
-                parent: forest.parent[v.index()],
-                children: forest.children[v.index()].clone(),
-                num: own_num.iter().map(|&b| u32::from(b)).collect(),
-                deg: elim.deg[v.index()].clone(),
-                own_num,
-                children_received: 0,
-                sent_up: false,
-                decision: None,
-                sent_down: false,
-                selected: false,
-            }
-        })
-        .with_mode(mode);
+    let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
+        let v = ctx.node();
+        let own_num = elim.num[v.index()].clone();
+        AggregationNode {
+            parent: forest.parent[v.index()],
+            children: forest.children[v.index()].clone(),
+            num: own_num.iter().map(|&b| u32::from(b)).collect(),
+            deg: elim.deg[v.index()].clone(),
+            own_num,
+            children_received: 0,
+            sent_up: false,
+            decision: None,
+            sent_down: false,
+            selected: false,
+        }
+    });
     let rounds = net.run_until_quiescent(rounds_budget);
     let (programs, metrics) = net.into_parts();
     let selected = programs.iter().map(|p| p.selected).collect();

@@ -14,7 +14,7 @@ use crate::densest::AggregationOutcome;
 use crate::tree_elim::TreeElimOutcome;
 use dkc_distsim::message::{MessageSize, Tamper};
 use dkc_distsim::wire::{WireCodec, WireError, WireReader};
-use dkc_distsim::{Delivery, ExecutionMode, Network, NodeContext, NodeProgram, Outgoing};
+use dkc_distsim::{Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing};
 use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
 use serde::ser::{Serialize, SerializeStruct, Serializer};
 
@@ -295,8 +295,9 @@ pub fn run_pipelined_aggregation(
     let mode = mode.dense();
     let rounds_budget = 3 * elim.rounds + forest.rounds + 6;
     let mut arena = PipelinedArena::new(g.num_nodes(), elim.rounds, elim);
-    let mut net =
-        Network::from_parts(CsrGraph::from_graph(g), arena.programs(forest)).with_mode(mode);
+    let mut net = NetworkBuilder::new()
+        .mode(mode)
+        .build_from_parts(CsrGraph::from_graph(g), arena.programs(forest));
     let rounds = net.run_until_quiescent(rounds_budget);
     let (programs, metrics) = net.into_parts();
     let selected = programs.iter().map(|p| p.selected).collect();

@@ -34,7 +34,7 @@
 //! `modes_agree_under_loss`.
 
 use dkc_distsim::{
-    Delivery, ExecutionMode, Network, NodeContext, NodeProgram, Outgoing, RunMetrics,
+    Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
 use dkc_graph::{CsrGraph, WeightedGraph};
 
@@ -186,7 +186,9 @@ pub fn run_single_threshold(
 ) -> SingleThresholdOutcome {
     let csr = CsrGraph::from_graph(g);
     let mut arena = SingleThresholdArena::new(&csr);
-    let mut net = Network::from_parts(csr.clone(), arena.programs(b)).with_mode(mode);
+    let mut net = NetworkBuilder::new()
+        .mode(mode)
+        .build_from_parts(csr.clone(), arena.programs(b));
     net.run(rounds);
     let (_programs, metrics) = net.into_parts();
     SingleThresholdOutcome {

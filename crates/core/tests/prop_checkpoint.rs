@@ -140,7 +140,7 @@ proptest! {
             net.write_checkpoint(&path, &preamble).unwrap();
             drop(net);
 
-            let resumed = resume_compact_elimination(&g, &path, mode, None).unwrap();
+            let resumed = resume_compact_elimination(&g, &path, None).unwrap();
             prop_assert_eq!(resumed.spec.rounds, rounds);
             prop_assert_eq!(resumed.spec.threshold_set, threshold);
             prop_assert_eq!(resumed.spec.faults, plan);
@@ -195,12 +195,12 @@ fn corrupted_checkpoint_files_are_rejected() {
     let (bytes, path, g) = real_checkpoint("corrupt");
     let resume = |img: &[u8]| {
         std::fs::write(&path, img).unwrap();
-        resume_compact_elimination(&g, &path, ExecutionMode::Sequential, None).unwrap_err()
+        resume_compact_elimination(&g, &path, None).unwrap_err()
     };
 
     // The intact file resumes (sanity check for the corruption cases below).
     std::fs::write(&path, &bytes).unwrap();
-    let ok = resume_compact_elimination(&g, &path, ExecutionMode::Sequential, None).unwrap();
+    let ok = resume_compact_elimination(&g, &path, None).unwrap();
     assert_eq!(ok.resumed_from, 4);
 
     // Truncation at every prefix length dies with Truncated (or, within the

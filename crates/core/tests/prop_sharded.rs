@@ -221,10 +221,7 @@ proptest! {
             net.write_checkpoint(&path, &preamble).unwrap();
             drop(net);
 
-            // `mode` is ignored for a sharded preamble; pass the default.
-            let resumed =
-                resume_compact_elimination(&g, &path, ExecutionMode::SparseSequential, None)
-                    .unwrap();
+            let resumed = resume_compact_elimination(&g, &path, None).unwrap();
             prop_assert_eq!(resumed.resumed_from, cut);
             prop_assert_eq!(resumed.spec.rounds, rounds);
             prop_assert_eq!(

@@ -212,6 +212,19 @@ pub fn read_checkpoint_bytes(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     fs::read(path).map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))
 }
 
+/// Whether an executor state section was saved under a sparse execution
+/// mode. [`crate::Network::restore_state`] accepts it only into a network of
+/// the same activation, so a resume builds its network to match. Reads the
+/// head of the [`crate::Network::save_state`] layout: node and arc counts,
+/// the fault plan, then the flag.
+pub fn state_is_sparse(state: &[u8]) -> Result<bool, CheckpointError> {
+    let mut r = WireReader::new(state);
+    r.read_u64()?;
+    r.read_u64()?;
+    FaultPlan::decode(&mut r)?;
+    Ok(r.read_bool()?)
+}
+
 // ---------------------------------------------------------------------------
 // Wire codecs for the simulator state the checkpoint carries.
 // ---------------------------------------------------------------------------

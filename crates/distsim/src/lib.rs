@@ -53,7 +53,7 @@ pub use faults::{
 };
 pub use message::{MessageSize, Tamper};
 pub use metrics::{Counter, Reducer, RoundStats, RunMetrics, COUNTERS};
-pub use network::{ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder};
+pub use network::{ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder, PULL_DIVISOR};
 pub use program::{Delivery, NodeContext, NodeProgram, Outgoing};
 pub use shard::{BoundaryDelta, BoundaryRecord, ShardFrameError};
 pub use wire::{WireCodec, WireError};

@@ -161,6 +161,11 @@ counter_table! {
 }
 
 impl RoundStats {
+    /// Copies dropped by any fault component.
+    pub fn dropped(&self) -> usize {
+        self.dropped_loss + self.dropped_burst + self.dropped_partition + self.dropped_byzantine
+    }
+
     /// The gated counters as `(report key, value)` pairs, in [`COUNTERS`]
     /// order.
     pub fn gated(&self) -> impl Iterator<Item = (&'static str, usize)> {
@@ -260,8 +265,7 @@ impl RunMetrics {
 
     /// Total copies dropped by any fault component across all rounds.
     pub fn total_dropped(&self) -> usize {
-        let t = self.totals();
-        t.dropped_loss + t.dropped_burst + t.dropped_partition + t.dropped_byzantine
+        self.totals().dropped()
     }
 
     /// Number of nodes that had crash-stopped by the end of the run (the

@@ -28,20 +28,40 @@
 //! * only nodes whose last step reported a change (plus senders whose copies
 //!   were dropped by the fault plan — crashed receivers excepted, see
 //!   [`crate::faults`]) run `broadcast`; crashed nodes leave the frontier,
-//! * messages are **scattered** sender-side into the receivers' inboxes
-//!   (using [`CsrGraph::reverse_arc`] for O(1) position translation), and only
-//!   nodes that actually received something run `receive`,
+//! * only nodes that actually received something run `receive`,
 //! * quiescence detection falls out for free: an empty frontier makes the
 //!   round O(1).
 //!
+//! Each sparse round delivers in one of two directions (the push/pull round
+//! of Beamer, Asanović and Patterson, "Direction-Optimizing Breadth-First
+//! Search", SC 2012), chosen from the copies its frontier put on the wire:
+//!
+//! * a **push round** (at most `num_arcs / `[`PULL_DIVISOR`] copies) scatters
+//!   every frontier sender's copies into its receivers' inboxes, translating
+//!   arc positions through [`CsrGraph::reverse_arc`], and steps the touched
+//!   nodes in ascending order — cost proportional to the frontier's arcs;
+//! * a **pull round** (more copies than that) runs the dense gather: every
+//!   live node collects from the neighbours whose outbox is non-silent this
+//!   round — cost proportional to all arcs, but a sequential read per
+//!   receiver instead of a random write per copy, and data-parallel under
+//!   [`ExecutionMode::SparseParallel`].
+//!
+//! Both directions deliver exactly the same copies, so the choice never
+//! shows in a counter, a node's state, or a checkpoint. Sharded networks
+//! ([`NetworkBuilder::shards`]) always push, since their cross-shard copies
+//! travel as boundary frames.
+//!
 //! Sparse execution is result-identical to dense execution for programs that
 //! satisfy the delta-driven contract ([`NodeProgram::DELTA_DRIVEN`]); the
-//! executor refuses sparse modes for programs that do not opt in. The
-//! per-round work executed is reported as [`RoundStats::node_updates`], a
-//! deterministic counter suitable for CI gating.
+//! executor refuses sparse modes for programs that do not opt in, and a
+//! [`NetworkBuilder`] without [`NetworkBuilder::mode`] runs delta-driven
+//! programs under [`ExecutionMode::SparseParallel`] and every other program
+//! under [`ExecutionMode::Parallel`]. The per-round work executed is reported
+//! as [`RoundStats::node_updates`], a deterministic counter suitable for CI
+//! gating.
 
 use crate::checkpoint::{self, CheckpointError, SnapshotState};
-use crate::faults::{Behavior, DropCause, FaultPlan};
+use crate::faults::{Behavior, ByzantineModel, DropCause, FaultPlan};
 use crate::message::{MessageSize, Tamper};
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::program::{Delivery, NodeContext, NodeProgram, Outgoing};
@@ -61,22 +81,21 @@ use std::time::{Duration, Instant};
 /// non-halted node every round; the sparse modes run only the active frontier
 /// and require [`NodeProgram::DELTA_DRIVEN`] (for delta-driven programs all
 /// five modes produce identical protocol results — the dense modes remain
-/// available for A/B measurements).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// available for A/B measurements). [`NetworkBuilder`] picks the mode when
+/// none is named (see [`NetworkBuilder::mode`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Dense: plain sequential loop over all nodes.
     Sequential,
     /// Dense: data-parallel over all nodes using the rayon thread pool.
-    #[default]
     Parallel,
-    /// Sparse: frontier-driven worklist execution, sequential. Per-round cost
-    /// is proportional to the active frontier and its out-neighbourhood.
+    /// Sparse: frontier-driven execution, sequential. Each round pushes or
+    /// pulls (see the module docs), so its cost follows the frontier's arcs
+    /// while the frontier is small and a dense round's while it is large.
     SparseSequential,
-    /// Sparse: frontier-driven activation with a chunk-parallel receive phase.
-    /// The receive scan is O(n) with an O(1) skip per inactive node (the
-    /// vendored rayon parallelizes contiguous slices only), so prefer
-    /// [`ExecutionMode::SparseSequential`] when the frontier is tiny relative
-    /// to n; the deterministic counters are identical either way.
+    /// Sparse: as [`ExecutionMode::SparseSequential`], with the pull rounds'
+    /// gather and steps data-parallel. Push rounds step sequentially; the
+    /// deterministic counters are identical either way.
     SparseParallel,
     /// Dense semantics over a message-passing runtime: node shards run on
     /// scoped threads and exchange **wire-encoded byte frames** through
@@ -121,6 +140,17 @@ impl ExecutionMode {
         }
     }
 }
+
+/// A sparse round pulls when its frontier puts more than
+/// `num_arcs / PULL_DIVISOR` copies on the wire (delivered plus dropped),
+/// and pushes otherwise (see the module docs). A push costs a random inbox
+/// write per copy, a pull a sequential scan of every arc, so the break-even
+/// frontier covers a fixed fraction of the arcs. Timing each round of three
+/// inputs both ways (a 100k-node BA graph with attach 4; a 500×500 grid with
+/// 2% loss and crashes; a weighted BA graph at ε = 2; 2-vCPU VM), choosing
+/// pull above `num_arcs/4` to `num_arcs/8` came within 2% of the per-round
+/// best, while `num_arcs/16` lost 10% on BA.
+pub const PULL_DIVISOR: usize = 8;
 
 /// A program bundled with its persistent inbox so the receive phase can run
 /// `par_iter_mut` over one slice while reading the shared outbox snapshot.
@@ -461,6 +491,166 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
     (out, acct)
 }
 
+/// Stamps the sender-side arcs of every multicast target of `senders` with
+/// `round`, so a gathering receiver resolves membership with one O(1) stamp
+/// load per arc (each sender stamps its own cache-resident arc range, found
+/// through its neighbour-rank map) instead of scanning the target list. The
+/// stamp array is allocated on the first non-empty multicast.
+fn stamp_multicasts<M>(
+    graph: &CsrGraph,
+    outboxes: &[(Outgoing<M>, SendAccount)],
+    stamps: &mut Vec<u64>,
+    senders: impl Iterator<Item = usize>,
+    round: usize,
+) {
+    for i in senders {
+        let Outgoing::Multicast(_, targets) = &outboxes[i].0 else {
+            continue;
+        };
+        if targets.is_empty() {
+            continue;
+        }
+        if stamps.len() != graph.num_arcs() {
+            *stamps = vec![0; graph.num_arcs()];
+        }
+        let sender = NodeId::new(i);
+        let base = graph.arc_offset(sender);
+        for &t in targets {
+            for q in graph.neighbor_positions(sender, t) {
+                stamps[base + q] = round as u64;
+            }
+        }
+    }
+}
+
+/// The receive half of a dense round and of a sparse pull round: a live node
+/// collects the copies its neighbours' outboxes address to it, in its
+/// neighbour-list order, then steps.
+struct Gather<'a, M> {
+    graph: &'a CsrGraph,
+    outboxes: &'a [(Outgoing<M>, SendAccount)],
+    /// The round's multicast arc stamps (see [`stamp_multicasts`]).
+    stamps: &'a [u64],
+    faults: Option<FaultPlan>,
+    /// The plan when it drops copies on links.
+    link_faults: Option<FaultPlan>,
+    /// The byzantine model when it is active this round.
+    byz: Option<ByzantineModel>,
+    round: usize,
+    /// Whether a node that receives nothing still steps: every dense round,
+    /// and round 1 of a sparse run (whose step initializes every node).
+    step_empty: bool,
+}
+
+impl<'a, M: Clone + Tamper> Gather<'a, M> {
+    fn new(
+        graph: &'a CsrGraph,
+        outboxes: &'a [(Outgoing<M>, SendAccount)],
+        stamps: &'a [u64],
+        faults: Option<FaultPlan>,
+        round: usize,
+        step_empty: bool,
+    ) -> Self {
+        Gather {
+            graph,
+            outboxes,
+            stamps,
+            faults,
+            link_faults: faults.filter(FaultPlan::affects_links),
+            byz: faults
+                .and_then(|f| f.byzantine)
+                .filter(|b| b.fraction > 0.0 && b.active(round)),
+            round,
+            step_empty,
+        }
+    }
+
+    /// Fills node `i`'s inbox and runs its step. A halted or crashed node
+    /// neither receives nor steps.
+    fn receive<P: NodeProgram<Message = M>>(&self, i: usize, cell: &mut NodeCell<P>) -> StepResult {
+        let (graph, round) = (self.graph, self.round);
+        let round_stamp = round as u64;
+        let v = NodeId::new(i);
+        if cell.program.halted() || self.faults.is_some_and(|f| f.crashed(round, v)) {
+            return StepResult::default();
+        }
+        let dropped = |from: NodeId, idx: usize| -> bool {
+            self.link_faults
+                .is_some_and(|f| f.drops(round, from, v, idx))
+        };
+        let arc_base = graph.arc_offset(v);
+        cell.inbox.clear();
+        for (q, &u) in graph.neighbors(v).iter().enumerate() {
+            // Byzantine lie/equivocate corruption and spam duplication are
+            // applied receiver-side here (the outbox holds the sender's true
+            // message); the push scatter and the mailbox backend apply the
+            // same salts sender-side — identical results because tampering
+            // is salt-pure (see `crate::message::Tamper`).
+            let (salt, copies) = match &self.byz {
+                None => (None, 1),
+                Some(b) => (b.tamper_salt(round, u, v), b.spam_factor(round, u)),
+            };
+            let deliver = |inbox: &mut Vec<Delivery<M>>, msg: &M| {
+                let msg = match salt {
+                    Some(s) => msg.tamper(s),
+                    None => msg.clone(),
+                };
+                for _ in 1..copies {
+                    inbox.push(Delivery {
+                        sender: u,
+                        pos: q as u32,
+                        msg: msg.clone(),
+                    });
+                }
+                inbox.push(Delivery {
+                    sender: u,
+                    pos: q as u32,
+                    msg,
+                });
+            };
+            match &self.outboxes[u.index()].0 {
+                Outgoing::Silent => {}
+                Outgoing::Broadcast(m) => {
+                    if !dropped(u, 0) {
+                        deliver(&mut cell.inbox, m);
+                    }
+                }
+                Outgoing::Multicast(m, targets) => {
+                    // The paired sender-side arc (u → v) carries the stamp.
+                    // The emptiness check both short-circuits no-op
+                    // multicasts and guarantees the stamp array was
+                    // allocated (the stamping allocates on the first
+                    // non-empty multicast).
+                    if !targets.is_empty()
+                        && self.stamps[graph.reverse_arc(arc_base + q)] == round_stamp
+                        && !dropped(u, 0)
+                    {
+                        deliver(&mut cell.inbox, m);
+                    }
+                }
+                Outgoing::Unicast(msgs) => {
+                    // The batch position is the per-message fault index
+                    // (mirrors the sender-side accounting).
+                    for (idx, (target, m)) in msgs.iter().enumerate() {
+                        if *target == v && !dropped(u, idx) {
+                            deliver(&mut cell.inbox, m);
+                        }
+                    }
+                }
+            }
+        }
+        if cell.inbox.is_empty() && !self.step_empty {
+            return StepResult::default();
+        }
+        let ctx = NodeContext::new(graph, v, round);
+        let NodeCell { program, inbox } = cell;
+        StepResult {
+            ran: true,
+            changed: program.receive(&ctx, inbox),
+        }
+    }
+}
+
 /// Fluent construction of a [`Network`]: the one entry point selecting the
 /// execution mode, fault plan, wire accounting, sharding, and mailbox
 /// configuration.
@@ -485,7 +675,8 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkBuilder {
-    mode: ExecutionMode,
+    /// The named mode; `None` resolves per program when the network is built.
+    mode: Option<ExecutionMode>,
     faults: FaultPlan,
     threads: Option<usize>,
     mailbox_capacity: usize,
@@ -499,7 +690,7 @@ pub struct NetworkBuilder {
 impl Default for NetworkBuilder {
     fn default() -> Self {
         NetworkBuilder {
-            mode: ExecutionMode::default(),
+            mode: None,
             faults: FaultPlan::none(),
             threads: None,
             mailbox_capacity: Self::DEFAULT_MAILBOX_CAPACITY,
@@ -518,15 +709,18 @@ impl NetworkBuilder {
     /// Default cap on a received frame's payload, in bytes.
     pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
-    /// A builder with the defaults: [`ExecutionMode::Parallel`], no faults,
-    /// wire accounting on, automatic thread count.
+    /// A builder with the defaults: the program's default mode (see
+    /// [`NetworkBuilder::mode`]), no faults, wire accounting on, automatic
+    /// thread count.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Selects the execution mode (defaults to [`ExecutionMode::Parallel`]).
+    /// Selects the execution mode. Unnamed, it is
+    /// [`ExecutionMode::SparseParallel`] for a [`NodeProgram::DELTA_DRIVEN`]
+    /// program and [`ExecutionMode::Parallel`] for any other.
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+        self.mode = Some(mode);
         self
     }
 
@@ -591,9 +785,9 @@ impl NetworkBuilder {
     /// reported separately as [`RoundStats::boundary_bits`] /
     /// [`RoundStats::boundary_nodes`].
     ///
-    /// A sharded network always runs the sparse sequential executor, so it
-    /// requires a delta-driven program; it composes with any fault plan,
-    /// wire accounting, and checkpointing, but not with
+    /// A sharded network always runs the sparse sequential executor in push
+    /// rounds, so it requires a delta-driven program; it composes with any
+    /// fault plan, wire accounting, and checkpointing, but not with
     /// [`ExecutionMode::Mailbox`] (the mailbox backend has its own
     /// thread-shard notion).
     pub fn shards(mut self, n: usize) -> Self {
@@ -616,12 +810,16 @@ impl NetworkBuilder {
     ///
     /// Panics if a sparse mode is configured for a program that does not set
     /// [`NodeProgram::DELTA_DRIVEN`].
-    pub fn build<P, F>(self, graph: &WeightedGraph, factory: F) -> Network<P>
+    pub fn build<P, F>(self, graph: &WeightedGraph, mut factory: F) -> Network<P>
     where
         P: NodeProgram,
         F: FnMut(&NodeContext<'_>) -> P,
     {
-        self.configure(Network::from_graph(graph, factory))
+        let csr = CsrGraph::from_graph(graph);
+        let programs = (0..csr.num_nodes())
+            .map(|i| factory(&NodeContext::new(&csr, NodeId::new(i), 0)))
+            .collect();
+        self.build_from_parts(csr, programs)
     }
 
     /// Builds a network from an existing CSR topology and explicit programs
@@ -632,21 +830,23 @@ impl NetworkBuilder {
     /// Panics under the same conditions as [`NetworkBuilder::build`], or if
     /// `programs` and `graph` disagree on the node count.
     pub fn build_from_parts<P: NodeProgram>(self, graph: CsrGraph, programs: Vec<P>) -> Network<P> {
-        self.configure(Network::from_parts(graph, programs))
-    }
-
-    fn configure<P: NodeProgram>(self, mut net: Network<P>) -> Network<P> {
         let mode = if self.shards > 0 {
             assert!(
-                self.mode != ExecutionMode::Mailbox,
+                self.mode != Some(ExecutionMode::Mailbox),
                 "sharded execution does not compose with the mailbox backend"
             );
-            net.install_sharding(self.shards, self.shard_seed);
             ExecutionMode::SparseSequential
+        } else if let Some(mode) = self.mode {
+            mode
+        } else if P::DELTA_DRIVEN {
+            ExecutionMode::SparseParallel
         } else {
-            self.mode
+            ExecutionMode::Parallel
         };
-        let mut net = net.with_mode(mode);
+        let mut net = Network::from_parts(graph, programs, mode);
+        if self.shards > 0 {
+            net.install_sharding(self.shards, self.shard_seed);
+        }
         net.install_faults(self.faults);
         net.wire_accounting = self.wire_accounting;
         net.mailbox_threads = self.threads;
@@ -658,29 +858,24 @@ impl NetworkBuilder {
 }
 
 impl<P: NodeProgram> Network<P> {
-    /// Builds a network over `graph`, instantiating one program per node via
-    /// `factory` (shared with [`NetworkBuilder::build`]).
-    fn from_graph<F>(graph: &WeightedGraph, mut factory: F) -> Self
-    where
-        F: FnMut(&NodeContext<'_>) -> P,
-    {
-        let csr = CsrGraph::from_graph(graph);
-        let programs = (0..csr.num_nodes())
-            .map(|i| {
-                let ctx = NodeContext::new(&csr, NodeId::new(i), 0);
-                factory(&ctx)
-            })
-            .collect();
-        Self::from_parts(csr, programs)
-    }
-
-    /// Builds a network from an existing CSR topology and explicit programs
-    /// (one per node, in node order).
-    pub fn from_parts(graph: CsrGraph, programs: Vec<P>) -> Self {
+    /// A network running `mode` over an existing CSR topology and explicit
+    /// programs (one per node, in node order); [`NetworkBuilder`] installs
+    /// the rest of its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts disagree, or if `mode` is sparse and the
+    /// program is not [`NodeProgram::DELTA_DRIVEN`].
+    pub(crate) fn from_parts(graph: CsrGraph, programs: Vec<P>, mode: ExecutionMode) -> Self {
         assert_eq!(
             graph.num_nodes(),
             programs.len(),
             "one program per node required"
+        );
+        assert!(
+            !mode.is_sparse() || P::DELTA_DRIVEN,
+            "sparse execution modes require a delta-driven program \
+             (see NodeProgram::DELTA_DRIVEN)"
         );
         let cells = programs
             .into_iter()
@@ -694,7 +889,7 @@ impl<P: NodeProgram> Network<P> {
             cells,
             round: 0,
             metrics: RunMetrics::new(),
-            mode: ExecutionMode::default(),
+            mode,
             faults: None,
             schedules: Schedules::default(),
             wire_accounting: true,
@@ -714,25 +909,6 @@ impl<P: NodeProgram> Network<P> {
             checkpoint_every: 0,
             checkpoint_sink: None,
         }
-    }
-
-    /// Selects the execution mode (defaults to [`ExecutionMode::Parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sparse mode is requested for a program that does not set
-    /// [`NodeProgram::DELTA_DRIVEN`], or after rounds have already executed.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        if mode.is_sparse() {
-            assert!(
-                P::DELTA_DRIVEN,
-                "sparse execution modes require a delta-driven program \
-                 (see NodeProgram::DELTA_DRIVEN)"
-            );
-            assert_eq!(self.round, 0, "select the execution mode before running");
-        }
-        self.mode = mode;
-        self
     }
 
     /// Installs the deterministic shard partition for sharded execution:
@@ -866,8 +1042,8 @@ impl<P: NodeProgram> Network<P> {
         let wire = self.wire_accounting;
 
         // Phase 1: every (non-halted) node produces its outgoing messages.
-        // The accounting (post-fault, see `with_faults`) is computed in the
-        // same map so no separate sequential pass over the outboxes is
+        // The accounting (post-fault, see `produce_outgoing`) is computed in
+        // the same map so no separate sequential pass over the outboxes is
         // needed afterwards.
         match self.mode {
             ExecutionMode::Parallel => self
@@ -894,158 +1070,40 @@ impl<P: NodeProgram> Network<P> {
             stats.merge(&acct.row());
         }
 
-        // Multicast scatter: each sender stamps its own CSR arc positions for
-        // its targets (looked up in the sender's cache-resident neighbour-rank
-        // map), so the receive phase resolves membership with one O(1) stamp
-        // load per arc instead of scanning the sender's target list.
-        let round_stamp = round as u64;
-        let mut any_multicast = false;
-        for (i, (out, _)) in self.outboxes.iter().enumerate() {
-            if let Outgoing::Multicast(_, targets) = out {
-                if targets.is_empty() {
-                    continue;
-                }
-                if !any_multicast {
-                    any_multicast = true;
-                    if self.multicast_stamps.len() != graph.num_arcs() {
-                        self.multicast_stamps = vec![0; graph.num_arcs()];
-                    }
-                }
-                let sender = NodeId::new(i);
-                let base = graph.arc_offset(sender);
-                for &t in targets {
-                    for q in graph.neighbor_positions(sender, t) {
-                        self.multicast_stamps[base + q] = round_stamp;
-                    }
-                }
-            }
-        }
+        stamp_multicasts(
+            &self.graph,
+            &self.outboxes,
+            &mut self.multicast_stamps,
+            0..self.cells.len(),
+            round,
+        );
 
-        // Phase 2: every (non-halted) node collects the messages addressed to
-        // it from its neighbours' outboxes into its persistent inbox and
-        // updates its state.
-        // Delivery order guarantee (dense modes only): the inbox is ordered by
-        // the receiver's neighbour-list order (one scan over
-        // `graph.neighbors(v)`), which node programs may rely on to merge
-        // messages with per-neighbour state in linear time.
-        let outboxes = &self.outboxes;
-        let stamps = &self.multicast_stamps;
-        let link_faults = faults.filter(FaultPlan::affects_links);
-        // Byzantine lie/equivocate corruption and spam duplication are
-        // applied receiver-side here (the outbox holds the sender's true
-        // message); the mailbox backend applies the same salts sender-side
-        // when encoding frames — identical results because tampering is
-        // salt-pure (see `crate::message::Tamper`).
-        let byz = faults
-            .and_then(|f| f.byzantine)
-            .filter(|b| b.fraction > 0.0 && b.active(round));
-        let receive_one = |i: usize, cell: &mut NodeCell<P>| -> StepResult {
-            let v = NodeId::new(i);
-            if cell.program.halted() || faults.is_some_and(|f| f.crashed(round, v)) {
-                return StepResult::default();
-            }
-            let dropped = |from: NodeId, idx: usize| -> bool {
-                link_faults.is_some_and(|f| f.drops(round, from, v, idx))
-            };
-            let arc_base = graph.arc_offset(v);
-            cell.inbox.clear();
-            for (q, &u) in graph.neighbors(v).iter().enumerate() {
-                let (salt, copies) = match &byz {
-                    None => (None, 1),
-                    Some(b) => (b.tamper_salt(round, u, v), b.spam_factor(round, u)),
-                };
-                let deliver = |inbox: &mut Vec<Delivery<P::Message>>, msg: &P::Message| {
-                    let msg = match salt {
-                        Some(s) => msg.tamper(s),
-                        None => msg.clone(),
-                    };
-                    for _ in 1..copies {
-                        inbox.push(Delivery {
-                            sender: u,
-                            pos: q as u32,
-                            msg: msg.clone(),
-                        });
-                    }
-                    inbox.push(Delivery {
-                        sender: u,
-                        pos: q as u32,
-                        msg,
-                    });
-                };
-                match &outboxes[u.index()].0 {
-                    Outgoing::Silent => {}
-                    Outgoing::Broadcast(m) => {
-                        if !dropped(u, 0) {
-                            deliver(&mut cell.inbox, m);
-                        }
-                    }
-                    Outgoing::Multicast(m, targets) => {
-                        // The paired sender-side arc (u → v) carries the stamp.
-                        // The emptiness check both short-circuits no-op
-                        // multicasts and guarantees the stamp array was
-                        // allocated (the scatter allocates on the first
-                        // non-empty multicast).
-                        if !targets.is_empty()
-                            && stamps[graph.reverse_arc(arc_base + q)] == round_stamp
-                            && !dropped(u, 0)
-                        {
-                            deliver(&mut cell.inbox, m);
-                        }
-                    }
-                    Outgoing::Unicast(msgs) => {
-                        // The batch position is the per-message fault index
-                        // (mirrors the sender-side accounting).
-                        for (idx, (target, m)) in msgs.iter().enumerate() {
-                            if *target == v && !dropped(u, idx) {
-                                deliver(&mut cell.inbox, m);
-                            }
-                        }
-                    }
-                }
-            }
-            let ctx = NodeContext::new(graph, v, round);
-            let NodeCell { program, inbox } = cell;
-            StepResult {
-                ran: true,
-                changed: program.receive(&ctx, inbox),
-            }
-        };
-
-        match self.mode {
-            ExecutionMode::Parallel => self
-                .cells
-                .par_iter_mut()
-                .enumerate()
-                .map(|(i, cell)| receive_one(i, cell))
-                .collect_into_vec(&mut self.step_results),
-            _ => {
-                self.step_results.clear();
-                self.step_results.reserve(self.cells.len());
-                self.step_results.extend(
-                    self.cells
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, cell)| receive_one(i, cell)),
-                );
-            }
-        }
+        // Phase 2: every (non-halted, non-crashed) node gathers the copies
+        // addressed to it and steps. Delivery order guarantee (dense modes
+        // only): the inbox is ordered by the receiver's neighbour-list order,
+        // which node programs may rely on to merge messages with
+        // per-neighbour state in linear time.
+        self.gather_and_step(true);
         stats.changed_nodes = self.step_results.iter().filter(|r| r.changed).count();
         stats.node_updates = self.step_results.iter().filter(|r| r.ran).count();
         self.schedules.close(stats, round)
     }
 
-    /// Sparse activation: only the frontier broadcasts, only touched nodes
-    /// step. Valid for [`NodeProgram::DELTA_DRIVEN`] programs (enforced by
-    /// [`Network::with_mode`]); result-identical to dense execution.
+    /// Sparse activation: only the frontier broadcasts, only nodes that
+    /// receive a copy step, and the round pushes or pulls the copies (see
+    /// [`PULL_DIVISOR`]). Valid for [`NodeProgram::DELTA_DRIVEN`] programs
+    /// (enforced when the network is built); result-identical to dense
+    /// execution.
     fn run_round_sparse(&mut self) -> RoundStats {
         let round = self.round;
-        let round_stamp = round as u64;
         let n = self.cells.len();
 
         if round == 1 {
             // Every node runs its first step, so the initial frontier is the
-            // full (non-halted) node set.
+            // full (non-halted) node set. The touch list is sized for the
+            // widest push round up front, so no later round grows it.
             self.touched_stamp = vec![0; n];
+            self.touch_list.reserve(n);
             self.frontier.clear();
             self.frontier
                 .extend((0..n as u32).filter(|&i| !self.cells[i as usize].program.halted()));
@@ -1117,6 +1175,38 @@ impl<P: NodeProgram> Network<P> {
                 self.resend.push(u as u32);
             }
         }
+
+        // Phases 2 and 3: deliver the frontier's copies and step their
+        // receivers. Both directions deliver the same copies; a sharded
+        // network always pushes, so its cross-shard copies travel as
+        // boundary frames.
+        self.next_frontier.clear();
+        let copies = stats.messages + stats.dropped();
+        if self.shard.is_none() && copies > self.graph.num_arcs() / PULL_DIVISOR {
+            self.pull(&mut stats);
+        } else {
+            self.push(&mut stats);
+        }
+        // A pull round reads every neighbour's outbox, so only the senders
+        // of the round under way may hold a message: silence this round's.
+        for &u in &self.frontier {
+            self.outboxes[u as usize].0 = Outgoing::Silent;
+        }
+        // Nodes that changed, plus re-senders, form the next frontier.
+        self.next_frontier.extend_from_slice(&self.resend);
+        self.next_frontier.sort_unstable();
+        self.next_frontier.dedup();
+        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+        self.schedules.close(stats, round)
+    }
+
+    /// A push round's delivery and steps: the frontier scatters its copies
+    /// into the receivers' inboxes, then the touched nodes step in ascending
+    /// order; those that change join the next frontier.
+    fn push(&mut self, stats: &mut RoundStats) {
+        let round = self.round;
+        let round_stamp = round as u64;
+        let n = self.cells.len();
 
         // Phase 2: sender-side scatter into the receivers' inboxes. Each
         // delivery translates the sender-side arc to the receiver-local
@@ -1370,54 +1460,65 @@ impl<P: NodeProgram> Network<P> {
             }
         }
         self.touch_list.sort_unstable();
-
-        // Phase 3: touched nodes run their step; nodes that changed (plus
-        // re-senders) form the next frontier.
         stats.node_updates = self.touch_list.len();
-        self.next_frontier.clear();
-        match self.mode {
-            ExecutionMode::SparseParallel => {
-                let graph = &self.graph;
-                let stamps = &self.touched_stamp;
-                self.cells
-                    .par_iter_mut()
-                    .enumerate()
-                    .map(|(i, cell)| {
-                        if stamps[i] != round_stamp {
-                            return StepResult::default();
-                        }
-                        let ctx = NodeContext::new(graph, NodeId::new(i), round);
-                        let NodeCell { program, inbox } = cell;
-                        StepResult {
-                            ran: true,
-                            changed: program.receive(&ctx, inbox),
-                        }
-                    })
-                    .collect_into_vec(&mut self.step_results);
-                for &v in &self.touch_list {
-                    if self.step_results[v as usize].changed {
-                        stats.changed_nodes += 1;
-                        self.next_frontier.push(v);
-                    }
-                }
-            }
-            _ => {
-                for idx in 0..self.touch_list.len() {
-                    let v = self.touch_list[idx] as usize;
-                    let ctx = NodeContext::new(&self.graph, NodeId::new(v), round);
-                    let NodeCell { program, inbox } = &mut self.cells[v];
-                    if program.receive(&ctx, inbox) {
-                        stats.changed_nodes += 1;
-                        self.next_frontier.push(v as u32);
-                    }
-                }
+        for &v in &self.touch_list {
+            let ctx = NodeContext::new(&self.graph, NodeId(v), round);
+            let NodeCell { program, inbox } = &mut self.cells[v as usize];
+            if program.receive(&ctx, inbox) {
+                stats.changed_nodes += 1;
+                self.next_frontier.push(v);
             }
         }
-        self.next_frontier.extend_from_slice(&self.resend);
-        self.next_frontier.sort_unstable();
-        self.next_frontier.dedup();
-        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        self.schedules.close(stats, round)
+    }
+
+    /// A pull round's delivery and steps: every live node gathers from its
+    /// neighbours' outboxes, of which only the frontier's are non-silent, as
+    /// in a dense round; the nodes that received a copy step (every node in
+    /// round 1), and those that change join the next frontier.
+    fn pull(&mut self, stats: &mut RoundStats) {
+        stamp_multicasts(
+            &self.graph,
+            &self.outboxes,
+            &mut self.multicast_stamps,
+            self.frontier.iter().map(|&u| u as usize),
+            self.round,
+        );
+        self.gather_and_step(self.round == 1);
+        for (v, r) in self.step_results.iter().enumerate() {
+            stats.node_updates += usize::from(r.ran);
+            if r.changed {
+                stats.changed_nodes += 1;
+                self.next_frontier.push(v as u32);
+            }
+        }
+    }
+
+    /// Runs [`Gather::receive`] for every node into `step_results`,
+    /// data-parallel under the parallel modes.
+    fn gather_and_step(&mut self, step_empty: bool) {
+        let gather = Gather::new(
+            &self.graph,
+            &self.outboxes,
+            &self.multicast_stamps,
+            self.faults,
+            self.round,
+            step_empty,
+        );
+        if self.mode.is_parallel() {
+            self.cells
+                .par_iter_mut()
+                .enumerate()
+                .map(|(i, cell)| gather.receive(i, cell))
+                .collect_into_vec(&mut self.step_results);
+        } else {
+            self.step_results.clear();
+            self.step_results.extend(
+                self.cells
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, cell)| gather.receive(i, cell)),
+            );
+        }
     }
 
     /// Runs exactly `rounds` rounds.
@@ -1466,6 +1567,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     /// installed fault plan (its splitmix64 decisions are pure functions of
     /// the parameters and round, so parameters + round counter *are* the
     /// full fault state), and every node program's [`SnapshotState`] payload.
+    /// [`checkpoint::state_is_sparse`] reads the head of this layout.
     pub fn save_state(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut w = WireWriter::new();
         let n = self.cells.len();
@@ -1879,6 +1981,32 @@ mod tests {
             assert_eq!(s2.messages, 0, "{mode:?}");
             assert_eq!(s2.changed_nodes, 0, "{mode:?}");
         }
+    }
+
+    /// A builder that names no mode runs a delta-driven program sparse and
+    /// builds any other program dense.
+    #[test]
+    fn unnamed_mode_follows_the_program() {
+        let g = path_graph(32);
+        let mut default = NetworkBuilder::new().build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+        let mut dense = min_id_network(&g, ExecutionMode::Parallel);
+        assert_eq!(default.mode, ExecutionMode::SparseParallel);
+        default.run(40);
+        dense.run(40);
+        for v in g.nodes() {
+            assert_eq!(default.program(v).best, dense.program(v).best);
+        }
+        assert!(
+            default.metrics().total_node_updates() < dense.metrics().total_node_updates(),
+            "unnamed mode ran {} steps, dense {}",
+            default.metrics().total_node_updates(),
+            dense.metrics().total_node_updates()
+        );
+        let one_shot = NetworkBuilder::new().build(&g, |_| OneShot {
+            sent: false,
+            received: 0,
+        });
+        assert_eq!(one_shot.mode, ExecutionMode::Parallel);
     }
 
     #[test]
@@ -2788,7 +2916,7 @@ mod tests {
     fn program_count_must_match_node_count() {
         let g = complete_graph(3);
         let csr = CsrGraph::from(&g);
-        let _ = Network::from_parts(csr, vec![MinIdFlood { best: 0 }]);
+        let _ = NetworkBuilder::new().build_from_parts(csr, vec![MinIdFlood { best: 0 }]);
     }
 
     // -----------------------------------------------------------------------
