@@ -1,19 +1,36 @@
-//! Incremental graph construction with parallel-edge merging.
+//! Graph construction with parallel-edge merging.
+//!
+//! [`GraphBuilder`] records edges as they arrive and merges them once, in
+//! [`GraphBuilder::build`], without hashing. Merge semantics:
+//!
+//! * Every copy of a pair `{u, v}` (either orientation) is summed in input
+//!   order starting from `0.0`, so a lone `-0.0` weight merges to `0.0`.
+//!   Repeated self-loops `{v, v}` are summed the same way.
+//! * The merged graph is built in ascending pair order, plain edges first and
+//!   then self-loops by node, so every adjacency list is sorted by neighbour
+//!   and the structure does not depend on the order the pairs arrived in
+//!   (only sums of parallel copies with inexact weights do).
+//!
+//! The merge is a stable sort, a counting sort by the smaller endpoint and
+//! then each bucket by the larger, so parallel copies meet in input order.
+//! The graph is then filled in one pass with each adjacency list allocated
+//! at its final size, so building is O(edges + nodes) plus the per-bucket
+//! sorts.
 
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
-use std::collections::HashMap;
 
 /// Builds a [`WeightedGraph`] from a stream of (possibly duplicated) weighted
 /// edges. Parallel edges are merged by **summing** their weights, which is the
 /// semantics used throughout the paper (a multigraph and its weight-summed
 /// simple graph have identical degrees, densities, coreness values and
-/// orientations).
+/// orientations). See the module docs for the exact summation order.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    edges: HashMap<(NodeId, NodeId), f64>,
-    self_loops: HashMap<NodeId, f64>,
+    /// Every edge added so far as `(min, max, w)`, in input order;
+    /// `min == max` is a self-loop.
+    edges: Vec<(NodeId, NodeId, f64)>,
 }
 
 impl GraphBuilder {
@@ -21,19 +38,13 @@ impl GraphBuilder {
     pub fn new(n: usize) -> Self {
         GraphBuilder {
             n,
-            edges: HashMap::new(),
-            self_loops: HashMap::new(),
+            edges: Vec::new(),
         }
     }
 
     /// Current number of nodes (grows automatically when edges mention new ids).
     pub fn num_nodes(&self) -> usize {
         self.n
-    }
-
-    /// Number of distinct non-loop edges added so far.
-    pub fn num_distinct_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Ensures the node range covers `v`.
@@ -43,7 +54,7 @@ impl GraphBuilder {
         }
     }
 
-    /// Adds an edge, merging with any existing parallel edge by summing weights.
+    /// Adds an edge, to be merged with any parallel edge by summing weights.
     /// Endpoints outside the current node range grow the graph.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> &mut Self {
         assert!(
@@ -52,12 +63,7 @@ impl GraphBuilder {
         );
         self.ensure_node(u);
         self.ensure_node(v);
-        if u == v {
-            *self.self_loops.entry(u).or_insert(0.0) += w;
-        } else {
-            let key = if u < v { (u, v) } else { (v, u) };
-            *self.edges.entry(key).or_insert(0.0) += w;
-        }
+        self.edges.push((u.min(v), u.max(v), w));
         self
     }
 
@@ -66,30 +72,53 @@ impl GraphBuilder {
         self.add_edge(u, v, 1.0)
     }
 
-    /// Returns `true` if a (non-loop) edge between `u` and `v` has been added.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.contains_key(&key)
-    }
-
-    /// Finalizes the builder into a [`WeightedGraph`].
-    ///
-    /// Edges are inserted in sorted key order so that the resulting adjacency
-    /// lists are deterministic regardless of insertion order.
+    /// Finalizes the builder into a [`WeightedGraph`], merging parallel edges
+    /// and repeated self-loops as described in the module docs.
     pub fn build(self) -> WeightedGraph {
-        let mut g = WeightedGraph::new(self.n);
-        let mut edges: Vec<_> = self.edges.into_iter().collect();
-        edges.sort_by_key(|&((u, v), _)| (u, v));
-        for ((u, v), w) in edges {
-            g.add_edge(u, v, w);
+        let sorted = sort_pairs(self.n, self.edges);
+        let mut plain = Vec::with_capacity(sorted.len());
+        let mut loops = Vec::new();
+        for copies in sorted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (u, v, _) = copies[0];
+            let w = copies.iter().fold(0.0, |sum, &(_, _, w)| sum + w);
+            if u == v {
+                loops.push((u, w));
+            } else {
+                plain.push((u, v, w));
+            }
         }
-        let mut loops: Vec<_> = self.self_loops.into_iter().collect();
-        loops.sort_by_key(|&(v, _)| v);
-        for (v, w) in loops {
-            g.add_self_loop(v, w);
-        }
-        g
+        drop(sorted);
+        WeightedGraph::from_edges(self.n, &plain, &loops)
     }
+}
+
+/// Sorts normalized `(min, max, w)` edges by `(min, max)`, stably: a
+/// counting sort by `min`, then a stable sort of each bucket by `max`.
+fn sort_pairs(n: usize, edges: Vec<(NodeId, NodeId, f64)>) -> Vec<(NodeId, NodeId, f64)> {
+    // `next[u]` is where bucket `u`'s next edge goes; after the fill it is
+    // the end of bucket `u`.
+    let mut next = vec![0usize; n];
+    for &(u, _, _) in &edges {
+        next[u.index()] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut sorted = vec![(NodeId(0), NodeId(0), 0.0); edges.len()];
+    for e in edges {
+        let slot = &mut next[e.0.index()];
+        sorted[*slot] = e;
+        *slot += 1;
+    }
+    let mut lo = 0;
+    for hi in next {
+        sorted[lo..hi].sort_by_key(|&(_, v, _)| v);
+        lo = hi;
+    }
+    sorted
 }
 
 #[cfg(test)]
@@ -102,14 +131,29 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(1), 1.0);
         b.add_edge(NodeId(1), NodeId(0), 2.5);
         b.add_unit_edge(NodeId(1), NodeId(2));
-        assert_eq!(b.num_distinct_edges(), 2);
-        assert!(b.has_edge(NodeId(0), NodeId(1)));
-        assert!(!b.has_edge(NodeId(0), NodeId(2)));
         let g = b.build();
         g.check_consistency();
+        assert_eq!(g.num_plain_edges(), 2);
+        assert_eq!(g.neighbors(NodeId(0)), &[(NodeId(1), 3.5)]);
+        assert!(!g.neighbor_set(NodeId(0)).contains(&NodeId(2)));
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.degree(NodeId(0)), 3.5);
         assert_eq!(g.degree(NodeId(1)), 4.5);
+    }
+
+    #[test]
+    fn sums_parallel_copies_in_input_order_from_zero() {
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(NodeId(1), NodeId(0), 0.1);
+        b.add_edge(NodeId(0), NodeId(1), 0.2);
+        b.add_edge(NodeId(1), NodeId(0), 0.3);
+        b.add_edge(NodeId(1), NodeId(1), -0.0);
+        let g = b.build();
+        let w = g.neighbors(NodeId(0))[0].1;
+        assert_eq!(w.to_bits(), ((0.0 + 0.1) + 0.2 + 0.3f64).to_bits());
+        assert_ne!(w.to_bits(), (0.1 + (0.2 + 0.3f64)).to_bits());
+        // `0.0 + -0.0` is `+0.0`.
+        assert_eq!(g.self_loop(NodeId(1)).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The distributed simulator and the hot analysis loops iterate neighbourhoods
 //! millions of times per run; CSR gives contiguous, cache-friendly neighbour
 //! slices (see the heap-allocation and iteration guidance in the Rust
-//! Performance Book).
+//! Performance Book). The snapshot is built in O(arcs): arcs are copied per
+//! node, and each arc is paired with its reverse by one cursor per node (see
+//! [`CsrGraph::try_from_graph`]).
 
 use crate::idx::{Idx, IdxOverflow};
 use crate::node::NodeId;
@@ -43,12 +45,24 @@ pub struct CsrGraph<I: Idx = u32> {
 impl<I: Idx> CsrGraph<I> {
     /// Builds a CSR snapshot from a [`WeightedGraph`], returning a typed
     /// [`IdxOverflow`] error when the arc count exceeds the index width `I`.
+    ///
+    /// The build is O(arcs) apart from sorting each neighbour-rank list,
+    /// which is linear on the already-sorted lists [`crate::GraphBuilder`]
+    /// produces. Reverse arcs are paired in one pass: visiting sources in
+    /// ascending order, with positions in order within each source, meets
+    /// the arcs into `t` in exactly the order of `t`'s rank list (targets
+    /// ascending, ties by position). So one cursor per node walks its rank
+    /// list, and the k-th `v → t` pairs with the k-th `t → v`.
     pub fn try_from_graph(g: &WeightedGraph) -> Result<Self, IdxOverflow> {
         let n = g.num_nodes();
+        let arcs: usize = g.nodes().map(|v| g.unweighted_degree(v)).sum();
+        if arcs > I::MAX_USIZE {
+            return Err(IdxOverflow::new::<I>(arcs, "arc count"));
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
+        let mut targets = Vec::with_capacity(arcs);
+        let mut weights = Vec::with_capacity(arcs);
         for v in g.nodes() {
             for &(u, w) in g.neighbors(v) {
                 targets.push(u);
@@ -57,10 +71,7 @@ impl<I: Idx> CsrGraph<I> {
             offsets.push(targets.len());
         }
         let self_loops = (0..n).map(|i| g.self_loop(NodeId::new(i))).collect();
-        if targets.len() > I::MAX_USIZE {
-            return Err(IdxOverflow::new::<I>(targets.len(), "arc count"));
-        }
-        let mut rank_by_target = vec![I::default(); targets.len()];
+        let mut rank_by_target = vec![I::default(); arcs];
         for v in 0..n {
             let (lo, hi) = (offsets[v], offsets[v + 1]);
             let perm = &mut rank_by_target[lo..hi];
@@ -71,7 +82,24 @@ impl<I: Idx> CsrGraph<I> {
             // `neighbor_positions` yields ascending positions.
             perm.sort_unstable_by_key(|&i| (targets[lo + i.to_usize()], i));
         }
-        let mut graph = CsrGraph {
+        // `cursor[t]` is the next unpaired entry of `t`'s rank list.
+        let mut cursor = offsets[..n].to_vec();
+        let mut reverse_arc = vec![I::default(); arcs];
+        for v in 0..n {
+            let vid = NodeId::new(v);
+            for p in offsets[v]..offsets[v + 1] {
+                let t = targets[p].index();
+                let slot = cursor[t];
+                cursor[t] += 1;
+                // The entry under `t`'s cursor must be an arc back to `v`.
+                let rp = (slot < offsets[t + 1])
+                    .then(|| offsets[t] + rank_by_target[slot].to_usize())
+                    .filter(|&rp| targets[rp] == vid)
+                    .expect("undirected arcs come in matched pairs");
+                reverse_arc[p] = I::from_usize(rp);
+            }
+        }
+        Ok(CsrGraph {
             offsets,
             targets,
             weights,
@@ -79,30 +107,8 @@ impl<I: Idx> CsrGraph<I> {
             total_edge_weight: g.total_edge_weight(),
             num_plain_edges: g.num_plain_edges(),
             rank_by_target,
-            reverse_arc: Vec::new(),
-        };
-        let mut reverse_arc = vec![I::default(); graph.targets.len()];
-        for v in 0..n {
-            let vid = NodeId::new(v);
-            let base = graph.offsets[v];
-            for q in 0..graph.offsets[v + 1] - base {
-                let t = graph.targets[base + q];
-                // k = occurrence index of this arc among v's (possibly
-                // parallel) arcs to t; the k-th `v → t` pairs with the k-th
-                // `t → v`.
-                let k = graph
-                    .neighbor_positions(vid, t)
-                    .position(|pos| pos == q)
-                    .expect("arc position must appear in its own rank map");
-                let rq = graph
-                    .neighbor_positions(t, vid)
-                    .nth(k)
-                    .expect("undirected arcs come in matched pairs");
-                reverse_arc[base + q] = I::from_usize(graph.offsets[t.index()] + rq);
-            }
-        }
-        graph.reverse_arc = reverse_arc;
-        Ok(graph)
+            reverse_arc,
+        })
     }
 
     /// Number of nodes.
@@ -360,6 +366,53 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// Reference pairing by binary search: for arc `p = v → t` at local
+    /// position `q`, find its occurrence index `k` among `v`'s arcs to `t`,
+    /// then take the k-th `t → v`, each through `neighbor_positions`.
+    fn binary_search_pairing<I: Idx>(csr: &CsrGraph<I>) -> Vec<usize> {
+        let mut reverse = Vec::with_capacity(csr.num_arcs());
+        for v in csr.nodes() {
+            for (q, &t) in csr.neighbors(v).iter().enumerate() {
+                let k = csr.neighbor_positions(v, t).position(|pos| pos == q);
+                let rq = csr.neighbor_positions(t, v).nth(k.unwrap()).unwrap();
+                reverse.push(csr.arc_offset(t) + rq);
+            }
+        }
+        reverse
+    }
+
+    #[test]
+    fn cursor_pairing_matches_binary_search_pairing() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..30usize);
+            // Raw `add_edge` keeps parallel edges and leaves adjacency lists
+            // in insertion order, unlike `GraphBuilder`.
+            let mut g = WeightedGraph::new(n);
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let u = rng.gen_range(0..n);
+                let v = if rng.gen_bool(0.3) {
+                    (u + 1) % n // a favourite pair, so parallel edges are common
+                } else {
+                    rng.gen_range(0..n)
+                };
+                g.add_edge(NodeId::new(u), NodeId::new(v), rng.gen_range(0..4) as f64);
+            }
+            let narrow = CsrGraph::from_graph(&g);
+            let wide = CsrGraph::<u64>::try_from_graph(&g).unwrap();
+            let oracle = binary_search_pairing(&narrow);
+            assert_eq!(oracle, binary_search_pairing(&wide), "seed {seed}");
+            let got: Vec<usize> = (0..narrow.num_arcs())
+                .map(|p| narrow.reverse_arc(p))
+                .collect();
+            assert_eq!(got, oracle, "u32 pairing, seed {seed}");
+            let got: Vec<usize> = (0..wide.num_arcs()).map(|p| wide.reverse_arc(p)).collect();
+            assert_eq!(got, oracle, "u64 pairing, seed {seed}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::builder::GraphBuilder;
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
 use rand::Rng;
+use std::collections::HashSet;
 
 /// A graph with a planted dense community.
 #[derive(Clone, Debug)]
@@ -37,19 +38,21 @@ pub fn planted_dense_community<R: Rng>(
     assert!((0.0..=1.0).contains(&p_background));
     assert!((0.0..=1.0).contains(&p_community));
     let mut builder = GraphBuilder::new(n);
+    // The pairs `(i, j)`, `i < j`, added so far, for membership tests only.
+    let mut added: HashSet<(usize, usize)> = HashSet::new();
     // Background edges.
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(p_background) {
                 builder.add_unit_edge(NodeId::new(i), NodeId::new(j));
+                added.insert((i, j));
             }
         }
     }
-    // Planted community edges (merged with background duplicates by the builder,
-    // weights summed — still unit-dominated because p_background is small).
+    // Planted community edges, skipping pairs the background already has.
     for i in 0..community_size {
         for j in (i + 1)..community_size {
-            if rng.gen_bool(p_community) && !builder.has_edge(NodeId::new(i), NodeId::new(j)) {
+            if rng.gen_bool(p_community) && added.insert((i, j)) {
                 builder.add_unit_edge(NodeId::new(i), NodeId::new(j));
             }
         }

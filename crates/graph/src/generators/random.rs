@@ -6,6 +6,7 @@ use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::HashSet;
 
 /// Erdős–Rényi `G(n, p)`: every pair becomes a unit edge independently with
 /// probability `p`.
@@ -152,28 +153,27 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Wei
     assert!(k < n, "k must be smaller than n");
     assert!((0.0..=1.0).contains(&beta));
     let mut builder = GraphBuilder::new(n);
+    // The pairs added so far, for membership tests only.
+    let mut added: HashSet<(usize, usize)> = HashSet::new();
     for i in 0..n {
         for d in 1..=(k / 2) {
             let j = (i + d) % n;
+            let mut target = j;
             if rng.gen_bool(beta) {
                 // Rewire: pick a random target distinct from i, avoiding an
                 // existing edge when possible (bounded retries keep this O(1)).
-                let mut target = rng.gen_range(0..n);
+                let mut pick = rng.gen_range(0..n);
                 let mut tries = 0;
-                while (target == i || builder.has_edge(NodeId::new(i), NodeId::new(target)))
-                    && tries < 16
-                {
-                    target = rng.gen_range(0..n);
+                while (pick == i || added.contains(&(i.min(pick), i.max(pick)))) && tries < 16 {
+                    pick = rng.gen_range(0..n);
                     tries += 1;
                 }
-                if target != i {
-                    builder.add_unit_edge(NodeId::new(i), NodeId::new(target));
-                } else {
-                    builder.add_unit_edge(NodeId::new(i), NodeId::new(j));
+                if pick != i {
+                    target = pick;
                 }
-            } else {
-                builder.add_unit_edge(NodeId::new(i), NodeId::new(j));
             }
+            builder.add_unit_edge(NodeId::new(i), NodeId::new(target));
+            added.insert((i.min(target), i.max(target)));
         }
     }
     builder.build()
@@ -190,8 +190,13 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> WeightedGraph 
         .collect();
     stubs.shuffle(rng);
     let mut builder = GraphBuilder::new(n);
+    // The pairs added so far, for membership tests only.
+    let mut added: HashSet<(NodeId, NodeId)> = HashSet::new();
     for pair in stubs.chunks(2) {
-        if pair.len() == 2 && pair[0] != pair[1] && !builder.has_edge(pair[0], pair[1]) {
+        if pair.len() == 2
+            && pair[0] != pair[1]
+            && added.insert((pair[0].min(pair[1]), pair[0].max(pair[1])))
+        {
             builder.add_unit_edge(pair[0], pair[1]);
         }
     }

@@ -8,8 +8,10 @@
 //!   indices in first-seen order, and keeps the reverse table so output can
 //!   report original ids.
 //! * [`read_dataset`] streams the file through a bounded buffer
-//!   (chunk-at-a-time, no whole-file `String`); edge-list chunks are parsed in
-//!   parallel via `rayon` before the sequential id-interning pass.
+//!   (chunk-at-a-time, no whole-file `String`); edge-list blocks are cut at
+//!   line ends and parsed in parallel via `rayon` before the sequential
+//!   id-interning pass, and every reader ends in one exact-size graph build
+//!   (text formats merge parallel edges through [`GraphBuilder`]).
 //! * Three on-disk formats ([`DatasetFormat`]): SNAP-style edge lists, METIS
 //!   adjacency files, and a compact little-endian binary format (`.dkcb`)
 //!   that additionally preserves the id map exactly.
@@ -33,7 +35,7 @@ use crate::weighted::WeightedGraph;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 /// Remaps arbitrary sparse external ids (`u64`) to dense internal indices.
@@ -365,36 +367,63 @@ fn parse_edge_list_chunk(start_line: usize, text: &str) -> Result<ChunkItems, Pa
     Ok(out)
 }
 
-/// Target chunk size for the parallel edge-list parser. Chunks are extended
-/// to the next line boundary, so peak memory is
+/// Block size of the edge-list reader. Blocks are cut at their last newline
+/// (a longer line grows its block to the line's end), so peak memory is
 /// `O(threads · CHUNK_BYTES + edges)` regardless of file size.
 const CHUNK_BYTES: usize = 1 << 20;
 
 /// Streams an edge list through `sink`, parsing batches of chunks in
 /// parallel while delivering items in file order.
+///
+/// The file is read in `CHUNK_BYTES` blocks, each cut at its last newline;
+/// the bytes after it open the next block. A chunk is therefore whole lines,
+/// so its UTF-8 is validated once and the next chunk's first line number is
+/// this chunk's plus the newlines in it.
 fn stream_edge_list_items(
     path: &Path,
     sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
-    let mut reader = BufReader::with_capacity(CHUNK_BYTES.min(1 << 16), File::open(path)?);
+    let mut file = File::open(path)?;
     let batch_width = rayon::current_num_threads().max(1);
     let mut batch: Vec<(usize, String)> = Vec::with_capacity(batch_width);
-    let mut chunk = String::new();
-    let mut chunk_start = 1usize; // 1-based line number of the chunk's first line
-    let mut next_line = 1usize;
-    let mut line = String::new();
+    let mut next_line = 1usize; // 1-based line number of the next chunk's first line
+    let mut carry: Vec<u8> = Vec::new(); // a partial line, never a newline
     let mut eof = false;
     while !eof {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            eof = true;
+        let mut block = std::mem::take(&mut carry);
+        let fresh = block.len();
+        block.reserve(CHUNK_BYTES);
+        eof = (&mut file)
+            .take(CHUNK_BYTES as u64)
+            .read_to_end(&mut block)?
+            < CHUNK_BYTES;
+        let cut = if eof {
+            block.len()
         } else {
-            chunk.push_str(&line);
-            next_line += 1;
-        }
-        if chunk.len() >= CHUNK_BYTES || (eof && !chunk.is_empty()) {
-            batch.push((chunk_start, std::mem::take(&mut chunk)));
-            chunk_start = next_line;
+            match block[fresh..].iter().rposition(|&b| b == b'\n') {
+                Some(i) => fresh + i + 1,
+                None => {
+                    // No line ends in this block: keep reading the line.
+                    carry = block;
+                    continue;
+                }
+            }
+        };
+        carry = block.split_off(cut);
+        if !block.is_empty() {
+            let text = String::from_utf8(block).map_err(|e| {
+                let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "invalid UTF-8 on line {}",
+                        next_line + count_newlines(valid)
+                    ),
+                )
+            })?;
+            let lines = count_newlines(text.as_bytes());
+            batch.push((next_line, text));
+            next_line += lines;
         }
         if batch.len() == batch_width || (eof && !batch.is_empty()) {
             let parsed: Vec<Result<ChunkItems, ParseError>> = batch
@@ -414,6 +443,10 @@ fn stream_edge_list_items(
         }
     }
     Ok(())
+}
+
+fn count_newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// Streams a METIS adjacency file through `sink` (ids are emitted 0-based;
@@ -629,9 +662,12 @@ fn expect_eof(r: &mut impl Read) -> Result<(), ParseError> {
     }
 }
 
-/// Reads a `.dkcb` file, reconstructing the id map exactly.
+/// Reads a `.dkcb` file, reconstructing the id map exactly. Records are not
+/// merged: parallel edge records stay parallel, in file order.
 fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let header = read_binary_header(&mut r)?;
     let n = usize::try_from(header.n)
         .ok()
@@ -650,7 +686,22 @@ fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
     } else {
         ids = NodeIdMap::identity(n);
     }
-    let mut g = WeightedGraph::new(n);
+    // Pre-size only when the header's record counts fit in the bytes left
+    // (16 per edge record, 12 per self-loop record): a header that claims
+    // more fails at end of file, without allocating for its claim.
+    let left = r
+        .stream_position()
+        .map_or(0, |pos| file_len.saturating_sub(pos));
+    let claimed = header
+        .plain_edges
+        .checked_mul(16)
+        .zip(header.self_loops.checked_mul(12))
+        .and_then(|(e, l)| e.checked_add(l));
+    let (edge_cap, loop_cap) = match claimed {
+        Some(bytes) if bytes <= left => (header.plain_edges, header.self_loops),
+        _ => (0, 0),
+    };
+    let mut edges = Vec::with_capacity(usize::try_from(edge_cap).unwrap_or(0));
     for _ in 0..header.plain_edges {
         let u = read_u32(&mut r)? as usize;
         let v = read_u32(&mut r)? as usize;
@@ -660,8 +711,9 @@ fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
                 "binary: bad edge ({u}, {v}) in a {n}-node graph"
             )));
         }
-        g.add_edge(NodeId::new(u), NodeId::new(v), w);
+        edges.push((NodeId::new(u), NodeId::new(v), w));
     }
+    let mut loops = Vec::with_capacity(usize::try_from(loop_cap).unwrap_or(0));
     for _ in 0..header.self_loops {
         let v = read_u32(&mut r)? as usize;
         let w = check_binary_weight(read_f64(&mut r)?)?;
@@ -670,10 +722,11 @@ fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
                 "binary: bad self-loop node {v} in a {n}-node graph"
             )));
         }
-        g.add_self_loop(NodeId::new(v), w);
+        loops.push((NodeId::new(v), w));
     }
     expect_eof(&mut r)?;
-    Ok(Dataset { graph: g, ids })
+    let graph = WeightedGraph::from_edges(n, &edges, &loops);
+    Ok(Dataset { graph, ids })
 }
 
 /// Streams a `.dkcb` file's items (internal ids as `u64`), skipping the id
@@ -1080,29 +1133,42 @@ pub struct DatasetStats {
 }
 
 /// Computes [`DatasetStats`] without materializing adjacency lists: memory
-/// is `O(distinct nodes + distinct edges)` (id set and edge-dedup set), and
-/// the file streams through a bounded buffer.
+/// is `O(distinct nodes + distinct edges)` (id map, degrees and edge-dedup
+/// set), and the file streams through a bounded buffer. Degrees are kept in
+/// first-seen order and summed in that order, so every call on the same file
+/// returns the same bits.
 pub fn stream_stats(
     path: impl AsRef<Path>,
     format: DatasetFormat,
 ) -> Result<DatasetStats, ParseError> {
     use std::collections::HashSet;
-    let mut degrees: HashMap<u64, f64> = HashMap::new();
-    let mut plain_edges: HashSet<(u64, u64)> = HashSet::new();
-    let mut loop_weights: HashMap<u64, f64> = HashMap::new();
+    let mut ids = NodeIdMap::new();
+    let mut degrees: Vec<f64> = Vec::new();
+    let mut plain_edges: HashSet<(usize, usize)> = HashSet::new();
+    let mut loop_weights: HashMap<usize, f64> = HashMap::new();
     let mut total_weight = 0.0;
     let mut declared: u64 = 0;
+    let mut node = |ext: u64, degrees: &mut Vec<f64>| -> Result<usize, ParseError> {
+        let v = ids
+            .try_intern(ext)
+            .map_err(|e| invalid(e.to_string()))?
+            .to_usize();
+        if v == degrees.len() {
+            degrees.push(0.0);
+        }
+        Ok(v)
+    };
     stream_items(path.as_ref(), format, &mut |item| {
         match item {
             StreamItem::Edge(u, v, w) => {
                 total_weight += w;
+                let (u, v) = (node(u, &mut degrees)?, node(v, &mut degrees)?);
+                degrees[u] += w;
                 if u == v {
-                    *degrees.entry(u).or_insert(0.0) += w;
                     *loop_weights.entry(u).or_insert(0.0) += w;
                 } else {
-                    *degrees.entry(u).or_insert(0.0) += w;
-                    *degrees.entry(v).or_insert(0.0) += w;
-                    plain_edges.insert(if u < v { (u, v) } else { (v, u) });
+                    degrees[v] += w;
+                    plain_edges.insert((u.min(v), u.max(v)));
                 }
             }
             StreamItem::DeclaredNodes(n) => declared = declared.max(n),
@@ -1118,7 +1184,7 @@ pub fn stream_stats(
     let mut min_degree = if isolated > 0 { 0.0 } else { f64::INFINITY };
     let mut max_degree: f64 = 0.0;
     let mut degree_sum = 0.0;
-    for &d in degrees.values() {
+    for &d in &degrees {
         min_degree = min_degree.min(d);
         max_degree = max_degree.max(d);
         degree_sum += d;
@@ -1398,6 +1464,204 @@ mod tests {
         match err {
             ParseError::Malformed { line, .. } => assert_eq!(line, 3),
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// Asserts two datasets are equal bit for bit: adjacency order and
+    /// weights, self-loops, totals and the id map.
+    fn assert_same_dataset(a: &Dataset, b: &Dataset) {
+        assert_eq!(a.ids.externals(), b.ids.externals());
+        assert_eq!(a.graph.num_nodes(), b.graph.num_nodes());
+        assert_eq!(a.graph.num_plain_edges(), b.graph.num_plain_edges());
+        let bits = |g: &WeightedGraph, v| -> Vec<(NodeId, u64)> {
+            g.neighbors(v)
+                .iter()
+                .map(|&(u, w)| (u, w.to_bits()))
+                .collect()
+        };
+        for v in a.graph.nodes() {
+            assert_eq!(bits(&a.graph, v), bits(&b.graph, v), "node {v}");
+            assert_eq!(
+                a.graph.self_loop(v).to_bits(),
+                b.graph.self_loop(v).to_bits()
+            );
+        }
+        assert_eq!(
+            a.graph.total_edge_weight().to_bits(),
+            b.graph.total_edge_weight().to_bits()
+        );
+    }
+
+    /// Appends comment lines until `text` is exactly `len` bytes long.
+    fn pad_to(text: &mut String, len: usize) {
+        while text.len() < len {
+            let left = len - text.len();
+            let line = if left <= 100 {
+                left
+            } else {
+                left.min(100).min(left - 2)
+            };
+            assert!(line >= 2, "cannot pad by a single byte");
+            text.push('#');
+            text.push_str(&"x".repeat(line - 2));
+            text.push('\n');
+        }
+        assert_eq!(text.len(), len);
+    }
+
+    #[test]
+    fn block_reader_cuts_blocks_at_line_ends() {
+        let dir = test_dir("blocks");
+        let mut edges: Vec<(u64, u64, f64)> = Vec::new();
+        let mut text = String::from("# nodes: 5000\r\n");
+        let mut push = |text: &mut String, u: u64, v: u64, w: f64, end: &str| {
+            use std::fmt::Write as _;
+            let _ = write!(text, "{u} {v} {w}{end}");
+            edges.push((u, v, w));
+        };
+        // CRLF line ends up to just before the first block boundary.
+        let mut i = 0u64;
+        while text.len() < CHUNK_BYTES - 200 {
+            push(
+                &mut text,
+                i % 997,
+                (i * 31) % 1999,
+                0.1 * (i % 7) as f64,
+                "\r\n",
+            );
+            i += 1;
+        }
+        // A data line straddling the first boundary.
+        pad_to(&mut text, CHUNK_BYTES - 5);
+        push(&mut text, 777_777, 888_888, 0.25, "\r\n");
+        // LF line ends, then a multi-byte UTF-8 character straddling the
+        // second boundary ("# " ends one byte before it, "é" is 2 bytes).
+        while text.len() < 2 * CHUNK_BYTES - 200 {
+            push(&mut text, (i * 7) % 1999, i % 997, 0.3, "\n");
+            i += 1;
+        }
+        pad_to(&mut text, 2 * CHUNK_BYTES - 3);
+        text.push_str("# ééé größe\n");
+        // A comment and a data line each longer than a block.
+        text.push_str(&format!("#{}\n", "y".repeat(CHUNK_BYTES + 10)));
+        text.push_str(&" ".repeat(CHUNK_BYTES + 10));
+        push(&mut text, 4, 4_000_000_000, 2.0, "\n");
+        // The last line has no newline.
+        push(&mut text, 5, 6, 1.5, "");
+        let path = write_text(&dir, "blocks.edges", &text);
+        let ds = read_dataset(&path, DatasetFormat::EdgeList).unwrap();
+        let expected = Dataset::from_external_edges(5000, edges.iter().copied());
+        assert_same_dataset(&ds, &expected);
+        assert!(ds.ids.get(888_888).is_some() && ds.ids.get(6).is_some());
+    }
+
+    #[test]
+    fn block_reader_reports_exact_line_numbers_past_the_first_block() {
+        let dir = test_dir("lineno-far");
+        let mut text = String::new();
+        let mut lines = 0usize;
+        while text.len() < 3 * CHUNK_BYTES {
+            text.push_str(if lines.is_multiple_of(3) {
+                "# comment\n"
+            } else {
+                "12 34 0.5\n"
+            });
+            lines += 1;
+        }
+        let bad_line = lines + 1;
+        let mut bad = text.clone();
+        bad.push_str("56 x\n7 8\n");
+        let path = write_text(&dir, "bad.edges", &bad);
+        match read_dataset(&path, DatasetFormat::EdgeList).unwrap_err() {
+            ParseError::Malformed { line, content } => {
+                assert_eq!(line, bad_line);
+                assert_eq!(content, "56 x");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // Invalid UTF-8 is an I/O error of kind `InvalidData` naming its line.
+        let mut bytes = text.into_bytes();
+        bytes.extend_from_slice(b"9 10\n# \xff\xfe\n");
+        let path = dir.join("utf8.edges");
+        std::fs::write(&path, &bytes).unwrap();
+        match read_dataset(&path, DatasetFormat::EdgeList).unwrap_err() {
+            ParseError::Io(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                assert!(
+                    e.to_string().contains(&format!("line {}", bad_line + 1)),
+                    "{e}"
+                );
+            }
+            other => panic!("expected Io, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_header_claims_are_checked_before_allocating() {
+        // A 100-byte file whose header claims far more records than follow.
+        // Pre-sizing for 2⁵⁹ edge records would overflow `Vec` capacity and
+        // panic; for 2³² it would ask for 64 GiB and abort.
+        let dir = test_dir("binary-hostile");
+        for (edges, loops) in [(1u64 << 59, 0u64), (1 << 32, 0), (0, 1 << 32), (3, 1 << 40)] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(BINARY_MAGIC);
+            bytes.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&0u16.to_le_bytes());
+            bytes.extend_from_slice(&4u64.to_le_bytes());
+            bytes.extend_from_slice(&edges.to_le_bytes());
+            bytes.extend_from_slice(&loops.to_le_bytes());
+            // Valid records, cut short: edges (0, 1), then loops at 0.
+            for _ in 0..edges.min(8) {
+                bytes.extend_from_slice(&0u32.to_le_bytes());
+                bytes.extend_from_slice(&1u32.to_le_bytes());
+                bytes.extend_from_slice(&1.0f64.to_le_bytes());
+            }
+            for _ in 0..8 {
+                bytes.extend_from_slice(&0u32.to_le_bytes());
+                bytes.extend_from_slice(&1.0f64.to_le_bytes());
+            }
+            bytes.truncate(100);
+            let path = dir.join("hostile.dkcb");
+            std::fs::write(&path, &bytes).unwrap();
+            match read_dataset(&path, DatasetFormat::Binary) {
+                Err(ParseError::Invalid(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+                other => panic!("expected a truncation error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn stream_stats_is_reproducible_bit_for_bit() {
+        // Sums of these weights depend on their order, so `mean_degree`
+        // repeats only if the degrees are summed in a fixed order.
+        let dir = test_dir("stats-repro");
+        let weights = [0.1, 0.2, 0.3, 0.7, 0.001];
+        let mut text = String::new();
+        let mut order: Vec<u64> = Vec::new();
+        let mut degree: HashMap<u64, f64> = HashMap::new();
+        for i in 0..2000u64 {
+            use std::fmt::Write as _;
+            let (u, v, w) = (
+                (i * 7919) % 1013 + 5_000_000,
+                (i * 104_729) % 811,
+                weights[i as usize % 5],
+            );
+            let _ = writeln!(text, "{u} {v} {w}");
+            for x in [u, v] {
+                if !degree.contains_key(&x) {
+                    order.push(x);
+                }
+                *degree.entry(x).or_insert(0.0) += w;
+            }
+        }
+        // The fixed order: first-seen external ids.
+        let sum = order.iter().fold(0.0, |s, x| s + degree[x]);
+        let expected = sum / order.len() as f64;
+        let path = write_text(&dir, "g.edges", &text);
+        for _ in 0..20 {
+            let stats = stream_stats(&path, DatasetFormat::EdgeList).unwrap();
+            assert_eq!(stats.nodes, order.len());
+            assert_eq!(stats.mean_degree.to_bits(), expected.to_bits());
         }
     }
 

@@ -76,12 +76,45 @@ impl WeightedGraph {
     /// Panics if either endpoint is out of range or if `w` is negative or not
     /// finite.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) {
-        assert!(
-            w.is_finite() && w >= 0.0,
-            "edge weight must be finite and non-negative, got {w}"
-        );
-        assert!(u.index() < self.adj.len(), "node {u} out of range");
-        assert!(v.index() < self.adj.len(), "node {v} out of range");
+        check_edge(self.adj.len(), u, v, w);
+        self.push_edge(u, v, w);
+    }
+
+    /// The graph `WeightedGraph::new(n)` followed by
+    /// [`WeightedGraph::add_edge`] for each of `edges` and then
+    /// [`WeightedGraph::add_self_loop`] for each of `loops`, in order and
+    /// with the same checks, but with every adjacency list allocated once at
+    /// its final size: degrees are counted before anything is filled.
+    pub(crate) fn from_edges(
+        n: usize,
+        edges: &[(NodeId, NodeId, f64)],
+        loops: &[(NodeId, f64)],
+    ) -> Self {
+        let mut degree = vec![0usize; n];
+        for &(u, v, w) in edges {
+            check_edge(n, u, v, w);
+            if u != v {
+                degree[u.index()] += 1;
+                degree[v.index()] += 1;
+            }
+        }
+        let mut g = WeightedGraph {
+            adj: degree.into_iter().map(Vec::with_capacity).collect(),
+            self_loops: vec![0.0; n],
+            num_edges: 0,
+            edge_weight_total: 0.0,
+        };
+        for &(u, v, w) in edges {
+            g.push_edge(u, v, w);
+        }
+        for &(v, w) in loops {
+            g.add_self_loop(v, w);
+        }
+        g
+    }
+
+    /// [`WeightedGraph::add_edge`] after its checks.
+    fn push_edge(&mut self, u: NodeId, v: NodeId, w: f64) {
         if u == v {
             self.self_loops[u.index()] += w;
         } else {
@@ -309,6 +342,16 @@ impl WeightedGraph {
     }
 }
 
+/// The checks of [`WeightedGraph::add_edge`] on an `n`-node graph.
+fn check_edge(n: usize, u: NodeId, v: NodeId, w: f64) {
+    assert!(
+        w.is_finite() && w >= 0.0,
+        "edge weight must be finite and non-negative, got {w}"
+    );
+    assert!(u.index() < n, "node {u} out of range");
+    assert!(v.index() < n, "node {v} out of range");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,6 +460,44 @@ mod tests {
     fn out_of_range_node_panics() {
         let mut g = WeightedGraph::new(2);
         g.add_edge(NodeId(0), NodeId(5), 1.0);
+    }
+
+    #[test]
+    fn bulk_constructor_equals_add_edge_sequence() {
+        let edges = [
+            (NodeId(2), NodeId(0), 0.1),
+            (NodeId(0), NodeId(2), 0.2),
+            (NodeId(1), NodeId(1), 0.5),
+            (NodeId(3), NodeId(1), 0.0),
+            (NodeId(0), NodeId(1), 3.0),
+        ];
+        let loops = [(NodeId(3), 0.25), (NodeId(1), 0.3), (NodeId(3), 0.25)];
+        let mut expected = WeightedGraph::new(5);
+        for &(u, v, w) in &edges {
+            expected.add_edge(u, v, w);
+        }
+        for &(v, w) in &loops {
+            expected.add_self_loop(v, w);
+        }
+        let got = WeightedGraph::from_edges(5, &edges, &loops);
+        got.check_consistency();
+        assert_eq!(got.num_nodes(), expected.num_nodes());
+        assert_eq!(got.num_plain_edges(), expected.num_plain_edges());
+        assert_eq!(
+            got.total_edge_weight().to_bits(),
+            expected.total_edge_weight().to_bits()
+        );
+        for v in got.nodes() {
+            assert_eq!(got.neighbors(v), expected.neighbors(v));
+            assert_eq!(got.neighbors(v).len(), got.adj[v.index()].capacity());
+            assert_eq!(got.self_loop(v).to_bits(), expected.self_loop(v).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bulk_constructor_keeps_add_edge_checks() {
+        WeightedGraph::from_edges(2, &[(NodeId(0), NodeId(2), 1.0)], &[]);
     }
 
     #[test]
