@@ -4,7 +4,8 @@
 use crate::args::Parsed;
 use dkc_baselines::{greedy_orientation, peeling_orientation, weighted_coreness};
 use dkc_core::api::{
-    approximate_orientation, rounds_for_epsilon, weak_densest_subsets, CorenessApproximation,
+    approximate_orientation_with_rounds, checked_rounds, rounds_for_epsilon,
+    weak_densest_subsets_with_rounds, CorenessApproximation,
 };
 use dkc_core::checkpoint::{resume_compact_elimination, CheckpointConfig, MAX_SHARDS};
 use dkc_core::compact::{run_compact_elimination, RunSpec};
@@ -242,6 +243,13 @@ const RESUME_CONFLICTS: [&str; 12] = [
     "shard-seed",
 ];
 
+/// The round budget `⌈log_{1+ε} n⌉` of an `n`-node graph, rejected when it
+/// exceeds `MAX_ROUNDS`.
+fn epsilon_rounds(epsilon: f64, n: usize) -> Result<usize, String> {
+    checked_rounds(rounds_for_epsilon(n, epsilon))
+        .map_err(|e| format!("--epsilon {epsilon} on {n} nodes: {e}"))
+}
+
 /// Builds the run of a fresh `dkc coreness` from its flags: the round budget
 /// (`--rounds`, else `⌈log_{1+ε} n⌉` from `--epsilon`), the threshold set
 /// (`--lambda`), the fault flags, the shard partition (`--shards`,
@@ -252,7 +260,11 @@ fn run_spec(
     checkpoint: Option<CheckpointConfig>,
 ) -> Result<RunSpec, String> {
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
-    let rounds: usize = parsed.flag_num("rounds", rounds_for_epsilon(n, epsilon))?;
+    let rounds = if parsed.flags.contains_key("rounds") {
+        checked_rounds(parsed.flag_num("rounds", 0)?).map_err(|e| format!("--rounds: {e}"))?
+    } else {
+        epsilon_rounds(epsilon, n)?
+    };
     let faults = fault_plan(parsed)?;
     let lambda: f64 = parsed.flag_num("lambda", 0.0)?;
     if lambda < 0.0 || !lambda.is_finite() {
@@ -450,7 +462,8 @@ fn orientation(parsed: &Parsed) -> Result<String, String> {
     let ds = load(parsed)?;
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
-    let approx = approximate_orientation(g, epsilon, ExecutionMode::Parallel);
+    let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
+    let approx = approximate_orientation_with_rounds(g, rounds, ExecutionMode::Parallel);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -478,7 +491,8 @@ fn densest(parsed: &Parsed) -> Result<String, String> {
     let ds = load(parsed)?;
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
-    let result = weak_densest_subsets(g, epsilon, ExecutionMode::Parallel);
+    let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
+    let result = weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::Parallel);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -843,6 +857,21 @@ mod tests {
             assert!(err.contains("must be > 0"), "{bad}: {err}");
             let err = dispatch(&parse(&["densest", &path, "--epsilon", bad])).unwrap_err();
             assert!(err.contains("must be > 0"), "{bad}: {err}");
+        }
+        // A derived T past MAX_ROUNDS (here billions of rounds) is an
+        // error, not an allocation of one `RoundStats` per round.
+        for cmd in ["coreness", "orientation", "densest"] {
+            let err = dispatch(&parse(&[cmd, &path, "--epsilon", "1e-9"])).unwrap_err();
+            assert!(err.contains("outside the legal range"), "{cmd}: {err}");
+        }
+        // --rounds must lie in 1..=MAX_ROUNDS: 0 used to trip an assertion,
+        // u32::MAX an allocation of gigabytes.
+        for bad in ["0", "65537", "4294967295"] {
+            let err = dispatch(&parse(&["coreness", &path, "--rounds", bad])).unwrap_err();
+            assert!(
+                err.contains("--rounds") && err.contains("1..=65536"),
+                "{bad}: {err}"
+            );
         }
         let err = dispatch(&parse(&["coreness", &path, "--lambda", "-1"])).unwrap_err();
         assert!(err.contains("lambda"), "{err}");

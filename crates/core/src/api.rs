@@ -1,12 +1,42 @@
 //! High-level one-call entry points for the three problems.
 
+use crate::checkpoint::MAX_ROUNDS;
 use crate::compact::{run_compact_elimination, CompactOutcome, RunSpec};
 use crate::orientation::{orientation_from_compact, OrientationResult};
 use crate::threshold::ThresholdSet;
 use dkc_distsim::{ExecutionMode, RunMetrics};
 use dkc_graph::{NodeId, WeightedGraph};
+use std::fmt;
 
 pub use crate::densest::{weak_densest_subsets, weak_densest_subsets_with_rounds};
+
+/// A round budget T outside `1..=`[`MAX_ROUNDS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RoundsOutOfRange {
+    /// The rejected round count.
+    pub rounds: usize,
+}
+
+impl fmt::Display for RoundsOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} rounds is outside the legal range 1..={MAX_ROUNDS}",
+            self.rounds
+        )
+    }
+}
+
+impl std::error::Error for RoundsOutOfRange {}
+
+/// `rounds` if it is a legal round budget, `1..=`[`MAX_ROUNDS`].
+pub fn checked_rounds(rounds: usize) -> Result<usize, RoundsOutOfRange> {
+    if rounds >= 1 && rounds as u64 <= MAX_ROUNDS {
+        Ok(rounds)
+    } else {
+        Err(RoundsOutOfRange { rounds })
+    }
+}
 
 /// Number of rounds needed for a `2(1+ε)`-approximation: `⌈log_{1+ε} n⌉`
 /// (Theorems I.1 / I.2; at least 1).
@@ -151,6 +181,14 @@ mod tests {
         assert_eq!(rounds_for_gamma(1000, 4.0), rounds_for_epsilon(1000, 1.0));
         assert!(guaranteed_factor(1000, 10) > 2.0);
         assert!((guaranteed_factor(1000, 10) - 2.0 * 1000f64.powf(0.1)).abs() < 1e-12);
+        let cap = MAX_ROUNDS as usize;
+        assert_eq!(checked_rounds(1), Ok(1));
+        assert_eq!(checked_rounds(cap), Ok(cap));
+        for bad in [0, cap + 1, usize::MAX] {
+            assert_eq!(checked_rounds(bad), Err(RoundsOutOfRange { rounds: bad }));
+        }
+        // At the cap the factor is within 0.034% of 2 for any u32 node count.
+        assert!(guaranteed_factor(u32::MAX as usize, cap) < 2.0 * 1.00034);
     }
 
     #[test]

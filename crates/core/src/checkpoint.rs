@@ -58,6 +58,14 @@ pub fn graph_fingerprint(g: &CsrGraph) -> u64 {
 /// checkpoint naming a larger count is rejected before anything is built.
 pub const MAX_SHARDS: u64 = 1024;
 
+/// The largest round count T a run may be asked for, wherever T comes from
+/// outside: `--rounds`, the T that `--epsilon` derives, or a checkpoint's
+/// round target. More rounds buy nothing: at T = 2^16 the factor `2·n^{1/T}`
+/// is within 0.034% of 2 for any u32 node count. Every round keeps one
+/// `RoundStats` (136 B) in the run's history, so an unbounded T is an
+/// unbounded allocation.
+pub const MAX_ROUNDS: u64 = 1 << 16;
+
 /// The run-identity preamble stored ahead of the executor state in every
 /// checkpoint file.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -117,6 +125,11 @@ impl RunPreamble {
         let arcs = r.read_u64()?;
         let fingerprint = r.read_u64()?;
         let rounds_target = r.read_u64()?;
+        if !(1..=MAX_ROUNDS).contains(&rounds_target) {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpointed round target {rounds_target} is outside 1..={MAX_ROUNDS}"
+            )));
+        }
         let threshold_set = match r.read_u8()? {
             0 => ThresholdSet::Reals,
             1 => {
@@ -300,6 +313,28 @@ mod tests {
             RunPreamble::decode(&too_many.encode()),
             Err(CheckpointError::Mismatch(_))
         ));
+        // A round target of 0 (no round to resume into) or past the cap
+        // (one `RoundStats` per round, without bound).
+        for rounds_target in [0, MAX_ROUNDS + 1, u64::from(u32::MAX), u64::MAX] {
+            let bad = RunPreamble {
+                rounds_target,
+                ..pre
+            };
+            assert!(
+                matches!(
+                    RunPreamble::decode(&bad.encode()),
+                    Err(CheckpointError::Mismatch(_))
+                ),
+                "rounds_target {rounds_target}"
+            );
+        }
+        for rounds_target in [1, MAX_ROUNDS] {
+            let good = RunPreamble {
+                rounds_target,
+                ..pre
+            };
+            assert_eq!(RunPreamble::decode(&good.encode()).unwrap(), good);
+        }
     }
 
     #[test]

@@ -340,6 +340,18 @@ impl CompactNode<'_> {
         );
         (self.threshold_set.round_down(raw), include_from)
     }
+
+    /// Where `N_v` starts in `order`: the number of neighbours outside it.
+    /// Positions stamped with the last update round are exactly the suffix
+    /// `order[include_from..]` of that update.
+    fn cut(&self) -> usize {
+        let last = *self.last_update_round;
+        let cut = self.in_stamp.iter().filter(|&&s| s != last).count();
+        debug_assert!(self.order[cut..]
+            .iter()
+            .all(|&p| self.in_stamp[p as usize] == last));
+        cut
+    }
 }
 
 impl NodeProgram for CompactNode<'_> {
@@ -398,28 +410,25 @@ impl NodeProgram for CompactNode<'_> {
     }
 }
 
-/// Checkpoint payload of one node: the live elimination state. The scratch
-/// slab is pure per-step workspace and the message-bit/threshold parameters
-/// are rebuilt from the graph, so neither is persisted. The degree leads the
-/// payload as a cross-check against the arena the state is restored into.
+/// Checkpoint payload of one node (format v4): `deg` u32, `b` f64,
+/// `last_update_round` u32 and the cut `deg − |N_v|` u32, then `values` (f64)
+/// and `order` (u32) as little-endian slabs — 20 B plus 12 B per arc. The
+/// degree leads as a cross-check against the arena the state is restored
+/// into. The other slabs are derived, not stored: `inv` is the inverse of
+/// `order`, and `N_v` is the suffix `order[cut..]` stamped at the last
+/// update (every position while the node has never updated), because
+/// `order` changes only inside an update. The scratch slab is per-step
+/// workspace, and the message-bit/threshold parameters are rebuilt from the
+/// graph.
 impl SnapshotState for CompactNode<'_> {
     fn save_state(&self, w: &mut WireWriter) -> Result<(), WireError> {
         let deg = self.values.len() as u32;
         deg.serialize(&mut *w)?;
         self.b.serialize(&mut *w)?;
         self.last_update_round.serialize(&mut *w)?;
-        for &x in self.values.iter() {
-            x.serialize(&mut *w)?;
-        }
-        for &x in self.order.iter() {
-            x.serialize(&mut *w)?;
-        }
-        for &x in self.inv.iter() {
-            x.serialize(&mut *w)?;
-        }
-        for &x in self.in_stamp.iter() {
-            x.serialize(&mut *w)?;
-        }
+        (self.cut() as u32).serialize(&mut *w)?;
+        w.write_f64s(self.values);
+        w.write_u32s(self.order);
         Ok(())
     }
 
@@ -432,28 +441,41 @@ impl SnapshotState for CompactNode<'_> {
             )));
         }
         *self.b = r.read_f64()?;
-        *self.last_update_round = r.read_u32()?;
-        for x in self.values.iter_mut() {
-            *x = r.read_f64()?;
+        let last = r.read_u32()?;
+        *self.last_update_round = last;
+        let cut = r.read_u32()? as usize;
+        if cut > deg {
+            return Err(CheckpointError::Mismatch(format!(
+                "N_v cut {cut} is past the node degree {deg}"
+            )));
         }
-        for x in self.order.iter_mut() {
-            *x = r.read_u32()?;
+        if last == 0 && cut != 0 {
+            return Err(CheckpointError::Mismatch(format!(
+                "a node that never updated has every neighbour in N_v, not a cut at {cut}"
+            )));
         }
-        for x in self.inv.iter_mut() {
-            *x = r.read_u32()?;
+        r.read_f64s_into(self.values)?;
+        r.read_u32s_into(self.order)?;
+        // `order` must be a permutation of 0..deg — anything else would make
+        // the Update re-sort read out of bounds. Building `inv` as its
+        // inverse checks that: an entry out of range or repeated is rejected.
+        self.inv.fill(u32::MAX);
+        for (i, &p) in self.order.iter().enumerate() {
+            match self.inv.get_mut(p as usize) {
+                Some(q) if *q == u32::MAX => *q = i as u32,
+                _ => {
+                    return Err(CheckpointError::Mismatch(
+                        "checkpointed update order is not a valid permutation".to_string(),
+                    ))
+                }
+            }
         }
-        for x in self.in_stamp.iter_mut() {
-            *x = r.read_u32()?;
-        }
-        // `order` must be a permutation of 0..deg with `inv` its inverse —
-        // anything else would make the Update re-sort read out of bounds.
-        let consistent = self.order.iter().enumerate().all(|(i, &p)| {
-            (p as usize) < deg && self.inv.get(p as usize).is_some_and(|&q| q as usize == i)
-        });
-        if !consistent {
-            return Err(CheckpointError::Mismatch(
-                "checkpointed update order is not a valid permutation".to_string(),
-            ));
+        // Members of N_v carry the last update's stamp. Every other position
+        // gets 0, which no round equals (rounds count from 1), so a later
+        // update that shrinks N_v leaves them out.
+        self.in_stamp.fill(0);
+        for &p in &self.order[cut..] {
+            self.in_stamp[p as usize] = last;
         }
         // Surviving numbers are non-negative (+∞ before the first update), and
         // `order` keeps `values` sorted ascending between rounds. A NaN would
@@ -685,22 +707,30 @@ pub(crate) fn execute(
     Ok((outcome, started_from))
 }
 
-/// Every executed `Update` leaves `b` equal to what it computes from the
-/// node's values, order and edge weights, and no later round changes one
-/// without the other. A restored node that has updated (`last_update_round
-/// != 0`) and breaks this was not written by a run: resuming it would let a
-/// surviving number increase, so it is rejected here.
+/// Every executed `Update` leaves `b` and the `N_v` cut equal to what it
+/// computes from the node's values, order and edge weights, and no later
+/// round changes one without the other. A restored node that has updated
+/// (`last_update_round != 0`) and breaks this was not written by a run:
+/// resuming it would let a surviving number increase or hand out a wrong
+/// orientation, so it is rejected here.
 fn check_restored_surviving(
     net: &Network<CompactNode<'_>>,
     csr: &CsrGraph,
 ) -> Result<(), CheckpointError> {
     for v in csr.nodes() {
         let node = net.program(v);
-        if *node.last_update_round != 0
-            && node.recompute(&NodeContext::new(csr, v, net.round())).0 != *node.b
-        {
+        if *node.last_update_round == 0 {
+            continue;
+        }
+        let (b, include_from) = node.recompute(&NodeContext::new(csr, v, net.round()));
+        if b != *node.b {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpointed surviving number of node {v} disagrees with its neighbour values"
+            )));
+        }
+        if include_from != node.cut() {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpointed N_v cut of node {v} disagrees with its neighbour values"
             )));
         }
     }

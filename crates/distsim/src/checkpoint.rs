@@ -16,27 +16,49 @@
 //!
 //! ```text
 //! magic    4 bytes   b"DKCK"
-//! version  u32       CHECKPOINT_VERSION
-//! p_len    u32       preamble byte length
+//! version  u32       CHECKPOINT_VERSION (4)
+//! p_len    u64       preamble byte length
 //! preamble p_len bytes (embedder-defined, e.g. dkc_core run parameters)
-//! s_len    u32       state byte length
-//! state    s_len bytes (Network::save_state payload)
+//! s_len    u64       state byte length
+//! state    s_len bytes (the Network::save_state layout):
+//!   nodes u64, arcs u64, fault plan, sparse flag u8   (read by state_is_sparse)
+//!   round u64, frontier (u32 count + u32s), decode faults (u32 count + u32s),
+//!   elapsed ns u64, round history (u32 count + RoundStats of 17 u64 each)
+//!   one SnapshotState payload per node, in node order
 //! ```
+//!
+//! For compact elimination (`dkc_core::compact::CompactNode`) a node's
+//! payload is `deg` u32, `b` f64, `last_update_round` u32 and the cut
+//! `deg − |N_v|` u32, then the `values` (f64) and `order` (u32) slabs: 20 B
+//! per node plus 12 B per arc.
+//!
+//! Version history (a checkpoint is a short-lived artifact of one binary, not
+//! an archival format, so only [`CHECKPOINT_VERSION`] is read):
+//! - v2: the fault plan gained a byzantine component and `RoundStats` the
+//!   byzantine drop/accusation/quarantine counters.
+//! - v3: `RoundStats` gained the sharded-execution
+//!   `boundary_bits`/`boundary_nodes` counters.
+//! - v4: section lengths are u64, and the compact-elimination payload drops
+//!   the `inv` and `in_stamp` slabs, which resume rebuilds from `order` and
+//!   the cut (16 B per node plus 20 B per arc before).
 //!
 //! The reader is defensive in the `wire.rs` style: truncated files, trailing
 //! garbage, a wrong magic, or an unknown version are each a distinct
 //! [`CheckpointError`] — never a panic, and never a partially-applied
 //! restore into a network that then runs.
 //!
-//! Writes are **atomic**: the file is written to a temporary sibling and
-//! renamed into place, so a process killed mid-write (the exact scenario
-//! checkpoints exist for) can never leave a truncated file at the
-//! checkpoint path.
+//! Writes **stream** and are **atomic**. [`crate::Network::write_checkpoint`]
+//! sends the image through one [`WRITE_BUFFER_BYTES`] buffer into a
+//! temporary sibling file, patches the state length in place, fsyncs the
+//! file, renames it over the target and fsyncs the directory. A process
+//! killed mid-write (the exact scenario checkpoints exist for) therefore
+//! never leaves a truncated file at the checkpoint path, and an OS crash
+//! after a reported write cannot undo the rename.
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
-use std::path::Path;
+use std::io::{Cursor, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 use crate::faults::{BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, PartitionModel};
 use crate::metrics::{RoundStats, COUNTERS};
@@ -48,12 +70,14 @@ use serde::ser::{Serialize, SerializeStruct, Serializer};
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DKCK";
 
 /// Current checkpoint format version. Bump on any layout change; old
-/// versions are rejected (a checkpoint is a short-lived artifact of one
-/// binary, not an archival format). v2: the fault plan gained a byzantine
-/// component and `RoundStats` the byzantine drop/accusation/quarantine
-/// counters. v3: `RoundStats` gained the sharded-execution
-/// `boundary_bits`/`boundary_nodes` counters.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// versions are rejected (see the version history in the module doc).
+pub const CHECKPOINT_VERSION: u32 = 4;
+
+/// Size of the one buffer a checkpoint write goes through: the state is
+/// encoded into it and handed to the file once it holds this many bytes,
+/// checked between nodes. The executor head (frontier, round history) or a
+/// single node payload larger than this grows the buffer to fit.
+pub const WRITE_BUFFER_BYTES: usize = 1 << 20;
 
 /// Why a checkpoint could not be written, read, or applied.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,22 +154,113 @@ pub trait SnapshotState {
 // Container encode/decode.
 // ---------------------------------------------------------------------------
 
-fn section(out: &mut Vec<u8>, bytes: &[u8]) {
-    // lint: allow(D04) — encode side: a >4 GiB section is a caller bug, not hostile input; decode never reaches here
-    let len = u32::try_from(bytes.len()).expect("checkpoint section exceeds u32 range");
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(bytes);
+fn io_error(what: &str, path: &Path, e: std::io::Error) -> CheckpointError {
+    CheckpointError::Io(format!("{what} {}: {e}", path.display()))
+}
+
+/// The state section of a checkpoint being written: a [`WireWriter`] buffer
+/// that the state's encoder fills and [`StateWriter::flush_if_full`] hands
+/// on to the output every [`WRITE_BUFFER_BYTES`].
+pub(crate) struct StateWriter<'a> {
+    wire: WireWriter,
+    out: &'a mut dyn Write,
+    flushed: u64,
+}
+
+impl<'a> StateWriter<'a> {
+    fn new(out: &'a mut dyn Write) -> Self {
+        StateWriter {
+            wire: WireWriter::with_capacity(WRITE_BUFFER_BYTES),
+            out,
+            flushed: 0,
+        }
+    }
+
+    /// The buffer the next bytes go into.
+    pub fn wire(&mut self) -> &mut WireWriter {
+        &mut self.wire
+    }
+
+    /// Hands the buffered bytes to the output once they fill the buffer.
+    pub fn flush_if_full(&mut self) -> Result<(), CheckpointError> {
+        if self.wire.len() >= WRITE_BUFFER_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Bytes written so far, buffered or not.
+    fn position(&self) -> u64 {
+        self.flushed + self.wire.len() as u64
+    }
+
+    fn flush(&mut self) -> Result<(), CheckpointError> {
+        self.flushed += self.wire.len() as u64;
+        self.wire.drain_into(self.out).map_err(write_error)
+    }
+
+    /// Appends bytes that are already encoded, past the buffer.
+    fn write_encoded(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.flush()?;
+        self.out.write_all(bytes).map_err(write_error)?;
+        self.flushed += bytes.len() as u64;
+        Ok(())
+    }
+}
+
+fn write_error(e: std::io::Error) -> CheckpointError {
+    CheckpointError::Io(format!("write checkpoint: {e}"))
+}
+
+/// Encodes an executor state section by running `state` over a buffer that
+/// keeps every byte: the in-memory form of what [`write_checkpoint`]
+/// streams.
+pub(crate) fn encode_state(
+    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
+) -> Result<Vec<u8>, CheckpointError> {
+    let mut out = Vec::new();
+    let mut s = StateWriter::new(&mut out);
+    state(&mut s)?;
+    s.flush()?;
+    Ok(out)
+}
+
+/// Streams one checkpoint image into `out`, which must be empty: magic,
+/// version, the preamble section, then the state section that `state`
+/// writes. The state length goes out as a placeholder and is patched once
+/// the section is complete, so `out` must seek.
+fn write_image<W: Write + Seek>(
+    out: &mut W,
+    preamble: &[u8],
+    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    let (len_at, state_len) = {
+        let mut s = StateWriter::new(out);
+        let w = s.wire();
+        w.write_bytes(&CHECKPOINT_MAGIC);
+        w.write_bytes(&CHECKPOINT_VERSION.to_le_bytes());
+        w.write_bytes(&(preamble.len() as u64).to_le_bytes());
+        w.write_bytes(preamble);
+        w.write_bytes(&0u64.to_le_bytes());
+        let state_from = s.position();
+        state(&mut s)?;
+        let state_len = s.position() - state_from;
+        s.flush()?;
+        (state_from - 8, state_len)
+    };
+    out.seek(SeekFrom::Start(len_at))
+        .and_then(|_| out.write_all(&state_len.to_le_bytes()))
+        .map_err(write_error)
 }
 
 /// Assembles a complete checkpoint file image from the embedder preamble and
-/// the executor state payload.
+/// an executor state payload, with the same encoder
+/// [`crate::Network::write_checkpoint`] streams through.
 pub fn encode_checkpoint(preamble: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 + 8 + preamble.len() + state.len());
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    section(&mut out, preamble);
-    section(&mut out, state);
-    out
+    let mut out = Cursor::new(Vec::with_capacity(24 + preamble.len() + state.len()));
+    // lint: allow(D04) — encode side: writes into an in-memory Vec cannot fail
+    write_image(&mut out, preamble, |s| s.write_encoded(state)).expect("in-memory write");
+    out.into_inner()
 }
 
 fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CheckpointError> {
@@ -157,9 +272,16 @@ fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], Chec
     Ok(out)
 }
 
+fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], CheckpointError> {
+    let mut out = [0u8; N];
+    out.copy_from_slice(take(bytes, pos, N)?);
+    Ok(out)
+}
+
 fn take_section<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CheckpointError> {
-    // lint: allow(D04) — take(_, _, 4) either errs or returns exactly 4 bytes, so try_into cannot fail
-    let len = u32::from_le_bytes(take(bytes, pos, 4)?.try_into().expect("len")) as usize;
+    let len = u64::from_le_bytes(take_array(bytes, pos)?);
+    // A declared length past the bytes left is truncation, whatever its size.
+    let len = usize::try_from(len).map_err(|_| CheckpointError::Truncated)?;
     take(bytes, pos, len)
 }
 
@@ -170,8 +292,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(&[u8], &[u8]), CheckpointError
     if take(bytes, &mut pos, 4)? != CHECKPOINT_MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    // lint: allow(D04) — take(_, _, 4) either errs or returns exactly 4 bytes, so try_into cannot fail
-    let version = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().expect("len"));
+    let version = u32::from_le_bytes(take_array(bytes, &mut pos)?);
     if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::BadVersion {
             found: version,
@@ -188,28 +309,65 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(&[u8], &[u8]), CheckpointError
     Ok((preamble, state))
 }
 
-/// Atomically writes a checkpoint image: the bytes go to a `.tmp` sibling
-/// first and are renamed over the target, so a SIGKILL mid-write leaves
-/// either the previous checkpoint or none — never a truncated one.
-pub fn write_checkpoint_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let io = |what: &str, e: std::io::Error| {
-        CheckpointError::Io(format!("{what} {}: {e}", path.display()))
-    };
+/// Atomically replaces `path` with what `fill` writes: the bytes go to a
+/// `.tmp` sibling, which is fsynced and renamed over the target, and then
+/// the directory is fsynced so the rename is durable too. A SIGKILL
+/// mid-write leaves either the previous checkpoint or none — never a
+/// truncated one.
+fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut fs::File) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
+    let tmp = PathBuf::from(tmp);
     {
-        let mut f = fs::File::create(&tmp)
-            .map_err(|e| CheckpointError::Io(format!("create {}: {e}", tmp.display())))?;
-        f.write_all(bytes).map_err(|e| io("write", e))?;
-        f.sync_all().map_err(|e| io("sync", e))?;
+        let mut f = fs::File::create(&tmp).map_err(|e| io_error("create", &tmp, e))?;
+        fill(&mut f)?;
+        f.sync_all().map_err(|e| io_error("sync", &tmp, e))?;
     }
-    fs::rename(&tmp, path).map_err(|e| io("rename into", e))
+    fs::rename(&tmp, path).map_err(|e| io_error("rename into", path, e))?;
+    sync_parent_dir(path)
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it survives an OS
+/// crash. Directories cannot be opened as files on every platform, so this
+/// is a no-op off Unix.
+fn sync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
+    if cfg!(unix) {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_error("sync directory", dir, e))?;
+    }
+    Ok(())
+}
+
+/// Atomically writes a checkpoint image that is already in memory: temp
+/// file, fsync, rename, directory fsync, as for a streamed image.
+pub fn write_checkpoint_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    write_atomic(path, |f| {
+        f.write_all(bytes).map_err(|e| io_error("write", path, e))
+    })
+}
+
+/// Streams a checkpoint image straight into `path`, atomically: the
+/// preamble, then the state section that `state` writes through one
+/// [`WRITE_BUFFER_BYTES`] buffer.
+pub(crate) fn write_checkpoint(
+    path: &Path,
+    preamble: &[u8],
+    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    write_atomic(path, |f| write_image(f, preamble, state))
 }
 
 /// Reads a checkpoint file image from disk.
 pub fn read_checkpoint_bytes(path: &Path) -> Result<Vec<u8>, CheckpointError> {
-    fs::read(path).map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))
+    fs::read(path).map_err(|e| io_error("read", path, e))
 }
 
 /// Whether an executor state section was saved under a sparse execution
@@ -538,6 +696,54 @@ mod tests {
         let empty = encode_checkpoint(b"", b"");
         let (p, s) = decode_checkpoint(&empty).expect("decode");
         assert!(p.is_empty() && s.is_empty());
+    }
+
+    /// v4 container layout: magic, u32 version, then each section behind a
+    /// u64 length.
+    #[test]
+    fn container_layout_is_pinned() {
+        let mut golden = b"DKCK".to_vec();
+        golden.extend(4u32.to_le_bytes());
+        golden.extend(3u64.to_le_bytes());
+        golden.extend(b"pre");
+        golden.extend(5u64.to_le_bytes());
+        golden.extend(b"state");
+        assert_eq!(encode_checkpoint(b"pre", b"state"), golden);
+        // A declared length past the bytes left is truncation, however
+        // large, in either section.
+        for len_at in [8, 8 + 8 + 3] {
+            let mut huge = golden.clone();
+            huge[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(decode_checkpoint(&huge), Err(CheckpointError::Truncated));
+        }
+    }
+
+    /// A state larger than the write buffer streams to disk in several
+    /// flushes, with its length patched in afterwards: the file is the image
+    /// `encode_checkpoint` builds in memory.
+    #[test]
+    fn streamed_write_matches_the_in_memory_image() {
+        let dir = std::env::temp_dir().join(format!("dkc-ckpt-stream-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.dkck");
+        let chunk: Vec<u32> = (0..100_000).collect();
+        let state = |s: &mut StateWriter<'_>| {
+            for _ in 0..7 {
+                s.flush_if_full()?;
+                s.wire().write_u32s(&chunk);
+            }
+            Ok(())
+        };
+        write_checkpoint(&path, b"preamble", state).unwrap();
+        let bytes = encode_state(state).unwrap();
+        assert!(bytes.len() > 2 * WRITE_BUFFER_BYTES);
+        let image = encode_checkpoint(b"preamble", &bytes);
+        assert_eq!(read_checkpoint_bytes(&path).unwrap(), image);
+        assert_eq!(
+            decode_checkpoint(&image).unwrap(),
+            (&b"preamble"[..], &bytes[..])
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -60,13 +60,13 @@
 //! as [`RoundStats::node_updates`], a deterministic counter suitable for CI
 //! gating.
 
-use crate::checkpoint::{self, CheckpointError, SnapshotState};
+use crate::checkpoint::{self, CheckpointError, SnapshotState, StateWriter};
 use crate::faults::{Behavior, ByzantineModel, DropCause, FaultPlan};
 use crate::message::{MessageSize, Tamper};
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::program::{Delivery, NodeContext, NodeProgram, Outgoing};
 use crate::shard::{BoundaryDelta, BoundaryRecord};
-use crate::wire::{WireCodec, WireReader, WireWriter};
+use crate::wire::{WireCodec, WireReader};
 use dkc_graph::{CsrGraph, NodeId, Partitioner, WeightedGraph};
 use rayon::prelude::*;
 use serde::ser::Serialize;
@@ -1568,22 +1568,29 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     /// the parameters and round, so parameters + round counter *are* the
     /// full fault state), and every node program's [`SnapshotState`] payload.
     /// [`checkpoint::state_is_sparse`] reads the head of this layout.
+    /// [`Network::write_checkpoint`] streams the same bytes to disk instead.
     pub fn save_state(&self) -> Result<Vec<u8>, CheckpointError> {
-        let mut w = WireWriter::new();
-        let n = self.cells.len();
-        (n as u64).serialize(&mut w)?;
-        (self.graph.num_arcs() as u64).serialize(&mut w)?;
-        self.faults.unwrap_or_default().serialize(&mut w)?;
-        self.mode.is_sparse().serialize(&mut w)?;
-        (self.round as u64).serialize(&mut w)?;
-        self.frontier.serialize(&mut w)?;
-        self.decode_faults.serialize(&mut w)?;
-        (self.metrics.elapsed().as_nanos() as u64).serialize(&mut w)?;
-        self.metrics.rounds().serialize(&mut w)?;
+        checkpoint::encode_state(|s| self.write_state(s))
+    }
+
+    /// Writes the [`Network::save_state`] layout into `s`, handing the
+    /// buffered bytes on after every node that fills the buffer.
+    fn write_state(&self, s: &mut StateWriter<'_>) -> Result<(), CheckpointError> {
+        let w = s.wire();
+        (self.cells.len() as u64).serialize(&mut *w)?;
+        (self.graph.num_arcs() as u64).serialize(&mut *w)?;
+        self.faults.unwrap_or_default().serialize(&mut *w)?;
+        self.mode.is_sparse().serialize(&mut *w)?;
+        (self.round as u64).serialize(&mut *w)?;
+        self.frontier.serialize(&mut *w)?;
+        self.decode_faults.serialize(&mut *w)?;
+        (self.metrics.elapsed().as_nanos() as u64).serialize(&mut *w)?;
+        self.metrics.rounds().serialize(&mut *w)?;
         for cell in &self.cells {
-            cell.program.save_state(&mut w)?;
+            s.flush_if_full()?;
+            cell.program.save_state(s.wire())?;
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     /// Restores executor state saved by [`Network::save_state`] into this
@@ -1674,13 +1681,13 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
         Ok(())
     }
 
-    /// Writes a complete checkpoint image for the current state to `path`
-    /// (atomically: temp file + rename, so a kill mid-write can never leave a
-    /// truncated checkpoint), with `preamble` as the embedder section.
+    /// Writes a complete checkpoint image for the current state to `path`,
+    /// with `preamble` as the embedder section. The state streams into the
+    /// file through one [`checkpoint::WRITE_BUFFER_BYTES`] buffer, and the
+    /// write is atomic: temp file + rename, so a kill mid-write can never
+    /// leave a truncated checkpoint.
     pub fn write_checkpoint(&self, path: &Path, preamble: &[u8]) -> Result<(), CheckpointError> {
-        let state = self.save_state()?;
-        let image = checkpoint::encode_checkpoint(preamble, &state);
-        checkpoint::write_checkpoint_atomic(path, &image)
+        checkpoint::write_checkpoint(path, preamble, |s| self.write_state(s))
     }
 
     /// Runs exactly `rounds` rounds like [`Network::run`], writing a
@@ -1711,9 +1718,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
             }
             if self.round.is_multiple_of(every) {
                 let (path, preamble) = self.checkpoint_sink.as_ref().expect("sink checked");
-                let state = self.save_state()?;
-                let image = checkpoint::encode_checkpoint(preamble, &state);
-                checkpoint::write_checkpoint_atomic(path, &image)?;
+                self.write_checkpoint(path, preamble)?;
             }
         }
         Ok(())
@@ -1724,6 +1729,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
 mod tests {
     use super::*;
     use crate::faults::LossModel;
+    use crate::wire::WireWriter;
     use dkc_graph::generators::{complete_graph, path_graph};
 
     /// One execution path: a mode, sharded when `shards > 0`.

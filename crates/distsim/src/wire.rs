@@ -16,6 +16,9 @@
 //! - `()`: zero bytes
 //! - `Option<T>`: 1 flag byte (`0`/`1`) then the payload if present
 //! - sequences (`Vec<T>`, slices): `u32` element count then the elements
+//! - slabs ([`WireWriter::write_f64s`], [`WireWriter::write_u32s`]): the
+//!   elements back to back with no count; the reader knows the length (a
+//!   checkpointed node's slabs are as long as its degree)
 //! - structs: fields in declaration order, no names or framing
 //! - enums: a `u8` discriminant written as the first struct field (by each
 //!   type's hand-written impl), then the variant's fields
@@ -27,6 +30,7 @@
 
 use serde::ser::{Serialize, SerializeSeq, SerializeStruct, Serializer};
 use std::fmt;
+use std::io::Write;
 
 use crate::message::{MessageSize, QuantizedValue};
 
@@ -98,12 +102,56 @@ impl WireWriter {
         Self::default()
     }
 
+    /// An empty writer whose buffer holds `bytes` before it grows.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Bytes written and not yet drained.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Appends raw bytes, with no length prefix.
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a slab of little-endian `f64`s: the bytes serde writes value
+    /// by value, in one pass and with no length prefix.
+    pub fn write_f64s(&mut self, xs: &[f64]) {
+        put_slab(&mut self.buf, xs, f64::to_le_bytes);
+    }
+
+    /// Appends a slab of little-endian `u32`s, with no length prefix.
+    pub fn write_u32s(&mut self, xs: &[u32]) {
+        put_slab(&mut self.buf, xs, u32::to_le_bytes);
+    }
+
+    /// Hands the buffered bytes to `out` and empties the buffer, keeping its
+    /// capacity for the next bytes.
+    pub(crate) fn drain_into(&mut self, out: &mut dyn Write) -> std::io::Result<()> {
+        out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+fn put_slab<T: Copy, const N: usize>(buf: &mut Vec<u8>, xs: &[T], le: fn(T) -> [u8; N]) {
+    let start = buf.len();
+    buf.resize(start + N * xs.len(), 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(N).zip(xs) {
+        dst.copy_from_slice(&le(x));
     }
 }
 
@@ -468,6 +516,33 @@ impl<'a> WireReader<'a> {
     pub fn read_len(&mut self) -> Result<usize, WireError> {
         Ok(self.read_u32()? as usize)
     }
+
+    /// Fills `out` from a slab of little-endian `f64`s (the layout of
+    /// [`WireWriter::write_f64s`]).
+    pub fn read_f64s_into(&mut self, out: &mut [f64]) -> Result<(), WireError> {
+        self.read_slab(out, f64::from_le_bytes)
+    }
+
+    /// Fills `out` from a slab of little-endian `u32`s (the layout of
+    /// [`WireWriter::write_u32s`]).
+    pub fn read_u32s_into(&mut self, out: &mut [u32]) -> Result<(), WireError> {
+        self.read_slab(out, u32::from_le_bytes)
+    }
+
+    fn read_slab<T, const N: usize>(
+        &mut self,
+        out: &mut [T],
+        from_le: fn([u8; N]) -> T,
+    ) -> Result<(), WireError> {
+        let len = out.len().checked_mul(N).ok_or(WireError::Truncated)?;
+        let raw = self.take(len)?;
+        for (x, chunk) in out.iter_mut().zip(raw.chunks_exact(N)) {
+            let mut le = [0u8; N];
+            le.copy_from_slice(chunk);
+            *x = from_le(le);
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -616,9 +691,11 @@ impl<T: WireCodec> WireCodec for Option<T> {
 impl<T: WireCodec> WireCodec for Vec<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.read_len()?;
-        // A hostile length cannot force a huge allocation: capacity is
-        // bounded by the bytes actually present.
-        let mut out = Vec::with_capacity(len.min(r.remaining()));
+        // A hostile length cannot force a huge allocation: the reservation
+        // is bounded by the bytes actually present, counted in elements, so
+        // it never takes more memory than the input itself.
+        let fit = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(len.min(fit));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -796,6 +873,38 @@ mod tests {
             decode_frame::<Vec<u32>>(&frame, 64).unwrap_err(),
             WireError::Truncated
         );
+    }
+
+    #[test]
+    fn slabs_encode_like_values_and_read_back() {
+        let floats = [1.5f64, -0.0, f64::INFINITY, 3.25];
+        let ints = [0u32, 7, u32::MAX];
+        let mut w = WireWriter::new();
+        w.write_f64s(&floats);
+        w.write_u32s(&ints);
+        let mut by_value = Vec::new();
+        floats
+            .iter()
+            .for_each(|x| by_value.extend(encode_payload(x)));
+        ints.iter().for_each(|x| by_value.extend(encode_payload(x)));
+        assert_eq!(w.as_bytes(), &by_value[..]);
+
+        let mut r = WireReader::new(w.as_bytes());
+        let (mut f, mut u) = ([0f64; 4], [0u32; 3]);
+        r.read_f64s_into(&mut f).unwrap();
+        r.read_u32s_into(&mut u).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(f.map(f64::to_bits), floats.map(f64::to_bits));
+        assert_eq!(u, ints);
+        // A slab longer than the input is truncation, and consumes nothing.
+        let mut r = WireReader::new(&w.as_bytes()[..8]);
+        assert_eq!(r.read_u32s_into(&mut [0u32; 3]), Err(WireError::Truncated));
+        assert_eq!(r.remaining(), 8);
+
+        let mut out = Vec::new();
+        w.drain_into(&mut out).unwrap();
+        assert!(w.as_bytes().is_empty());
+        assert_eq!(out, by_value);
     }
 
     #[test]

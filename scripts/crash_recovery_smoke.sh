@@ -10,9 +10,14 @@
 #    background, waits for the first checkpoint to appear, and SIGKILLs the
 #    process mid-run (asserting the run did NOT finish: its report file must
 #    not exist).
-# 3. Resumes from the checkpoint with `--resume` and diffs the resumed
-#    report against the reference via `dkc-bench check`: every gated
-#    deterministic counter must be byte-identical.
+# 3. Resumes from the checkpoint with `--resume`, diffs the resumed run's
+#    printed `top 20` block (every node's value on this fixture) against
+#    the reference's, and diffs the resumed report against the reference
+#    via `dkc-bench check`: every gated deterministic counter must be
+#    byte-identical. Resume rebuilds part of the node state (the inverse
+#    update order and the N_v stamps), so values are checked, not only
+#    counters. The crash-stop window opens at round 2, so the checkpoint
+#    holds frozen nodes.
 #
 # Uses the release binaries directly — NOT `cargo run` — so the SIGKILL hits
 # the simulator process itself instead of orphaning it behind cargo.
@@ -33,16 +38,20 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 ck="$workdir/run.dkck"
 ref="$workdir/reference.json"
+ref_out="$workdir/reference.out"
 resumed="$workdir/resumed.json"
 interrupted="$workdir/interrupted.json"
 
 # Enough rounds that thousands of fsynced checkpoint writes keep the
 # background run alive well past the kill; the run parameters (rounds,
 # fault plan) are recorded in the checkpoint and recovered on resume.
-flags=(--rounds 20000 --loss 0.2 --fault-seed 7)
+flags=(--rounds 20000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7)
+
+# The printed per-node values: the `top K` header and its node lines.
+top_block() { grep -E '^(top [0-9]+ nodes by|  node )'; }
 
 echo "crash_recovery_smoke: uninterrupted reference run"
-"$DKC" coreness "$fixture" "${flags[@]}" --json "$ref" > /dev/null
+"$DKC" coreness "$fixture" "${flags[@]}" --top 20 --json "$ref" > "$ref_out"
 
 echo "crash_recovery_smoke: starting checkpointed run (SIGKILL incoming)"
 "$DKC" coreness "$fixture" "${flags[@]}" \
@@ -70,13 +79,23 @@ fi
 echo "crash_recovery_smoke: killed pid $pid mid-run; checkpoint survives" \
      "($(wc -c < "$ck") bytes)"
 
-out=$("$DKC" coreness "$fixture" --resume "$ck" --json "$resumed")
+out=$("$DKC" coreness "$fixture" --resume "$ck" --top 20 --json "$resumed")
 if ! grep -q "resumed from checkpoint at round" <<<"$out"; then
     echo "crash_recovery_smoke: resume did not report its resume round:" >&2
     echo "$out" >&2
     exit 1
 fi
 grep "resumed from checkpoint at round" <<<"$out"
+
+echo "crash_recovery_smoke: diffing the top-20 values (resumed vs reference)"
+if ! diff <(top_block <<<"$out") <(top_block < "$ref_out"); then
+    echo "crash_recovery_smoke: the resumed run printed different values" >&2
+    exit 1
+fi
+if [[ $(top_block < "$ref_out" | wc -l) -lt 2 ]]; then
+    echo "crash_recovery_smoke: the reference printed no top-20 block" >&2
+    exit 1
+fi
 
 echo "crash_recovery_smoke: diffing deterministic counters (resumed vs reference)"
 "$GATE" check "$resumed" "$ref"
