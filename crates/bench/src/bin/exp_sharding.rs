@@ -1,6 +1,6 @@
 //! E15: shard-partitioned execution — the compact elimination under
-//! sharded execution (per-shard node-state arenas exchanging
-//! `BoundaryDelta` wire frames) vs the unsharded sparse lockstep reference,
+//! sharded execution (cross-shard copies charged as `BoundaryDelta` wire
+//! frames) vs the unsharded sparse lockstep reference,
 //! asserted byte-identical on every deterministic counter and gated in CI on
 //! the `boundary_bits`/`boundary_nodes` counters (its `E15` records in
 //! `bench/baselines/tiny.json`).

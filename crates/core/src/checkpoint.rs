@@ -53,9 +53,9 @@ pub fn graph_fingerprint(g: &CsrGraph) -> u64 {
     h
 }
 
-/// The largest shard count a run may use. Sharded execution allocates
-/// per-shard arenas and one boundary buffer per ordered shard pair, so a
-/// checkpoint naming a larger count is rejected before anything is built.
+/// The largest shard count a run may use. Sharded execution allocates one
+/// boundary record buffer per ordered shard pair, N² in all, so a checkpoint
+/// naming a larger count is rejected before anything is built.
 pub const MAX_SHARDS: u64 = 1024;
 
 /// The largest round count T a run may be asked for, wherever T comes from
@@ -209,9 +209,10 @@ pub struct ResumedRun {
 /// state's activation picks the mode — [`ExecutionMode::SparseParallel`]
 /// for a checkpoint written sparse, [`ExecutionMode::Parallel`] for one
 /// written dense (modes of one activation are byte-identical). A sharded
-/// checkpoint (`shards > 0` in the preamble) resumes under sharded execution
-/// with the recorded partition. The caller only chooses whether to keep
-/// checkpointing, via `cfg`.
+/// checkpoint (`shards > 0` in the preamble) resumes sharded, with the
+/// recorded partition, under `SparseParallel`: sharded runs are sparse, so a
+/// dense state under a sharded preamble fails the executor's activation
+/// check. The caller only chooses whether to keep checkpointing, via `cfg`.
 pub fn resume_compact_elimination(
     g: &WeightedGraph,
     path: &Path,
@@ -237,7 +238,7 @@ pub fn resume_compact_elimination(
                 .to_string(),
         ));
     }
-    let mode = if state_is_sparse(state)? {
+    let mode = if state_is_sparse(state)? || pre.shards > 0 {
         ExecutionMode::SparseParallel
     } else {
         ExecutionMode::Parallel
@@ -415,6 +416,33 @@ mod tests {
         assert_eq!(plain.surviving, resumed.outcome.surviving);
         assert_eq!(plain.in_neighbors, resumed.outcome.in_neighbors);
         assert_eq!(plain.metrics.rounds(), resumed.outcome.metrics.rounds());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Sharded runs are sparse, so a preamble that claims shards over a dense
+    /// executor state is a typed mismatch on resume, not a panic.
+    #[test]
+    fn resume_rejects_a_dense_state_under_a_sharded_preamble() {
+        let g = path_graph(10);
+        let dir = tmp_dir("dense-sharded");
+        let cfg = CheckpointConfig {
+            path: dir.join("run.dkck"),
+            every: 2,
+        };
+        let spec = RunSpec::new(6)
+            .mode(ExecutionMode::Sequential)
+            .checkpoint(cfg.clone());
+        run_compact_elimination(&g, &spec).unwrap();
+        let image = read_checkpoint_bytes(&cfg.path).unwrap();
+        let (preamble, state) = decode_checkpoint(&image).unwrap();
+        let forged = RunPreamble {
+            shards: 4,
+            ..RunPreamble::decode(preamble).unwrap()
+        };
+        let forged = dkc_distsim::checkpoint::encode_checkpoint(&forged.encode(), state);
+        std::fs::write(&cfg.path, forged).unwrap();
+        let err = resume_compact_elimination(&g, &cfg.path, None).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

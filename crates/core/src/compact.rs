@@ -39,23 +39,15 @@ use dkc_distsim::{
     CheckpointError, Delivery, ExecutionMode, FaultPlan, Network, NetworkBuilder, NodeContext,
     NodeProgram, Outgoing, RunMetrics, SnapshotState,
 };
-use dkc_graph::{CsrGraph, NodeId, Partitioner, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
 use serde::ser::Serialize;
 
-/// Structure-of-arrays storage for a set of nodes' elimination state, indexed
-/// by arena-local arc offsets (arc slabs) and by arena-local slot (node
-/// slabs). A whole-graph arena ([`CompactArena::new`]) covers every node in
-/// id order; a shard arena ([`CompactArena::for_nodes`], via
-/// [`ShardedCompactArena`]) covers only the nodes one shard owns, so each
-/// shard's state lives in its own contiguous slabs.
+/// Structure-of-arrays storage for every node's elimination state, indexed
+/// by CSR arc offset (arc slabs) and by node (node slabs).
 #[derive(Clone, Debug)]
 pub struct CompactArena {
     threshold_set: ThresholdSet,
-    /// Global node id backing each local slot (identity for a whole-graph
-    /// arena; the shard's owned nodes, ascending, for a shard arena).
-    nodes: Vec<u32>,
-    /// Arena-local arc offsets (`offsets[v]..offsets[v+1]` is slot v's
-    /// slice).
+    /// Arc offsets (`offsets[v]..offsets[v+1]` is node v's slice).
     offsets: Vec<usize>,
     /// Arc slab: latest surviving number heard per neighbour (init +∞).
     values: Vec<f64>,
@@ -79,20 +71,15 @@ pub struct CompactArena {
 }
 
 impl CompactArena {
-    /// Builds the initial whole-graph arena for `graph` under threshold set Λ.
+    /// Builds the initial arena for `graph` under threshold set Λ.
     pub fn new(graph: &CsrGraph, threshold_set: ThresholdSet) -> Self {
+        // The build walks a collected node list: building the same slabs
+        // without it raised the benchmark harness's `peak_rss_mb` by up to
+        // 10%, an allocator artifact (see ROADMAP "Bytes per arc").
         let nodes: Vec<NodeId> = graph.nodes().collect();
-        Self::for_nodes(graph, threshold_set, &nodes)
-    }
-
-    /// Builds an arena covering only `nodes` (an ascending subset of the
-    /// graph's nodes — e.g. the nodes one shard owns). The slabs are sized by
-    /// the subset's degrees and indexed by arena-local offsets, so a sharded
-    /// run keeps each shard's node state in its own contiguous allocation.
-    pub fn for_nodes(graph: &CsrGraph, threshold_set: ThresholdSet, nodes: &[NodeId]) -> Self {
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
         offsets.push(0usize);
-        for &v in nodes {
+        for &v in &nodes {
             offsets.push(offsets.last().expect("non-empty") + graph.neighbors(v).len());
         }
         let arcs = *offsets.last().expect("non-empty");
@@ -119,7 +106,6 @@ impl CompactArena {
                 .iter()
                 .map(|&v| threshold_set.message_bits(graph.degree(v).max(1.0)) as u32)
                 .collect(),
-            nodes: nodes.iter().map(|v| v.0).collect(),
             offsets,
         }
     }
@@ -176,14 +162,14 @@ impl CompactArena {
     }
 
     /// Materializes the auxiliary in-neighbour sets `N_v` from the stamp slab
-    /// (in arena-local slot order).
+    /// (by node index).
     pub fn in_neighbors(&self, graph: &CsrGraph) -> Vec<Vec<NodeId>> {
         (0..self.b.len())
             .map(|v| {
                 let lo = self.offsets[v];
                 let last = self.last_update_round[v];
                 graph
-                    .neighbors(NodeId(self.nodes[v]))
+                    .neighbors(NodeId::new(v))
                     .iter()
                     .enumerate()
                     .filter(|&(pos, _)| self.in_stamp[lo + pos] == last)
@@ -194,103 +180,35 @@ impl CompactArena {
     }
 }
 
-/// One [`CompactArena`] per shard, each covering exactly the nodes that shard
-/// owns under the deterministic edge-cut [`Partitioner`] — the node-state
-/// half of sharded execution ([`dkc_distsim::NetworkBuilder::shards`]). The
-/// per-shard slabs are independent allocations (a real deployment would
-/// build each on its own machine); [`ShardedCompactArena::programs`]
-/// reassembles the executor's global node order by interleaving the shards'
-/// programs through the owner table.
+/// The node-state arena of a sharded run: one [`CompactArena`]. Sharding
+/// only charges each round's cross-shard copies
+/// ([`dkc_distsim::NetworkBuilder::shards`]), so node state does not depend
+/// on it; this wrapper remains because the benchmark harness's replica of
+/// `dkc coreness` builds it, and goes when that replica does.
 #[derive(Clone, Debug)]
-pub struct ShardedCompactArena {
-    owner: Vec<u32>,
-    shards: Vec<CompactArena>,
-}
+pub struct ShardedCompactArena(CompactArena);
 
 impl ShardedCompactArena {
-    /// Partitions `graph` into `num_shards` shards (seeded, deterministic —
-    /// the same mapping [`dkc_distsim::NetworkBuilder::shards`] installs) and
-    /// builds one arena per shard over its owned nodes.
+    /// The arena of a run of `graph` over `num_shards` shards with
+    /// partitioner seed `seed`: [`CompactArena::new`], which neither
+    /// parameter changes.
     pub fn new(
         graph: &CsrGraph,
         threshold_set: ThresholdSet,
-        num_shards: usize,
-        seed: u64,
+        _num_shards: usize,
+        _seed: u64,
     ) -> Self {
-        let part = Partitioner::new(num_shards, seed);
-        let owner: Vec<u32> = graph.nodes().map(|v| part.shard_of(v) as u32).collect();
-        let shards = (0..num_shards)
-            .map(|s| {
-                let owned: Vec<NodeId> = graph
-                    .nodes()
-                    .filter(|v| owner[v.index()] == s as u32)
-                    .collect();
-                CompactArena::for_nodes(graph, threshold_set, &owned)
-            })
-            .collect();
-        ShardedCompactArena { owner, shards }
+        ShardedCompactArena(CompactArena::new(graph, threshold_set))
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Nodes owned per shard (the balance figure E15 reports on).
-    pub fn shard_node_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(CompactArena::num_nodes).collect()
-    }
-
-    /// Carves every shard's arena and interleaves the programs back into
-    /// global node order (each shard's programs are in ascending owned-node
-    /// order, so a per-shard cursor walk reconstructs it exactly) — the shape
-    /// [`dkc_distsim::Network::from_parts`] requires.
+    /// [`CompactArena::programs`].
     pub fn programs(&mut self) -> Vec<CompactNode<'_>> {
-        let owner = &self.owner;
-        let mut per_shard: Vec<_> = self
-            .shards
-            .iter_mut()
-            .map(|a| a.programs().into_iter())
-            .collect();
-        owner
-            .iter()
-            .map(|&s| {
-                per_shard[s as usize]
-                    .next()
-                    .expect("every node is owned by exactly one shard")
-            })
-            .collect()
+        self.0.programs()
     }
 
-    /// The surviving numbers `b_v`, reassembled into global node order.
+    /// The surviving numbers `b_v` (by node index).
     pub fn surviving(&self) -> Vec<f64> {
-        let mut cursors = vec![0usize; self.shards.len()];
-        self.owner
-            .iter()
-            .map(|&s| {
-                let c = &mut cursors[s as usize];
-                let x = self.shards[s as usize].surviving()[*c];
-                *c += 1;
-                x
-            })
-            .collect()
-    }
-
-    /// The auxiliary in-neighbour sets `N_v`, reassembled into global node
-    /// order.
-    pub fn in_neighbors(&self, graph: &CsrGraph) -> Vec<Vec<NodeId>> {
-        let per_shard: Vec<Vec<Vec<NodeId>>> =
-            self.shards.iter().map(|a| a.in_neighbors(graph)).collect();
-        let mut cursors = vec![0usize; self.shards.len()];
-        self.owner
-            .iter()
-            .map(|&s| {
-                let c = &mut cursors[s as usize];
-                let x = per_shard[s as usize][*c].clone();
-                *c += 1;
-                x
-            })
-            .collect()
+        self.0.surviving().to_vec()
     }
 }
 
@@ -536,16 +454,15 @@ pub struct RunSpec {
     pub rounds: usize,
     /// The threshold set Λ.
     pub threshold_set: ThresholdSet,
-    /// The execution backend of an unsharded run; `None` takes the
-    /// `NetworkBuilder` default, [`ExecutionMode::SparseParallel`] (ignored
-    /// when `shards > 0`: sharded rounds always take the sparse sequential
-    /// path).
+    /// The execution backend; `None` takes the `NetworkBuilder` default,
+    /// [`ExecutionMode::SparseParallel`]. A sharded run needs a sparse mode
+    /// (see [`dkc_distsim::NetworkBuilder::shards`]).
     pub mode: Option<ExecutionMode>,
     /// The deterministic fault plan (trivial = fault-free).
     pub faults: FaultPlan,
-    /// Shard count: 0 = unsharded; ≥ 1 = per-shard node-state arenas
-    /// ([`ShardedCompactArena`]) with cross-shard updates sent as
-    /// `BoundaryDelta` frames.
+    /// Shard count: 0 = unsharded; ≥ 1 also charges each round's
+    /// cross-shard copies as `BoundaryDelta` frames (the `boundary_bits` and
+    /// `boundary_nodes` counters).
     pub shards: usize,
     /// Seed of the edge-cut partitioner (meaningful only when `shards > 0`).
     pub shard_seed: u64,
@@ -574,7 +491,7 @@ impl RunSpec {
         self
     }
 
-    /// Sets the execution backend of an unsharded run.
+    /// Sets the execution backend.
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
         self.mode = Some(mode);
         self
@@ -615,12 +532,12 @@ impl RunSpec {
 /// while a crashed node leaves the frontier for good — so sparse and dense
 /// runs remain result-identical under every fault class.
 ///
-/// **Sharding.** With `shards > 0` every shard owns its own node-state arena
-/// and cross-shard updates travel as `BoundaryDelta` wire frames; every
-/// deterministic counter — node values, rounds, `node_updates`, `wire_bits`,
-/// all fault counters — is byte-identical to unsharded sparse lockstep (the
-/// boundary counters come on top), pinned by `prop_sharded_identical` and the
-/// E15 experiment.
+/// **Sharding.** With `shards > 0` each round also encodes, decodes and
+/// validates the `BoundaryDelta` frames its cross-shard copies would travel
+/// in between shard hosts, and charges them to the boundary counters. The
+/// run itself is the unsharded one: node values, rounds, `node_updates`,
+/// `wire_bits` and all fault counters are byte-identical, pinned by
+/// `prop_sharded` and the E15 experiment.
 ///
 /// **Checkpoints** are written atomically every `every` rounds (counted in
 /// absolute rounds), so a kill mid-write never corrupts the latest one and
@@ -633,12 +550,6 @@ pub fn run_compact_elimination(
     Ok(execute(&csr, spec, None)?.0)
 }
 
-/// The node-state arena of a run: one for the whole graph, or one per shard.
-enum RunArena {
-    Whole(Box<CompactArena>),
-    Sharded(ShardedCompactArena),
-}
-
 /// Builds the arena and network for `spec` over `csr`, restores a
 /// checkpoint's `(preamble, executor state)` if one is given, and runs on to
 /// round `spec.rounds`. Returns the outcome and the round execution started
@@ -649,31 +560,16 @@ pub(crate) fn execute(
     spec: &RunSpec,
     resume: Option<(&[u8], &[u8])>,
 ) -> Result<(CompactOutcome, usize), CheckpointError> {
-    let mut arena = if spec.shards > 0 {
-        RunArena::Sharded(ShardedCompactArena::new(
-            csr,
-            spec.threshold_set,
-            spec.shards,
-            spec.shard_seed,
-        ))
-    } else {
-        RunArena::Whole(Box::new(CompactArena::new(csr, spec.threshold_set)))
-    };
-    let programs = match &mut arena {
-        RunArena::Whole(a) => a.programs(),
-        RunArena::Sharded(a) => a.programs(),
-    };
-    let builder = NetworkBuilder::new()
+    let mut arena = CompactArena::new(csr, spec.threshold_set);
+    let mut builder = NetworkBuilder::new()
         .faults(spec.faults)
+        .shards(spec.shards)
+        .shard_seed(spec.shard_seed)
         .checkpoint_every(spec.checkpoint.as_ref().map_or(0, |c| c.every.max(1)));
-    let builder = if spec.shards > 0 {
-        builder.shards(spec.shards).shard_seed(spec.shard_seed)
-    } else if let Some(mode) = spec.mode {
-        builder.mode(mode)
-    } else {
-        builder
-    };
-    let mut net = builder.build_from_parts(csr.clone(), programs);
+    if let Some(mode) = spec.mode {
+        builder = builder.mode(mode);
+    }
+    let mut net = builder.build_from_parts(csr.clone(), arena.programs());
     if let Some(cfg) = &spec.checkpoint {
         let preamble = match resume {
             Some((preamble, _)) => preamble.to_vec(),
@@ -694,13 +590,9 @@ pub(crate) fn execute(
     }
     net.run_with_checkpoints(spec.rounds - started_from)?;
     let (_programs, metrics) = net.into_parts();
-    let (surviving, in_neighbors) = match &arena {
-        RunArena::Whole(a) => (a.surviving().to_vec(), a.in_neighbors(csr)),
-        RunArena::Sharded(a) => (a.surviving(), a.in_neighbors(csr)),
-    };
     let outcome = CompactOutcome {
-        surviving,
-        in_neighbors,
+        surviving: arena.surviving().to_vec(),
+        in_neighbors: arena.in_neighbors(csr),
         rounds: spec.rounds,
         metrics,
     };
@@ -1070,9 +962,9 @@ mod tests {
         );
     }
 
-    /// The sharded runner — per-shard arenas plus boundary-frame exchange —
-    /// produces byte-identical counters and values to unsharded sparse
-    /// lockstep for every shard count, clean and under faults.
+    /// A sharded run produces byte-identical counters and values to the
+    /// unsharded sparse run for every shard count, clean and under faults,
+    /// and charges boundary traffic once there is a cut.
     #[test]
     fn sharded_run_matches_unsharded() {
         use dkc_distsim::{CrashModel, FaultPlan, LossModel};
@@ -1111,21 +1003,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The per-shard arenas jointly cover every node exactly once, and the
-    /// reassembled global order matches the whole-graph arena's layout.
-    #[test]
-    fn sharded_arena_partitions_the_nodes() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let g = erdos_renyi(64, 0.1, &mut rng);
-        let csr = CsrGraph::from_graph(&g);
-        let mut arena = ShardedCompactArena::new(&csr, ThresholdSet::Reals, 4, 11);
-        assert_eq!(arena.num_shards(), 4);
-        let counts = arena.shard_node_counts();
-        assert_eq!(counts.iter().sum::<usize>(), 64);
-        assert_eq!(arena.programs().len(), 64);
-        assert_eq!(arena.surviving().len(), 64);
     }
 
     #[test]

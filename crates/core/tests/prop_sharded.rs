@@ -12,7 +12,7 @@
 //!    for **every** cut round `k`, boundary counters included.
 
 use dkc_core::checkpoint::{resume_compact_elimination, RunPreamble};
-use dkc_core::compact::{run_compact_elimination, CompactOutcome, RunSpec, ShardedCompactArena};
+use dkc_core::compact::{run_compact_elimination, CompactArena, CompactOutcome, RunSpec};
 use dkc_core::graph_fingerprint;
 use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::{
@@ -211,7 +211,7 @@ proptest! {
         // disk: the preamble's shard topology must reproduce the partition,
         // the boundary traffic, and every other deterministic counter.
         for cut in 1..=rounds {
-            let mut arena = ShardedCompactArena::new(&csr, threshold, shards, shard_seed);
+            let mut arena = CompactArena::new(&csr, threshold);
             let mut net = NetworkBuilder::new()
                 .shards(shards)
                 .shard_seed(shard_seed)

@@ -10,70 +10,12 @@
 use dkc_core::compact::{run_compact_elimination, CompactOutcome, RunSpec};
 use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::{
-    Behavior, BurstLoss, ByzantineModel, CrashModel, ExecutionMode, FaultPlan, LossModel,
-    PartitionModel, PULL_DIVISOR,
+    BurstLoss, ByzantineModel, CrashModel, ExecutionMode, FaultPlan, LossModel, PartitionModel,
 };
-use dkc_graph::generators::{barabasi_albert, erdos_renyi, grid_graph};
-use dkc_graph::{CsrGraph, NodeId};
+use dkc_graph::generators::erdos_renyi;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Push and pull rounds deliver the same copies. On a small BA graph, and on
-/// a grid with loss, crashes and a byzantine lie window that re-activates the
-/// liars mid-run, both sparse modes match the push-only single-shard leg
-/// round by round, and each run has rounds on both sides of the pull
-/// threshold, so both directions ran.
-#[test]
-fn push_and_pull_rounds_agree_round_by_round() {
-    let mut rng = StdRng::seed_from_u64(5);
-    let ba = barabasi_albert(150, 3, &mut rng);
-    let grid = grid_graph(12, 12);
-    let lies = ByzantineModel::new(0.1, Behavior::Lie.bit(), 8, 11, 6);
-    assert!(
-        (0..grid.num_nodes()).any(|v| lies.behavior_of(NodeId::new(v)) == Some(Behavior::Lie)),
-        "seed produced no liars"
-    );
-    let faulty = FaultPlan::from_loss(LossModel::new(0.05, 3))
-        .with_crash(CrashModel::new(0.05, 2, 10, 4))
-        .with_byzantine(lies);
-    for (label, g, plan, rounds) in [
-        ("ba", &ba, FaultPlan::none(), 14),
-        ("grid", &grid, faulty, 24),
-    ] {
-        let run = |spec: RunSpec| run_compact_elimination(g, &spec.faults(plan)).unwrap();
-        let push_only = run(RunSpec::new(rounds).sharded(1, 0));
-        for mode in [
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
-            let o = run(RunSpec::new(rounds).mode(mode));
-            assert_eq!(
-                o.metrics.rounds(),
-                push_only.metrics.rounds(),
-                "{label} {mode:?}"
-            );
-            assert_eq!(surviving_bits(&o), surviving_bits(&push_only), "{label}");
-            assert_eq!(o.in_neighbors, push_only.in_neighbors, "{label}");
-        }
-        let threshold = CsrGraph::from_graph(g).num_arcs() / PULL_DIVISOR;
-        let copies: Vec<usize> = push_only
-            .metrics
-            .rounds()
-            .iter()
-            .map(|r| r.messages + r.dropped())
-            .collect();
-        assert!(copies.iter().any(|&c| c > threshold), "{label}: {copies:?}");
-        assert!(
-            copies.iter().any(|&c| c > 0 && c <= threshold),
-            "{label}: {copies:?}"
-        );
-    }
-}
-
-fn surviving_bits(o: &CompactOutcome) -> Vec<u64> {
-    o.surviving.iter().map(|b| b.to_bits()).collect()
-}
 
 fn run(
     g: &dkc_graph::WeightedGraph,

@@ -27,10 +27,10 @@
 //! * [`checkpoint`] — versioned snapshot/restore of mid-run executor state,
 //!   so a run killed at any round resumes byte-identically.
 //! * [`shard`] — the [`shard::BoundaryDelta`] wire frame behind
-//!   sharded execution ([`NetworkBuilder::shards`]): shards run rounds
-//!   locally over the nodes they own and exchange frontier ∩ boundary
-//!   updates per ordered shard pair, with defensive structural validation
-//!   on receipt.
+//!   sharded execution ([`NetworkBuilder::shards`]): each round's
+//!   frontier ∩ boundary copies per ordered shard pair, encoded, then
+//!   decoded with defensive structural validation, and charged to the
+//!   boundary counters.
 
 #![deny(deprecated)]
 

@@ -318,7 +318,7 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
             // receive time; all receive-side effects here happen after the
             // send loop, so clearing up front is equivalent).
             cells[li].inbox.clear();
-            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, true, &mut cells[li]);
+            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, &mut cells[li]);
             partial.merge(&acct.row());
 
             let sender = NodeId::new(i);

@@ -156,7 +156,7 @@ counter_table! {
     boundary_bits: Sum => "boundary_bits";
     /// Number of distinct boundary nodes whose updates crossed a shard cut
     /// this round (frontier ∩ boundary set, counted once per sender even when
-    /// it ships to several peer shards). Zero outside sharded execution.
+    /// its copies go to several peer shards). Zero outside sharded execution.
     boundary_nodes: Sum => "boundary_nodes";
 }
 

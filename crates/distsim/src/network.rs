@@ -47,9 +47,9 @@
 //!   [`ExecutionMode::SparseParallel`].
 //!
 //! Both directions deliver exactly the same copies, so the choice never
-//! shows in a counter, a node's state, or a checkpoint. Sharded networks
-//! ([`NetworkBuilder::shards`]) always push, since their cross-shard copies
-//! travel as boundary frames.
+//! shows in a counter, a node's state, or a checkpoint. A sharded network
+//! ([`NetworkBuilder::shards`]) delivers the same way; before delivering, it
+//! charges the copies that cross a shard cut as boundary frames.
 //!
 //! Sparse execution is result-identical to dense execution for programs that
 //! satisfy the delta-driven contract ([`NodeProgram::DELTA_DRIVEN`]); the
@@ -167,7 +167,7 @@ pub(crate) struct SendAccount {
     pub(crate) messages: usize,
     pub(crate) payload_bits: usize,
     /// Measured wire bits (length-prefixed encoded frames) of the delivered
-    /// copies; 0 when wire accounting is disabled.
+    /// copies.
     pub(crate) wire_bits: usize,
     pub(crate) max_message_bits: usize,
     /// Copies of this round's send dropped by the i.i.d. loss component.
@@ -285,13 +285,12 @@ pub struct ExecutorBufferStats {
     pub frontier_capacity_total: usize,
 }
 
-/// State of the sharded executor ([`NetworkBuilder::shards`]): the
-/// deterministic node → shard assignment plus the per-round cross-shard
-/// record buffers. The
-/// buffers are drained by the boundary exchange every round, so they are
-/// always empty at round boundaries and never appear in checkpoints.
+/// State of a sharded network ([`NetworkBuilder::shards`]): the
+/// deterministic node → shard assignment plus the per-pair record buffers
+/// that [`Network::account_boundary`] fills and drains within a round, so
+/// they are empty at round boundaries and never appear in checkpoints.
 struct ShardState<M> {
-    /// Number of shards (≥ 1; a single shard has no cut and ships nothing).
+    /// Number of shards (≥ 1; a single shard has no cut and charges nothing).
     num_shards: usize,
     /// The `Partitioner` hash seed the owner table was derived from.
     seed: u64,
@@ -299,8 +298,7 @@ struct ShardState<M> {
     /// table materialized once at install time).
     owner: Vec<u32>,
     /// Per ordered shard pair `(src, dst)` (indexed `src * num_shards + dst`)
-    /// the cross-shard records buffered during the frontier scatter, shipped
-    /// and drained by the boundary exchange at the end of phase 2.
+    /// the round's cross-shard records, encoded as one frame per pair.
     pair_bufs: Vec<Vec<BoundaryRecord<M>>>,
     /// Scratch for counting the round's distinct cross-shard senders.
     senders_scratch: Vec<u32>,
@@ -319,10 +317,6 @@ pub struct Network<P: NodeProgram> {
     pub(crate) faults: Option<FaultPlan>,
     /// The plan's crash, accusation and quarantine rounds.
     pub(crate) schedules: Schedules,
-    /// Whether executors charge measured `wire_bits` (see
-    /// [`NetworkBuilder::wire_accounting`]). The mailbox backend encodes
-    /// frames regardless; this only gates the counter.
-    pub(crate) wire_accounting: bool,
     /// Shard-thread count for [`ExecutionMode::Mailbox`]; `None` uses
     /// [`rayon::current_num_threads`].
     pub(crate) mailbox_threads: Option<usize>,
@@ -343,8 +337,8 @@ pub struct Network<P: NodeProgram> {
     /// own (cache-resident) arc range; receivers translate through
     /// [`CsrGraph::reverse_arc`]. Stamping avoids an O(arcs) clear per round;
     /// round numbers start at 1 so the zero-initialized array never
-    /// false-positives. (The sparse scatter reuses the same array to
-    /// deduplicate repeated multicast target entries.)
+    /// false-positives. (The sparse copy walk, [`RoundCopies::for_each`], reuses the
+    /// same array to deduplicate repeated multicast target entries.)
     multicast_stamps: Vec<u64>,
     // Sparse-frontier state (unused under dense modes).
     /// Nodes that broadcast this round, ascending.
@@ -357,9 +351,13 @@ pub struct Network<P: NodeProgram> {
     touched_stamp: Vec<u64>,
     /// Frontier senders with loss-dropped copies (they re-send next round).
     resend: Vec<u32>,
-    /// Shard partition + boundary-exchange buffers; `Some` ⇔ the network
+    /// Shard partition + boundary-frame buffers; `Some` ⇔ the network
     /// was built with [`NetworkBuilder::shards`] > 0.
     shard: Option<ShardState<P::Message>>,
+    /// Overrides the push/pull choice of every sparse round: `Some(true)`
+    /// pulls, `Some(false)` pushes.
+    #[cfg(test)]
+    force_pull: Option<bool>,
     /// Checkpoint interval in rounds for [`Network::run_with_checkpoints`]
     /// (0 = never; see [`NetworkBuilder::checkpoint_every`]).
     checkpoint_every: usize,
@@ -370,13 +368,8 @@ pub struct Network<P: NodeProgram> {
 
 /// Measures one message's on-the-wire frame size in bits, flagging (in debug
 /// builds) any message whose `MessageSize` estimate undercounts its encoding.
-/// Returns 0 when wire accounting is off so the counting serializer never
-/// runs on the hot path.
 #[inline]
-fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(wire: bool, m: &M) -> usize {
-    if !wire {
-        return 0;
-    }
+fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(m: &M) -> usize {
     crate::wire::debug_assert_estimate_covers(m);
     crate::wire::frame_bits(crate::wire::payload_len(m))
 }
@@ -385,14 +378,12 @@ fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(wire: bool, m: &
 /// (shared by the dense map, the sparse frontier loop, and the mailbox
 /// shards). A crashed sender is treated exactly like a program-halted one:
 /// it produces nothing; a quarantined byzantine sender likewise sends
-/// nothing, but (unlike a crash) still receives and steps. `wire` enables
-/// measured wire-bit accounting.
+/// nothing, but (unlike a crash) still receives and steps.
 pub(crate) fn produce_outgoing<P: NodeProgram>(
     graph: &CsrGraph,
     faults: Option<FaultPlan>,
     round: usize,
     i: usize,
-    wire: bool,
     cell: &mut NodeCell<P>,
 ) -> (Outgoing<P::Message>, SendAccount) {
     let sender = NodeId::new(i);
@@ -436,7 +427,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
                 let bits = m.size_bits();
                 acct.messages = copies;
                 acct.payload_bits = bits * copies;
-                acct.wire_bits = measured_frame_bits(wire, m) * copies;
+                acct.wire_bits = measured_frame_bits(m) * copies;
                 acct.max_message_bits = bits;
             }
         }
@@ -462,7 +453,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
                 let bits = m.size_bits();
                 acct.messages = copies;
                 acct.payload_bits = bits * copies;
-                acct.wire_bits = measured_frame_bits(wire, m) * copies;
+                acct.wire_bits = measured_frame_bits(m) * copies;
                 acct.max_message_bits = bits;
             }
         }
@@ -480,7 +471,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
                         let bits = m.size_bits();
                         acct.messages += spam;
                         acct.payload_bits += bits * spam;
-                        acct.wire_bits += measured_frame_bits(wire, m) * spam;
+                        acct.wire_bits += measured_frame_bits(m) * spam;
                         acct.max_message_bits = acct.max_message_bits.max(bits);
                     }
                     Some(cause) => acct.record_drops(cause, spam),
@@ -523,6 +514,119 @@ fn stamp_multicasts<M>(
     }
 }
 
+/// The byzantine model of `faults` when it acts in `round`.
+fn active_byzantine(faults: Option<FaultPlan>, round: usize) -> Option<ByzantineModel> {
+    faults
+        .and_then(|f| f.byzantine)
+        .filter(|b| b.fraction > 0.0 && b.active(round))
+}
+
+/// What a sparse round's copies are: the arcs the senders' outboxes put a
+/// copy on, after the link faults' drops, and what each copy hands its
+/// receiver under the active byzantine model. A push round delivers through
+/// it, and a sharded round charges its cross-shard copies through it.
+#[derive(Clone, Copy)]
+struct RoundCopies<'a> {
+    graph: &'a CsrGraph,
+    round: usize,
+    /// The plan when it drops copies on links.
+    link_faults: Option<FaultPlan>,
+    /// The byzantine model when it is active this round.
+    byz: Option<ByzantineModel>,
+}
+
+impl<'a> RoundCopies<'a> {
+    fn new(graph: &'a CsrGraph, faults: Option<FaultPlan>, round: usize) -> Self {
+        RoundCopies {
+            graph,
+            round,
+            link_faults: faults.filter(FaultPlan::affects_links),
+            byz: active_byzantine(faults, round),
+        }
+    }
+
+    /// How many times each copy from `sender` arrives (an active spammer's
+    /// arrive `spam` times).
+    fn spam(&self, sender: NodeId) -> usize {
+        self.byz.map_or(1, |b| b.spam_factor(self.round, sender))
+    }
+
+    /// Calls `f(q, v, m)` for each copy `sender`'s outbox puts on an arc:
+    /// `q` is the arc's position in `sender`'s neighbour list and `v` its
+    /// receiver. Copies the link faults drop are skipped. A broadcast puts a
+    /// copy on every arc and a unicast on every parallel arc to its target.
+    /// A multicast does the same per target, but a repeated target entry
+    /// adds no copy (dense delivery is idempotent in them): the walk marks
+    /// each arc it takes by writing `stamp` into `stamps`, so two walks in
+    /// one round must use different stamps.
+    fn for_each<M>(
+        &self,
+        sender: NodeId,
+        outgoing: &Outgoing<M>,
+        stamps: &mut Vec<u64>,
+        stamp: u64,
+        mut f: impl FnMut(usize, NodeId, &M),
+    ) {
+        let graph = self.graph;
+        let dropped = |to: NodeId, idx: usize| {
+            self.link_faults
+                .is_some_and(|lf| lf.drops(self.round, sender, to, idx))
+        };
+        match outgoing {
+            Outgoing::Silent => {}
+            Outgoing::Broadcast(m) => {
+                for (q, &v) in graph.neighbors(sender).iter().enumerate() {
+                    if !dropped(v, 0) {
+                        f(q, v, m);
+                    }
+                }
+            }
+            Outgoing::Multicast(m, targets) => {
+                if targets.is_empty() {
+                    return;
+                }
+                if stamps.len() != graph.num_arcs() {
+                    *stamps = vec![0; graph.num_arcs()];
+                }
+                let base = graph.arc_offset(sender);
+                for &t in targets {
+                    if dropped(t, 0) {
+                        continue;
+                    }
+                    for q in graph.neighbor_positions(sender, t) {
+                        if stamps[base + q] != stamp {
+                            stamps[base + q] = stamp;
+                            f(q, t, m);
+                        }
+                    }
+                }
+            }
+            Outgoing::Unicast(msgs) => {
+                for (idx, (t, m)) in msgs.iter().enumerate() {
+                    if !dropped(*t, idx) {
+                        for q in graph.neighbor_positions(sender, *t) {
+                            f(q, *t, m);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the copy of `m` on `sender`'s arc at position `q` hands its
+    /// receiver `v`: the receiver-local position of the arc, and the message
+    /// after the sender's tamper salt for `v`.
+    fn received<M: Clone + Tamper>(&self, sender: NodeId, q: usize, v: NodeId, m: &M) -> (u32, M) {
+        let graph = self.graph;
+        let pos = graph.reverse_arc(graph.arc_offset(sender) + q) - graph.arc_offset(v);
+        let msg = match self.byz.and_then(|b| b.tamper_salt(self.round, sender, v)) {
+            Some(salt) => m.tamper(salt),
+            None => m.clone(),
+        };
+        (pos as u32, msg)
+    }
+}
+
 /// The receive half of a dense round and of a sparse pull round: a live node
 /// collects the copies its neighbours' outboxes address to it, in its
 /// neighbour-list order, then steps.
@@ -557,9 +661,7 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
             stamps,
             faults,
             link_faults: faults.filter(FaultPlan::affects_links),
-            byz: faults
-                .and_then(|f| f.byzantine)
-                .filter(|b| b.fraction > 0.0 && b.active(round)),
+            byz: active_byzantine(faults, round),
             round,
             step_empty,
         }
@@ -652,8 +754,7 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
 }
 
 /// Fluent construction of a [`Network`]: the one entry point selecting the
-/// execution mode, fault plan, wire accounting, sharding, and mailbox
-/// configuration.
+/// execution mode, fault plan, sharding, and mailbox configuration.
 ///
 /// ```
 /// use dkc_distsim::{ExecutionMode, NetworkBuilder};
@@ -681,7 +782,6 @@ pub struct NetworkBuilder {
     threads: Option<usize>,
     mailbox_capacity: usize,
     max_frame_bytes: usize,
-    wire_accounting: bool,
     checkpoint_every: usize,
     shards: usize,
     shard_seed: u64,
@@ -695,7 +795,6 @@ impl Default for NetworkBuilder {
             threads: None,
             mailbox_capacity: Self::DEFAULT_MAILBOX_CAPACITY,
             max_frame_bytes: Self::DEFAULT_MAX_FRAME_BYTES,
-            wire_accounting: true,
             checkpoint_every: 0,
             shards: 0,
             shard_seed: 0,
@@ -710,8 +809,7 @@ impl NetworkBuilder {
     pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
     /// A builder with the defaults: the program's default mode (see
-    /// [`NetworkBuilder::mode`]), no faults, wire accounting on, automatic
-    /// thread count.
+    /// [`NetworkBuilder::mode`]), no faults, automatic thread count.
     pub fn new() -> Self {
         Self::default()
     }
@@ -755,15 +853,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables the measured `wire_bits` counter for the lockstep
-    /// executors (default on). The mailbox backend encodes every frame
-    /// regardless; disabling only skips the counting serializer on the
-    /// lockstep hot path (its `wire_bits` then reads 0).
-    pub fn wire_accounting(mut self, enabled: bool) -> Self {
-        self.wire_accounting = enabled;
-        self
-    }
-
     /// Checkpoint interval in rounds for [`Network::run_with_checkpoints`]
     /// (0 = never checkpoint, the default). The checkpoint destination and
     /// run preamble are configured per network via [`Network::checkpoint_to`]
@@ -774,22 +863,22 @@ impl NetworkBuilder {
         self
     }
 
-    /// Partitions the graph into `n` shards (0 = unsharded, the default) —
-    /// the only way to turn on sharded execution. Each shard runs the round's
-    /// sparse frontier over the nodes it owns (per the deterministic
-    /// `dkc_graph::Partitioner` assignment), and cross-shard deliveries
-    /// travel as one [`crate::shard::BoundaryDelta`] wire frame per ordered
-    /// shard pair, built from the frontier ∩ boundary set and defensively
-    /// decoded on receipt. Deterministic counters are byte-identical to
-    /// unsharded sparse lockstep for any shard count; the frame traffic is
-    /// reported separately as [`RoundStats::boundary_bits`] /
-    /// [`RoundStats::boundary_nodes`].
+    /// Partitions the graph into `n` shards (0 = unsharded, the default) by
+    /// the deterministic `dkc_graph::Partitioner` assignment. Every round
+    /// then charges the copies that cross a shard cut as they would travel
+    /// between shard hosts: one [`crate::shard::BoundaryDelta`] wire frame per
+    /// ordered shard pair, encoded, then decoded and validated as a peer's
+    /// frame would be. The frames are reported as
+    /// [`RoundStats::boundary_bits`] / [`RoundStats::boundary_nodes`];
+    /// delivery is the sparse round's push or pull, so every other counter,
+    /// every node's state and every checkpoint is byte-identical to the
+    /// unsharded run, for any shard count.
     ///
-    /// A sharded network always runs the sparse sequential executor in push
-    /// rounds, so it requires a delta-driven program; it composes with any
-    /// fault plan, wire accounting, and checkpointing, but not with
-    /// [`ExecutionMode::Mailbox`] (the mailbox backend has its own
-    /// thread-shard notion).
+    /// A sharded network runs the named sparse mode, or
+    /// [`ExecutionMode::SparseParallel`] when none is named, so it requires a
+    /// delta-driven program. It composes with any fault plan and with
+    /// checkpointing; building it under a dense mode or
+    /// [`ExecutionMode::Mailbox`] panics.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -809,7 +898,8 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if a sparse mode is configured for a program that does not set
-    /// [`NodeProgram::DELTA_DRIVEN`].
+    /// [`NodeProgram::DELTA_DRIVEN`], or if a sharded network is given a
+    /// dense mode or [`ExecutionMode::Mailbox`].
     pub fn build<P, F>(self, graph: &WeightedGraph, mut factory: F) -> Network<P>
     where
         P: NodeProgram,
@@ -830,25 +920,21 @@ impl NetworkBuilder {
     /// Panics under the same conditions as [`NetworkBuilder::build`], or if
     /// `programs` and `graph` disagree on the node count.
     pub fn build_from_parts<P: NodeProgram>(self, graph: CsrGraph, programs: Vec<P>) -> Network<P> {
-        let mode = if self.shards > 0 {
-            assert!(
-                self.mode != Some(ExecutionMode::Mailbox),
-                "sharded execution does not compose with the mailbox backend"
-            );
-            ExecutionMode::SparseSequential
-        } else if let Some(mode) = self.mode {
-            mode
-        } else if P::DELTA_DRIVEN {
+        let mode = self.mode.unwrap_or(if P::DELTA_DRIVEN {
             ExecutionMode::SparseParallel
         } else {
             ExecutionMode::Parallel
-        };
+        });
+        assert!(
+            self.shards == 0 || mode.is_sparse(),
+            "sharded execution runs a sparse mode: it does not compose with the mailbox \
+             backend or a dense mode"
+        );
         let mut net = Network::from_parts(graph, programs, mode);
         if self.shards > 0 {
             net.install_sharding(self.shards, self.shard_seed);
         }
         net.install_faults(self.faults);
-        net.wire_accounting = self.wire_accounting;
         net.mailbox_threads = self.threads;
         net.mailbox_capacity = self.mailbox_capacity;
         net.max_frame_bytes = self.max_frame_bytes;
@@ -892,7 +978,6 @@ impl<P: NodeProgram> Network<P> {
             mode,
             faults: None,
             schedules: Schedules::default(),
-            wire_accounting: true,
             mailbox_threads: None,
             mailbox_capacity: NetworkBuilder::DEFAULT_MAILBOX_CAPACITY,
             max_frame_bytes: NetworkBuilder::DEFAULT_MAX_FRAME_BYTES,
@@ -906,6 +991,8 @@ impl<P: NodeProgram> Network<P> {
             touched_stamp: Vec::new(),
             resend: Vec::new(),
             shard: None,
+            #[cfg(test)]
+            force_pull: None,
             checkpoint_every: 0,
             checkpoint_sink: None,
         }
@@ -913,7 +1000,7 @@ impl<P: NodeProgram> Network<P> {
 
     /// Installs the deterministic shard partition for sharded execution:
     /// materializes the `Partitioner::shard_of` owner table and the per-pair
-    /// boundary buffers.
+    /// record buffers.
     ///
     /// # Panics
     ///
@@ -959,11 +1046,6 @@ impl<P: NodeProgram> Network<P> {
     /// unsharded.
     pub fn shard_config(&self) -> Option<(usize, u64)> {
         self.shard.as_ref().map(|s| (s.num_shards, s.seed))
-    }
-
-    /// Number of shards the executor runs (1 when unsharded).
-    pub fn num_shards(&self) -> usize {
-        self.shard.as_ref().map_or(1, |s| s.num_shards)
     }
 
     /// Number of rounds executed so far.
@@ -1039,7 +1121,6 @@ impl<P: NodeProgram> Network<P> {
         let round = self.round;
         let graph = &self.graph;
         let faults = self.faults;
-        let wire = self.wire_accounting;
 
         // Phase 1: every (non-halted) node produces its outgoing messages.
         // The accounting (post-fault, see `produce_outgoing`) is computed in
@@ -1050,7 +1131,7 @@ impl<P: NodeProgram> Network<P> {
                 .cells
                 .par_iter_mut()
                 .enumerate()
-                .map(|(i, cell)| produce_outgoing(graph, faults, round, i, wire, cell))
+                .map(|(i, cell)| produce_outgoing(graph, faults, round, i, cell))
                 .collect_into_vec(&mut self.outboxes),
             _ => {
                 self.outboxes.clear();
@@ -1059,7 +1140,7 @@ impl<P: NodeProgram> Network<P> {
                     self.cells
                         .iter_mut()
                         .enumerate()
-                        .map(|(i, cell)| produce_outgoing(graph, faults, round, i, wire, cell)),
+                        .map(|(i, cell)| produce_outgoing(graph, faults, round, i, cell)),
                 );
             }
         }
@@ -1163,11 +1244,9 @@ impl<P: NodeProgram> Network<P> {
         // (it can never report a change again).
         let mut stats = RoundStats::default();
         self.resend.clear();
-        let wire = self.wire_accounting;
         for idx in 0..self.frontier.len() {
             let u = self.frontier[idx] as usize;
-            let row =
-                produce_outgoing(&self.graph, self.faults, round, u, wire, &mut self.cells[u]);
+            let row = produce_outgoing(&self.graph, self.faults, round, u, &mut self.cells[u]);
             let acct = row.1;
             self.outboxes[u] = row;
             stats.merge(&acct.row());
@@ -1178,11 +1257,14 @@ impl<P: NodeProgram> Network<P> {
 
         // Phases 2 and 3: deliver the frontier's copies and step their
         // receivers. Both directions deliver the same copies; a sharded
-        // network always pushes, so its cross-shard copies travel as
-        // boundary frames.
+        // network first charges the ones that cross a shard cut.
+        self.account_boundary(&mut stats);
         self.next_frontier.clear();
         let copies = stats.messages + stats.dropped();
-        if self.shard.is_none() && copies > self.graph.num_arcs() / PULL_DIVISOR {
+        let pull = copies > self.graph.num_arcs() / PULL_DIVISOR;
+        #[cfg(test)]
+        let pull = self.force_pull.unwrap_or(pull);
+        if pull {
             self.pull(&mut stats);
         } else {
             self.push(&mut stats);
@@ -1198,6 +1280,90 @@ impl<P: NodeProgram> Network<P> {
         self.next_frontier.dedup();
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
         self.schedules.close(stats, round)
+    }
+
+    /// Charges a sharded round's cross-shard copies to
+    /// [`RoundStats::boundary_bits`] and [`RoundStats::boundary_nodes`]; a
+    /// no-op unless the network has more than one shard. The frontier's
+    /// copies between nodes of different shards, walked in ascending sender
+    /// order and tampered and multiplied as they are delivered, fill one
+    /// record buffer per ordered shard pair. Each nonempty buffer is encoded
+    /// as one length-prefixed [`BoundaryDelta`] frame, whose bytes are the
+    /// charge, then decoded and validated against the owner table as a
+    /// remote peer's frame would be. Delivery stays with the round's push or
+    /// pull, which delivers these same copies; so a copy to a crashed or
+    /// halted receiver is charged here and dropped there.
+    fn account_boundary(&mut self, stats: &mut RoundStats) {
+        let Some(st) = self.shard.as_mut().filter(|s| s.num_shards > 1) else {
+            return;
+        };
+        let round = self.round;
+        let copies = RoundCopies::new(&self.graph, self.faults, round);
+        let s = st.num_shards;
+        // The delivery that follows stamps multicast arcs with `round`, so
+        // this walk marks them with a stamp no round number reaches.
+        let stamp = u64::MAX - round as u64;
+        let stamps = &mut self.multicast_stamps;
+        for &u in &self.frontier {
+            let sender = NodeId(u);
+            let su = st.owner[u as usize] as usize;
+            let spam = copies.spam(sender);
+            let outgoing = &self.outboxes[u as usize].0;
+            copies.for_each(sender, outgoing, stamps, stamp, |q, v, m| {
+                let sv = st.owner[v.index()] as usize;
+                if su == sv {
+                    return;
+                }
+                let (pos, msg) = copies.received(sender, q, v, m);
+                let record = |msg| BoundaryRecord {
+                    sender: u,
+                    receiver: v.0,
+                    pos,
+                    msg,
+                };
+                let buf = &mut st.pair_bufs[su * s + sv];
+                for _ in 1..spam {
+                    buf.push(record(msg.clone()));
+                }
+                buf.push(record(msg));
+            });
+        }
+        st.senders_scratch.clear();
+        for src in 0..s {
+            for dst in 0..s {
+                let pair = src * s + dst;
+                if st.pair_bufs[pair].is_empty() {
+                    continue;
+                }
+                let delta = BoundaryDelta {
+                    src_shard: src as u32,
+                    dst_shard: dst as u32,
+                    round: round as u64,
+                    records: std::mem::take(&mut st.pair_bufs[pair]),
+                };
+                let frame = crate::wire::encode_frame(&delta);
+                stats.boundary_bits += 8 * frame.len();
+                // A boundary frame aggregates a whole cut's frontier, so it
+                // is not subject to the per-node-message frame cap; both
+                // checks are infallible here because the frame was encoded
+                // in this very loop.
+                let decoded: BoundaryDelta<P::Message> =
+                    crate::wire::decode_frame(&frame, usize::MAX)
+                        .expect("self-encoded boundary frame decodes");
+                decoded
+                    .validate(src as u32, dst as u32, round as u64, &self.graph, &st.owner)
+                    .expect("self-built boundary frame validates");
+                st.senders_scratch
+                    .extend(decoded.records.iter().map(|r| r.sender));
+                // Hand the drained buffer's capacity back for reuse.
+                let mut records = delta.records;
+                records.clear();
+                st.pair_bufs[pair] = records;
+            }
+        }
+        st.senders_scratch.sort_unstable();
+        st.senders_scratch.dedup();
+        stats.boundary_nodes = st.senders_scratch.len();
     }
 
     /// A push round's delivery and steps: the frontier scatters its copies
@@ -1218,22 +1384,18 @@ impl<P: NodeProgram> Network<P> {
                 graph,
                 cells,
                 outboxes,
-                multicast_stamps,
+                multicast_stamps: stamps,
                 touch_list,
                 touched_stamp,
                 frontier,
                 faults,
-                shard,
                 ..
             } = self;
             touch_list.clear();
             let faults = *faults;
-            let link_faults = faults.filter(FaultPlan::affects_links);
-            // Same receiver-observable byzantine corruption as the dense
-            // path, applied at the sender-side scatter point.
-            let byz = faults
-                .and_then(|f| f.byzantine)
-                .filter(|b| b.fraction > 0.0 && b.active(round));
+            // The same byzantine corruption as the dense gather, applied at
+            // the sender-side scatter point.
+            let copies = RoundCopies::new(graph, faults, round);
             // A crashed (or halted) node is never touched: it does not step,
             // mirroring the dense receive skip, so it stays out of the
             // frontier bookkeeping entirely.
@@ -1249,151 +1411,22 @@ impl<P: NodeProgram> Network<P> {
                 }
                 true
             };
-            // Sharded execution reroutes cross-shard deliveries through the
-            // per-pair boundary buffers instead of the receiver's inbox.
-            // Every sender-side decision (drop cause, multicast stamp dedup,
-            // tamper salt, spam factor) is made first and identically, so
-            // the phase-1 per-copy accounting and the eventually delivered
-            // messages are byte-identical to unsharded sparse execution.
-            let mut shard_parts = shard
-                .as_mut()
-                .filter(|s| s.num_shards > 1)
-                .map(|s| (s.owner.as_slice(), &mut s.pair_bufs, s.num_shards));
-            for &uu in frontier.iter() {
-                let u = uu as usize;
-                let sender = NodeId::new(u);
-                let base = graph.arc_offset(sender);
-                let dropped = |to: NodeId, idx: usize| -> bool {
-                    link_faults.is_some_and(|f| f.drops(round, sender, to, idx))
-                };
-                let spam = byz.as_ref().map_or(1, |b| b.spam_factor(round, sender));
-                // Deliver the copies on the arc at sender-local position `q`
-                // (one copy, or `spam` identical copies for an active
-                // spammer), applying the sender's per-receiver tamper salt.
-                let deliver = |cells: &mut Vec<NodeCell<P>>, q: usize, msg: &P::Message| {
-                    let v = graph.neighbors(sender)[q];
-                    let pos = (graph.reverse_arc(base + q) - graph.arc_offset(v)) as u32;
-                    let msg = match byz.as_ref().and_then(|b| b.tamper_salt(round, sender, v)) {
-                        Some(s) => msg.tamper(s),
-                        None => msg.clone(),
-                    };
+            for &u in frontier.iter() {
+                let sender = NodeId(u);
+                let spam = copies.spam(sender);
+                let outgoing = &outboxes[u as usize].0;
+                copies.for_each(sender, outgoing, stamps, round_stamp, |q, v, m| {
+                    if !touch(cells, v) {
+                        return;
+                    }
+                    let (pos, msg) = copies.received(sender, q, v, m);
+                    let delivery = |msg| Delivery { sender, pos, msg };
                     let inbox = &mut cells[v.index()].inbox;
                     for _ in 1..spam {
-                        inbox.push(Delivery {
-                            sender,
-                            pos,
-                            msg: msg.clone(),
-                        });
+                        inbox.push(delivery(msg.clone()));
                     }
-                    inbox.push(Delivery { sender, pos, msg });
-                };
-                // Cross-shard counterpart of `deliver`: buffer the copies on
-                // arc `q` for the boundary exchange instead of pushing them
-                // into the receiver's inbox. Same receiver-local position,
-                // same sender-side tamper salt, same spam duplication — only
-                // the transport differs.
-                let ship = |bufs: &mut Vec<Vec<BoundaryRecord<P::Message>>>,
-                            num_shards: usize,
-                            su: u32,
-                            sv: u32,
-                            q: usize,
-                            msg: &P::Message| {
-                    let v = graph.neighbors(sender)[q];
-                    let pos = (graph.reverse_arc(base + q) - graph.arc_offset(v)) as u32;
-                    let msg = match byz.as_ref().and_then(|b| b.tamper_salt(round, sender, v)) {
-                        Some(s) => msg.tamper(s),
-                        None => msg.clone(),
-                    };
-                    let buf = &mut bufs[su as usize * num_shards + sv as usize];
-                    for _ in 1..spam {
-                        buf.push(BoundaryRecord {
-                            sender: sender.0,
-                            receiver: v.0,
-                            pos,
-                            msg: msg.clone(),
-                        });
-                    }
-                    buf.push(BoundaryRecord {
-                        sender: sender.0,
-                        receiver: v.0,
-                        pos,
-                        msg,
-                    });
-                };
-                match &outboxes[u].0 {
-                    Outgoing::Silent => {}
-                    Outgoing::Broadcast(m) => {
-                        for (q, &v) in graph.neighbors(sender).iter().enumerate() {
-                            if dropped(v, 0) {
-                                continue;
-                            }
-                            if let Some((owner, bufs, s)) = shard_parts.as_mut() {
-                                let (su, sv) = (owner[u], owner[v.index()]);
-                                if su != sv {
-                                    ship(bufs, *s, su, sv, q, m);
-                                    continue;
-                                }
-                            }
-                            if touch(cells, v) {
-                                deliver(cells, q, m);
-                            }
-                        }
-                    }
-                    Outgoing::Multicast(m, targets) => {
-                        if targets.is_empty() {
-                            continue;
-                        }
-                        if multicast_stamps.len() != graph.num_arcs() {
-                            *multicast_stamps = vec![0; graph.num_arcs()];
-                        }
-                        for &t in targets {
-                            if dropped(t, 0) {
-                                continue;
-                            }
-                            for q in graph.neighbor_positions(sender, t) {
-                                // The stamp deduplicates repeated target
-                                // entries (dense delivery is idempotent in
-                                // them); parallel arcs have distinct
-                                // positions and each gets its copy.
-                                if multicast_stamps[base + q] == round_stamp {
-                                    continue;
-                                }
-                                multicast_stamps[base + q] = round_stamp;
-                                if let Some((owner, bufs, s)) = shard_parts.as_mut() {
-                                    let (su, sv) = (owner[u], owner[t.index()]);
-                                    if su != sv {
-                                        ship(bufs, *s, su, sv, q, m);
-                                        continue;
-                                    }
-                                }
-                                if touch(cells, t) {
-                                    deliver(cells, q, m);
-                                }
-                            }
-                        }
-                    }
-                    Outgoing::Unicast(msgs) => {
-                        for (idx, (t, m)) in msgs.iter().enumerate() {
-                            if dropped(*t, idx) {
-                                continue;
-                            }
-                            // Dense delivery hands a unicast to every parallel
-                            // arc towards the target; mirror that here.
-                            for q in graph.neighbor_positions(sender, *t) {
-                                if let Some((owner, bufs, s)) = shard_parts.as_mut() {
-                                    let (su, sv) = (owner[u], owner[t.index()]);
-                                    if su != sv {
-                                        ship(bufs, *s, su, sv, q, m);
-                                        continue;
-                                    }
-                                }
-                                if touch(cells, *t) {
-                                    deliver(cells, q, m);
-                                }
-                            }
-                        }
-                    }
-                }
+                    inbox.push(delivery(msg));
+                });
             }
             if round == 1 {
                 // Every node executes its first step even with an empty inbox
@@ -1401,62 +1434,6 @@ impl<P: NodeProgram> Network<P> {
                 for i in 0..n {
                     touch(cells, NodeId::new(i));
                 }
-            }
-            // Boundary exchange: each nonempty ordered shard pair ships its
-            // buffered records as one length-prefixed `BoundaryDelta` frame,
-            // which is decoded defensively and structurally validated exactly
-            // as a remote peer's frame would be before delivery. Cross-shard
-            // copies land after all local ones in inbox order — harmless,
-            // because the delta-driven contract merges by `Delivery::pos`,
-            // not inbox order. Frame bytes are charged to `boundary_bits`;
-            // the per-copy `wire_bits` were already counted in phase 1,
-            // identically to unsharded execution.
-            if let Some(st) = shard.as_mut().filter(|s| s.num_shards > 1) {
-                let s = st.num_shards;
-                st.senders_scratch.clear();
-                for src in 0..s {
-                    for dst in 0..s {
-                        if src == dst || st.pair_bufs[src * s + dst].is_empty() {
-                            continue;
-                        }
-                        let delta = BoundaryDelta {
-                            src_shard: src as u32,
-                            dst_shard: dst as u32,
-                            round: round as u64,
-                            records: std::mem::take(&mut st.pair_bufs[src * s + dst]),
-                        };
-                        let frame = crate::wire::encode_frame(&delta);
-                        stats.boundary_bits += 8 * frame.len();
-                        // A boundary frame aggregates a whole cut's frontier,
-                        // so it is not subject to the per-node-message frame
-                        // cap; both checks are infallible here because the
-                        // frame was encoded in this very loop.
-                        let decoded: BoundaryDelta<P::Message> =
-                            crate::wire::decode_frame(&frame, usize::MAX)
-                                .expect("self-encoded boundary frame decodes");
-                        decoded
-                            .validate(src as u32, dst as u32, round as u64, graph, &st.owner)
-                            .expect("self-built boundary frame validates");
-                        for rec in decoded.records {
-                            st.senders_scratch.push(rec.sender);
-                            let v = NodeId(rec.receiver);
-                            if touch(cells, v) {
-                                cells[v.index()].inbox.push(Delivery {
-                                    sender: NodeId(rec.sender),
-                                    pos: rec.pos,
-                                    msg: rec.msg,
-                                });
-                            }
-                        }
-                        // Hand the drained buffer's capacity back for reuse.
-                        let mut records = delta.records;
-                        records.clear();
-                        st.pair_bufs[src * s + dst] = records;
-                    }
-                }
-                st.senders_scratch.sort_unstable();
-                st.senders_scratch.dedup();
-                stats.boundary_nodes = st.senders_scratch.len();
             }
         }
         self.touch_list.sort_unstable();
@@ -1730,7 +1707,7 @@ mod tests {
     use super::*;
     use crate::faults::LossModel;
     use crate::wire::WireWriter;
-    use dkc_graph::generators::{complete_graph, path_graph};
+    use dkc_graph::generators::{complete_graph, grid_graph, path_graph};
 
     /// One execution path: a mode, sharded when `shards > 0`.
     #[derive(Clone, Copy, Debug)]
@@ -2856,6 +2833,75 @@ mod tests {
             .mode(ExecutionMode::Mailbox)
             .shards(2)
             .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded execution runs a sparse mode")]
+    fn sharding_rejects_dense_modes() {
+        let g = path_graph(4);
+        let _ = NetworkBuilder::new()
+            .mode(ExecutionMode::Parallel)
+            .shards(2)
+            .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+    }
+
+    /// Push and pull rounds deliver the same copies. A 12×12 grid floods
+    /// under loss, crashes and a byzantine lie window that re-activates the
+    /// liars mid-run, in both sparse modes and three ways each: every round
+    /// pushed, every round pulled, and each round choosing by
+    /// [`PULL_DIVISOR`]. Every round's counters and every node's value agree,
+    /// and the unforced run took both directions.
+    #[test]
+    fn push_and_pull_rounds_agree_round_by_round() {
+        let g = grid_graph(12, 12);
+        let lies = ByzantineModel::new(0.1, Behavior::Lie.bit(), 8, 11, 6);
+        assert!(
+            g.nodes()
+                .any(|v| lies.behavior_of(v) == Some(Behavior::Lie)),
+            "seed produced no liars"
+        );
+        let plan = FaultPlan::from_loss(LossModel::new(0.05, 3))
+            .with_crash(CrashModel::new(0.05, 2, 10, 4))
+            .with_byzantine(lies);
+        let run = |mode: ExecutionMode, force_pull: Option<bool>| {
+            let mut net = min_id_faulty(&g, mode, plan);
+            net.force_pull = force_pull;
+            net.run(24);
+            net
+        };
+        let reference = run(ExecutionMode::SparseSequential, None);
+        for mode in [
+            ExecutionMode::SparseSequential,
+            ExecutionMode::SparseParallel,
+        ] {
+            for force_pull in [None, Some(false), Some(true)] {
+                let net = run(mode, force_pull);
+                assert_eq!(
+                    net.metrics().rounds(),
+                    reference.metrics().rounds(),
+                    "{mode:?} force_pull={force_pull:?}"
+                );
+                for v in g.nodes() {
+                    assert_eq!(
+                        net.program(v).best,
+                        reference.program(v).best,
+                        "{mode:?} force_pull={force_pull:?} node {v}"
+                    );
+                }
+            }
+        }
+        let threshold = reference.graph().num_arcs() / PULL_DIVISOR;
+        let copies: Vec<usize> = reference
+            .metrics()
+            .rounds()
+            .iter()
+            .map(|r| r.messages + r.dropped())
+            .collect();
+        assert!(copies.iter().any(|&c| c > threshold), "{copies:?}");
+        assert!(
+            copies.iter().any(|&c| c > 0 && c <= threshold),
+            "{copies:?}"
+        );
     }
 
     /// Tentpole acceptance (unit form; the cross-crate proptest pins the

@@ -1,20 +1,22 @@
-//! Cross-shard boundary exchange for sharded execution
+//! Cross-shard boundary frames for sharded execution
 //! ([`crate::NetworkBuilder::shards`]).
 //!
-//! Under sharded execution each shard runs a round locally over the nodes it
-//! owns (per the deterministic `dkc_graph::Partitioner` assignment) and then
-//! ships the deliveries that cross a shard cut to the owning peer as one
-//! [`BoundaryDelta`] frame per ordered shard pair. The frame is built from the
-//! round's sparse frontier ∩ boundary set: only boundary senders that actually
-//! broadcast this round contribute records.
+//! Sharded execution assigns every node to a shard (the deterministic
+//! `dkc_graph::Partitioner` assignment) and charges each round for the
+//! copies that would cross a shard cut between shard hosts: one
+//! [`BoundaryDelta`] frame per ordered shard pair, holding the round's copies
+//! from senders on the source shard to receivers on the destination shard.
+//! Only boundary senders in the round's sparse frontier contribute records.
+//! The frames are accounting: the round's push or pull delivers the copies.
 //!
-//! Like every other frame in this crate the delta travels through the
-//! [`crate::wire`] format (length-prefixed, strict decode) and is validated
-//! structurally on receipt: a frame naming the wrong shard pair or round, a
-//! sender/receiver the owner table contradicts, or an adjacency position that
-//! does not map back to the claimed sender is a [`ShardFrameError`] attributed
-//! to the sending shard — never a panic. This is the same tofn-style
-//! defensive-decode discipline the mailbox executor applies to node frames.
+//! Like every other frame in this crate the delta is encoded in the
+//! [`crate::wire`] format (length-prefixed, strict decode), and each frame is
+//! decoded and validated structurally as a peer would on receipt: a frame
+//! naming the wrong shard pair or round, a sender/receiver the owner table
+//! contradicts, or an adjacency position that does not map back to the
+//! claimed sender is a [`ShardFrameError`] attributed to the sending shard —
+//! never a panic. This is the same tofn-style defensive-decode discipline the
+//! mailbox executor applies to node frames.
 
 use serde::ser::{Serialize, SerializeStruct, Serializer};
 use std::fmt;

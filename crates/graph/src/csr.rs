@@ -7,7 +7,7 @@
 //! node, and each arc is paired with its reverse by one cursor per node (see
 //! [`CsrGraph::try_from_graph`]).
 
-use crate::idx::{Idx, IdxOverflow};
+use crate::idx::IdxOverflow;
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
 
@@ -17,12 +17,10 @@ use crate::weighted::WeightedGraph;
 /// `v`'s neighbour slice. Self-loops are kept out of the adjacency arrays and
 /// exposed via [`CsrGraph::self_loop`].
 ///
-/// The arc-index width `I` (see [`Idx`]) sizes the per-arc cross-index arrays;
-/// the `u32` default caps a graph at 2³² − 1 directed arcs with the compact
-/// layout every existing consumer relies on, while `CsrGraph<u64>` lifts the
-/// cap for shard-scale inputs.
+/// The per-arc cross-index arrays are `u32`, which caps a graph at
+/// 2³² − 1 directed arcs (see [`IdxOverflow`]).
 #[derive(Clone, Debug)]
-pub struct CsrGraph<I: Idx = u32> {
+pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
     weights: Vec<f64>,
@@ -35,16 +33,16 @@ pub struct CsrGraph<I: Idx = u32> {
     /// position), enabling O(log deg) membership / position lookup of a
     /// neighbour id ([`CsrGraph::neighbor_positions`]). The simulator's
     /// multicast scatter is indexed through this map.
-    rank_by_target: Vec<I>,
+    rank_by_target: Vec<u32>,
     /// Cross index: `reverse_arc[p]` is the global position of the arc
     /// `v → u` matching arc `p = (u → v)`. Parallel edges pair the k-th
     /// occurrence on each side, so the map is an involution.
-    reverse_arc: Vec<I>,
+    reverse_arc: Vec<u32>,
 }
 
-impl<I: Idx> CsrGraph<I> {
+impl CsrGraph {
     /// Builds a CSR snapshot from a [`WeightedGraph`], returning a typed
-    /// [`IdxOverflow`] error when the arc count exceeds the index width `I`.
+    /// [`IdxOverflow`] error when the arc count exceeds `u32::MAX`.
     ///
     /// The build is O(arcs) apart from sorting each neighbour-rank list,
     /// which is linear on the already-sorted lists [`crate::GraphBuilder`]
@@ -56,8 +54,8 @@ impl<I: Idx> CsrGraph<I> {
     pub fn try_from_graph(g: &WeightedGraph) -> Result<Self, IdxOverflow> {
         let n = g.num_nodes();
         let arcs: usize = g.nodes().map(|v| g.unweighted_degree(v)).sum();
-        if arcs > I::MAX_USIZE {
-            return Err(IdxOverflow::new::<I>(arcs, "arc count"));
+        if arcs > u32::MAX as usize {
+            return Err(IdxOverflow::new(arcs, "arc count"));
         }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
@@ -71,20 +69,20 @@ impl<I: Idx> CsrGraph<I> {
             offsets.push(targets.len());
         }
         let self_loops = (0..n).map(|i| g.self_loop(NodeId::new(i))).collect();
-        let mut rank_by_target = vec![I::default(); arcs];
+        let mut rank_by_target = vec![0u32; arcs];
         for v in 0..n {
             let (lo, hi) = (offsets[v], offsets[v + 1]);
             let perm = &mut rank_by_target[lo..hi];
             for (i, r) in perm.iter_mut().enumerate() {
-                *r = I::from_usize(i);
+                *r = i as u32;
             }
             // Ties (parallel edges) stay in position order so
             // `neighbor_positions` yields ascending positions.
-            perm.sort_unstable_by_key(|&i| (targets[lo + i.to_usize()], i));
+            perm.sort_unstable_by_key(|&i| (targets[lo + i as usize], i));
         }
         // `cursor[t]` is the next unpaired entry of `t`'s rank list.
         let mut cursor = offsets[..n].to_vec();
-        let mut reverse_arc = vec![I::default(); arcs];
+        let mut reverse_arc = vec![0u32; arcs];
         for v in 0..n {
             let vid = NodeId::new(v);
             for p in offsets[v]..offsets[v + 1] {
@@ -93,10 +91,10 @@ impl<I: Idx> CsrGraph<I> {
                 cursor[t] += 1;
                 // The entry under `t`'s cursor must be an arc back to `v`.
                 let rp = (slot < offsets[t + 1])
-                    .then(|| offsets[t] + rank_by_target[slot].to_usize())
+                    .then(|| offsets[t] + rank_by_target[slot] as usize)
                     .filter(|&rp| targets[rp] == vid)
                     .expect("undirected arcs come in matched pairs");
-                reverse_arc[p] = I::from_usize(rp);
+                reverse_arc[p] = rp as u32;
             }
         }
         Ok(CsrGraph {
@@ -109,6 +107,20 @@ impl<I: Idx> CsrGraph<I> {
             rank_by_target,
             reverse_arc,
         })
+    }
+
+    /// Builds a CSR snapshot from a [`WeightedGraph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arc count exceeds `u32::MAX`; use
+    /// [`CsrGraph::try_from_graph`] to handle overflow as a typed
+    /// [`IdxOverflow`] error instead.
+    pub fn from_graph(g: &WeightedGraph) -> Self {
+        match Self::try_from_graph(g) {
+            Ok(csr) => csr,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Number of nodes.
@@ -201,9 +213,9 @@ impl<I: Idx> CsrGraph<I> {
     pub fn neighbor_positions(&self, v: NodeId, u: NodeId) -> impl Iterator<Item = usize> + '_ {
         let base = self.offsets[v.index()];
         let perm = &self.rank_by_target[base..self.offsets[v.index() + 1]];
-        let lo = perm.partition_point(|&i| self.targets[base + i.to_usize()] < u);
-        let hi = lo + perm[lo..].partition_point(|&i| self.targets[base + i.to_usize()] == u);
-        perm[lo..hi].iter().map(|&i| i.to_usize())
+        let lo = perm.partition_point(|&i| self.targets[base + i as usize] < u);
+        let hi = lo + perm[lo..].partition_point(|&i| self.targets[base + i as usize] == u);
+        perm[lo..hi].iter().map(|&i| i as usize)
     }
 
     /// Whether `u` is a neighbour of `v`, in O(log deg(v)).
@@ -216,28 +228,7 @@ impl<I: Idx> CsrGraph<I> {
     /// parallel edges pair k-th occurrence with k-th occurrence. O(1).
     #[inline]
     pub fn reverse_arc(&self, p: usize) -> usize {
-        self.reverse_arc[p].to_usize()
-    }
-}
-
-// `from_graph` lives on the `u32` default (the `HashMap::new` pattern) so
-// existing `CsrGraph::from_graph(g)` call sites infer `I = u32` without
-// annotations; wider widths go through the explicit
-// `CsrGraph::<u64>::try_from_graph`.
-impl CsrGraph {
-    /// Builds a CSR snapshot from a [`WeightedGraph`] at the default `u32`
-    /// index width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arc count exceeds `u32::MAX`; use
-    /// [`CsrGraph::try_from_graph`] (optionally at `u64` width) to handle
-    /// overflow as a typed [`IdxOverflow`] error instead.
-    pub fn from_graph(g: &WeightedGraph) -> Self {
-        match Self::try_from_graph(g) {
-            Ok(csr) => csr,
-            Err(e) => panic!("{e}"),
-        }
+        self.reverse_arc[p] as usize
     }
 }
 
@@ -371,7 +362,7 @@ mod tests {
     /// Reference pairing by binary search: for arc `p = v → t` at local
     /// position `q`, find its occurrence index `k` among `v`'s arcs to `t`,
     /// then take the k-th `t → v`, each through `neighbor_positions`.
-    fn binary_search_pairing<I: Idx>(csr: &CsrGraph<I>) -> Vec<usize> {
+    fn binary_search_pairing(csr: &CsrGraph) -> Vec<usize> {
         let mut reverse = Vec::with_capacity(csr.num_arcs());
         for v in csr.nodes() {
             for (q, &t) in csr.neighbors(v).iter().enumerate() {
@@ -402,37 +393,10 @@ mod tests {
                 };
                 g.add_edge(NodeId::new(u), NodeId::new(v), rng.gen_range(0..4) as f64);
             }
-            let narrow = CsrGraph::from_graph(&g);
-            let wide = CsrGraph::<u64>::try_from_graph(&g).unwrap();
-            let oracle = binary_search_pairing(&narrow);
-            assert_eq!(oracle, binary_search_pairing(&wide), "seed {seed}");
-            let got: Vec<usize> = (0..narrow.num_arcs())
-                .map(|p| narrow.reverse_arc(p))
-                .collect();
-            assert_eq!(got, oracle, "u32 pairing, seed {seed}");
-            let got: Vec<usize> = (0..wide.num_arcs()).map(|p| wide.reverse_arc(p)).collect();
-            assert_eq!(got, oracle, "u64 pairing, seed {seed}");
-        }
-    }
-
-    #[test]
-    fn u64_width_matches_u32_width() {
-        let g = sample();
-        let narrow = CsrGraph::from_graph(&g);
-        let wide = CsrGraph::<u64>::try_from_graph(&g).unwrap();
-        assert_eq!(wide.num_nodes(), narrow.num_nodes());
-        assert_eq!(wide.num_arcs(), narrow.num_arcs());
-        for v in narrow.nodes() {
-            assert_eq!(wide.neighbors(v), narrow.neighbors(v));
-            let base = narrow.arc_offset(v);
-            for q in 0..narrow.unweighted_degree(v) {
-                assert_eq!(wide.reverse_arc(base + q), narrow.reverse_arc(base + q));
-            }
-            for u in narrow.nodes() {
-                let a: Vec<usize> = wide.neighbor_positions(v, u).collect();
-                let b: Vec<usize> = narrow.neighbor_positions(v, u).collect();
-                assert_eq!(a, b);
-            }
+            let csr = CsrGraph::from_graph(&g);
+            let oracle = binary_search_pairing(&csr);
+            let got: Vec<usize> = (0..csr.num_arcs()).map(|p| csr.reverse_arc(p)).collect();
+            assert_eq!(got, oracle, "seed {seed}");
         }
     }
 
@@ -441,12 +405,8 @@ mod tests {
         // A real 2³²-arc graph is infeasible to build in a test, so check the
         // error type surface directly and the Ok path on a small graph.
         let g = sample();
-        assert!(CsrGraph::<u32>::try_from_graph(&g).is_ok());
-        let e = crate::idx::IdxOverflow {
-            value: u32::MAX as usize + 1,
-            width: "u32",
-            what: "arc count",
-        };
+        assert!(CsrGraph::try_from_graph(&g).is_ok());
+        let e = IdxOverflow::new(u32::MAX as usize + 1, "arc count");
         assert!(e.to_string().contains("exceeds u32 index range"));
     }
 

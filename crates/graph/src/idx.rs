@@ -1,112 +1,32 @@
-//! Arc-index width parameterization.
+//! The typed error for a graph that outgrows the `u32` index width.
 //!
-//! The CSR arc arrays ([`crate::CsrGraph`]'s neighbour-rank and reverse-arc
-//! maps) and the external-id interner store one integer per directed arc, so
-//! their index width dominates memory at the 10⁸–10⁹-edge scale the sharding
-//! roadmap targets. [`Idx`] abstracts that width: `u32` keeps today's compact
-//! layout (and is the default everywhere), `u64` lifts the 2³²-arc cap.
-//!
-//! The trait is **sealed** — exactly `u32` and `u64` implement it — so adding
-//! a method is not a breaking change and downstream code cannot smuggle in a
-//! width with different overflow semantics.
+//! Node ids ([`crate::NodeId`]) and the CSR arc cross-indices
+//! ([`crate::CsrGraph`]'s neighbour-rank and reverse-arc maps) are `u32`, so
+//! a graph holds at most 2³² − 1 directed arcs and 2³² distinct node ids.
+//! [`crate::CsrGraph::try_from_graph`] and
+//! [`crate::ingest::NodeIdMap::try_intern`] report a larger input as an
+//! [`IdxOverflow`] instead of panicking.
 
 use std::fmt;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-}
-
-/// An unsigned integer type usable as a CSR arc index.
-///
-/// Implemented by `u32` (default; caps a graph at 2³² − 1 directed arcs) and
-/// `u64`. Conversions to and from `usize` are explicit: [`Idx::try_from_usize`]
-/// is the checked entry point that replaces the old hard `u32::MAX` assert
-/// with a typed [`IdxOverflow`] error.
-pub trait Idx: sealed::Sealed + Copy + Ord + Default + fmt::Debug + Send + Sync + 'static {
-    /// Human-readable width name used in overflow errors (`"u32"`, `"u64"`).
-    const NAME: &'static str;
-
-    /// The largest value representable, as a `usize`-clamped bound.
-    const MAX_USIZE: usize;
-
-    /// Converts from `usize`, returning `None` on overflow.
-    fn try_from_usize(v: usize) -> Option<Self>;
-
-    /// Converts from `usize`; panics on overflow. Use only where the value is
-    /// already known to fit (e.g. derived from an existing in-range index).
-    #[inline]
-    fn from_usize(v: usize) -> Self {
-        Self::try_from_usize(v).expect("index exceeds Idx width")
-    }
-
-    /// Widens to `usize` (always lossless on 64-bit targets).
-    fn to_usize(self) -> usize;
-}
-
-impl Idx for u32 {
-    const NAME: &'static str = "u32";
-    const MAX_USIZE: usize = u32::MAX as usize;
-
-    #[inline]
-    fn try_from_usize(v: usize) -> Option<Self> {
-        u32::try_from(v).ok()
-    }
-
-    #[inline]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-impl Idx for u64 {
-    const NAME: &'static str = "u64";
-    // On 64-bit targets usize == u64; clamp is a no-op.
-    const MAX_USIZE: usize = usize::MAX;
-
-    #[inline]
-    fn try_from_usize(v: usize) -> Option<Self> {
-        Some(v as u64)
-    }
-
-    #[inline]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-/// A value did not fit the configured index width.
-///
-/// Returned by [`crate::CsrGraph::try_from_graph`] when the arc count exceeds
-/// the width's range, replacing the previous panicking assert.
+/// A count did not fit the `u32` index width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IdxOverflow {
     /// The value that did not fit.
     pub value: usize,
-    /// Width name (`"u32"` / `"u64"`).
-    pub width: &'static str,
     /// What was being indexed (e.g. `"arc count"`).
     pub what: &'static str,
 }
 
 impl IdxOverflow {
-    pub(crate) fn new<I: Idx>(value: usize, what: &'static str) -> Self {
-        IdxOverflow {
-            value,
-            width: I::NAME,
-            what,
-        }
+    pub(crate) fn new(value: usize, what: &'static str) -> Self {
+        IdxOverflow { value, what }
     }
 }
 
 impl fmt::Display for IdxOverflow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {} exceeds {} index range; rebuild with a wider Idx parameter",
-            self.what, self.value, self.width
-        )
+        write!(f, "{} {} exceeds u32 index range", self.what, self.value)
     }
 }
 
@@ -117,28 +37,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn u32_round_trips_in_range() {
-        assert_eq!(<u32 as Idx>::try_from_usize(0), Some(0));
-        assert_eq!(
-            <u32 as Idx>::try_from_usize(u32::MAX as usize),
-            Some(u32::MAX)
-        );
-        assert_eq!(<u32 as Idx>::try_from_usize(u32::MAX as usize + 1), None);
-        assert_eq!(Idx::to_usize(7u32), 7usize);
-    }
-
-    #[test]
-    fn u64_accepts_any_usize() {
-        assert_eq!(
-            <u64 as Idx>::try_from_usize(usize::MAX),
-            Some(usize::MAX as u64)
-        );
-        assert_eq!(Idx::to_usize(7u64), 7usize);
-    }
-
-    #[test]
     fn overflow_error_is_displayable() {
-        let e = IdxOverflow::new::<u32>(1 << 33, "arc count");
+        let e = IdxOverflow::new(1 << 33, "arc count");
         let msg = e.to_string();
         assert!(msg.contains("arc count"), "{msg}");
         assert!(msg.contains("u32"), "{msg}");

@@ -27,10 +27,9 @@
 //! assign them fresh ids past the largest mapped id).
 
 use crate::builder::GraphBuilder;
-use crate::idx::{Idx, IdxOverflow};
+use crate::idx::IdxOverflow;
 use crate::io::ParseError;
 use crate::node::NodeId;
-use crate::partition::Partitioner;
 use crate::weighted::WeightedGraph;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -41,87 +40,21 @@ use std::path::Path;
 /// Remaps arbitrary sparse external ids (`u64`) to dense internal indices.
 ///
 /// Internal ids are assigned in first-seen order, so ingestion is
-/// deterministic for a given input. The internal index width `I` (see
-/// [`Idx`]) defaults to `u32` — the width of [`NodeId`] — and the `u32` map
-/// keeps the legacy [`NodeIdMap::intern`]/[`NodeIdMap::get`] API returning
-/// [`NodeId`]; a `NodeIdMap<u64>` lifts the distinct-id cap for shard-scale
-/// ingestion via the width-generic [`NodeIdMap::try_intern`]/
-/// [`NodeIdMap::get_idx`].
+/// deterministic for a given input. Internal ids are [`NodeId`]s, so a map
+/// holds at most 2³² distinct ids ([`NodeIdMap::try_intern`] reports more as
+/// a typed [`IdxOverflow`]).
 #[derive(Clone, Debug, Default)]
-pub struct NodeIdMap<I: Idx = u32> {
+pub struct NodeIdMap {
     /// Sparse ids only: ids inside the identity prefix are not stored here,
     /// so fully-dense maps (METIS reads, table-less binary reads) carry an
     /// empty `HashMap` instead of one entry per node.
-    to_internal: HashMap<u64, I>,
+    to_internal: HashMap<u64, u32>,
     to_external: Vec<u64>,
     /// `to_external[0..identity_prefix]` is exactly `0..identity_prefix`.
     identity_prefix: usize,
     max_external: Option<u64>,
 }
 
-impl<I: Idx> NodeIdMap<I> {
-    /// Number of mapped nodes.
-    pub fn len(&self) -> usize {
-        self.to_external.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.to_external.is_empty()
-    }
-
-    /// Whether every external id equals its internal index.
-    pub fn is_identity(&self) -> bool {
-        self.identity_prefix == self.to_external.len()
-    }
-
-    /// Returns the internal index for `external`, allocating the next dense
-    /// index on first sight; a typed [`IdxOverflow`] replaces the old hard
-    /// panic when the number of distinct ids exceeds the width `I`.
-    pub fn try_intern(&mut self, external: u64) -> Result<I, IdxOverflow> {
-        if let Some(v) = self.get_idx(external) {
-            return Ok(v);
-        }
-        let next = self.to_external.len();
-        let v = I::try_from_usize(next)
-            .ok_or_else(|| IdxOverflow::new::<I>(next, "distinct node-id count"))?;
-        if self.is_identity() && external == next as u64 {
-            // The map stays a pure identity: extend the prefix, skip the hash.
-            self.identity_prefix += 1;
-        } else {
-            self.to_internal.insert(external, v);
-        }
-        self.to_external.push(external);
-        self.max_external = Some(self.max_external.map_or(external, |m| m.max(external)));
-        Ok(v)
-    }
-
-    /// Looks up an already-mapped external id as a width-`I` index.
-    pub fn get_idx(&self, external: u64) -> Option<I> {
-        if external < self.identity_prefix as u64 {
-            return Some(I::from_usize(external as usize));
-        }
-        self.to_internal.get(&external).copied()
-    }
-
-    /// The external id of a width-`I` internal index.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn external_at(&self, idx: I) -> u64 {
-        self.to_external[idx.to_usize()]
-    }
-
-    /// The full internal→external table.
-    pub fn externals(&self) -> &[u64] {
-        &self.to_external
-    }
-}
-
-// The constructors and the `NodeId`-typed accessors live on the `u32`
-// default so existing `NodeIdMap::new()` / `intern` / `get` call sites keep
-// inferring `I = u32` (the `HashMap::new` pattern); wider maps start from
-// `NodeIdMap::<u64>::default()`.
 impl NodeIdMap {
     /// An empty map.
     pub fn new() -> Self {
@@ -143,6 +76,42 @@ impl NodeIdMap {
         }
     }
 
+    /// Number of mapped nodes.
+    pub fn len(&self) -> usize {
+        self.to_external.len()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.to_external.is_empty()
+    }
+
+    /// Whether every external id equals its internal index.
+    pub fn is_identity(&self) -> bool {
+        self.identity_prefix == self.to_external.len()
+    }
+
+    /// Returns the internal id for `external`, allocating the next dense
+    /// index on first sight, or a typed [`IdxOverflow`] once the number of
+    /// distinct ids outgrows `u32`.
+    pub fn try_intern(&mut self, external: u64) -> Result<NodeId, IdxOverflow> {
+        if let Some(v) = self.get(external) {
+            return Ok(v);
+        }
+        let next = self.to_external.len();
+        let v =
+            u32::try_from(next).map_err(|_| IdxOverflow::new(next, "distinct node-id count"))?;
+        if self.is_identity() && external == next as u64 {
+            // The map stays a pure identity: extend the prefix, skip the hash.
+            self.identity_prefix += 1;
+        } else {
+            self.to_internal.insert(external, v);
+        }
+        self.to_external.push(external);
+        self.max_external = Some(self.max_external.map_or(external, |m| m.max(external)));
+        Ok(NodeId(v))
+    }
+
     /// Returns the internal id for `external`, allocating the next dense
     /// index on first sight.
     ///
@@ -150,16 +119,17 @@ impl NodeIdMap {
     /// Panics if the number of distinct ids exceeds `u32::MAX` (the internal
     /// id width).
     pub fn intern(&mut self, external: u64) -> NodeId {
-        let idx = self
-            .try_intern(external)
+        self.try_intern(external)
             // lint: allow(D04) — documented `# Panics` capacity guard on the u32 internal-id width, not a parse path
-            .expect("more than u32::MAX distinct ids");
-        NodeId(idx)
+            .expect("more than u32::MAX distinct ids")
     }
 
     /// Looks up an already-mapped external id.
     pub fn get(&self, external: u64) -> Option<NodeId> {
-        self.get_idx(external).map(NodeId)
+        if external < self.identity_prefix as u64 {
+            return Some(NodeId(external as u32));
+        }
+        self.to_internal.get(&external).copied().map(NodeId)
     }
 
     /// The external id of an internal node.
@@ -168,6 +138,11 @@ impl NodeIdMap {
     /// Panics if `v` is out of range.
     pub fn external(&self, v: NodeId) -> u64 {
         self.to_external[v.index()]
+    }
+
+    /// The full internal→external table.
+    pub fn externals(&self) -> &[u64] {
+        &self.to_external
     }
 
     /// Grows the map to `n` nodes by assigning fresh external ids (sequential
@@ -855,170 +830,6 @@ fn read_metis_dataset(path: &Path) -> Result<Dataset, ParseError> {
     ))
 }
 
-/// [`read_dataset`] with the format inferred from the file extension
-/// (defaulting to the edge-list format).
-pub fn read_dataset_auto(path: impl AsRef<Path>) -> Result<Dataset, ParseError> {
-    let format = DatasetFormat::from_path_or_default(&path);
-    read_dataset(path, format)
-}
-
-/// A dataset ingested shard-wise: per-shard edge lists in dense-id space plus
-/// the shared id map.
-///
-/// Each edge is routed to the shard(s) owning its endpoints during the
-/// streaming pass — one copy when both endpoints share a shard, two copies
-/// for a *cut* edge (each side needs the arc in its local adjacency), and one
-/// copy (the owner's) for a self-loop. Dense ids are assigned exactly as
-/// [`read_dataset`] assigns them (first-seen order for edge lists, positional
-/// for METIS/binary), so the routing agrees with a
-/// [`Partitioner::partition`] plan computed over the fully-assembled graph.
-#[derive(Clone, Debug)]
-pub struct ShardedDataset {
-    /// External-id ↔ internal-index mapping (shared across shards).
-    pub ids: NodeIdMap,
-    /// Total node count, including header-declared isolated nodes.
-    pub num_nodes: usize,
-    /// Number of shards the edges were routed to.
-    pub num_shards: usize,
-    /// The partitioner hash seed.
-    pub seed: u64,
-    /// Per-shard edge lists in dense-id space (`u == v` is a self-loop).
-    /// Parallel input edges are preserved here and merged by
-    /// [`ShardedDataset::shard_graph`], matching [`read_dataset`].
-    pub shard_edges: Vec<Vec<(NodeId, NodeId, f64)>>,
-    /// Number of distinct input edges routed to two shards.
-    pub cut_edges: usize,
-}
-
-impl ShardedDataset {
-    /// Assembles one shard's graph over the **full** node range: every node
-    /// exists (so dense ids line up across shards) but only this shard's
-    /// routed edges are present.
-    pub fn shard_graph(&self, shard: usize) -> WeightedGraph {
-        let mut builder = GraphBuilder::new(0);
-        for &(u, v, w) in &self.shard_edges[shard] {
-            builder.add_edge(u, v, w);
-        }
-        let mut g = builder.build();
-        while g.num_nodes() < self.num_nodes {
-            g.add_node();
-        }
-        g
-    }
-
-    /// Per-shard routed-edge counts (cut edges counted on both sides).
-    pub fn edge_counts(&self) -> Vec<usize> {
-        self.shard_edges.iter().map(Vec::len).collect()
-    }
-}
-
-/// Reads a dataset file shard-wise in one bounded-memory streaming pass (see
-/// [`ShardedDataset`] for the routing contract).
-pub fn read_dataset_sharded(
-    path: impl AsRef<Path>,
-    format: DatasetFormat,
-    part: &Partitioner,
-) -> Result<ShardedDataset, ParseError> {
-    let path = path.as_ref();
-    let mut shard_edges: Vec<Vec<(NodeId, NodeId, f64)>> = vec![Vec::new(); part.num_shards()];
-    let mut cut_edges = 0usize;
-    let mut route = |shard_edges: &mut Vec<Vec<(NodeId, NodeId, f64)>>, u: NodeId, v: NodeId, w| {
-        let su = part.shard_of(u);
-        shard_edges[su].push((u, v, w));
-        if u != v {
-            let sv = part.shard_of(v);
-            if sv != su {
-                shard_edges[sv].push((u, v, w));
-                cut_edges += 1;
-            }
-        }
-    };
-    let (ids, num_nodes) = match format {
-        DatasetFormat::EdgeList => {
-            let mut ids = NodeIdMap::new();
-            let mut declared: u64 = 0;
-            stream_edge_list_items(path, &mut |item| {
-                match item {
-                    StreamItem::Edge(u, v, w) => {
-                        let iu = ids.intern(u);
-                        let iv = ids.intern(v);
-                        route(&mut shard_edges, iu, iv, w);
-                    }
-                    StreamItem::DeclaredNodes(n) => declared = declared.max(n),
-                }
-                Ok(())
-            })?;
-            let declared = checked_node_count(declared)?;
-            ids.pad_to(declared);
-            let n = ids.len();
-            (ids, n)
-        }
-        DatasetFormat::Metis => {
-            // METIS is positional: stream items carry dense 0-based ids.
-            let mut declared: u64 = 0;
-            stream_metis_items(path, &mut |item| {
-                match item {
-                    StreamItem::Edge(u, v, w) => {
-                        route(
-                            &mut shard_edges,
-                            NodeId::new(u as usize),
-                            NodeId::new(v as usize),
-                            w,
-                        );
-                    }
-                    StreamItem::DeclaredNodes(n) => {
-                        declared = n;
-                        checked_node_count(n)?;
-                    }
-                }
-                Ok(())
-            })?;
-            let n = checked_node_count(declared)?;
-            (NodeIdMap::identity(n), n)
-        }
-        DatasetFormat::Binary => {
-            // Recover the id table (skipped by the item stream) first, then
-            // stream the dense-id edge records.
-            let mut r = BufReader::new(File::open(path)?);
-            let header = read_binary_header(&mut r)?;
-            let n = checked_node_count(header.n)?;
-            let mut ids = NodeIdMap::new();
-            if header.has_id_table {
-                for _ in 0..n {
-                    let ext = read_u64(&mut r)?;
-                    if ids.get(ext).is_some() {
-                        return Err(invalid(format!("binary: duplicate external id {ext}")));
-                    }
-                    ids.intern(ext);
-                }
-            } else {
-                ids = NodeIdMap::identity(n);
-            }
-            drop(r);
-            stream_binary_items(path, &mut |item| {
-                if let StreamItem::Edge(u, v, w) = item {
-                    route(
-                        &mut shard_edges,
-                        NodeId::new(u as usize),
-                        NodeId::new(v as usize),
-                        w,
-                    );
-                }
-                Ok(())
-            })?;
-            (ids, n)
-        }
-    };
-    Ok(ShardedDataset {
-        ids,
-        num_nodes,
-        num_shards: part.num_shards(),
-        seed: part.seed(),
-        shard_edges,
-        cut_edges,
-    })
-}
-
 /// Writes a dataset to `path` in the given format (streaming, buffered).
 pub fn write_dataset(
     ds: &Dataset,
@@ -1152,7 +963,7 @@ pub fn stream_stats(
         let v = ids
             .try_intern(ext)
             .map_err(|e| invalid(e.to_string()))?
-            .to_usize();
+            .index();
         if v == degrees.len() {
             degrees.push(0.0);
         }
@@ -1760,90 +1571,5 @@ mod tests {
         );
         assert_eq!(nodes_directive("# NODES:42"), Some(42));
         assert_eq!(nodes_directive("# größe: 7"), None);
-    }
-
-    #[test]
-    fn wide_id_map_interns_past_the_narrow_api() {
-        let mut wide = NodeIdMap::<u64>::default();
-        assert_eq!(wide.try_intern(1 << 40), Ok(0u64));
-        assert_eq!(wide.try_intern(7), Ok(1u64));
-        assert_eq!(wide.try_intern(1 << 40), Ok(0u64));
-        assert_eq!(wide.get_idx(7), Some(1u64));
-        assert_eq!(wide.external_at(0u64), 1 << 40);
-        assert_eq!(wide.len(), 2);
-    }
-
-    fn check_sharded_matches_full(path: &Path, format: DatasetFormat, shards: usize) {
-        let full = read_dataset(path, format).unwrap();
-        let part = Partitioner::new(shards, 42);
-        let sharded = read_dataset_sharded(path, format, &part).unwrap();
-        assert_eq!(sharded.num_shards, shards);
-        assert_eq!(sharded.num_nodes, full.graph.num_nodes());
-        assert_eq!(sharded.ids.externals(), full.ids.externals());
-        // Every shard graph is exactly the full graph restricted to edges
-        // with an endpoint owned by that shard (cut edges on both sides).
-        for s in 0..shards {
-            let sg = sharded.shard_graph(s);
-            assert_eq!(sg.num_nodes(), full.graph.num_nodes());
-            let mut expected: Vec<(NodeId, NodeId, f64)> = full
-                .graph
-                .edges()
-                .filter(|&(u, v, _)| part.shard_of(u) == s || (u != v && part.shard_of(v) == s))
-                .collect();
-            let mut got: Vec<(NodeId, NodeId, f64)> = sg.edges().collect();
-            let key = |e: &(NodeId, NodeId, f64)| (e.0, e.1);
-            expected.sort_by_key(key);
-            got.sort_by_key(key);
-            assert_eq!(got, expected, "shard {s} of {shards}");
-        }
-        // Cut accounting: each cut edge appears in exactly two shard lists.
-        let routed: usize = sharded.edge_counts().iter().sum();
-        let distinct: usize = full.graph.edges().count();
-        // `edges()` merges parallel edges while `shard_edges` keeps the raw
-        // stream, so compare via the raw full-stream count instead when the
-        // file has parallel edges; the fixtures below do not.
-        assert_eq!(routed, distinct + sharded.cut_edges);
-    }
-
-    #[test]
-    fn sharded_edge_list_matches_full_read() {
-        let dir = test_dir("sharded-el");
-        let path = write_text(
-            &dir,
-            "g.edges",
-            "# nodes: 9\n100 200 1.5\n200 300 2.0\n300 100\n400 500\n100 400\n7 7 0.5\n",
-        );
-        for shards in [1, 2, 3, 4] {
-            check_sharded_matches_full(&path, DatasetFormat::EdgeList, shards);
-        }
-    }
-
-    #[test]
-    fn sharded_metis_matches_full_read() {
-        let dir = test_dir("sharded-metis");
-        let path = write_text(&dir, "g.metis", "5 4\n2 5\n1 3\n2 4\n3\n1\n");
-        for shards in [1, 2, 3] {
-            check_sharded_matches_full(&path, DatasetFormat::Metis, shards);
-        }
-    }
-
-    #[test]
-    fn sharded_binary_preserves_id_table() {
-        let dir = test_dir("sharded-bin");
-        let ds = Dataset::from_external_edges(
-            0,
-            vec![
-                (10, 20, 1.0),
-                (20, 30, 2.0),
-                (30, 40, 3.0),
-                (40, 10, 4.0),
-                (10, 10, 0.5),
-            ],
-        );
-        let path = dir.join("g.dkcb");
-        write_dataset(&ds, &path, DatasetFormat::Binary).unwrap();
-        for shards in [1, 2, 3] {
-            check_sharded_matches_full(&path, DatasetFormat::Binary, shards);
-        }
     }
 }

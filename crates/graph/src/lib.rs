@@ -22,12 +22,10 @@
 //!   ([`ingest::NodeIdMap`]), chunk-parallel edge-list parsing, METIS and
 //!   compact binary formats, and one-pass statistics — all in O(edges) memory.
 //! * [`properties`] — BFS, connected components, hop diameter, degree statistics.
-//! * [`idx`] — the sealed [`idx::Idx`] arc-index width trait (`u32`/`u64`)
-//!   parameterizing [`CsrGraph`] and [`ingest::NodeIdMap`], with a typed
-//!   overflow error replacing the old hard `u32::MAX` arc cap.
-//! * [`partition`] — the deterministic hash-based edge-cut
-//!   [`partition::Partitioner`] producing per-shard CSR slices and the
-//!   boundary-node tables behind sharded execution
+//! * [`idx`] — [`IdxOverflow`], the typed error for a graph past the `u32`
+//!   arc or node-id range of [`CsrGraph`] and [`ingest::NodeIdMap`].
+//! * [`partition`] — the deterministic hash-based node → shard
+//!   [`partition::Partitioner`] behind sharded execution
 //!   (`dkc_distsim::NetworkBuilder::shards`).
 //!
 //! All weights are non-negative `f64`. The *weighted degree* of a node is the sum
@@ -52,10 +50,10 @@ pub mod weighted;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use idx::{Idx, IdxOverflow};
+pub use idx::IdxOverflow;
 pub use ingest::{Dataset, DatasetFormat, NodeIdMap};
 pub use node::NodeId;
-pub use partition::{Partitioner, ShardPlan, ShardSlice};
+pub use partition::Partitioner;
 pub use weighted::WeightedGraph;
 
 /// Absolute/relative tolerance suitable for graph-weight arithmetic

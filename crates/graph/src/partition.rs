@@ -1,18 +1,12 @@
-//! Deterministic hash-based edge-cut partitioning.
+//! Deterministic hash-based node → shard assignment.
 //!
 //! A [`Partitioner`] assigns every node to one of `num_shards` shards by a
 //! pure splitmix64 hash of `(seed, node id)` — no iteration-order or RNG-state
-//! dependence, so the same `(seed, num_shards)` always yields the same plan on
-//! every machine. [`Partitioner::partition`] materializes a [`ShardPlan`]:
-//! per-shard CSR slices (each shard's owned nodes with their full neighbour
-//! lists, targets kept as global ids) plus the boundary-node table — the owned
-//! nodes with at least one *cut* arc (a neighbour owned by another shard).
-//! The sharded executor's per-round `BoundaryDelta` exchange is built from
-//! exactly this table: a round's sparse frontier ∩ boundary set is what a
-//! shard must ship to its peers.
+//! dependence, so the same `(seed, num_shards)` yields the same assignment on
+//! every machine. Sharded execution (`dkc_distsim::NetworkBuilder::shards`)
+//! materializes [`Partitioner::shard_of`] as its owner table and charges each
+//! round's copies between differently owned nodes as boundary frames.
 
-use crate::csr::CsrGraph;
-use crate::idx::Idx;
 use crate::node::NodeId;
 
 /// The splitmix64 finalizer: the one avalanche step behind every seeded hash
@@ -46,18 +40,6 @@ impl Partitioner {
         Partitioner { num_shards, seed }
     }
 
-    /// Number of shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// The hash seed.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The shard owning node `v` — a pure function of `(seed, v)`.
     #[inline]
     pub fn shard_of(&self, v: NodeId) -> usize {
@@ -66,239 +48,24 @@ impl Partitioner {
             .wrapping_add(0x9E37_79B9_7F4A_7C15);
         (splitmix64(x) % self.num_shards as u64) as usize
     }
-
-    /// Builds the full [`ShardPlan`] for `csr`.
-    pub fn partition<I: Idx>(&self, csr: &CsrGraph<I>) -> ShardPlan {
-        let n = csr.num_nodes();
-        let owner: Vec<u32> = (0..n)
-            .map(|i| self.shard_of(NodeId::new(i)) as u32)
-            .collect();
-        let mut shards: Vec<ShardSlice> = (0..self.num_shards)
-            .map(|_| ShardSlice {
-                nodes: Vec::new(),
-                offsets: vec![0],
-                targets: Vec::new(),
-                weights: Vec::new(),
-                boundary: Vec::new(),
-                internal_arcs: 0,
-                cut_arcs: 0,
-            })
-            .collect();
-        for v in csr.nodes() {
-            let s = owner[v.index()] as usize;
-            let slice = &mut shards[s];
-            slice.nodes.push(v);
-            let mut cut_here = false;
-            for (u, w) in csr.neighbors_with_weights(v) {
-                slice.targets.push(u);
-                slice.weights.push(w);
-                if owner[u.index()] == owner[v.index()] {
-                    slice.internal_arcs += 1;
-                } else {
-                    slice.cut_arcs += 1;
-                    cut_here = true;
-                }
-            }
-            slice.offsets.push(slice.targets.len());
-            if cut_here {
-                slice.boundary.push(v);
-            }
-        }
-        ShardPlan {
-            num_shards: self.num_shards,
-            seed: self.seed,
-            owner,
-            shards,
-        }
-    }
-}
-
-/// One shard's slice of the global CSR: the nodes it owns (ascending global
-/// ids) with their complete neighbour lists. Targets stay *global* ids — a cut
-/// arc's target lives on another shard and is resolved through the
-/// [`ShardPlan::owner`] table.
-#[derive(Clone, Debug)]
-pub struct ShardSlice {
-    /// Owned nodes, ascending global ids.
-    pub nodes: Vec<NodeId>,
-    /// Local CSR offsets over [`ShardSlice::nodes`] (`offsets.len() ==
-    /// nodes.len() + 1`).
-    pub offsets: Vec<usize>,
-    /// Neighbour ids (global), concatenated per owned node.
-    pub targets: Vec<NodeId>,
-    /// Weights aligned with [`ShardSlice::targets`].
-    pub weights: Vec<f64>,
-    /// Owned nodes with at least one cut arc, ascending global ids — the
-    /// nodes whose updates must be shipped to peer shards each round.
-    pub boundary: Vec<NodeId>,
-    /// Arcs whose target is owned by this same shard.
-    pub internal_arcs: usize,
-    /// Arcs whose target is owned by another shard.
-    pub cut_arcs: usize,
-}
-
-impl ShardSlice {
-    /// Number of owned nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Neighbour ids (global) of the `local`-th owned node.
-    #[inline]
-    pub fn neighbors(&self, local: usize) -> &[NodeId] {
-        &self.targets[self.offsets[local]..self.offsets[local + 1]]
-    }
-
-    /// Weights aligned with [`ShardSlice::neighbors`].
-    #[inline]
-    pub fn neighbor_weights(&self, local: usize) -> &[f64] {
-        &self.weights[self.offsets[local]..self.offsets[local + 1]]
-    }
-
-    /// Total arcs incident to this shard's nodes.
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.targets.len()
-    }
-}
-
-/// The complete, deterministic partition of a graph: the node → shard owner
-/// table plus every shard's [`ShardSlice`].
-#[derive(Clone, Debug)]
-pub struct ShardPlan {
-    /// Number of shards.
-    pub num_shards: usize,
-    /// The hash seed the plan was derived from.
-    pub seed: u64,
-    /// `owner[v]` is the shard owning node `v`.
-    pub owner: Vec<u32>,
-    /// Per-shard slices, indexed by shard id.
-    pub shards: Vec<ShardSlice>,
-}
-
-impl ShardPlan {
-    /// The shard owning node `v`.
-    #[inline]
-    pub fn shard_of(&self, v: NodeId) -> usize {
-        self.owner[v.index()] as usize
-    }
-
-    /// Per-shard owned-node counts — the load-balance vector reported by the
-    /// sharding experiment.
-    pub fn node_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.nodes.len()).collect()
-    }
-
-    /// Total cut arcs across all shards (each cut undirected edge contributes
-    /// one cut arc on each side).
-    pub fn total_cut_arcs(&self) -> usize {
-        self.shards.iter().map(|s| s.cut_arcs).sum()
-    }
-
-    /// Total boundary nodes across all shards.
-    pub fn total_boundary_nodes(&self) -> usize {
-        self.shards.iter().map(|s| s.boundary.len()).sum()
-    }
-
-    /// Dense per-node boundary flags: `true` iff the node has at least one
-    /// cut arc. Sized to the full node range.
-    pub fn boundary_flags(&self) -> Vec<bool> {
-        let mut flags = vec![false; self.owner.len()];
-        for s in &self.shards {
-            for &v in &s.boundary {
-                flags[v.index()] = true;
-            }
-        }
-        flags
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use crate::weighted::WeightedGraph;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn sample() -> CsrGraph {
-        let mut g = WeightedGraph::new(6);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 2.0);
-        g.add_edge(NodeId(2), NodeId(3), 3.0);
-        g.add_edge(NodeId(3), NodeId(4), 1.5);
-        g.add_edge(NodeId(4), NodeId(5), 2.5);
-        g.add_edge(NodeId(5), NodeId(0), 0.5);
-        g.add_edge(NodeId(0), NodeId(3), 1.0);
-        g.add_self_loop(NodeId(2), 0.5);
-        CsrGraph::from_graph(&g)
-    }
 
     #[test]
-    fn partition_is_deterministic() {
-        let csr = sample();
-        let a = Partitioner::new(3, 42).partition(&csr);
-        let b = Partitioner::new(3, 42).partition(&csr);
-        assert_eq!(a.owner, b.owner);
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(x.nodes, y.nodes);
-            assert_eq!(x.targets, y.targets);
-            assert_eq!(x.boundary, y.boundary);
-        }
-        let c = Partitioner::new(3, 43).partition(&csr);
-        // A different seed is allowed to (and on this graph does) move nodes.
-        assert_eq!(c.owner.len(), a.owner.len());
-    }
-
-    #[test]
-    fn slices_cover_every_arc_exactly_once() {
-        let g = generators::barabasi_albert(60, 3, &mut StdRng::seed_from_u64(7));
-        let csr = CsrGraph::from_graph(&g);
-        for shards in [1usize, 2, 3, 5, 8] {
-            let plan = Partitioner::new(shards, 99).partition(&csr);
-            assert_eq!(plan.node_counts().iter().sum::<usize>(), csr.num_nodes());
-            let total_arcs: usize = plan.shards.iter().map(|s| s.num_arcs()).sum();
-            assert_eq!(total_arcs, csr.num_arcs());
-            let internal: usize = plan.shards.iter().map(|s| s.internal_arcs).sum();
-            assert_eq!(internal + plan.total_cut_arcs(), csr.num_arcs());
-            for (sid, slice) in plan.shards.iter().enumerate() {
-                assert!(slice.nodes.windows(2).all(|w| w[0] < w[1]));
-                assert!(slice.boundary.windows(2).all(|w| w[0] < w[1]));
-                for (local, &v) in slice.nodes.iter().enumerate() {
-                    assert_eq!(plan.shard_of(v), sid);
-                    assert_eq!(slice.neighbors(local), csr.neighbors(v));
-                    assert_eq!(slice.neighbor_weights(local), csr.neighbor_weights(v));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_table_matches_cut_arcs() {
-        let g = generators::barabasi_albert(40, 2, &mut StdRng::seed_from_u64(3));
-        let csr = CsrGraph::from_graph(&g);
-        let plan = Partitioner::new(4, 7).partition(&csr);
-        let flags = plan.boundary_flags();
-        for v in csr.nodes() {
-            let has_cut = csr
-                .neighbors(v)
-                .iter()
-                .any(|&u| plan.shard_of(u) != plan.shard_of(v));
-            assert_eq!(flags[v.index()], has_cut, "boundary flag of {v}");
-            let slice = &plan.shards[plan.shard_of(v)];
-            assert_eq!(slice.boundary.binary_search(&v).is_ok(), has_cut);
-        }
-    }
-
-    #[test]
-    fn single_shard_has_no_boundary() {
-        let csr = sample();
-        let plan = Partitioner::new(1, 1234).partition(&csr);
-        assert!(plan.owner.iter().all(|&o| o == 0));
-        assert_eq!(plan.total_cut_arcs(), 0);
-        assert_eq!(plan.total_boundary_nodes(), 0);
-        assert_eq!(plan.shards[0].internal_arcs, csr.num_arcs());
+    fn shard_of_is_deterministic_and_in_range() {
+        let nodes = || (0..200).map(NodeId::new);
+        let owners = |part: Partitioner| nodes().map(|v| part.shard_of(v)).collect::<Vec<_>>();
+        let a = owners(Partitioner::new(3, 42));
+        assert_eq!(a, owners(Partitioner::new(3, 42)));
+        assert!(a.iter().all(|&s| s < 3));
+        // Every shard gets nodes, and a different seed moves some of them.
+        assert!((0..3).all(|s| a.contains(&s)));
+        assert_ne!(a, owners(Partitioner::new(3, 43)));
+        // One shard owns everything.
+        assert!(owners(Partitioner::new(1, 1234)).iter().all(|&s| s == 0));
     }
 
     #[test]
