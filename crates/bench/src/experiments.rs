@@ -48,10 +48,10 @@ fn default_mode() -> ExecutionMode {
     *DEFAULT_MODE.get().unwrap_or(&ExecutionMode::Parallel)
 }
 
-/// Runs compact elimination as `spec` says; experiments never checkpoint, so
-/// the run cannot fail.
+/// Runs compact elimination as `spec` says; experiments never checkpoint and
+/// ask for a legal T, so the run cannot fail.
 fn eliminate(g: &dkc_graph::WeightedGraph, spec: RunSpec) -> CompactOutcome {
-    run_compact_elimination(g, &spec).expect("a run without checkpoints cannot fail")
+    run_compact_elimination(g, &spec).expect("a legal T and no checkpoint")
 }
 
 /// The result of one experiment: the rendered table plus the structured

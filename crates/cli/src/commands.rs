@@ -463,7 +463,7 @@ fn orientation(parsed: &Parsed) -> Result<String, String> {
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
     let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
-    let approx = approximate_orientation_with_rounds(g, rounds, ExecutionMode::Parallel);
+    let approx = approximate_orientation_with_rounds(g, rounds, ExecutionMode::SparseParallel);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -492,7 +492,9 @@ fn densest(parsed: &Parsed) -> Result<String, String> {
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
     let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
-    let result = weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::Parallel);
+    // Phases that are not delta-driven fall back to dense (see
+    // `ExecutionMode::dense`).
+    let result = weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::SparseParallel);
     let mut out = String::new();
     let _ = writeln!(
         out,

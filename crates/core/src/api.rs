@@ -98,13 +98,17 @@ impl CorenessApproximation {
 /// factor `2(1+ε)` using `⌈log_{1+ε} n⌉` rounds (Theorem I.1). For any other
 /// round budget, threshold set, fault plan, sharding or checkpointing, build a
 /// [`RunSpec`] and call [`run_compact_elimination`].
+///
+/// # Panics
+///
+/// Panics if ε is so small that the round count exceeds [`MAX_ROUNDS`].
 pub fn approximate_coreness(
     g: &WeightedGraph,
     epsilon: f64,
     mode: ExecutionMode,
 ) -> CorenessApproximation {
     let spec = RunSpec::new(rounds_for_epsilon(g.num_nodes(), epsilon)).mode(mode);
-    let outcome = run_compact_elimination(g, &spec).expect("a run without checkpoints cannot fail");
+    let outcome = run_compact_elimination(g, &spec).unwrap_or_else(|e| panic!("{e}"));
     CorenessApproximation::new(g.num_nodes(), spec.threshold_set, outcome)
 }
 
@@ -138,13 +142,17 @@ pub fn approximate_orientation(
 }
 
 /// Same as [`approximate_orientation`] with an explicit round budget.
+///
+/// # Panics
+///
+/// Panics if `rounds` is outside `1..=`[`MAX_ROUNDS`].
 pub fn approximate_orientation_with_rounds(
     g: &WeightedGraph,
     rounds: usize,
     mode: ExecutionMode,
 ) -> OrientationApproximation {
     let outcome = run_compact_elimination(g, &RunSpec::new(rounds).mode(mode))
-        .expect("a run without checkpoints cannot fail");
+        .unwrap_or_else(|e| panic!("{e}"));
     let OrientationResult {
         assignment,
         loads,

@@ -252,7 +252,7 @@ pub fn resume_compact_elimination(
         shard_seed: pre.shard_seed,
         checkpoint: cfg.cloned(),
     };
-    let (outcome, resumed_from) = execute(&csr, &spec, Some((preamble_bytes, state)))?;
+    let (outcome, resumed_from) = execute(csr, &spec, Some((preamble_bytes, state)))?;
     Ok(ResumedRun {
         outcome,
         resumed_from,

@@ -30,6 +30,7 @@
 //! the active frontier; the dense modes remain available for A/B comparison
 //! and are result-identical.
 
+use crate::api::{checked_rounds, RoundsOutOfRange};
 use crate::checkpoint::{CheckpointConfig, RunPreamble};
 use crate::threshold::ThresholdSet;
 use crate::update::{suffix_scan, UpdateOrder};
@@ -41,6 +42,7 @@ use dkc_distsim::{
 };
 use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
 use serde::ser::Serialize;
+use std::fmt;
 
 /// Structure-of-arrays storage for every node's elimination state, indexed
 /// by CSR arc offset (arc slabs) and by node (node slabs).
@@ -116,9 +118,12 @@ impl CompactArena {
     }
 
     /// Carves the arena into one [`CompactNode`] program per node — disjoint
-    /// mutable slices of the slabs, suitable for [`Network::from_parts`]. The
-    /// arena is mutably borrowed for as long as the programs live; drop them
-    /// (e.g. via [`Network::into_parts`]) before reading results.
+    /// mutable slices of the slabs, for
+    /// [`NetworkBuilder::build_from_parts`], which keeps this vector as the
+    /// network's program array. Each program is a bundle of slice handles
+    /// (120 B) over the arena, not a copy of its state. The arena is
+    /// mutably borrowed for as long as the programs live; drop them (e.g.
+    /// via [`Network::into_parts`]) before reading results.
     pub fn programs(&mut self) -> Vec<CompactNode<'_>> {
         let n = self.b.len();
         let mut out = Vec::with_capacity(n);
@@ -518,8 +523,44 @@ impl RunSpec {
     }
 }
 
-/// Runs Algorithm 2 on `g` as `spec` says. Only checkpoint writing can fail,
-/// so without [`RunSpec::checkpoint`] the result is always `Ok`.
+/// Why [`run_compact_elimination`] returned no outcome.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RunError {
+    /// [`RunSpec::rounds`] is outside `1..=`[`crate::checkpoint::MAX_ROUNDS`]:
+    /// the run keeps one `RoundStats` per round, so the bound keeps its
+    /// history bounded. Nothing was built.
+    Rounds(RoundsOutOfRange),
+    /// Writing a checkpoint failed.
+    Checkpoint(CheckpointError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Rounds(e) => e.fmt(f),
+            RunError::Checkpoint(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<RoundsOutOfRange> for RunError {
+    fn from(e: RoundsOutOfRange) -> Self {
+        RunError::Rounds(e)
+    }
+}
+
+impl From<CheckpointError> for RunError {
+    fn from(e: CheckpointError) -> Self {
+        RunError::Checkpoint(e)
+    }
+}
+
+/// Runs Algorithm 2 on `g` as `spec` says. A round count outside
+/// `1..=`[`crate::checkpoint::MAX_ROUNDS`] is rejected before anything is
+/// built; past that, only checkpoint writing can fail, so a run with a legal
+/// T and without [`RunSpec::checkpoint`] always returns `Ok`.
 ///
 /// **Faults.** Dropped messages leave the receiver's cached neighbour value
 /// at its previous (higher) level, so the computed surviving numbers can only
@@ -545,22 +586,23 @@ impl RunSpec {
 pub fn run_compact_elimination(
     g: &WeightedGraph,
     spec: &RunSpec,
-) -> Result<CompactOutcome, CheckpointError> {
-    let csr = CsrGraph::from_graph(g);
-    Ok(execute(&csr, spec, None)?.0)
+) -> Result<CompactOutcome, RunError> {
+    checked_rounds(spec.rounds)?;
+    Ok(execute(CsrGraph::from_graph(g), spec, None)?.0)
 }
 
-/// Builds the arena and network for `spec` over `csr`, restores a
-/// checkpoint's `(preamble, executor state)` if one is given, and runs on to
-/// round `spec.rounds`. Returns the outcome and the round execution started
-/// from (0 for a fresh run). [`run_compact_elimination`] and
+/// Builds the arena and network for `spec` over `csr`, which becomes the
+/// network's topology, restores a checkpoint's `(preamble, executor state)`
+/// if one is given, and runs on to round `spec.rounds`. Returns the outcome
+/// and the round execution started from (0 for a fresh run).
+/// [`run_compact_elimination`] and
 /// [`crate::checkpoint::resume_compact_elimination`] both run through here.
 pub(crate) fn execute(
-    csr: &CsrGraph,
+    csr: CsrGraph,
     spec: &RunSpec,
     resume: Option<(&[u8], &[u8])>,
 ) -> Result<(CompactOutcome, usize), CheckpointError> {
-    let mut arena = CompactArena::new(csr, spec.threshold_set);
+    let mut arena = CompactArena::new(&csr, spec.threshold_set);
     let mut builder = NetworkBuilder::new()
         .faults(spec.faults)
         .shards(spec.shards)
@@ -569,17 +611,17 @@ pub(crate) fn execute(
     if let Some(mode) = spec.mode {
         builder = builder.mode(mode);
     }
-    let mut net = builder.build_from_parts(csr.clone(), arena.programs());
+    let mut net = builder.build_from_parts(csr, arena.programs());
     if let Some(cfg) = &spec.checkpoint {
         let preamble = match resume {
             Some((preamble, _)) => preamble.to_vec(),
-            None => RunPreamble::for_run(csr, spec).encode(),
+            None => RunPreamble::for_run(net.graph(), spec).encode(),
         };
         net.checkpoint_to(&cfg.path, preamble);
     }
     if let Some((_, state)) = resume {
         net.restore_state(state)?;
-        check_restored_surviving(&net, csr)?;
+        check_restored_surviving(&net)?;
     }
     let started_from = net.round();
     if started_from > spec.rounds {
@@ -589,10 +631,13 @@ pub(crate) fn execute(
         )));
     }
     net.run_with_checkpoints(spec.rounds - started_from)?;
-    let (_programs, metrics) = net.into_parts();
+    // The programs borrow the arena: drop them, and with them the
+    // network's scratch, before reading the results off the arena.
+    let (graph, programs, metrics) = net.into_graph_and_parts();
+    drop(programs);
     let outcome = CompactOutcome {
         surviving: arena.surviving().to_vec(),
-        in_neighbors: arena.in_neighbors(csr),
+        in_neighbors: arena.in_neighbors(&graph),
         rounds: spec.rounds,
         metrics,
     };
@@ -605,16 +650,13 @@ pub(crate) fn execute(
 /// (`last_update_round != 0`) and breaks this was not written by a run:
 /// resuming it would let a surviving number increase or hand out a wrong
 /// orientation, so it is rejected here.
-fn check_restored_surviving(
-    net: &Network<CompactNode<'_>>,
-    csr: &CsrGraph,
-) -> Result<(), CheckpointError> {
-    for v in csr.nodes() {
+fn check_restored_surviving(net: &Network<CompactNode<'_>>) -> Result<(), CheckpointError> {
+    for v in net.graph().nodes() {
         let node = net.program(v);
         if *node.last_update_round == 0 {
             continue;
         }
-        let (b, include_from) = node.recompute(&NodeContext::new(csr, v, net.round()));
+        let (b, include_from) = node.recompute(&NodeContext::new(net.graph(), v, net.round()));
         if b != *node.b {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpointed surviving number of node {v} disagrees with its neighbour values"
@@ -1003,6 +1045,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A library caller's T is bounded like the CLI's and a checkpoint's:
+    /// one past `MAX_ROUNDS` is a typed error before anything runs (instead
+    /// of a round history that grows with T), and `MAX_ROUNDS` itself runs.
+    #[test]
+    fn round_count_is_capped_at_max_rounds() {
+        use crate::api::RoundsOutOfRange;
+        use crate::checkpoint::MAX_ROUNDS;
+        let g = path_graph(4);
+        let cap = MAX_ROUNDS as usize;
+        for rounds in [0, cap + 1] {
+            assert_eq!(
+                run_compact_elimination(&g, &RunSpec::new(rounds)).unwrap_err(),
+                RunError::Rounds(RoundsOutOfRange { rounds })
+            );
+        }
+        let outcome = run(&g, RunSpec::new(cap));
+        assert_eq!(outcome.metrics.num_rounds(), cap);
+        assert_eq!(outcome.surviving, vec![1.0; 4]);
     }
 
     #[test]

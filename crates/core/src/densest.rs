@@ -351,6 +351,10 @@ pub fn weak_densest_subsets(
 
 /// Same as [`weak_densest_subsets`] but with an explicit per-phase round count
 /// `T` (the approximation guarantee is then `2·n^{1/T}`).
+///
+/// # Panics
+///
+/// Panics if `rounds` is outside `1..=`[`crate::checkpoint::MAX_ROUNDS`].
 pub fn weak_densest_subsets_with_rounds(
     g: &WeightedGraph,
     rounds: usize,
@@ -358,7 +362,7 @@ pub fn weak_densest_subsets_with_rounds(
 ) -> WeakDensestResult {
     // Phase 1: approximate the maximal densities.
     let compact = run_compact_elimination(g, &RunSpec::new(rounds).mode(mode))
-        .expect("a run without checkpoints cannot fail");
+        .unwrap_or_else(|e| panic!("{e}"));
     // Phase 2: leader election / BFS forest.
     let forest = run_bfs_construction(g, &compact.surviving, rounds, mode);
     // Phase 3: per-tree elimination with history.

@@ -66,7 +66,9 @@ pub use api::{
 pub use checkpoint::{
     graph_fingerprint, resume_compact_elimination, CheckpointConfig, ResumedRun, RunPreamble,
 };
-pub use compact::{run_compact_elimination, CompactOutcome, RunSpec, ShardedCompactArena};
+pub use compact::{
+    run_compact_elimination, CompactOutcome, RunError, RunSpec, ShardedCompactArena,
+};
 pub use densest::{WeakCluster, WeakDensestResult};
 pub use ratio::ApproxRatio;
 pub use threshold::ThresholdSet;

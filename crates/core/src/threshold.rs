@@ -43,7 +43,7 @@ impl ThresholdSet {
     /// update).
     ///
     /// Grid members are computed by **integer-exponent repeated squaring**
-    /// ([`pow_int`]) rather than `ln`/`powf`: the transcendental path could
+    /// (`pow_int`) rather than `ln`/`powf`: the transcendental path could
     /// drift a hair *above* `x` (violating `round_down(x) ≤ x`) and produced
     /// values that were not fixed points of the rounding. With exact integer
     /// exponents and strict comparisons the result is always `≤ x` and

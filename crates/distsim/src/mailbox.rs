@@ -43,7 +43,7 @@
 
 use crate::message::Tamper;
 use crate::metrics::RoundStats;
-use crate::network::{produce_outgoing, Network, NodeCell};
+use crate::network::{produce_outgoing, Network};
 use crate::program::{Delivery, NodeProgram, Outgoing};
 use crate::wire::{decode_frame, encode_frame};
 use dkc_graph::{CsrGraph, NodeId};
@@ -124,7 +124,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         .unwrap_or_else(rayon::current_num_threads);
     let Network {
         graph,
-        cells,
+        programs,
         round,
         metrics,
         faults,
@@ -135,7 +135,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         ..
     } = net;
     let start_round = *round;
-    let n = cells.len();
+    let n = programs.len();
 
     if n == 0 {
         // Degenerate topology: rounds are empty barriers, identical to dense.
@@ -159,7 +159,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
     let graph: &CsrGraph = graph;
     let max_payload = *max_frame_bytes;
     let chunk = n.div_ceil(threads.clamp(1, n));
-    let shards: Vec<&mut [NodeCell<P>]> = cells.chunks_mut(chunk).collect();
+    let shards: Vec<&mut [P]> = programs.chunks_mut(chunk).collect();
     let num_shards = shards.len();
 
     let mut mailbox_txs: Vec<SyncSender<Packet>> = Vec::with_capacity(num_shards);
@@ -182,7 +182,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
     rayon::scope(|s| {
         let mut ctrl_iter = ctrl_rxs.into_iter();
         let mut rx_iter = mailbox_rxs.into_iter();
-        for (shard, shard_cells) in shards.into_iter().enumerate() {
+        for (shard, shard_programs) in shards.into_iter().enumerate() {
             let base = shard * chunk;
             let my_rx = rx_iter.next().expect("one mailbox per shard");
             let ctrl_rx = ctrl_iter.next().expect("one control channel per shard");
@@ -192,7 +192,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
                 shard_main::<P>(ShardArgs {
                     graph,
                     faults,
-                    cells: shard_cells,
+                    programs: shard_programs,
                     base,
                     chunk,
                     num_shards,
@@ -265,7 +265,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
 struct ShardArgs<'a, P: NodeProgram> {
     graph: &'a CsrGraph,
     faults: Option<crate::faults::FaultPlan>,
-    cells: &'a mut [NodeCell<P>],
+    programs: &'a mut [P],
     /// Global index of this shard's first node.
     base: usize,
     /// Shard width (last shard may be narrower).
@@ -284,7 +284,7 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
     let ShardArgs {
         graph,
         faults,
-        cells,
+        programs,
         base,
         chunk,
         num_shards,
@@ -301,6 +301,9 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
         .and_then(|f| f.byzantine)
         .filter(|b| b.fraction > 0.0);
     let mut faulters: Vec<u32> = Vec::new();
+    // The shard's nodes' inboxes, kept across the rounds of this call.
+    let mut inboxes: Vec<Vec<Delivery<P::Message>>> =
+        (0..programs.len()).map(|_| Vec::new()).collect();
     // Lazily allocated per-shard multicast dedup stamps (arc-indexed; this
     // shard only ever stamps its own senders' disjoint arc ranges).
     let mut stamps: Vec<u64> = Vec::new();
@@ -312,13 +315,13 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
         let mut partial = RoundStats::default();
 
         // Send phase: every local node broadcasts; frames go out per arc.
-        for li in 0..cells.len() {
+        for li in 0..programs.len() {
             let i = base + li;
             // Fresh inbox for this round's deliveries (dense clears at
             // receive time; all receive-side effects here happen after the
             // send loop, so clearing up front is equivalent).
-            cells[li].inbox.clear();
-            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, &mut cells[li]);
+            inboxes[li].clear();
+            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, &mut programs[li]);
             partial.merge(&acct.row());
 
             let sender = NodeId::new(i);
@@ -418,7 +421,7 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
         // arrived.
         let mut eor_seen = 0usize;
         let handle = |pkt: Packet,
-                      cells: &mut [NodeCell<P>],
+                      inboxes: &mut [Vec<Delivery<P::Message>>],
                       faulters: &mut Vec<u32>,
                       eor_seen: &mut usize| {
             match pkt {
@@ -429,15 +432,15 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
                     pos,
                     bytes,
                 } => {
-                    let cell = &mut cells[receiver as usize - base];
+                    let li = receiver as usize - base;
                     let v = NodeId::new(receiver as usize);
                     // Dense semantics: a halted or crashed receiver's copies
                     // count as delivered but are never seen by the program.
-                    if cell.program.halted() || faults.is_some_and(|f| f.crashed(r, v)) {
+                    if programs[li].halted() || faults.is_some_and(|f| f.crashed(r, v)) {
                         return;
                     }
                     match decode_frame::<P::Message>(&bytes, max_payload) {
-                        Ok(msg) => cell.inbox.push(Delivery {
+                        Ok(msg) => inboxes[li].push(Delivery {
                             sender: NodeId::new(sender as usize),
                             pos,
                             msg,
@@ -448,25 +451,23 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
             }
         };
         for pkt in pending.drain(..) {
-            handle(pkt, &mut *cells, &mut faulters, &mut eor_seen);
+            handle(pkt, &mut inboxes, &mut faulters, &mut eor_seen);
         }
         while eor_seen < num_shards {
             let pkt = my_rx.recv().expect("peer shard exited mid-round");
-            handle(pkt, &mut *cells, &mut faulters, &mut eor_seen);
+            handle(pkt, &mut inboxes, &mut faulters, &mut eor_seen);
         }
 
         // Step phase: every non-halted, non-crashed local node steps, its
         // inbox stable-sorted into dense delivery order (per-arc FIFO is
         // preserved by the channels, so equal positions keep batch order).
-        for li in 0..cells.len() {
+        for (li, (program, inbox)) in programs.iter_mut().zip(&mut inboxes).enumerate() {
             let v = NodeId::new(base + li);
-            let cell = &mut cells[li];
-            if cell.program.halted() || faults.is_some_and(|f| f.crashed(r, v)) {
+            if program.halted() || faults.is_some_and(|f| f.crashed(r, v)) {
                 continue;
             }
-            cell.inbox.sort_by_key(|d| d.pos);
+            inbox.sort_by_key(|d| d.pos);
             let ctx = crate::program::NodeContext::new(graph, v, r);
-            let NodeCell { program, inbox } = cell;
             partial.node_updates += 1;
             if program.receive(&ctx, inbox) {
                 partial.changed_nodes += 1;

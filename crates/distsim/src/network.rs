@@ -2,20 +2,32 @@
 //!
 //! ## Hot-path design
 //!
-//! `run_round` is the inner loop of every experiment, so the executor keeps
-//! all of its per-round scratch **allocated across rounds**:
+//! `run_round` is the inner loop of every experiment. The network keeps the
+//! programs it was built from in one `Vec<P>` and holds no inbox per node:
+//! a node only ever needs one round's copies, so each round hands them over
+//! from shared, reused buffers.
 //!
-//! * the outbox array (one `Outgoing` + accounting row per node) is refilled
-//!   in place via `collect_into_vec`,
-//! * every node's inbox is a persistent `Vec` that is cleared, not dropped,
-//! * multicast delivery is resolved through a stamp array indexed by CSR arc
+//! * The outbox array holds one `Outgoing` per node and is refilled in
+//!   place. A dense round collects every sender's accounting row into a
+//!   second array next to it (`unzip_into_vecs`); a sparse round folds each
+//!   frontier sender's row into the round's totals as it produces it.
+//! * A dense round, and a sparse pull round, gathers each node's copies into
+//!   a scratch inbox and steps the node at once. The inbox belongs to a
+//!   worker (`map_init`), so each round allocates one per worker, grown to
+//!   the largest inbox that worker gathers.
+//! * A sparse push round stages the frontier's copies in scatter order in
+//!   one flat buffer. A counting sort over the ascending touch list then
+//!   buckets them by receiver (stable, so each receiver keeps scatter
+//!   order), and every touched node steps on its own slice. The staging
+//!   buffers are reserved in round 1 for the `num_arcs / `[`PULL_DIVISOR`]
+//!   copies a push round puts on the wire.
+//! * Multicast delivery is resolved through a stamp array indexed by CSR arc
 //!   position (scattered once per round by the senders), replacing the
-//!   per-receiver `targets.contains(&v)` scan,
-//! * message accounting is folded into the parallel broadcast map instead of
-//!   a separate sequential pass over the outboxes.
+//!   per-receiver `targets.contains(&v)` scan.
 //!
-//! After a warm-up round the executor performs no outbox/inbox heap growth
-//! (see [`Network::buffer_stats`] and the `buffer_reuse` test).
+//! [`Network::buffer_stats`] reports every persistent scratch buffer: O(n)
+//! entries plus the push staging and, for multicasts, the arc stamps. After
+//! a warm-up round none of them grows (see the `buffer_reuse` tests).
 //!
 //! ## Dense vs sparse activation
 //!
@@ -36,9 +48,9 @@
 //! of Beamer, Asanović and Patterson, "Direction-Optimizing Breadth-First
 //! Search", SC 2012), chosen from the copies its frontier put on the wire:
 //!
-//! * a **push round** (at most `num_arcs / `[`PULL_DIVISOR`] copies) scatters
-//!   every frontier sender's copies into its receivers' inboxes, translating
-//!   arc positions through [`CsrGraph::reverse_arc`], and steps the touched
+//! * a **push round** (at most `num_arcs / `[`PULL_DIVISOR`] copies) stages
+//!   every frontier sender's copies for their receivers, translating arc
+//!   positions through [`CsrGraph::reverse_arc`], and steps the touched
 //!   nodes in ascending order — cost proportional to the frontier's arcs;
 //! * a **pull round** (more copies than that) runs the dense gather: every
 //!   live node collects from the neighbours whose outbox is non-silent this
@@ -143,21 +155,14 @@ impl ExecutionMode {
 
 /// A sparse round pulls when its frontier puts more than
 /// `num_arcs / PULL_DIVISOR` copies on the wire (delivered plus dropped),
-/// and pushes otherwise (see the module docs). A push costs a random inbox
-/// write per copy, a pull a sequential scan of every arc, so the break-even
+/// and pushes otherwise (see the module docs). A push costs a random write
+/// per copy, a pull a sequential scan of every arc, so the break-even
 /// frontier covers a fixed fraction of the arcs. Timing each round of three
 /// inputs both ways (a 100k-node BA graph with attach 4; a 500×500 grid with
 /// 2% loss and crashes; a weighted BA graph at ε = 2; 2-vCPU VM), choosing
 /// pull above `num_arcs/4` to `num_arcs/8` came within 2% of the per-round
 /// best, while `num_arcs/16` lost 10% on BA.
 pub const PULL_DIVISOR: usize = 8;
-
-/// A program bundled with its persistent inbox so the receive phase can run
-/// `par_iter_mut` over one slice while reading the shared outbox snapshot.
-pub(crate) struct NodeCell<P: NodeProgram> {
-    pub(crate) program: P,
-    pub(crate) inbox: Vec<Delivery<P::Message>>,
-}
 
 /// Per-sender accounting row produced by the broadcast phase (post-fault:
 /// only delivered copies are counted in the message/bit totals; dropped
@@ -266,15 +271,16 @@ struct StepResult {
     changed: bool,
 }
 
-/// Capacities of the executor's persistent scratch buffers. Two snapshots
-/// taken after warm-up must be equal if the hot path is allocation-free; the
-/// buffer-reuse test pins exactly that.
+/// Capacities of the executor's persistent scratch buffers, in entries. Two
+/// snapshots taken after warm-up must be equal if the hot path is
+/// allocation-free; the buffer-reuse tests pin exactly that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecutorBufferStats {
-    /// Capacity of the outbox array (slots, one per node).
+    /// Capacity of the outbox array (one `Outgoing` per node).
     pub outbox_capacity: usize,
-    /// Summed capacity of all per-node inboxes.
-    pub inbox_capacity_total: usize,
+    /// Capacity of the dense rounds' per-sender accounting array (0 under
+    /// sparse modes, which fold each row into the round's totals).
+    pub account_capacity: usize,
     /// Capacity of the step-result array.
     pub changed_capacity: usize,
     /// Length of the arc-indexed multicast stamp array (0 until the first
@@ -283,6 +289,30 @@ pub struct ExecutorBufferStats {
     /// Summed capacity of the sparse executor's frontier / touch / resend
     /// worklists (0 under dense modes).
     pub frontier_capacity_total: usize,
+    /// Length of the sparse executor's per-node push-bucket array (0 under
+    /// dense modes).
+    pub bucket_slots: usize,
+    /// Summed capacity of the push rounds' staging buffers: the copies and
+    /// their receivers (0 under dense modes).
+    pub staged_capacity_total: usize,
+    /// Summed capacity of a sharded network's owner table, per-pair record
+    /// buffers and sender scratch (0 unsharded). The record buffers hold
+    /// one round's cross-shard copies.
+    pub boundary_capacity_total: usize,
+}
+
+impl ExecutorBufferStats {
+    /// Every buffer's entries, summed.
+    pub fn total(&self) -> usize {
+        self.outbox_capacity
+            + self.account_capacity
+            + self.changed_capacity
+            + self.multicast_stamp_slots
+            + self.frontier_capacity_total
+            + self.bucket_slots
+            + self.staged_capacity_total
+            + self.boundary_capacity_total
+    }
 }
 
 /// State of a sharded network ([`NetworkBuilder::shards`]): the
@@ -308,7 +338,9 @@ struct ShardState<M> {
 /// node.
 pub struct Network<P: NodeProgram> {
     pub(crate) graph: CsrGraph,
-    pub(crate) cells: Vec<NodeCell<P>>,
+    /// One program per node, in node order: the vector the network was
+    /// built from.
+    pub(crate) programs: Vec<P>,
     pub(crate) round: usize,
     pub(crate) metrics: RunMetrics,
     mode: ExecutionMode,
@@ -330,7 +362,9 @@ pub struct Network<P: NodeProgram> {
     /// failure happens. Indexed by node.
     pub(crate) decode_faults: Vec<u32>,
     // Persistent per-round scratch (see module docs).
-    outboxes: Vec<(Outgoing<P::Message>, SendAccount)>,
+    outboxes: Vec<Outgoing<P::Message>>,
+    /// A dense round's per-sender accounting rows, aligned with `outboxes`.
+    accounts: Vec<SendAccount>,
     step_results: Vec<StepResult>,
     /// `multicast_stamps[arc] == round` ⇔ the arc's **source** node listed the
     /// arc's destination as a multicast target this round. Senders stamp their
@@ -345,10 +379,16 @@ pub struct Network<P: NodeProgram> {
     frontier: Vec<u32>,
     /// Next round's frontier, built during the receive phase.
     next_frontier: Vec<u32>,
-    /// Nodes that received at least one message this round.
+    /// The live nodes a push round delivers to (all of them in round 1):
+    /// the nodes that step. Ascending once the scatter is done.
     touch_list: Vec<u32>,
-    /// `touched_stamp[v] == round` ⇔ v is in `touch_list` this round.
-    touched_stamp: Vec<u64>,
+    /// Per node: [`UNTOUCHED`] outside a push round. Within one, a touched
+    /// node's count of staged copies, then the end of its slice of `staged`.
+    bucket: Vec<u32>,
+    /// A push round's copies: in scatter order, then bucketed by receiver.
+    staged: Vec<Delivery<P::Message>>,
+    /// The receiver of each staged copy, then its index in bucketed order.
+    staged_to: Vec<u32>,
     /// Frontier senders with loss-dropped copies (they re-send next round).
     resend: Vec<u32>,
     /// Shard partition + boundary-frame buffers; `Some` ⇔ the network
@@ -365,6 +405,9 @@ pub struct Network<P: NodeProgram> {
     /// [`Network::checkpoint_to`]); `None` disables checkpoint writing.
     checkpoint_sink: Option<(PathBuf, Vec<u8>)>,
 }
+
+/// [`Network::bucket`] of a node that no push copy has reached this round.
+const UNTOUCHED: u32 = u32::MAX;
 
 /// Measures one message's on-the-wire frame size in bits, flagging (in debug
 /// builds) any message whose `MessageSize` estimate undercounts its encoding.
@@ -384,16 +427,16 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
     faults: Option<FaultPlan>,
     round: usize,
     i: usize,
-    cell: &mut NodeCell<P>,
+    program: &mut P,
 ) -> (Outgoing<P::Message>, SendAccount) {
     let sender = NodeId::new(i);
-    if cell.program.halted()
+    if program.halted()
         || faults.is_some_and(|f| f.crashed(round, sender) || f.quarantined(round, sender))
     {
         return (Outgoing::Silent, SendAccount::default());
     }
     let ctx = NodeContext::new(graph, sender, round);
-    let out = cell.program.broadcast(&ctx);
+    let out = program.broadcast(&ctx);
     let mut acct = SendAccount::default();
     // An active byzantine spammer transmits every outgoing frame `spam` times;
     // the duplicates share the original's drop decision, so both the
@@ -489,13 +532,13 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
 /// stamp array is allocated on the first non-empty multicast.
 fn stamp_multicasts<M>(
     graph: &CsrGraph,
-    outboxes: &[(Outgoing<M>, SendAccount)],
+    outboxes: &[Outgoing<M>],
     stamps: &mut Vec<u64>,
     senders: impl Iterator<Item = usize>,
     round: usize,
 ) {
     for i in senders {
-        let Outgoing::Multicast(_, targets) = &outboxes[i].0 else {
+        let Outgoing::Multicast(_, targets) = &outboxes[i] else {
             continue;
         };
         if targets.is_empty() {
@@ -628,11 +671,11 @@ impl<'a> RoundCopies<'a> {
 }
 
 /// The receive half of a dense round and of a sparse pull round: a live node
-/// collects the copies its neighbours' outboxes address to it, in its
-/// neighbour-list order, then steps.
+/// collects the copies its neighbours' outboxes address to it into a scratch
+/// inbox, in its neighbour-list order, then steps.
 struct Gather<'a, M> {
     graph: &'a CsrGraph,
-    outboxes: &'a [(Outgoing<M>, SendAccount)],
+    outboxes: &'a [Outgoing<M>],
     /// The round's multicast arc stamps (see [`stamp_multicasts`]).
     stamps: &'a [u64],
     faults: Option<FaultPlan>,
@@ -649,7 +692,7 @@ struct Gather<'a, M> {
 impl<'a, M: Clone + Tamper> Gather<'a, M> {
     fn new(
         graph: &'a CsrGraph,
-        outboxes: &'a [(Outgoing<M>, SendAccount)],
+        outboxes: &'a [Outgoing<M>],
         stamps: &'a [u64],
         faults: Option<FaultPlan>,
         round: usize,
@@ -667,13 +710,18 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
         }
     }
 
-    /// Fills node `i`'s inbox and runs its step. A halted or crashed node
-    /// neither receives nor steps.
-    fn receive<P: NodeProgram<Message = M>>(&self, i: usize, cell: &mut NodeCell<P>) -> StepResult {
+    /// Gathers node `i`'s copies into `inbox` (cleared first) and runs its
+    /// step. A halted or crashed node neither receives nor steps.
+    fn receive<P: NodeProgram<Message = M>>(
+        &self,
+        i: usize,
+        program: &mut P,
+        inbox: &mut Vec<Delivery<M>>,
+    ) -> StepResult {
         let (graph, round) = (self.graph, self.round);
         let round_stamp = round as u64;
         let v = NodeId::new(i);
-        if cell.program.halted() || self.faults.is_some_and(|f| f.crashed(round, v)) {
+        if program.halted() || self.faults.is_some_and(|f| f.crashed(round, v)) {
             return StepResult::default();
         }
         let dropped = |from: NodeId, idx: usize| -> bool {
@@ -681,7 +729,7 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
                 .is_some_and(|f| f.drops(round, from, v, idx))
         };
         let arc_base = graph.arc_offset(v);
-        cell.inbox.clear();
+        inbox.clear();
         for (q, &u) in graph.neighbors(v).iter().enumerate() {
             // Byzantine lie/equivocate corruption and spam duplication are
             // applied receiver-side here (the outbox holds the sender's true
@@ -710,11 +758,11 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
                     msg,
                 });
             };
-            match &self.outboxes[u.index()].0 {
+            match &self.outboxes[u.index()] {
                 Outgoing::Silent => {}
                 Outgoing::Broadcast(m) => {
                     if !dropped(u, 0) {
-                        deliver(&mut cell.inbox, m);
+                        deliver(inbox, m);
                     }
                 }
                 Outgoing::Multicast(m, targets) => {
@@ -727,7 +775,7 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
                         && self.stamps[graph.reverse_arc(arc_base + q)] == round_stamp
                         && !dropped(u, 0)
                     {
-                        deliver(&mut cell.inbox, m);
+                        deliver(inbox, m);
                     }
                 }
                 Outgoing::Unicast(msgs) => {
@@ -735,17 +783,16 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
                     // (mirrors the sender-side accounting).
                     for (idx, (target, m)) in msgs.iter().enumerate() {
                         if *target == v && !dropped(u, idx) {
-                            deliver(&mut cell.inbox, m);
+                            deliver(inbox, m);
                         }
                     }
                 }
             }
         }
-        if cell.inbox.is_empty() && !self.step_empty {
+        if inbox.is_empty() && !self.step_empty {
             return StepResult::default();
         }
         let ctx = NodeContext::new(graph, v, round);
-        let NodeCell { program, inbox } = cell;
         StepResult {
             ran: true,
             changed: program.receive(&ctx, inbox),
@@ -963,16 +1010,9 @@ impl<P: NodeProgram> Network<P> {
             "sparse execution modes require a delta-driven program \
              (see NodeProgram::DELTA_DRIVEN)"
         );
-        let cells = programs
-            .into_iter()
-            .map(|program| NodeCell {
-                program,
-                inbox: Vec::new(),
-            })
-            .collect();
         Network {
             graph,
-            cells,
+            programs,
             round: 0,
             metrics: RunMetrics::new(),
             mode,
@@ -983,12 +1023,15 @@ impl<P: NodeProgram> Network<P> {
             max_frame_bytes: NetworkBuilder::DEFAULT_MAX_FRAME_BYTES,
             decode_faults: Vec::new(),
             outboxes: Vec::new(),
+            accounts: Vec::new(),
             step_results: Vec::new(),
             multicast_stamps: Vec::new(),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
             touch_list: Vec::new(),
-            touched_stamp: Vec::new(),
+            bucket: Vec::new(),
+            staged: Vec::new(),
+            staged_to: Vec::new(),
             resend: Vec::new(),
             shard: None,
             #[cfg(test)]
@@ -1032,7 +1075,7 @@ impl<P: NodeProgram> Network<P> {
             self.faults = None;
             self.schedules = Schedules::default();
         } else {
-            self.schedules = Schedules::for_plan(&plan, self.cells.len());
+            self.schedules = Schedules::for_plan(&plan, self.programs.len());
             self.faults = Some(plan);
         }
     }
@@ -1069,28 +1112,41 @@ impl<P: NodeProgram> Network<P> {
 
     /// The program of one node.
     pub fn program(&self, v: NodeId) -> &P {
-        &self.cells[v.index()].program
+        &self.programs[v.index()]
     }
 
     /// Capacities of the executor's persistent scratch buffers (diagnostic;
-    /// see the buffer-reuse acceptance test).
+    /// see the buffer-reuse acceptance tests).
     pub fn buffer_stats(&self) -> ExecutorBufferStats {
         ExecutorBufferStats {
             outbox_capacity: self.outboxes.capacity(),
-            inbox_capacity_total: self.cells.iter().map(|c| c.inbox.capacity()).sum(),
+            account_capacity: self.accounts.capacity(),
             changed_capacity: self.step_results.capacity(),
             multicast_stamp_slots: self.multicast_stamps.len(),
             frontier_capacity_total: self.frontier.capacity()
                 + self.next_frontier.capacity()
                 + self.touch_list.capacity()
                 + self.resend.capacity(),
+            bucket_slots: self.bucket.len(),
+            staged_capacity_total: self.staged.capacity() + self.staged_to.capacity(),
+            boundary_capacity_total: self.shard.as_ref().map_or(0, |st| {
+                st.owner.capacity()
+                    + st.pair_bufs.iter().map(Vec::capacity).sum::<usize>()
+                    + st.senders_scratch.capacity()
+            }),
         }
     }
 
     /// Consumes the network, returning the final per-node programs and metrics.
     pub fn into_parts(self) -> (Vec<P>, RunMetrics) {
-        let programs = self.cells.into_iter().map(|c| c.program).collect();
-        (programs, self.metrics)
+        (self.programs, self.metrics)
+    }
+
+    /// Consumes the network like [`Network::into_parts`], handing back its
+    /// topology as well. Every scratch buffer is freed by then, so results
+    /// read off the graph afterwards do not add to the run's peak memory.
+    pub fn into_graph_and_parts(self) -> (CsrGraph, Vec<P>, RunMetrics) {
+        (self.graph, self.programs, self.metrics)
     }
 
     /// Executes one synchronous round (broadcast phase, then receive phase) and
@@ -1126,28 +1182,31 @@ impl<P: NodeProgram> Network<P> {
         // The accounting (post-fault, see `produce_outgoing`) is computed in
         // the same map so no separate sequential pass over the outboxes is
         // needed afterwards.
+        let produce =
+            |(i, program): (usize, &mut P)| produce_outgoing(graph, faults, round, i, program);
         match self.mode {
             ExecutionMode::Parallel => self
-                .cells
+                .programs
                 .par_iter_mut()
                 .enumerate()
-                .map(|(i, cell)| produce_outgoing(graph, faults, round, i, cell))
-                .collect_into_vec(&mut self.outboxes),
+                .map(produce)
+                .unzip_into_vecs(&mut self.outboxes, &mut self.accounts),
             _ => {
+                let n = self.programs.len();
                 self.outboxes.clear();
-                self.outboxes.reserve(self.cells.len());
-                self.outboxes.extend(
-                    self.cells
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, cell)| produce_outgoing(graph, faults, round, i, cell)),
-                );
+                self.outboxes.reserve(n);
+                self.accounts.clear();
+                self.accounts.reserve(n);
+                for (out, acct) in self.programs.iter_mut().enumerate().map(produce) {
+                    self.outboxes.push(out);
+                    self.accounts.push(acct);
+                }
             }
         }
 
         // Reduce the per-sender accounting rows (cheap: plain integers).
         let mut stats = RoundStats::default();
-        for (_, acct) in &self.outboxes {
+        for acct in &self.accounts {
             stats.merge(&acct.row());
         }
 
@@ -1155,13 +1214,13 @@ impl<P: NodeProgram> Network<P> {
             &self.graph,
             &self.outboxes,
             &mut self.multicast_stamps,
-            0..self.cells.len(),
+            0..self.programs.len(),
             round,
         );
 
         // Phase 2: every (non-halted, non-crashed) node gathers the copies
         // addressed to it and steps. Delivery order guarantee (dense modes
-        // only): the inbox is ordered by the receiver's neighbour-list order,
+        // only): the inbox is in the receiver's neighbour-list order,
         // which node programs may rely on to merge messages with
         // per-neighbour state in linear time.
         self.gather_and_step(true);
@@ -1177,22 +1236,15 @@ impl<P: NodeProgram> Network<P> {
     /// execution.
     fn run_round_sparse(&mut self) -> RoundStats {
         let round = self.round;
-        let n = self.cells.len();
+        let n = self.programs.len();
 
         if round == 1 {
             // Every node runs its first step, so the initial frontier is the
-            // full (non-halted) node set. The touch list is sized for the
-            // widest push round up front, so no later round grows it.
-            self.touched_stamp = vec![0; n];
-            self.touch_list.reserve(n);
+            // full (non-halted) node set.
+            self.size_sparse_scratch();
             self.frontier.clear();
             self.frontier
-                .extend((0..n as u32).filter(|&i| !self.cells[i as usize].program.halted()));
-            if self.outboxes.len() != n {
-                self.outboxes.clear();
-                self.outboxes
-                    .resize(n, (Outgoing::Silent, SendAccount::default()));
-            }
+                .extend((0..n as u32).filter(|&i| !self.programs[i as usize].halted()));
         }
 
         // Byzantine lie/equivocate window boundaries re-activate the liars:
@@ -1218,8 +1270,7 @@ impl<P: NodeProgram> Network<P> {
                     ) {
                         continue;
                     }
-                    if self.cells[i].program.halted() || faults.is_some_and(|f| f.crashed(round, v))
-                    {
+                    if self.programs[i].halted() || faults.is_some_and(|f| f.crashed(round, v)) {
                         continue;
                     }
                     self.frontier.push(i as u32);
@@ -1246,9 +1297,9 @@ impl<P: NodeProgram> Network<P> {
         self.resend.clear();
         for idx in 0..self.frontier.len() {
             let u = self.frontier[idx] as usize;
-            let row = produce_outgoing(&self.graph, self.faults, round, u, &mut self.cells[u]);
-            let acct = row.1;
-            self.outboxes[u] = row;
+            let (out, acct) =
+                produce_outgoing(&self.graph, self.faults, round, u, &mut self.programs[u]);
+            self.outboxes[u] = out;
             stats.merge(&acct.row());
             if acct.any_dropped() {
                 self.resend.push(u as u32);
@@ -1272,7 +1323,7 @@ impl<P: NodeProgram> Network<P> {
         // A pull round reads every neighbour's outbox, so only the senders
         // of the round under way may hold a message: silence this round's.
         for &u in &self.frontier {
-            self.outboxes[u as usize].0 = Outgoing::Silent;
+            self.outboxes[u as usize] = Outgoing::Silent;
         }
         // Nodes that changed, plus re-senders, form the next frontier.
         self.next_frontier.extend_from_slice(&self.resend);
@@ -1308,7 +1359,7 @@ impl<P: NodeProgram> Network<P> {
             let sender = NodeId(u);
             let su = st.owner[u as usize] as usize;
             let spam = copies.spam(sender);
-            let outgoing = &self.outboxes[u as usize].0;
+            let outgoing = &self.outboxes[u as usize];
             copies.for_each(sender, outgoing, stamps, stamp, |q, v, m| {
                 let sv = st.owner[v.index()] as usize;
                 if su == sv {
@@ -1366,27 +1417,29 @@ impl<P: NodeProgram> Network<P> {
         stats.boundary_nodes = st.senders_scratch.len();
     }
 
-    /// A push round's delivery and steps: the frontier scatters its copies
-    /// into the receivers' inboxes, then the touched nodes step in ascending
-    /// order; those that change join the next frontier.
+    /// A push round's delivery and steps: the frontier's copies are staged
+    /// in scatter order, bucketed by receiver, and the touched nodes step on
+    /// their buckets in ascending order; those that change join the next
+    /// frontier.
     fn push(&mut self, stats: &mut RoundStats) {
         let round = self.round;
-        let round_stamp = round as u64;
-        let n = self.cells.len();
+        let n = self.programs.len();
 
-        // Phase 2: sender-side scatter into the receivers' inboxes. Each
-        // delivery translates the sender-side arc to the receiver-local
-        // position through `reverse_arc`, so receivers never rescan their
-        // adjacency lists. The first delivery of the round to a node clears
-        // its (stale) inbox and registers it in the touch list.
+        // Phase 2: sender-side scatter into the staging buffers. Each copy
+        // translates the sender-side arc to the receiver-local position
+        // through `reverse_arc`, so receivers never rescan their adjacency
+        // lists. A receiver's first copy of the round registers it in the
+        // touch list; its bucket counts the copies.
         {
             let Network {
                 graph,
-                cells,
+                programs,
                 outboxes,
                 multicast_stamps: stamps,
                 touch_list,
-                touched_stamp,
+                bucket,
+                staged,
+                staged_to,
                 frontier,
                 faults,
                 ..
@@ -1399,53 +1452,85 @@ impl<P: NodeProgram> Network<P> {
             // A crashed (or halted) node is never touched: it does not step,
             // mirroring the dense receive skip, so it stays out of the
             // frontier bookkeeping entirely.
-            let mut touch = |cells: &mut Vec<NodeCell<P>>, v: NodeId| -> bool {
-                let cell = &mut cells[v.index()];
-                if cell.program.halted() || faults.is_some_and(|f| f.crashed(round, v)) {
+            let mut touch = |v: NodeId, k: usize| -> bool {
+                if programs[v.index()].halted() || faults.is_some_and(|f| f.crashed(round, v)) {
                     return false;
                 }
-                if touched_stamp[v.index()] != round_stamp {
-                    touched_stamp[v.index()] = round_stamp;
-                    cell.inbox.clear();
+                let count = &mut bucket[v.index()];
+                if *count == UNTOUCHED {
+                    *count = 0;
                     touch_list.push(v.0);
                 }
+                *count += k as u32;
                 true
             };
             for &u in frontier.iter() {
                 let sender = NodeId(u);
                 let spam = copies.spam(sender);
-                let outgoing = &outboxes[u as usize].0;
-                copies.for_each(sender, outgoing, stamps, round_stamp, |q, v, m| {
-                    if !touch(cells, v) {
+                let outgoing = &outboxes[u as usize];
+                copies.for_each(sender, outgoing, stamps, round as u64, |q, v, m| {
+                    if !touch(v, spam) {
                         return;
                     }
                     let (pos, msg) = copies.received(sender, q, v, m);
                     let delivery = |msg| Delivery { sender, pos, msg };
-                    let inbox = &mut cells[v.index()].inbox;
                     for _ in 1..spam {
-                        inbox.push(delivery(msg.clone()));
+                        staged.push(delivery(msg.clone()));
                     }
-                    inbox.push(delivery(msg));
+                    staged.push(delivery(msg));
+                    staged_to.extend(std::iter::repeat_n(v.0, spam));
                 });
             }
             if round == 1 {
                 // Every node executes its first step even with an empty inbox
                 // (initialization transitions, e.g. ∞ → degree, happen here).
                 for i in 0..n {
-                    touch(cells, NodeId::new(i));
+                    touch(NodeId::new(i), 0);
                 }
             }
         }
+
+        // Counting sort of the staged copies by receiver: each touched
+        // node's count becomes the start of its bucket, each copy takes the
+        // next index of its receiver's bucket (so a bucket keeps scatter
+        // order), and a cycle walk swaps every copy to its index.
         self.touch_list.sort_unstable();
         stats.node_updates = self.touch_list.len();
+        let mut start = 0u32;
         for &v in &self.touch_list {
+            let count = std::mem::replace(&mut self.bucket[v as usize], start);
+            start += count;
+        }
+        for to in &mut self.staged_to {
+            let next = &mut self.bucket[*to as usize];
+            *to = *next;
+            *next += 1;
+        }
+        for k in 0..self.staged.len() {
+            loop {
+                let dest = self.staged_to[k] as usize;
+                if dest == k {
+                    break;
+                }
+                self.staged.swap(k, dest);
+                self.staged_to.swap(k, dest);
+            }
+        }
+
+        // Phase 3: every touched node steps on its bucket, which now ends
+        // where its count says.
+        let mut start = 0;
+        for &v in &self.touch_list {
+            let end = std::mem::replace(&mut self.bucket[v as usize], UNTOUCHED) as usize;
             let ctx = NodeContext::new(&self.graph, NodeId(v), round);
-            let NodeCell { program, inbox } = &mut self.cells[v as usize];
-            if program.receive(&ctx, inbox) {
+            if self.programs[v as usize].receive(&ctx, &self.staged[start..end]) {
                 stats.changed_nodes += 1;
                 self.next_frontier.push(v);
             }
+            start = end;
         }
+        self.staged.clear();
+        self.staged_to.clear();
     }
 
     /// A pull round's delivery and steps: every live node gathers from its
@@ -1471,7 +1556,8 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Runs [`Gather::receive`] for every node into `step_results`,
-    /// data-parallel under the parallel modes.
+    /// data-parallel under the parallel modes, with one scratch inbox per
+    /// worker.
     fn gather_and_step(&mut self, step_empty: bool) {
         let gather = Gather::new(
             &self.graph,
@@ -1481,21 +1567,40 @@ impl<P: NodeProgram> Network<P> {
             self.round,
             step_empty,
         );
+        let step =
+            |inbox: &mut Vec<_>, (i, program): (usize, &mut P)| gather.receive(i, program, inbox);
         if self.mode.is_parallel() {
-            self.cells
+            self.programs
                 .par_iter_mut()
                 .enumerate()
-                .map(|(i, cell)| gather.receive(i, cell))
+                .map_init(Vec::new, step)
                 .collect_into_vec(&mut self.step_results);
         } else {
+            let mut inbox = Vec::new();
             self.step_results.clear();
             self.step_results.extend(
-                self.cells
+                self.programs
                     .iter_mut()
                     .enumerate()
-                    .map(|(i, cell)| gather.receive(i, cell)),
+                    .map(|item| step(&mut inbox, item)),
             );
         }
+    }
+
+    /// Sizes the sparse executor's per-node state before its first round:
+    /// the outbox array, the push buckets, and the touch list and staging
+    /// buffers of the widest push round (`num_arcs / PULL_DIVISOR` copies),
+    /// so no later round grows them. Run at round 1 and on restore, since a
+    /// resumed run starts past round 1.
+    fn size_sparse_scratch(&mut self) {
+        let n = self.programs.len();
+        self.outboxes.clear();
+        self.outboxes.resize_with(n, || Outgoing::Silent);
+        self.bucket = vec![UNTOUCHED; n];
+        self.touch_list.reserve(n);
+        let widest_push = self.graph.num_arcs() / PULL_DIVISOR + 1;
+        self.staged.reserve(widest_push);
+        self.staged_to.reserve(widest_push);
     }
 
     /// Runs exactly `rounds` rounds.
@@ -1554,7 +1659,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     /// buffered bytes on after every node that fills the buffer.
     fn write_state(&self, s: &mut StateWriter<'_>) -> Result<(), CheckpointError> {
         let w = s.wire();
-        (self.cells.len() as u64).serialize(&mut *w)?;
+        (self.programs.len() as u64).serialize(&mut *w)?;
         (self.graph.num_arcs() as u64).serialize(&mut *w)?;
         self.faults.unwrap_or_default().serialize(&mut *w)?;
         self.mode.is_sparse().serialize(&mut *w)?;
@@ -1563,9 +1668,9 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
         self.decode_faults.serialize(&mut *w)?;
         (self.metrics.elapsed().as_nanos() as u64).serialize(&mut *w)?;
         self.metrics.rounds().serialize(&mut *w)?;
-        for cell in &self.cells {
+        for program in &self.programs {
             s.flush_if_full()?;
-            cell.program.save_state(s.wire())?;
+            program.save_state(s.wire())?;
         }
         Ok(())
     }
@@ -1583,7 +1688,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     pub fn restore_state(&mut self, state: &[u8]) -> Result<(), CheckpointError> {
         assert_eq!(self.round, 0, "restore requires a freshly built network");
         let mismatch = |msg: String| Err(CheckpointError::Mismatch(msg));
-        let n = self.cells.len();
+        let n = self.programs.len();
         let mut r = WireReader::new(state);
         let saved_n = r.read_u64()? as usize;
         if saved_n != n {
@@ -1631,8 +1736,8 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
         if rounds.iter().enumerate().any(|(i, s)| s.round != i + 1) {
             return mismatch("recorded round numbers are not 1..=rounds".to_string());
         }
-        for cell in &mut self.cells {
-            cell.program.load_state(&mut r)?;
+        for program in &mut self.programs {
+            program.load_state(&mut r)?;
         }
         if r.remaining() > 0 {
             return Err(CheckpointError::TrailingBytes {
@@ -1645,15 +1750,8 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
         self.decode_faults = decode_faults;
         if self.mode.is_sparse() && round > 0 {
             // A resumed sparse run never executes the round-1 initialization
-            // branch, so size its lazily allocated state here. Freshly zeroed
-            // stamp arrays are safe: stamps compare against the (nonzero)
-            // current round.
-            self.touched_stamp = vec![0; n];
-            if self.outboxes.len() != n {
-                self.outboxes.clear();
-                self.outboxes
-                    .resize(n, (Outgoing::Silent, SendAccount::default()));
-            }
+            // branch, so size its lazily allocated state here.
+            self.size_sparse_scratch();
         }
         Ok(())
     }
@@ -2175,6 +2273,58 @@ mod tests {
                 warm,
                 "steady-state sparse rounds must not grow executor buffers ({mode:?})"
             );
+        }
+    }
+
+    /// The executor keeps no inbox per node, so its scratch is O(n) entries
+    /// plus one push round's copies, however many arcs the graph has. A BA
+    /// flood under loss, crashes and a spam window takes push and pull
+    /// rounds; the staging buffers reserved in round 1 hold every push
+    /// round's copies without growing.
+    #[test]
+    fn scratch_is_nodes_plus_one_push_round() {
+        use dkc_graph::generators::barabasi_albert;
+        use rand::{rngs::StdRng, SeedableRng};
+        let g = barabasi_albert(600, 10, &mut StdRng::seed_from_u64(8));
+        let spam = ByzantineModel::new(0.3, Behavior::Spam.bit(), 3, 8, 17);
+        let plan = FaultPlan::from_loss(LossModel::new(0.002, 3))
+            .with_crash(CrashModel::new(0.05, 2, 12, 4))
+            .with_byzantine(spam);
+        for mode in [
+            ExecutionMode::SparseSequential,
+            ExecutionMode::SparseParallel,
+        ] {
+            let mut net = min_id_faulty(&g, mode, plan);
+            let (n, arcs) = (g.num_nodes(), net.graph().num_arcs());
+            let widest_push = arcs / PULL_DIVISOR;
+            net.run_round();
+            let reserved = net.buffer_stats().staged_capacity_total;
+            assert!(reserved >= 2 * (widest_push + 1), "{mode:?}");
+            let mut spammed_pushes = 0;
+            for _ in 2..=30 {
+                let stats = net.run_round();
+                let copies = stats.messages + stats.dropped();
+                if copies > 0 && copies <= widest_push && spam.active(stats.round) {
+                    spammed_pushes += 1;
+                }
+                let scratch = net.buffer_stats();
+                assert_eq!(
+                    scratch.staged_capacity_total, reserved,
+                    "{mode:?}: round {} outgrew the push staging",
+                    stats.round
+                );
+                // Outboxes, step results and buckets take n entries each,
+                // the four frontier worklists (a next frontier holds changed
+                // nodes plus re-senders) a few n together.
+                assert!(
+                    scratch.total() <= 10 * n + 2 * (widest_push + 1),
+                    "{mode:?} round {}: {scratch:?} for {n} nodes, {arcs} arcs",
+                    stats.round
+                );
+            }
+            assert!(spammed_pushes > 0, "{mode:?}: no push round under spam");
+            assert!(net.metrics().crashed_nodes() > 0);
+            assert!(net.metrics().totals().dropped_loss > 0);
         }
     }
 

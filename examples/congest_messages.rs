@@ -42,7 +42,7 @@ fn main() {
     }
     for (name, lambda_set) in configs {
         let spec = RunSpec::new(rounds).threshold_set(lambda_set);
-        let run = run_compact_elimination(&g, &spec).expect("no checkpoint, no I/O error");
+        let run = run_compact_elimination(&g, &spec).expect("a legal T and no checkpoint");
         let ratio = ApproxRatio::compute(&run.surviving, &exact_core);
         println!(
             " {:<17}| {:>12} | {:>11.1} | {:>9.3} | {:>10.3}",

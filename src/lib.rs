@@ -39,7 +39,7 @@
 //! // Any other round budget, threshold set, fault plan, shard partition or
 //! // checkpointing: describe the run as a `RunSpec`.
 //! let spec = RunSpec::new(12).threshold_set(ThresholdSet::power_grid(0.1));
-//! let run = run_compact_elimination(&g, &spec).expect("no checkpoint, no I/O error");
+//! let run = run_compact_elimination(&g, &spec).expect("a legal T and no checkpoint");
 //! assert_eq!(run.surviving.len(), 500);
 //! ```
 
