@@ -107,9 +107,8 @@ pub struct MontresorOutcome {
 
 /// Runs the protocol until no estimate changes, or until `max_rounds`.
 ///
-/// The program has not (yet) declared the delta-driven contract, so sparse
-/// execution modes degrade to their dense counterpart via
-/// [`ExecutionMode::dense`].
+/// The program has not (yet) declared the delta-driven contract, so it runs
+/// dense rounds under every mode.
 pub fn montresor_exact_coreness(
     g: &WeightedGraph,
     max_rounds: usize,
@@ -132,7 +131,6 @@ pub fn montresor_exact_coreness_with_faults(
     mode: ExecutionMode,
     faults: dkc_distsim::FaultPlan,
 ) -> MontresorOutcome {
-    let mode = mode.dense();
     let mut net = NetworkBuilder::new()
         .mode(mode)
         .faults(faults)
@@ -166,8 +164,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn converges_to_exact(g: &WeightedGraph) {
-        let outcome =
-            montresor_exact_coreness(g, 4 * g.num_nodes() + 10, ExecutionMode::Sequential);
+        let outcome = montresor_exact_coreness(g, 4 * g.num_nodes() + 10, ExecutionMode::Dense);
         assert!(outcome.converged, "did not converge");
         let exact = weighted_coreness(g);
         for v in 0..g.num_nodes() {
@@ -201,7 +198,7 @@ mod tests {
     fn exact_on_unit_graph_matches_bz() {
         let mut rng = StdRng::seed_from_u64(78);
         let g = erdos_renyi(100, 0.05, &mut rng);
-        let outcome = montresor_exact_coreness(&g, 1000, ExecutionMode::Sequential);
+        let outcome = montresor_exact_coreness(&g, 1000, ExecutionMode::Dense);
         let exact = unweighted_coreness(&g);
         for v in 0..100 {
             assert_eq!(outcome.coreness[v] as usize, exact[v]);
@@ -213,7 +210,7 @@ mod tests {
         // Estimates on a path decrease one hop per round from the ends inwards:
         // convergence takes Θ(n) rounds, demonstrating the diameter dependence.
         let n = 60;
-        let outcome = montresor_exact_coreness(&path_graph(n), 10 * n, ExecutionMode::Sequential);
+        let outcome = montresor_exact_coreness(&path_graph(n), 10 * n, ExecutionMode::Dense);
         assert!(outcome.converged);
         assert!(
             outcome.rounds >= n / 4,
@@ -224,7 +221,7 @@ mod tests {
 
     #[test]
     fn respects_round_budget() {
-        let outcome = montresor_exact_coreness(&path_graph(100), 3, ExecutionMode::Sequential);
+        let outcome = montresor_exact_coreness(&path_graph(100), 3, ExecutionMode::Dense);
         assert_eq!(outcome.rounds, 3);
         assert!(!outcome.converged);
     }

@@ -40,12 +40,21 @@ pub fn set_default_mode(mode: ExecutionMode) {
 }
 
 /// The executor backend experiments use where they do not explicitly compare
-/// modes (E9/E12 keep their explicit per-mode legs): the dense lockstep
-/// parallel executor unless `--mode mailbox` selected the message-passing
-/// backend. Every deterministic counter is identical across the two by
-/// construction, so reports gate against the same baseline either way.
+/// modes (E9/E12 keep their explicit per-mode legs): dense lockstep rounds
+/// unless `--mode mailbox` selected the message-passing backend. Every
+/// deterministic counter is identical across the two by construction, so
+/// reports gate against the same baseline either way.
 fn default_mode() -> ExecutionMode {
-    *DEFAULT_MODE.get().unwrap_or(&ExecutionMode::Parallel)
+    *DEFAULT_MODE.get().unwrap_or(&ExecutionMode::Dense)
+}
+
+/// Runs `f` in a rayon pool of `threads` threads.
+fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("configure thread pool")
+        .install(f)
 }
 
 /// Runs compact elimination as `spec` says; experiments never checkpoint and
@@ -562,20 +571,20 @@ pub fn exp_vs_exact(scale: WorkloadScale, epsilon: f64) -> ExperimentOutput {
     out
 }
 
-/// E9: simulator scaling — the same protocol run sequentially and
-/// data-parallel, on (a) the compact elimination over a Barabási–Albert graph
-/// (broadcast-heavy; the paper's main protocol) and (b) a dense multicast
-/// stress where every node of a complete graph multicasts to every second
-/// neighbour (exercising the CSR-position-indexed scatter). Counters are
-/// identical across modes by construction; the timing columns are the
-/// measurement.
+/// E9: simulator scaling — the same protocol run on one thread (`seq`) and
+/// on the default rayon pool (`par`, which `--threads` sets), on (a) the
+/// compact elimination over a Barabási–Albert graph (broadcast-heavy; the
+/// paper's main protocol) and (b) a dense multicast stress where every node
+/// of a complete graph multicasts to every second neighbour (exercising the
+/// CSR-position-indexed scatter). Counters are identical across thread
+/// counts by construction; the timing columns are the measurement.
 pub fn exp_scaling(scale: WorkloadScale) -> ExperimentOutput {
     use dkc_graph::generators::barabasi_albert;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let mut out = ExperimentOutput::new(Table::new(
-        "E9: round executor scaling (sequential vs parallel)",
+        "E9: round executor scaling (one thread vs the default pool)",
         &[
             "workload",
             "n",
@@ -587,17 +596,15 @@ pub fn exp_scaling(scale: WorkloadScale) -> ExperimentOutput {
             "par Mmsg/s",
         ],
     ));
-    let modes = [
-        ("seq", ExecutionMode::Sequential),
-        ("par", ExecutionMode::Parallel),
-    ];
+    let pools = [("seq", 1), ("par", rayon::current_num_threads())];
 
     for &n in scaling_sizes(scale) {
         let mut rng = StdRng::seed_from_u64(9);
         let g = barabasi_albert(n, 4, &mut rng);
         let rounds = rounds_for_epsilon(n, 0.5);
-        for (label, mode) in modes {
-            let run = eliminate(&g, RunSpec::new(rounds).mode(mode));
+        let dense = RunSpec::new(rounds).mode(ExecutionMode::Dense);
+        for (label, threads) in pools {
+            let run = on_threads(threads, || eliminate(&g, dense.clone()));
             out.records.push(ExperimentRecord::from_metrics(
                 "E9",
                 format!("ba-{n}-{label}"),
@@ -606,17 +613,14 @@ pub fn exp_scaling(scale: WorkloadScale) -> ExperimentOutput {
             ));
         }
         push_scaling_row(&mut out, "ba-compact", n);
-        // The same protocol under the sparse frontier executor (E12 studies
-        // the activation win in depth; here it rides the scaling matrix so
-        // thread scaling of the sparse receive phase is visible too).
-        for (label, mode) in [
-            ("sparse-seq", ExecutionMode::SparseSequential),
-            ("sparse-par", ExecutionMode::SparseParallel),
-        ] {
-            let run = eliminate(&g, RunSpec::new(rounds).mode(mode));
+        // The same protocol in frontier rounds (E12 studies the activation
+        // win in depth; here it rides the scaling matrix so thread scaling
+        // of the pull rounds is visible too).
+        for (label, threads) in pools {
+            let run = on_threads(threads, || eliminate(&g, RunSpec::new(rounds)));
             out.records.push(ExperimentRecord::from_metrics(
                 "E9",
-                format!("ba-{n}-{label}"),
+                format!("ba-{n}-sparse-{label}"),
                 scale.name(),
                 &run.metrics,
             ));
@@ -633,11 +637,11 @@ pub fn exp_scaling(scale: WorkloadScale) -> ExperimentOutput {
     };
     let g = complete_graph(stress_n);
     let stress_rounds = 5usize;
-    for (label, mode) in modes {
+    for (label, threads) in pools {
         let mut net = dkc_distsim::NetworkBuilder::new()
-            .mode(mode)
+            .mode(ExecutionMode::Dense)
             .build(&g, |_| HalfMulticast);
-        net.run(stress_rounds);
+        on_threads(threads, || net.run(stress_rounds));
         out.records.push(ExperimentRecord::from_metrics(
             "E9",
             format!("multicast-stress-{stress_n}-{label}"),
@@ -809,7 +813,7 @@ pub fn exp_frontier(scale: WorkloadScale) -> ExperimentOutput {
     ));
     for (name, g, rounds) in frontier_workloads(scale) {
         let dense = eliminate(&g, RunSpec::new(rounds).mode(default_mode()));
-        let sparse = eliminate(&g, RunSpec::new(rounds).mode(ExecutionMode::SparseParallel));
+        let sparse = eliminate(&g, RunSpec::new(rounds));
         let identical =
             dense.surviving == sparse.surviving && dense.in_neighbors == sparse.in_neighbors;
         assert!(
@@ -930,12 +934,7 @@ pub fn exp_faults(
         };
         let mut control_updates: Option<usize> = None;
         for (scenario, plan) in scenarios {
-            let run = eliminate(
-                g,
-                RunSpec::new(budget)
-                    .mode(ExecutionMode::SparseParallel)
-                    .faults(plan),
-            );
+            let run = eliminate(g, RunSpec::new(budget).faults(plan));
             // Re-certify sparse/dense equivalence under this fault plan.
             let dense = eliminate(g, RunSpec::new(budget).mode(default_mode()).faults(plan));
             assert_eq!(
@@ -1110,12 +1109,7 @@ pub fn exp_byzantine(
             None => byzantine_scenarios(budget),
         };
         for (scenario, plan) in scenarios {
-            let run = eliminate(
-                g,
-                RunSpec::new(budget)
-                    .mode(ExecutionMode::SparseParallel)
-                    .faults(plan),
-            );
+            let run = eliminate(g, RunSpec::new(budget).faults(plan));
             // Re-certify sparse/dense equivalence under this byzantine plan.
             let dense = eliminate(g, RunSpec::new(budget).mode(default_mode()).faults(plan));
             assert_eq!(
@@ -1364,12 +1358,7 @@ pub fn exp_sharding(
             ],
         };
         for (scenario, plan) in scenarios {
-            let reference = eliminate(
-                g,
-                RunSpec::new(budget)
-                    .mode(ExecutionMode::SparseSequential)
-                    .faults(plan),
-            );
+            let reference = eliminate(g, RunSpec::new(budget).faults(plan));
             out.records.push(ExperimentRecord::from_metrics(
                 "E15",
                 format!("{}-{scenario}-unsharded", workload.name),
@@ -1667,10 +1656,7 @@ mod tests {
         let out = exp_faults(WorkloadScale::Tiny, None);
         for workload in fault_workloads(WorkloadScale::Tiny) {
             let budget = 3 * rounds_for_epsilon(workload.graph.num_nodes(), 0.5);
-            let plain = eliminate(
-                &workload.graph,
-                RunSpec::new(budget).mode(ExecutionMode::SparseParallel),
-            );
+            let plain = eliminate(&workload.graph, RunSpec::new(budget));
             let control = out
                 .records
                 .iter()

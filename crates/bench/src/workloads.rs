@@ -131,8 +131,8 @@ impl Default for ExpArgs {
             scale: WorkloadScale::default(),
             json: None,
             threads: None,
-            // `--mode lockstep`: the dense lockstep executor.
-            mode: dkc_distsim::ExecutionMode::Parallel,
+            // `--mode lockstep`: dense lockstep rounds.
+            mode: dkc_distsim::ExecutionMode::Dense,
             faults: dkc_distsim::FaultPlan::default(),
             shards: None,
             shard_seed: 0,
@@ -171,7 +171,7 @@ impl ExpArgs {
         };
         let parse_mode = |value: &str| -> Result<dkc_distsim::ExecutionMode, String> {
             match value {
-                "lockstep" => Ok(dkc_distsim::ExecutionMode::Parallel),
+                "lockstep" => Ok(dkc_distsim::ExecutionMode::Dense),
                 "mailbox" => Ok(dkc_distsim::ExecutionMode::Mailbox),
                 _ => Err(format!(
                     "unknown --mode {value:?}; expected lockstep|mailbox"
@@ -498,7 +498,7 @@ mod tests {
                 scale: WorkloadScale::Small,
                 json: None,
                 threads: None,
-                mode: ExecutionMode::Parallel,
+                mode: ExecutionMode::Dense,
                 faults: dkc_distsim::FaultPlan::none(),
                 shards: None,
                 shard_seed: 0,
@@ -510,7 +510,7 @@ mod tests {
                 scale: WorkloadScale::Tiny,
                 json: Some("out.json".into()),
                 threads: None,
-                mode: ExecutionMode::Parallel,
+                mode: ExecutionMode::Dense,
                 faults: dkc_distsim::FaultPlan::none(),
                 shards: None,
                 shard_seed: 0,
@@ -522,7 +522,7 @@ mod tests {
                 scale: WorkloadScale::Medium,
                 json: Some("r.json".into()),
                 threads: Some(4),
-                mode: ExecutionMode::Parallel,
+                mode: ExecutionMode::Dense,
                 faults: dkc_distsim::FaultPlan::none(),
                 shards: None,
                 shard_seed: 0,
@@ -536,11 +536,8 @@ mod tests {
     #[test]
     fn exp_args_parse_mode() {
         use dkc_distsim::ExecutionMode;
-        assert_eq!(parse_ok(&[]).mode, ExecutionMode::Parallel);
-        assert_eq!(
-            parse_ok(&["--mode", "lockstep"]).mode,
-            ExecutionMode::Parallel
-        );
+        assert_eq!(parse_ok(&[]).mode, ExecutionMode::Dense);
+        assert_eq!(parse_ok(&["--mode", "lockstep"]).mode, ExecutionMode::Dense);
         assert_eq!(parse_ok(&["--mode=mailbox"]).mode, ExecutionMode::Mailbox);
         assert!(parse_err(&["--mode", "parallel"]).contains("lockstep|mailbox"));
         assert!(parse_err(&["--mode"]).contains("requires a value"));

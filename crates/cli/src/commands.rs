@@ -288,7 +288,7 @@ fn run_spec(
     // zero boundary traffic).
     let shards = if parsed.flags.contains_key("shards") {
         let shards = parsed.flag_num_positive::<u64>("shards", 1)?;
-        if shards > MAX_SHARDS {
+        if shards > MAX_SHARDS as u64 {
             return Err(format!(
                 "--shards must be at most {MAX_SHARDS} (got {shards})"
             ));
@@ -463,7 +463,7 @@ fn orientation(parsed: &Parsed) -> Result<String, String> {
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
     let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
-    let approx = approximate_orientation_with_rounds(g, rounds, ExecutionMode::SparseParallel);
+    let approx = approximate_orientation_with_rounds(g, rounds, ExecutionMode::Auto);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -492,9 +492,8 @@ fn densest(parsed: &Parsed) -> Result<String, String> {
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
     let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
-    // Phases that are not delta-driven fall back to dense (see
-    // `ExecutionMode::dense`).
-    let result = weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::SparseParallel);
+    // Phases that are not delta-driven run dense rounds under `Auto`.
+    let result = weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::Auto);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1054,7 +1053,7 @@ mod tests {
         let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
         let pid = std::process::id();
         let runs = [
-            ("dense", RunSpec::new(8).mode(ExecutionMode::Parallel)),
+            ("dense", RunSpec::new(8).mode(ExecutionMode::Dense)),
             ("default", RunSpec::new(8)),
         ]
         .map(|(tag, spec)| (tag, run_compact_elimination(g, &spec).unwrap(), spec));

@@ -204,7 +204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let g = barabasi_albert(120, 3, &mut rng);
         let epsilon = 0.25;
-        let approx = approximate_coreness(&g, epsilon, ExecutionMode::Sequential);
+        let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
         let exact = weighted_coreness(&g);
         assert_eq!(approx.rounds, rounds_for_epsilon(120, epsilon));
         for v in 0..120 {
@@ -225,7 +225,7 @@ mod tests {
         let base = erdos_renyi(80, 0.08, &mut rng);
         let g = with_random_integer_weights(&base, 4, &mut rng);
         let epsilon = 0.5;
-        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Sequential);
+        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Dense);
         let rho = fractional_orientation_lower_bound(&g);
         assert!(approx.max_in_degree >= rho - 1e-9);
         assert!(
@@ -241,7 +241,7 @@ mod tests {
     fn sharded_api_matches_unsharded() {
         let mut rng = StdRng::seed_from_u64(74);
         let g = erdos_renyi(50, 0.1, &mut rng);
-        let spec = RunSpec::new(6).mode(ExecutionMode::SparseSequential);
+        let spec = RunSpec::new(6).mode(ExecutionMode::Auto);
         let approx = |spec: &RunSpec| {
             let outcome = run_compact_elimination(&g, spec).unwrap();
             CorenessApproximation::new(g.num_nodes(), spec.threshold_set, outcome)
@@ -260,7 +260,7 @@ mod tests {
     fn densest_api_reexport_works() {
         let mut rng = StdRng::seed_from_u64(73);
         let g = erdos_renyi(50, 0.1, &mut rng);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
         let exact = densest_subgraph(&g).density;
         assert!(result.best_density >= exact / 3.0 - 1e-9);
     }

@@ -286,15 +286,14 @@ impl BfsForest {
 /// the compact elimination procedure) as leader keys.
 ///
 /// The round-phased protocol is not delta-driven (its behaviour depends on
-/// the round number, not only on received deltas); sparse execution modes
-/// degrade to their dense counterpart via [`ExecutionMode::dense`].
+/// the round number, not only on received deltas), so it runs dense rounds
+/// under every mode.
 pub fn run_bfs_construction(
     g: &WeightedGraph,
     b: &[f64],
     flood_rounds: usize,
     mode: ExecutionMode,
 ) -> BfsForest {
-    let mode = mode.dense();
     assert_eq!(b.len(), g.num_nodes());
     let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
         BfsNode::new(
@@ -362,7 +361,7 @@ mod tests {
         let g = path_graph(11);
         let mut b = vec![1.0; 11];
         b[5] = 10.0;
-        let forest = run_bfs_construction(&g, &b, 3, ExecutionMode::Sequential);
+        let forest = run_bfs_construction(&g, &b, 3, ExecutionMode::Dense);
         let csr = CsrGraph::from(&g);
         let dist = bfs_distances(&csr, NodeId(5));
         for v in 0..11 {
@@ -385,7 +384,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let g = erdos_renyi(80, 0.06, &mut rng);
         let b: Vec<f64> = (0..80).map(|v| (v % 7) as f64).collect();
-        let forest = run_bfs_construction(&g, &b, 4, ExecutionMode::Sequential);
+        let forest = run_bfs_construction(&g, &b, 4, ExecutionMode::Dense);
         for v in 0..80 {
             let vid = NodeId::new(v);
             match forest.parent[v] {
@@ -419,7 +418,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let g = erdos_renyi(60, 0.08, &mut rng);
         let b: Vec<f64> = (0..60).map(|v| ((v * 13) % 10) as f64).collect();
-        let forest = run_bfs_construction(&g, &b, 5, ExecutionMode::Sequential);
+        let forest = run_bfs_construction(&g, &b, 5, ExecutionMode::Dense);
         for v in 0..60 {
             let own = LeaderKey {
                 b: b[v],
@@ -436,7 +435,7 @@ mod tests {
     fn zero_flood_rounds_leaves_everyone_as_root() {
         let g = grid_graph(3, 3);
         let b = vec![1.0; 9];
-        let forest = run_bfs_construction(&g, &b, 0, ExecutionMode::Sequential);
+        let forest = run_bfs_construction(&g, &b, 0, ExecutionMode::Dense);
         assert_eq!(forest.roots().len(), 9);
         for v in 0..9 {
             assert_eq!(forest.leader[v].id, NodeId::new(v));
@@ -449,7 +448,7 @@ mod tests {
         // T hops of it on a small graph.
         let g = grid_graph(3, 3);
         let b = vec![2.0; 9];
-        let forest = run_bfs_construction(&g, &b, 4, ExecutionMode::Sequential);
+        let forest = run_bfs_construction(&g, &b, 4, ExecutionMode::Dense);
         for v in 0..9 {
             assert_eq!(forest.leader[v].id, NodeId(0), "node {v}");
         }

@@ -53,10 +53,9 @@ pub fn graph_fingerprint(g: &CsrGraph) -> u64 {
     h
 }
 
-/// The largest shard count a run may use. Sharded execution allocates one
-/// boundary record buffer per ordered shard pair, N² in all, so a checkpoint
-/// naming a larger count is rejected before anything is built.
-pub const MAX_SHARDS: u64 = 1024;
+/// The largest shard count a run may use, re-exported from the executor:
+/// a checkpoint naming a larger count is rejected before anything is built.
+pub use dkc_distsim::MAX_SHARDS;
 
 /// The largest round count T a run may be asked for, wherever T comes from
 /// outside: `--rounds`, the T that `--epsilon` derives, or a checkpoint's
@@ -150,7 +149,7 @@ impl RunPreamble {
         let faults = FaultPlan::decode(&mut r)?;
         validate_plan(&faults)?;
         let shards = r.read_u64()?;
-        if shards > MAX_SHARDS {
+        if shards > MAX_SHARDS as u64 {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpointed shard count {shards} exceeds the maximum of {MAX_SHARDS}"
             )));
@@ -206,12 +205,12 @@ pub struct ResumedRun {
 /// Resumes a run from the checkpoint at `path` and completes it. The run
 /// comes from the checkpoint, not from flags: the preamble gives the round
 /// target, threshold set, fault plan and shard topology, and the executor
-/// state's activation picks the mode — [`ExecutionMode::SparseParallel`]
-/// for a checkpoint written sparse, [`ExecutionMode::Parallel`] for one
-/// written dense (modes of one activation are byte-identical). A sharded
-/// checkpoint (`shards > 0` in the preamble) resumes sharded, with the
-/// recorded partition, under `SparseParallel`: sharded runs are sparse, so a
-/// dense state under a sharded preamble fails the executor's activation
+/// state's activation picks the mode — [`ExecutionMode::Auto`] for a
+/// checkpoint written in frontier rounds, [`ExecutionMode::Dense`] for one
+/// written in dense rounds (modes of one activation are byte-identical). A
+/// sharded checkpoint (`shards > 0` in the preamble) resumes sharded, with
+/// the recorded partition, under `Auto`: sharded runs take frontier rounds,
+/// so a dense state under a sharded preamble fails the executor's activation
 /// check. The caller only chooses whether to keep checkpointing, via `cfg`.
 pub fn resume_compact_elimination(
     g: &WeightedGraph,
@@ -239,14 +238,14 @@ pub fn resume_compact_elimination(
         ));
     }
     let mode = if state_is_sparse(state)? || pre.shards > 0 {
-        ExecutionMode::SparseParallel
+        ExecutionMode::Auto
     } else {
-        ExecutionMode::Parallel
+        ExecutionMode::Dense
     };
     let spec = RunSpec {
         rounds: pre.rounds_target as usize,
         threshold_set: pre.threshold_set,
-        mode: Some(mode),
+        mode,
         faults: pre.faults,
         shards: pre.shards as usize,
         shard_seed: pre.shard_seed,
@@ -307,7 +306,7 @@ mod tests {
         ));
         // A shard count that would allocate without bound.
         let too_many = RunPreamble {
-            shards: MAX_SHARDS + 1,
+            shards: MAX_SHARDS as u64 + 1,
             ..pre
         };
         assert!(matches!(
@@ -361,11 +360,7 @@ mod tests {
         let g = barabasi_albert(40, 3, &mut rng);
         let threshold = ThresholdSet::power_grid(0.5);
         let plan = FaultPlan::from_loss(dkc_distsim::LossModel::new(0.15, 9));
-        let mode = ExecutionMode::SparseSequential;
-        let spec = RunSpec::new(14)
-            .threshold_set(threshold)
-            .mode(mode)
-            .faults(plan);
+        let spec = RunSpec::new(14).threshold_set(threshold).faults(plan);
         let plain = run_compact_elimination(&g, &spec).unwrap();
 
         let dir = tmp_dir("resume");
@@ -430,7 +425,7 @@ mod tests {
             every: 2,
         };
         let spec = RunSpec::new(6)
-            .mode(ExecutionMode::Sequential)
+            .mode(ExecutionMode::Dense)
             .checkpoint(cfg.clone());
         run_compact_elimination(&g, &spec).unwrap();
         let image = read_checkpoint_bytes(&cfg.path).unwrap();
@@ -455,7 +450,7 @@ mod tests {
             every: 2,
         };
         let spec = RunSpec::new(6)
-            .mode(ExecutionMode::Sequential)
+            .mode(ExecutionMode::Dense)
             .checkpoint(cfg.clone());
         run_compact_elimination(&g, &spec).unwrap();
         // A re-weighted graph is caught by the fingerprint (or, if the extra

@@ -24,14 +24,14 @@
 //! arc position ([`dkc_distsim::Delivery::pos`]), so merging the inbox writes
 //! only the changed `neighbor_values` slots, and the `Update` re-sort bubbles
 //! exactly those entries ([`UpdateOrder::resort_decreased`]) instead of
-//! re-scanning the full adjacency list. Combined with the sparse frontier
-//! executor (`ExecutionMode::Sparse*` — the program is
-//! [`NodeProgram::DELTA_DRIVEN`]) the per-round cost becomes proportional to
-//! the active frontier; the dense modes remain available for A/B comparison
-//! and are result-identical.
+//! re-scanning the full adjacency list. The program is
+//! [`NodeProgram::DELTA_DRIVEN`], so [`ExecutionMode::Auto`] runs it in
+//! frontier rounds and the per-round cost becomes proportional to the active
+//! frontier; [`ExecutionMode::Dense`] remains available for A/B comparison
+//! and is result-identical.
 
 use crate::api::{checked_rounds, RoundsOutOfRange};
-use crate::checkpoint::{CheckpointConfig, RunPreamble};
+use crate::checkpoint::{CheckpointConfig, RunPreamble, MAX_SHARDS};
 use crate::threshold::ThresholdSet;
 use crate::update::{suffix_scan, UpdateOrder};
 use dkc_distsim::message::QuantizedValue;
@@ -459,10 +459,9 @@ pub struct RunSpec {
     pub rounds: usize,
     /// The threshold set Λ.
     pub threshold_set: ThresholdSet,
-    /// The execution backend; `None` takes the `NetworkBuilder` default,
-    /// [`ExecutionMode::SparseParallel`]. A sharded run needs a sparse mode
+    /// The execution backend. A sharded run needs [`ExecutionMode::Auto`]
     /// (see [`dkc_distsim::NetworkBuilder::shards`]).
-    pub mode: Option<ExecutionMode>,
+    pub mode: ExecutionMode,
     /// The deterministic fault plan (trivial = fault-free).
     pub faults: FaultPlan,
     /// Shard count: 0 = unsharded; ≥ 1 also charges each round's
@@ -477,12 +476,12 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A fault-free, unsharded, uncheckpointed run of `rounds` rounds over
-    /// Λ = ℝ in the default [`ExecutionMode`].
+    /// Λ = ℝ under [`ExecutionMode::Auto`].
     pub fn new(rounds: usize) -> Self {
         RunSpec {
             rounds,
             threshold_set: ThresholdSet::Reals,
-            mode: None,
+            mode: ExecutionMode::Auto,
             faults: FaultPlan::none(),
             shards: 0,
             shard_seed: 0,
@@ -498,7 +497,7 @@ impl RunSpec {
 
     /// Sets the execution backend.
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = Some(mode);
+        self.mode = mode;
         self
     }
 
@@ -530,6 +529,9 @@ pub enum RunError {
     /// the run keeps one `RoundStats` per round, so the bound keeps its
     /// history bounded. Nothing was built.
     Rounds(RoundsOutOfRange),
+    /// [`RunSpec::shards`] exceeds [`MAX_SHARDS`]: a sharded run allocates
+    /// one record buffer per ordered shard pair. Nothing was built.
+    Shards(usize),
     /// Writing a checkpoint failed.
     Checkpoint(CheckpointError),
 }
@@ -538,6 +540,7 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Rounds(e) => e.fmt(f),
+            RunError::Shards(n) => write!(f, "{n} shards exceeds the maximum of {MAX_SHARDS}"),
             RunError::Checkpoint(e) => e.fmt(f),
         }
     }
@@ -558,9 +561,10 @@ impl From<CheckpointError> for RunError {
 }
 
 /// Runs Algorithm 2 on `g` as `spec` says. A round count outside
-/// `1..=`[`crate::checkpoint::MAX_ROUNDS`] is rejected before anything is
-/// built; past that, only checkpoint writing can fail, so a run with a legal
-/// T and without [`RunSpec::checkpoint`] always returns `Ok`.
+/// `1..=`[`crate::checkpoint::MAX_ROUNDS`], or more than [`MAX_SHARDS`]
+/// shards, is rejected before anything is built; past that, only checkpoint
+/// writing can fail, so a run with a legal T and shard count and without
+/// [`RunSpec::checkpoint`] always returns `Ok`.
 ///
 /// **Faults.** Dropped messages leave the receiver's cached neighbour value
 /// at its previous (higher) level, so the computed surviving numbers can only
@@ -568,8 +572,8 @@ impl From<CheckpointError> for RunError {
 /// valid upper bound on the coreness (Lemma III.2 is unaffected) and only the
 /// convergence slows down gracefully; the E10/E13 experiments quantify this.
 /// A crash-stopped node freezes at its last computed value (still an upper
-/// bound: surviving numbers are monotone non-increasing). Under the sparse
-/// modes, a sender with dropped copies stays in the frontier and re-sends,
+/// bound: surviving numbers are monotone non-increasing). In frontier
+/// rounds, a sender with dropped copies stays in the frontier and re-sends,
 /// while a crashed node leaves the frontier for good — so sparse and dense
 /// runs remain result-identical under every fault class.
 ///
@@ -588,6 +592,9 @@ pub fn run_compact_elimination(
     spec: &RunSpec,
 ) -> Result<CompactOutcome, RunError> {
     checked_rounds(spec.rounds)?;
+    if spec.shards > MAX_SHARDS {
+        return Err(RunError::Shards(spec.shards));
+    }
     Ok(execute(CsrGraph::from_graph(g), spec, None)?.0)
 }
 
@@ -603,22 +610,12 @@ pub(crate) fn execute(
     resume: Option<(&[u8], &[u8])>,
 ) -> Result<(CompactOutcome, usize), CheckpointError> {
     let mut arena = CompactArena::new(&csr, spec.threshold_set);
-    let mut builder = NetworkBuilder::new()
+    let mut net = NetworkBuilder::new()
+        .mode(spec.mode)
         .faults(spec.faults)
         .shards(spec.shards)
         .shard_seed(spec.shard_seed)
-        .checkpoint_every(spec.checkpoint.as_ref().map_or(0, |c| c.every.max(1)));
-    if let Some(mode) = spec.mode {
-        builder = builder.mode(mode);
-    }
-    let mut net = builder.build_from_parts(csr, arena.programs());
-    if let Some(cfg) = &spec.checkpoint {
-        let preamble = match resume {
-            Some((preamble, _)) => preamble.to_vec(),
-            None => RunPreamble::for_run(net.graph(), spec).encode(),
-        };
-        net.checkpoint_to(&cfg.path, preamble);
-    }
+        .build_from_parts(csr, arena.programs());
     if let Some((_, state)) = resume {
         net.restore_state(state)?;
         check_restored_surviving(&net)?;
@@ -630,7 +627,17 @@ pub(crate) fn execute(
             spec.rounds
         )));
     }
-    net.run_with_checkpoints(spec.rounds - started_from)?;
+    let rounds = spec.rounds - started_from;
+    match &spec.checkpoint {
+        Some(cfg) => {
+            let preamble = resume.map_or_else(
+                || RunPreamble::for_run(net.graph(), spec).encode(),
+                |(preamble, _)| preamble.to_vec(),
+            );
+            net.run_with_checkpoints(rounds, cfg.every, &cfg.path, &preamble)?;
+        }
+        None => net.run(rounds),
+    }
     // The programs borrow the arena: drop them, and with them the
     // network's scratch, before reading the results off the arena.
     let (graph, programs, metrics) = net.into_graph_and_parts();
@@ -688,13 +695,23 @@ mod tests {
         run_compact_elimination(g, &spec).unwrap()
     }
 
+    /// Runs `spec` under `mode` in a rayon pool of `threads` threads.
+    fn run_on(
+        g: &WeightedGraph,
+        spec: RunSpec,
+        mode: ExecutionMode,
+        threads: usize,
+    ) -> CompactOutcome {
+        crate::test_legs::on_threads(threads, || run(g, spec.mode(mode)))
+    }
+
     #[test]
     fn distributed_matches_centralized_reference() {
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..3 {
             let g = erdos_renyi(50, 0.1, &mut rng);
             for rounds in [1usize, 2, 4, 7] {
-                let outcome = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Sequential));
+                let outcome = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Dense));
                 let reference = surviving_numbers(&g, rounds);
                 for v in 0..50 {
                     assert!(
@@ -712,15 +729,14 @@ mod tests {
     fn all_execution_modes_match() {
         let mut rng = StdRng::seed_from_u64(22);
         let g = barabasi_albert(120, 3, &mut rng);
-        let seq = run(&g, RunSpec::new(5).mode(ExecutionMode::Sequential));
-        for mode in [
-            ExecutionMode::Parallel,
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
-            let other = run(&g, RunSpec::new(5).mode(mode));
-            assert_eq!(seq.surviving, other.surviving, "{mode:?}");
-            assert_eq!(seq.in_neighbors, other.in_neighbors, "{mode:?}");
+        let seq = run(&g, RunSpec::new(5).mode(ExecutionMode::Dense));
+        for (mode, threads) in crate::test_legs::LEGS {
+            let other = run_on(&g, RunSpec::new(5), mode, threads);
+            assert_eq!(seq.surviving, other.surviving, "{mode:?} on {threads}");
+            assert_eq!(
+                seq.in_neighbors, other.in_neighbors,
+                "{mode:?} on {threads}"
+            );
         }
     }
 
@@ -729,11 +745,8 @@ mod tests {
         // A path has a long convergence tail with a narrow frontier.
         let g = path_graph(120);
         let rounds = 120;
-        let dense = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Sequential));
-        let sparse = run(
-            &g,
-            RunSpec::new(rounds).mode(ExecutionMode::SparseSequential),
-        );
+        let dense = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Dense));
+        let sparse = run(&g, RunSpec::new(rounds));
         assert_eq!(dense.surviving, sparse.surviving);
         assert_eq!(dense.in_neighbors, sparse.in_neighbors);
         let d = dense.metrics.total_node_updates();
@@ -757,7 +770,7 @@ mod tests {
         let decomposition = dense_decomposition(&g);
         let n = 40f64;
         for rounds in [1usize, 2, 4, 6, 10] {
-            let outcome = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Sequential));
+            let outcome = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Dense));
             let gamma = 2.0 * n.powf(1.0 / rounds as f64);
             for v in 0..40 {
                 let beta = outcome.surviving[v];
@@ -789,9 +802,9 @@ mod tests {
             // Exercise the sparse executor on half the trials: the covering
             // invariant must survive frontier-driven (partial) updates too.
             let mode = if trial < 2 {
-                ExecutionMode::Sequential
+                ExecutionMode::Dense
             } else {
-                ExecutionMode::SparseSequential
+                ExecutionMode::Auto
             };
             for rounds in [1usize, 3, 6] {
                 let outcome = run(&g, RunSpec::new(rounds).mode(mode));
@@ -816,7 +829,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(25);
         let base = barabasi_albert(100, 4, &mut rng);
         let g = with_random_integer_weights(&base, 7, &mut rng);
-        let outcome = run(&g, RunSpec::new(5).mode(ExecutionMode::Sequential));
+        let outcome = run(&g, RunSpec::new(5).mode(ExecutionMode::Dense));
         for v in g.nodes() {
             let total: f64 = outcome.in_neighbors[v.index()]
                 .iter()
@@ -843,13 +856,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(26);
         let g = erdos_renyi(60, 0.1, &mut rng);
         let rounds = 6;
-        let exact = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Sequential));
+        let exact = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Dense));
         for &lambda in &[0.01, 0.1, 0.5] {
             let quantized = run(
                 &g,
                 RunSpec::new(rounds)
                     .threshold_set(ThresholdSet::power_grid(lambda))
-                    .mode(ExecutionMode::Sequential),
+                    .mode(ExecutionMode::Dense),
             );
             for v in 0..60 {
                 let e = exact.surviving[v];
@@ -871,7 +884,7 @@ mod tests {
     #[test]
     fn clique_values_equal_degree() {
         let g = complete_graph(8);
-        let outcome = run(&g, RunSpec::new(3).mode(ExecutionMode::Sequential));
+        let outcome = run(&g, RunSpec::new(3).mode(ExecutionMode::Dense));
         // K_8: coreness = density-ish = 7; β stays at 7 from round 1 on.
         for v in 0..8 {
             assert_eq!(outcome.surviving[v], 7.0);
@@ -882,12 +895,12 @@ mod tests {
     fn path_converges_to_coreness_one() {
         let g = path_graph(10);
         // After enough rounds, β = coreness = 1 everywhere.
-        let outcome = run(&g, RunSpec::new(20).mode(ExecutionMode::Sequential));
+        let outcome = run(&g, RunSpec::new(20).mode(ExecutionMode::Dense));
         for v in 0..10 {
             assert_eq!(outcome.surviving[v], 1.0);
         }
         // After a single round, β = degree.
-        let one = run(&g, RunSpec::new(1).mode(ExecutionMode::Sequential));
+        let one = run(&g, RunSpec::new(1).mode(ExecutionMode::Dense));
         assert_eq!(one.surviving[0], 1.0);
         assert_eq!(one.surviving[5], 2.0);
     }
@@ -895,7 +908,7 @@ mod tests {
     #[test]
     fn empty_graph_and_isolated_nodes() {
         let g = WeightedGraph::new(3);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::SparseSequential] {
+        for mode in [ExecutionMode::Dense, ExecutionMode::Auto] {
             let outcome = run(&g, RunSpec::new(2).mode(mode));
             assert_eq!(outcome.surviving, vec![0.0; 3], "{mode:?}");
             assert!(outcome.in_neighbors.iter().all(Vec::is_empty));
@@ -908,14 +921,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(27);
         let g = barabasi_albert(100, 3, &mut rng);
         let rounds = 8;
-        let clean = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Sequential));
+        let clean = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Dense));
         let core = weighted_coreness(&g);
 
         // Zero loss is exactly the clean run.
         let zero = run(
             &g,
             RunSpec::new(rounds)
-                .mode(ExecutionMode::Sequential)
+                .mode(ExecutionMode::Dense)
                 .faults(FaultPlan::from_loss(LossModel::new(0.0, 1))),
         );
         assert_eq!(zero.surviving, clean.surviving);
@@ -924,7 +937,7 @@ mod tests {
             let lossy = run(
                 &g,
                 RunSpec::new(rounds)
-                    .mode(ExecutionMode::Sequential)
+                    .mode(ExecutionMode::Dense)
                     .faults(FaultPlan::from_loss(LossModel::new(p, 99))),
             );
             for v in 0..100 {
@@ -940,18 +953,13 @@ mod tests {
             }
             // Every execution mode agrees even under loss (deterministic
             // drops; sparse senders re-send after dropped copies).
-            for mode in [
-                ExecutionMode::Parallel,
-                ExecutionMode::SparseSequential,
-                ExecutionMode::SparseParallel,
-            ] {
-                let other = run(
-                    &g,
-                    RunSpec::new(rounds)
-                        .mode(mode)
-                        .faults(FaultPlan::from_loss(LossModel::new(p, 99))),
+            for (mode, threads) in crate::test_legs::LEGS {
+                let spec = RunSpec::new(rounds).faults(FaultPlan::from_loss(LossModel::new(p, 99)));
+                let other = run_on(&g, spec, mode, threads);
+                assert_eq!(
+                    lossy.surviving, other.surviving,
+                    "p={p}, {mode:?} on {threads}"
                 );
-                assert_eq!(lossy.surviving, other.surviving, "p={p}, {mode:?}");
             }
         }
     }
@@ -967,12 +975,10 @@ mod tests {
         let rounds = 12;
         let core = weighted_coreness(&g);
         let plan = FaultPlan::none().with_crash(CrashModel::new(0.25, 2, 8, 7));
-        let clean = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Sequential));
+        let clean = run(&g, RunSpec::new(rounds).mode(ExecutionMode::Dense));
         let crashed = run(
             &g,
-            RunSpec::new(rounds)
-                .mode(ExecutionMode::Sequential)
-                .faults(plan),
+            RunSpec::new(rounds).mode(ExecutionMode::Dense).faults(plan),
         );
         assert!(crashed.metrics.crashed_nodes() > 0, "no node crashed");
         for v in 0..120 {
@@ -989,14 +995,13 @@ mod tests {
                 "node {v}: crashed run better-informed than the clean run"
             );
         }
-        for mode in [
-            ExecutionMode::Parallel,
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
-            let other = run(&g, RunSpec::new(rounds).mode(mode).faults(plan));
-            assert_eq!(crashed.surviving, other.surviving, "{mode:?}");
-            assert_eq!(crashed.in_neighbors, other.in_neighbors, "{mode:?}");
+        for (mode, threads) in crate::test_legs::LEGS {
+            let other = run_on(&g, RunSpec::new(rounds).faults(plan), mode, threads);
+            assert_eq!(crashed.surviving, other.surviving, "{mode:?} on {threads}");
+            assert_eq!(
+                crashed.in_neighbors, other.in_neighbors,
+                "{mode:?} on {threads}"
+            );
         }
         assert!(
             crashed.metrics.total_node_updates() < clean.metrics.total_node_updates(),
@@ -1017,12 +1022,7 @@ mod tests {
             FaultPlan::none(),
             FaultPlan::from_loss(LossModel::new(0.3, 5)).with_crash(CrashModel::new(0.2, 2, 6, 9)),
         ] {
-            let reference = run(
-                &g,
-                RunSpec::new(rounds)
-                    .mode(ExecutionMode::SparseSequential)
-                    .faults(plan),
-            );
+            let reference = run(&g, RunSpec::new(rounds).faults(plan));
             for shards in [1usize, 2, 3, 8] {
                 let sharded = run(&g, RunSpec::new(rounds).faults(plan).sharded(shards, 7));
                 assert_eq!(reference.surviving, sharded.surviving, "shards={shards}");
@@ -1067,10 +1067,25 @@ mod tests {
         assert_eq!(outcome.surviving, vec![1.0; 4]);
     }
 
+    /// A library caller's shard count is bounded like the CLI's and a
+    /// checkpoint's: one past `MAX_SHARDS` is a typed error before anything
+    /// is built (instead of N² pair buffers), and `MAX_SHARDS` itself runs.
+    #[test]
+    fn shard_count_is_capped_at_max_shards() {
+        let g = path_graph(8);
+        let spec = |shards| RunSpec::new(2).sharded(shards, 1);
+        assert_eq!(
+            run_compact_elimination(&g, &spec(MAX_SHARDS + 1)).unwrap_err(),
+            RunError::Shards(MAX_SHARDS + 1)
+        );
+        let outcome = run(&g, spec(MAX_SHARDS));
+        assert_eq!(outcome.surviving, run(&g, RunSpec::new(2)).surviving);
+    }
+
     #[test]
     fn round_metrics_are_recorded() {
         let g = complete_graph(5);
-        let outcome = run(&g, RunSpec::new(4).mode(ExecutionMode::Sequential));
+        let outcome = run(&g, RunSpec::new(4).mode(ExecutionMode::Dense));
         assert_eq!(outcome.metrics.num_rounds(), 4);
         assert_eq!(outcome.rounds, 4);
         // Every node broadcasts a number to 4 neighbours in every round.

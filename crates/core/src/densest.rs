@@ -290,15 +290,13 @@ pub struct AggregationOutcome {
 /// Runs Algorithm 6 over the forest produced by Algorithms 4–5.
 ///
 /// The convergecast schedule lives in broadcast-phase side effects, so the
-/// program is not delta-driven; sparse execution modes degrade to their
-/// dense counterpart via [`ExecutionMode::dense`].
+/// program is not delta-driven and runs dense rounds under every mode.
 pub fn run_aggregation(
     g: &WeightedGraph,
     forest: &BfsForest,
     elim: &TreeElimOutcome,
     mode: ExecutionMode,
 ) -> AggregationOutcome {
-    let mode = mode.dense();
     let rounds_budget = 2 * elim.rounds + forest.rounds + 4;
     let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
         let v = ctx.node();
@@ -416,6 +414,7 @@ pub fn weak_densest_subsets_with_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_legs::on_threads;
     use dkc_flow::densest_subgraph;
     use dkc_graph::generators::{complete_graph, erdos_renyi, path_graph, planted_dense_community};
     use rand::rngs::StdRng;
@@ -431,7 +430,7 @@ mod tests {
             let planted = planted_dense_community(80, 15, 0.04, 0.9, &mut rng);
             let g = &planted.graph;
             let exact = densest_subgraph(g).density;
-            let result = weak_densest_subsets(g, epsilon, ExecutionMode::Sequential);
+            let result = weak_densest_subsets(g, epsilon, ExecutionMode::Dense);
             assert!(
                 result.best_density >= exact / (2.0 * (1.0 + epsilon)) - 1e-9,
                 "trial {trial}: best cluster density {} below ρ*/(2(1+ε)) = {}",
@@ -443,21 +442,20 @@ mod tests {
     }
 
     /// The four-phase pipeline mixes a delta-driven phase (compact) with
-    /// round-phased ones (BFS, tree elimination, aggregation); requesting a
-    /// sparse mode must run end to end (non-delta phases degrade to dense)
-    /// and produce identical results — not panic mid-pipeline.
+    /// round-phased ones (BFS, tree elimination, aggregation); under `Auto`
+    /// the first runs frontier rounds and the rest dense rounds, end to end
+    /// and with identical results, on one thread and on four.
     #[test]
     fn sparse_modes_run_the_full_pipeline() {
         let mut rng = StdRng::seed_from_u64(63);
         let g = erdos_renyi(60, 0.1, &mut rng);
-        let dense = weak_densest_subsets(&g, 0.5, ExecutionMode::Sequential);
-        for mode in [
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
-            let sparse = weak_densest_subsets(&g, 0.5, mode);
-            assert_eq!(dense.membership, sparse.membership, "{mode:?}");
-            assert_eq!(dense.best_density, sparse.best_density, "{mode:?}");
+        let dense = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        for threads in [1, 4] {
+            let sparse = on_threads(threads, || {
+                weak_densest_subsets(&g, 0.5, ExecutionMode::Auto)
+            });
+            assert_eq!(dense.membership, sparse.membership, "{threads} threads");
+            assert_eq!(dense.best_density, sparse.best_density, "{threads} threads");
         }
     }
 
@@ -465,7 +463,7 @@ mod tests {
     fn clusters_are_disjoint_and_consistent() {
         let mut rng = StdRng::seed_from_u64(62);
         let g = erdos_renyi(70, 0.08, &mut rng);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
         // Each node belongs to at most one cluster by construction; check the
         // cluster sizes add up to the number of assigned nodes.
         let assigned = result.membership.iter().filter(|m| m.is_some()).count();
@@ -491,7 +489,7 @@ mod tests {
     fn estimated_density_lower_bounds_actual() {
         let mut rng = StdRng::seed_from_u64(63);
         let planted = planted_dense_community(60, 12, 0.05, 0.9, &mut rng);
-        let result = weak_densest_subsets(&planted.graph, 0.2, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&planted.graph, 0.2, ExecutionMode::Dense);
         for cluster in &result.clusters {
             assert!(
                 cluster.estimated_density <= cluster.actual_density + 1e-9,
@@ -506,7 +504,7 @@ mod tests {
     #[test]
     fn clique_is_recovered_exactly() {
         let g = complete_graph(10);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
         assert_eq!(result.clusters.len(), 1);
         let c = &result.clusters[0];
         assert_eq!(c.size, 10);
@@ -519,7 +517,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(64);
         let g = erdos_renyi(100, 0.05, &mut rng);
         let epsilon = 0.5f64;
-        let result = weak_densest_subsets(&g, epsilon, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&g, epsilon, ExecutionMode::Dense);
         let t = ((100f64).ln() / (1.0 + epsilon).ln()).ceil() as usize;
         // Phases 1–3 use exactly T (plus 2 for the BFS hand-shake); phase 4 is
         // at most 2T + (T + 2) + 4.
@@ -534,8 +532,12 @@ mod tests {
     fn parallel_matches_sequential() {
         let mut rng = StdRng::seed_from_u64(65);
         let planted = planted_dense_community(50, 10, 0.05, 0.9, &mut rng);
-        let a = weak_densest_subsets(&planted.graph, 0.3, ExecutionMode::Sequential);
-        let b = weak_densest_subsets(&planted.graph, 0.3, ExecutionMode::Parallel);
+        let run = |threads| {
+            on_threads(threads, || {
+                weak_densest_subsets(&planted.graph, 0.3, ExecutionMode::Dense)
+            })
+        };
+        let (a, b) = (run(1), run(4));
         assert_eq!(a.membership, b.membership);
         assert_eq!(a.best_density, b.best_density);
     }
@@ -543,7 +545,7 @@ mod tests {
     #[test]
     fn path_graph_degenerate_case() {
         let g = path_graph(12);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
         // The densest subset of a path has density (n-1)/n < 1; any non-empty
         // cluster with density >= 1/2 · 11/12 / (1+eps)… just sanity-check the
         // guarantee formula.
@@ -554,7 +556,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = WeightedGraph::new(0);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Sequential);
+        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
         assert!(result.clusters.is_empty());
         assert_eq!(result.best_density, 0.0);
     }

@@ -35,7 +35,7 @@
 //! use dkc_graph::generators::complete_graph;
 //!
 //! let g = complete_graph(16);
-//! let approx = approximate_coreness(&g, 0.1, ExecutionMode::Sequential);
+//! let approx = approximate_coreness(&g, 0.1, ExecutionMode::Auto);
 //! // Every node of K_16 has coreness 15; the approximation is within 2(1+ε).
 //! for &b in &approx.values {
 //!     assert!(b >= 15.0 && b <= 2.0 * 1.1 * 15.0);
@@ -72,3 +72,24 @@ pub use compact::{
 pub use densest::{WeakCluster, WeakDensestResult};
 pub use ratio::ApproxRatio;
 pub use threshold::ThresholdSet;
+
+/// The execution paths unit tests compare: each activation on one thread
+/// and on four.
+#[cfg(test)]
+pub(crate) mod test_legs {
+    use dkc_distsim::ExecutionMode::{self, Auto, Dense};
+
+    /// Dense and frontier rounds, each on one thread and on four.
+    pub(crate) const LEGS: [(ExecutionMode, usize); 4] =
+        [(Dense, 1), (Dense, 4), (Auto, 1), (Auto, 4)];
+
+    /// Runs `f` in a rayon pool of `threads` threads, the count the
+    /// executor's data-parallel rounds read.
+    pub(crate) fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+}

@@ -96,8 +96,7 @@ mod tests {
 
     fn orientation_of(g: &WeightedGraph, rounds: usize) -> OrientationResult {
         let outcome =
-            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential))
-                .unwrap();
+            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
         orientation_from_compact(g, &outcome)
     }
 

@@ -284,15 +284,13 @@ impl NodeProgram for PipelinedNode<'_> {
 ///
 /// The convergecast schedule is driven by side effects in the broadcast phase
 /// (a node advances `next_to_send` as it forwards), so the program is *not*
-/// delta-driven; sparse execution modes degrade to their dense counterpart
-/// via [`ExecutionMode::dense`].
+/// delta-driven and runs dense rounds under every mode.
 pub fn run_pipelined_aggregation(
     g: &WeightedGraph,
     forest: &BfsForest,
     elim: &TreeElimOutcome,
     mode: ExecutionMode,
 ) -> AggregationOutcome {
-    let mode = mode.dense();
     let rounds_budget = 3 * elim.rounds + forest.rounds + 6;
     let mut arena = PipelinedArena::new(g.num_nodes(), elim.rounds, elim);
     let mut net = NetworkBuilder::new()
@@ -333,10 +331,9 @@ mod tests {
 
     fn phases_through_3(g: &WeightedGraph, rounds: usize) -> (BfsForest, TreeElimOutcome) {
         let compact =
-            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential))
-                .unwrap();
-        let forest = run_bfs_construction(g, &compact.surviving, rounds, ExecutionMode::Sequential);
-        let elim = run_tree_elimination(g, &forest, rounds, ExecutionMode::Sequential);
+            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
+        let forest = run_bfs_construction(g, &compact.surviving, rounds, ExecutionMode::Dense);
+        let elim = run_tree_elimination(g, &forest, rounds, ExecutionMode::Dense);
         (forest, elim)
     }
 
@@ -348,8 +345,8 @@ mod tests {
             let g = &planted.graph;
             let rounds = 6;
             let (forest, elim) = phases_through_3(g, rounds);
-            let batched = run_aggregation(g, &forest, &elim, ExecutionMode::Sequential);
-            let pipelined = run_pipelined_aggregation(g, &forest, &elim, ExecutionMode::Sequential);
+            let batched = run_aggregation(g, &forest, &elim, ExecutionMode::Dense);
+            let pipelined = run_pipelined_aggregation(g, &forest, &elim, ExecutionMode::Dense);
             assert_eq!(batched.selected, pipelined.selected);
             assert_eq!(batched.decisions, pipelined.decisions);
         }
@@ -361,8 +358,8 @@ mod tests {
         let g = erdos_renyi(80, 0.06, &mut rng);
         let rounds = 10;
         let (forest, elim) = phases_through_3(&g, rounds);
-        let batched = run_aggregation(&g, &forest, &elim, ExecutionMode::Sequential);
-        let pipelined = run_pipelined_aggregation(&g, &forest, &elim, ExecutionMode::Sequential);
+        let batched = run_aggregation(&g, &forest, &elim, ExecutionMode::Dense);
+        let pipelined = run_pipelined_aggregation(&g, &forest, &elim, ExecutionMode::Dense);
         // Batched messages grow with T; pipelined stay at ~130 bits.
         assert!(batched.metrics.totals().max_message_bits > 96 * rounds / 2);
         assert!(pipelined.metrics.totals().max_message_bits <= 129);
@@ -375,7 +372,7 @@ mod tests {
     fn empty_and_trivial_graphs() {
         let g = WeightedGraph::new(3);
         let (forest, elim) = phases_through_3(&g, 2);
-        let out = run_pipelined_aggregation(&g, &forest, &elim, ExecutionMode::Sequential);
+        let out = run_pipelined_aggregation(&g, &forest, &elim, ExecutionMode::Dense);
         assert_eq!(out.selected.len(), 3);
     }
 }

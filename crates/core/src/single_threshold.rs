@@ -21,8 +21,8 @@
 //! decrement rather than re-summation, so a threshold sitting within one ulp
 //! of a degree may resolve differently), messages drop from Θ(m·rounds) to
 //! at most one announcement per edge endpoint, and the program becomes
-//! delta-driven — eligible for the sparse frontier executor, under which a
-//! round without deaths costs O(1).
+//! delta-driven — [`ExecutionMode::Auto`] runs it in frontier rounds, where
+//! a round without deaths costs O(1).
 //!
 //! **Under message loss** announcements are at-most-once: a dropped death is
 //! never retransmitted (the textbook encoding would implicitly repeat it by
@@ -201,6 +201,7 @@ pub fn run_single_threshold(
 mod tests {
     use super::*;
     use crate::surviving::survivors_for_threshold;
+    use crate::test_legs::{on_threads, LEGS};
     use dkc_graph::generators::{complete_graph, erdos_renyi, path_graph, star_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -208,9 +209,9 @@ mod tests {
     #[test]
     fn clique_survives_thresholds_up_to_degree() {
         let g = complete_graph(6);
-        let low = run_single_threshold(&g, 5.0, 10, ExecutionMode::Sequential);
+        let low = run_single_threshold(&g, 5.0, 10, ExecutionMode::Dense);
         assert!(low.survivors.iter().all(|&s| s));
-        let high = run_single_threshold(&g, 5.5, 10, ExecutionMode::Sequential);
+        let high = run_single_threshold(&g, 5.5, 10, ExecutionMode::Dense);
         assert!(high.survivors.iter().all(|&s| !s));
     }
 
@@ -219,23 +220,23 @@ mod tests {
         // Threshold 2 on a path: endpoints die in round 1, then the cascade
         // moves inwards one node per round.
         let g = path_graph(9);
-        let after2 = run_single_threshold(&g, 2.0, 2, ExecutionMode::Sequential);
+        let after2 = run_single_threshold(&g, 2.0, 2, ExecutionMode::Dense);
         assert_eq!(
             after2.survivors,
             vec![false, false, true, true, true, true, true, false, false]
         );
-        let after5 = run_single_threshold(&g, 2.0, 5, ExecutionMode::Sequential);
+        let after5 = run_single_threshold(&g, 2.0, 5, ExecutionMode::Dense);
         assert!(after5.survivors.iter().all(|&s| !s));
     }
 
     #[test]
     fn star_hub_dies_after_leaves() {
         let g = star_graph(6);
-        let r1 = run_single_threshold(&g, 1.5, 1, ExecutionMode::Sequential);
+        let r1 = run_single_threshold(&g, 1.5, 1, ExecutionMode::Dense);
         // Leaves (degree 1) die in round 1, hub (degree 5) survives round 1.
         assert!(r1.survivors[0]);
         assert!(r1.survivors[1..].iter().all(|&s| !s));
-        let r2 = run_single_threshold(&g, 1.5, 2, ExecutionMode::Sequential);
+        let r2 = run_single_threshold(&g, 1.5, 2, ExecutionMode::Dense);
         assert!(!r2.survivors[0]);
     }
 
@@ -246,16 +247,12 @@ mod tests {
         for &b in &[1.0, 2.0, 3.0, 4.5] {
             for rounds in [1usize, 2, 5] {
                 let reference = survivors_for_threshold(&g, b, rounds);
-                for mode in [
-                    ExecutionMode::Sequential,
-                    ExecutionMode::Parallel,
-                    ExecutionMode::SparseSequential,
-                    ExecutionMode::SparseParallel,
-                ] {
-                    let distributed = run_single_threshold(&g, b, rounds, mode);
+                for (mode, threads) in LEGS {
+                    let distributed =
+                        on_threads(threads, || run_single_threshold(&g, b, rounds, mode));
                     assert_eq!(
                         distributed.survivors, reference,
-                        "mismatch at threshold {b}, rounds {rounds} ({mode:?})"
+                        "mismatch at threshold {b}, rounds {rounds} ({mode:?} on {threads})"
                     );
                 }
             }
@@ -267,7 +264,7 @@ mod tests {
         // Delta encoding: total messages are bounded by one announcement per
         // (dead node, incident edge) — not Θ(m · rounds).
         let g = star_graph(20);
-        let outcome = run_single_threshold(&g, 1.5, 10, ExecutionMode::Sequential);
+        let outcome = run_single_threshold(&g, 1.5, 10, ExecutionMode::Dense);
         // 19 leaves die in round 1 and announce to the hub in round 2
         // (19 copies); the hub dies in round 2 and announces to its 19
         // (halted) neighbours in round 3.
@@ -282,8 +279,8 @@ mod tests {
     #[test]
     fn sparse_mode_skips_quiescent_rounds() {
         let g = path_graph(40);
-        let dense = run_single_threshold(&g, 2.0, 60, ExecutionMode::Sequential);
-        let sparse = run_single_threshold(&g, 2.0, 60, ExecutionMode::SparseSequential);
+        let dense = run_single_threshold(&g, 2.0, 60, ExecutionMode::Dense);
+        let sparse = run_single_threshold(&g, 2.0, 60, ExecutionMode::Auto);
         assert_eq!(dense.survivors, sparse.survivors);
         assert_eq!(
             dense.metrics.total_messages(),
@@ -302,27 +299,23 @@ mod tests {
         use dkc_distsim::LossModel;
         let mut rng = StdRng::seed_from_u64(5);
         let g = erdos_renyi(50, 0.12, &mut rng);
-        let clean = run_single_threshold(&g, 3.0, 20, ExecutionMode::Sequential);
+        let clean = run_single_threshold(&g, 3.0, 20, ExecutionMode::Dense);
         for seed in [1u64, 42, 1234] {
             let model = LossModel::new(0.5, seed);
-            let run_lossy = |mode| {
+            let run_lossy = |(mode, threads)| {
                 let csr = dkc_graph::CsrGraph::from_graph(&g);
                 let mut arena = SingleThresholdArena::new(&csr);
                 let mut net = dkc_distsim::NetworkBuilder::new()
                     .mode(mode)
                     .faults(dkc_distsim::FaultPlan::from_loss(model))
                     .build_from_parts(csr, arena.programs(3.0));
-                net.run(20);
+                on_threads(threads, || net.run(20));
                 drop(net.into_parts());
                 arena.survivors().to_vec()
             };
-            let reference = run_lossy(ExecutionMode::Sequential);
-            for mode in [
-                ExecutionMode::Parallel,
-                ExecutionMode::SparseSequential,
-                ExecutionMode::SparseParallel,
-            ] {
-                assert_eq!(reference, run_lossy(mode), "seed {seed}, {mode:?}");
+            let reference = run_lossy(LEGS[0]);
+            for leg in LEGS {
+                assert_eq!(reference, run_lossy(leg), "seed {seed}, {leg:?}");
             }
             // Superset of the fault-free survivors.
             for (v, (&lossy_alive, &clean_alive)) in
@@ -344,7 +337,7 @@ mod tests {
     fn sharded_matches_unsharded() {
         let mut rng = StdRng::seed_from_u64(8);
         let g = erdos_renyi(60, 0.1, &mut rng);
-        let reference = run_single_threshold(&g, 3.0, 15, ExecutionMode::SparseSequential);
+        let reference = run_single_threshold(&g, 3.0, 15, ExecutionMode::Auto);
         for shards in [1usize, 2, 4, 8] {
             let csr = CsrGraph::from_graph(&g);
             let mut arena = SingleThresholdArena::new(&csr);
@@ -374,7 +367,7 @@ mod tests {
     #[test]
     fn zero_threshold_keeps_everyone() {
         let g = path_graph(5);
-        let outcome = run_single_threshold(&g, 0.0, 10, ExecutionMode::Sequential);
+        let outcome = run_single_threshold(&g, 0.0, 10, ExecutionMode::Dense);
         assert!(outcome.survivors.iter().all(|&s| s));
     }
 }

@@ -150,15 +150,13 @@ pub struct TreeElimOutcome {
 /// the threshold of its whole tree).
 ///
 /// Records per-round history (`num[t]`/`deg[t]`), so every node must step
-/// every round: not delta-driven — sparse execution modes degrade to their
-/// dense counterpart via [`ExecutionMode::dense`].
+/// every round: not delta-driven, so it runs dense rounds under every mode.
 pub fn run_tree_elimination(
     g: &WeightedGraph,
     forest: &BfsForest,
     rounds: usize,
     mode: ExecutionMode,
 ) -> TreeElimOutcome {
-    let mode = mode.dense();
     let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
         let v = ctx.node();
         let leader_key = forest.leader[v.index()];
@@ -200,10 +198,9 @@ mod tests {
         rounds: usize,
     ) -> (Vec<f64>, BfsForest, TreeElimOutcome) {
         let compact =
-            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential))
-                .unwrap();
-        let forest = run_bfs_construction(g, &compact.surviving, rounds, ExecutionMode::Sequential);
-        let elim = run_tree_elimination(g, &forest, rounds, ExecutionMode::Sequential);
+            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
+        let forest = run_bfs_construction(g, &compact.surviving, rounds, ExecutionMode::Dense);
+        let elim = run_tree_elimination(g, &forest, rounds, ExecutionMode::Dense);
         (compact.surviving, forest, elim)
     }
 
@@ -301,11 +298,11 @@ mod tests {
         // wiring via a manual forest instead.
         let g = path_graph(4);
         let compact =
-            run_compact_elimination(&g, &RunSpec::new(2).mode(ExecutionMode::Sequential)).unwrap();
-        let mut forest = run_bfs_construction(&g, &compact.surviving, 2, ExecutionMode::Sequential);
+            run_compact_elimination(&g, &RunSpec::new(2).mode(ExecutionMode::Dense)).unwrap();
+        let mut forest = run_bfs_construction(&g, &compact.surviving, 2, ExecutionMode::Dense);
         // Artificially orphan node 3.
         forest.parent[3] = None;
-        let elim = run_tree_elimination(&g, &forest, 2, ExecutionMode::Sequential);
+        let elim = run_tree_elimination(&g, &forest, 2, ExecutionMode::Dense);
         assert!(elim.num[3].iter().all(|&x| !x));
         assert!(!elim.final_active[3]);
     }

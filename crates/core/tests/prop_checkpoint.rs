@@ -2,7 +2,8 @@
 //! guarantee the CI gate exercises with a real SIGKILL):
 //!
 //! 1. **Resume-at-every-round equivalence** — for random graphs, composed
-//!    `FaultPlan`s, threshold sets, and every execution mode, a run
+//!    `FaultPlan`s, threshold sets, and every execution mode on one thread
+//!    and on four, a run
 //!    checkpointed after round `k` and resumed from disk produces surviving
 //!    numbers, in-neighbour sets, and per-round deterministic counters
 //!    byte-identical to an uninterrupted run, for **every** cut round `k`.
@@ -19,9 +20,10 @@ use dkc_core::compact::{run_compact_elimination, CompactArena, CompactOutcome, R
 use dkc_core::graph_fingerprint;
 use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+use dkc_distsim::ExecutionMode::{self, Auto, Dense, Mailbox};
 use dkc_distsim::{
-    BurstLoss, ByzantineModel, CheckpointError, CrashModel, ExecutionMode, FaultPlan, LossModel,
-    NetworkBuilder, PartitionModel,
+    BurstLoss, ByzantineModel, CheckpointError, CrashModel, FaultPlan, LossModel, NetworkBuilder,
+    PartitionModel,
 };
 use dkc_graph::generators::erdos_renyi;
 use dkc_graph::CsrGraph;
@@ -36,13 +38,9 @@ fn tmp_file(tag: &str, case: u64) -> PathBuf {
     dir.join(format!("{tag}-{case}.dkck"))
 }
 
-const MODES: [ExecutionMode; 5] = [
-    ExecutionMode::Sequential,
-    ExecutionMode::Parallel,
-    ExecutionMode::SparseSequential,
-    ExecutionMode::SparseParallel,
-    ExecutionMode::Mailbox,
-];
+/// Each mode with the rayon pool size it runs under.
+const LEGS: [(ExecutionMode, usize); 5] =
+    [(Dense, 1), (Dense, 4), (Auto, 1), (Auto, 4), (Mailbox, 4)];
 
 fn surviving_bits(o: &CompactOutcome) -> Vec<u64> {
     o.surviving.iter().map(|b| b.to_bits()).collect()
@@ -71,7 +69,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi(n, edge_p, &mut rng);
-        let mode = MODES[mode_ix];
+        let (mode, threads) = LEGS[mode_ix];
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let threshold = match grid {
             0 => ThresholdSet::Reals,
             1 => ThresholdSet::power_grid(0.1),
@@ -116,7 +115,8 @@ proptest! {
             );
         }
 
-        let reference = run_compact_elimination(&g, &RunSpec::new(rounds).threshold_set(threshold).mode(mode).faults(plan)).unwrap();
+        let spec = RunSpec::new(rounds).threshold_set(threshold).mode(mode).faults(plan);
+        let reference = pool.install(|| run_compact_elimination(&g, &spec)).unwrap();
         let csr = CsrGraph::from_graph(&g);
         let preamble = RunPreamble {
             nodes: csr.num_nodes() as u64,
@@ -139,11 +139,11 @@ proptest! {
                 .mode(mode)
                 .faults(plan)
                 .build_from_parts(csr.clone(), arena.programs());
-            net.run(cut);
+            pool.install(|| net.run(cut));
             net.write_checkpoint(&path, &preamble).unwrap();
             drop(net);
 
-            let resumed = resume_compact_elimination(&g, &path, None).unwrap();
+            let resumed = pool.install(|| resume_compact_elimination(&g, &path, None)).unwrap();
             prop_assert_eq!(resumed.spec.rounds, rounds);
             prop_assert_eq!(resumed.spec.threshold_set, threshold);
             prop_assert_eq!(resumed.spec.faults, plan);
@@ -156,7 +156,7 @@ proptest! {
                 "in-neighbours diverged after cut at round {}", cut
             );
             prop_assert_eq!(
-                reference.metrics.rounds(), resumed.outcome.metrics.rounds(),
+                reference.metrics.first_divergence(&resumed.outcome.metrics), None,
                 "deterministic counters diverged after cut at round {}", cut
             );
         }
@@ -189,7 +189,6 @@ fn real_checkpoint(tag: &str) -> (Vec<u8>, PathBuf, dkc_graph::WeightedGraph) {
     .encode();
     let mut arena = CompactArena::new(&csr, threshold);
     let mut net = NetworkBuilder::new()
-        .mode(ExecutionMode::SparseSequential)
         .faults(plan)
         .build_from_parts(csr.clone(), arena.programs());
     net.run(4);

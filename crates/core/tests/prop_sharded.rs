@@ -3,7 +3,7 @@
 //! 1. **Byte-identity** — for random graphs, composed `FaultPlan`s, threshold
 //!    sets, and every shard count in 1–8, the sharded run produces surviving
 //!    numbers, in-neighbour sets, and per-round deterministic counters
-//!    identical to the unsharded sparse lockstep reference. The only permitted
+//!    identical to the unsharded frontier-round reference. The only permitted
 //!    difference is the sharded run's own `boundary_bits`/`boundary_nodes`
 //!    accounting (zero for a single shard).
 //! 2. **Resume-at-every-round equivalence** — a sharded run checkpointed
@@ -16,8 +16,8 @@ use dkc_core::compact::{run_compact_elimination, CompactArena, CompactOutcome, R
 use dkc_core::graph_fingerprint;
 use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::{
-    BurstLoss, ByzantineModel, CrashModel, ExecutionMode, FaultPlan, LossModel, NetworkBuilder,
-    PartitionModel,
+    BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, NetworkBuilder, PartitionModel,
+    RoundStats, RunMetrics,
 };
 use dkc_graph::generators::erdos_renyi;
 use dkc_graph::CsrGraph;
@@ -25,6 +25,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn tmp_file(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dkc-prop-shard-{}", std::process::id()));
@@ -34,6 +35,16 @@ fn tmp_file(tag: &str, case: u64) -> PathBuf {
 
 fn surviving_bits(o: &CompactOutcome) -> Vec<u64> {
     o.surviving.iter().map(|b| b.to_bits()).collect()
+}
+
+/// `metrics` without the counters only sharded execution populates.
+fn without_boundary(metrics: &RunMetrics) -> RunMetrics {
+    let rounds = metrics.rounds().iter().map(|r| RoundStats {
+        boundary_bits: 0,
+        boundary_nodes: 0,
+        ..*r
+    });
+    RunMetrics::from_parts(rounds.collect(), Duration::ZERO)
 }
 
 /// Builds a composed fault plan from the raw proptest components — the same
@@ -123,7 +134,7 @@ proptest! {
             window_a, window_len, byz_mill, behaviors, quarantine,
         );
 
-        let reference = run_compact_elimination(&g, &RunSpec::new(rounds).threshold_set(threshold).mode(ExecutionMode::SparseSequential).faults(plan)).unwrap();
+        let reference = run_compact_elimination(&g, &RunSpec::new(rounds).threshold_set(threshold).faults(plan)).unwrap();
 
         for shards in 1..=8usize {
             let sharded =
@@ -139,18 +150,9 @@ proptest! {
             // Per-round counters must match bit-for-bit once the sharded
             // run's own boundary accounting is masked out.
             prop_assert_eq!(
-                reference.metrics.num_rounds(), sharded.metrics.num_rounds(),
-                "round count diverged at {} shards", shards
+                reference.metrics.first_divergence(&without_boundary(&sharded.metrics)), None,
+                "counters diverged at {} shards", shards
             );
-            for (r, s) in reference.metrics.rounds().iter().zip(sharded.metrics.rounds()) {
-                let mut masked = *s;
-                masked.boundary_bits = 0;
-                masked.boundary_nodes = 0;
-                prop_assert_eq!(
-                    *r, masked,
-                    "round {} counters diverged at {} shards", s.round, shards
-                );
-            }
             if shards == 1 {
                 prop_assert_eq!(sharded.metrics.total_boundary_bits(), 0);
                 prop_assert_eq!(sharded.metrics.total_boundary_nodes(), 0);
@@ -233,7 +235,7 @@ proptest! {
                 "in-neighbours diverged after cut at round {}", cut
             );
             prop_assert_eq!(
-                reference.metrics.rounds(), resumed.outcome.metrics.rounds(),
+                reference.metrics.first_divergence(&resumed.outcome.metrics), None,
                 "deterministic counters (boundary included) diverged after cut at round {}", cut
             );
         }

@@ -1,34 +1,33 @@
-//! Property test: the sparse frontier and mailbox executors are
-//! **result-identical** to the dense executor for the compact elimination
+//! Property test: frontier rounds and the mailbox executor are
+//! **result-identical** to dense rounds for the compact elimination
 //! procedure — byte-identical surviving numbers and in-neighbour sets —
 //! across random graphs, loss models, round budgets, and threshold sets.
-//! Deterministic counters are mode-invariant (sequential == parallel within
-//! each activation kind; the mailbox backend matches dense lockstep on every
-//! counter including the measured wire bits), and the sparse executor never
-//! exceeds the dense executor's work.
+//! Deterministic counters do not depend on the thread count (one thread ==
+//! four within each activation; the mailbox backend matches dense lockstep
+//! on every counter including the measured wire bits), and frontier rounds
+//! never exceed the dense rounds' work.
 
 use dkc_core::compact::{run_compact_elimination, CompactOutcome, RunSpec};
 use dkc_core::threshold::ThresholdSet;
-use dkc_distsim::{
-    BurstLoss, ByzantineModel, CrashModel, ExecutionMode, FaultPlan, LossModel, PartitionModel,
-};
+use dkc_distsim::ExecutionMode::{self, Auto, Dense, Mailbox};
+use dkc_distsim::{BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, PartitionModel};
 use dkc_graph::generators::erdos_renyi;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run(
+/// Runs `spec` under `mode` in a rayon pool of `threads` threads.
+fn run_on(
     g: &dkc_graph::WeightedGraph,
-    rounds: usize,
-    threshold_set: ThresholdSet,
-    loss: Option<LossModel>,
+    spec: RunSpec,
     mode: ExecutionMode,
+    threads: usize,
 ) -> CompactOutcome {
-    let spec = RunSpec::new(rounds)
-        .threshold_set(threshold_set)
-        .mode(mode)
-        .faults(loss.map_or_else(FaultPlan::none, FaultPlan::from_loss));
-    run_compact_elimination(g, &spec).unwrap()
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(|| run_compact_elimination(g, &spec.mode(mode)).unwrap())
 }
 
 proptest! {
@@ -56,13 +55,17 @@ proptest! {
             1 => ThresholdSet::power_grid(0.1),
             _ => ThresholdSet::power_grid(0.5),
         };
-        let dense_seq = run(&g, rounds, threshold_set, loss, ExecutionMode::Sequential);
-        let dense_par = run(&g, rounds, threshold_set, loss, ExecutionMode::Parallel);
-        let sparse_seq = run(&g, rounds, threshold_set, loss, ExecutionMode::SparseSequential);
-        let sparse_par = run(&g, rounds, threshold_set, loss, ExecutionMode::SparseParallel);
-        let mailbox = run(&g, rounds, threshold_set, loss, ExecutionMode::Mailbox);
+        let spec = RunSpec::new(rounds)
+            .threshold_set(threshold_set)
+            .faults(loss.map_or_else(FaultPlan::none, FaultPlan::from_loss));
+        let run = |mode, threads| run_on(&g, spec.clone(), mode, threads);
+        let dense_seq = run(Dense, 1);
+        let dense_par = run(Dense, 4);
+        let sparse_seq = run(Auto, 1);
+        let sparse_par = run(Auto, 4);
+        let mailbox = run(Mailbox, 4);
 
-        // Protocol output: byte-identical across all five modes.
+        // Protocol output: byte-identical across all five legs.
         let surviving_bits = |o: &CompactOutcome| -> Vec<u64> {
             o.surviving.iter().map(|b| b.to_bits()).collect()
         };
@@ -81,20 +84,14 @@ proptest! {
         // The mailbox backend reproduces the dense RoundStats byte-for-byte,
         // including the measured wire bits (quantized-value frames under the
         // power-grid threshold sets exercise the QuantizedValue codec).
-        prop_assert_eq!(dense_seq.metrics.rounds(), mailbox.metrics.rounds(),
+        prop_assert_eq!(dense_seq.metrics.first_divergence(&mailbox.metrics), None,
             "mailbox counters diverged");
 
         // Deterministic counters: identical within each activation kind…
-        let counters = |o: &CompactOutcome| {
-            o.metrics
-                .rounds()
-                .iter()
-                .map(|r| (r.messages, r.payload_bits, r.max_message_bits,
-                          r.sending_nodes, r.changed_nodes, r.node_updates))
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(counters(&dense_seq), counters(&dense_par), "dense counters diverged");
-        prop_assert_eq!(counters(&sparse_seq), counters(&sparse_par), "sparse counters diverged");
+        prop_assert_eq!(dense_seq.metrics.first_divergence(&dense_par.metrics), None,
+            "dense counters diverged");
+        prop_assert_eq!(sparse_seq.metrics.first_divergence(&sparse_par.metrics), None,
+            "sparse counters diverged");
 
         // … and the sparse executor never does more work than the dense one.
         prop_assert!(sparse_seq.metrics.total_node_updates()
@@ -114,7 +111,7 @@ proptest! {
         prop_assert_eq!(changed(&dense_seq), changed(&sparse_seq));
     }
 
-    /// The same four-way byte-identity under a randomly composed `FaultPlan`:
+    /// The same five-way byte-identity under a randomly composed `FaultPlan`:
     /// random crash rounds, partition windows, burst phases, and byzantine
     /// models (random behavior subsets, detection rates, and quarantine
     /// thresholds — plus i.i.d. loss), composed in every combination the
@@ -181,12 +178,12 @@ proptest! {
             );
         }
 
-        let run = |mode| run_compact_elimination(&g, &RunSpec::new(rounds).mode(mode).faults(plan)).unwrap();
-        let dense_seq = run(ExecutionMode::Sequential);
-        let dense_par = run(ExecutionMode::Parallel);
-        let sparse_seq = run(ExecutionMode::SparseSequential);
-        let sparse_par = run(ExecutionMode::SparseParallel);
-        let mailbox = run(ExecutionMode::Mailbox);
+        let run = |mode, threads| run_on(&g, RunSpec::new(rounds).faults(plan), mode, threads);
+        let dense_seq = run(Dense, 1);
+        let dense_par = run(Dense, 4);
+        let sparse_seq = run(Auto, 1);
+        let sparse_par = run(Auto, 4);
+        let mailbox = run(Mailbox, 4);
 
         let surviving_bits = |o: &CompactOutcome| -> Vec<u64> {
             o.surviving.iter().map(|b| b.to_bits()).collect()
@@ -206,10 +203,12 @@ proptest! {
         // Deterministic counters (including the per-component drop and crash
         // counters) are identical within each activation kind; the mailbox
         // backend matches dense lockstep exactly, wire bits included.
-        let counters = |o: &CompactOutcome| o.metrics.rounds().to_vec();
-        prop_assert_eq!(counters(&dense_seq), counters(&dense_par), "dense counters diverged");
-        prop_assert_eq!(counters(&dense_seq), counters(&mailbox), "mailbox counters diverged");
-        prop_assert_eq!(counters(&sparse_seq), counters(&sparse_par), "sparse counters diverged");
+        prop_assert_eq!(dense_seq.metrics.first_divergence(&dense_par.metrics), None,
+            "dense counters diverged");
+        prop_assert_eq!(dense_seq.metrics.first_divergence(&mailbox.metrics), None,
+            "mailbox counters diverged");
+        prop_assert_eq!(sparse_seq.metrics.first_divergence(&sparse_par.metrics), None,
+            "sparse counters diverged");
 
         // The sparse executor never does more work than the dense one, and
         // the schedule-driven counters — cumulative crashes, byzantine
@@ -232,9 +231,9 @@ proptest! {
         // Fault-free equivalence: a trivial plan reproduces the loss=None
         // path bit-for-bit (checked on the cheapest mode).
         if plan.is_trivial() {
-            let clean = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential)).unwrap();
+            let clean = run_compact_elimination(&g, &RunSpec::new(rounds).mode(Dense)).unwrap();
             prop_assert_eq!(surviving_bits(&clean), reference);
-            prop_assert_eq!(counters(&clean), counters(&dense_seq));
+            prop_assert_eq!(clean.metrics.first_divergence(&dense_seq.metrics), None);
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Property tests for the wire codec over every protocol message type:
 //! encode → decode is the identity, the measured frame length is what the
-//! accounting charges, and corrupted frames (truncated at every byte
-//! boundary, over the payload cap, carrying trailing garbage, or with an
-//! unknown enum tag) are rejected with an error — never a panic.
+//! accounting charges, corrupted frames (truncated at every byte boundary,
+//! over the payload cap, carrying trailing garbage, or with an unknown enum
+//! tag) are rejected with an error, and every byte of a frame flipped three
+//! ways or stamped with `u32::MAX` decodes or is rejected — never a panic.
 
 use dkc_core::bfs::{BfsMessage, LeaderKey};
 use dkc_core::densest::AggMessage;
 use dkc_core::pipelined::PipelinedMessage;
 use dkc_core::tree_elim::ActiveMsg;
-use dkc_distsim::message::MessageSize;
+use dkc_distsim::message::{MessageSize, QuantizedValue};
 use dkc_distsim::wire::{
     decode_frame, encode_frame, frame_bits, payload_len, WireCodec, FRAME_HEADER_BYTES,
     WIRE_SLACK_BITS,
@@ -17,6 +18,7 @@ use dkc_graph::NodeId;
 use proptest::prelude::*;
 use serde::ser::Serialize;
 use std::fmt::Debug;
+use std::panic::catch_unwind;
 
 const MAX_PAYLOAD: usize = 1 << 20;
 
@@ -59,6 +61,33 @@ where
     let mut noisy = frame.clone();
     noisy.extend_from_slice(&[0xAA, 0x55]);
     assert!(decode_frame::<M>(&noisy, MAX_PAYLOAD).is_err());
+
+    check_mutations::<M>(&frame);
+}
+
+/// Every byte of `frame` xor 0xFF, 0x01 and 0x80, and a `u32::MAX` stamp at
+/// every offset (the length header included): each decodes to a value or an
+/// error, never a panic.
+fn check_mutations<M: WireCodec>(frame: &[u8]) {
+    for at in 0..frame.len() {
+        let mut variants: Vec<Vec<u8>> = [0xFF, 0x01, 0x80]
+            .map(|mask| {
+                let mut img = frame.to_vec();
+                img[at] ^= mask;
+                img
+            })
+            .to_vec();
+        let mut stamped = frame.to_vec();
+        let end = (at + 4).min(frame.len());
+        stamped[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
+        variants.push(stamped);
+        for img in &variants {
+            assert!(
+                catch_unwind(|| decode_frame::<M>(img, MAX_PAYLOAD)).is_ok(),
+                "decoding a mutation at byte {at} panicked: {img:?}"
+            );
+        }
+    }
 }
 
 /// Flips the first payload byte (the enum tag) to an invalid value.
@@ -98,6 +127,18 @@ proptest! {
         };
         check_codec(&msg);
         check_bad_tag(&msg);
+    }
+
+    /// The compact elimination's, Montresor's and single-threshold's
+    /// messages: their frames survive the same mutations.
+    #[test]
+    fn value_message_mutations_are_rejected_or_decoded(
+        raw in 0u64..1_000_000,
+        bits in 1usize..65,
+    ) {
+        check_mutations::<QuantizedValue>(&encode_frame(&QuantizedValue { value: finite(raw), bits }));
+        check_mutations::<f64>(&encode_frame(&finite(raw)));
+        check_mutations::<()>(&encode_frame(&()));
     }
 
     #[test]

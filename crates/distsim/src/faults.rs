@@ -7,7 +7,7 @@
 //! the simulator accepts a [`FaultPlan`]: a composition of up to four fault
 //! components, each deciding its faults by the same **splitmix64-style
 //! hashing** of `(seed, round, link/node, message index)` so that every run is
-//! reproducible and the sequential, parallel, dense, and sparse executors stay
+//! reproducible and dense and sparse rounds, at any thread count, stay
 //! byte-identical.
 //!
 //! The components:

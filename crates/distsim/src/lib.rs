@@ -14,9 +14,10 @@
 //!
 //! * [`program::NodeProgram`] — the per-node state machine interface
 //!   (broadcast phase + receive phase per round).
-//! * [`network::Network`] — the synchronous executor; runs rounds either
-//!   sequentially or data-parallel across nodes (rayon) — rounds are barriers,
-//!   so both modes produce identical results.
+//! * [`network::Network`] — the synchronous executor; runs dense rounds or
+//!   rounds over the active frontier, data-parallel across nodes (rayon) at
+//!   any thread count — rounds are barriers, so every mode and thread count
+//!   produces identical results.
 //! * [`metrics`] — per-round and cumulative message/bit accounting.
 //! * [`congest`] — CONGEST-model message-size budgets and checks.
 //! * [`message::MessageSize`] — payload size accounting used by the metrics.
@@ -53,7 +54,9 @@ pub use faults::{
 };
 pub use message::{MessageSize, Tamper};
 pub use metrics::{Counter, Reducer, RoundStats, RunMetrics, COUNTERS};
-pub use network::{ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder, PULL_DIVISOR};
+pub use network::{
+    ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder, MAX_SHARDS, PULL_DIVISOR,
+};
 pub use program::{Delivery, NodeContext, NodeProgram, Outgoing};
 pub use shard::{BoundaryDelta, BoundaryRecord, ShardFrameError};
 pub use wire::{WireCodec, WireError};

@@ -119,9 +119,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
     // Wall-clock audit (dkc-lint D02 allowlist): timing-only, accumulated via
     // RunMetrics::add_elapsed; deterministic counters never see it.
     let started = Instant::now();
-    let threads = net
-        .mailbox_threads
-        .unwrap_or_else(rayon::current_num_threads);
+    let threads = rayon::current_num_threads();
     let Network {
         graph,
         programs,

@@ -210,7 +210,7 @@ impl RunMetrics {
 
     /// Total executor wall-clock time across all recorded rounds. Timing is
     /// *not* part of the deterministic counters: two result-identical runs
-    /// (e.g. sequential vs parallel mode) report different elapsed times.
+    /// (e.g. on one thread vs many) report different elapsed times.
     pub fn elapsed(&self) -> Duration {
         self.elapsed
     }
@@ -295,6 +295,28 @@ impl RunMetrics {
             .find(|r| r.changed_nodes > 0)
             .map(|r| r.round)
     }
+
+    /// Names the first place where the deterministic counters of this run
+    /// and `other` differ: the first round with a differing counter (its
+    /// first in [`COUNTERS`] order, with both values), else the first round
+    /// only one run recorded. `None` when both recorded the same rounds;
+    /// wall-clock time is not compared. Rounds are numbered by position, so
+    /// a differing `round` counter is named too.
+    pub fn first_divergence(&self, other: &RunMetrics) -> Option<String> {
+        for (i, (a, b)) in self.rounds.iter().zip(&other.rounds).enumerate() {
+            let mut diff = COUNTERS.iter().zip(a.values().into_iter().zip(b.values()));
+            if let Some((c, (x, y))) = diff.find(|(_, (x, y))| x != y) {
+                return Some(format!("round {}, {}: {x} vs {y}", i + 1, c.name));
+            }
+        }
+        let (a, b) = (self.rounds.len(), other.rounds.len());
+        (a != b).then(|| {
+            format!(
+                "round {}: only one run has it ({a} vs {b} rounds)",
+                a.min(b) + 1
+            )
+        })
+    }
 }
 
 #[cfg(test)]
@@ -362,6 +384,34 @@ mod tests {
         m.add_elapsed(Duration::from_millis(300));
         assert_eq!(m.elapsed(), Duration::from_millis(500));
         assert!((m.messages_per_sec() - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn first_divergence_names_the_round_and_counter() {
+        let round = |round, messages, node_updates| RoundStats {
+            round,
+            messages,
+            node_updates,
+            ..RoundStats::default()
+        };
+        let run = |rounds: &[RoundStats]| RunMetrics::from_parts(rounds.to_vec(), Duration::ZERO);
+        let a = run(&[round(1, 4, 3), round(2, 2, 12)]);
+        let timed = RunMetrics::from_parts(a.rounds().to_vec(), Duration::from_secs(1));
+        assert_eq!(a.first_divergence(&timed), None, "time is not a counter");
+        let b = run(&[round(1, 4, 3), round(2, 2, 13)]);
+        assert_eq!(
+            a.first_divergence(&b).as_deref(),
+            Some("round 2, node_updates: 12 vs 13")
+        );
+        let shorter = run(&[round(1, 4, 3)]);
+        assert_eq!(
+            a.first_divergence(&shorter).as_deref(),
+            Some("round 2: only one run has it (2 vs 1 rounds)")
+        );
+        assert_eq!(
+            shorter.first_divergence(&a).as_deref(),
+            Some("round 2: only one run has it (1 vs 2 rounds)")
+        );
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //! entries plus the push staging and, for multicasts, the arc stamps. After
 //! a warm-up round none of them grows (see the `buffer_reuse` tests).
 //!
-//! ## Dense vs sparse activation
+//! ## Dense vs frontier rounds
 //!
 //! The paper's elimination procedures converge monotonically: after a few
-//! rounds most nodes' state stops changing, yet dense execution still runs
-//! every node every round. The **sparse frontier modes**
-//! ([`ExecutionMode::SparseSequential`] / [`ExecutionMode::SparseParallel`])
-//! keep a persistent active frontier instead:
+//! rounds most nodes' state stops changing, yet a dense round still runs
+//! every node. Under [`ExecutionMode::Auto`] a program that opts into the
+//! delta-driven contract ([`NodeProgram::DELTA_DRIVEN`]) runs **frontier
+//! rounds** instead, over a persistent active frontier:
 //!
 //! * only nodes whose last step reported a change (plus senders whose copies
 //!   were dropped by the fault plan — crashed receivers excepted, see
@@ -44,9 +44,10 @@
 //! * quiescence detection falls out for free: an empty frontier makes the
 //!   round O(1).
 //!
-//! Each sparse round delivers in one of two directions (the push/pull round
-//! of Beamer, Asanović and Patterson, "Direction-Optimizing Breadth-First
-//! Search", SC 2012), chosen from the copies its frontier put on the wire:
+//! Each frontier round delivers in one of two directions (the push/pull
+//! round of Beamer, Asanović and Patterson, "Direction-Optimizing
+//! Breadth-First Search", SC 2012), chosen from the copies its frontier put
+//! on the wire:
 //!
 //! * a **push round** (at most `num_arcs / `[`PULL_DIVISOR`] copies) stages
 //!   every frontier sender's copies for their receivers, translating arc
@@ -55,22 +56,27 @@
 //! * a **pull round** (more copies than that) runs the dense gather: every
 //!   live node collects from the neighbours whose outbox is non-silent this
 //!   round — cost proportional to all arcs, but a sequential read per
-//!   receiver instead of a random write per copy, and data-parallel under
-//!   [`ExecutionMode::SparseParallel`].
+//!   receiver instead of a random write per copy, and data-parallel.
 //!
 //! Both directions deliver exactly the same copies, so the choice never
 //! shows in a counter, a node's state, or a checkpoint. A sharded network
 //! ([`NetworkBuilder::shards`]) delivers the same way; before delivering, it
 //! charges the copies that cross a shard cut as boundary frames.
 //!
-//! Sparse execution is result-identical to dense execution for programs that
-//! satisfy the delta-driven contract ([`NodeProgram::DELTA_DRIVEN`]); the
-//! executor refuses sparse modes for programs that do not opt in, and a
-//! [`NetworkBuilder`] without [`NetworkBuilder::mode`] runs delta-driven
-//! programs under [`ExecutionMode::SparseParallel`] and every other program
-//! under [`ExecutionMode::Parallel`]. The per-round work executed is reported
-//! as [`RoundStats::node_updates`], a deterministic counter suitable for CI
-//! gating.
+//! Frontier rounds are result-identical to dense rounds for programs that
+//! satisfy the delta-driven contract, and every other program runs dense
+//! rounds under `Auto`, so no mode can run a program outside its contract.
+//! The per-round work executed is reported as [`RoundStats::node_updates`],
+//! a deterministic counter suitable for CI gating.
+//!
+//! ## Threads
+//!
+//! The thread count is not a mode: dense rounds and pull rounds run through
+//! the rayon pipeline, and the mailbox backend splits the nodes into
+//! [`rayon::current_num_threads`] shards. Run a network inside
+//! `rayon::ThreadPoolBuilder::new().num_threads(n).build()?.install(..)` to
+//! pin the count; one thread runs every round inline on the caller. The
+//! deterministic counters never depend on it.
 
 use crate::checkpoint::{self, CheckpointError, SnapshotState, StateWriter};
 use crate::faults::{Behavior, ByzantineModel, DropCause, FaultPlan};
@@ -82,78 +88,40 @@ use crate::wire::{WireCodec, WireReader};
 use dkc_graph::{CsrGraph, NodeId, Partitioner, WeightedGraph};
 use rayon::prelude::*;
 use serde::ser::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// How node programs are executed within a round.
-///
-/// Rounds are barriers, and within a round nodes interact only through the
-/// immutable outbox snapshot, so the sequential and parallel variants of each
-/// activation kind produce **identical** results. The dense modes run every
-/// non-halted node every round; the sparse modes run only the active frontier
-/// and require [`NodeProgram::DELTA_DRIVEN`] (for delta-driven programs all
-/// five modes produce identical protocol results — the dense modes remain
-/// available for A/B measurements). [`NetworkBuilder`] picks the mode when
-/// none is named (see [`NetworkBuilder::mode`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How a round is scheduled. Rounds are barriers, and within a round nodes
+/// interact only through the immutable outbox snapshot, so every mode
+/// produces **identical** protocol results at any thread count (see the
+/// module docs); the modes differ in the work a round does and in how its
+/// messages travel.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Dense: plain sequential loop over all nodes.
-    Sequential,
-    /// Dense: data-parallel over all nodes using the rayon thread pool.
-    Parallel,
-    /// Sparse: frontier-driven execution, sequential. Each round pushes or
-    /// pulls (see the module docs), so its cost follows the frontier's arcs
-    /// while the frontier is small and a dense round's while it is large.
-    SparseSequential,
-    /// Sparse: as [`ExecutionMode::SparseSequential`], with the pull rounds'
-    /// gather and steps data-parallel. Push rounds step sequentially; the
-    /// deterministic counters are identical either way.
-    SparseParallel,
+    /// Frontier rounds (push or pull, see the module docs) for a
+    /// [`NodeProgram::DELTA_DRIVEN`] program, dense rounds for any other.
+    #[default]
+    Auto,
+    /// Dense rounds: every non-halted node broadcasts and steps every round
+    /// (for A/B measurements against `Auto`).
+    Dense,
     /// Dense semantics over a message-passing runtime: node shards run on
     /// scoped threads and exchange **wire-encoded byte frames** through
     /// bounded mailbox channels instead of reading a shared outbox snapshot
     /// (see [`crate::wire`]). Deterministic counters (including
-    /// `wire_bits`) are byte-identical to [`ExecutionMode::Sequential`] /
-    /// [`ExecutionMode::Parallel`] for any program and fault plan, at any
-    /// thread count. Configure via [`NetworkBuilder::threads`] /
+    /// `wire_bits`) are byte-identical to [`ExecutionMode::Dense`] for any
+    /// program and fault plan, at any thread count. Configure via
     /// [`NetworkBuilder::mailbox_capacity`] /
     /// [`NetworkBuilder::max_frame_bytes`].
     Mailbox,
 }
 
-impl ExecutionMode {
-    /// Whether this mode uses the sparse frontier executor.
-    pub fn is_sparse(self) -> bool {
-        matches!(
-            self,
-            ExecutionMode::SparseSequential | ExecutionMode::SparseParallel
-        )
-    }
+/// The largest shard count a network may be built with
+/// ([`NetworkBuilder::shards`]). Sharded execution allocates one boundary
+/// record buffer per ordered shard pair, N² in all.
+pub const MAX_SHARDS: usize = 1024;
 
-    /// Whether node steps run data-parallel.
-    pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            ExecutionMode::Parallel | ExecutionMode::SparseParallel | ExecutionMode::Mailbox
-        )
-    }
-
-    /// The dense counterpart of this mode (identity for dense modes). Used by
-    /// protocol runners whose programs are not delta-driven to degrade
-    /// gracefully when a caller asks for sparse execution.
-    pub fn dense(self) -> Self {
-        match self {
-            ExecutionMode::Sequential | ExecutionMode::SparseSequential => {
-                ExecutionMode::Sequential
-            }
-            ExecutionMode::Parallel | ExecutionMode::SparseParallel => ExecutionMode::Parallel,
-            // Mailbox already runs dense semantics; keep the backend.
-            ExecutionMode::Mailbox => ExecutionMode::Mailbox,
-        }
-    }
-}
-
-/// A sparse round pulls when its frontier puts more than
+/// A frontier round pulls when its frontier puts more than
 /// `num_arcs / PULL_DIVISOR` copies on the wire (delivered plus dropped),
 /// and pushes otherwise (see the module docs). A push costs a random write
 /// per copy, a pull a sequential scan of every arc, so the break-even
@@ -279,21 +247,21 @@ pub struct ExecutorBufferStats {
     /// Capacity of the outbox array (one `Outgoing` per node).
     pub outbox_capacity: usize,
     /// Capacity of the dense rounds' per-sender accounting array (0 under
-    /// sparse modes, which fold each row into the round's totals).
+    /// frontier rounds, which fold each row into the round's totals).
     pub account_capacity: usize,
     /// Capacity of the step-result array.
     pub changed_capacity: usize,
     /// Length of the arc-indexed multicast stamp array (0 until the first
     /// multicast round).
     pub multicast_stamp_slots: usize,
-    /// Summed capacity of the sparse executor's frontier / touch / resend
-    /// worklists (0 under dense modes).
+    /// Summed capacity of the frontier rounds' frontier / touch / resend
+    /// worklists (0 under dense rounds).
     pub frontier_capacity_total: usize,
-    /// Length of the sparse executor's per-node push-bucket array (0 under
-    /// dense modes).
+    /// Length of the frontier rounds' per-node push-bucket array (0 under
+    /// dense rounds).
     pub bucket_slots: usize,
     /// Summed capacity of the push rounds' staging buffers: the copies and
-    /// their receivers (0 under dense modes).
+    /// their receivers (0 under dense rounds).
     pub staged_capacity_total: usize,
     /// Summed capacity of a sharded network's owner table, per-pair record
     /// buffers and sender scratch (0 unsharded). The record buffers hold
@@ -349,9 +317,6 @@ pub struct Network<P: NodeProgram> {
     pub(crate) faults: Option<FaultPlan>,
     /// The plan's crash, accusation and quarantine rounds.
     pub(crate) schedules: Schedules,
-    /// Shard-thread count for [`ExecutionMode::Mailbox`]; `None` uses
-    /// [`rayon::current_num_threads`].
-    pub(crate) mailbox_threads: Option<usize>,
     /// Bounded per-shard mailbox capacity (frames) for the mailbox backend.
     pub(crate) mailbox_capacity: usize,
     /// Maximum accepted frame payload, in bytes; longer frames are rejected
@@ -374,7 +339,7 @@ pub struct Network<P: NodeProgram> {
     /// false-positives. (The sparse copy walk, [`RoundCopies::for_each`], reuses the
     /// same array to deduplicate repeated multicast target entries.)
     multicast_stamps: Vec<u64>,
-    // Sparse-frontier state (unused under dense modes).
+    // Frontier-round state (unused under dense rounds).
     /// Nodes that broadcast this round, ascending.
     frontier: Vec<u32>,
     /// Next round's frontier, built during the receive phase.
@@ -398,12 +363,6 @@ pub struct Network<P: NodeProgram> {
     /// pulls, `Some(false)` pushes.
     #[cfg(test)]
     force_pull: Option<bool>,
-    /// Checkpoint interval in rounds for [`Network::run_with_checkpoints`]
-    /// (0 = never; see [`NetworkBuilder::checkpoint_every`]).
-    checkpoint_every: usize,
-    /// Checkpoint destination path + embedder preamble (see
-    /// [`Network::checkpoint_to`]); `None` disables checkpoint writing.
-    checkpoint_sink: Option<(PathBuf, Vec<u8>)>,
 }
 
 /// [`Network::bucket`] of a node that no push copy has reached this round.
@@ -817,19 +776,15 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
 /// # graph.add_edge(dkc_graph::NodeId::new(0), dkc_graph::NodeId::new(1), 1.0);
 /// let mut net = NetworkBuilder::new()
 ///     .mode(ExecutionMode::Mailbox)
-///     .threads(4)
 ///     .build(&graph, |_ctx| Noop);
 /// net.run(3);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkBuilder {
-    /// The named mode; `None` resolves per program when the network is built.
-    mode: Option<ExecutionMode>,
+    mode: ExecutionMode,
     faults: FaultPlan,
-    threads: Option<usize>,
     mailbox_capacity: usize,
     max_frame_bytes: usize,
-    checkpoint_every: usize,
     shards: usize,
     shard_seed: u64,
 }
@@ -837,12 +792,10 @@ pub struct NetworkBuilder {
 impl Default for NetworkBuilder {
     fn default() -> Self {
         NetworkBuilder {
-            mode: None,
+            mode: ExecutionMode::Auto,
             faults: FaultPlan::none(),
-            threads: None,
             mailbox_capacity: Self::DEFAULT_MAILBOX_CAPACITY,
             max_frame_bytes: Self::DEFAULT_MAX_FRAME_BYTES,
-            checkpoint_every: 0,
             shards: 0,
             shard_seed: 0,
         }
@@ -855,17 +808,15 @@ impl NetworkBuilder {
     /// Default cap on a received frame's payload, in bytes.
     pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
-    /// A builder with the defaults: the program's default mode (see
-    /// [`NetworkBuilder::mode`]), no faults, automatic thread count.
+    /// A builder with the defaults: [`ExecutionMode::Auto`], no faults,
+    /// unsharded.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Selects the execution mode. Unnamed, it is
-    /// [`ExecutionMode::SparseParallel`] for a [`NodeProgram::DELTA_DRIVEN`]
-    /// program and [`ExecutionMode::Parallel`] for any other.
+    /// Selects the execution mode ([`ExecutionMode::Auto`] by default).
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = Some(mode);
+        self.mode = mode;
         self
     }
 
@@ -873,14 +824,6 @@ impl NetworkBuilder {
     /// configured plan; a trivial plan means fault-free execution).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Shard-thread count for [`ExecutionMode::Mailbox`] (0 or unset =
-    /// [`rayon::current_num_threads`]). The deterministic counters do not
-    /// depend on this.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = (n > 0).then_some(n);
         self
     }
 
@@ -900,16 +843,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Checkpoint interval in rounds for [`Network::run_with_checkpoints`]
-    /// (0 = never checkpoint, the default). The checkpoint destination and
-    /// run preamble are configured per network via [`Network::checkpoint_to`]
-    /// — keeping the interval here lets one builder stamp out many runs
-    /// writing to different paths.
-    pub fn checkpoint_every(mut self, rounds: usize) -> Self {
-        self.checkpoint_every = rounds;
-        self
-    }
-
     /// Partitions the graph into `n` shards (0 = unsharded, the default) by
     /// the deterministic `dkc_graph::Partitioner` assignment. Every round
     /// then charges the copies that cross a shard cut as they would travel
@@ -917,15 +850,14 @@ impl NetworkBuilder {
     /// ordered shard pair, encoded, then decoded and validated as a peer's
     /// frame would be. The frames are reported as
     /// [`RoundStats::boundary_bits`] / [`RoundStats::boundary_nodes`];
-    /// delivery is the sparse round's push or pull, so every other counter,
-    /// every node's state and every checkpoint is byte-identical to the
-    /// unsharded run, for any shard count.
+    /// delivery is the frontier round's push or pull, so every other
+    /// counter, every node's state and every checkpoint is byte-identical to
+    /// the unsharded run, for any shard count.
     ///
-    /// A sharded network runs the named sparse mode, or
-    /// [`ExecutionMode::SparseParallel`] when none is named, so it requires a
-    /// delta-driven program. It composes with any fault plan and with
-    /// checkpointing; building it under a dense mode or
-    /// [`ExecutionMode::Mailbox`] panics.
+    /// A sharded network runs frontier rounds, so it needs
+    /// [`ExecutionMode::Auto`] and a delta-driven program, and at most
+    /// [`MAX_SHARDS`] shards. It composes with any fault plan and with
+    /// checkpointing; building it otherwise panics.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -944,9 +876,8 @@ impl NetworkBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a sparse mode is configured for a program that does not set
-    /// [`NodeProgram::DELTA_DRIVEN`], or if a sharded network is given a
-    /// dense mode or [`ExecutionMode::Mailbox`].
+    /// Panics if a sharded network would not run frontier rounds, or has more
+    /// than [`MAX_SHARDS`] shards (see [`NetworkBuilder::shards`]).
     pub fn build<P, F>(self, graph: &WeightedGraph, mut factory: F) -> Network<P>
     where
         P: NodeProgram,
@@ -967,25 +898,23 @@ impl NetworkBuilder {
     /// Panics under the same conditions as [`NetworkBuilder::build`], or if
     /// `programs` and `graph` disagree on the node count.
     pub fn build_from_parts<P: NodeProgram>(self, graph: CsrGraph, programs: Vec<P>) -> Network<P> {
-        let mode = self.mode.unwrap_or(if P::DELTA_DRIVEN {
-            ExecutionMode::SparseParallel
-        } else {
-            ExecutionMode::Parallel
-        });
         assert!(
-            self.shards == 0 || mode.is_sparse(),
-            "sharded execution runs a sparse mode: it does not compose with the mailbox \
-             backend or a dense mode"
+            self.shards <= MAX_SHARDS,
+            "{} shards exceeds the maximum of {MAX_SHARDS}",
+            self.shards
         );
-        let mut net = Network::from_parts(graph, programs, mode);
+        let mut net = Network::from_parts(graph, programs, self.mode);
+        assert!(
+            self.shards == 0 || net.frontier_rounds(),
+            "sharded execution runs frontier rounds: it needs ExecutionMode::Auto and a \
+             delta-driven program"
+        );
         if self.shards > 0 {
             net.install_sharding(self.shards, self.shard_seed);
         }
         net.install_faults(self.faults);
-        net.mailbox_threads = self.threads;
         net.mailbox_capacity = self.mailbox_capacity;
         net.max_frame_bytes = self.max_frame_bytes;
-        net.checkpoint_every = self.checkpoint_every;
         net
     }
 }
@@ -997,18 +926,12 @@ impl<P: NodeProgram> Network<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the node counts disagree, or if `mode` is sparse and the
-    /// program is not [`NodeProgram::DELTA_DRIVEN`].
+    /// Panics if the node counts disagree.
     pub(crate) fn from_parts(graph: CsrGraph, programs: Vec<P>, mode: ExecutionMode) -> Self {
         assert_eq!(
             graph.num_nodes(),
             programs.len(),
             "one program per node required"
-        );
-        assert!(
-            !mode.is_sparse() || P::DELTA_DRIVEN,
-            "sparse execution modes require a delta-driven program \
-             (see NodeProgram::DELTA_DRIVEN)"
         );
         Network {
             graph,
@@ -1018,7 +941,6 @@ impl<P: NodeProgram> Network<P> {
             mode,
             faults: None,
             schedules: Schedules::default(),
-            mailbox_threads: None,
             mailbox_capacity: NetworkBuilder::DEFAULT_MAILBOX_CAPACITY,
             max_frame_bytes: NetworkBuilder::DEFAULT_MAX_FRAME_BYTES,
             decode_faults: Vec::new(),
@@ -1036,9 +958,13 @@ impl<P: NodeProgram> Network<P> {
             shard: None,
             #[cfg(test)]
             force_pull: None,
-            checkpoint_every: 0,
-            checkpoint_sink: None,
         }
+    }
+
+    /// Whether rounds run over the active frontier: a delta-driven program
+    /// under [`ExecutionMode::Auto`].
+    fn frontier_rounds(&self) -> bool {
+        P::DELTA_DRIVEN && self.mode == ExecutionMode::Auto
     }
 
     /// Installs the deterministic shard partition for sharded execution:
@@ -1152,16 +1078,45 @@ impl<P: NodeProgram> Network<P> {
     /// Executes one synchronous round (broadcast phase, then receive phase) and
     /// returns its statistics.
     pub fn run_round(&mut self) -> RoundStats {
+        self.run_rounds(1, false);
+        *self.metrics.rounds().last().expect("round recorded")
+    }
+
+    /// Runs exactly `rounds` rounds.
+    pub fn run(&mut self, rounds: usize) {
+        self.run_rounds(rounds, false);
+    }
+
+    /// Runs until a round in which no node's state changed (quiescence), or
+    /// until `max_rounds` additional rounds have been executed. Returns the
+    /// number of rounds executed by this call.
+    pub fn run_until_quiescent(&mut self, max_rounds: usize) -> usize {
+        self.run_rounds(max_rounds, true)
+    }
+
+    /// Runs up to `rounds` rounds, stopping after the first round in which
+    /// no node changed if `until_quiescent`, and returns how many ran. Every
+    /// run goes through here, the one place that picks the mailbox backend.
+    fn run_rounds(&mut self, rounds: usize, until_quiescent: bool) -> usize {
         if self.mode == ExecutionMode::Mailbox {
-            crate::mailbox::run_mailbox(self, 1, false);
-            return *self.metrics.rounds().last().expect("round recorded");
+            return crate::mailbox::run_mailbox(self, rounds, until_quiescent);
         }
+        for executed in 1..=rounds {
+            if self.step_round().changed_nodes == 0 && until_quiescent {
+                return executed;
+            }
+        }
+        rounds
+    }
+
+    /// Executes one shared-memory round, dense or over the frontier.
+    fn step_round(&mut self) -> RoundStats {
         // Wall-clock audit (dkc-lint D02 allowlist): this reading feeds only
         // RunMetrics::add_elapsed, i.e. wall_clock_ms / messages_per_sec —
         // never a deterministic counter (crates/bench/tests/wall_clock_isolation.rs).
         let started = Instant::now();
         self.round += 1;
-        let stats = if self.mode.is_sparse() {
+        let stats = if self.frontier_rounds() {
             self.run_round_sparse()
         } else {
             self.run_round_dense()
@@ -1182,27 +1137,11 @@ impl<P: NodeProgram> Network<P> {
         // The accounting (post-fault, see `produce_outgoing`) is computed in
         // the same map so no separate sequential pass over the outboxes is
         // needed afterwards.
-        let produce =
-            |(i, program): (usize, &mut P)| produce_outgoing(graph, faults, round, i, program);
-        match self.mode {
-            ExecutionMode::Parallel => self
-                .programs
-                .par_iter_mut()
-                .enumerate()
-                .map(produce)
-                .unzip_into_vecs(&mut self.outboxes, &mut self.accounts),
-            _ => {
-                let n = self.programs.len();
-                self.outboxes.clear();
-                self.outboxes.reserve(n);
-                self.accounts.clear();
-                self.accounts.reserve(n);
-                for (out, acct) in self.programs.iter_mut().enumerate().map(produce) {
-                    self.outboxes.push(out);
-                    self.accounts.push(acct);
-                }
-            }
-        }
+        self.programs
+            .par_iter_mut()
+            .enumerate()
+            .map(|(i, program)| produce_outgoing(graph, faults, round, i, program))
+            .unzip_into_vecs(&mut self.outboxes, &mut self.accounts);
 
         // Reduce the per-sender accounting rows (cheap: plain integers).
         let mut stats = RoundStats::default();
@@ -1219,7 +1158,7 @@ impl<P: NodeProgram> Network<P> {
         );
 
         // Phase 2: every (non-halted, non-crashed) node gathers the copies
-        // addressed to it and steps. Delivery order guarantee (dense modes
+        // addressed to it and steps. Delivery order guarantee (dense rounds
         // only): the inbox is in the receiver's neighbour-list order,
         // which node programs may rely on to merge messages with
         // per-neighbour state in linear time.
@@ -1229,11 +1168,11 @@ impl<P: NodeProgram> Network<P> {
         self.schedules.close(stats, round)
     }
 
-    /// Sparse activation: only the frontier broadcasts, only nodes that
+    /// A frontier round: only the frontier broadcasts, only nodes that
     /// receive a copy step, and the round pushes or pulls the copies (see
-    /// [`PULL_DIVISOR`]). Valid for [`NodeProgram::DELTA_DRIVEN`] programs
-    /// (enforced when the network is built); result-identical to dense
-    /// execution.
+    /// [`PULL_DIVISOR`]). Runs only [`NodeProgram::DELTA_DRIVEN`] programs
+    /// (see [`Network::frontier_rounds`]); result-identical to a dense
+    /// round.
     fn run_round_sparse(&mut self) -> RoundStats {
         let round = self.round;
         let n = self.programs.len();
@@ -1556,8 +1495,7 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Runs [`Gather::receive`] for every node into `step_results`,
-    /// data-parallel under the parallel modes, with one scratch inbox per
-    /// worker.
+    /// data-parallel, with one scratch inbox per worker.
     fn gather_and_step(&mut self, step_empty: bool) {
         let gather = Gather::new(
             &self.graph,
@@ -1567,24 +1505,13 @@ impl<P: NodeProgram> Network<P> {
             self.round,
             step_empty,
         );
-        let step =
-            |inbox: &mut Vec<_>, (i, program): (usize, &mut P)| gather.receive(i, program, inbox);
-        if self.mode.is_parallel() {
-            self.programs
-                .par_iter_mut()
-                .enumerate()
-                .map_init(Vec::new, step)
-                .collect_into_vec(&mut self.step_results);
-        } else {
-            let mut inbox = Vec::new();
-            self.step_results.clear();
-            self.step_results.extend(
-                self.programs
-                    .iter_mut()
-                    .enumerate()
-                    .map(|item| step(&mut inbox, item)),
-            );
-        }
+        self.programs
+            .par_iter_mut()
+            .enumerate()
+            .map_init(Vec::new, |inbox, (i, program)| {
+                gather.receive(i, program, inbox)
+            })
+            .collect_into_vec(&mut self.step_results);
     }
 
     /// Sizes the sparse executor's per-node state before its first round:
@@ -1601,42 +1528,6 @@ impl<P: NodeProgram> Network<P> {
         let widest_push = self.graph.num_arcs() / PULL_DIVISOR + 1;
         self.staged.reserve(widest_push);
         self.staged_to.reserve(widest_push);
-    }
-
-    /// Runs exactly `rounds` rounds.
-    pub fn run(&mut self, rounds: usize) {
-        if self.mode == ExecutionMode::Mailbox {
-            crate::mailbox::run_mailbox(self, rounds, false);
-            return;
-        }
-        for _ in 0..rounds {
-            self.run_round();
-        }
-    }
-
-    /// Runs until a round in which no node's state changed (quiescence), or
-    /// until `max_rounds` additional rounds have been executed. Returns the
-    /// number of rounds executed by this call.
-    pub fn run_until_quiescent(&mut self, max_rounds: usize) -> usize {
-        if self.mode == ExecutionMode::Mailbox {
-            return crate::mailbox::run_mailbox(self, max_rounds, true);
-        }
-        for executed in 1..=max_rounds {
-            let stats = self.run_round();
-            if stats.changed_nodes == 0 {
-                return executed;
-            }
-        }
-        max_rounds
-    }
-
-    /// Configures the checkpoint destination for
-    /// [`Network::run_with_checkpoints`]: the file path the snapshots are
-    /// (atomically) written to, and the embedder-defined preamble stored
-    /// ahead of the executor state (run parameters, graph identity, ...; see
-    /// [`crate::checkpoint`]).
-    pub fn checkpoint_to(&mut self, path: impl Into<PathBuf>, preamble: Vec<u8>) {
-        self.checkpoint_sink = Some((path.into(), preamble));
     }
 }
 
@@ -1662,7 +1553,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
         (self.programs.len() as u64).serialize(&mut *w)?;
         (self.graph.num_arcs() as u64).serialize(&mut *w)?;
         self.faults.unwrap_or_default().serialize(&mut *w)?;
-        self.mode.is_sparse().serialize(&mut *w)?;
+        self.frontier_rounds().serialize(&mut *w)?;
         (self.round as u64).serialize(&mut *w)?;
         self.frontier.serialize(&mut *w)?;
         self.decode_faults.serialize(&mut *w)?;
@@ -1676,8 +1567,8 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     }
 
     /// Restores executor state saved by [`Network::save_state`] into this
-    /// freshly built network (same graph, same fault plan, same mode family —
-    /// all validated). On success the network continues exactly where the
+    /// freshly built network (same graph, same fault plan, same activation —
+    /// frontier or dense rounds — all validated). On success the network continues exactly where the
     /// checkpointed run left off, byte-identical on every deterministic
     /// counter; on error nothing observable has run, but node-program state
     /// may be partially overwritten — discard the network.
@@ -1707,11 +1598,12 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
             return mismatch("fault plan differs from the checkpointed run".to_string());
         }
         let sparse = r.read_bool()?;
-        if sparse != self.mode.is_sparse() {
+        if sparse != self.frontier_rounds() {
+            let rounds = |sparse| if sparse { "frontier" } else { "dense" };
             return mismatch(format!(
-                "checkpoint was written under a {} mode, resuming under {:?}",
-                if sparse { "sparse" } else { "dense" },
-                self.mode
+                "checkpoint was written with {} rounds, resuming with {} rounds",
+                rounds(sparse),
+                rounds(!sparse)
             ));
         }
         let round = r.read_u64()? as usize;
@@ -1748,7 +1640,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
         self.metrics = RunMetrics::from_parts(rounds, elapsed);
         self.frontier = frontier;
         self.decode_faults = decode_faults;
-        if self.mode.is_sparse() && round > 0 {
+        if self.frontier_rounds() && round > 0 {
             // A resumed sparse run never executes the round-1 initialization
             // branch, so size its lazily allocated state here.
             self.size_sparse_scratch();
@@ -1766,33 +1658,27 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     }
 
     /// Runs exactly `rounds` rounds like [`Network::run`], writing a
-    /// checkpoint (see [`Network::checkpoint_to`]) every
-    /// [`NetworkBuilder::checkpoint_every`] rounds — counted in *absolute*
-    /// round numbers, so a resumed run checkpoints at the same boundaries as
-    /// an uninterrupted one. With no interval or no sink configured this is
-    /// plain [`Network::run`]. The mailbox executor runs in chunks between
+    /// checkpoint to `path` (see [`Network::write_checkpoint`]) every `every`
+    /// rounds (0 counts as 1) — counted in *absolute* round numbers, so a
+    /// resumed run checkpoints at the same boundaries as an uninterrupted
+    /// one. `preamble` is the embedder-defined section stored ahead of the
+    /// executor state (run parameters, graph identity, ...; see
+    /// [`crate::checkpoint`]). The mailbox executor runs in chunks between
     /// checkpoint boundaries; its shard threads are quiesced at every
     /// boundary, so the snapshot observes a plain synchronous barrier.
-    pub fn run_with_checkpoints(&mut self, rounds: usize) -> Result<(), CheckpointError> {
-        let every = self.checkpoint_every;
-        if every == 0 || self.checkpoint_sink.is_none() {
-            self.run(rounds);
-            return Ok(());
-        }
+    pub fn run_with_checkpoints(
+        &mut self,
+        rounds: usize,
+        every: usize,
+        path: &Path,
+        preamble: &[u8],
+    ) -> Result<(), CheckpointError> {
+        let every = every.max(1);
         let target = self.round + rounds;
         while self.round < target {
-            let next_boundary = (self.round / every + 1) * every;
-            let stop = next_boundary.min(target);
-            let step = stop - self.round;
-            if self.mode == ExecutionMode::Mailbox {
-                crate::mailbox::run_mailbox(self, step, false);
-            } else {
-                for _ in 0..step {
-                    self.run_round();
-                }
-            }
+            let stop = ((self.round / every + 1) * every).min(target);
+            self.run_rounds(stop - self.round, false);
             if self.round.is_multiple_of(every) {
-                let (path, preamble) = self.checkpoint_sink.as_ref().expect("sink checked");
                 self.write_checkpoint(path, preamble)?;
             }
         }
@@ -1807,34 +1693,62 @@ mod tests {
     use crate::wire::WireWriter;
     use dkc_graph::generators::{complete_graph, grid_graph, path_graph};
 
-    /// One execution path: a mode, sharded when `shards > 0`.
+    use ExecutionMode::{Auto, Dense, Mailbox};
+
+    /// One execution path: a mode run in a rayon pool of `threads` threads,
+    /// sharded when `shards > 0`.
     #[derive(Clone, Copy, Debug)]
     struct Leg {
         mode: ExecutionMode,
+        threads: usize,
         shards: usize,
     }
 
-    /// The unsharded leg of `mode`.
-    const fn leg(mode: ExecutionMode) -> Leg {
-        Leg { mode, shards: 0 }
+    /// The unsharded leg of `mode` on `threads` threads.
+    const fn leg(mode: ExecutionMode, threads: usize) -> Leg {
+        Leg {
+            mode,
+            threads,
+            shards: 0,
+        }
+    }
+
+    impl Leg {
+        /// Runs `f` in this leg's pool.
+        fn install<R>(self, f: impl FnOnce() -> R) -> R {
+            on_threads(self.threads, f)
+        }
     }
 
     impl From<ExecutionMode> for Leg {
         fn from(mode: ExecutionMode) -> Self {
-            leg(mode)
+            leg(mode, 1)
         }
     }
 
+    /// Runs `f` in a rayon pool of `threads` threads: the count every dense
+    /// and pull round, and the mailbox backend, reads.
+    fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// Each mode on one thread and on four (the mailbox backend only on
+    /// four shards), so the data-parallel paths run even on one CPU.
     const ALL_LEGS: [Leg; 6] = [
-        leg(ExecutionMode::Sequential),
-        leg(ExecutionMode::Parallel),
-        leg(ExecutionMode::SparseSequential),
-        leg(ExecutionMode::SparseParallel),
-        leg(ExecutionMode::Mailbox),
+        leg(Dense, 1),
+        leg(Dense, 4),
+        leg(Auto, 1),
+        leg(Auto, 4),
+        leg(Mailbox, 4),
         // A single shard has no cut, so every counter (including the
         // boundary pair) matches the other modes exactly.
         Leg {
-            mode: ExecutionMode::SparseSequential,
+            mode: Auto,
+            threads: 1,
             shards: 1,
         },
     ];
@@ -1875,7 +1789,7 @@ mod tests {
         leg: impl Into<Leg>,
         plan: FaultPlan,
     ) -> Network<MinIdFlood> {
-        let Leg { mode, shards } = leg.into();
+        let Leg { mode, shards, .. } = leg.into();
         NetworkBuilder::new()
             .mode(mode)
             .shards(shards)
@@ -1883,57 +1797,72 @@ mod tests {
             .build(g, |ctx| MinIdFlood { best: ctx.node().0 })
     }
 
+    /// [`min_id_faulty`] run for `rounds` rounds in `leg`'s pool.
+    fn min_id_ran(
+        g: &WeightedGraph,
+        leg: Leg,
+        plan: FaultPlan,
+        rounds: usize,
+    ) -> Network<MinIdFlood> {
+        leg.install(|| {
+            let mut net = min_id_faulty(g, leg, plan);
+            net.run(rounds);
+            net
+        })
+    }
+
+    /// Runs every leg for `rounds` rounds under `plan`: all agree on every
+    /// node's value, and each activation's counters agree at any thread
+    /// count and shard count (dense on one thread is the mailbox reference
+    /// too).
+    fn assert_all_legs_agree(g: &WeightedGraph, plan: FaultPlan, rounds: usize) {
+        let dense = min_id_ran(g, leg(Dense, 1), plan, rounds);
+        let frontier = min_id_ran(g, leg(Auto, 1), plan, rounds);
+        for leg in ALL_LEGS {
+            let net = min_id_ran(g, leg, plan, rounds);
+            for v in g.nodes() {
+                assert_eq!(dense.program(v).best, net.program(v).best, "{leg:?}");
+            }
+            let same = if leg.mode == Auto { &frontier } else { &dense };
+            assert_eq!(
+                same.metrics().first_divergence(net.metrics()),
+                None,
+                "{leg:?}"
+            );
+        }
+    }
+
     use dkc_graph::WeightedGraph;
 
     #[test]
     fn flood_takes_diameter_rounds_on_a_path() {
         let g = path_graph(10);
-        for mode in ALL_LEGS {
-            let mut net = min_id_network(&g, mode);
-            // After k rounds, node k knows id 0 but node k+1 does not.
-            net.run(5);
-            assert_eq!(net.program(NodeId(5)).best, 0, "{mode:?}");
-            assert_eq!(net.program(NodeId(6)).best, 1, "{mode:?}");
-            net.run(4);
-            for v in net.graph().nodes() {
-                assert_eq!(net.program(v).best, 0, "node {v} not converged ({mode:?})");
-            }
+        for leg in ALL_LEGS {
+            leg.install(|| {
+                let mut net = min_id_network(&g, leg);
+                // After k rounds, node k knows id 0 but node k+1 does not.
+                net.run(5);
+                assert_eq!(net.program(NodeId(5)).best, 0, "{leg:?}");
+                assert_eq!(net.program(NodeId(6)).best, 1, "{leg:?}");
+                net.run(4);
+                for v in net.graph().nodes() {
+                    assert_eq!(net.program(v).best, 0, "node {v} not converged ({leg:?})");
+                }
+            });
         }
     }
 
     #[test]
     fn all_modes_agree() {
-        let g = complete_graph(20);
-        let mut reference = min_id_network(&g, ExecutionMode::Sequential);
-        reference.run(3);
-        for mode in &ALL_LEGS[1..] {
-            let mut net = min_id_network(&g, *mode);
-            net.run(3);
-            for v in g.nodes() {
-                assert_eq!(reference.program(v).best, net.program(v).best, "{mode:?}");
-            }
-        }
-        // The two dense modes and the two sparse modes agree exactly on
-        // counters as well.
-        let mut par = min_id_network(&g, ExecutionMode::Parallel);
-        par.run(3);
-        assert_eq!(
-            reference.metrics().total_messages(),
-            par.metrics().total_messages()
-        );
-        let mut ss = min_id_network(&g, ExecutionMode::SparseSequential);
-        let mut sp = min_id_network(&g, ExecutionMode::SparseParallel);
-        ss.run(3);
-        sp.run(3);
-        assert_eq!(ss.metrics().rounds(), sp.metrics().rounds());
+        assert_all_legs_agree(&complete_graph(20), FaultPlan::none(), 3);
     }
 
     #[test]
     fn sparse_skips_redundant_work() {
         let g = path_graph(32);
         let rounds = 200; // well past convergence: the tail is free for sparse
-        let mut dense = min_id_network(&g, ExecutionMode::Sequential);
-        let mut sparse = min_id_network(&g, ExecutionMode::SparseSequential);
+        let mut dense = min_id_network(&g, Dense);
+        let mut sparse = min_id_network(&g, Auto);
         dense.run(rounds);
         sparse.run(rounds);
         for v in g.nodes() {
@@ -1959,8 +1888,8 @@ mod tests {
         for seed in [1u64, 7, 99] {
             let model = LossModel::new(0.4, seed);
             let plan = FaultPlan::from_loss(model);
-            let mut dense = min_id_faulty(&g, ExecutionMode::Sequential, plan);
-            let mut sparse = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
+            let mut dense = min_id_faulty(&g, Dense, plan);
+            let mut sparse = min_id_faulty(&g, Auto, plan);
             dense.run(40);
             sparse.run(40);
             for v in g.nodes() {
@@ -1976,11 +1905,11 @@ mod tests {
     #[test]
     fn quiescence_detection() {
         let g = path_graph(8);
-        for mode in ALL_LEGS {
-            let mut net = min_id_network(&g, mode);
-            let rounds = net.run_until_quiescent(100);
+        for leg in ALL_LEGS {
+            let mut net = min_id_network(&g, leg);
+            let rounds = leg.install(|| net.run_until_quiescent(100));
             // 7 rounds to converge + 1 quiescent round to detect it.
-            assert_eq!(rounds, 8, "{mode:?}");
+            assert_eq!(rounds, 8, "{leg:?}");
             for v in net.graph().nodes() {
                 assert_eq!(net.program(v).best, 0);
             }
@@ -1990,7 +1919,7 @@ mod tests {
     #[test]
     fn quiescent_sparse_rounds_are_free() {
         let g = path_graph(6);
-        let mut net = min_id_network(&g, ExecutionMode::SparseSequential);
+        let mut net = min_id_network(&g, Auto);
         net.run(50);
         let trailing = &net.metrics().rounds()[10..];
         assert!(trailing
@@ -2001,7 +1930,7 @@ mod tests {
     #[test]
     fn message_accounting_counts_per_edge() {
         let g = complete_graph(5);
-        let mut net = min_id_network(&g, ExecutionMode::Sequential);
+        let mut net = min_id_network(&g, Dense);
         let stats = net.run_round();
         // Every node broadcasts to 4 neighbours: 20 messages of 32 bits.
         assert_eq!(stats.messages, 20);
@@ -2042,36 +1971,32 @@ mod tests {
     #[test]
     fn halted_nodes_do_not_participate() {
         let g = complete_graph(4);
-        for mode in [
-            ExecutionMode::Sequential,
-            ExecutionMode::Parallel,
-            ExecutionMode::Mailbox,
-        ] {
-            let mut net = NetworkBuilder::new().mode(mode).build(&g, |_| OneShot {
+        for leg in [leg(Dense, 1), leg(Dense, 4), leg(Mailbox, 4)] {
+            let mut net = NetworkBuilder::new().mode(leg.mode).build(&g, |_| OneShot {
                 sent: false,
                 received: 0,
             });
-            let s1 = net.run_round();
+            let (s1, s2) = leg.install(|| (net.run_round(), net.run_round()));
             assert_eq!(s1.messages, 12);
             // Everyone halted after sending; nothing is delivered in round 1's
             // receive phase? No: messages are delivered in the same round they are
             // sent, but `halted()` became true after the broadcast phase, so the
             // receive phase is skipped for everyone and nothing is counted.
-            assert_eq!(s1.node_updates, 0, "{mode:?}");
-            let s2 = net.run_round();
-            assert_eq!(s2.messages, 0, "{mode:?}");
-            assert_eq!(s2.changed_nodes, 0, "{mode:?}");
+            assert_eq!(s1.node_updates, 0, "{leg:?}");
+            assert_eq!(s2.messages, 0, "{leg:?}");
+            assert_eq!(s2.changed_nodes, 0, "{leg:?}");
         }
     }
 
-    /// A builder that names no mode runs a delta-driven program sparse and
-    /// builds any other program dense.
+    /// A builder that names no mode runs `Auto`: frontier rounds for a
+    /// delta-driven program, dense rounds for any other.
     #[test]
     fn unnamed_mode_follows_the_program() {
         let g = path_graph(32);
         let mut default = NetworkBuilder::new().build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-        let mut dense = min_id_network(&g, ExecutionMode::Parallel);
-        assert_eq!(default.mode, ExecutionMode::SparseParallel);
+        let mut dense = min_id_network(&g, Dense);
+        assert_eq!(default.mode, Auto);
+        assert!(default.frontier_rounds());
         default.run(40);
         dense.run(40);
         for v in g.nodes() {
@@ -2087,19 +2012,7 @@ mod tests {
             sent: false,
             received: 0,
         });
-        assert_eq!(one_shot.mode, ExecutionMode::Parallel);
-    }
-
-    #[test]
-    #[should_panic(expected = "delta-driven")]
-    fn sparse_mode_requires_delta_driven_programs() {
-        let g = complete_graph(3);
-        let _ = NetworkBuilder::new()
-            .mode(ExecutionMode::SparseSequential)
-            .build(&g, |_| OneShot {
-                sent: false,
-                received: 0,
-            });
+        assert!(!one_shot.frontier_rounds());
     }
 
     #[test]
@@ -2134,7 +2047,7 @@ mod tests {
             }
         }
         let g = complete_graph(3);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::Mailbox] {
+        for mode in [Dense, Mailbox] {
             let mut net = NetworkBuilder::new().mode(mode).build(&g, |_| Directed);
             let stats = net.run_round();
             // node0: 1 unicast; node1: 1 multicast; node2: 1 multicast.
@@ -2172,17 +2085,16 @@ mod tests {
     #[test]
     fn multicast_modes_agree_on_rotating_subsets() {
         let g = complete_graph(9);
-        let build = |mode| {
-            NetworkBuilder::new()
-                .mode(mode)
-                .build(&g, |_| RotatingMulticast { heard: vec![] })
+        let run = |leg: Leg| {
+            let mut net = NetworkBuilder::new()
+                .mode(leg.mode)
+                .build(&g, |_| RotatingMulticast { heard: vec![] });
+            leg.install(|| net.run(6));
+            net
         };
-        let mut seq = build(ExecutionMode::Sequential);
-        let mut par = build(ExecutionMode::Parallel);
-        let mut mb = build(ExecutionMode::Mailbox);
-        seq.run(6);
-        par.run(6);
-        mb.run(6);
+        let seq = run(leg(Dense, 1));
+        let par = run(leg(Dense, 4));
+        let mb = run(leg(Mailbox, 4));
         for v in g.nodes() {
             assert_eq!(seq.program(v).heard, par.program(v).heard);
             // The mailbox inbox order (stable sort by arc position over
@@ -2220,7 +2132,7 @@ mod tests {
                 false
             }
         }
-        for mode in [ExecutionMode::Sequential, ExecutionMode::Mailbox] {
+        for mode in [Dense, Mailbox] {
             let mut net = NetworkBuilder::new()
                 .mode(mode)
                 .build(&g, |_| ZeroMulticasts { received: 0 });
@@ -2238,21 +2150,21 @@ mod tests {
     #[test]
     fn buffer_reuse_after_warmup() {
         let g = complete_graph(12);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+        for threads in [1, 4] {
             let mut net = NetworkBuilder::new()
-                .mode(mode)
+                .mode(Dense)
                 .build(&g, |_| RotatingMulticast { heard: vec![] });
             // Warm-up: one full rotation cycle, so every inbox has seen its
             // maximum per-round message count at least once.
-            net.run(12);
+            on_threads(threads, || net.run(12));
             let warm = net.buffer_stats();
             assert!(warm.outbox_capacity >= 12);
             assert!(warm.multicast_stamp_slots == net.graph().num_arcs());
-            net.run(24);
+            on_threads(threads, || net.run(24));
             assert_eq!(
                 net.buffer_stats(),
                 warm,
-                "steady-state rounds must not grow executor buffers ({mode:?})"
+                "steady-state rounds must not grow executor buffers ({threads} threads)"
             );
         }
     }
@@ -2260,18 +2172,15 @@ mod tests {
     #[test]
     fn sparse_buffer_reuse_after_warmup() {
         let g = path_graph(24);
-        for mode in [
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
-            let mut net = min_id_network(&g, mode);
-            net.run(4);
+        for threads in [1, 4] {
+            let mut net = min_id_network(&g, Auto);
+            on_threads(threads, || net.run(4));
             let warm = net.buffer_stats();
-            net.run(40);
+            on_threads(threads, || net.run(40));
             assert_eq!(
                 net.buffer_stats(),
                 warm,
-                "steady-state sparse rounds must not grow executor buffers ({mode:?})"
+                "steady-state sparse rounds must not grow executor buffers ({threads} threads)"
             );
         }
     }
@@ -2290,41 +2199,43 @@ mod tests {
         let plan = FaultPlan::from_loss(LossModel::new(0.002, 3))
             .with_crash(CrashModel::new(0.05, 2, 12, 4))
             .with_byzantine(spam);
-        for mode in [
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
-            let mut net = min_id_faulty(&g, mode, plan);
-            let (n, arcs) = (g.num_nodes(), net.graph().num_arcs());
-            let widest_push = arcs / PULL_DIVISOR;
-            net.run_round();
-            let reserved = net.buffer_stats().staged_capacity_total;
-            assert!(reserved >= 2 * (widest_push + 1), "{mode:?}");
-            let mut spammed_pushes = 0;
-            for _ in 2..=30 {
-                let stats = net.run_round();
-                let copies = stats.messages + stats.dropped();
-                if copies > 0 && copies <= widest_push && spam.active(stats.round) {
-                    spammed_pushes += 1;
+        for threads in [1, 4] {
+            on_threads(threads, || {
+                let mut net = min_id_faulty(&g, Auto, plan);
+                let (n, arcs) = (g.num_nodes(), net.graph().num_arcs());
+                let widest_push = arcs / PULL_DIVISOR;
+                net.run_round();
+                let reserved = net.buffer_stats().staged_capacity_total;
+                assert!(reserved >= 2 * (widest_push + 1), "{threads} threads");
+                let mut spammed_pushes = 0;
+                for _ in 2..=30 {
+                    let stats = net.run_round();
+                    let copies = stats.messages + stats.dropped();
+                    if copies > 0 && copies <= widest_push && spam.active(stats.round) {
+                        spammed_pushes += 1;
+                    }
+                    let scratch = net.buffer_stats();
+                    assert_eq!(
+                        scratch.staged_capacity_total, reserved,
+                        "{threads} threads: round {} outgrew the push staging",
+                        stats.round
+                    );
+                    // Outboxes, step results and buckets take n entries each,
+                    // the four frontier worklists (a next frontier holds changed
+                    // nodes plus re-senders) a few n together.
+                    assert!(
+                        scratch.total() <= 10 * n + 2 * (widest_push + 1),
+                        "{threads} threads round {}: {scratch:?} for {n} nodes, {arcs} arcs",
+                        stats.round
+                    );
                 }
-                let scratch = net.buffer_stats();
-                assert_eq!(
-                    scratch.staged_capacity_total, reserved,
-                    "{mode:?}: round {} outgrew the push staging",
-                    stats.round
-                );
-                // Outboxes, step results and buckets take n entries each,
-                // the four frontier worklists (a next frontier holds changed
-                // nodes plus re-senders) a few n together.
                 assert!(
-                    scratch.total() <= 10 * n + 2 * (widest_push + 1),
-                    "{mode:?} round {}: {scratch:?} for {n} nodes, {arcs} arcs",
-                    stats.round
+                    spammed_pushes > 0,
+                    "{threads} threads: no push round under spam"
                 );
-            }
-            assert!(spammed_pushes > 0, "{mode:?}: no push round under spam");
-            assert!(net.metrics().crashed_nodes() > 0);
-            assert!(net.metrics().totals().dropped_loss > 0);
+                assert!(net.metrics().crashed_nodes() > 0);
+                assert!(net.metrics().totals().dropped_loss > 0);
+            });
         }
     }
 
@@ -2347,11 +2258,11 @@ mod tests {
             }
         }
         let g = complete_graph(3);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+        for threads in [1, 4] {
             let mut net = NetworkBuilder::new()
-                .mode(mode)
+                .mode(Dense)
                 .build(&g, |_| EmptyMulticast { received: 0 });
-            let stats = net.run_round();
+            let stats = on_threads(threads, || net.run_round());
             assert_eq!(stats.messages, 0);
             assert_eq!(stats.sending_nodes, 0);
             for v in g.nodes() {
@@ -2378,7 +2289,7 @@ mod tests {
             }
         }
         let mut net = NetworkBuilder::new()
-            .mode(ExecutionMode::Sequential)
+            .mode(Dense)
             .faults(FaultPlan::from_loss(LossModel::new(1.0, 7)))
             .build(&g, |_| AlwaysMulticast);
         let stats = net.run_round();
@@ -2392,7 +2303,7 @@ mod tests {
     fn partial_loss_accounting_matches_the_loss_model() {
         let g = complete_graph(6);
         let model = LossModel::new(0.5, 99);
-        let mut net = min_id_faulty(&g, ExecutionMode::Sequential, FaultPlan::from_loss(model));
+        let mut net = min_id_faulty(&g, Dense, FaultPlan::from_loss(model));
         let stats = net.run_round();
         // Recompute the expected delivered-copy count straight from the model.
         let mut expected = 0usize;
@@ -2442,17 +2353,17 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         let model = LossModel::new(0.5, 7);
         let rounds = 60;
-        let run = |mode: ExecutionMode| {
+        let run = |leg: Leg| {
             let mut net = NetworkBuilder::new()
-                .mode(mode)
+                .mode(leg.mode)
                 .faults(FaultPlan::from_loss(model))
                 .build(&g, |_| Batch { received: vec![] });
-            net.run(rounds);
+            leg.install(|| net.run(rounds));
             let received = net.program(NodeId(1)).received.clone();
             let (_, metrics) = net.into_parts();
             (received, metrics)
         };
-        let (received, metrics) = run(ExecutionMode::Sequential);
+        let (received, metrics) = run(leg(Dense, 1));
         // Per round, the delivered subset must match the per-index model
         // decisions — not an all-or-nothing link-level coin flip.
         let mut expected = Vec::new();
@@ -2479,17 +2390,16 @@ mod tests {
         // Accounting counted exactly the delivered copies.
         assert_eq!(metrics.total_messages(), expected.len());
         assert_eq!(metrics.totals().dropped_loss, rounds * 4 - expected.len());
-        // The parallel executor agrees exactly (the program accumulates
-        // duplicates, so it is not delta-driven and the sparse modes do not
-        // apply to it).
-        let (par_received, par_metrics) = run(ExecutionMode::Parallel);
+        // Four threads agree exactly (the program accumulates duplicates, so
+        // it is not delta-driven and runs dense rounds under every mode).
+        let (par_received, par_metrics) = run(leg(Dense, 4));
         assert_eq!(par_received, received);
-        assert_eq!(par_metrics.rounds(), metrics.rounds());
+        assert_eq!(par_metrics.first_divergence(&metrics), None);
         // The mailbox backend preserves the batch order of same-arc unicasts
         // and agrees on every counter, including the per-index drops.
-        let (mb_received, mb_metrics) = run(ExecutionMode::Mailbox);
+        let (mb_received, mb_metrics) = run(leg(Mailbox, 4));
         assert_eq!(mb_received, received);
-        assert_eq!(mb_metrics.rounds(), metrics.rounds());
+        assert_eq!(mb_metrics.first_divergence(&metrics), None);
     }
 
     /// Every execution mode agrees on state and counters under a fault plan
@@ -2501,53 +2411,30 @@ mod tests {
             .with_burst(BurstLoss::new(6, 2, 9))
             .with_crash(CrashModel::new(0.15, 2, 10, 13))
             .with_partition(PartitionModel::new(0.3, 4, 9, 21));
-        let mut reference = min_id_faulty(&g, ExecutionMode::Sequential, plan);
-        reference.run(30);
-        for mode in &ALL_LEGS[1..] {
-            let mut net = min_id_faulty(&g, *mode, plan);
-            net.run(30);
-            for v in g.nodes() {
-                assert_eq!(reference.program(v).best, net.program(v).best, "{mode:?}");
-            }
-        }
-        // Dense counters agree exactly between sequential and parallel.
-        let mut par = min_id_faulty(&g, ExecutionMode::Parallel, plan);
-        par.run(30);
-        assert_eq!(reference.metrics().rounds(), par.metrics().rounds());
         // The mailbox backend agrees with dense lockstep on every counter,
         // including the measured wire bits and per-component drop counts.
-        let mut mb = min_id_faulty(&g, ExecutionMode::Mailbox, plan);
-        mb.run(30);
-        assert_eq!(reference.metrics().rounds(), mb.metrics().rounds());
-        // Sparse counters agree between the two sparse modes.
-        let mut ss = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
-        let mut sp = min_id_faulty(&g, ExecutionMode::SparseParallel, plan);
-        ss.run(30);
-        sp.run(30);
-        assert_eq!(ss.metrics().rounds(), sp.metrics().rounds());
+        assert_all_legs_agree(&g, plan, 30);
     }
 
     /// The tentpole acceptance at the executor level: under a byzantine plan
-    /// with every behavior enabled plus quarantine, all five modes agree on
-    /// final values, and the schedule-driven byzantine counters (accusations,
-    /// quarantined nodes) are byte-identical per round in every mode — they
-    /// are pure hash schedules, independent of executor traffic.
+    /// with every behavior enabled plus quarantine, every mode agrees on
+    /// final values and each activation on every counter (tamper and spam
+    /// accounting included), and the schedule-driven byzantine counters
+    /// (accusations, quarantined nodes) are byte-identical per round across
+    /// activations — they are pure hash schedules, independent of executor
+    /// traffic.
     #[test]
     fn all_modes_agree_under_byzantine_and_quarantine() {
         let g = path_graph(20);
         let plan = FaultPlan::none().with_byzantine(
             ByzantineModel::new(0.35, ByzantineModel::ALL_BEHAVIORS, 2, 16, 23).with_quarantine(2),
         );
-        let mut reference = min_id_faulty(&g, ExecutionMode::Sequential, plan);
-        reference.run(30);
+        assert_all_legs_agree(&g, plan, 30);
+        let reference = min_id_ran(&g, leg(Dense, 1), plan, 30);
         assert!(reference.metrics().totals().byzantine_accusations > 0);
         assert!(reference.metrics().totals().quarantined_nodes > 0);
-        for mode in &ALL_LEGS[1..] {
-            let mut net = min_id_faulty(&g, *mode, plan);
-            net.run(30);
-            for v in g.nodes() {
-                assert_eq!(reference.program(v).best, net.program(v).best, "{mode:?}");
-            }
+        for leg in ALL_LEGS {
+            let net = min_id_ran(&g, leg, plan, 30);
             for (a, b) in reference
                 .metrics()
                 .rounds()
@@ -2557,28 +2444,11 @@ mod tests {
                 assert_eq!(
                     (a.byzantine_accusations, a.quarantined_nodes),
                     (b.byzantine_accusations, b.quarantined_nodes),
-                    "{mode:?} round {}",
+                    "{leg:?} round {}",
                     a.round
                 );
             }
         }
-        // The dense lockstep pair and the mailbox backend agree on EVERY
-        // counter (tamper and spam accounting included).
-        for mode in [ExecutionMode::Parallel, ExecutionMode::Mailbox] {
-            let mut net = min_id_faulty(&g, mode, plan);
-            net.run(30);
-            assert_eq!(
-                reference.metrics().rounds(),
-                net.metrics().rounds(),
-                "{mode:?}"
-            );
-        }
-        // The two sparse modes agree with each other on every counter.
-        let mut ss = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
-        let mut sp = min_id_faulty(&g, ExecutionMode::SparseParallel, plan);
-        ss.run(30);
-        sp.run(30);
-        assert_eq!(ss.metrics().rounds(), sp.metrics().rounds());
     }
 
     /// Spam accounting: an active spammer puts [`ByzantineModel::SPAM_FACTOR`]
@@ -2592,11 +2462,7 @@ mod tests {
             .filter(|&v| model.behavior_of(NodeId::new(v)) == Some(Behavior::Spam))
             .count();
         assert!(spammers > 0, "seed produced no spammers");
-        let mut net = min_id_faulty(
-            &g,
-            ExecutionMode::Sequential,
-            FaultPlan::none().with_byzantine(model),
-        );
+        let mut net = min_id_faulty(&g, Dense, FaultPlan::none().with_byzantine(model));
         net.run(6);
         for r in net.metrics().rounds() {
             let expected = if model.active(r.round) {
@@ -2629,11 +2495,7 @@ mod tests {
             !model.is_byzantine(NodeId(0)),
             "seed made node 0 byzantine; pick another seed"
         );
-        let mut net = min_id_faulty(
-            &g,
-            ExecutionMode::Sequential,
-            FaultPlan::none().with_byzantine(model),
-        );
+        let mut net = min_id_faulty(&g, Dense, FaultPlan::none().with_byzantine(model));
         net.run(20);
         // Quarantined nodes keep receiving: node 0 broadcasts its id to
         // everyone directly, so every node — quarantined or not — ends at 0.
@@ -2666,8 +2528,8 @@ mod tests {
             .count();
         assert!(liars > 0, "seed produced no liars");
         let plan = FaultPlan::none().with_byzantine(model);
-        let mut dense = min_id_faulty(&g, ExecutionMode::Sequential, plan);
-        let mut sparse = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
+        let mut dense = min_id_faulty(&g, Dense, plan);
+        let mut sparse = min_id_faulty(&g, Auto, plan);
         dense.run(25);
         sparse.run(25);
         for v in g.nodes() {
@@ -2699,16 +2561,14 @@ mod tests {
             FaultPlan::none().with_crash(CrashModel::new(0.0, 1, 4, 2)),
             FaultPlan::none().with_partition(PartitionModel::new(0.0, 1, 4, 3)),
         ];
-        for mode in ALL_LEGS {
-            let mut clean = min_id_network(&g, mode);
-            clean.run(5);
+        for leg in ALL_LEGS {
+            let clean = min_id_ran(&g, leg, FaultPlan::none(), 5);
             for plan in trivial {
-                let mut planned = min_id_faulty(&g, mode, plan);
-                planned.run(5);
+                let planned = min_id_ran(&g, leg, plan, 5);
                 assert_eq!(
-                    clean.metrics().rounds(),
-                    planned.metrics().rounds(),
-                    "{mode:?} {plan:?}"
+                    clean.metrics().first_divergence(planned.metrics()),
+                    None,
+                    "{leg:?} {plan:?}"
                 );
                 for v in g.nodes() {
                     assert_eq!(clean.program(v).best, planned.program(v).best);
@@ -2730,9 +2590,9 @@ mod tests {
             .collect();
         assert!(!crashed.is_empty(), "seed produced no crashes");
 
-        let mut clean = min_id_network(&g, ExecutionMode::SparseSequential);
-        let mut faulty = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
-        let mut dense = min_id_faulty(&g, ExecutionMode::Sequential, plan);
+        let mut clean = min_id_network(&g, Auto);
+        let mut faulty = min_id_faulty(&g, Auto, plan);
+        let mut dense = min_id_faulty(&g, Dense, plan);
         clean.run(40);
         faulty.run(40);
         dense.run(40);
@@ -2786,7 +2646,7 @@ mod tests {
             (1..12u32).any(|v| part.minority_side(NodeId(v)) != part.minority_side(NodeId(0))),
             "seed produced a trivial cut"
         );
-        for mode in [ExecutionMode::Sequential, ExecutionMode::SparseSequential] {
+        for mode in [Dense, Auto] {
             let mut net = min_id_faulty(&g, mode, plan);
             net.run(40);
             // Healing: everyone still converges to the global minimum.
@@ -2801,8 +2661,8 @@ mod tests {
             assert_eq!(net.metrics().totals().dropped_burst, 0);
         }
         // Sparse and dense deliver the same rounds-to-convergence.
-        let mut dense = min_id_faulty(&g, ExecutionMode::Sequential, plan);
-        let mut sparse = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
+        let mut dense = min_id_faulty(&g, Dense, plan);
+        let mut sparse = min_id_faulty(&g, Auto, plan);
         let dr = dense.run_until_quiescent(100);
         let sr = sparse.run_until_quiescent(100);
         assert_eq!(dr, sr, "convergence rounds must agree");
@@ -2814,8 +2674,8 @@ mod tests {
     fn burst_loss_drops_in_windows_and_converges() {
         let g = path_graph(10);
         let plan = FaultPlan::none().with_burst(BurstLoss::new(4, 2, 33));
-        let mut dense = min_id_faulty(&g, ExecutionMode::Sequential, plan);
-        let mut sparse = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
+        let mut dense = min_id_faulty(&g, Dense, plan);
+        let mut sparse = min_id_faulty(&g, Auto, plan);
         dense.run(40);
         sparse.run(40);
         for v in g.nodes() {
@@ -2846,7 +2706,7 @@ mod tests {
             .with_burst(BurstLoss::new(5, 2, 4))
             .with_partition(PartitionModel::new(0.4, 2, 6, 5))
             .with_byzantine(ByzantineModel::new(0.4, Behavior::Mute.bit(), 2, 6, 9));
-        let mut net = min_id_faulty(&g, ExecutionMode::Sequential, plan);
+        let mut net = min_id_faulty(&g, Dense, plan);
         net.run(8);
         let m = net.metrics();
         assert!(m.totals().dropped_loss > 0);
@@ -2874,7 +2734,7 @@ mod tests {
     #[should_panic(expected = "before running")]
     fn fault_plan_must_be_installed_before_running() {
         let g = complete_graph(3);
-        let mut net = min_id_network(&g, ExecutionMode::Sequential);
+        let mut net = min_id_network(&g, Dense);
         net.run(1);
         net.install_faults(FaultPlan::from_loss(LossModel::new(0.5, 1)));
     }
@@ -2883,7 +2743,7 @@ mod tests {
     #[should_panic(expected = "before running")]
     fn shard_partition_must_be_installed_before_running() {
         let g = complete_graph(3);
-        let mut net = min_id_network(&g, ExecutionMode::SparseSequential);
+        let mut net = min_id_network(&g, Auto);
         net.run(1);
         net.install_sharding(2, 0);
     }
@@ -2904,7 +2764,7 @@ mod tests {
 
     /// Tentpole acceptance (unit form; the cross-crate proptest pins the same
     /// property over random graphs × fault plans): sharded execution is
-    /// byte-identical to unsharded sparse lockstep on every deterministic
+    /// byte-identical to unsharded frontier rounds on every deterministic
     /// counter and every node value, for any shard count, under a full fault
     /// plan.
     #[test]
@@ -2919,7 +2779,7 @@ mod tests {
                     .with_detect(0.5)
                     .with_quarantine(3),
             );
-        let mut reference = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
+        let mut reference = min_id_faulty(&g, Auto, plan);
         reference.run(25);
         for shards in [1usize, 2, 4, 8] {
             let mut net = NetworkBuilder::new()
@@ -2976,29 +2836,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not compose with the mailbox backend")]
+    #[should_panic(expected = "sharded execution runs frontier rounds")]
     fn sharding_rejects_the_mailbox_backend() {
         let g = path_graph(4);
         let _ = NetworkBuilder::new()
-            .mode(ExecutionMode::Mailbox)
+            .mode(Mailbox)
             .shards(2)
             .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
     }
 
     #[test]
-    #[should_panic(expected = "sharded execution runs a sparse mode")]
+    #[should_panic(expected = "1025 shards exceeds the maximum of 1024")]
+    fn shard_count_is_capped_at_max_shards() {
+        let g = path_graph(4);
+        let _ = NetworkBuilder::new()
+            .shards(MAX_SHARDS + 1)
+            .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded execution runs frontier rounds")]
     fn sharding_rejects_dense_modes() {
         let g = path_graph(4);
         let _ = NetworkBuilder::new()
-            .mode(ExecutionMode::Parallel)
+            .mode(Dense)
             .shards(2)
             .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
     }
 
     /// Push and pull rounds deliver the same copies. A 12×12 grid floods
     /// under loss, crashes and a byzantine lie window that re-activates the
-    /// liars mid-run, in both sparse modes and three ways each: every round
-    /// pushed, every round pulled, and each round choosing by
+    /// liars mid-run, on one thread and on four and three ways each: every
+    /// round pushed, every round pulled, and each round choosing by
     /// [`PULL_DIVISOR`]. Every round's counters and every node's value agree,
     /// and the unforced run took both directions.
     #[test]
@@ -3013,29 +2882,26 @@ mod tests {
         let plan = FaultPlan::from_loss(LossModel::new(0.05, 3))
             .with_crash(CrashModel::new(0.05, 2, 10, 4))
             .with_byzantine(lies);
-        let run = |mode: ExecutionMode, force_pull: Option<bool>| {
-            let mut net = min_id_faulty(&g, mode, plan);
+        let run = |threads: usize, force_pull: Option<bool>| {
+            let mut net = min_id_faulty(&g, Auto, plan);
             net.force_pull = force_pull;
-            net.run(24);
+            on_threads(threads, || net.run(24));
             net
         };
-        let reference = run(ExecutionMode::SparseSequential, None);
-        for mode in [
-            ExecutionMode::SparseSequential,
-            ExecutionMode::SparseParallel,
-        ] {
+        let reference = run(1, None);
+        for threads in [1, 4] {
             for force_pull in [None, Some(false), Some(true)] {
-                let net = run(mode, force_pull);
+                let net = run(threads, force_pull);
                 assert_eq!(
-                    net.metrics().rounds(),
-                    reference.metrics().rounds(),
-                    "{mode:?} force_pull={force_pull:?}"
+                    net.metrics().first_divergence(reference.metrics()),
+                    None,
+                    "{threads} threads, force_pull={force_pull:?}"
                 );
                 for v in g.nodes() {
                     assert_eq!(
                         net.program(v).best,
                         reference.program(v).best,
-                        "{mode:?} force_pull={force_pull:?} node {v}"
+                        "{threads} threads, force_pull={force_pull:?} node {v}"
                     );
                 }
             }
@@ -3057,8 +2923,8 @@ mod tests {
     /// Tentpole acceptance (unit form; the cross-crate proptest pins the
     /// same property over random graphs): the mailbox backend's RoundStats —
     /// including measured wire bits and per-component drop counters — are
-    /// byte-identical to sequential lockstep, for any shard count and even
-    /// under a tiny mailbox capacity that forces backpressure stalls.
+    /// byte-identical to dense lockstep, for any thread (shard) count and
+    /// even under a tiny mailbox capacity that forces backpressure stalls.
     #[test]
     fn mailbox_is_byte_identical_across_thread_counts() {
         let g = path_graph(17);
@@ -3066,19 +2932,18 @@ mod tests {
             .with_burst(BurstLoss::new(5, 2, 8))
             .with_crash(CrashModel::new(0.2, 2, 9, 4))
             .with_partition(PartitionModel::new(0.3, 3, 7, 6));
-        let mut reference = min_id_faulty(&g, ExecutionMode::Sequential, plan);
+        let mut reference = min_id_faulty(&g, Dense, plan);
         reference.run(25);
         for threads in [1, 2, 3, 8, 64] {
             let mut mb = NetworkBuilder::new()
-                .mode(ExecutionMode::Mailbox)
+                .mode(Mailbox)
                 .faults(plan)
-                .threads(threads)
                 .mailbox_capacity(2)
                 .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-            mb.run(25);
+            on_threads(threads, || mb.run(25));
             assert_eq!(
-                reference.metrics().rounds(),
-                mb.metrics().rounds(),
+                reference.metrics().first_divergence(mb.metrics()),
+                None,
                 "threads={threads}"
             );
             for v in g.nodes() {
@@ -3096,7 +2961,7 @@ mod tests {
     fn oversized_frames_are_attributed_to_the_sender() {
         let g = path_graph(4);
         let mut net = NetworkBuilder::new()
-            .mode(ExecutionMode::Mailbox)
+            .mode(Mailbox)
             // u32 payloads are 4 bytes; a 3-byte cap rejects every frame.
             .max_frame_bytes(3)
             .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
@@ -3162,31 +3027,29 @@ mod tests {
         let g = path_graph(14);
         let plan = checkpoint_plan();
         let total = 12usize;
-        for mode in ALL_LEGS {
-            let mut reference = min_id_faulty(&g, mode, plan);
-            reference.run(total);
+        for leg in ALL_LEGS {
+            let reference = min_id_ran(&g, leg, plan, total);
             for cut in 0..=total {
-                let mut first = min_id_faulty(&g, mode, plan);
-                first.run(cut);
+                let first = min_id_ran(&g, leg, plan, cut);
                 let state = first.save_state().expect("save");
                 drop(first); // the "killed" process
 
-                let mut resumed = min_id_faulty(&g, mode, plan);
+                let mut resumed = min_id_faulty(&g, leg, plan);
                 resumed.restore_state(&state).expect("restore");
                 assert_eq!(resumed.round(), cut);
-                resumed.run(total - cut);
+                leg.install(|| resumed.run(total - cut));
 
                 for v in g.nodes() {
                     assert_eq!(
                         reference.program(v).best,
                         resumed.program(v).best,
-                        "{mode:?} cut at {cut}, node {v}"
+                        "{leg:?} cut at {cut}, node {v}"
                     );
                 }
                 assert_eq!(
-                    reference.metrics().rounds(),
-                    resumed.metrics().rounds(),
-                    "{mode:?} cut at {cut}"
+                    reference.metrics().first_divergence(resumed.metrics()),
+                    None,
+                    "{leg:?} cut at {cut}"
                 );
             }
         }
@@ -3244,31 +3107,30 @@ mod tests {
         let g = path_graph(10);
         let plan = checkpoint_plan();
 
-        let mut reference = min_id_faulty(&g, ExecutionMode::SparseSequential, plan);
+        let mut reference = min_id_faulty(&g, Auto, plan);
         reference.run(9);
 
-        let builder = NetworkBuilder::new()
-            .mode(ExecutionMode::SparseSequential)
-            .faults(plan)
-            .checkpoint_every(2);
+        let builder = NetworkBuilder::new().faults(plan);
         let mut interrupted = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-        interrupted.checkpoint_to(&path, b"run-params".to_vec());
         // "Killed" after 5 rounds: the latest checkpoint on disk is round 4.
-        interrupted.run_with_checkpoints(5).unwrap();
+        interrupted
+            .run_with_checkpoints(5, 2, &path, b"run-params")
+            .unwrap();
         drop(interrupted);
 
         let image = checkpoint::read_checkpoint_bytes(&path).unwrap();
         let (preamble, state) = checkpoint::decode_checkpoint(&image).unwrap();
         assert_eq!(preamble, b"run-params");
         let mut resumed = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-        resumed.checkpoint_to(&path, b"run-params".to_vec());
         resumed.restore_state(state).unwrap();
         assert_eq!(
             resumed.round(),
             4,
             "latest checkpoint is the round-4 boundary"
         );
-        resumed.run_with_checkpoints(9 - 4).unwrap();
+        resumed
+            .run_with_checkpoints(9 - 4, 2, &path, b"run-params")
+            .unwrap();
 
         for v in g.nodes() {
             assert_eq!(reference.program(v).best, resumed.program(v).best);
@@ -3289,41 +3151,41 @@ mod tests {
     fn restore_rejects_mismatched_runs() {
         let g = path_graph(8);
         let plan = checkpoint_plan();
-        let mut src = min_id_faulty(&g, ExecutionMode::Sequential, plan);
+        let mut src = min_id_faulty(&g, Dense, plan);
         src.run(3);
         let state = src.save_state().unwrap();
 
         // Different node count.
         let other = path_graph(9);
-        let err = min_id_faulty(&other, ExecutionMode::Sequential, plan)
+        let err = min_id_faulty(&other, Dense, plan)
             .restore_state(&state)
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
 
         // Different fault plan.
-        let err = min_id_faulty(&g, ExecutionMode::Sequential, FaultPlan::none())
+        let err = min_id_faulty(&g, Dense, FaultPlan::none())
             .restore_state(&state)
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
 
-        // Wrong mode family (dense checkpoint into a sparse executor).
-        let err = min_id_faulty(&g, ExecutionMode::SparseSequential, plan)
+        // Wrong activation (a dense checkpoint into frontier rounds).
+        let err = min_id_faulty(&g, Auto, plan)
             .restore_state(&state)
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
-        // ... but any mode of the same family accepts it.
-        for mode in [ExecutionMode::Parallel, ExecutionMode::Mailbox] {
+        // ... but any mode that runs dense rounds accepts it.
+        for mode in [Dense, Mailbox] {
             min_id_faulty(&g, mode, plan).restore_state(&state).unwrap();
         }
 
         // Truncated and trailing-garbage state payloads.
-        let err = min_id_faulty(&g, ExecutionMode::Sequential, plan)
+        let err = min_id_faulty(&g, Dense, plan)
             .restore_state(&state[..state.len() - 1])
             .unwrap_err();
         assert_eq!(err, CheckpointError::Truncated);
         let mut trailing = state.clone();
         trailing.push(0);
-        let err = min_id_faulty(&g, ExecutionMode::Sequential, plan)
+        let err = min_id_faulty(&g, Dense, plan)
             .restore_state(&trailing)
             .unwrap_err();
         assert_eq!(err, CheckpointError::TrailingBytes { remaining: 1 });

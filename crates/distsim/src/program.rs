@@ -83,8 +83,8 @@ impl<'a> NodeContext<'a> {
 /// [`NodeContext::neighbor_weights`] slices. Programs that keep per-neighbour
 /// state (cached values, alive flags, …) can therefore merge an inbox in
 /// `O(|inbox|)` without rescanning their adjacency list and without relying on
-/// any particular inbox ordering — which is what makes the sparse
-/// frontier executor (see [`crate::ExecutionMode`]) possible. A broadcast or
+/// any particular inbox ordering — which is what makes frontier rounds (see
+/// [`crate::ExecutionMode::Auto`]) possible. A broadcast or
 /// multicast over parallel edges is delivered once per arc, each with its own
 /// `pos`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,10 +149,9 @@ pub trait NodeProgram: Send {
         + crate::message::Tamper
         + crate::wire::WireCodec;
 
-    /// Whether this program satisfies the **delta-driven contract** required
-    /// by the sparse frontier execution modes
-    /// ([`crate::ExecutionMode::SparseSequential`] /
-    /// [`crate::ExecutionMode::SparseParallel`]):
+    /// Whether this program satisfies the **delta-driven contract** that
+    /// frontier rounds need; [`crate::ExecutionMode::Auto`] runs a program
+    /// that sets it over the active frontier, and any other program dense:
     ///
     /// 1. [`NodeProgram::broadcast`] is a pure function of the node's
     ///    observable state (no side effects), so a node whose last
@@ -166,23 +165,23 @@ pub trait NodeProgram: Send {
     /// 4. the inbox may arrive in any order (merge by [`Delivery::pos`], not
     ///    by position in the inbox slice).
     ///
-    /// Under this contract the sparse executor skips the broadcast of
-    /// unchanged nodes and the step of untouched nodes while remaining
-    /// **result-identical** to dense execution — including under deterministic
+    /// Under this contract a frontier round skips the broadcast of unchanged
+    /// nodes and the step of untouched nodes while remaining
+    /// **result-identical** to a dense round — including under deterministic
     /// message loss (a sender with dropped copies stays active and re-sends,
     /// exactly reproducing the rounds at which a dense run would have
-    /// delivered). Programs that leave this `false` (the default) are rejected
-    /// by the sparse modes.
+    /// delivered). Programs that leave this `false` (the default) always run
+    /// dense rounds.
     const DELTA_DRIVEN: bool = false;
 
     /// Phase 1: produce the messages to send this round.
     fn broadcast(&mut self, ctx: &NodeContext<'_>) -> Outgoing<Self::Message>;
 
     /// Phase 2: process messages received this round. `inbox` contains one
-    /// [`Delivery`] per arc on which a neighbour addressed this node. Under
-    /// the dense execution modes the inbox is ordered consistently with this
-    /// node's neighbour list; under the sparse modes the order is unspecified
-    /// (use [`Delivery::pos`]).
+    /// [`Delivery`] per arc on which a neighbour addressed this node. In a
+    /// dense round the inbox is ordered consistently with this node's
+    /// neighbour list; in a frontier round the order is unspecified (use
+    /// [`Delivery::pos`]).
     /// Returns `true` if the node's observable state changed.
     fn receive(&mut self, ctx: &NodeContext<'_>, inbox: &[Delivery<Self::Message>]) -> bool;
 

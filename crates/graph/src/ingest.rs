@@ -648,6 +648,10 @@ fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
         .ok()
         .filter(|&n| n <= u32::MAX as usize)
         .ok_or_else(|| invalid(format!("binary: node count {} out of range", header.n)))?;
+    if !header.has_id_table {
+        // No byte describes an identity-mapped node until an edge names it.
+        checked_declared_nodes(header.n, 0, file_len)?;
+    }
     let mut ids = NodeIdMap::new();
     if header.has_id_table {
         for i in 0..n {
@@ -781,7 +785,9 @@ pub fn read_dataset(path: impl AsRef<Path>, format: DatasetFormat) -> Result<Dat
                 }
                 Ok(())
             })?;
-            Ok(finish_dataset(builder, ids, checked_node_count(declared)?))
+            let file_len = std::fs::metadata(path)?.len();
+            let declared = checked_declared_nodes(declared, ids.len(), file_len)?;
+            Ok(finish_dataset(builder, ids, declared))
         }
     }
 }
@@ -803,6 +809,27 @@ fn checked_node_count(n: u64) -> Result<usize, ParseError> {
         .ok()
         .filter(|&n| n <= u32::MAX as usize)
         .ok_or_else(|| invalid(format!("declared node count {n} out of range")))
+}
+
+/// How many isolated nodes a declared node count may add beyond one per
+/// byte of the file. A node in an edge, or in a `.dkcb` id table, takes
+/// bytes of its own; a node only a `# nodes: N` directive (or a `.dkcb`
+/// header without an id table) declares takes none, so without a bound a
+/// 22-byte file could claim billions of them. 2^20 keeps any graph with up
+/// to a million isolated nodes readable.
+pub const UNDESCRIBED_NODE_ALLOWANCE: u64 = 1 << 20;
+
+/// `declared` as a node count, if it adds at most `file_len` +
+/// [`UNDESCRIBED_NODE_ALLOWANCE`] nodes to the `seen` ones the file
+/// describes.
+fn checked_declared_nodes(declared: u64, seen: usize, file_len: u64) -> Result<usize, ParseError> {
+    let limit = (seen as u64)
+        .saturating_add(file_len)
+        .saturating_add(UNDESCRIBED_NODE_ALLOWANCE);
+    if declared > limit {
+        return Err(ParseError::DeclaredNodes { declared, limit });
+    }
+    checked_node_count(declared)
 }
 
 /// METIS is positional: node ids in the file are already dense `1..=n`, so
@@ -969,7 +996,9 @@ pub fn stream_stats(
         }
         Ok(v)
     };
-    stream_items(path.as_ref(), format, &mut |item| {
+    let path = path.as_ref();
+    let file_len = std::fs::metadata(path)?.len();
+    stream_items(path, format, &mut |item| {
         match item {
             StreamItem::Edge(u, v, w) => {
                 total_weight += w;
@@ -988,7 +1017,7 @@ pub fn stream_stats(
     })?;
     // Same range discipline as `read_dataset`: a bogus declared count must
     // fail identically in both paths.
-    let declared = checked_node_count(declared)?;
+    let declared = checked_declared_nodes(declared, degrees.len(), file_len)?;
     let nodes = degrees.len().max(declared);
     let edges = plain_edges.len() + loop_weights.values().filter(|&&w| w > 0.0).count();
     let isolated = nodes - degrees.len();
@@ -1265,6 +1294,60 @@ mod tests {
                 small.graph.degree(v)
             ));
         }
+    }
+
+    /// A declared node count no byte of the file describes is bounded by
+    /// the file's length plus `UNDESCRIBED_NODE_ALLOWANCE`: a 22-byte edge
+    /// list (or a 32-byte `.dkcb` header) claiming 50M nodes is a typed
+    /// error in both readers instead of a 50M-node graph, while a graph
+    /// with a thousand isolated nodes and no edges still reads.
+    #[test]
+    fn declared_nodes_are_bounded_by_the_file() {
+        let dir = test_dir("declared");
+        let edges = write_text(&dir, "huge.edges", "# nodes: 50000000\n1 2\n");
+        let mut dkcb = BINARY_MAGIC.to_vec();
+        dkcb.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+        dkcb.extend_from_slice(&0u16.to_le_bytes());
+        for field in [50_000_000u64, 0, 0] {
+            dkcb.extend_from_slice(&field.to_le_bytes());
+        }
+        let binary = dir.join("huge.dkcb");
+        std::fs::write(&binary, &dkcb).unwrap();
+        for (path, format, file_len) in [
+            (&edges, DatasetFormat::EdgeList, 22),
+            (&binary, DatasetFormat::Binary, 32),
+        ] {
+            let seen = if format == DatasetFormat::EdgeList {
+                2
+            } else {
+                0
+            };
+            let limit = seen + file_len + UNDESCRIBED_NODE_ALLOWANCE;
+            for err in [
+                read_dataset(path, format).unwrap_err(),
+                stream_stats(path, format).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, ParseError::DeclaredNodes { declared: 50_000_000, limit: l } if l == limit),
+                    "{format:?}: {err}"
+                );
+            }
+        }
+        // What `dkc generate er --nodes 1000 --prob 1e-7` writes.
+        let sparse = write_text(&dir, "isolated.edges", "# nodes: 1000  edges: 0\n");
+        assert_eq!(
+            read_dataset(&sparse, DatasetFormat::EdgeList)
+                .unwrap()
+                .graph
+                .num_nodes(),
+            1000
+        );
+        assert_eq!(
+            stream_stats(&sparse, DatasetFormat::EdgeList)
+                .unwrap()
+                .nodes,
+            1000
+        );
     }
 
     #[test]

@@ -23,6 +23,16 @@ pub enum ParseError {
     /// A structural problem not tied to a single line (bad header, truncated
     /// binary section, asymmetric METIS adjacency, …).
     Invalid(String),
+    /// A declared node count (an edge list's `# nodes:` directive, or a
+    /// `.dkcb` header without an id table) adds more isolated nodes than the
+    /// file has bytes, plus [`crate::ingest::UNDESCRIBED_NODE_ALLOWANCE`]:
+    /// no byte of the file describes them, so the count is not believed.
+    DeclaredNodes {
+        /// The declared node count.
+        declared: u64,
+        /// The most nodes this file may declare.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -33,6 +43,10 @@ impl std::fmt::Display for ParseError {
                 write!(f, "malformed line {line}: {content:?}")
             }
             ParseError::Invalid(msg) => write!(f, "invalid dataset: {msg}"),
+            ParseError::DeclaredNodes { declared, limit } => write!(
+                f,
+                "invalid dataset: declares {declared} nodes, more than the {limit} it may hold"
+            ),
         }
     }
 }

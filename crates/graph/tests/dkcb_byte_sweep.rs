@@ -1,43 +1,39 @@
-//! Every byte of a real `.dkcb` image — the binary form of
-//! `bench/fixtures/web-tiny.edges`, id table included — flipped three ways
-//! (xor 0xFF, 0x01, 0x80) and stamped with `u32::MAX`, and every truncation
-//! of it: each variant reads back as a typed `ParseError` or as a
+//! Every byte of a real dataset image — `bench/fixtures/web-tiny.edges` as
+//! the edge list it is, as METIS, and as `.dkcb` (id table included) —
+//! flipped three ways (xor 0xFF, 0x01, 0x80) and stamped with `u32::MAX`,
+//! and every truncation of it: each variant reads back, through
+//! `read_dataset` and `stream_stats` alike, as a typed `ParseError` or as a
 //! consistent dataset, never a panic.
 
-use dkc_graph::ingest::{read_dataset, write_dataset, DatasetFormat};
+use dkc_graph::ingest::{read_dataset, stream_stats, write_dataset, DatasetFormat};
 use std::panic::catch_unwind;
 use std::path::Path;
 
-#[test]
-fn every_byte_of_a_dkcb_image_reads_or_is_rejected() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/fixtures/web-tiny.edges");
-    let ds = read_dataset(&fixture, DatasetFormat::EdgeList).unwrap();
-    let dir = std::env::temp_dir().join(format!("dkc-dkcb-sweep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("web-tiny.dkcb");
-    write_dataset(&ds, &path, DatasetFormat::Binary).unwrap();
-    let image = std::fs::read(&path).unwrap();
-
+/// Writes every variant of `image` to `path` and reads it as `format`;
+/// returns what failed.
+fn sweep(image: &[u8], path: &Path, format: DatasetFormat) -> Vec<String> {
     let mut failures = Vec::new();
     let mut try_variant = |what: String, img: &[u8]| {
-        std::fs::write(&path, img).unwrap();
-        match catch_unwind(|| read_dataset(&path, DatasetFormat::Binary)) {
-            Err(_) => failures.push(format!("{what}: panicked")),
-            Ok(Ok(read)) if read.ids.len() != read.graph.num_nodes() => failures.push(format!(
-                "{what}: {} ids for {} nodes",
-                read.ids.len(),
-                read.graph.num_nodes()
-            )),
+        std::fs::write(path, img).unwrap();
+        match catch_unwind(|| (read_dataset(path, format), stream_stats(path, format))) {
+            Err(_) => failures.push(format!("{format:?} {what}: panicked")),
+            Ok((Ok(read), _)) if read.ids.len() != read.graph.num_nodes() => {
+                failures.push(format!(
+                    "{format:?} {what}: {} ids for {} nodes",
+                    read.ids.len(),
+                    read.graph.num_nodes()
+                ))
+            }
             Ok(_) => {}
         }
     };
     for at in 0..image.len() {
         for mask in [0xFF, 0x01, 0x80] {
-            let mut img = image.clone();
+            let mut img = image.to_vec();
             img[at] ^= mask;
             try_variant(format!("byte {at} ^ {mask:#04x}"), &img);
         }
-        let mut img = image.clone();
+        let mut img = image.to_vec();
         let end = (at + 4).min(img.len());
         img[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
         try_variant(format!("u32::MAX at {at}"), &img);
@@ -45,16 +41,44 @@ fn every_byte_of_a_dkcb_image_reads_or_is_rejected() {
     for len in 0..image.len() {
         try_variant(format!("truncated to {len}"), &image[..len]);
     }
+    failures
+}
+
+#[test]
+fn every_byte_of_a_dkcb_image_reads_or_is_rejected() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/fixtures/web-tiny.edges");
+    let ds = read_dataset(&fixture, DatasetFormat::EdgeList).unwrap();
+    let dir = std::env::temp_dir().join(format!("dkc-dkcb-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut failures = Vec::new();
+    for (name, format) in [
+        ("web-tiny.edges", DatasetFormat::EdgeList),
+        ("web-tiny.metis", DatasetFormat::Metis),
+        ("web-tiny.dkcb", DatasetFormat::Binary),
+    ] {
+        let path = dir.join(name);
+        let image = if format == DatasetFormat::EdgeList {
+            std::fs::read(&fixture).unwrap()
+        } else {
+            write_dataset(&ds, &path, format).unwrap();
+            std::fs::read(&path).unwrap()
+        };
+        failures.extend(sweep(&image, &path, format));
+
+        // The unmodified image reads back as the fixture.
+        std::fs::write(&path, &image).unwrap();
+        let read = read_dataset(&path, format).unwrap();
+        if format != DatasetFormat::Metis {
+            assert_eq!(read.ids.externals(), ds.ids.externals(), "{format:?}");
+        }
+        assert_eq!(read.graph.num_nodes(), ds.graph.num_nodes(), "{format:?}");
+        assert_eq!(read.graph.num_edges(), ds.graph.num_edges(), "{format:?}");
+    }
     assert!(
         failures.is_empty(),
         "{} variants failed: {failures:#?}",
         failures.len()
     );
-
-    // The unmodified image reads back as the fixture.
-    std::fs::write(&path, &image).unwrap();
-    let read = read_dataset(&path, DatasetFormat::Binary).unwrap();
-    assert_eq!(read.ids.externals(), ds.ids.externals());
-    assert_eq!(read.graph.num_edges(), ds.graph.num_edges());
     std::fs::remove_dir_all(&dir).ok();
 }

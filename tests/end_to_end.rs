@@ -36,7 +36,7 @@ fn workloads() -> Vec<(&'static str, WeightedGraph)> {
 fn coreness_guarantee_across_workloads() {
     let epsilon = 0.25;
     for (name, g) in workloads() {
-        let approx = approximate_coreness(&g, epsilon, ExecutionMode::Parallel);
+        let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
         let core = weighted_coreness(&g);
         let decomposition = dense_decomposition(&g);
         for v in 0..g.num_nodes() {
@@ -66,7 +66,7 @@ fn coreness_guarantee_across_workloads() {
 fn orientation_guarantee_across_workloads() {
     let epsilon = 0.25;
     for (name, g) in workloads() {
-        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Parallel);
+        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Dense);
         let rho = densest_subgraph(&g).density;
         assert_eq!(
             approx.assignment.len(),
@@ -90,7 +90,7 @@ fn densest_guarantee_across_workloads() {
     let epsilon = 0.25;
     for (name, g) in workloads() {
         let exact = densest_subgraph(&g).density;
-        let result = weak_densest_subsets(&g, epsilon, ExecutionMode::Parallel);
+        let result = weak_densest_subsets(&g, epsilon, ExecutionMode::Dense);
         assert!(
             result.best_density >= exact / (2.0 * (1.0 + epsilon)) - 1e-9,
             "{name}: best density {} below ρ*/(2(1+ε)) = {}",
@@ -114,7 +114,7 @@ fn approximate_beats_exact_on_round_count_for_high_diameter_graphs() {
     let csr = CsrGraph::from(&g);
     assert!(diameter_exact(&csr) >= 239);
 
-    let exact_run = montresor_exact_coreness(&g, 10_000, ExecutionMode::Parallel);
+    let exact_run = montresor_exact_coreness(&g, 10_000, ExecutionMode::Dense);
     assert!(exact_run.converged);
     let core = weighted_coreness(&g);
     for v in 0..g.num_nodes() {
@@ -122,7 +122,7 @@ fn approximate_beats_exact_on_round_count_for_high_diameter_graphs() {
     }
 
     let epsilon = 0.5;
-    let approx = approximate_coreness(&g, epsilon, ExecutionMode::Parallel);
+    let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
     assert!(
         approx.rounds < exact_run.rounds,
         "approximate rounds {} should be below exact convergence rounds {}",
@@ -201,20 +201,35 @@ fn lower_bound_tree_requires_depth_rounds() {
     assert!(beta_clique_full > beta_tree_full);
 }
 
-/// The full pipeline behaves identically under sequential and rayon-parallel
-/// execution (rounds are barriers).
+/// The full pipeline behaves identically on one thread and on four, in
+/// dense and in frontier rounds (rounds are barriers).
 #[test]
 fn deterministic_across_execution_modes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(777);
     let g = barabasi_albert(300, 4, &mut rng);
-    let a = approximate_coreness(&g, 0.3, ExecutionMode::Sequential);
-    let b = approximate_coreness(&g, 0.3, ExecutionMode::Parallel);
-    assert_eq!(a.values, b.values);
-
-    let oa = approximate_orientation(&g, 0.3, ExecutionMode::Sequential);
-    let ob = approximate_orientation(&g, 0.3, ExecutionMode::Parallel);
-    assert_eq!(oa.assignment, ob.assignment);
-    assert_eq!(oa.max_in_degree, ob.max_in_degree);
+    let on_threads = |threads: usize, mode: ExecutionMode| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            (
+                approximate_coreness(&g, 0.3, mode),
+                approximate_orientation(&g, 0.3, mode),
+            )
+        })
+    };
+    let (a, oa) = on_threads(1, ExecutionMode::Dense);
+    for (threads, mode) in [
+        (4, ExecutionMode::Dense),
+        (1, ExecutionMode::Auto),
+        (4, ExecutionMode::Auto),
+    ] {
+        let (b, ob) = on_threads(threads, mode);
+        assert_eq!(a.values, b.values, "{mode:?} on {threads}");
+        assert_eq!(oa.assignment, ob.assignment, "{mode:?} on {threads}");
+        assert_eq!(oa.max_in_degree, ob.max_in_degree, "{mode:?} on {threads}");
+    }
 }
 
 /// The rounds used by the protocol do not grow with the diameter: a long grid
@@ -230,8 +245,8 @@ fn round_budget_is_diameter_independent() {
     assert!(diameter_double_sweep(&csr_long, NodeId(0)) > 100);
     assert!(diameter_double_sweep(&csr_compact, NodeId(0)) < 20);
 
-    let a = approximate_coreness(&long, epsilon, ExecutionMode::Parallel);
-    let b = approximate_coreness(&compact_g, epsilon, ExecutionMode::Parallel);
+    let a = approximate_coreness(&long, epsilon, ExecutionMode::Dense);
+    let b = approximate_coreness(&compact_g, epsilon, ExecutionMode::Dense);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.rounds, rounds_for_epsilon(900, epsilon));
 }

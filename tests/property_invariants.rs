@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn distributed_equals_centralized(g in arb_graph(20), rounds in 1usize..6) {
         let reference = surviving_numbers(&g, rounds);
-        let outcome = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential)).unwrap();
+        let outcome = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
         for v in 0..g.num_nodes() {
             prop_assert!((outcome.surviving[v] - reference[v]).abs() < 1e-9);
         }
@@ -67,7 +67,7 @@ proptest! {
     /// 2 n^{1/T} ρ*.
     #[test]
     fn orientation_invariants(g in arb_graph(20), rounds in 1usize..6) {
-        let outcome = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential)).unwrap();
+        let outcome = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
         for (u, v, _) in g.edges() {
             if u == v { continue; }
             prop_assert!(
@@ -89,8 +89,8 @@ proptest! {
     fn quantization_error_is_bounded(g in arb_graph(20), lambda_pct in 1u32..60) {
         let lambda = lambda_pct as f64 / 100.0;
         let rounds = 4;
-        let exact = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Sequential)).unwrap();
-        let quantized = run_compact_elimination(&g, &RunSpec::new(rounds).threshold_set(ThresholdSet::power_grid(lambda)).mode(ExecutionMode::Sequential)).unwrap();
+        let exact = run_compact_elimination(&g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
+        let quantized = run_compact_elimination(&g, &RunSpec::new(rounds).threshold_set(ThresholdSet::power_grid(lambda)).mode(ExecutionMode::Dense)).unwrap();
         for v in 0..g.num_nodes() {
             prop_assert!(quantized.surviving[v] <= exact.surviving[v] + 1e-9);
             prop_assert!(
@@ -107,7 +107,7 @@ proptest! {
     #[test]
     fn weak_densest_guarantee(g in arb_graph(18), rounds in 2usize..6) {
         let result = dkc::core::densest::weak_densest_subsets_with_rounds(
-            &g, rounds, ExecutionMode::Sequential);
+            &g, rounds, ExecutionMode::Dense);
         let exact = densest_subgraph(&g).density;
         let gamma = 2.0 * (g.num_nodes().max(1) as f64).powf(1.0 / rounds as f64);
         if exact > 0.0 {
