@@ -1,9 +1,9 @@
 //! Wall-clock isolation audit (the D02 contract, tested from the data side).
 //!
-//! The workspace reads `Instant::now` in exactly three places — the lockstep
-//! executor (`crates/distsim/src/network.rs`), the mailbox executor
-//! (`crates/distsim/src/mailbox.rs`), and the bench harness
-//! (`crates/bench/src/experiments.rs`) — all on the dkc-lint D02 allowlist.
+//! The workspace reads `Instant::now` in exactly two places — the round loop
+//! every execution mode shares (`Network::step_round` in
+//! `crates/distsim/src/network.rs`) and the bench harness
+//! (`crates/bench/src/experiments.rs`) — both on the dkc-lint D02 allowlist.
 //! Those readings may only ever reach the two timing fields of an
 //! [`ExperimentRecord`] (`wall_clock_ms`, `messages_per_sec`), never the
 //! deterministic counters `dkc-bench check` gates on

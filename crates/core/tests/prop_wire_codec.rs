@@ -3,7 +3,13 @@
 //! accounting charges, corrupted frames (truncated at every byte boundary,
 //! over the payload cap, carrying trailing garbage, or with an unknown enum
 //! tag) are rejected with an error, and every byte of a frame flipped three
-//! ways or stamped with `u32::MAX` decodes or is rejected — never a panic.
+//! ways or stamped with `u32::MAX` decodes or is rejected — never a panic,
+//! and never an allocation larger than twice the mutated frame (or
+//! [`ALLOCATION_FLOOR`] bytes). A counting global allocator measures the
+//! largest single allocation the decoding thread makes, as in
+//! `crates/distsim/tests/decode_allocation.rs`; only the measuring thread's
+//! allocations count, so the test harness's own threads do not disturb the
+//! figures.
 
 use dkc_core::bfs::{BfsMessage, LeaderKey};
 use dkc_core::densest::AggMessage;
@@ -17,10 +23,57 @@ use dkc_distsim::wire::{
 use dkc_graph::NodeId;
 use proptest::prelude::*;
 use serde::ser::Serialize;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Debug;
 use std::panic::catch_unwind;
 
 const MAX_PAYLOAD: usize = 1 << 20;
+
+/// The largest allocation any decode may make regardless of its frame's
+/// size, so that a tiny frame may still hold a small `Vec`.
+const ALLOCATION_FLOOR: usize = 64;
+
+/// The system allocator, recording the largest allocation of a thread that
+/// is measuring (see [`largest_allocation`]).
+struct PeakAlloc;
+
+thread_local! {
+    /// `Some(largest so far)` while this thread measures.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+// SAFETY: every call goes to the system allocator unchanged; the wrapper
+// only records sizes, in a const-initialized thread-local that never
+// allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|largest| {
+            if let Some(so_far) = largest.get() {
+                largest.set(Some(so_far.max(layout.size())));
+            }
+        });
+        // SAFETY: the caller upholds `alloc`'s contract, which is passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation it
+/// made.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.with(|largest| largest.set(Some(0)));
+    let out = f();
+    let largest = LARGEST.with(|largest| largest.replace(None)).unwrap_or(0);
+    (out, largest)
+}
 
 /// Exercises the full contract for one message value.
 fn check_codec<M>(msg: &M)
@@ -67,7 +120,8 @@ where
 
 /// Every byte of `frame` xor 0xFF, 0x01 and 0x80, and a `u32::MAX` stamp at
 /// every offset (the length header included): each decodes to a value or an
-/// error, never a panic.
+/// error, never a panic, and allocates at most twice its bytes (or
+/// [`ALLOCATION_FLOOR`]) at once.
 fn check_mutations<M: WireCodec>(frame: &[u8]) {
     for at in 0..frame.len() {
         let mut variants: Vec<Vec<u8>> = [0xFF, 0x01, 0x80]
@@ -82,9 +136,16 @@ fn check_mutations<M: WireCodec>(frame: &[u8]) {
         stamped[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
         variants.push(stamped);
         for img in &variants {
+            let (decoded, largest) =
+                largest_allocation(|| catch_unwind(|| decode_frame::<M>(img, MAX_PAYLOAD)));
             assert!(
-                catch_unwind(|| decode_frame::<M>(img, MAX_PAYLOAD)).is_ok(),
+                decoded.is_ok(),
                 "decoding a mutation at byte {at} panicked: {img:?}"
+            );
+            assert!(
+                largest <= (2 * img.len()).max(ALLOCATION_FLOOR),
+                "decoding a {}-byte mutation at byte {at} allocated {largest} bytes at once: {img:?}",
+                img.len()
             );
         }
     }

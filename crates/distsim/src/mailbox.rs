@@ -1,93 +1,130 @@
-//! The mailbox executor backend ([`crate::ExecutionMode::Mailbox`]).
+//! The mailbox executor backend ([`crate::ExecutionMode::Mailbox`]): a
+//! per-round transport.
 //!
-//! Dense round semantics over a message-passing runtime: the node array is
-//! split into contiguous **shards**, one scoped thread per shard, and every
-//! message crosses shards as a **wire-encoded byte frame** (length prefix +
-//! payload, see [`crate::wire`]) through that shard's bounded mpsc mailbox —
-//! there is no shared outbox snapshot. The main thread acts as the
-//! coordinator: it merges the shards' per-round partial statistics, decides
-//! continuation (round budget / quiescence), and releases the next round.
+//! [`run_round`] runs one dense round as message passing: the nodes split
+//! into [`rayon::current_num_threads`] contiguous **shards** for that round
+//! (shard 0 on the calling thread, the others on scoped threads), and every
+//! copy crosses to its receiver's shard as a **wire-encoded byte frame**
+//! (see [`crate::wire`]) through that shard's bounded channel; there is no
+//! shared outbox snapshot. It hands back the round's [`RoundStats`]; the
+//! round loop every mode shares (`Network::step_round`) owns the rest. The
+//! per-node inboxes and each shard's multicast stamps and pending frames
+//! persist between rounds ([`MailboxScratch`]).
 //!
-//! ## Why results are byte-identical to lockstep
+//! ## Why results are byte-identical to dense rounds
 //!
-//! * Send-side fault decisions and accounting reuse the exact
-//!   `produce_outgoing` the lockstep executors run, so `messages`,
-//!   `payload_bits`, `wire_bits` and the drop counters agree by construction
-//!   (the measured `wire_bits` uses the counting serializer, whose output
-//!   length equals the encoder's).
-//! * Each delivered copy travels on exactly one CSR arc, and each arc's
-//!   frames are produced by exactly one sender thread, so per-arc FIFO order
-//!   is preserved end-to-end; the receiver then **stable-sorts** its inbox by
-//!   receiver-local arc position, reproducing the dense delivery order
-//!   (neighbour-list order, unicast batches in batch order).
-//! * Every non-halted, non-crashed node steps every round (dense
-//!   activation), and round barriers are enforced by per-shard end-of-round
-//!   markers plus the coordinator's control release.
+//! * Send-side fault decisions and accounting reuse the `produce_outgoing`
+//!   every executor runs, so every send counter agrees by construction (the
+//!   measured `wire_bits` uses the counting serializer, whose output length
+//!   equals the encoder's).
+//! * A sender's copies are the ones [`RoundCopies::for_each`] walks, with
+//!   the positions, tamper salts and spam factors [`RoundCopies`] gives every
+//!   executor. A message is encoded once and its frame shared by its copies;
+//!   only a tampered copy gets a frame of its own (tampering is
+//!   length-preserving, see [`crate::message::Tamper`]).
+//! * Each arc's frames are sent by one thread, so per-arc FIFO order holds
+//!   end to end; the receiver **stable-sorts** its inbox by receiver-local
+//!   arc position, reproducing the dense delivery order.
+//! * Every non-halted, non-crashed node steps, once its shard's channel has
+//!   no sender left: every shard drops its senders when its send phase ends.
 //!
 //! ## Backpressure without deadlock
 //!
 //! Mailboxes are bounded. A sender whose `try_send` hits a full mailbox
-//! drains its *own* mailbox into a local pending buffer before retrying, so
-//! any cycle of blocked senders contains a shard that is making progress;
-//! the pending buffer is folded into the inboxes after the shard's send
-//! phase, keeping receive-side effects out of the send phase.
+//! drains its *own* mailbox into a pending buffer before retrying, so any
+//! cycle of blocked senders contains a shard that is making progress; the
+//! pending frames are received first, ahead of the channel's.
 //!
 //! ## Decode failures
 //!
 //! A frame that fails [`crate::wire::decode_frame`] (truncated, over the
 //! [`crate::NetworkBuilder::max_frame_bytes`] cap, trailing garbage, bad
 //! bytes) is dropped and **attributed to the sending node** in
-//! [`crate::Network::decode_faults`] — tofn-style per-peer fault attribution
-//! instead of a panic. In-tree programs never produce such frames; the
-//! accounting exists for the protocol boundary.
+//! [`crate::Network::decode_faults`]: tofn-style per-peer fault attribution
+//! instead of a panic. In-tree programs never produce such frames.
 
+use crate::faults::FaultPlan;
 use crate::message::Tamper;
 use crate::metrics::RoundStats;
-use crate::network::{produce_outgoing, Network};
-use crate::program::{Delivery, NodeProgram, Outgoing};
+use crate::network::{produce_outgoing, Network, RoundCopies};
+use crate::program::{Delivery, NodeContext, NodeProgram};
 use crate::wire::{decode_frame, encode_frame};
 use dkc_graph::{CsrGraph, NodeId};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// One unit of shard-to-shard traffic.
-enum Packet {
-    /// A delivered message copy on one arc. `pos` is the receiver-local arc
-    /// position (what dense delivery reports in [`Delivery::pos`]); `bytes`
-    /// is the complete wire frame, shared between the copies of a broadcast.
-    Frame {
-        sender: u32,
-        receiver: u32,
-        pos: u32,
-        bytes: Arc<[u8]>,
-    },
-    /// The sending shard has finished its send phase for this round.
-    EndOfRound,
+/// One delivered message copy on one arc. `pos` is the receiver-local arc
+/// position (what dense delivery reports in [`Delivery::pos`]); `bytes` is
+/// the complete wire frame, shared between the copies of one message.
+struct Frame {
+    sender: u32,
+    receiver: u32,
+    pos: u32,
+    bytes: Arc<[u8]>,
 }
 
-/// Shard-to-coordinator messages.
-enum ToCoordinator {
-    /// End of one round on one shard: its share of the round's statistics.
-    Round(RoundStats),
-    /// Shard shutdown: the node ids charged with decode failures (one entry
-    /// per rejected frame).
-    Done(Vec<u32>),
+/// The mailbox backend's scratch, kept across rounds (see the module docs).
+pub(crate) struct MailboxScratch<M> {
+    /// One inbox per node, in node order; empty between rounds.
+    inboxes: Vec<Vec<Delivery<M>>>,
+    /// One entry per shard of the latest round.
+    shards: Vec<ShardScratch>,
 }
 
-/// Sends one packet, draining our own mailbox into `pending` while the
+/// One shard's scratch, and its share of the round's outcome.
+#[derive(Default)]
+struct ShardScratch {
+    /// Arc-indexed multicast stamps (see [`RoundCopies::for_each`]); the
+    /// shard only stamps its own senders' arcs.
+    stamps: Vec<u64>,
+    /// Frames drained from the shard's own mailbox while a send was blocked.
+    pending: Vec<Frame>,
+    /// The shard's share of the round's statistics.
+    stats: RoundStats,
+    /// The sender of each frame the shard rejected this round.
+    faulters: Vec<u32>,
+}
+
+impl<M> Default for MailboxScratch<M> {
+    fn default() -> Self {
+        MailboxScratch {
+            inboxes: Vec::new(),
+            shards: Vec::new(),
+        }
+    }
+}
+
+impl<M> MailboxScratch<M> {
+    /// Summed length of the shards' multicast stamp arrays.
+    pub(crate) fn stamp_slots(&self) -> usize {
+        self.shards.iter().map(|s| s.stamps.len()).sum()
+    }
+
+    /// Summed capacity of the inboxes and the shards' pending buffers.
+    pub(crate) fn capacity_total(&self) -> usize {
+        self.inboxes.capacity()
+            + self.inboxes.iter().map(Vec::capacity).sum::<usize>()
+            + self
+                .shards
+                .iter()
+                .map(|s| s.pending.capacity())
+                .sum::<usize>()
+    }
+}
+
+/// Sends one frame, draining our own mailbox into `pending` while the
 /// destination mailbox is full (see module docs on deadlock freedom).
 fn send_with_backpressure(
-    tx: &SyncSender<Packet>,
-    rx: &Receiver<Packet>,
-    pending: &mut Vec<Packet>,
-    mut pkt: Packet,
+    tx: &SyncSender<Frame>,
+    rx: &Receiver<Frame>,
+    pending: &mut Vec<Frame>,
+    mut frame: Frame,
 ) {
     loop {
-        match tx.try_send(pkt) {
+        match tx.try_send(frame) {
             Ok(()) => return,
-            Err(TrySendError::Full(p)) => {
-                pkt = p;
+            Err(TrySendError::Full(f)) => {
+                frame = f;
                 let mut drained = false;
                 while let Ok(incoming) = rx.try_recv() {
                     pending.push(incoming);
@@ -98,388 +135,223 @@ fn send_with_backpressure(
                 }
             }
             Err(TrySendError::Disconnected(_)) => {
-                unreachable!("mailbox receiver disconnected mid-run")
+                unreachable!("mailbox receiver disconnected mid-round")
             }
         }
     }
 }
 
-/// Runs up to `max_rounds` rounds under the mailbox backend, starting after
-/// `net.round`. With `stop_on_quiescent`, stops after the first round in
-/// which no node changed. Returns the number of rounds executed; metrics,
-/// round counter, and decode-fault attribution are updated on `net`.
-pub(crate) fn run_mailbox<P: NodeProgram>(
-    net: &mut Network<P>,
-    max_rounds: usize,
-    stop_on_quiescent: bool,
-) -> usize {
-    if max_rounds == 0 {
-        return 0;
+/// Runs round `net.round` under the mailbox backend and returns its
+/// statistics, before `Network::step_round` closes them. Decode failures
+/// are charged to their senders in `net.decode_faults`.
+pub(crate) fn run_round<P: NodeProgram>(net: &mut Network<P>) -> RoundStats {
+    let n = net.programs.len();
+    if n == 0 {
+        return RoundStats::default();
     }
-    // Wall-clock audit (dkc-lint D02 allowlist): timing-only, accumulated via
-    // RunMetrics::add_elapsed; deterministic counters never see it.
-    let started = Instant::now();
-    let threads = rayon::current_num_threads();
+    let chunk = n.div_ceil(rayon::current_num_threads().clamp(1, n));
+    let num_shards = n.div_ceil(chunk);
     let Network {
         graph,
         programs,
         round,
-        metrics,
         faults,
-        schedules,
         mailbox_capacity,
         max_frame_bytes,
         decode_faults,
+        mailbox,
         ..
     } = net;
-    let start_round = *round;
-    let n = programs.len();
-
-    if n == 0 {
-        // Degenerate topology: rounds are empty barriers, identical to dense.
-        let mut executed = 0;
-        for _ in 0..max_rounds {
-            *round += 1;
-            executed += 1;
-            metrics.push(RoundStats {
-                round: *round,
-                ..RoundStats::default()
-            });
-            if stop_on_quiescent {
-                break;
-            }
+    let ctx = RoundCtx {
+        graph,
+        copies: RoundCopies::new(graph, *faults, *round),
+        faults: *faults,
+        round: *round,
+        chunk,
+        max_payload: *max_frame_bytes,
+    };
+    mailbox.inboxes.resize_with(n, Vec::new);
+    mailbox
+        .shards
+        .resize_with(num_shards, ShardScratch::default);
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..num_shards)
+        .map(|_| sync_channel((*mailbox_capacity).max(1)))
+        .unzip();
+    let shards: Vec<Shard<'_, P>> = programs
+        .chunks_mut(chunk)
+        .zip(mailbox.inboxes.chunks_mut(chunk))
+        .zip(&mut mailbox.shards)
+        .zip(rxs)
+        .enumerate()
+        .map(|(s, (((programs, inboxes), scratch), rx))| Shard {
+            programs,
+            inboxes,
+            scratch,
+            base: s * chunk,
+            rx,
+            peers: txs.clone(),
+        })
+        .collect();
+    // Each shard holds the only senders now, so a shard's channel
+    // disconnects once every shard has finished sending.
+    drop(txs);
+    let ctx = &ctx;
+    rayon::scope(|scope| {
+        let mut shards = shards.into_iter();
+        let first = shards.next();
+        for shard in shards {
+            scope.spawn(move |_| shard.run(ctx));
         }
-        metrics.add_elapsed(started.elapsed());
-        return executed;
-    }
-
-    let faults = *faults;
-    let graph: &CsrGraph = graph;
-    let max_payload = *max_frame_bytes;
-    let chunk = n.div_ceil(threads.clamp(1, n));
-    let shards: Vec<&mut [P]> = programs.chunks_mut(chunk).collect();
-    let num_shards = shards.len();
-
-    let mut mailbox_txs: Vec<SyncSender<Packet>> = Vec::with_capacity(num_shards);
-    let mut mailbox_rxs: Vec<Receiver<Packet>> = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        let (tx, rx) = sync_channel((*mailbox_capacity).max(1));
-        mailbox_txs.push(tx);
-        mailbox_rxs.push(rx);
-    }
-    let (coord_tx, coord_rx) = channel::<ToCoordinator>();
-    let mut ctrl_txs: Vec<Sender<bool>> = Vec::with_capacity(num_shards);
-    let mut ctrl_rxs: Vec<Receiver<bool>> = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        let (tx, rx) = channel::<bool>();
-        ctrl_txs.push(tx);
-        ctrl_rxs.push(rx);
-    }
-
-    let mut executed = 0usize;
-    rayon::scope(|s| {
-        let mut ctrl_iter = ctrl_rxs.into_iter();
-        let mut rx_iter = mailbox_rxs.into_iter();
-        for (shard, shard_programs) in shards.into_iter().enumerate() {
-            let base = shard * chunk;
-            let my_rx = rx_iter.next().expect("one mailbox per shard");
-            let ctrl_rx = ctrl_iter.next().expect("one control channel per shard");
-            let peers: Vec<SyncSender<Packet>> = mailbox_txs.clone();
-            let coord = coord_tx.clone();
-            s.spawn(move |_| {
-                shard_main::<P>(ShardArgs {
-                    graph,
-                    faults,
-                    programs: shard_programs,
-                    base,
-                    chunk,
-                    num_shards,
-                    start_round,
-                    max_rounds,
-                    max_payload,
-                    my_rx,
-                    ctrl_rx,
-                    peers,
-                    coord,
-                });
-            });
-        }
-        drop(mailbox_txs);
-        drop(coord_tx);
-
-        // Coordinator: merge shard partials per round, publish RoundStats,
-        // and release (or stop) the next round.
-        for k in 1..=max_rounds {
-            let r = start_round + k;
-            let mut merged = RoundStats::default();
-            let mut seen = 0usize;
-            while seen < num_shards {
-                match coord_rx.recv().expect("shard exited before round end") {
-                    ToCoordinator::Round(p) => {
-                        merged.merge(&p);
-                        seen += 1;
-                    }
-                    ToCoordinator::Done(_) => {
-                        unreachable!("shard shut down before the final round")
-                    }
-                }
-            }
-            let stats = schedules.close(merged, r);
-            metrics.push(stats);
-            executed = k;
-            let stop = k == max_rounds || (stop_on_quiescent && stats.changed_nodes == 0);
-            for tx in &ctrl_txs {
-                tx.send(!stop).expect("shard exited before control release");
-            }
-            if stop {
-                break;
-            }
-        }
-
-        // Collect shutdown reports and fold decode-failure attribution.
-        let mut done = 0usize;
-        while done < num_shards {
-            match coord_rx.recv().expect("shard exited without Done") {
-                ToCoordinator::Done(faulters) => {
-                    if !faulters.is_empty() && decode_faults.len() != n {
-                        decode_faults.resize(n, 0);
-                    }
-                    for sender in faulters {
-                        decode_faults[sender as usize] += 1;
-                    }
-                    done += 1;
-                }
-                ToCoordinator::Round(_) => unreachable!("round partial after final round"),
-            }
+        if let Some(first) = first {
+            first.run(ctx);
         }
     });
 
-    *round = start_round + executed;
-    metrics.add_elapsed(started.elapsed());
-    executed
+    let mut stats = RoundStats::default();
+    for scratch in &mut mailbox.shards {
+        stats.merge(&scratch.stats);
+        if !scratch.faulters.is_empty() && decode_faults.len() != n {
+            decode_faults.resize(n, 0);
+        }
+        for sender in scratch.faulters.drain(..) {
+            decode_faults[sender as usize] += 1;
+        }
+    }
+    stats
 }
 
-/// Everything one shard thread needs.
-struct ShardArgs<'a, P: NodeProgram> {
+/// What every shard of one round reads.
+struct RoundCtx<'a> {
     graph: &'a CsrGraph,
-    faults: Option<crate::faults::FaultPlan>,
+    copies: RoundCopies<'a>,
+    faults: Option<FaultPlan>,
+    round: usize,
+    /// Shard width: node `v` lives on shard `v / chunk`.
+    chunk: usize,
+    max_payload: usize,
+}
+
+/// One shard of one round: its nodes, their inboxes and its channels.
+struct Shard<'a, P: NodeProgram> {
     programs: &'a mut [P],
+    inboxes: &'a mut [Vec<Delivery<P::Message>>],
+    scratch: &'a mut ShardScratch,
     /// Global index of this shard's first node.
     base: usize,
-    /// Shard width (last shard may be narrower).
-    chunk: usize,
-    num_shards: usize,
-    start_round: usize,
-    max_rounds: usize,
-    max_payload: usize,
-    my_rx: Receiver<Packet>,
-    ctrl_rx: Receiver<bool>,
-    peers: Vec<SyncSender<Packet>>,
-    coord: Sender<ToCoordinator>,
+    rx: Receiver<Frame>,
+    /// Every shard's mailbox sender, this shard's own included.
+    peers: Vec<SyncSender<Frame>>,
 }
 
-fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
-    let ShardArgs {
-        graph,
-        faults,
-        programs,
-        base,
-        chunk,
-        num_shards,
-        start_round,
-        max_rounds,
-        max_payload,
-        my_rx,
-        ctrl_rx,
-        peers,
-        coord,
-    } = args;
-    let link_faults = faults.filter(crate::faults::FaultPlan::affects_links);
-    let byz = faults
-        .and_then(|f| f.byzantine)
-        .filter(|b| b.fraction > 0.0);
-    let mut faulters: Vec<u32> = Vec::new();
-    // The shard's nodes' inboxes, kept across the rounds of this call.
-    let mut inboxes: Vec<Vec<Delivery<P::Message>>> =
-        (0..programs.len()).map(|_| Vec::new()).collect();
-    // Lazily allocated per-shard multicast dedup stamps (arc-indexed; this
-    // shard only ever stamps its own senders' disjoint arc ranges).
-    let mut stamps: Vec<u64> = Vec::new();
-    let mut pending: Vec<Packet> = Vec::new();
-
-    for k in 1..=max_rounds {
-        let r = start_round + k;
-        let round_stamp = r as u64;
-        let mut partial = RoundStats::default();
+impl<P: NodeProgram> Shard<'_, P> {
+    /// Sends the shard's copies, receives its nodes' copies, then steps its
+    /// nodes; the outcome lands in its [`ShardScratch`].
+    fn run(self, ctx: &RoundCtx<'_>) {
+        let Shard {
+            programs,
+            inboxes,
+            scratch,
+            base,
+            rx,
+            peers,
+        } = self;
+        let RoundCtx {
+            graph,
+            copies,
+            faults,
+            round,
+            chunk,
+            max_payload,
+        } = *ctx;
+        let ShardScratch {
+            stamps,
+            pending,
+            stats,
+            faulters,
+        } = scratch;
+        *stats = RoundStats::default();
 
         // Send phase: every local node broadcasts; frames go out per arc.
-        for li in 0..programs.len() {
+        for (li, program) in programs.iter_mut().enumerate() {
             let i = base + li;
-            // Fresh inbox for this round's deliveries (dense clears at
-            // receive time; all receive-side effects here happen after the
-            // send loop, so clearing up front is equivalent).
-            inboxes[li].clear();
-            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, &mut programs[li]);
-            partial.merge(&acct.row());
-
+            let (out, acct) = produce_outgoing(graph, faults, round, i, program);
+            stats.merge(&acct.row());
             let sender = NodeId::new(i);
-            let arc_base = graph.arc_offset(sender);
-            let dropped = |to: NodeId, idx: usize| -> bool {
-                link_faults.is_some_and(|f| f.drops(r, sender, to, idx))
-            };
-            // A byzantine lie/equivocate sender encodes a **per-arc tampered
-            // frame** in place of the shared broadcast frame (equivocation
-            // sends different bytes to different receivers); tampering is
-            // length-preserving, so the wire accounting from
-            // `produce_outgoing` still matches the encoder exactly. An active
-            // spammer emits each frame `spam` times on the same arc.
-            let spam = byz.as_ref().map_or(1, |b| b.spam_factor(r, sender));
-            let tampered = |m: &P::Message, v: NodeId| -> Option<Arc<[u8]>> {
-                let salt = byz.as_ref()?.tamper_salt(r, sender, v)?;
-                let frame: Arc<[u8]> = encode_frame(&m.tamper(salt)).into();
-                debug_assert_eq!(
-                    frame.len(),
-                    encode_frame(m).len(),
-                    "tamper must be length-preserving (see message::Tamper)"
-                );
-                Some(frame)
-            };
-            // Emit the frame copies on the sender-local arc `q` (the
-            // receiver-local position comes from the paired reverse arc, as
-            // in the sparse scatter). Copies to crashed/halted receivers are
-            // still sent — the sender cannot know — and discarded by the
-            // receiving shard.
-            let emit = |pending: &mut Vec<Packet>, q: usize, m: &P::Message, bytes: &Arc<[u8]>| {
-                let v = graph.neighbors(sender)[q];
-                let pos = (graph.reverse_arc(arc_base + q) - graph.arc_offset(v)) as u32;
-                let bytes = tampered(m, v).unwrap_or_else(|| Arc::clone(bytes));
+            let spam = copies.spam(sender);
+            // The frame of the message whose copies the walk is on: it hands
+            // over a broadcast's or multicast's copies, and a unicast entry's
+            // parallel copies, one after another with the same `&M`.
+            let mut shared: Option<(&P::Message, Arc<[u8]>)> = None;
+            copies.for_each(sender, &out, stamps, round as u64, |q, v, m| {
+                let bytes: Arc<[u8]> = match copies.salt(sender, v) {
+                    Some(salt) => {
+                        let frame = encode_frame(&m.tamper(salt));
+                        debug_assert_eq!(
+                            frame.len(),
+                            encode_frame(m).len(),
+                            "tamper must be length-preserving (see message::Tamper)"
+                        );
+                        frame.into()
+                    }
+                    None => match &shared {
+                        Some((msg, bytes)) if std::ptr::eq(*msg, m) => Arc::clone(bytes),
+                        _ => {
+                            let bytes: Arc<[u8]> = encode_frame(m).into();
+                            shared = Some((m, Arc::clone(&bytes)));
+                            bytes
+                        }
+                    },
+                };
+                // Copies to crashed or halted receivers are still sent (the
+                // sender cannot know) and discarded by the receiving shard.
+                let pos = copies.position(sender, q, v);
                 for _ in 0..spam {
-                    let pkt = Packet::Frame {
-                        sender: i as u32,
+                    let frame = Frame {
+                        sender: sender.0,
                         receiver: v.0,
                         pos,
                         bytes: Arc::clone(&bytes),
                     };
-                    send_with_backpressure(&peers[v.index() / chunk], &my_rx, pending, pkt);
+                    send_with_backpressure(&peers[v.index() / chunk], &rx, pending, frame);
                 }
-            };
-            match &out {
-                Outgoing::Silent => {}
-                Outgoing::Broadcast(m) => {
-                    let bytes: Arc<[u8]> = encode_frame(m).into();
-                    for (q, &v) in graph.neighbors(sender).iter().enumerate() {
-                        if !dropped(v, 0) {
-                            emit(&mut pending, q, m, &bytes);
-                        }
-                    }
-                }
-                Outgoing::Multicast(m, targets) => {
-                    if !targets.is_empty() {
-                        if stamps.len() != graph.num_arcs() {
-                            stamps = vec![0; graph.num_arcs()];
-                        }
-                        let bytes: Arc<[u8]> = encode_frame(m).into();
-                        for &t in targets {
-                            if dropped(t, 0) {
-                                continue;
-                            }
-                            for q in graph.neighbor_positions(sender, t) {
-                                // Deduplicate repeated target entries by arc,
-                                // exactly like the dense stamp scatter.
-                                if stamps[arc_base + q] == round_stamp {
-                                    continue;
-                                }
-                                stamps[arc_base + q] = round_stamp;
-                                emit(&mut pending, q, m, &bytes);
-                            }
-                        }
-                    }
-                }
-                Outgoing::Unicast(msgs) => {
-                    for (idx, (t, m)) in msgs.iter().enumerate() {
-                        if dropped(*t, idx) {
-                            continue;
-                        }
-                        let bytes: Arc<[u8]> = encode_frame(m).into();
-                        // Dense delivery hands a unicast to every parallel
-                        // arc towards the target; mirror that.
-                        for q in graph.neighbor_positions(sender, *t) {
-                            emit(&mut pending, q, m, &bytes);
-                        }
-                    }
-                }
-            }
+            });
         }
-        for tx in &peers {
-            send_with_backpressure(tx, &my_rx, &mut pending, Packet::EndOfRound);
-        }
+        drop(peers);
 
-        // Receive phase: fold buffered + incoming frames into local inboxes
-        // until every shard's end-of-round marker (including our own) has
-        // arrived.
-        let mut eor_seen = 0usize;
-        let handle = |pkt: Packet,
-                      inboxes: &mut [Vec<Delivery<P::Message>>],
-                      faulters: &mut Vec<u32>,
-                      eor_seen: &mut usize| {
-            match pkt {
-                Packet::EndOfRound => *eor_seen += 1,
-                Packet::Frame {
-                    sender,
-                    receiver,
-                    pos,
-                    bytes,
-                } => {
-                    let li = receiver as usize - base;
-                    let v = NodeId::new(receiver as usize);
-                    // Dense semantics: a halted or crashed receiver's copies
-                    // count as delivered but are never seen by the program.
-                    if programs[li].halted() || faults.is_some_and(|f| f.crashed(r, v)) {
-                        return;
-                    }
-                    match decode_frame::<P::Message>(&bytes, max_payload) {
-                        Ok(msg) => inboxes[li].push(Delivery {
-                            sender: NodeId::new(sender as usize),
-                            pos,
-                            msg,
-                        }),
-                        Err(_rejected) => faulters.push(sender),
-                    }
-                }
+        // Receive phase: the frames drained while sending, then the channel
+        // until every shard has dropped its senders. A halted or crashed
+        // receiver's copies count as delivered but are never seen.
+        for frame in pending.drain(..).chain(rx.iter()) {
+            let li = frame.receiver as usize - base;
+            let v = NodeId(frame.receiver);
+            if programs[li].halted() || faults.is_some_and(|f| f.crashed(round, v)) {
+                continue;
             }
-        };
-        for pkt in pending.drain(..) {
-            handle(pkt, &mut inboxes, &mut faulters, &mut eor_seen);
-        }
-        while eor_seen < num_shards {
-            let pkt = my_rx.recv().expect("peer shard exited mid-round");
-            handle(pkt, &mut inboxes, &mut faulters, &mut eor_seen);
+            match decode_frame::<P::Message>(&frame.bytes, max_payload) {
+                Ok(msg) => inboxes[li].push(Delivery {
+                    sender: NodeId(frame.sender),
+                    pos: frame.pos,
+                    msg,
+                }),
+                Err(_rejected) => faulters.push(frame.sender),
+            }
         }
 
         // Step phase: every non-halted, non-crashed local node steps, its
-        // inbox stable-sorted into dense delivery order (per-arc FIFO is
-        // preserved by the channels, so equal positions keep batch order).
-        for (li, (program, inbox)) in programs.iter_mut().zip(&mut inboxes).enumerate() {
+        // inbox stable-sorted into dense delivery order (per-arc FIFO keeps
+        // the copies on one arc in batch order).
+        for (li, (program, inbox)) in programs.iter_mut().zip(inboxes.iter_mut()).enumerate() {
             let v = NodeId::new(base + li);
-            if program.halted() || faults.is_some_and(|f| f.crashed(r, v)) {
+            if program.halted() || faults.is_some_and(|f| f.crashed(round, v)) {
                 continue;
             }
             inbox.sort_by_key(|d| d.pos);
-            let ctx = crate::program::NodeContext::new(graph, v, r);
-            partial.node_updates += 1;
+            let ctx = NodeContext::new(graph, v, round);
+            stats.node_updates += 1;
             if program.receive(&ctx, inbox) {
-                partial.changed_nodes += 1;
+                stats.changed_nodes += 1;
             }
-        }
-
-        coord
-            .send(ToCoordinator::Round(partial))
-            .expect("coordinator exited mid-run");
-        if !ctrl_rx.recv().expect("coordinator exited mid-run") {
-            break;
+            inbox.clear();
         }
     }
-    coord
-        .send(ToCoordinator::Done(std::mem::take(&mut faulters)))
-        .expect("coordinator exited before shutdown");
 }

@@ -26,8 +26,9 @@
 //!   per-receiver `targets.contains(&v)` scan.
 //!
 //! [`Network::buffer_stats`] reports every persistent scratch buffer: O(n)
-//! entries plus the push staging and, for multicasts, the arc stamps. After
-//! a warm-up round none of them grows (see the `buffer_reuse` tests).
+//! entries plus the push staging and, for multicasts, the arc stamps (and
+//! under the mailbox backend its inboxes and per-shard stamps). After a
+//! warm-up round none of them grows (see the `buffer_reuse` tests).
 //!
 //! ## Dense vs frontier rounds
 //!
@@ -72,14 +73,23 @@
 //! ## Threads
 //!
 //! The thread count is not a mode: dense rounds and pull rounds run through
-//! the rayon pipeline, and the mailbox backend splits the nodes into
-//! [`rayon::current_num_threads`] shards. Run a network inside
+//! the rayon pipeline, and a mailbox round splits the nodes into
+//! [`rayon::current_num_threads`] shards for that round, shard 0 on the
+//! calling thread. Run a network inside
 //! `rayon::ThreadPoolBuilder::new().num_threads(n).build()?.install(..)` to
 //! pin the count; one thread runs every round inline on the caller. The
 //! deterministic counters never depend on it.
+//!
+//! ## One round loop
+//!
+//! Every mode's round passes through `Network::step_round`, which alone
+//! advances the round counter, closes the round's schedule counters, records
+//! its [`RoundStats`] and reads the clock. A dense, frontier or mailbox round
+//! only delivers and steps, and hands back its share of the statistics.
 
 use crate::checkpoint::{self, CheckpointError, SnapshotState, StateWriter};
 use crate::faults::{Behavior, ByzantineModel, DropCause, FaultPlan};
+use crate::mailbox::MailboxScratch;
 use crate::message::{MessageSize, Tamper};
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::program::{Delivery, NodeContext, NodeProgram, Outgoing};
@@ -203,7 +213,7 @@ impl SendAccount {
 /// ([`FaultPlan::quarantine_schedule`]). All empty without a plan, and
 /// identical in every mode.
 #[derive(Default)]
-pub(crate) struct Schedules {
+struct Schedules {
     crash: Vec<u32>,
     accusations: Vec<u32>,
     quarantine: Vec<u32>,
@@ -220,7 +230,7 @@ impl Schedules {
 
     /// Completes a round's statistics: its number and the cumulative
     /// schedule-driven counters as of that round.
-    pub(crate) fn close(&self, mut stats: RoundStats, round: usize) -> RoundStats {
+    fn close(&self, mut stats: RoundStats, round: usize) -> RoundStats {
         let through = |schedule: &[u32]| schedule.partition_point(|&r| (r as usize) <= round);
         stats.round = round;
         stats.crashed_nodes = through(&self.crash);
@@ -251,8 +261,9 @@ pub struct ExecutorBufferStats {
     pub account_capacity: usize,
     /// Capacity of the step-result array.
     pub changed_capacity: usize,
-    /// Length of the arc-indexed multicast stamp array (0 until the first
-    /// multicast round).
+    /// Summed length of the arc-indexed multicast stamp arrays: the
+    /// network's, and each mailbox shard's (0 until the first multicast
+    /// round).
     pub multicast_stamp_slots: usize,
     /// Summed capacity of the frontier rounds' frontier / touch / resend
     /// worklists (0 under dense rounds).
@@ -267,6 +278,9 @@ pub struct ExecutorBufferStats {
     /// buffers and sender scratch (0 unsharded). The record buffers hold
     /// one round's cross-shard copies.
     pub boundary_capacity_total: usize,
+    /// Summed capacity of the mailbox backend's per-node inboxes and its
+    /// shards' pending-frame buffers (0 under the other modes).
+    pub mailbox_capacity_total: usize,
 }
 
 impl ExecutorBufferStats {
@@ -280,6 +294,7 @@ impl ExecutorBufferStats {
             + self.bucket_slots
             + self.staged_capacity_total
             + self.boundary_capacity_total
+            + self.mailbox_capacity_total
     }
 }
 
@@ -310,13 +325,13 @@ pub struct Network<P: NodeProgram> {
     /// built from.
     pub(crate) programs: Vec<P>,
     pub(crate) round: usize,
-    pub(crate) metrics: RunMetrics,
+    metrics: RunMetrics,
     mode: ExecutionMode,
     /// The installed fault plan; `None` ⇔ the plan is trivial, so the
     /// fault-free hot path runs with zero fault bookkeeping.
     pub(crate) faults: Option<FaultPlan>,
     /// The plan's crash, accusation and quarantine rounds.
-    pub(crate) schedules: Schedules,
+    schedules: Schedules,
     /// Bounded per-shard mailbox capacity (frames) for the mailbox backend.
     pub(crate) mailbox_capacity: usize,
     /// Maximum accepted frame payload, in bytes; longer frames are rejected
@@ -326,6 +341,9 @@ pub struct Network<P: NodeProgram> {
     /// mailbox backend (truncated/oversized/garbage); empty until a decode
     /// failure happens. Indexed by node.
     pub(crate) decode_faults: Vec<u32>,
+    /// The mailbox backend's inboxes and shard scratch (unused under the
+    /// other modes).
+    pub(crate) mailbox: MailboxScratch<P::Message>,
     // Persistent per-round scratch (see module docs).
     outboxes: Vec<Outgoing<P::Message>>,
     /// A dense round's per-sender accounting rows, aligned with `outboxes`.
@@ -516,19 +534,14 @@ fn stamp_multicasts<M>(
     }
 }
 
-/// The byzantine model of `faults` when it acts in `round`.
-fn active_byzantine(faults: Option<FaultPlan>, round: usize) -> Option<ByzantineModel> {
-    faults
-        .and_then(|f| f.byzantine)
-        .filter(|b| b.fraction > 0.0 && b.active(round))
-}
-
-/// What a sparse round's copies are: the arcs the senders' outboxes put a
-/// copy on, after the link faults' drops, and what each copy hands its
-/// receiver under the active byzantine model. A push round delivers through
-/// it, and a sharded round charges its cross-shard copies through it.
+/// What a round's copies are: the arcs the senders' outboxes put a copy on,
+/// after the link faults' drops, and what each copy hands its receiver under
+/// the active byzantine model. A push round and a mailbox round deliver
+/// through [`RoundCopies::for_each`], a sharded round charges its
+/// cross-shard copies through it, and the dense and pull gather asks it arc
+/// by arc.
 #[derive(Clone, Copy)]
-struct RoundCopies<'a> {
+pub(crate) struct RoundCopies<'a> {
     graph: &'a CsrGraph,
     round: usize,
     /// The plan when it drops copies on links.
@@ -538,19 +551,44 @@ struct RoundCopies<'a> {
 }
 
 impl<'a> RoundCopies<'a> {
-    fn new(graph: &'a CsrGraph, faults: Option<FaultPlan>, round: usize) -> Self {
+    pub(crate) fn new(graph: &'a CsrGraph, faults: Option<FaultPlan>, round: usize) -> Self {
         RoundCopies {
             graph,
             round,
             link_faults: faults.filter(FaultPlan::affects_links),
-            byz: active_byzantine(faults, round),
+            byz: faults
+                .and_then(|f| f.byzantine)
+                .filter(|b| b.fraction > 0.0 && b.active(round)),
         }
     }
 
     /// How many times each copy from `sender` arrives (an active spammer's
     /// arrive `spam` times).
-    fn spam(&self, sender: NodeId) -> usize {
+    #[inline]
+    pub(crate) fn spam(&self, sender: NodeId) -> usize {
         self.byz.map_or(1, |b| b.spam_factor(self.round, sender))
+    }
+
+    /// Whether the link faults drop `sender`'s copy to `to` of the message at
+    /// batch position `idx` (0 for a broadcast or multicast).
+    #[inline]
+    fn drops(&self, sender: NodeId, to: NodeId, idx: usize) -> bool {
+        self.link_faults
+            .is_some_and(|f| f.drops(self.round, sender, to, idx))
+    }
+
+    /// The salt `sender` tampers its copies to `v` with, if it tampers.
+    #[inline]
+    pub(crate) fn salt(&self, sender: NodeId, v: NodeId) -> Option<u64> {
+        self.byz.and_then(|b| b.tamper_salt(self.round, sender, v))
+    }
+
+    /// The receiver-local position of `sender`'s arc at position `q`, whose
+    /// receiver is `v`.
+    #[inline]
+    pub(crate) fn position(&self, sender: NodeId, q: usize, v: NodeId) -> u32 {
+        let graph = self.graph;
+        (graph.reverse_arc(graph.arc_offset(sender) + q) - graph.arc_offset(v)) as u32
     }
 
     /// Calls `f(q, v, m)` for each copy `sender`'s outbox puts on an arc:
@@ -561,19 +599,16 @@ impl<'a> RoundCopies<'a> {
     /// adds no copy (dense delivery is idempotent in them): the walk marks
     /// each arc it takes by writing `stamp` into `stamps`, so two walks in
     /// one round must use different stamps.
-    fn for_each<M>(
+    pub(crate) fn for_each<'o, M>(
         &self,
         sender: NodeId,
-        outgoing: &Outgoing<M>,
+        outgoing: &'o Outgoing<M>,
         stamps: &mut Vec<u64>,
         stamp: u64,
-        mut f: impl FnMut(usize, NodeId, &M),
+        mut f: impl FnMut(usize, NodeId, &'o M),
     ) {
         let graph = self.graph;
-        let dropped = |to: NodeId, idx: usize| {
-            self.link_faults
-                .is_some_and(|lf| lf.drops(self.round, sender, to, idx))
-        };
+        let dropped = |to: NodeId, idx: usize| self.drops(sender, to, idx);
         match outgoing {
             Outgoing::Silent => {}
             Outgoing::Broadcast(m) => {
@@ -619,13 +654,11 @@ impl<'a> RoundCopies<'a> {
     /// receiver `v`: the receiver-local position of the arc, and the message
     /// after the sender's tamper salt for `v`.
     fn received<M: Clone + Tamper>(&self, sender: NodeId, q: usize, v: NodeId, m: &M) -> (u32, M) {
-        let graph = self.graph;
-        let pos = graph.reverse_arc(graph.arc_offset(sender) + q) - graph.arc_offset(v);
-        let msg = match self.byz.and_then(|b| b.tamper_salt(self.round, sender, v)) {
+        let msg = match self.salt(sender, v) {
             Some(salt) => m.tamper(salt),
             None => m.clone(),
         };
-        (pos as u32, msg)
+        (self.position(sender, q, v), msg)
     }
 }
 
@@ -633,42 +666,18 @@ impl<'a> RoundCopies<'a> {
 /// collects the copies its neighbours' outboxes address to it into a scratch
 /// inbox, in its neighbour-list order, then steps.
 struct Gather<'a, M> {
-    graph: &'a CsrGraph,
+    /// The round's copy rules: link drops, tamper salts and spam factors.
+    copies: RoundCopies<'a>,
     outboxes: &'a [Outgoing<M>],
     /// The round's multicast arc stamps (see [`stamp_multicasts`]).
     stamps: &'a [u64],
     faults: Option<FaultPlan>,
-    /// The plan when it drops copies on links.
-    link_faults: Option<FaultPlan>,
-    /// The byzantine model when it is active this round.
-    byz: Option<ByzantineModel>,
-    round: usize,
     /// Whether a node that receives nothing still steps: every dense round,
     /// and round 1 of a sparse run (whose step initializes every node).
     step_empty: bool,
 }
 
-impl<'a, M: Clone + Tamper> Gather<'a, M> {
-    fn new(
-        graph: &'a CsrGraph,
-        outboxes: &'a [Outgoing<M>],
-        stamps: &'a [u64],
-        faults: Option<FaultPlan>,
-        round: usize,
-        step_empty: bool,
-    ) -> Self {
-        Gather {
-            graph,
-            outboxes,
-            stamps,
-            faults,
-            link_faults: faults.filter(FaultPlan::affects_links),
-            byz: active_byzantine(faults, round),
-            round,
-            step_empty,
-        }
-    }
-
+impl<M: Clone + Tamper> Gather<'_, M> {
     /// Gathers node `i`'s copies into `inbox` (cleared first) and runs its
     /// step. A halted or crashed node neither receives nor steps.
     fn receive<P: NodeProgram<Message = M>>(
@@ -677,34 +686,25 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
         program: &mut P,
         inbox: &mut Vec<Delivery<M>>,
     ) -> StepResult {
-        let (graph, round) = (self.graph, self.round);
-        let round_stamp = round as u64;
+        let RoundCopies { graph, round, .. } = self.copies;
         let v = NodeId::new(i);
         if program.halted() || self.faults.is_some_and(|f| f.crashed(round, v)) {
             return StepResult::default();
         }
-        let dropped = |from: NodeId, idx: usize| -> bool {
-            self.link_faults
-                .is_some_and(|f| f.drops(round, from, v, idx))
-        };
         let arc_base = graph.arc_offset(v);
         inbox.clear();
         for (q, &u) in graph.neighbors(v).iter().enumerate() {
-            // Byzantine lie/equivocate corruption and spam duplication are
-            // applied receiver-side here (the outbox holds the sender's true
-            // message); the push scatter and the mailbox backend apply the
-            // same salts sender-side — identical results because tampering
-            // is salt-pure (see `crate::message::Tamper`).
-            let (salt, copies) = match &self.byz {
-                None => (None, 1),
-                Some(b) => (b.tamper_salt(round, u, v), b.spam_factor(round, u)),
-            };
+            // The outbox holds the sender's true message, so a byzantine
+            // sender's tamper salt and spam factor apply here, receiver-side;
+            // push and mailbox rounds apply them sender-side, with the same
+            // result because tampering is salt-pure (see
+            // `crate::message::Tamper`).
             let deliver = |inbox: &mut Vec<Delivery<M>>, msg: &M| {
-                let msg = match salt {
+                let msg = match self.copies.salt(u, v) {
                     Some(s) => msg.tamper(s),
                     None => msg.clone(),
                 };
-                for _ in 1..copies {
+                for _ in 1..self.copies.spam(u) {
                     inbox.push(Delivery {
                         sender: u,
                         pos: q as u32,
@@ -720,7 +720,7 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
             match &self.outboxes[u.index()] {
                 Outgoing::Silent => {}
                 Outgoing::Broadcast(m) => {
-                    if !dropped(u, 0) {
+                    if !self.copies.drops(u, v, 0) {
                         deliver(inbox, m);
                     }
                 }
@@ -731,8 +731,8 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
                     // allocated (the stamping allocates on the first
                     // non-empty multicast).
                     if !targets.is_empty()
-                        && self.stamps[graph.reverse_arc(arc_base + q)] == round_stamp
-                        && !dropped(u, 0)
+                        && self.stamps[graph.reverse_arc(arc_base + q)] == round as u64
+                        && !self.copies.drops(u, v, 0)
                     {
                         deliver(inbox, m);
                     }
@@ -741,7 +741,7 @@ impl<'a, M: Clone + Tamper> Gather<'a, M> {
                     // The batch position is the per-message fault index
                     // (mirrors the sender-side accounting).
                     for (idx, (target, m)) in msgs.iter().enumerate() {
-                        if *target == v && !dropped(u, idx) {
+                        if *target == v && !self.copies.drops(u, v, idx) {
                             deliver(inbox, m);
                         }
                     }
@@ -944,6 +944,7 @@ impl<P: NodeProgram> Network<P> {
             mailbox_capacity: NetworkBuilder::DEFAULT_MAILBOX_CAPACITY,
             max_frame_bytes: NetworkBuilder::DEFAULT_MAX_FRAME_BYTES,
             decode_faults: Vec::new(),
+            mailbox: MailboxScratch::default(),
             outboxes: Vec::new(),
             accounts: Vec::new(),
             step_results: Vec::new(),
@@ -1048,7 +1049,7 @@ impl<P: NodeProgram> Network<P> {
             outbox_capacity: self.outboxes.capacity(),
             account_capacity: self.accounts.capacity(),
             changed_capacity: self.step_results.capacity(),
-            multicast_stamp_slots: self.multicast_stamps.len(),
+            multicast_stamp_slots: self.multicast_stamps.len() + self.mailbox.stamp_slots(),
             frontier_capacity_total: self.frontier.capacity()
                 + self.next_frontier.capacity()
                 + self.touch_list.capacity()
@@ -1060,6 +1061,7 @@ impl<P: NodeProgram> Network<P> {
                     + st.pair_bufs.iter().map(Vec::capacity).sum::<usize>()
                     + st.senders_scratch.capacity()
             }),
+            mailbox_capacity_total: self.mailbox.capacity_total(),
         }
     }
 
@@ -1095,12 +1097,8 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Runs up to `rounds` rounds, stopping after the first round in which
-    /// no node changed if `until_quiescent`, and returns how many ran. Every
-    /// run goes through here, the one place that picks the mailbox backend.
+    /// no node changed if `until_quiescent`, and returns how many ran.
     fn run_rounds(&mut self, rounds: usize, until_quiescent: bool) -> usize {
-        if self.mode == ExecutionMode::Mailbox {
-            return crate::mailbox::run_mailbox(self, rounds, until_quiescent);
-        }
         for executed in 1..=rounds {
             if self.step_round().changed_nodes == 0 && until_quiescent {
                 return executed;
@@ -1109,18 +1107,23 @@ impl<P: NodeProgram> Network<P> {
         rounds
     }
 
-    /// Executes one shared-memory round, dense or over the frontier.
+    /// Executes one round in the network's mode: dense, over the frontier,
+    /// or through the mailbox backend. The one round loop of every mode (see
+    /// the module docs).
     fn step_round(&mut self) -> RoundStats {
         // Wall-clock audit (dkc-lint D02 allowlist): this reading feeds only
         // RunMetrics::add_elapsed, i.e. wall_clock_ms / messages_per_sec —
         // never a deterministic counter (crates/bench/tests/wall_clock_isolation.rs).
         let started = Instant::now();
         self.round += 1;
-        let stats = if self.frontier_rounds() {
+        let stats = if self.mode == ExecutionMode::Mailbox {
+            crate::mailbox::run_round(self)
+        } else if self.frontier_rounds() {
             self.run_round_sparse()
         } else {
             self.run_round_dense()
         };
+        let stats = self.schedules.close(stats, self.round);
         self.metrics.push(stats);
         self.metrics.add_elapsed(started.elapsed());
         stats
@@ -1165,7 +1168,7 @@ impl<P: NodeProgram> Network<P> {
         self.gather_and_step(true);
         stats.changed_nodes = self.step_results.iter().filter(|r| r.changed).count();
         stats.node_updates = self.step_results.iter().filter(|r| r.ran).count();
-        self.schedules.close(stats, round)
+        stats
     }
 
     /// A frontier round: only the frontier broadcasts, only nodes that
@@ -1220,10 +1223,8 @@ impl<P: NodeProgram> Network<P> {
         }
 
         if self.frontier.is_empty() {
-            // Quiescent: the round is a no-op (and costs O(1)). The
-            // cumulative schedule-driven counters still report, matching
-            // dense rounds.
-            return self.schedules.close(RoundStats::default(), round);
+            // Quiescent: the round is a no-op (and costs O(1)).
+            return RoundStats::default();
         }
 
         // Phase 1: frontier nodes produce their outgoing messages, with the
@@ -1269,7 +1270,7 @@ impl<P: NodeProgram> Network<P> {
         self.next_frontier.sort_unstable();
         self.next_frontier.dedup();
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        self.schedules.close(stats, round)
+        stats
     }
 
     /// Charges a sharded round's cross-shard copies to
@@ -1497,14 +1498,13 @@ impl<P: NodeProgram> Network<P> {
     /// Runs [`Gather::receive`] for every node into `step_results`,
     /// data-parallel, with one scratch inbox per worker.
     fn gather_and_step(&mut self, step_empty: bool) {
-        let gather = Gather::new(
-            &self.graph,
-            &self.outboxes,
-            &self.multicast_stamps,
-            self.faults,
-            self.round,
+        let gather = Gather {
+            copies: RoundCopies::new(&self.graph, self.faults, self.round),
+            outboxes: &self.outboxes,
+            stamps: &self.multicast_stamps,
+            faults: self.faults,
             step_empty,
-        );
+        };
         self.programs
             .par_iter_mut()
             .enumerate()
@@ -1663,9 +1663,7 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     /// resumed run checkpoints at the same boundaries as an uninterrupted
     /// one. `preamble` is the embedder-defined section stored ahead of the
     /// executor state (run parameters, graph identity, ...; see
-    /// [`crate::checkpoint`]). The mailbox executor runs in chunks between
-    /// checkpoint boundaries; its shard threads are quiesced at every
-    /// boundary, so the snapshot observes a plain synchronous barrier.
+    /// [`crate::checkpoint`]).
     pub fn run_with_checkpoints(
         &mut self,
         rounds: usize,
@@ -2150,21 +2148,38 @@ mod tests {
     #[test]
     fn buffer_reuse_after_warmup() {
         let g = complete_graph(12);
-        for threads in [1, 4] {
+        for leg in [
+            leg(Dense, 1),
+            leg(Dense, 4),
+            leg(Mailbox, 1),
+            leg(Mailbox, 4),
+        ] {
             let mut net = NetworkBuilder::new()
-                .mode(Dense)
+                .mode(leg.mode)
                 .build(&g, |_| RotatingMulticast { heard: vec![] });
             // Warm-up: one full rotation cycle, so every inbox has seen its
             // maximum per-round message count at least once.
-            on_threads(threads, || net.run(12));
+            leg.install(|| net.run(12));
             let warm = net.buffer_stats();
-            assert!(warm.outbox_capacity >= 12);
-            assert!(warm.multicast_stamp_slots == net.graph().num_arcs());
-            on_threads(threads, || net.run(24));
+            let arcs = net.graph().num_arcs();
+            if leg.mode == Mailbox {
+                // The 12 per-node inboxes and every shard's multicast
+                // stamps persist, and a mailbox round keeps no outbox
+                // array. Round 11 multicasts to every neighbour, so each
+                // inbox has held its node's whole degree.
+                assert!(warm.mailbox_capacity_total >= 12 + arcs, "{leg:?}");
+                assert_eq!(warm.multicast_stamp_slots, leg.threads * arcs);
+                assert_eq!(warm.outbox_capacity, 0);
+            } else {
+                assert!(warm.outbox_capacity >= 12);
+                assert!(warm.multicast_stamp_slots == arcs);
+                assert_eq!(warm.mailbox_capacity_total, 0);
+            }
+            leg.install(|| net.run(24));
             assert_eq!(
                 net.buffer_stats(),
                 warm,
-                "steady-state rounds must not grow executor buffers ({threads} threads)"
+                "steady-state rounds must not grow executor buffers ({leg:?})"
             );
         }
     }
@@ -3099,6 +3114,8 @@ mod tests {
         }
     }
 
+    /// Every unsharded leg checkpoints on the same absolute boundaries and
+    /// resumes from disk to the uninterrupted run.
     #[test]
     fn run_with_checkpoints_writes_at_boundaries_and_resumes_from_disk() {
         let dir = std::env::temp_dir().join(format!("dkc-net-ckpt-{}", std::process::id()));
@@ -3107,44 +3124,87 @@ mod tests {
         let g = path_graph(10);
         let plan = checkpoint_plan();
 
-        let mut reference = min_id_faulty(&g, Auto, plan);
-        reference.run(9);
+        for leg in ALL_LEGS.into_iter().filter(|leg| leg.shards == 0) {
+            let reference = min_id_ran(&g, leg, plan, 9);
 
-        let builder = NetworkBuilder::new().faults(plan);
-        let mut interrupted = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-        // "Killed" after 5 rounds: the latest checkpoint on disk is round 4.
-        interrupted
-            .run_with_checkpoints(5, 2, &path, b"run-params")
-            .unwrap();
-        drop(interrupted);
+            let builder = NetworkBuilder::new().mode(leg.mode).faults(plan);
+            let mut interrupted = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+            // "Killed" after 5 rounds: the latest checkpoint on disk is round 4.
+            leg.install(|| interrupted.run_with_checkpoints(5, 2, &path, b"run-params"))
+                .unwrap();
+            drop(interrupted);
 
-        let image = checkpoint::read_checkpoint_bytes(&path).unwrap();
-        let (preamble, state) = checkpoint::decode_checkpoint(&image).unwrap();
-        assert_eq!(preamble, b"run-params");
-        let mut resumed = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-        resumed.restore_state(state).unwrap();
-        assert_eq!(
-            resumed.round(),
-            4,
-            "latest checkpoint is the round-4 boundary"
-        );
-        resumed
-            .run_with_checkpoints(9 - 4, 2, &path, b"run-params")
-            .unwrap();
+            let image = checkpoint::read_checkpoint_bytes(&path).unwrap();
+            let (preamble, state) = checkpoint::decode_checkpoint(&image).unwrap();
+            assert_eq!(preamble, b"run-params");
+            let mut resumed = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+            resumed.restore_state(state).unwrap();
+            assert_eq!(
+                resumed.round(),
+                4,
+                "{leg:?}: latest checkpoint is the round-4 boundary"
+            );
+            leg.install(|| resumed.run_with_checkpoints(9 - 4, 2, &path, b"run-params"))
+                .unwrap();
 
-        for v in g.nodes() {
-            assert_eq!(reference.program(v).best, resumed.program(v).best);
+            for v in g.nodes() {
+                assert_eq!(
+                    reference.program(v).best,
+                    resumed.program(v).best,
+                    "{leg:?}"
+                );
+            }
+            assert_eq!(
+                reference.metrics().rounds(),
+                resumed.metrics().rounds(),
+                "{leg:?}"
+            );
+
+            // The resumed run checkpointed at absolute boundaries: the file
+            // now holds the round-8 snapshot (9 is not a boundary).
+            let image = checkpoint::read_checkpoint_bytes(&path).unwrap();
+            let (_, state) = checkpoint::decode_checkpoint(&image).unwrap();
+            let mut last = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+            last.restore_state(state).unwrap();
+            assert_eq!(last.round(), 8, "{leg:?}");
         }
-        assert_eq!(reference.metrics().rounds(), resumed.metrics().rounds());
-
-        // The resumed run checkpointed at absolute boundaries: the file now
-        // holds the round-8 snapshot (9 is not a boundary).
-        let image = checkpoint::read_checkpoint_bytes(&path).unwrap();
-        let (_, state) = checkpoint::decode_checkpoint(&image).unwrap();
-        let mut last = builder.build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-        last.restore_state(state).unwrap();
-        assert_eq!(last.round(), 8);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint carries the decode-fault attribution: a mailbox run
+    /// whose every frame is over the cap, saved after round 1 or 2 and
+    /// resumed, charges its senders exactly as the uninterrupted run does.
+    #[test]
+    fn decode_faults_survive_save_and_restore() {
+        let g = path_graph(4);
+        let build = || {
+            NetworkBuilder::new()
+                .mode(Mailbox)
+                // u32 payloads are 4 bytes; a 3-byte cap rejects every frame.
+                .max_frame_bytes(3)
+                .build(&g, |ctx| MinIdFlood { best: ctx.node().0 })
+        };
+        let mut reference = build();
+        reference.run(3);
+        assert_eq!(reference.decode_faults(), &[3, 6, 6, 3]);
+        for cut in [1u32, 2] {
+            let mut first = build();
+            first.run(cut as usize);
+            assert_eq!(first.decode_faults(), &[cut, 2 * cut, 2 * cut, cut]);
+            let state = first.save_state().unwrap();
+            drop(first);
+
+            let mut resumed = build();
+            resumed.restore_state(&state).unwrap();
+            assert_eq!(resumed.decode_faults(), &[cut, 2 * cut, 2 * cut, cut]);
+            resumed.run(3 - cut as usize);
+            assert_eq!(resumed.decode_faults(), &[3, 6, 6, 3], "cut at {cut}");
+            assert_eq!(
+                reference.metrics().first_divergence(resumed.metrics()),
+                None,
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

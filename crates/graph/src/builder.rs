@@ -17,8 +17,12 @@
 //! at its final size, so building is O(edges + nodes) plus the per-bucket
 //! sorts.
 
+use crate::io::ParseError;
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
+
+/// Normalized `(min, max, w)` edges; `min == max` is a self-loop.
+type Edges = Vec<(NodeId, NodeId, f64)>;
 
 /// Builds a [`WeightedGraph`] from a stream of (possibly duplicated) weighted
 /// edges. Parallel edges are merged by **summing** their weights, which is the
@@ -28,9 +32,8 @@ use crate::weighted::WeightedGraph;
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    /// Every edge added so far as `(min, max, w)`, in input order;
-    /// `min == max` is a self-loop.
-    edges: Vec<(NodeId, NodeId, f64)>,
+    /// Every edge added so far, in input order.
+    edges: Edges,
 }
 
 impl GraphBuilder {
@@ -75,26 +78,45 @@ impl GraphBuilder {
     /// Finalizes the builder into a [`WeightedGraph`], merging parallel edges
     /// and repeated self-loops as described in the module docs.
     pub fn build(self) -> WeightedGraph {
+        let n = self.n;
+        let (plain, loops, _) = self.merge();
+        WeightedGraph::from_edges(n, &plain, &loops)
+    }
+
+    /// [`GraphBuilder::build`] for untrusted input: a merged weight or a
+    /// total weighted degree 2·w(E) that overflows is
+    /// [`ParseError::WeightOverflow`] instead of a panic or an infinite
+    /// graph.
+    pub(crate) fn try_build(self) -> Result<WeightedGraph, ParseError> {
+        let n = self.n;
+        let (plain, loops, total) = self.merge();
+        ParseError::check_weight_total(total)?;
+        Ok(WeightedGraph::from_edges(n, &plain, &loops))
+    }
+
+    /// The merged plain edges and self-loops, and the sum of their weights.
+    fn merge(self) -> (Edges, Vec<(NodeId, f64)>, f64) {
         let sorted = sort_pairs(self.n, self.edges);
         let mut plain = Vec::with_capacity(sorted.len());
         let mut loops = Vec::new();
+        let mut total = 0.0;
         for copies in sorted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let (u, v, _) = copies[0];
             let w = copies.iter().fold(0.0, |sum, &(_, _, w)| sum + w);
+            total += w;
             if u == v {
                 loops.push((u, w));
             } else {
                 plain.push((u, v, w));
             }
         }
-        drop(sorted);
-        WeightedGraph::from_edges(self.n, &plain, &loops)
+        (plain, loops, total)
     }
 }
 
 /// Sorts normalized `(min, max, w)` edges by `(min, max)`, stably: a
 /// counting sort by `min`, then a stable sort of each bucket by `max`.
-fn sort_pairs(n: usize, edges: Vec<(NodeId, NodeId, f64)>) -> Vec<(NodeId, NodeId, f64)> {
+fn sort_pairs(n: usize, edges: Edges) -> Edges {
     // `next[u]` is where bucket `u`'s next edge goes; after the fill it is
     // the end of bucket `u`.
     let mut next = vec![0usize; n];

@@ -191,7 +191,7 @@ impl Dataset {
             let iv = ids.intern(v);
             builder.add_edge(iu, iv, w);
         }
-        finish_dataset(builder, ids, declared_nodes)
+        finish_dataset(builder.build(), ids, declared_nodes)
     }
 
     /// The external id of an internal node.
@@ -535,6 +535,7 @@ fn stream_metis_items(
             "metis: asymmetric adjacency ({forward} forward vs {backward} backward entries)"
         )));
     }
+    ParseError::check_weight_total(forward_weight)?;
     // Each edge is listed from both endpoints with the same weight, so the
     // two directed weight sums must agree (catches files whose mirrored
     // entries disagree — the smaller endpoint's weight would silently win).
@@ -705,6 +706,7 @@ fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
     }
     expect_eof(&mut r)?;
     let graph = WeightedGraph::from_edges(n, &edges, &loops);
+    ParseError::check_weight_total(graph.total_edge_weight())?;
     Ok(Dataset { graph, ids })
 }
 
@@ -787,17 +789,16 @@ pub fn read_dataset(path: impl AsRef<Path>, format: DatasetFormat) -> Result<Dat
             })?;
             let file_len = std::fs::metadata(path)?.len();
             let declared = checked_declared_nodes(declared, ids.len(), file_len)?;
-            Ok(finish_dataset(builder, ids, declared))
+            Ok(finish_dataset(builder.try_build()?, ids, declared))
         }
     }
 }
 
-/// Shared epilogue of every reader: pad the id map to the declared node
-/// count, build the graph, and grow it to cover header-declared isolated
-/// nodes.
-fn finish_dataset(builder: GraphBuilder, mut ids: NodeIdMap, declared: usize) -> Dataset {
+/// Shared epilogue of the builder-based readers: pad the id map to the
+/// declared node count, and grow the built graph to cover header-declared
+/// isolated nodes.
+fn finish_dataset(mut graph: WeightedGraph, mut ids: NodeIdMap, declared: usize) -> Dataset {
     ids.pad_to(declared);
-    let mut graph = builder.build();
     while graph.num_nodes() < ids.len() {
         graph.add_node();
     }
@@ -850,8 +851,9 @@ fn read_metis_dataset(path: &Path) -> Result<Dataset, ParseError> {
         Ok(())
     })?;
     let declared = checked_node_count(declared)?;
+    let graph = builder.try_build()?;
     Ok(finish_dataset(
-        builder,
+        graph,
         NodeIdMap::identity(declared),
         declared,
     ))
@@ -1015,9 +1017,10 @@ pub fn stream_stats(
         }
         Ok(())
     })?;
-    // Same range discipline as `read_dataset`: a bogus declared count must
-    // fail identically in both paths.
+    // Same range and weight discipline as `read_dataset`: a bogus declared
+    // count or an overflowing weight sum must fail identically in both paths.
     let declared = checked_declared_nodes(declared, degrees.len(), file_len)?;
+    ParseError::check_weight_total(total_weight)?;
     let nodes = degrees.len().max(declared);
     let edges = plain_edges.len() + loop_weights.values().filter(|&&w| w > 0.0).count();
     let isolated = nodes - degrees.len();
@@ -1294,6 +1297,69 @@ mod tests {
                 small.graph.degree(v)
             ));
         }
+    }
+
+    /// Weights that are each finite but overflow when summed are one typed
+    /// error in every reader and in `stream_stats`: a merged parallel edge
+    /// (the 20-byte edge list used to panic in `GraphBuilder`), a total
+    /// weighted degree 2·w(E) past the `f64` range (the triangle used to
+    /// read, with `inf` degrees), and a METIS line listing its neighbour
+    /// twice (used to fail as "asymmetric edge weights").
+    #[test]
+    fn overflowing_weight_sums_are_a_typed_error() {
+        let dir = test_dir("weight-overflow");
+        let parallel = write_text(&dir, "parallel.edges", "1 2 1e308\n1 2 1e308\n");
+        assert_eq!(std::fs::metadata(&parallel).unwrap().len(), 20);
+        let triangle = write_text(&dir, "triangle.edges", "1 2 1e308\n2 3 1e308\n3 1 1e308\n");
+        let triangle_metis = write_text(
+            &dir,
+            "triangle.metis",
+            "3 3 001\n2 1e308 3 1e308\n1 1e308 3 1e308\n1 1e308 2 1e308\n",
+        );
+        let mut g = WeightedGraph::new(3);
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            g.add_edge(NodeId(u), NodeId(v), 1e308);
+        }
+        let triangle_dkcb = dir.join("triangle.dkcb");
+        write_dataset(
+            &Dataset::from_graph(g),
+            &triangle_dkcb,
+            DatasetFormat::Binary,
+        )
+        .unwrap();
+        let twice = write_text(
+            &dir,
+            "twice.metis",
+            "2 2 001\n2 1e308 2 1e308\n1 1e308 1 1e308\n",
+        );
+        for (path, format) in [
+            (&parallel, DatasetFormat::EdgeList),
+            (&triangle, DatasetFormat::EdgeList),
+            (&triangle_metis, DatasetFormat::Metis),
+            (&triangle_dkcb, DatasetFormat::Binary),
+            (&twice, DatasetFormat::Metis),
+        ] {
+            for err in [
+                read_dataset(path, format).unwrap_err(),
+                stream_stats(path, format).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, ParseError::WeightOverflow),
+                    "{}: {err}",
+                    path.display()
+                );
+            }
+        }
+        // The largest weights that still sum into range read as before.
+        let edge = write_text(&dir, "edge.edges", "1 2 4e307\n1 2 4e307\n");
+        let ds = read_dataset(&edge, DatasetFormat::EdgeList).unwrap();
+        assert_eq!(ds.graph.total_edge_weight(), 8e307);
+        assert_eq!(
+            stream_stats(&edge, DatasetFormat::EdgeList)
+                .unwrap()
+                .total_weight,
+            8e307
+        );
     }
 
     /// A declared node count no byte of the file describes is bounded by

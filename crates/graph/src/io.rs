@@ -33,6 +33,23 @@ pub enum ParseError {
         /// The most nodes this file may declare.
         limit: u64,
     },
+    /// The edge weights overflow when summed: a merged parallel edge's
+    /// weight, or the graph's total weighted degree 2·w(E), is not a finite
+    /// `f64`, although every weight in the file is.
+    WeightOverflow,
+}
+
+impl ParseError {
+    /// [`ParseError::WeightOverflow`] unless `2 · total` is finite, for the
+    /// sum `total` of a graph's edge weights. Weights are non-negative, so
+    /// this also rules out any merged weight or weighted degree overflowing.
+    pub(crate) fn check_weight_total(total: f64) -> Result<(), ParseError> {
+        if (2.0 * total).is_finite() {
+            Ok(())
+        } else {
+            Err(ParseError::WeightOverflow)
+        }
+    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -46,6 +63,10 @@ impl std::fmt::Display for ParseError {
             ParseError::DeclaredNodes { declared, limit } => write!(
                 f,
                 "invalid dataset: declares {declared} nodes, more than the {limit} it may hold"
+            ),
+            ParseError::WeightOverflow => write!(
+                f,
+                "invalid dataset: edge weights sum past the f64 range (total weighted degree is not finite)"
             ),
         }
     }

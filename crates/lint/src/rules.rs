@@ -33,7 +33,6 @@ use crate::lexer::{lex_rust, Comment, Lexed, Tok, TokKind};
 /// path suffixes against `/`-separated workspace-relative paths.
 pub const D02_ALLOWLIST: &[&str] = &[
     "crates/distsim/src/network.rs",
-    "crates/distsim/src/mailbox.rs",
     "crates/bench/src/experiments.rs",
 ];
 
