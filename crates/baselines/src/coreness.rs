@@ -6,7 +6,7 @@
 //! degree; `c(v)` equals the largest minimum-degree value seen up to the moment
 //! `v` is removed.
 
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -90,14 +90,22 @@ pub fn unweighted_coreness(g: &WeightedGraph) -> Vec<usize> {
 }
 
 /// Exact coreness for arbitrary non-negative weights (and self-loops) via
-/// heap-based peeling in `O(m log n)`.
+/// heap-based peeling in `O(m log n)`: [`weighted_coreness_csr`] on the CSR
+/// of `g`.
 ///
 /// A self-loop of weight `w` at `v` contributes `w` to the degree of `v` in
 /// every subgraph containing `v`, so it simply shifts `c(v)` up — consistent
 /// with the quotient-graph semantics of the paper.
 pub fn weighted_coreness(g: &WeightedGraph) -> Vec<f64> {
+    weighted_coreness_csr(&CsrGraph::from_graph(g))
+}
+
+/// [`weighted_coreness`] on a CSR. A CSR lists each node's arcs in the
+/// order of its adjacency list, so degree sums and peeling order, and with
+/// them the result, are bit-identical to the adjacency-list graph's.
+pub fn weighted_coreness_csr(g: &CsrGraph) -> Vec<f64> {
     let n = g.num_nodes();
-    let mut degree: Vec<f64> = (0..n).map(|i| g.degree(NodeId::new(i))).collect();
+    let mut degree: Vec<f64> = g.nodes().map(|v| g.degree(v)).collect();
     let mut removed = vec![false; n];
     let mut core = vec![0.0f64; n];
     // Min-heap of (degree, node) with lazy deletion.
@@ -115,7 +123,7 @@ pub fn weighted_coreness(g: &WeightedGraph) -> Vec<f64> {
         processed += 1;
         running_max = running_max.max(degree[v]);
         core[v] = running_max;
-        for &(u, w) in g.neighbors(NodeId::new(v)) {
+        for (u, w) in g.neighbors_with_weights(NodeId::new(v)) {
             let u = u.index();
             if !removed[u] {
                 degree[u] -= w;

@@ -26,7 +26,7 @@ pub mod montresor;
 pub mod orientation;
 pub mod sarma;
 
-pub use coreness::{unweighted_coreness, weighted_coreness};
+pub use coreness::{unweighted_coreness, weighted_coreness, weighted_coreness_csr};
 pub use densest::{bahmani_densest, charikar_peeling, PeelingResult};
 pub use montresor::{
     montresor_exact_coreness, montresor_exact_coreness_with_faults, MontresorOutcome,

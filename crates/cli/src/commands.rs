@@ -2,7 +2,7 @@
 //! `String` so the logic is unit-testable without capturing stdout.
 
 use crate::args::Parsed;
-use dkc_baselines::{greedy_orientation, peeling_orientation, weighted_coreness};
+use dkc_baselines::{greedy_orientation, peeling_orientation, weighted_coreness_csr};
 use dkc_core::api::{
     approximate_orientation_with_rounds, checked_rounds, rounds_for_epsilon,
     weak_densest_subsets_with_rounds, CorenessApproximation,
@@ -14,10 +14,12 @@ use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::ExecutionMode;
 use dkc_flow::{densest_subgraph, fractional_orientation_lower_bound};
 use dkc_graph::generators as gen;
-use dkc_graph::ingest::{read_dataset, stream_stats, write_dataset, Dataset, DatasetFormat};
+use dkc_graph::ingest::{
+    read_csr, read_dataset, stream_stats, write_dataset, Dataset, DatasetFormat,
+};
 use dkc_graph::io::write_edge_list;
 use dkc_graph::properties::{degree_stats, diameter_double_sweep};
-use dkc_graph::{CsrGraph, NodeId};
+use dkc_graph::{CsrGraph, NodeId, NodeIdMap};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -55,6 +57,13 @@ fn load(parsed: &Parsed) -> Result<Dataset, String> {
     read_dataset(path, format).map_err(|e| format!("failed to read {path}: {e}"))
 }
 
+/// [`load`] straight into a CSR, for commands that need no adjacency lists.
+fn load_csr(parsed: &Parsed) -> Result<(CsrGraph, NodeIdMap), String> {
+    let path = parsed.positional(0, "input dataset file")?;
+    let format = resolve_format(parsed, "format", path)?;
+    read_csr(path, format).map_err(|e| format!("failed to read {path}: {e}"))
+}
+
 fn generate(parsed: &Parsed) -> Result<String, String> {
     parsed.expect_flags(&[
         "nodes",
@@ -71,35 +80,65 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
         "weights",
     ])?;
     let model = parsed.positional(0, "generator model")?;
+    // Every parameter is checked here, before its generator runs: a
+    // generator asserts on what it cannot build.
     let n: usize = parsed.flag_num_positive("nodes", 1000)?;
+    check_node_count("--nodes", n)?;
     let seed: u64 = parsed.flag_num("seed", 42)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = match model {
         "ba" => {
             let attach: usize = parsed.flag_num("attach", 3)?;
+            if attach < 1 || attach >= n {
+                return Err(format!(
+                    "--attach must satisfy 1 <= attach < nodes (got {attach} with {n} nodes)"
+                ));
+            }
             gen::barabasi_albert(n, attach, &mut rng)
         }
         "er" => {
             let p: f64 = parsed.flag_num("prob", 0.01)?;
+            check_unit("--prob", p)?;
             gen::erdos_renyi(n, p, &mut rng)
         }
         "chung-lu" => {
             let alpha: f64 = parsed.flag_num("alpha", 2.5)?;
             let avg: f64 = parsed.flag_num("avg-degree", 8.0)?;
+            if !(alpha.is_finite() && alpha > 1.0) {
+                return Err(format!("--alpha must be finite and > 1 (got {alpha})"));
+            }
+            if !(avg.is_finite() && avg > 0.0) {
+                return Err(format!("--avg-degree must be finite and > 0 (got {avg})"));
+            }
             gen::chung_lu_power_law(n, alpha, avg, &mut rng)
         }
         "ws" => {
             let k: usize = parsed.flag_num("k", 6)?;
             let beta: f64 = parsed.flag_num("beta", 0.1)?;
+            if !k.is_multiple_of(2) || k >= n {
+                return Err(format!(
+                    "--k must be even and smaller than --nodes (got {k} with {n} nodes)"
+                ));
+            }
+            check_unit("--beta", beta)?;
             gen::watts_strogatz(n, k, beta, &mut rng)
         }
         "grid" => {
             let rows: usize = parsed.flag_num("rows", 10)?;
             let cols: usize = parsed.flag_num("cols", n / 10)?;
+            let nodes = rows
+                .checked_mul(cols)
+                .ok_or_else(|| format!("--rows {rows} x --cols {cols} overflows"))?;
+            check_node_count("--rows x --cols", nodes)?;
             gen::grid_graph(rows, cols)
         }
         "path" => gen::path_graph(n),
-        "cycle" => gen::cycle_graph(n),
+        "cycle" => {
+            if n < 3 {
+                return Err(format!("a cycle needs --nodes >= 3 (got {n})"));
+            }
+            gen::cycle_graph(n)
+        }
         "complete" => gen::complete_graph(n),
         other => {
             return Err(format!(
@@ -126,6 +165,22 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
         out.push_str(&dkc_graph::io::to_edge_list(&g));
     }
     Ok(out)
+}
+
+/// Rejects a generated graph of more nodes than `u32` node ids can name.
+fn check_node_count(what: &str, n: usize) -> Result<(), String> {
+    if n > u32::MAX as usize {
+        return Err(format!("{what} must be at most {} (got {n})", u32::MAX));
+    }
+    Ok(())
+}
+
+/// Rejects a probability outside [0, 1], NaN included.
+fn check_unit(flag: &str, p: f64) -> Result<(), String> {
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("{flag} must be in [0, 1] (got {p})"));
+    }
+    Ok(())
 }
 
 fn stats(parsed: &Parsed) -> Result<String, String> {
@@ -334,33 +389,43 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
         "shard-seed",
     ])?;
     let ckpt = checkpoint_config(parsed)?;
-    let ds = load(parsed)?;
-    let g = &ds.graph;
+    let (csr, ids) = load_csr(parsed)?;
+    let n = csr.num_nodes();
     let resume_path = parsed.flag_str("resume", "");
-    let (spec, outcome, resumed_from) = if !resume_path.is_empty() {
+    let fresh = if resume_path.is_empty() {
+        Some(run_spec(parsed, n, ckpt.clone())?)
+    } else {
         // The run's parameters live in the checkpoint preamble; flags that
         // would contradict it are rejected rather than silently ignored.
-        for flag in RESUME_CONFLICTS {
-            if parsed.flags.contains_key(flag) {
-                return Err(format!(
-                    "--{flag} conflicts with --resume: the run's parameters \
-                     (rounds, threshold set, fault plan, shard partition) come \
-                     from the checkpoint"
-                ));
-            }
+        if let Some(flag) = RESUME_CONFLICTS
+            .iter()
+            .find(|f| parsed.flags.contains_key(**f))
+        {
+            return Err(format!(
+                "--{flag} conflicts with --resume: the run's parameters \
+                 (rounds, threshold set, fault plan, shard partition) come \
+                 from the checkpoint"
+            ));
         }
-        let resumed =
-            resume_compact_elimination(g, std::path::Path::new(&resume_path), ckpt.as_ref())
-                .map_err(|e| format!("failed to resume from {resume_path}: {e}"))?;
-        (resumed.spec, resumed.outcome, Some(resumed.resumed_from))
-    } else {
-        let spec = run_spec(parsed, g.num_nodes(), ckpt.clone())?;
-        let outcome = run_compact_elimination(g, &spec)
-            .map_err(|e| format!("checkpointed run failed: {e}"))?;
-        (spec, outcome, None)
+        None
+    };
+    // The run takes the CSR, so the exact baseline peels it first.
+    let exact = parsed.switch("exact").then(|| weighted_coreness_csr(&csr));
+    let (spec, outcome, resumed_from) = match fresh {
+        Some(spec) => {
+            let outcome = run_compact_elimination(csr, &spec)
+                .map_err(|e| format!("checkpointed run failed: {e}"))?;
+            (spec, outcome, None)
+        }
+        None => {
+            let resumed =
+                resume_compact_elimination(csr, std::path::Path::new(&resume_path), ckpt.as_ref())
+                    .map_err(|e| format!("failed to resume from {resume_path}: {e}"))?;
+            (resumed.spec, resumed.outcome, Some(resumed.resumed_from))
+        }
     };
     let faults = spec.faults;
-    let approx = CorenessApproximation::new(g.num_nodes(), spec.threshold_set, outcome);
+    let approx = CorenessApproximation::new(n, spec.threshold_set, outcome);
     let mut out = String::new();
     if let Some(from) = resumed_from {
         let _ = writeln!(out, "resumed from checkpoint at round {from}");
@@ -414,7 +479,7 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
         }
     }
     let top: usize = parsed.flag_num("top", 5)?;
-    let mut ranked: Vec<usize> = (0..g.num_nodes()).collect();
+    let mut ranked: Vec<usize> = (0..n).collect();
     ranked.sort_by(|&a, &b| approx.values[b].partial_cmp(&approx.values[a]).unwrap());
     let _ = writeln!(out, "top {top} nodes by approximate coreness:");
     for &v in ranked.iter().take(top) {
@@ -422,12 +487,11 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
         let _ = writeln!(
             out,
             "  node {}: beta = {:.3}",
-            ds.external(NodeId::new(v)),
+            ids.external(NodeId::new(v)),
             approx.values[v]
         );
     }
-    if parsed.switch("exact") {
-        let exact = weighted_coreness(g);
+    if let Some(exact) = exact {
         let ratio = ApproxRatio::compute(&approx.values, &exact);
         let _ = writeln!(
             out,
@@ -846,6 +910,65 @@ mod tests {
         // Byzantine flags belong to coreness only (for now).
         let err = dispatch(&parse(&["stats", &path, "--byzantine", "0.2:all:2:9"])).unwrap_err();
         assert!(err.contains("--byzantine"), "{err}");
+    }
+
+    /// A fault window that ends past `MAX_ROUNDS` is a typed error, at the
+    /// flag and in a checkpoint's preamble, instead of a run that walks it
+    /// round by round (or allocates for it).
+    #[test]
+    fn fault_windows_past_max_rounds_are_rejected() {
+        let web_tiny = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench/fixtures/web-tiny.edges"
+        );
+        let cases: [&[&str]; 4] = [
+            &["--byzantine", "1:all:2:4294967295"],
+            &[
+                "--byzantine",
+                "1:all:2:18446744073709551615",
+                "--quarantine",
+                "1",
+            ],
+            &["--crash", "0.5:2:4294967295"],
+            &["--partition", "0.5:1:65537"],
+        ];
+        for flags in cases {
+            let mut args = vec!["coreness", web_tiny];
+            args.extend_from_slice(flags);
+            let err = dispatch(&parse(&args)).unwrap_err();
+            assert!(err.contains("must end by round 65536"), "{flags:?}: {err}");
+        }
+        // The window's last round stamped with u32::MAX in a checkpoint.
+        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
+        let ckpt = dir.join(format!("window-{}.dkck", std::process::id()));
+        let ckpt_str = ckpt.to_string_lossy().to_string();
+        dispatch(&parse(&[
+            "coreness",
+            web_tiny,
+            "--rounds",
+            "8",
+            "--byzantine",
+            "0.3:all:2:4321",
+            "--quarantine",
+            "2",
+            "--checkpoint",
+            &ckpt_str,
+            "--checkpoint-every",
+            "3",
+        ]))
+        .unwrap();
+        // The preamble's copy of the plan comes first; the executor state
+        // holds another.
+        let mut image = std::fs::read(&ckpt).unwrap();
+        let last = 4321u64.to_le_bytes();
+        let at = (0..image.len() - 8)
+            .find(|&i| image[i..i + 8] == last)
+            .unwrap();
+        image[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        std::fs::write(&ckpt, &image).unwrap();
+        let err = dispatch(&parse(&["coreness", web_tiny, "--resume", &ckpt_str])).unwrap_err();
+        assert!(err.contains("<= MAX_ROUNDS"), "{err}");
+        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]

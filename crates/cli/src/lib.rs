@@ -85,6 +85,51 @@ mod tests {
         assert!(run(&s(&["frobnicate"])).is_err());
     }
 
+    /// Each of these `generate` flag sets used to trip a generator's
+    /// `assert!` or ask for 2^32 nodes or more; each is a typed error now.
+    #[test]
+    fn generate_rejects_what_its_generators_cannot_build() {
+        let cases: &[&[&str]] = &[
+            &["ba", "--attach", "0"],
+            &["ba", "--nodes", "5", "--attach", "5"],
+            &["ba", "--nodes", "5", "--attach", "4294967295"],
+            &["er", "--prob", "-1"],
+            &["er", "--prob", "1.5"],
+            &["er", "--prob", "NaN"],
+            &["er", "--prob", "inf"],
+            &["chung-lu", "--alpha", "1"],
+            &["chung-lu", "--alpha", "-inf"],
+            &["chung-lu", "--alpha", "inf"],
+            &["chung-lu", "--alpha", "NaN"],
+            &["chung-lu", "--avg-degree", "0"],
+            &["chung-lu", "--avg-degree", "-1"],
+            &["chung-lu", "--avg-degree", "inf"],
+            &["chung-lu", "--avg-degree", "NaN"],
+            &["ws", "--k", "3"],
+            &["ws", "--nodes", "6", "--k", "6"],
+            &["ws", "--beta", "-0.5"],
+            &["ws", "--beta", "1e308"],
+            &["ws", "--beta", "NaN"],
+            &["cycle", "--nodes", "1"],
+            &["cycle", "--nodes", "2"],
+            &["path", "--nodes", "4294967296"],
+            &["ba", "--nodes", "4294967296"],
+            &["path", "--nodes", "18446744073709551615"],
+            &["grid", "--rows", "65536", "--cols", "65536"],
+            &["grid", "--rows", "4294967296", "--cols", "1"],
+            &["grid", "--rows", "18446744073709551615", "--cols", "2"],
+        ];
+        for case in cases {
+            let mut args = vec!["generate".to_string()];
+            args.extend(case.iter().map(|a| a.to_string()));
+            let result = std::panic::catch_unwind(|| run(&args));
+            assert!(
+                matches!(result, Ok(Err(_))),
+                "generate {case:?}: {result:?}"
+            );
+        }
+    }
+
     #[test]
     fn generate_stats_coreness_roundtrip() {
         let dir = std::env::temp_dir().join("dkc_cli_lib_test");

@@ -18,7 +18,7 @@ use dkc_distsim::checkpoint::{
 use dkc_distsim::wire::{WireCodec, WireReader, WireWriter};
 use dkc_distsim::{ExecutionMode, FaultPlan};
 use dkc_graph::partition::splitmix64 as splitmix;
-use dkc_graph::{CsrGraph, WeightedGraph};
+use dkc_graph::CsrGraph;
 use serde::ser::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -57,13 +57,10 @@ pub fn graph_fingerprint(g: &CsrGraph) -> u64 {
 /// a checkpoint naming a larger count is rejected before anything is built.
 pub use dkc_distsim::MAX_SHARDS;
 
-/// The largest round count T a run may be asked for, wherever T comes from
-/// outside: `--rounds`, the T that `--epsilon` derives, or a checkpoint's
-/// round target. More rounds buy nothing: at T = 2^16 the factor `2·n^{1/T}`
-/// is within 0.034% of 2 for any u32 node count. Every round keeps one
-/// `RoundStats` (136 B) in the run's history, so an unbounded T is an
-/// unbounded allocation.
-pub const MAX_ROUNDS: u64 = 1 << 16;
+/// The largest round count T a run may be asked for, re-exported from the
+/// executor: a checkpoint's round target and every fault window's last
+/// round are checked against it before anything is built.
+pub use dkc_distsim::MAX_ROUNDS;
 
 /// The run-identity preamble stored ahead of the executor state in every
 /// checkpoint file.
@@ -212,15 +209,17 @@ pub struct ResumedRun {
 /// the recorded partition, under `Auto`: sharded runs take frontier rounds,
 /// so a dense state under a sharded preamble fails the executor's activation
 /// check. The caller only chooses whether to keep checkpointing, via `cfg`.
+/// Like [`crate::compact::run_compact_elimination`], the run takes `g` (a
+/// [`CsrGraph`], or a `&WeightedGraph` to convert) as its topology.
 pub fn resume_compact_elimination(
-    g: &WeightedGraph,
+    g: impl Into<CsrGraph>,
     path: &Path,
     cfg: Option<&CheckpointConfig>,
 ) -> Result<ResumedRun, CheckpointError> {
     let image = read_checkpoint_bytes(path)?;
     let (preamble_bytes, state) = decode_checkpoint(&image)?;
     let pre = RunPreamble::decode(preamble_bytes)?;
-    let csr = CsrGraph::from_graph(g);
+    let csr = g.into();
     if pre.nodes != csr.num_nodes() as u64 || pre.arcs != csr.num_arcs() as u64 {
         return Err(CheckpointError::Mismatch(format!(
             "checkpoint graph has {} nodes / {} arcs, this graph has {} / {}",

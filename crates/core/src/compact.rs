@@ -40,7 +40,7 @@ use dkc_distsim::{
     CheckpointError, Delivery, ExecutionMode, FaultPlan, Network, NetworkBuilder, NodeContext,
     NodeProgram, Outgoing, RunMetrics, SnapshotState,
 };
-use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId};
 use serde::ser::Serialize;
 use std::fmt;
 
@@ -560,7 +560,9 @@ impl From<CheckpointError> for RunError {
     }
 }
 
-/// Runs Algorithm 2 on `g` as `spec` says. A round count outside
+/// Runs Algorithm 2 on `g` as `spec` says. The run takes `g` as the
+/// network's topology: a [`CsrGraph`] moves in as is, and a
+/// `&WeightedGraph` is converted first. A round count outside
 /// `1..=`[`crate::checkpoint::MAX_ROUNDS`], or more than [`MAX_SHARDS`]
 /// shards, is rejected before anything is built; past that, only checkpoint
 /// writing can fail, so a run with a legal T and shard count and without
@@ -588,14 +590,14 @@ impl From<CheckpointError> for RunError {
 /// absolute rounds), so a kill mid-write never corrupts the latest one and
 /// [`crate::checkpoint::resume_compact_elimination`] can finish the run.
 pub fn run_compact_elimination(
-    g: &WeightedGraph,
+    g: impl Into<CsrGraph>,
     spec: &RunSpec,
 ) -> Result<CompactOutcome, RunError> {
     checked_rounds(spec.rounds)?;
     if spec.shards > MAX_SHARDS {
         return Err(RunError::Shards(spec.shards));
     }
-    Ok(execute(CsrGraph::from_graph(g), spec, None)?.0)
+    Ok(execute(g.into(), spec, None)?.0)
 }
 
 /// Builds the arena and network for `spec` over `csr`, which becomes the
@@ -687,6 +689,7 @@ mod tests {
     use dkc_graph::generators::{
         barabasi_albert, complete_graph, erdos_renyi, path_graph, with_random_integer_weights,
     };
+    use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -62,6 +62,7 @@ use std::path::{Path, PathBuf};
 
 use crate::faults::{BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, PartitionModel};
 use crate::metrics::{RoundStats, COUNTERS};
+use crate::network::MAX_ROUNDS;
 use crate::wire::{WireCodec, WireError, WireReader, WireWriter};
 use serde::ser::{Serialize, SerializeStruct, Serializer};
 
@@ -529,8 +530,9 @@ impl WireCodec for FaultPlan {
 
 /// Decode-side validation of a fault plan read from disk: the model
 /// constructors enforce these invariants at build time, but a corrupted
-/// checkpoint bypasses the constructors, and e.g. an inverted crash window
-/// would underflow `crash_round`'s span arithmetic.
+/// checkpoint bypasses the constructors: an inverted crash window would
+/// underflow `crash_round`'s span arithmetic, and a window ending past
+/// [`MAX_ROUNDS`] would be walked round by round for as long as it lasts.
 pub fn validate_plan(plan: &FaultPlan) -> Result<(), CheckpointError> {
     let bad = |msg: &str| Err(CheckpointError::Mismatch(msg.to_string()));
     if let Some(l) = plan.loss {
@@ -543,17 +545,17 @@ pub fn validate_plan(plan: &FaultPlan) -> Result<(), CheckpointError> {
             return bad("burst window violates 1 <= period, len <= period");
         }
     }
+    // A window `first..=last` with 1 <= first <= last <= MAX_ROUNDS.
+    let window =
+        |first: usize, last: usize| 1 <= first && first <= last && last as u64 <= MAX_ROUNDS;
     if let Some(c) = plan.crash {
-        if !(0.0..=1.0).contains(&c.probability)
-            || c.first_round < 1
-            || c.first_round > c.last_round
-        {
-            return bad("crash model violates p in [0, 1], 1 <= first <= last");
+        if !(0.0..=1.0).contains(&c.probability) || !window(c.first_round, c.last_round) {
+            return bad("crash model violates p in [0, 1], 1 <= first <= last <= MAX_ROUNDS");
         }
     }
     if let Some(p) = plan.partition {
-        if !(0.0..=1.0).contains(&p.fraction) || p.first_round < 1 || p.first_round > p.last_round {
-            return bad("partition model violates f in [0, 1], 1 <= first <= last");
+        if !(0.0..=1.0).contains(&p.fraction) || !window(p.first_round, p.last_round) {
+            return bad("partition model violates f in [0, 1], 1 <= first <= last <= MAX_ROUNDS");
         }
     }
     if let Some(b) = plan.byzantine {
@@ -561,11 +563,10 @@ pub fn validate_plan(plan: &FaultPlan) -> Result<(), CheckpointError> {
             || !(0.0..=1.0).contains(&b.detect)
             || b.behaviors == 0
             || b.behaviors & !ByzantineModel::ALL_BEHAVIORS != 0
-            || b.first_round < 1
-            || b.first_round > b.last_round
+            || !window(b.first_round, b.last_round)
         {
             return bad("byzantine model violates fraction/detect in [0, 1], \
-                 non-empty known behaviors, 1 <= first <= last");
+                 non-empty known behaviors, 1 <= first <= last <= MAX_ROUNDS");
         }
     }
     Ok(())
@@ -860,6 +861,30 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(validate_plan(&inverted_byzantine).is_err());
+        // Windows may end at MAX_ROUNDS, and not one round later.
+        let past = MAX_ROUNDS as usize + 1;
+        let crash = |last_round| CrashModel {
+            last_round,
+            ..CrashModel::new(0.5, 2, 3, 1)
+        };
+        let partition = |last_round| PartitionModel {
+            last_round,
+            ..PartitionModel::new(0.5, 2, 3, 1)
+        };
+        let byzantine = |last_round| ByzantineModel {
+            last_round,
+            ..ByzantineModel::new(0.5, ByzantineModel::ALL_BEHAVIORS, 2, 3, 1)
+        };
+        for last in [MAX_ROUNDS as usize, past, u32::MAX as usize, usize::MAX] {
+            let plans = [
+                FaultPlan::none().with_crash(crash(last)),
+                FaultPlan::none().with_partition(partition(last)),
+                FaultPlan::none().with_byzantine(byzantine(last)),
+            ];
+            for plan in plans {
+                assert_eq!(validate_plan(&plan).is_ok(), last < past, "{plan:?}");
+            }
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! and the cumulative accusation/quarantine counts are surfaced through
 //! [`crate::RoundStats`] / [`crate::RunMetrics`] as deterministic counters.
 
+use crate::network::MAX_ROUNDS;
 use dkc_graph::NodeId;
 
 /// The workspace's splitmix64 finalizer: the avalanche step behind every
@@ -188,7 +189,7 @@ pub struct CrashModel {
 
 impl CrashModel {
     /// Creates a crash model; panics if the probability is outside `[0, 1]`
-    /// or the window is empty.
+    /// or the window is empty or ends past [`MAX_ROUNDS`].
     pub fn new(probability: f64, first_round: usize, last_round: usize, seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&probability),
@@ -197,6 +198,10 @@ impl CrashModel {
         assert!(
             first_round >= 1 && first_round <= last_round,
             "crash window must satisfy 1 <= first_round <= last_round"
+        );
+        assert!(
+            last_round as u64 <= MAX_ROUNDS,
+            "crash window must end by round {MAX_ROUNDS}"
         );
         CrashModel {
             probability,
@@ -248,7 +253,7 @@ pub struct PartitionModel {
 
 impl PartitionModel {
     /// Creates a partition model; panics if the fraction is outside `[0, 1]`
-    /// or the window is empty.
+    /// or the window is empty or ends past [`MAX_ROUNDS`].
     pub fn new(fraction: f64, first_round: usize, last_round: usize, seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&fraction),
@@ -257,6 +262,10 @@ impl PartitionModel {
         assert!(
             first_round >= 1 && first_round <= last_round,
             "partition window must satisfy 1 <= first_round <= last_round"
+        );
+        assert!(
+            last_round as u64 <= MAX_ROUNDS,
+            "partition window must end by round {MAX_ROUNDS}"
         );
         PartitionModel {
             fraction,
@@ -381,7 +390,8 @@ impl ByzantineModel {
     /// Creates a byzantine model with detection at
     /// [`ByzantineModel::DEFAULT_DETECT`] and quarantine disabled; panics if
     /// the fraction is outside `[0, 1]`, the behavior set is empty or
-    /// contains unknown bits, or the window is empty.
+    /// contains unknown bits, or the window is empty or ends past
+    /// [`MAX_ROUNDS`].
     pub fn new(
         fraction: f64,
         behaviors: u8,
@@ -400,6 +410,10 @@ impl ByzantineModel {
         assert!(
             first_round >= 1 && first_round <= last_round,
             "byzantine window must satisfy 1 <= first_round <= last_round"
+        );
+        assert!(
+            last_round as u64 <= MAX_ROUNDS,
+            "byzantine window must end by round {MAX_ROUNDS}"
         );
         ByzantineModel {
             fraction,
@@ -801,8 +815,8 @@ pub mod spec {
         Ok(p)
     }
 
-    /// Splits `p:first:last` — a probability/fraction plus a 1-based
-    /// inclusive round window starting no earlier than `min_first`.
+    /// Splits `p:first:last` — a probability/fraction plus a round
+    /// [`window`].
     fn windowed(flag: &str, value: &str, min_first: usize) -> Result<(f64, usize, usize), String> {
         let parts: Vec<&str> = value.split(':').collect();
         let [p, first, last] = parts.as_slice() else {
@@ -811,6 +825,18 @@ pub mod spec {
             ));
         };
         let p = probability(flag, p)?;
+        let (first, last) = window(flag, first, last, min_first)?;
+        Ok((p, first, last))
+    }
+
+    /// Parses a 1-based inclusive round window `first..=last` that starts
+    /// no earlier than `min_first` and ends by [`MAX_ROUNDS`].
+    fn window(
+        flag: &str,
+        first: &str,
+        last: &str,
+        min_first: usize,
+    ) -> Result<(usize, usize), String> {
         let parse_round = |what: &str, s: &str| -> Result<usize, String> {
             s.parse()
                 .map_err(|_| format!("--{flag}: {what} round must be an integer, got {s:?}"))
@@ -823,7 +849,12 @@ pub mod spec {
                  (got {first}..={last})"
             ));
         }
-        Ok((p, first, last))
+        if last as u64 > MAX_ROUNDS {
+            return Err(format!(
+                "--{flag} window must end by round {MAX_ROUNDS} (got last round {last})"
+            ));
+        }
+        Ok((first, last))
     }
 
     /// Parses the `--byzantine` behavior list: `+`-separated names from
@@ -851,6 +882,7 @@ pub mod spec {
     /// start at round 2 or later: a node crashed (or lying) in round 1 never
     /// executes (or corrupts) its initialization step, freezing protocol
     /// state at its uninitialized value (e.g. a surviving number of +∞).
+    /// Every window must end by round [`MAX_ROUNDS`].
     pub fn plan_from_flags(
         loss: Option<&str>,
         burst: Option<&str>,
@@ -899,19 +931,9 @@ pub mod spec {
             };
             let f = probability("byzantine", f)?;
             let bits = behaviors(names)?;
-            let parse_round = |what: &str, s: &str| -> Result<usize, String> {
-                s.parse()
-                    .map_err(|_| format!("--byzantine: {what} round must be an integer, got {s:?}"))
-            };
-            let first = parse_round("first", first)?;
-            let last = parse_round("last", last)?;
             // Like crashes, misbehavior may not start before round 2: a node
             // lying during round 1 corrupts its neighbours' initialization.
-            if first < 2 || first > last {
-                return Err(format!(
-                    "--byzantine window must satisfy 2 <= first <= last (got {first}..={last})"
-                ));
-            }
+            let (first, last) = window("byzantine", first, last, 2)?;
             let mut model = ByzantineModel::new(f, bits, first, last, seed ^ 0xE0);
             if let Some(q) = quarantine {
                 let threshold: u32 = q.parse().map_err(|_| {
@@ -930,6 +952,18 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "byzantine window must end by round 65536")]
+    fn windows_past_max_rounds_panic_at_construction() {
+        ByzantineModel::new(
+            0.5,
+            ByzantineModel::ALL_BEHAVIORS,
+            2,
+            MAX_ROUNDS as usize + 1,
+            1,
+        );
+    }
 
     #[test]
     fn extreme_probabilities() {

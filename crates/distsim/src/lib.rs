@@ -55,7 +55,8 @@ pub use faults::{
 pub use message::{MessageSize, Tamper};
 pub use metrics::{Counter, Reducer, RoundStats, RunMetrics, COUNTERS};
 pub use network::{
-    ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder, MAX_SHARDS, PULL_DIVISOR,
+    ExecutionMode, ExecutorBufferStats, Network, NetworkBuilder, MAX_ROUNDS, MAX_SHARDS,
+    PULL_DIVISOR,
 };
 pub use program::{Delivery, NodeContext, NodeProgram, Outgoing};
 pub use shard::{BoundaryDelta, BoundaryRecord, ShardFrameError};

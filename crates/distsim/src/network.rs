@@ -131,6 +131,20 @@ pub enum ExecutionMode {
 /// record buffer per ordered shard pair, N² in all.
 pub const MAX_SHARDS: usize = 1024;
 
+/// The largest round count T a run may be asked for, wherever T comes from
+/// outside: `--rounds`, the T that `--epsilon` derives, or a checkpoint's
+/// round target. More rounds buy nothing: at T = 2^16 the factor `2·n^{1/T}`
+/// is within 0.034% of 2 for any u32 node count. Every round keeps one
+/// `RoundStats` (136 B) in the run's history, so an unbounded T is an
+/// unbounded allocation.
+///
+/// A fault window (crash, partition or byzantine) may not end past it
+/// either: a window is walked round by round, so one ending at `u64::MAX`
+/// is an unbounded loop. The flag parser ([`crate::faults::spec`]), the
+/// checkpoint preamble ([`crate::checkpoint::validate_plan`]) and the model
+/// constructors all reject a `last_round` above it.
+pub const MAX_ROUNDS: u64 = 1 << 16;
+
 /// A frontier round pulls when its frontier puts more than
 /// `num_arcs / PULL_DIVISOR` copies on the wire (delivered plus dropped),
 /// and pushes otherwise (see the module docs). A push costs a random write

@@ -22,7 +22,7 @@ use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
 
 /// Normalized `(min, max, w)` edges; `min == max` is a self-loop.
-type Edges = Vec<(NodeId, NodeId, f64)>;
+pub(crate) type Edges = Vec<(NodeId, NodeId, f64)>;
 
 /// Builds a [`WeightedGraph`] from a stream of (possibly duplicated) weighted
 /// edges. Parallel edges are merged by **summing** their weights, which is the
@@ -83,15 +83,14 @@ impl GraphBuilder {
         WeightedGraph::from_edges(n, &plain, &loops)
     }
 
-    /// [`GraphBuilder::build`] for untrusted input: a merged weight or a
-    /// total weighted degree 2·w(E) that overflows is
-    /// [`ParseError::WeightOverflow`] instead of a panic or an infinite
-    /// graph.
-    pub(crate) fn try_build(self) -> Result<WeightedGraph, ParseError> {
-        let n = self.n;
+    /// The merged plain edges and self-loops that [`GraphBuilder::build`]
+    /// builds from, for untrusted input: a merged weight or a total weighted
+    /// degree 2·w(E) that overflows is [`ParseError::WeightOverflow`]
+    /// instead of a panic or an infinite graph.
+    pub(crate) fn try_merge(self) -> Result<(Edges, Vec<(NodeId, f64)>), ParseError> {
         let (plain, loops, total) = self.merge();
         ParseError::check_weight_total(total)?;
-        Ok(WeightedGraph::from_edges(n, &plain, &loops))
+        Ok((plain, loops))
     }
 
     /// The merged plain edges and self-loops, and the sum of their weights.

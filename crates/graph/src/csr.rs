@@ -1,15 +1,16 @@
-//! Immutable compressed sparse-row (CSR) snapshot of a [`WeightedGraph`].
+//! Immutable compressed sparse-row (CSR) snapshot of a weighted graph.
 //!
 //! The distributed simulator and the hot analysis loops iterate neighbourhoods
 //! millions of times per run; CSR gives contiguous, cache-friendly neighbour
 //! slices (see the heap-allocation and iteration guidance in the Rust
-//! Performance Book). The snapshot is built in O(arcs): arcs are copied per
-//! node, and each arc is paired with its reverse by one cursor per node (see
-//! [`CsrGraph::try_from_graph`]).
+//! Performance Book). The snapshot is built in O(arcs), from a graph or
+//! straight from an edge list: arcs are placed per node, and each arc is
+//! paired with its reverse by one cursor per node (see
+//! [`CsrGraph::try_from_edges`]).
 
 use crate::idx::IdxOverflow;
 use crate::node::NodeId;
-use crate::weighted::WeightedGraph;
+use crate::weighted::{check_edge, WeightedGraph};
 
 /// Compressed sparse-row view of an undirected weighted graph.
 ///
@@ -44,19 +45,11 @@ impl CsrGraph {
     /// Builds a CSR snapshot from a [`WeightedGraph`], returning a typed
     /// [`IdxOverflow`] error when the arc count exceeds `u32::MAX`.
     ///
-    /// The build is O(arcs) apart from sorting each neighbour-rank list,
-    /// which is linear on the already-sorted lists [`crate::GraphBuilder`]
-    /// produces. Reverse arcs are paired in one pass: visiting sources in
-    /// ascending order, with positions in order within each source, meets
-    /// the arcs into `t` in exactly the order of `t`'s rank list (targets
-    /// ascending, ties by position). So one cursor per node walks its rank
-    /// list, and the k-th `v → t` pairs with the k-th `t → v`.
+    /// Arcs are copied node by node, then the neighbour-rank and reverse-arc
+    /// maps are built as [`CsrGraph::try_from_edges`] builds them.
     pub fn try_from_graph(g: &WeightedGraph) -> Result<Self, IdxOverflow> {
         let n = g.num_nodes();
-        let arcs: usize = g.nodes().map(|v| g.unweighted_degree(v)).sum();
-        if arcs > u32::MAX as usize {
-            return Err(IdxOverflow::new(arcs, "arc count"));
-        }
+        let arcs = checked_arcs(g.nodes().map(|v| g.unweighted_degree(v)).sum())?;
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut targets = Vec::with_capacity(arcs);
@@ -69,6 +62,102 @@ impl CsrGraph {
             offsets.push(targets.len());
         }
         let self_loops = (0..n).map(|i| g.self_loop(NodeId::new(i))).collect();
+        Ok(Self::indexed(
+            offsets,
+            targets,
+            weights,
+            self_loops,
+            g.total_edge_weight(),
+            g.num_plain_edges(),
+        ))
+    }
+
+    /// The CSR of `WeightedGraph::from_edges(n, edges, loops)`, arc for arc,
+    /// built without the adjacency lists: each undirected edge `(u, v, w)`
+    /// of `edges` appends `v` to `u`'s slice and `u` to `v`'s, in order (a
+    /// `u == v` edge adds to `u`'s self-loop), and then each `(v, w)` of
+    /// `loops` adds to `v`'s self-loop. Returns a typed [`IdxOverflow`]
+    /// error when the arc count exceeds `u32::MAX`.
+    ///
+    /// One pass counts degrees, a second fills the arcs through one cursor
+    /// per node. The neighbour-rank map then sorts each node's positions by
+    /// target, which is linear on the already-sorted lists
+    /// [`crate::GraphBuilder`] merges. Reverse arcs are paired in one pass:
+    /// visiting sources in ascending order, with positions in order within
+    /// each source, meets the arcs into `t` in exactly the order of `t`'s
+    /// rank list (targets ascending, ties by position). So one cursor per
+    /// node walks its rank list, and the k-th `v → t` pairs with the k-th
+    /// `t → v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`WeightedGraph::add_edge`] and
+    /// [`WeightedGraph::add_self_loop`] do, if an endpoint is not below `n`
+    /// or a weight is negative or not finite.
+    pub fn try_from_edges(
+        n: usize,
+        edges: &[(NodeId, NodeId, f64)],
+        loops: &[(NodeId, f64)],
+    ) -> Result<Self, IdxOverflow> {
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v, w) in edges {
+            check_edge(n, u, v, w);
+            if u != v {
+                offsets[u.index() + 1] += 1;
+                offsets[v.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let arcs = checked_arcs(offsets[n])?;
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![NodeId(0); arcs];
+        let mut weights = vec![0.0; arcs];
+        let mut self_loops = vec![0.0; n];
+        let mut total_edge_weight = 0.0;
+        let mut num_plain_edges = 0;
+        for &(u, v, w) in edges {
+            if u == v {
+                self_loops[u.index()] += w;
+            } else {
+                for (from, to) in [(u, v), (v, u)] {
+                    let slot = &mut cursor[from.index()];
+                    targets[*slot] = to;
+                    weights[*slot] = w;
+                    *slot += 1;
+                }
+                num_plain_edges += 1;
+            }
+            total_edge_weight += w;
+        }
+        for &(v, w) in loops {
+            assert!(w.is_finite() && w >= 0.0);
+            self_loops[v.index()] += w;
+            total_edge_weight += w;
+        }
+        Ok(Self::indexed(
+            offsets,
+            targets,
+            weights,
+            self_loops,
+            total_edge_weight,
+            num_plain_edges,
+        ))
+    }
+
+    /// The CSR over the given arc arrays, with its neighbour-rank and
+    /// reverse-arc maps built (see [`CsrGraph::try_from_edges`]).
+    fn indexed(
+        offsets: Vec<usize>,
+        targets: Vec<NodeId>,
+        weights: Vec<f64>,
+        self_loops: Vec<f64>,
+        total_edge_weight: f64,
+        num_plain_edges: usize,
+    ) -> Self {
+        let n = offsets.len() - 1;
+        let arcs = targets.len();
         let mut rank_by_target = vec![0u32; arcs];
         for v in 0..n {
             let (lo, hi) = (offsets[v], offsets[v + 1]);
@@ -97,16 +186,16 @@ impl CsrGraph {
                 reverse_arc[p] = rp as u32;
             }
         }
-        Ok(CsrGraph {
+        CsrGraph {
             offsets,
             targets,
             weights,
             self_loops,
-            total_edge_weight: g.total_edge_weight(),
-            num_plain_edges: g.num_plain_edges(),
+            total_edge_weight,
+            num_plain_edges,
             rank_by_target,
             reverse_arc,
-        })
+        }
     }
 
     /// Builds a CSR snapshot from a [`WeightedGraph`].
@@ -236,6 +325,14 @@ impl From<&WeightedGraph> for CsrGraph {
     fn from(g: &WeightedGraph) -> Self {
         CsrGraph::from_graph(g)
     }
+}
+
+/// `arcs` if the `u32` cross-index arrays can address that many arcs.
+fn checked_arcs(arcs: usize) -> Result<usize, IdxOverflow> {
+    if arcs > u32::MAX as usize {
+        return Err(IdxOverflow::new(arcs, "arc count"));
+    }
+    Ok(arcs)
 }
 
 #[cfg(test)]
@@ -397,6 +494,61 @@ mod tests {
             let oracle = binary_search_pairing(&csr);
             let got: Vec<usize> = (0..csr.num_arcs()).map(|p| csr.reverse_arc(p)).collect();
             assert_eq!(got, oracle, "seed {seed}");
+        }
+    }
+
+    /// Every field of `a` equals `b`'s, weights compared by bits.
+    fn assert_same_csr(a: &CsrGraph, b: &CsrGraph) {
+        let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.targets, b.targets);
+        assert_eq!(bits(&a.weights), bits(&b.weights));
+        assert_eq!(bits(&a.self_loops), bits(&b.self_loops));
+        assert_eq!(a.total_edge_weight.to_bits(), b.total_edge_weight.to_bits());
+        assert_eq!(a.num_plain_edges, b.num_plain_edges);
+        assert_eq!(a.rank_by_target, b.rank_by_target);
+        assert_eq!(a.reverse_arc, b.reverse_arc);
+    }
+
+    #[test]
+    fn try_from_edges_is_the_csr_of_from_edges() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..25usize);
+            let mut edges = Vec::new();
+            let mut loops = Vec::new();
+            if n > 0 {
+                // Nodes at or past `hot` stay isolated.
+                let hot = rng.gen_range(0..n) + 1;
+                for _ in 0..rng.gen_range(0..4 * n) {
+                    let u = rng.gen_range(0..hot);
+                    let v = match rng.gen_range(0..4) {
+                        0 => u,             // a self-loop edge
+                        1 => (u + 1) % hot, // a favourite pair: parallel edges
+                        _ => rng.gen_range(0..hot),
+                    };
+                    // Tenths, so sums of parallel weights are inexact.
+                    let w = rng.gen_range(0..8) as f64 * 0.1;
+                    edges.push((NodeId::new(u), NodeId::new(v), w));
+                }
+                for _ in 0..rng.gen_range(0..n) {
+                    let v = NodeId::new(rng.gen_range(0..n));
+                    loops.push((v, rng.gen_range(0..4) as f64 * 0.3));
+                }
+            }
+            // `GraphBuilder`'s order: `(min, max)` pairs, ascending.
+            let mut sorted: Vec<_> = edges
+                .iter()
+                .map(|&(u, v, w)| (u.min(v), u.max(v), w))
+                .collect();
+            sorted.sort_by_key(|&(u, v, _)| (u, v));
+            for edges in [&edges, &sorted] {
+                let reference = CsrGraph::from_graph(&WeightedGraph::from_edges(n, edges, &loops));
+                let csr = CsrGraph::try_from_edges(n, edges, &loops).unwrap();
+                assert_same_csr(&csr, &reference);
+            }
         }
     }
 

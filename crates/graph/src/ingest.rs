@@ -10,8 +10,12 @@
 //! * [`read_dataset`] streams the file through a bounded buffer
 //!   (chunk-at-a-time, no whole-file `String`); edge-list blocks are cut at
 //!   line ends and parsed in parallel via `rayon` before the sequential
-//!   id-interning pass, and every reader ends in one exact-size graph build
-//!   (text formats merge parallel edges through [`GraphBuilder`]).
+//!   id-interning pass. Every format goes through one merged-edge reader
+//!   (text formats merge parallel edges through [`GraphBuilder`]), which
+//!   ends in one exact-size graph build.
+//! * [`read_csr`] takes the same merged edges straight into a [`CsrGraph`],
+//!   arc for arc the CSR of `read_dataset`'s graph, so a caller that only
+//!   needs the CSR never holds the adjacency lists.
 //! * Three on-disk formats ([`DatasetFormat`]): SNAP-style edge lists, METIS
 //!   adjacency files, and a compact little-endian binary format (`.dkcb`)
 //!   that additionally preserves the id map exactly.
@@ -27,6 +31,7 @@
 //! assign them fresh ids past the largest mapped id).
 
 use crate::builder::GraphBuilder;
+use crate::csr::CsrGraph;
 use crate::idx::IdxOverflow;
 use crate::io::ParseError;
 use crate::node::NodeId;
@@ -191,7 +196,12 @@ impl Dataset {
             let iv = ids.intern(v);
             builder.add_edge(iu, iv, w);
         }
-        finish_dataset(builder.build(), ids, declared_nodes)
+        ids.pad_to(declared_nodes);
+        let mut graph = builder.build();
+        while graph.num_nodes() < ids.len() {
+            graph.add_node();
+        }
+        Dataset { graph, ids }
     }
 
     /// The external id of an internal node.
@@ -266,10 +276,7 @@ fn invalid(msg: impl Into<String>) -> ParseError {
 }
 
 fn malformed(line: usize, content: &str) -> ParseError {
-    ParseError::Malformed {
-        line,
-        content: content.to_string(),
-    }
+    ParseError::malformed(line, content)
 }
 
 /// Recognizes a `# nodes: N` (or `% nodes: N`) comment directive. Matching
@@ -638,9 +645,9 @@ fn expect_eof(r: &mut impl Read) -> Result<(), ParseError> {
     }
 }
 
-/// Reads a `.dkcb` file, reconstructing the id map exactly. Records are not
-/// merged: parallel edge records stay parallel, in file order.
-fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
+/// Reads a `.dkcb` file's edges, reconstructing the id map exactly. Records
+/// are not merged: parallel edge records stay parallel, in file order.
+fn read_binary_edges(path: &Path) -> Result<DatasetEdges, ParseError> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut r = BufReader::new(file);
@@ -705,9 +712,19 @@ fn read_binary_dataset(path: &Path) -> Result<Dataset, ParseError> {
         loops.push((NodeId::new(v), w));
     }
     expect_eof(&mut r)?;
-    let graph = WeightedGraph::from_edges(n, &edges, &loops);
-    ParseError::check_weight_total(graph.total_edge_weight())?;
-    Ok(Dataset { graph, ids })
+    // The graph's total weight, summed in the order both builds sum it.
+    let total = edges
+        .iter()
+        .map(|&(_, _, w)| w)
+        .chain(loops.iter().map(|&(_, w)| w))
+        .fold(0.0, |sum, w| sum + w);
+    ParseError::check_weight_total(total)?;
+    Ok(DatasetEdges {
+        nodes: n,
+        plain: edges,
+        loops,
+        ids,
+    })
 }
 
 /// Streams a `.dkcb` file's items (internal ids as `u64`), skipping the id
@@ -763,46 +780,79 @@ fn stream_items(
     }
 }
 
+/// A dataset file's edges as both graph builds take them: the node count,
+/// the plain edges and the self-loops (merged by [`GraphBuilder`] for the
+/// text formats, as recorded for `.dkcb`), and the id map.
+struct DatasetEdges {
+    nodes: usize,
+    plain: Vec<(NodeId, NodeId, f64)>,
+    loops: Vec<(NodeId, f64)>,
+    ids: NodeIdMap,
+}
+
+/// Reads a dataset file's edges in any format, with every check of
+/// [`read_dataset`].
+fn read_edges(path: &Path, format: DatasetFormat) -> Result<DatasetEdges, ParseError> {
+    match format {
+        DatasetFormat::Binary => read_binary_edges(path),
+        DatasetFormat::Metis => read_metis_edges(path),
+        DatasetFormat::EdgeList => read_edge_list_edges(path),
+    }
+}
+
 /// Reads a dataset file into a graph plus its id map.
 ///
 /// Peak memory is `O(edges + distinct nodes)` regardless of the id space:
 /// external ids are remapped to dense indices as they stream past.
 pub fn read_dataset(path: impl AsRef<Path>, format: DatasetFormat) -> Result<Dataset, ParseError> {
-    let path = path.as_ref();
-    match format {
-        DatasetFormat::Binary => read_binary_dataset(path),
-        DatasetFormat::Metis => read_metis_dataset(path),
-        DatasetFormat::EdgeList => {
-            let mut ids = NodeIdMap::new();
-            let mut builder = GraphBuilder::new(0);
-            let mut declared: u64 = 0;
-            stream_edge_list_items(path, &mut |item| {
-                match item {
-                    StreamItem::Edge(u, v, w) => {
-                        let iu = ids.intern(u);
-                        let iv = ids.intern(v);
-                        builder.add_edge(iu, iv, w);
-                    }
-                    StreamItem::DeclaredNodes(n) => declared = declared.max(n),
-                }
-                Ok(())
-            })?;
-            let file_len = std::fs::metadata(path)?.len();
-            let declared = checked_declared_nodes(declared, ids.len(), file_len)?;
-            Ok(finish_dataset(builder.try_build()?, ids, declared))
-        }
-    }
+    let e = read_edges(path.as_ref(), format)?;
+    Ok(Dataset {
+        graph: WeightedGraph::from_edges(e.nodes, &e.plain, &e.loops),
+        ids: e.ids,
+    })
 }
 
-/// Shared epilogue of the builder-based readers: pad the id map to the
-/// declared node count, and grow the built graph to cover header-declared
-/// isolated nodes.
-fn finish_dataset(mut graph: WeightedGraph, mut ids: NodeIdMap, declared: usize) -> Dataset {
+/// [`read_dataset`] straight into a [`CsrGraph`]: the CSR that
+/// [`CsrGraph::from_graph`] makes of `read_dataset`'s graph, arc for arc,
+/// and the same id map, with the same errors, but without ever building
+/// the adjacency lists. A graph with more than `u32::MAX` arcs is
+/// [`ParseError::Idx`].
+pub fn read_csr(
+    path: impl AsRef<Path>,
+    format: DatasetFormat,
+) -> Result<(CsrGraph, NodeIdMap), ParseError> {
+    let e = read_edges(path.as_ref(), format)?;
+    let csr = CsrGraph::try_from_edges(e.nodes, &e.plain, &e.loops)?;
+    Ok((csr, e.ids))
+}
+
+/// Interns an edge list's ids in first-seen order and merges its edges.
+fn read_edge_list_edges(path: &Path) -> Result<DatasetEdges, ParseError> {
+    let mut ids = NodeIdMap::new();
+    let mut builder = GraphBuilder::new(0);
+    let mut declared: u64 = 0;
+    stream_edge_list_items(path, &mut |item| {
+        match item {
+            StreamItem::Edge(u, v, w) => {
+                let iu = ids.try_intern(u)?;
+                let iv = ids.try_intern(v)?;
+                builder.add_edge(iu, iv, w);
+            }
+            StreamItem::DeclaredNodes(n) => declared = declared.max(n),
+        }
+        Ok(())
+    })?;
+    let file_len = std::fs::metadata(path)?.len();
+    let declared = checked_declared_nodes(declared, ids.len(), file_len)?;
+    let (plain, loops) = builder.try_merge()?;
+    // Header-declared isolated nodes get fresh ids past the mapped ones.
     ids.pad_to(declared);
-    while graph.num_nodes() < ids.len() {
-        graph.add_node();
-    }
-    Dataset { graph, ids }
+    Ok(DatasetEdges {
+        nodes: ids.len(),
+        plain,
+        loops,
+        ids,
+    })
 }
 
 fn checked_node_count(n: u64) -> Result<usize, ParseError> {
@@ -835,7 +885,7 @@ fn checked_declared_nodes(declared: u64, seen: usize, file_len: u64) -> Result<u
 
 /// METIS is positional: node ids in the file are already dense `1..=n`, so
 /// the dataset carries the identity map (no interning pass).
-fn read_metis_dataset(path: &Path) -> Result<Dataset, ParseError> {
+fn read_metis_edges(path: &Path) -> Result<DatasetEdges, ParseError> {
     let mut builder = GraphBuilder::new(0);
     let mut declared: u64 = 0;
     stream_metis_items(path, &mut |item| {
@@ -851,12 +901,13 @@ fn read_metis_dataset(path: &Path) -> Result<Dataset, ParseError> {
         Ok(())
     })?;
     let declared = checked_node_count(declared)?;
-    let graph = builder.try_build()?;
-    Ok(finish_dataset(
-        graph,
-        NodeIdMap::identity(declared),
-        declared,
-    ))
+    let (plain, loops) = builder.try_merge()?;
+    Ok(DatasetEdges {
+        nodes: declared,
+        plain,
+        loops,
+        ids: NodeIdMap::identity(declared),
+    })
 }
 
 /// Writes a dataset to `path` in the given format (streaming, buffered).
@@ -989,10 +1040,7 @@ pub fn stream_stats(
     let mut total_weight = 0.0;
     let mut declared: u64 = 0;
     let mut node = |ext: u64, degrees: &mut Vec<f64>| -> Result<usize, ParseError> {
-        let v = ids
-            .try_intern(ext)
-            .map_err(|e| invalid(e.to_string()))?
-            .index();
+        let v = ids.try_intern(ext)?.index();
         if v == degrees.len() {
             degrees.push(0.0);
         }
@@ -1211,6 +1259,26 @@ mod tests {
         let p = write_text(&dir, "weight.metis", "2 1 001\n2 5\n1 7\n");
         let err = read_dataset(&p, DatasetFormat::Metis).unwrap_err();
         assert!(err.to_string().contains("asymmetric edge weights"), "{err}");
+    }
+
+    #[test]
+    fn metis_malformed_quotes_are_bounded() {
+        // A 1 MiB adjacency line whose last token is not a number.
+        let dir = test_dir("metis-long-line");
+        let mut line = "2 ".repeat(1 << 19);
+        line.push('x');
+        let p = write_text(&dir, "long.metis", &format!("2 1\n{line}\n1\n"));
+        let err = read_dataset(&p, DatasetFormat::Metis).unwrap_err();
+        let ParseError::Malformed { line, content } = &err else {
+            panic!("expected Malformed, got {err:?}");
+        };
+        assert_eq!(*line, 2);
+        assert!(content.ends_with('…'), "{content}");
+        assert!(
+            err.to_string().len() < 200,
+            "{} bytes",
+            err.to_string().len()
+        );
     }
 
     #[test]

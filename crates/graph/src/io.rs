@@ -6,6 +6,7 @@
 //! resulting graph has `max_id + 1` nodes.
 
 use crate::builder::GraphBuilder;
+use crate::idx::IdxOverflow;
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
 use std::fmt::Write as _;
@@ -18,7 +19,9 @@ use std::path::Path;
 pub enum ParseError {
     /// An I/O error while reading the file.
     Io(io::Error),
-    /// A malformed line, reported with its (1-based) line number.
+    /// A malformed line, reported with its (1-based) line number and at
+    /// most the first [`MALFORMED_QUOTE_BYTES`] of its text (a longer line
+    /// is cut at a char boundary and its quote ends in `…`).
     Malformed { line: usize, content: String },
     /// A structural problem not tied to a single line (bad header, truncated
     /// binary section, asymmetric METIS adjacency, …).
@@ -37,9 +40,30 @@ pub enum ParseError {
     /// weight, or the graph's total weighted degree 2·w(E), is not a finite
     /// `f64`, although every weight in the file is.
     WeightOverflow,
+    /// The graph outgrows the `u32` index width: more distinct node ids, or
+    /// more directed arcs, than [`IdxOverflow`] allows.
+    Idx(IdxOverflow),
 }
 
+/// The most bytes of a malformed line that [`ParseError::Malformed`]
+/// quotes, so a line without an end cannot make a message without one.
+pub const MALFORMED_QUOTE_BYTES: usize = 80;
+
 impl ParseError {
+    /// [`ParseError::Malformed`] for line `line`, quoting at most the first
+    /// [`MALFORMED_QUOTE_BYTES`] of `content`.
+    pub(crate) fn malformed(line: usize, content: &str) -> Self {
+        let content = if content.len() <= MALFORMED_QUOTE_BYTES {
+            content.to_string()
+        } else {
+            format!(
+                "{}…",
+                &content[..content.floor_char_boundary(MALFORMED_QUOTE_BYTES)]
+            )
+        };
+        ParseError::Malformed { line, content }
+    }
+
     /// [`ParseError::WeightOverflow`] unless `2 · total` is finite, for the
     /// sum `total` of a graph's edge weights. Weights are non-negative, so
     /// this also rules out any merged weight or weighted degree overflowing.
@@ -68,6 +92,7 @@ impl std::fmt::Display for ParseError {
                 f,
                 "invalid dataset: edge weights sum past the f64 range (total weighted degree is not finite)"
             ),
+            ParseError::Idx(e) => write!(f, "invalid dataset: {e}"),
         }
     }
 }
@@ -80,15 +105,18 @@ impl From<io::Error> for ParseError {
     }
 }
 
+impl From<IdxOverflow> for ParseError {
+    fn from(e: IdxOverflow) -> Self {
+        ParseError::Idx(e)
+    }
+}
+
 /// Converts an external id to a dense node index, rejecting ids beyond the
 /// `u32` internal width (this legacy parser uses ids directly as indices —
 /// use [`crate::ingest`] for sparse-id datasets).
 fn direct_node_id(ext: u64, line: usize, content: &str) -> Result<NodeId, ParseError> {
     if ext > u32::MAX as u64 {
-        return Err(ParseError::Malformed {
-            line,
-            content: content.to_string(),
-        });
+        return Err(ParseError::malformed(line, content));
     }
     Ok(NodeId(ext as u32))
 }
@@ -213,6 +241,22 @@ mod tests {
         // be a parse error, not a silent release-mode truncation.
         assert!(parse_edge_list("0 4294967296\n").is_err());
         assert!(parse_edge_list("# nodes: 4294967297\n0 1\n").is_err());
+    }
+
+    #[test]
+    fn malformed_quotes_are_bounded_at_a_char_boundary() {
+        // 79 ASCII bytes, then a 3-byte char straddling the 80-byte cut.
+        let line = format!("{}€ {}", "7".repeat(79), "x".repeat(1000));
+        let ParseError::Malformed { content, .. } = ParseError::malformed(3, &line) else {
+            unreachable!()
+        };
+        assert_eq!(content, format!("{}…", "7".repeat(79)));
+        let err = parse_edge_list(&format!("0 1\n{line}\n")).unwrap_err();
+        assert!(err.to_string().len() < 200, "{err}");
+        // An id past u32 quotes its untrimmed line the same way.
+        let long = format!("0 4294967296{}", " ".repeat(1000));
+        let err = parse_edge_list(&format!("{long}\n")).unwrap_err();
+        assert!(err.to_string().len() < 200, "{err}");
     }
 
     #[test]

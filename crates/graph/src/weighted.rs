@@ -343,7 +343,7 @@ impl WeightedGraph {
 }
 
 /// The checks of [`WeightedGraph::add_edge`] on an `n`-node graph.
-fn check_edge(n: usize, u: NodeId, v: NodeId, w: f64) {
+pub(crate) fn check_edge(n: usize, u: NodeId, v: NodeId, w: f64) {
     assert!(
         w.is_finite() && w >= 0.0,
         "edge weight must be finite and non-negative, got {w}"

@@ -6,10 +6,13 @@
 //! * node / edge counts and total weight are always preserved;
 //! * the edge-list and binary formats preserve the weighted degree of every
 //!   *external* id (binary additionally preserves the id table exactly);
-//! * METIS is positional, so degrees are preserved per internal index.
+//! * METIS is positional, so degrees are preserved per internal index;
+//! * `read_csr` gives, in every format, the CSR that `CsrGraph::from_graph`
+//!   makes of `read_dataset`'s graph (every arc, weight bit and reverse-arc
+//!   pairing) and the same id map.
 
-use dkc_graph::ingest::{read_dataset, write_dataset, Dataset, DatasetFormat};
-use dkc_graph::weights_close;
+use dkc_graph::ingest::{read_csr, read_dataset, write_dataset, Dataset, DatasetFormat};
+use dkc_graph::{weights_close, CsrGraph};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +37,31 @@ fn sparse_id(i: u64) -> u64 {
     const M: u64 = 1_000_000_007;
     const A: u64 = 736_481_777;
     (i % M) * A % M
+}
+
+/// Asserts that two CSRs agree on everything their accessors show, weights
+/// compared by bits.
+fn assert_same_csr(a: &CsrGraph, b: &CsrGraph) {
+    assert_eq!(a.num_nodes(), b.num_nodes());
+    assert_eq!(a.num_arcs(), b.num_arcs());
+    assert_eq!(a.num_plain_edges(), b.num_plain_edges());
+    assert_eq!(
+        a.total_edge_weight().to_bits(),
+        b.total_edge_weight().to_bits()
+    );
+    let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    for v in a.nodes() {
+        assert_eq!(a.arc_offset(v), b.arc_offset(v), "node {v}");
+        assert_eq!(a.neighbors(v), b.neighbors(v), "node {v}");
+        assert_eq!(bits(a.neighbor_weights(v)), bits(b.neighbor_weights(v)));
+        assert_eq!(a.self_loop(v).to_bits(), b.self_loop(v).to_bits());
+        for &u in a.neighbors(v) {
+            assert!(a.neighbor_positions(v, u).eq(b.neighbor_positions(v, u)));
+        }
+    }
+    for p in 0..a.num_arcs() {
+        assert_eq!(a.reverse_arc(p), b.reverse_arc(p), "arc {p}");
+    }
 }
 
 proptest! {
@@ -61,6 +89,9 @@ proptest! {
             write_dataset(&original, &path, fmt).unwrap();
             let back = read_dataset(&path, fmt).unwrap();
             back.graph.check_consistency();
+            let (csr, ids) = read_csr(&path, fmt).unwrap();
+            assert_same_csr(&csr, &CsrGraph::from_graph(&back.graph));
+            prop_assert_eq!(ids.externals(), back.ids.externals());
             prop_assert_eq!(back.graph.num_nodes(), original.graph.num_nodes());
             prop_assert_eq!(back.graph.num_edges(), original.graph.num_edges());
             prop_assert_eq!(back.graph.num_plain_edges(), original.graph.num_plain_edges());
@@ -99,6 +130,15 @@ proptest! {
                 prop_assert_eq!(back.ids.externals(), original.ids.externals());
             }
         }
+        // The raw edges, parallel copies and self-loops unmerged, as an edge
+        // list: `read_csr` merges them as `read_dataset` does.
+        let raw = dir.join("raw.edges");
+        let text: String = edges.iter().map(|(u, v, w)| format!("{u} {v} {w}\n")).collect();
+        std::fs::write(&raw, text).unwrap();
+        let back = read_dataset(&raw, DatasetFormat::EdgeList).unwrap();
+        let (csr, ids) = read_csr(&raw, DatasetFormat::EdgeList).unwrap();
+        assert_same_csr(&csr, &CsrGraph::from_graph(&back.graph));
+        prop_assert_eq!(ids.externals(), back.ids.externals());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
