@@ -10,28 +10,24 @@
 //!   De Pellegrini and Miorandi (run to convergence; its round complexity is
 //!   **not** diameter-independent, which is the comparison point of
 //!   experiment E8).
-//! * [`densest`] — Charikar's greedy peeling ½-approximation and the
-//!   Bahmani–Kumar–Vassilvitskii streaming-style `2(1+ε)`-approximation for the
-//!   densest subset.
 //! * [`orientation`] — centralized orientation baselines (greedy load
 //!   balancing, peeling-based 2-approximation) and the Barenboim–Elkin-style
 //!   two-phase distributed scheme that achieves `2(2+ε)` given a density
 //!   estimate (the prior art the paper improves on).
+//!
+//! The densest-subset comparisons use the exact flow-based
+//! `dkc_flow::densest_subgraph`, so this crate has no densest baseline.
 
 #![deny(deprecated)]
 
 pub mod coreness;
-pub mod densest;
 pub mod montresor;
 pub mod orientation;
-pub mod sarma;
 
 pub use coreness::{unweighted_coreness, weighted_coreness, weighted_coreness_csr};
-pub use densest::{bahmani_densest, charikar_peeling, PeelingResult};
 pub use montresor::{
     montresor_exact_coreness, montresor_exact_coreness_with_faults, MontresorOutcome,
 };
 pub use orientation::{
     barenboim_elkin_orientation, greedy_orientation, peeling_orientation, OrientationBaseline,
 };
-pub use sarma::{sarma_densest, SarmaOutcome};

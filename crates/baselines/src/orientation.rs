@@ -212,24 +212,6 @@ pub fn barenboim_elkin_orientation(
     }
 }
 
-/// Checks that an assignment covers every non-loop edge of `g` exactly once.
-pub fn assignment_covers_all_edges(
-    g: &WeightedGraph,
-    assignment: &[(NodeId, NodeId, NodeId)],
-) -> bool {
-    let expected = g.edges().filter(|(u, v, _)| u != v).count();
-    if assignment.len() != expected {
-        return false;
-    }
-    let mut seen: Vec<(NodeId, NodeId)> = assignment
-        .iter()
-        .map(|&(u, v, _)| (u.min(v), u.max(v)))
-        .collect();
-    seen.sort();
-    seen.dedup();
-    seen.len() == expected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +221,24 @@ mod tests {
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Checks that an assignment covers every non-loop edge of `g` exactly once.
+    fn assignment_covers_all_edges(
+        g: &WeightedGraph,
+        assignment: &[(NodeId, NodeId, NodeId)],
+    ) -> bool {
+        let expected = g.edges().filter(|(u, v, _)| u != v).count();
+        if assignment.len() != expected {
+            return false;
+        }
+        let mut seen: Vec<(NodeId, NodeId)> = assignment
+            .iter()
+            .map(|&(u, v, _)| (u.min(v), u.max(v)))
+            .collect();
+        seen.sort();
+        seen.dedup();
+        seen.len() == expected
+    }
 
     #[test]
     fn greedy_on_path_is_optimal() {

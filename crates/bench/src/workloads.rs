@@ -1,6 +1,7 @@
 //! Named synthetic workloads standing in for the real-world graphs of the
 //! paper's full-version experiments.
 
+use dkc_distsim::MAX_SHARDS;
 use dkc_graph::generators::{
     barabasi_albert, chung_lu_power_law, erdos_renyi, grid_graph, planted_dense_community,
     watts_strogatz, with_random_integer_weights,
@@ -70,8 +71,9 @@ impl WorkloadScale {
 /// `--scale <tiny|small|medium>` (default `small`), `--json <path>` to
 /// additionally write the run's [`crate::report::Report`],
 /// `--threads <n>` to pin the rayon pool size (for reproducible thread
-/// scaling measurements in E9/E12; default: machine parallelism; `0` is an
-/// explicit error rather than whatever the thread-pool builder would do),
+/// scaling measurements in E9/E12; default: machine parallelism; `n` must be
+/// in `1..=MAX_SHARDS`, so `0` is an explicit error rather than whatever the
+/// thread-pool builder would do, and no flag asks for thousands of threads),
 /// and `--mode <lockstep|mailbox>` to pick the executor backend protocol
 /// measurements run under (`lockstep` = the shared-memory barrier executor,
 /// the default; `mailbox` = sharded threads exchanging wire-encoded byte
@@ -84,8 +86,9 @@ impl WorkloadScale {
 /// that run unsharded; see `dkc_distsim::NetworkBuilder::shards`):
 ///
 /// * `--shards <n>` — run under the shard-partitioned executor with `n`
-///   shards (≥ 1). Rejected together with `--mode mailbox`: the mailbox
-///   backend is its own sharded runtime and the two do not compose.
+///   shards (`1..=MAX_SHARDS`). Rejected together with `--mode mailbox`:
+///   the mailbox backend is its own sharded runtime and the two do not
+///   compose.
 /// * `--shard-seed <seed>` — seed of the deterministic hash partitioner
 ///   (default 0)
 ///
@@ -178,17 +181,21 @@ impl ExpArgs {
                 )),
             }
         };
-        let parse_threads = |value: &str| -> Result<usize, String> {
+        // `--threads` and `--shards` take a count in 1..=MAX_SHARDS. Zero is
+        // neither "auto" nor a usable size (the thread-pool builder's
+        // behaviour would be backend-defined), and a larger count would
+        // start that many threads per round, or N² boundary buffers.
+        let parse_count = |flag: &str, value: &str, omitted: &str| -> Result<usize, String> {
             let n: usize = value
                 .parse()
-                .map_err(|_| format!("--threads expects a count, got {value:?}"))?;
+                .map_err(|_| format!("--{flag} expects a count, got {value:?}"))?;
             if n == 0 {
-                // An explicit rejection: 0 is neither "auto" nor a usable
-                // pool size, and handing it to the thread-pool builder would
-                // make the behaviour backend-defined.
-                return Err("--threads must be at least 1 (omit the flag for machine \
-                            parallelism)"
-                    .into());
+                return Err(format!(
+                    "--{flag} must be at least 1 (omit the flag for {omitted})"
+                ));
+            }
+            if n > MAX_SHARDS {
+                return Err(format!("--{flag} must be at most {MAX_SHARDS} (got {n})"));
             }
             Ok(n)
         };
@@ -234,7 +241,7 @@ impl ExpArgs {
                 }
                 "threads" => {
                     let v = next_value("threads", &mut args, inline.as_deref())?;
-                    parsed.threads = Some(parse_threads(&v)?);
+                    parsed.threads = Some(parse_count("threads", &v, "machine parallelism")?);
                 }
                 "mode" => {
                     let v = next_value("mode", &mut args, inline.as_deref())?;
@@ -260,15 +267,7 @@ impl ExpArgs {
                 }
                 "shards" => {
                     let v = next_value("shards", &mut args, inline.as_deref())?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--shards expects a count, got {v:?}"))?;
-                    if n == 0 {
-                        return Err("--shards must be at least 1 (omit the flag for unsharded \
-                             execution)"
-                            .into());
-                    }
-                    parsed.shards = Some(n);
+                    parsed.shards = Some(parse_count("shards", &v, "unsharded execution")?);
                 }
                 "shard-seed" => {
                     let v = next_value("shard-seed", &mut args, inline.as_deref())?;
@@ -586,6 +585,23 @@ mod tests {
         }
         let err = parse_err(&["--threads", "zero"]);
         assert!(err.contains("expects a count"), "{err}");
+    }
+
+    /// Regression: `--shards 2000` panicked in the experiment's run, and
+    /// `--threads N` asked for N threads per round, for any N.
+    #[test]
+    fn exp_args_cap_threads_and_shards_at_max_shards() {
+        assert_eq!(parse_ok(&["--threads", "1024"]).threads, Some(1024));
+        assert_eq!(parse_ok(&["--shards", "1024"]).shards, Some(1024));
+        for flag in ["--threads", "--shards"] {
+            for n in ["1025".to_string(), u64::MAX.to_string()] {
+                let err = parse_err(&[flag, &n]);
+                assert!(
+                    err.contains(&format!("{flag} must be at most 1024")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -130,6 +130,120 @@ mod tests {
         }
     }
 
+    /// Hostile values for every flag of the commands that read a dataset,
+    /// fault windows that are inverted, empty or cross `MAX_ROUNDS`, and
+    /// output paths that are a directory or lie in a missing one: each
+    /// invocation returns a typed error or a valid run, never a panic.
+    #[test]
+    fn dataset_commands_survive_a_hostile_flag_sweep() {
+        const NUMBERS: [&str; 10] = [
+            "0",
+            "-1",
+            "NaN",
+            "inf",
+            "-inf",
+            "1e308",
+            "5e-324",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+        ];
+        let web_tiny = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench/fixtures/web-tiny.edges"
+        );
+        let dir = std::env::temp_dir().join(format!("dkc_cli_flag_sweep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let in_dir = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (ckpt, converted) = (in_dir("sweep.dkck"), in_dir("converted.edges"));
+        let mut cases: Vec<Vec<String>> = Vec::new();
+        let mut case = |args: &[&str]| cases.push(s(args));
+        for v in NUMBERS {
+            for flag in [
+                "--epsilon",
+                "--rounds",
+                "--lambda",
+                "--top",
+                "--loss",
+                "--fault-seed",
+                "--shards",
+            ] {
+                case(&["coreness", web_tiny, flag, v]);
+            }
+            case(&["coreness", web_tiny, "--shards", "2", "--shard-seed", v]);
+            case(&[
+                "coreness",
+                web_tiny,
+                "--checkpoint",
+                &ckpt,
+                "--checkpoint-every",
+                v,
+            ]);
+            case(&[
+                "coreness",
+                web_tiny,
+                "--byzantine",
+                "0.5:all:2:9",
+                "--quarantine",
+                v,
+            ]);
+            for spec in [format!("{v}:1"), format!("4:{v}")] {
+                case(&["coreness", web_tiny, "--burst", &spec]);
+            }
+            for flag in ["--crash", "--partition"] {
+                for spec in [
+                    format!("{v}:2:9"),
+                    format!("0.5:{v}:9"),
+                    format!("0.5:2:{v}"),
+                ] {
+                    case(&["coreness", web_tiny, flag, &spec]);
+                }
+            }
+            for spec in [
+                format!("{v}:all:2:9"),
+                format!("0.5:all:{v}:9"),
+                format!("0.5:all:2:{v}"),
+            ] {
+                case(&["coreness", web_tiny, "--byzantine", &spec]);
+            }
+            for command in ["orientation", "densest"] {
+                case(&[command, web_tiny, "--epsilon", v]);
+            }
+        }
+        // Inverted, empty, starting at round 0, and crossing MAX_ROUNDS.
+        for window in ["9:3", "", "0:0", "65000:70000"] {
+            case(&["coreness", web_tiny, "--burst", window]);
+            for flag in ["--crash", "--partition"] {
+                case(&["coreness", web_tiny, flag, &format!("0.5:{window}")]);
+            }
+            let byzantine = format!("0.5:all:{window}");
+            case(&[
+                "coreness",
+                web_tiny,
+                "--byzantine",
+                &byzantine,
+                "--quarantine",
+                "1",
+            ]);
+        }
+        for path in [in_dir(""), in_dir("missing/out")] {
+            for flag in ["--json", "--checkpoint", "--resume"] {
+                case(&["coreness", web_tiny, flag, &path]);
+            }
+            case(&["stats", &path]);
+            case(&["stats", &path, "--stream"]);
+            case(&["orientation", &path]);
+            case(&["densest", &path]);
+            case(&["convert", web_tiny, &path]);
+            case(&["convert", &path, &converted]);
+        }
+        for args in &cases {
+            let result = std::panic::catch_unwind(|| run(args));
+            assert!(result.is_ok(), "dkc {args:?} panicked");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn generate_stats_coreness_roundtrip() {
         let dir = std::env::temp_dir().join("dkc_cli_lib_test");

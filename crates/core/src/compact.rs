@@ -246,11 +246,6 @@ pub struct CompactNode<'a> {
 }
 
 impl CompactNode<'_> {
-    /// The node's current surviving number.
-    pub fn surviving_number(&self) -> f64 {
-        *self.b
-    }
-
     /// `Update` over the cached neighbour values in the current `order`: the
     /// surviving number rounded down to Λ, and the position in `order` from
     /// which neighbours belong to `N_v`.

@@ -52,7 +52,6 @@ pub mod densest;
 pub mod orientation;
 pub mod pipelined;
 pub mod ratio;
-pub mod shells;
 pub mod single_threshold;
 pub mod surviving;
 pub mod threshold;

@@ -70,27 +70,6 @@ impl ApproxRatio {
             lower_bound_violations: violations,
         }
     }
-
-    /// Fraction of nodes whose ratio is at most `gamma` (pairs with exact = 0
-    /// and approx = 0 count as within any γ ≥ 1).
-    pub fn fraction_within(approx: &[f64], exact: &[f64], gamma: f64) -> f64 {
-        assert_eq!(approx.len(), exact.len());
-        if approx.is_empty() {
-            return 1.0;
-        }
-        let within = approx
-            .iter()
-            .zip(exact)
-            .filter(|(&a, &e)| {
-                if e.abs() < 1e-12 {
-                    a.abs() < 1e-12
-                } else {
-                    a / e <= gamma + 1e-9
-                }
-            })
-            .count();
-        within as f64 / approx.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -126,18 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn fraction_within_gamma() {
-        let approx = [2.0, 3.0, 8.0, 0.0];
-        let exact = [1.0, 3.0, 2.0, 0.0];
-        assert!((ApproxRatio::fraction_within(&approx, &exact, 2.0) - 0.75).abs() < 1e-12);
-        assert!((ApproxRatio::fraction_within(&approx, &exact, 4.0) - 1.0).abs() < 1e-12);
-        assert!((ApproxRatio::fraction_within(&approx, &exact, 1.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_inputs() {
         let r = ApproxRatio::compute(&[], &[]);
         assert_eq!(r.max, 1.0);
-        assert_eq!(ApproxRatio::fraction_within(&[], &[], 2.0), 1.0);
     }
 }

@@ -12,26 +12,13 @@
 ///
 /// # Panics
 ///
-/// Panics if `words == 0`: a zero-word budget is 0 bits, which would make
-/// every [`satisfies_congest`] check vacuously true for any observed size.
+/// Panics if `words == 0`: a zero-word budget is 0 bits, which no message
+/// could meet.
 pub fn congest_budget_bits(n: usize, words: usize) -> usize {
     assert!(words >= 1, "a CONGEST budget needs at least one word");
     let n = n.max(2);
     let log = usize::BITS as usize - (n - 1).leading_zeros() as usize;
     words * log.max(1)
-}
-
-/// Checks whether an observed maximum message size satisfies a CONGEST budget
-/// with a constant-factor allowance `c` (i.e. `max_bits ≤ c · budget`).
-///
-/// # Panics
-///
-/// Panics if `words == 0` or `c == 0`: either would degenerate the budget to
-/// 0 bits and the check to a tautology (`c == 0` additionally inverts it —
-/// any non-empty message would "fail" an unlimited allowance).
-pub fn satisfies_congest(max_message_bits: usize, n: usize, words: usize, c: usize) -> bool {
-    assert!(c >= 1, "the constant-factor allowance must be at least 1");
-    max_message_bits <= c * congest_budget_bits(n, words)
 }
 
 #[cfg(test)]
@@ -52,32 +39,10 @@ mod tests {
         assert!(congest_budget_bits(1, 1) >= 1);
     }
 
-    #[test]
-    fn satisfaction_check() {
-        // 64-bit doubles in a 1M-node network: 64 <= 4 * 20.
-        assert!(satisfies_congest(64, 1_000_000, 1, 4));
-        assert!(!satisfies_congest(64, 16, 1, 4));
-    }
-
-    /// Regression: `words == 0` used to return a 0-bit budget, making
-    /// `satisfies_congest(bits, n, 0, c)` vacuously true for any size.
+    /// Regression: `words == 0` used to return a 0-bit budget.
     #[test]
     #[should_panic(expected = "at least one word")]
     fn zero_words_budget_rejected() {
         let _ = congest_budget_bits(1024, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one word")]
-    fn zero_words_satisfaction_rejected() {
-        let _ = satisfies_congest(64, 1024, 0, 4);
-    }
-
-    /// Regression: `c == 0` used to invert the check (any non-empty message
-    /// "failed" an unlimited allowance) instead of being rejected.
-    #[test]
-    #[should_panic(expected = "allowance must be at least 1")]
-    fn zero_allowance_rejected() {
-        let _ = satisfies_congest(64, 1024, 1, 0);
     }
 }

@@ -470,12 +470,15 @@ impl ByzantineModel {
         if unit(pick) >= self.fraction {
             return None;
         }
-        let enabled: Vec<Behavior> = Behavior::ALL
-            .into_iter()
-            .filter(|b| self.behaviors & b.bit() != 0)
-            .collect();
-        let idx = (splitmix(pick ^ 0x9216_D5D9_8979_FB1B) % enabled.len() as u64) as usize;
-        Some(enabled[idx])
+        // The idx-th enabled behavior in bit order: clear the lowest set
+        // bit idx times. Per-copy fault decisions call this, so it must not
+        // allocate.
+        let mut enabled = self.behaviors & Self::ALL_BEHAVIORS;
+        let idx = splitmix(pick ^ 0x9216_D5D9_8979_FB1B) % u64::from(enabled.count_ones());
+        for _ in 0..idx {
+            enabled &= enabled - 1;
+        }
+        Some(Behavior::ALL[enabled.trailing_zeros() as usize])
     }
 
     /// Whether the misbehavior window is active in `round`.
@@ -552,7 +555,9 @@ impl ByzantineModel {
 
     /// The first round in which `node` is quarantined (`None` = never): one
     /// round **after** its `quarantine`-th accusation event, so the round
-    /// that produced the decisive accusation still delivers. O(window).
+    /// that produced the decisive accusation still delivers. O(window): the
+    /// executor looks it up in the table [`FaultPlan::quarantine_rounds`]
+    /// builds once per run.
     pub fn quarantine_round(&self, node: NodeId) -> Option<usize> {
         if self.quarantine == 0 || !self.is_byzantine(node) {
             return None;
@@ -570,7 +575,8 @@ impl ByzantineModel {
     }
 
     /// Whether `node` is quarantined (its outgoing traffic silenced) as of
-    /// `round`. Quarantine is permanent once entered.
+    /// `round`. Quarantine is permanent once entered. O(window), like
+    /// [`ByzantineModel::quarantine_round`].
     pub fn quarantined(&self, round: usize, node: NodeId) -> bool {
         self.quarantine != 0 && self.quarantine_round(node).is_some_and(|r| r <= round)
     }
@@ -727,12 +733,6 @@ impl FaultPlan {
         self.byzantine.map_or(1, |b| b.spam_factor(round, from))
     }
 
-    /// Whether `node`'s outgoing traffic is quarantined as of `round`.
-    #[inline]
-    pub fn quarantined(&self, round: usize, node: NodeId) -> bool {
-        self.byzantine.is_some_and(|b| b.quarantined(round, node))
-    }
-
     /// The sorted crash rounds of all nodes in `0..n` that ever crash (one
     /// entry per crashing node). The executor uses this to report the
     /// cumulative crashed-node count per round in O(log n).
@@ -774,21 +774,21 @@ impl FaultPlan {
         rounds
     }
 
-    /// The sorted quarantine-entry rounds of all nodes in `0..n` that ever
-    /// get quarantined (one entry per node), mirroring
-    /// [`FaultPlan::crash_schedule`].
-    pub fn quarantine_schedule(&self, n: usize) -> Vec<u32> {
-        let Some(byz) = self.byzantine else {
+    /// Each node's quarantine-entry round ([`ByzantineModel::quarantine_round`])
+    /// for the nodes `0..n`, with `u32::MAX` for a node never quarantined;
+    /// empty when the plan quarantines no one. One walk of the byzantine
+    /// window per node, so the executor builds it once per run and looks a
+    /// sender up in O(1).
+    pub fn quarantine_rounds(&self, n: usize) -> Vec<u32> {
+        let Some(byz) = self.byzantine.filter(|b| b.quarantine != 0) else {
             return Vec::new();
         };
-        if byz.quarantine == 0 {
-            return Vec::new();
-        }
-        let mut rounds: Vec<u32> = (0..n)
-            .filter_map(|v| byz.quarantine_round(NodeId::new(v)).map(|r| r as u32))
-            .collect();
-        rounds.sort_unstable();
-        rounds
+        (0..n)
+            .map(|v| {
+                byz.quarantine_round(NodeId::new(v))
+                    .map_or(u32::MAX, |r| r as u32)
+            })
+            .collect()
     }
 }
 
@@ -1379,6 +1379,39 @@ mod tests {
         assert_eq!(all.spam_factor(2, muter), 1);
     }
 
+    /// On random plans, the executor's quarantine table holds exactly each
+    /// node's `quarantine_round`.
+    #[test]
+    fn quarantine_table_matches_quarantine_round() {
+        let n = 200;
+        let mut quarantined = 0;
+        for seed in 0..32u64 {
+            let r = |salt: u64| splitmix(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt);
+            let first = 1 + (r(1) % 30) as usize;
+            let last = first + (r(2) % 60) as usize;
+            let behaviors = 1 + (r(3) % 15) as u8;
+            let byz = ByzantineModel::new(unit(r(4)), behaviors, first, last, r(5))
+                .with_detect(unit(r(6)))
+                .with_quarantine((r(7) % 5) as u32);
+            let table = FaultPlan::none().with_byzantine(byz).quarantine_rounds(n);
+            if byz.quarantine == 0 {
+                assert!(table.is_empty(), "seed {seed}");
+                continue;
+            }
+            assert_eq!(table.len(), n);
+            quarantined += table.iter().filter(|&&q| q != u32::MAX).count();
+            for (v, &q) in table.iter().enumerate() {
+                let expected = byz.quarantine_round(NodeId::new(v));
+                assert_eq!(
+                    q,
+                    expected.map_or(u32::MAX, |r| r as u32),
+                    "seed {seed} node {v}"
+                );
+            }
+        }
+        assert!(quarantined > 0, "the plans quarantined no one");
+    }
+
     #[test]
     fn accusations_and_quarantine_follow_the_hash_schedule() {
         let byz = ByzantineModel::new(0.4, ByzantineModel::ALL_BEHAVIORS, 2, 20, 31)
@@ -1414,8 +1447,8 @@ mod tests {
         // The schedules match the per-node queries.
         let acc = plan.byz_accusation_schedule(n);
         assert!(acc.windows(2).all(|w| w[0] <= w[1]), "sorted");
-        let quar = plan.quarantine_schedule(n);
-        assert!(quar.windows(2).all(|w| w[0] <= w[1]), "sorted");
+        let quar = plan.quarantine_rounds(n);
+        assert_eq!(quar.len(), n);
         for round in 0..25u32 {
             let acc_by_schedule = acc.partition_point(|&r| r <= round);
             let acc_by_query: usize = (0..n)
@@ -1426,7 +1459,7 @@ mod tests {
                 })
                 .sum();
             assert_eq!(acc_by_schedule, acc_by_query, "accusations @ {round}");
-            let q_by_schedule = quar.partition_point(|&r| r <= round);
+            let q_by_schedule = quar.iter().filter(|&&r| r <= round).count();
             let q_by_query = (0..n)
                 .filter(|&v| byz.quarantined(round as usize, NodeId::new(v)))
                 .count();
@@ -1434,7 +1467,7 @@ mod tests {
         }
         // Threshold 0 disables quarantine but keeps the accusation schedule.
         let no_quar = FaultPlan::none().with_byzantine(byz.with_quarantine(0));
-        assert!(no_quar.quarantine_schedule(n).is_empty());
+        assert!(no_quar.quarantine_rounds(n).is_empty());
         assert_eq!(no_quar.byz_accusation_schedule(n), acc);
     }
 

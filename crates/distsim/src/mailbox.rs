@@ -30,28 +30,37 @@
 //!
 //! ## Backpressure without deadlock
 //!
-//! Mailboxes are bounded. A sender whose `try_send` hits a full mailbox
-//! drains its *own* mailbox into a pending buffer before retrying, so any
-//! cycle of blocked senders contains a shard that is making progress; the
-//! pending frames are received first, ahead of the channel's.
+//! Each mailbox holds [`MAILBOX_CAPACITY`] frames. A sender whose
+//! `try_send` hits a full mailbox drains its *own* mailbox into a pending
+//! buffer before retrying, so any cycle of blocked senders contains a shard
+//! that is making progress; the pending frames are received first, ahead of
+//! the channel's.
 //!
 //! ## Decode failures
 //!
-//! A frame that fails [`crate::wire::decode_frame`] (truncated, over the
-//! [`crate::NetworkBuilder::max_frame_bytes`] cap, trailing garbage, bad
-//! bytes) is dropped and **attributed to the sending node** in
-//! [`crate::Network::decode_faults`]: tofn-style per-peer fault attribution
-//! instead of a panic. In-tree programs never produce such frames.
+//! A frame that fails [`crate::wire::decode_frame`] (truncated, a payload
+//! over [`MAX_FRAME_BYTES`], trailing garbage, bad bytes) is dropped and
+//! **attributed to the sending node** in [`crate::Network::decode_faults`]:
+//! tofn-style per-peer fault attribution instead of a panic. In-tree
+//! programs never produce such frames; the tests reach this path with a
+//! message type whose decoder rejects every frame.
 
 use crate::faults::FaultPlan;
 use crate::message::Tamper;
 use crate::metrics::RoundStats;
-use crate::network::{produce_outgoing, Network, RoundCopies};
+use crate::network::{produce_outgoing, Network, RoundCopies, Schedules};
 use crate::program::{Delivery, NodeContext, NodeProgram};
 use crate::wire::{decode_frame, encode_frame};
 use dkc_graph::{CsrGraph, NodeId};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
+
+/// Frames each shard's channel holds before a sender must wait.
+pub(crate) const MAILBOX_CAPACITY: usize = 256;
+
+/// The largest frame payload a receiver decodes, in bytes; a longer frame is
+/// a decode fault of its sender.
+const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// One delivered message copy on one arc. `pos` is the receiver-local arc
 /// position (what dense delivery reports in [`Delivery::pos`]); `bytes` is
@@ -156,8 +165,7 @@ pub(crate) fn run_round<P: NodeProgram>(net: &mut Network<P>) -> RoundStats {
         programs,
         round,
         faults,
-        mailbox_capacity,
-        max_frame_bytes,
+        schedules,
         decode_faults,
         mailbox,
         ..
@@ -166,16 +174,16 @@ pub(crate) fn run_round<P: NodeProgram>(net: &mut Network<P>) -> RoundStats {
         graph,
         copies: RoundCopies::new(graph, *faults, *round),
         faults: *faults,
+        schedules,
         round: *round,
         chunk,
-        max_payload: *max_frame_bytes,
     };
     mailbox.inboxes.resize_with(n, Vec::new);
     mailbox
         .shards
         .resize_with(num_shards, ShardScratch::default);
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..num_shards)
-        .map(|_| sync_channel((*mailbox_capacity).max(1)))
+        .map(|_| sync_channel(MAILBOX_CAPACITY))
         .unzip();
     let shards: Vec<Shard<'_, P>> = programs
         .chunks_mut(chunk)
@@ -225,10 +233,10 @@ struct RoundCtx<'a> {
     graph: &'a CsrGraph,
     copies: RoundCopies<'a>,
     faults: Option<FaultPlan>,
+    schedules: &'a Schedules,
     round: usize,
     /// Shard width: node `v` lives on shard `v / chunk`.
     chunk: usize,
-    max_payload: usize,
 }
 
 /// One shard of one round: its nodes, their inboxes and its channels.
@@ -259,9 +267,9 @@ impl<P: NodeProgram> Shard<'_, P> {
             graph,
             copies,
             faults,
+            schedules,
             round,
             chunk,
-            max_payload,
         } = *ctx;
         let ShardScratch {
             stamps,
@@ -274,7 +282,7 @@ impl<P: NodeProgram> Shard<'_, P> {
         // Send phase: every local node broadcasts; frames go out per arc.
         for (li, program) in programs.iter_mut().enumerate() {
             let i = base + li;
-            let (out, acct) = produce_outgoing(graph, faults, round, i, program);
+            let (out, acct) = produce_outgoing(graph, faults, schedules, round, i, program);
             stats.merge(&acct.row());
             let sender = NodeId::new(i);
             let spam = copies.spam(sender);
@@ -327,7 +335,7 @@ impl<P: NodeProgram> Shard<'_, P> {
             if programs[li].halted() || faults.is_some_and(|f| f.crashed(round, v)) {
                 continue;
             }
-            match decode_frame::<P::Message>(&frame.bytes, max_payload) {
+            match decode_frame::<P::Message>(&frame.bytes, MAX_FRAME_BYTES) {
                 Ok(msg) => inboxes[li].push(Delivery {
                     sender: NodeId(frame.sender),
                     pos: frame.pos,

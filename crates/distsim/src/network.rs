@@ -120,9 +120,9 @@ pub enum ExecutionMode {
     /// bounded mailbox channels instead of reading a shared outbox snapshot
     /// (see [`crate::wire`]). Deterministic counters (including
     /// `wire_bits`) are byte-identical to [`ExecutionMode::Dense`] for any
-    /// program and fault plan, at any thread count. Configure via
-    /// [`NetworkBuilder::mailbox_capacity`] /
-    /// [`NetworkBuilder::max_frame_bytes`].
+    /// program and fault plan, at any thread count. Each channel holds 256
+    /// frames, and a receiver rejects a frame whose payload exceeds 1 MiB,
+    /// charging it to the sender in [`Network::decode_faults`].
     Mailbox,
 }
 
@@ -223,23 +223,42 @@ impl SendAccount {
 
 /// The sorted rounds of every schedule-driven event under the installed
 /// fault plan: crashes ([`FaultPlan::crash_schedule`]), byzantine accusations
-/// ([`FaultPlan::byz_accusation_schedule`]) and quarantine entries
-/// ([`FaultPlan::quarantine_schedule`]). All empty without a plan, and
-/// identical in every mode.
+/// ([`FaultPlan::byz_accusation_schedule`]) and quarantine entries, plus each
+/// node's quarantine round ([`FaultPlan::quarantine_rounds`]). All empty
+/// without a plan, and identical in every mode.
 #[derive(Default)]
-struct Schedules {
+pub(crate) struct Schedules {
     crash: Vec<u32>,
     accusations: Vec<u32>,
     quarantine: Vec<u32>,
+    /// `quarantined_from[v]` is the round node `v`'s quarantine begins,
+    /// `u32::MAX` for never; empty when the plan quarantines no one.
+    quarantined_from: Vec<u32>,
 }
 
 impl Schedules {
     fn for_plan(plan: &FaultPlan, n: usize) -> Self {
+        let quarantined_from = plan.quarantine_rounds(n);
+        let mut quarantine: Vec<u32> = quarantined_from
+            .iter()
+            .copied()
+            .filter(|&r| r != u32::MAX)
+            .collect();
+        quarantine.sort_unstable();
         Schedules {
             crash: plan.crash_schedule(n),
             accusations: plan.byz_accusation_schedule(n),
-            quarantine: plan.quarantine_schedule(n),
+            quarantine,
+            quarantined_from,
         }
+    }
+
+    /// Whether node `i`'s outgoing traffic is quarantined as of `round`.
+    #[inline]
+    fn quarantined(&self, round: usize, i: usize) -> bool {
+        self.quarantined_from
+            .get(i)
+            .is_some_and(|&r| r as usize <= round)
     }
 
     /// Completes a round's statistics: its number and the cumulative
@@ -319,8 +338,6 @@ impl ExecutorBufferStats {
 struct ShardState<M> {
     /// Number of shards (≥ 1; a single shard has no cut and charges nothing).
     num_shards: usize,
-    /// The `Partitioner` hash seed the owner table was derived from.
-    seed: u64,
     /// `owner[v]` is the shard owning node `v` (the `Partitioner::shard_of`
     /// table materialized once at install time).
     owner: Vec<u32>,
@@ -345,12 +362,7 @@ pub struct Network<P: NodeProgram> {
     /// fault-free hot path runs with zero fault bookkeeping.
     pub(crate) faults: Option<FaultPlan>,
     /// The plan's crash, accusation and quarantine rounds.
-    schedules: Schedules,
-    /// Bounded per-shard mailbox capacity (frames) for the mailbox backend.
-    pub(crate) mailbox_capacity: usize,
-    /// Maximum accepted frame payload, in bytes; longer frames are rejected
-    /// on decode and attributed to the sender (tofn-style).
-    pub(crate) max_frame_bytes: usize,
+    pub(crate) schedules: Schedules,
     /// Per-sender counts of frames rejected by the wire decoder under the
     /// mailbox backend (truncated/oversized/garbage); empty until a decode
     /// failure happens. Indexed by node.
@@ -416,13 +428,14 @@ fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(m: &M) -> usize 
 pub(crate) fn produce_outgoing<P: NodeProgram>(
     graph: &CsrGraph,
     faults: Option<FaultPlan>,
+    schedules: &Schedules,
     round: usize,
     i: usize,
     program: &mut P,
 ) -> (Outgoing<P::Message>, SendAccount) {
     let sender = NodeId::new(i);
     if program.halted()
-        || faults.is_some_and(|f| f.crashed(round, sender) || f.quarantined(round, sender))
+        || faults.is_some_and(|f| f.crashed(round, sender) || schedules.quarantined(round, i))
     {
         return (Outgoing::Silent, SendAccount::default());
     }
@@ -797,8 +810,6 @@ impl<M: Clone + Tamper> Gather<'_, M> {
 pub struct NetworkBuilder {
     mode: ExecutionMode,
     faults: FaultPlan,
-    mailbox_capacity: usize,
-    max_frame_bytes: usize,
     shards: usize,
     shard_seed: u64,
 }
@@ -808,8 +819,6 @@ impl Default for NetworkBuilder {
         NetworkBuilder {
             mode: ExecutionMode::Auto,
             faults: FaultPlan::none(),
-            mailbox_capacity: Self::DEFAULT_MAILBOX_CAPACITY,
-            max_frame_bytes: Self::DEFAULT_MAX_FRAME_BYTES,
             shards: 0,
             shard_seed: 0,
         }
@@ -817,11 +826,6 @@ impl Default for NetworkBuilder {
 }
 
 impl NetworkBuilder {
-    /// Default bounded capacity (frames) of each mailbox shard's channel.
-    pub const DEFAULT_MAILBOX_CAPACITY: usize = 256;
-    /// Default cap on a received frame's payload, in bytes.
-    pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
-
     /// A builder with the defaults: [`ExecutionMode::Auto`], no faults,
     /// unsharded.
     pub fn new() -> Self {
@@ -838,22 +842,6 @@ impl NetworkBuilder {
     /// configured plan; a trivial plan means fault-free execution).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Bounded capacity (frames) of each mailbox shard's channel; clamped to
-    /// at least 1. Smaller capacities exercise backpressure, larger ones
-    /// reduce sender stalls.
-    pub fn mailbox_capacity(mut self, frames: usize) -> Self {
-        self.mailbox_capacity = frames.max(1);
-        self
-    }
-
-    /// Cap on a received frame's payload in bytes; longer frames are
-    /// rejected on decode and attributed to the sender
-    /// (see [`Network::decode_faults`]).
-    pub fn max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
         self
     }
 
@@ -927,8 +915,6 @@ impl NetworkBuilder {
             net.install_sharding(self.shards, self.shard_seed);
         }
         net.install_faults(self.faults);
-        net.mailbox_capacity = self.mailbox_capacity;
-        net.max_frame_bytes = self.max_frame_bytes;
         net
     }
 }
@@ -955,8 +941,6 @@ impl<P: NodeProgram> Network<P> {
             mode,
             faults: None,
             schedules: Schedules::default(),
-            mailbox_capacity: NetworkBuilder::DEFAULT_MAILBOX_CAPACITY,
-            max_frame_bytes: NetworkBuilder::DEFAULT_MAX_FRAME_BYTES,
             decode_faults: Vec::new(),
             mailbox: MailboxScratch::default(),
             outboxes: Vec::new(),
@@ -997,7 +981,6 @@ impl<P: NodeProgram> Network<P> {
             .collect();
         self.shard = Some(ShardState {
             num_shards,
-            seed,
             owner,
             pair_bufs: (0..num_shards * num_shards).map(|_| Vec::new()).collect(),
             senders_scratch: Vec::new(),
@@ -1024,12 +1007,6 @@ impl<P: NodeProgram> Network<P> {
     /// The simulated topology.
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
-    }
-
-    /// The installed shard partition as `(num_shards, seed)`; `None` when
-    /// unsharded.
-    pub fn shard_config(&self) -> Option<(usize, u64)> {
-        self.shard.as_ref().map(|s| (s.num_shards, s.seed))
     }
 
     /// Number of rounds executed so far.
@@ -1149,6 +1126,7 @@ impl<P: NodeProgram> Network<P> {
         let round = self.round;
         let graph = &self.graph;
         let faults = self.faults;
+        let schedules = &self.schedules;
 
         // Phase 1: every (non-halted) node produces its outgoing messages.
         // The accounting (post-fault, see `produce_outgoing`) is computed in
@@ -1157,7 +1135,7 @@ impl<P: NodeProgram> Network<P> {
         self.programs
             .par_iter_mut()
             .enumerate()
-            .map(|(i, program)| produce_outgoing(graph, faults, round, i, program))
+            .map(|(i, program)| produce_outgoing(graph, faults, schedules, round, i, program))
             .unzip_into_vecs(&mut self.outboxes, &mut self.accounts);
 
         // Reduce the per-sender accounting rows (cheap: plain integers).
@@ -1251,8 +1229,14 @@ impl<P: NodeProgram> Network<P> {
         self.resend.clear();
         for idx in 0..self.frontier.len() {
             let u = self.frontier[idx] as usize;
-            let (out, acct) =
-                produce_outgoing(&self.graph, self.faults, round, u, &mut self.programs[u]);
+            let (out, acct) = produce_outgoing(
+                &self.graph,
+                self.faults,
+                &self.schedules,
+                round,
+                u,
+                &mut self.programs[u],
+            );
             self.outboxes[u] = out;
             stats.merge(&acct.row());
             if acct.any_dropped() {
@@ -2816,7 +2800,12 @@ mod tests {
                 .shard_seed(42)
                 .faults(plan)
                 .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
-            assert_eq!(net.shard_config(), Some((shards, 42)));
+            let part = Partitioner::new(shards, 42);
+            let st = net.shard.as_ref().unwrap();
+            assert_eq!(st.num_shards, shards);
+            assert!(g
+                .nodes()
+                .all(|v| st.owner[v.index()] as usize == part.shard_of(v)));
             net.run(25);
             assert_eq!(
                 strip_boundary(reference.metrics().rounds()),
@@ -2952,22 +2941,24 @@ mod tests {
     /// Tentpole acceptance (unit form; the cross-crate proptest pins the
     /// same property over random graphs): the mailbox backend's RoundStats —
     /// including measured wire bits and per-component drop counters — are
-    /// byte-identical to dense lockstep, for any thread (shard) count and
-    /// even under a tiny mailbox capacity that forces backpressure stalls.
+    /// byte-identical to dense lockstep, for any thread (shard) count. On one
+    /// thread a round puts more frames on the single channel than it holds,
+    /// so senders stall on backpressure.
     #[test]
     fn mailbox_is_byte_identical_across_thread_counts() {
-        let g = path_graph(17);
+        let g = complete_graph(24);
         let plan = FaultPlan::from_loss(LossModel::new(0.25, 3))
             .with_burst(BurstLoss::new(5, 2, 8))
             .with_crash(CrashModel::new(0.2, 2, 9, 4))
             .with_partition(PartitionModel::new(0.3, 3, 7, 6));
         let mut reference = min_id_faulty(&g, Dense, plan);
         reference.run(25);
+        let busiest = reference.metrics().rounds().iter().map(|r| r.messages);
+        assert!(busiest.max().unwrap() > crate::mailbox::MAILBOX_CAPACITY);
         for threads in [1, 2, 3, 8, 64] {
             let mut mb = NetworkBuilder::new()
                 .mode(Mailbox)
                 .faults(plan)
-                .mailbox_capacity(2)
                 .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
             on_threads(threads, || mb.run(25));
             assert_eq!(
@@ -2983,21 +2974,80 @@ mod tests {
         }
     }
 
-    /// A frame over the receiver's payload cap is rejected on decode and
-    /// attributed to the **sending** node — never a panic. (In-tree programs
-    /// never hit this; the cap guards the protocol boundary.)
-    #[test]
-    fn oversized_frames_are_attributed_to_the_sender() {
-        let g = path_graph(4);
-        let mut net = NetworkBuilder::new()
+    /// A message whose decoder rejects every frame.
+    #[derive(Clone)]
+    struct Garbled(u32);
+
+    impl Serialize for Garbled {
+        fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+            self.0.serialize(s)
+        }
+    }
+
+    impl WireCodec for Garbled {
+        fn decode(_: &mut WireReader<'_>) -> Result<Self, crate::wire::WireError> {
+            Err(crate::wire::WireError::BadTag {
+                ty: "Garbled",
+                tag: 0,
+            })
+        }
+    }
+
+    impl MessageSize for Garbled {
+        fn size_bits(&self) -> usize {
+            32
+        }
+    }
+
+    impl Tamper for Garbled {}
+
+    /// [`MinIdFlood`] over [`Garbled`] messages: under the mailbox backend
+    /// no copy it sends is ever delivered.
+    struct GarbledFlood(MinIdFlood);
+
+    impl NodeProgram for GarbledFlood {
+        type Message = Garbled;
+
+        fn broadcast(&mut self, _ctx: &NodeContext<'_>) -> Outgoing<Garbled> {
+            Outgoing::Broadcast(Garbled(self.0.best))
+        }
+
+        fn receive(&mut self, _ctx: &NodeContext<'_>, inbox: &[Delivery<Garbled>]) -> bool {
+            let before = self.0.best;
+            for d in inbox {
+                self.0.best = self.0.best.min(d.msg.0);
+            }
+            self.0.best != before
+        }
+    }
+
+    impl SnapshotState for GarbledFlood {
+        fn save_state(&self, w: &mut WireWriter) -> Result<(), crate::wire::WireError> {
+            self.0.save_state(w)
+        }
+
+        fn load_state(&mut self, r: &mut WireReader<'_>) -> Result<(), CheckpointError> {
+            self.0.load_state(r)
+        }
+    }
+
+    fn garbled_mailbox(g: &WeightedGraph) -> Network<GarbledFlood> {
+        NetworkBuilder::new()
             .mode(Mailbox)
-            // u32 payloads are 4 bytes; a 3-byte cap rejects every frame.
-            .max_frame_bytes(3)
-            .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
+            .build(g, |ctx| GarbledFlood(MinIdFlood { best: ctx.node().0 }))
+    }
+
+    /// A frame the receiver cannot decode is dropped and attributed to the
+    /// **sending** node — never a panic. (In-tree programs never hit this;
+    /// the check guards the protocol boundary.)
+    #[test]
+    fn undecodable_frames_are_attributed_to_the_sender() {
+        let g = path_graph(4);
+        let mut net = garbled_mailbox(&g);
         net.run(3);
         // Nothing was ever delivered, so nothing changed.
         for v in g.nodes() {
-            assert_eq!(net.program(v).best, v.0);
+            assert_eq!(net.program(v).0.best, v.0);
         }
         // Each rejected frame is charged to its sender: per round the path
         // endpoints send 1 copy, the interior nodes 2.
@@ -3186,18 +3236,12 @@ mod tests {
     }
 
     /// A checkpoint carries the decode-fault attribution: a mailbox run
-    /// whose every frame is over the cap, saved after round 1 or 2 and
+    /// whose every frame fails to decode, saved after round 1 or 2 and
     /// resumed, charges its senders exactly as the uninterrupted run does.
     #[test]
     fn decode_faults_survive_save_and_restore() {
         let g = path_graph(4);
-        let build = || {
-            NetworkBuilder::new()
-                .mode(Mailbox)
-                // u32 payloads are 4 bytes; a 3-byte cap rejects every frame.
-                .max_frame_bytes(3)
-                .build(&g, |ctx| MinIdFlood { best: ctx.node().0 })
-        };
+        let build = || garbled_mailbox(&g);
         let mut reference = build();
         reference.run(3);
         assert_eq!(reference.decode_faults(), &[3, 6, 6, 3]);

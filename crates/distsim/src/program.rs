@@ -50,12 +50,6 @@ impl<'a> NodeContext<'a> {
         self.graph.neighbor_weights(self.node)
     }
 
-    /// Iterates `(neighbour, edge weight)` pairs.
-    #[inline]
-    pub fn incident_edges(&self) -> impl Iterator<Item = (NodeId, f64)> + 'a {
-        self.graph.neighbors_with_weights(self.node)
-    }
-
     /// This node's weighted degree (self-loop counted once).
     #[inline]
     pub fn degree(&self) -> f64 {
@@ -111,18 +105,6 @@ pub enum Outgoing<M> {
     /// Point-to-point messages (used by the convergecast of Algorithm 6, where
     /// a node talks only to its BFS parent/children).
     Unicast(Vec<(NodeId, M)>),
-}
-
-impl<M> Outgoing<M> {
-    /// Returns `true` if nothing is sent.
-    pub fn is_silent(&self) -> bool {
-        match self {
-            Outgoing::Silent => true,
-            Outgoing::Multicast(_, targets) => targets.is_empty(),
-            Outgoing::Unicast(msgs) => msgs.is_empty(),
-            Outgoing::Broadcast(_) => false,
-        }
-    }
 }
 
 /// A per-node state machine executed by the [`crate::Network`].
@@ -208,16 +190,7 @@ mod tests {
         assert_eq!(ctx.round(), 4);
         assert_eq!(ctx.num_neighbors(), 2);
         assert_eq!(ctx.degree(), 5.0);
-        let edges: Vec<_> = ctx.incident_edges().collect();
-        assert_eq!(edges.len(), 2);
-    }
-
-    #[test]
-    fn outgoing_silence_detection() {
-        assert!(Outgoing::<f64>::Silent.is_silent());
-        assert!(Outgoing::Multicast(1.0, vec![]).is_silent());
-        assert!(Outgoing::<f64>::Unicast(vec![]).is_silent());
-        assert!(!Outgoing::Broadcast(1.0).is_silent());
-        assert!(!Outgoing::Multicast(1.0, vec![NodeId(1)]).is_silent());
+        assert_eq!(ctx.neighbors(), &[NodeId(1), NodeId(2)]);
+        assert_eq!(ctx.neighbor_weights(), &[2.0, 3.0]);
     }
 }

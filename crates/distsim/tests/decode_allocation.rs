@@ -1,6 +1,7 @@
 //! A hostile length never makes a decoder reserve more memory than its input
-//! holds. A counting global allocator records the largest single allocation
-//! the measuring thread makes while it decodes:
+//! holds, and a byzantine round never allocates per copy. A counting global
+//! allocator records the number of allocations, and the largest single one,
+//! that the measuring thread makes:
 //!
 //! * a `Vec<RoundStats>` (136 B per element in memory) that declares
 //!   `u32::MAX` elements, decoded from 64 KiB of input — the shape of a
@@ -11,6 +12,9 @@
 //!   three ways and stamped with `u32::MAX`, and every truncation of it. Each
 //!   variant decodes and validates to a typed error or a valid frame, never a
 //!   panic.
+//! * a warmed dense round on one thread under a plan with every byzantine
+//!   behaviour and quarantine. Its per-copy fault decisions may not
+//!   allocate, so the count stays the same whatever the copies number.
 //!
 //! Only the measuring thread's allocations count, so the test harness's own
 //! threads do not disturb the figures.
@@ -18,22 +22,29 @@
 use dkc_distsim::message::QuantizedValue;
 use dkc_distsim::wire::{decode_frame, encode_frame, WireCodec, WireError, WireReader};
 use dkc_distsim::{
-    BoundaryDelta, BoundaryRecord, Delivery, NetworkBuilder, NodeContext, NodeProgram, Outgoing,
-    RoundStats,
+    BoundaryDelta, BoundaryRecord, ByzantineModel, Delivery, ExecutionMode, FaultPlan,
+    NetworkBuilder, NodeContext, NodeProgram, Outgoing, RoundStats,
 };
-use dkc_graph::generators::grid_graph;
+use dkc_graph::generators::{complete_graph, grid_graph};
 use dkc_graph::Partitioner;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The system allocator, recording the largest allocation of a thread that
-/// is measuring (see [`largest_allocation`]).
+/// The system allocator, counting the allocations of a thread that is
+/// measuring and recording the largest (see [`measure`]).
 struct PeakAlloc;
 
+/// What a measuring thread has allocated so far.
+#[derive(Clone, Copy, Default)]
+struct Allocations {
+    count: usize,
+    largest: usize,
+}
+
 thread_local! {
-    /// `Some(largest so far)` while this thread measures.
-    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+    /// `Some(allocations so far)` while this thread measures.
+    static MEASURED: Cell<Option<Allocations>> = const { Cell::new(None) };
 }
 
 // SAFETY: every call goes to the system allocator unchanged; the wrapper
@@ -41,9 +52,12 @@ thread_local! {
 // allocates.
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.with(|largest| {
-            if let Some(so_far) = largest.get() {
-                largest.set(Some(so_far.max(layout.size())));
+        MEASURED.with(|measured| {
+            if let Some(so_far) = measured.get() {
+                measured.set(Some(Allocations {
+                    count: so_far.count + 1,
+                    largest: so_far.largest.max(layout.size()),
+                }));
             }
         });
         // SAFETY: the caller upholds `alloc`'s contract, which is passed on.
@@ -59,13 +73,20 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, Allocations) {
+    MEASURED.with(|measured| measured.set(Some(Allocations::default())));
+    let out = f();
+    let made = MEASURED.with(|measured| measured.replace(None));
+    (out, made.unwrap_or_default())
+}
+
 /// Runs `f` and returns its result with the largest single allocation it
 /// made.
 fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    LARGEST.with(|largest| largest.set(Some(0)));
-    let out = f();
-    let largest = LARGEST.with(|largest| largest.replace(None)).unwrap_or(0);
-    (out, largest)
+    let (out, made) = measure(f);
+    (out, made.largest)
 }
 
 #[test]
@@ -207,4 +228,35 @@ fn every_byte_of_a_boundary_frame_decodes_or_is_rejected() {
     // The unmodified frame decodes and validates.
     let delta: BoundaryDelta<QuantizedValue> = decode_frame(frame, usize::MAX).unwrap();
     delta.validate(*src, *dst, 1, graph, &owner).unwrap();
+}
+
+/// Under a plan with every byzantine behaviour and quarantine, a warmed
+/// dense round on one thread allocates no more often on K_64 than the bound
+/// allows on any graph: lying, equivocating, muting and spamming are decided
+/// per copy, and none of those decisions may allocate.
+#[test]
+fn byzantine_rounds_allocate_independently_of_their_copies() {
+    const BOUND: usize = 16;
+    let byz =
+        ByzantineModel::new(0.5, ByzantineModel::ALL_BEHAVIORS, 1, 1000, 7).with_quarantine(1000);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    for n in [16, 64] {
+        let mut net = NetworkBuilder::new()
+            .mode(ExecutionMode::Dense)
+            .faults(FaultPlan::none().with_byzantine(byz))
+            .build(&complete_graph(n), |ctx| MinFlood(ctx.node().0));
+        let (stats, made) = pool.install(|| {
+            net.run(3);
+            measure(|| net.run_round())
+        });
+        let copies = stats.messages + stats.dropped();
+        assert!(
+            made.count <= BOUND,
+            "a round of {copies} copies allocated {} times",
+            made.count
+        );
+    }
 }

@@ -97,8 +97,6 @@ fn run(
     let mut net = NetworkBuilder::new()
         .mode(mode)
         .faults(plan)
-        // Small enough to force backpressure stalls on dense rounds.
-        .mailbox_capacity(4)
         .build(g, |_| ChaosNode {
             seed,
             log: Vec::new(),

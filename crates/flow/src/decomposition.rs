@@ -23,19 +23,6 @@ pub struct DenseDecomposition {
     pub layer_densities: Vec<f64>,
 }
 
-impl DenseDecomposition {
-    /// The maximum density `ρ*` of the original graph (the first layer's
-    /// density), or 0 for an empty graph.
-    pub fn max_density(&self) -> f64 {
-        self.layer_densities.first().copied().unwrap_or(0.0)
-    }
-
-    /// The layer index of a node (0-based), i.e. `i-1` where `v ∈ S_i`.
-    pub fn layer_of(&self, v: NodeId) -> Option<usize> {
-        self.layers.iter().position(|layer| layer.contains(&v))
-    }
-}
-
 /// Computes the exact diminishingly-dense decomposition of `g`.
 pub fn dense_decomposition(g: &WeightedGraph) -> DenseDecomposition {
     let n = g.num_nodes();
@@ -122,8 +109,8 @@ mod tests {
         // self-loop in the quotient, so its maximal density is 1.
         assert!((d.layer_densities[1] - 1.0).abs() < 1e-6);
         assert!((d.maximal_density[p.index()] - 1.0).abs() < 1e-6);
-        assert_eq!(d.layer_of(p), Some(1));
-        assert_eq!(d.layer_of(NodeId(0)), Some(0));
+        assert_eq!(d.layers[1], vec![p]);
+        assert!(d.layers[0].contains(&NodeId(0)));
     }
 
     #[test]
@@ -149,7 +136,7 @@ mod tests {
         let planted = planted_dense_community(60, 12, 0.05, 0.85, &mut rng);
         let d = dense_decomposition(&planted.graph);
         let ds = crate::densest::densest_subgraph(&planted.graph);
-        assert!((d.max_density() - ds.density).abs() < 1e-6);
+        assert!((d.layer_densities[0] - ds.density).abs() < 1e-6);
     }
 
     #[test]
@@ -158,7 +145,7 @@ mod tests {
         let g = path_graph(4);
         let d = dense_decomposition(&g);
         assert_eq!(d.layers.len(), 1);
-        assert!((d.max_density() - 0.75).abs() < 1e-6);
+        assert!((d.layer_densities[0] - 0.75).abs() < 1e-6);
     }
 
     #[test]
@@ -166,7 +153,7 @@ mod tests {
         let g = WeightedGraph::new(0);
         let d = dense_decomposition(&g);
         assert!(d.layers.is_empty());
-        assert_eq!(d.max_density(), 0.0);
+        assert!(d.layer_densities.is_empty());
     }
 
     #[test]

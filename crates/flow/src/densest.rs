@@ -19,7 +19,7 @@
 //! graphs.
 
 use crate::dinic::Dinic;
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::WeightedGraph;
 
 /// Relative tolerance for density comparisons during Dinkelbach iteration.
 const DENSITY_TOL: f64 = 1e-9;
@@ -38,16 +38,6 @@ impl DensestSubgraph {
     /// Number of nodes in the maximal densest subset.
     pub fn size(&self) -> usize {
         self.members.iter().filter(|&&b| b).count()
-    }
-
-    /// The members as a list of node ids.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b)
-            .map(|(i, _)| NodeId::new(i))
-            .collect()
     }
 }
 
@@ -155,6 +145,7 @@ pub fn densest_subgraph(g: &WeightedGraph) -> DensestSubgraph {
 mod tests {
     use super::*;
     use dkc_graph::generators::{complete_graph, path_graph, planted_dense_community, star_graph};
+    use dkc_graph::NodeId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -117,21 +117,6 @@ pub fn fractional_orientation_lower_bound(g: &WeightedGraph) -> f64 {
     densest_subgraph(g).density
 }
 
-/// Computes the maximum weighted in-degree induced by an edge assignment
-/// (a list of `(u, v, owner)` triples).
-pub fn max_weighted_in_degree(
-    n: usize,
-    assignment: &[(NodeId, NodeId, NodeId)],
-    weight_of: impl Fn(NodeId, NodeId) -> f64,
-) -> f64 {
-    let mut load = vec![0.0f64; n];
-    for &(u, v, owner) in assignment {
-        debug_assert!(owner == u || owner == v, "owner must be an endpoint");
-        load[owner.index()] += weight_of(u, v);
-    }
-    load.iter().fold(0.0, |a, &b| a.max(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,25 +191,6 @@ mod tests {
         let o = exact_unit_orientation(&g);
         assert_eq!(o.max_in_degree, 0);
         assert!(o.assignment.is_empty());
-    }
-
-    #[test]
-    fn max_weighted_in_degree_helper() {
-        let mut g = WeightedGraph::new(3);
-        g.add_edge(NodeId(0), NodeId(1), 2.0);
-        g.add_edge(NodeId(1), NodeId(2), 3.0);
-        let assignment = vec![
-            (NodeId(0), NodeId(1), NodeId(1)),
-            (NodeId(1), NodeId(2), NodeId(1)),
-        ];
-        let m = max_weighted_in_degree(3, &assignment, |u, v| {
-            g.neighbors(u)
-                .iter()
-                .find(|&&(x, _)| x == v)
-                .map(|&(_, w)| w)
-                .unwrap()
-        });
-        assert_eq!(m, 5.0);
     }
 
     #[test]

@@ -28,13 +28,19 @@ pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> WeightedGraph {
         return g;
     }
     // Geometric skipping over the lexicographic enumeration of pairs (i, j), i<j.
-    let log_q = (1.0 - p).ln();
+    // For a p so small that 1 − p rounds to 1.0, ln(1 − p) is 0 and the skip
+    // would be −∞; ln_1p(−p) keeps it finite and positive there, while every
+    // other p keeps its skips bit for bit. A skip past i64::MAX saturates.
+    let mut log_q = (1.0 - p).ln();
+    if log_q == 0.0 {
+        log_q = (-p).ln_1p();
+    }
     let mut i = 1usize;
     let mut j: i64 = -1;
     while i < n {
         let r: f64 = rng.gen_range(f64::EPSILON..1.0);
         let skip = (r.ln() / log_q).floor() as i64;
-        j += 1 + skip;
+        j = j.saturating_add(skip).saturating_add(1);
         while j >= i as i64 && i < n {
             j -= i as i64;
             i += 1;
@@ -231,6 +237,12 @@ mod tests {
         assert_eq!(empty.num_edges(), 0);
         let full = erdos_renyi(20, 1.0, &mut rng);
         assert_eq!(full.num_edges(), 190);
+        // 1 − p rounds to 1.0 for each of these, so ln(1 − p) is 0.
+        for p in [5e-324, 1e-300, 1e-17] {
+            let g = erdos_renyi(300, p, &mut StdRng::seed_from_u64(1));
+            g.check_consistency();
+            assert_eq!(g.num_edges(), 0, "p = {p:e}");
+        }
     }
 
     #[test]

@@ -282,7 +282,7 @@ fn malformed(line: usize, content: &str) -> ParseError {
 /// Recognizes a `# nodes: N` (or `% nodes: N`) comment directive. Matching
 /// is case-insensitive so real SNAP headers (`# Nodes: 281903 Edges: ...`)
 /// are honored too.
-pub(crate) fn nodes_directive(line: &str) -> Option<u64> {
+fn nodes_directive(line: &str) -> Option<u64> {
     let body = line.strip_prefix('#').or_else(|| line.strip_prefix('%'))?;
     let mut tokens = body.split_whitespace();
     while let Some(tok) = tokens.next() {
@@ -300,7 +300,7 @@ pub(crate) fn nodes_directive(line: &str) -> Option<u64> {
 
 /// Parses one edge-list data line (already known non-empty, non-comment):
 /// `u v [w]` with **no trailing tokens**.
-pub(crate) fn parse_edge_tokens(line: &str, lineno: usize) -> Result<(u64, u64, f64), ParseError> {
+fn parse_edge_tokens(line: &str, lineno: usize) -> Result<(u64, u64, f64), ParseError> {
     let mut parts = line.split_whitespace();
     let (u, v) = match (parts.next(), parts.next()) {
         (Some(a), Some(b)) => (a, b),
@@ -1487,12 +1487,56 @@ mod tests {
     #[test]
     fn edge_list_parse_errors_carry_line_numbers() {
         let dir = test_dir("lineno");
-        let path = write_text(&dir, "bad.edges", "1 2\n# ok\n3 4 junk x\n");
-        let err = read_dataset(&path, DatasetFormat::EdgeList).unwrap_err();
-        match err {
-            ParseError::Malformed { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected Malformed, got {other:?}"),
+        let long = format!("{}€ {}", "7".repeat(79), "x".repeat(1000));
+        let rows = [
+            ("1 2\n# ok\n3 4 junk x\n".to_string(), 3),
+            ("0\n".to_string(), 1),
+            ("a b\n".to_string(), 1),
+            ("0 1 -2\n".to_string(), 1),
+            ("0 1 nan\n".to_string(), 1),
+            ("0 1 2.5 junk\n".to_string(), 1),
+            ("0 1 2 3\n".to_string(), 1),
+            ("0 1\n2 3 1.0 x\n".to_string(), 2),
+            (format!("0 1\n{long}\n"), 2),
+        ];
+        for (text, expected) in rows {
+            let path = write_text(&dir, "bad.edges", &text);
+            let err = read_dataset(&path, DatasetFormat::EdgeList).unwrap_err();
+            match &err {
+                ParseError::Malformed { line, .. } => assert_eq!(*line, expected, "{text:?}"),
+                other => panic!("expected Malformed for {text:?}, got {other:?}"),
+            }
+            assert!(err.to_string().len() < 200, "{err}");
         }
+    }
+
+    #[test]
+    fn edge_list_lines_merge_and_pad_through_the_id_map() {
+        let dir = test_dir("el-lines");
+        let read = |text: &str| {
+            let path = write_text(&dir, "g.edges", text);
+            read_dataset(&path, DatasetFormat::EdgeList).unwrap()
+        };
+        let degree = |ds: &Dataset, ext: u64| ds.graph.degree(ds.ids.get(ext).unwrap());
+        // Comments, blank lines, and a missing weight read as 1.0.
+        let ds = read("# a comment\n0 1 2.5\n1 2\n% another comment\n\n2 0 1.5\n");
+        ds.graph.check_consistency();
+        assert_eq!((ds.graph.num_nodes(), ds.graph.num_edges()), (3, 3));
+        assert_eq!(degree(&ds, 0), 4.0);
+        assert_eq!(degree(&ds, 1), 3.5);
+        // Both directions of a pair merge into one edge.
+        let ds = read("0 1 1\n1 0 2\n");
+        assert_eq!(ds.graph.num_edges(), 1);
+        assert_eq!(degree(&ds, 0), 3.0);
+        // A self-loop is an edge of its own, counted once in the degree.
+        let ds = read("3 3 2.0\n0 3 1.0\n");
+        assert_eq!(ds.graph.num_nodes(), 2);
+        assert_eq!(ds.graph.self_loop(ds.ids.get(3).unwrap()), 2.0);
+        assert_eq!(degree(&ds, 3), 3.0);
+        // `# nodes:` pads with isolated nodes and never drops a mentioned one.
+        let ds = read("# nodes: 4  edges: 1\n0 2 1\n");
+        assert_eq!((ds.graph.num_nodes(), ds.graph.num_edges()), (4, 1));
+        assert_eq!(read("# nodes: 1\n0 5 1\n").graph.num_nodes(), 2);
     }
 
     /// Asserts two datasets are equal bit for bit: adjacency order and

@@ -17,11 +17,11 @@
 //!   paper's adversarial constructions (γ-ary trees, trees with leaf cliques,
 //!   Figure I.1 gadgets).
 //! * [`quotient`] — quotient graph `G \ B` (edges leaving `B` become self-loops).
-//! * [`io`] — plain-text edge-list reading/writing (dense ids used directly).
+//! * [`io`] — edge-list writing, and [`io::ParseError`], every reader's typed error.
 //! * [`ingest`] — streaming dataset ingestion: sparse→dense id remapping
 //!   ([`ingest::NodeIdMap`]), chunk-parallel edge-list parsing, METIS and
 //!   compact binary formats, and one-pass statistics — all in O(edges) memory.
-//! * [`properties`] — BFS, connected components, hop diameter, degree statistics.
+//! * [`properties`] — BFS, hop diameter, degree statistics.
 //! * [`idx`] — [`IdxOverflow`], the typed error for a graph past the `u32`
 //!   arc or node-id range of [`CsrGraph`] and [`ingest::NodeIdMap`].
 //! * [`partition`] — the deterministic hash-based node → shard

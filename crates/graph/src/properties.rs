@@ -1,5 +1,5 @@
-//! Structural graph properties: BFS distances, connected components,
-//! hop-diameter, and degree statistics.
+//! Structural graph properties: BFS distances, hop-diameter, and degree
+//! statistics.
 //!
 //! The hop-diameter is central to the paper's motivation: the protocols' round
 //! complexity must be *independent* of it, so the experiment harness reports it
@@ -30,31 +30,6 @@ pub fn bfs_distances(g: &CsrGraph, source: NodeId) -> Vec<usize> {
         }
     }
     dist
-}
-
-/// Connected components: returns `(component_id per node, number of components)`.
-pub fn connected_components(g: &CsrGraph) -> (Vec<usize>, usize) {
-    let n = g.num_nodes();
-    let mut comp = vec![usize::MAX; n];
-    let mut next = 0usize;
-    let mut queue = VecDeque::new();
-    for s in 0..n {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        comp[s] = next;
-        queue.push_back(NodeId::new(s));
-        while let Some(v) = queue.pop_front() {
-            for &u in g.neighbors(v) {
-                if comp[u.index()] == usize::MAX {
-                    comp[u.index()] = next;
-                    queue.push_back(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next)
 }
 
 /// Exact hop diameter of the graph (the maximum eccentricity over all nodes,
@@ -158,20 +133,6 @@ mod tests {
         let dist = bfs_distances(&csr, NodeId(0));
         assert_eq!(dist[1], 1);
         assert_eq!(dist[2], usize::MAX);
-    }
-
-    #[test]
-    fn components() {
-        let mut g = WeightedGraph::new(5);
-        g.add_unit_edge(NodeId(0), NodeId(1));
-        g.add_unit_edge(NodeId(2), NodeId(3));
-        let csr = CsrGraph::from(&g);
-        let (comp, count) = connected_components(&csr);
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[4], comp[0]);
     }
 
     #[test]

@@ -245,49 +245,6 @@ impl WeightedGraph {
         s + self.self_loops[v.index()]
     }
 
-    /// Builds the subgraph induced by `members`, preserving node ids (nodes not
-    /// in `members` become isolated). Self-loops of member nodes are kept.
-    pub fn induced_subgraph(&self, members: &[bool]) -> WeightedGraph {
-        assert_eq!(members.len(), self.num_nodes());
-        let mut g = WeightedGraph::new(self.num_nodes());
-        for (u, v, w) in self.edges() {
-            if members[u.index()] && members[v.index()] {
-                if u == v {
-                    g.add_self_loop(u, w);
-                } else {
-                    g.add_edge(u, v, w);
-                }
-            }
-        }
-        g
-    }
-
-    /// Builds a compacted copy containing only the member nodes, re-indexed to
-    /// `0..k`. Returns the new graph and the mapping `new index -> old NodeId`.
-    pub fn compact_subgraph(&self, members: &[bool]) -> (WeightedGraph, Vec<NodeId>) {
-        assert_eq!(members.len(), self.num_nodes());
-        let mut old_of_new = Vec::new();
-        let mut new_of_old = vec![usize::MAX; self.num_nodes()];
-        for (i, &m) in members.iter().enumerate() {
-            if m {
-                new_of_old[i] = old_of_new.len();
-                old_of_new.push(NodeId::new(i));
-            }
-        }
-        let mut g = WeightedGraph::new(old_of_new.len());
-        for (u, v, w) in self.edges() {
-            let (ui, vi) = (new_of_old[u.index()], new_of_old[v.index()]);
-            if ui != usize::MAX && vi != usize::MAX {
-                if ui == vi {
-                    g.add_self_loop(NodeId::new(ui), w);
-                } else {
-                    g.add_edge(NodeId::new(ui), NodeId::new(vi), w);
-                }
-            }
-        }
-        (g, old_of_new)
-    }
-
     /// Returns `true` if all edge weights equal `1.0` and there are no
     /// self-loops (the "unweighted" special case, for which exact polynomial
     /// algorithms exist for the orientation problem).
@@ -407,24 +364,6 @@ mod tests {
         let members = vec![true, true, false];
         assert_eq!(g.degree_within(NodeId(0), &members), 1.0);
         assert_eq!(g.degree_within(NodeId(2), &members), 0.0);
-    }
-
-    #[test]
-    fn induced_and_compact_subgraph() {
-        let g = triangle();
-        let members = vec![true, false, true];
-        let sub = g.induced_subgraph(&members);
-        sub.check_consistency();
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 1);
-        assert_eq!(sub.degree(NodeId(0)), 3.0);
-        assert_eq!(sub.degree(NodeId(1)), 0.0);
-
-        let (compact, mapping) = g.compact_subgraph(&members);
-        compact.check_consistency();
-        assert_eq!(compact.num_nodes(), 2);
-        assert_eq!(compact.num_edges(), 1);
-        assert_eq!(mapping, vec![NodeId(0), NodeId(2)]);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! generators are pinned to fingerprints of their output at fixed seeds.
 
 use dkc_graph::generators::{
-    barabasi_albert, chung_lu_power_law, planted_dense_community, random_regular, watts_strogatz,
+    barabasi_albert, chung_lu_power_law, erdos_renyi, planted_dense_community, random_regular,
+    watts_strogatz,
 };
 use dkc_graph::ingest::{read_dataset, write_dataset, Dataset, DatasetFormat};
 use dkc_graph::{GraphBuilder, NodeId, WeightedGraph};
@@ -219,15 +220,17 @@ fn generators_are_pinned_at_fixed_seeds() {
         fingerprint(&watts_strogatz(200, 10, 0.5, &mut rng(3))),
         fingerprint(&random_regular(300, 6, &mut rng(4))),
         fingerprint(&planted_dense_community(300, 30, 0.02, 0.8, &mut rng(5)).graph),
+        fingerprint(&erdos_renyi(2000, 0.004, &mut rng(6))),
     ];
     // Any change to a generator, or to the builder's merge, that moves an
     // edge, its position in an adjacency list, or a weight bit moves these.
-    let pinned: [u64; 5] = [
+    let pinned: [u64; 6] = [
         0x5413_f217_c11f_1e08,
         0x0348_68a9_f238_545b,
         0x0d69_bfdf_482a_bd5b,
         0x0910_ef53_56d8_b029,
         0xfac1_41d2_62a7_6833,
+        0xfc46_368f_3351_77bf,
     ];
     assert_eq!(got, pinned, "got {got:#018x?}");
 }

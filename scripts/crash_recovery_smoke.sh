@@ -18,6 +18,10 @@
 #    update order and the N_v stamps), so values are checked, not only
 #    counters. The crash-stop window opens at round 2, so the checkpoint
 #    holds frozen nodes.
+# 4. Repeats steps 1-3 with byzantine faults and quarantine added, a
+#    misbehaviour window still open at the first checkpoint: the resumed
+#    run rebuilds each node's quarantine round from the plan in the
+#    checkpoint, and must silence the same senders in the same rounds.
 #
 # Uses the release binaries directly — NOT `cargo run` — so the SIGKILL hits
 # the simulator process itself instead of orphaning it behind cargo.
@@ -36,67 +40,79 @@ done
 fixture=bench/fixtures/web-tiny.edges
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
-ck="$workdir/run.dkck"
-ref="$workdir/reference.json"
-ref_out="$workdir/reference.out"
-resumed="$workdir/resumed.json"
-interrupted="$workdir/interrupted.json"
 
 # Enough rounds that thousands of fsynced checkpoint writes keep the
 # background run alive well past the kill; the run parameters (rounds,
 # fault plan) are recorded in the checkpoint and recovered on resume.
-flags=(--rounds 20000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7)
+base_flags=(--rounds 20000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7)
 
 # The printed per-node values: the `top K` header and its node lines.
 top_block() { grep -E '^(top [0-9]+ nodes by|  node )'; }
 
-echo "crash_recovery_smoke: uninterrupted reference run"
-"$DKC" coreness "$fixture" "${flags[@]}" --top 20 --json "$ref" > "$ref_out"
+# kill_and_resume LEG FLAGS...: the reference run, the SIGKILLed
+# checkpointed run and the resume, all under FLAGS.
+kill_and_resume() {
+    local leg=$1
+    shift
+    local flags=("$@")
+    local ck="$workdir/$leg.dkck"
+    local ref="$workdir/$leg.reference.json"
+    local ref_out="$workdir/$leg.reference.out"
+    local resumed="$workdir/$leg.resumed.json"
+    local interrupted="$workdir/$leg.interrupted.json"
 
-echo "crash_recovery_smoke: starting checkpointed run (SIGKILL incoming)"
-"$DKC" coreness "$fixture" "${flags[@]}" \
-    --checkpoint "$ck" --checkpoint-every 2 --json "$interrupted" > /dev/null &
-pid=$!
+    echo "crash_recovery_smoke [$leg]: uninterrupted reference run"
+    "$DKC" coreness "$fixture" "${flags[@]}" --top 20 --json "$ref" > "$ref_out"
 
-# Wait for the first atomic checkpoint to land, then kill without mercy.
-for _ in $(seq 1 400); do
-    [[ -f "$ck" ]] && break
-    sleep 0.025
-done
-if [[ ! -f "$ck" ]]; then
-    kill -9 "$pid" 2>/dev/null || true
-    echo "crash_recovery_smoke: no checkpoint appeared within 10s" >&2
-    exit 1
-fi
-kill -9 "$pid"
-wait "$pid" 2>/dev/null || true
+    echo "crash_recovery_smoke [$leg]: starting checkpointed run (SIGKILL incoming)"
+    "$DKC" coreness "$fixture" "${flags[@]}" \
+        --checkpoint "$ck" --checkpoint-every 2 --json "$interrupted" > /dev/null &
+    local pid=$!
 
-if [[ -f "$interrupted" ]]; then
-    echo "crash_recovery_smoke: the run finished before SIGKILL landed —" \
-         "raise --rounds so the kill interrupts it" >&2
-    exit 1
-fi
-echo "crash_recovery_smoke: killed pid $pid mid-run; checkpoint survives" \
-     "($(wc -c < "$ck") bytes)"
+    # Wait for the first atomic checkpoint to land, then kill without mercy.
+    for _ in $(seq 1 400); do
+        [[ -f "$ck" ]] && break
+        sleep 0.025
+    done
+    if [[ ! -f "$ck" ]]; then
+        kill -9 "$pid" 2>/dev/null || true
+        echo "crash_recovery_smoke [$leg]: no checkpoint appeared within 10s" >&2
+        exit 1
+    fi
+    kill -9 "$pid"
+    wait "$pid" 2>/dev/null || true
 
-out=$("$DKC" coreness "$fixture" --resume "$ck" --top 20 --json "$resumed")
-if ! grep -q "resumed from checkpoint at round" <<<"$out"; then
-    echo "crash_recovery_smoke: resume did not report its resume round:" >&2
-    echo "$out" >&2
-    exit 1
-fi
-grep "resumed from checkpoint at round" <<<"$out"
+    if [[ -f "$interrupted" ]]; then
+        echo "crash_recovery_smoke [$leg]: the run finished before SIGKILL landed —" \
+             "raise --rounds so the kill interrupts it" >&2
+        exit 1
+    fi
+    echo "crash_recovery_smoke [$leg]: killed pid $pid mid-run; checkpoint survives" \
+         "($(wc -c < "$ck") bytes)"
 
-echo "crash_recovery_smoke: diffing the top-20 values (resumed vs reference)"
-if ! diff <(top_block <<<"$out") <(top_block < "$ref_out"); then
-    echo "crash_recovery_smoke: the resumed run printed different values" >&2
-    exit 1
-fi
-if [[ $(top_block < "$ref_out" | wc -l) -lt 2 ]]; then
-    echo "crash_recovery_smoke: the reference printed no top-20 block" >&2
-    exit 1
-fi
+    local out
+    out=$("$DKC" coreness "$fixture" --resume "$ck" --top 20 --json "$resumed")
+    if ! grep -q "resumed from checkpoint at round" <<<"$out"; then
+        echo "crash_recovery_smoke [$leg]: resume did not report its resume round:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    grep "resumed from checkpoint at round" <<<"$out"
 
-echo "crash_recovery_smoke: diffing deterministic counters (resumed vs reference)"
-"$GATE" check "$resumed" "$ref"
-echo "crash_recovery_smoke: OK — killed run resumed byte-identically"
+    echo "crash_recovery_smoke [$leg]: diffing the top-20 values (resumed vs reference)"
+    if ! diff <(top_block <<<"$out") <(top_block < "$ref_out"); then
+        echo "crash_recovery_smoke [$leg]: the resumed run printed different values" >&2
+        exit 1
+    fi
+    if [[ $(top_block < "$ref_out" | wc -l) -lt 2 ]]; then
+        echo "crash_recovery_smoke [$leg]: the reference printed no top-20 block" >&2
+        exit 1
+    fi
+
+    echo "crash_recovery_smoke [$leg]: diffing deterministic counters (resumed vs reference)"
+    "$GATE" check "$resumed" "$ref"
+}
+
+kill_and_resume crash "${base_flags[@]}"
+kill_and_resume byzantine "${base_flags[@]}" --byzantine 0.3:all:2:40 --quarantine 2
+echo "crash_recovery_smoke: OK — both killed runs resumed byte-identically"
