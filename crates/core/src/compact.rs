@@ -1022,7 +1022,16 @@ mod tests {
         ] {
             let reference = run(&g, RunSpec::new(rounds).faults(plan));
             for shards in [1usize, 2, 3, 8] {
-                let sharded = run(&g, RunSpec::new(rounds).faults(plan).sharded(shards, 7));
+                let spec = RunSpec::new(rounds).faults(plan).sharded(shards, 7);
+                let [sharded, four] = [1, 4]
+                    .map(|threads| crate::test_legs::on_threads(threads, || run(&g, spec.clone())));
+                // The boundary counters too agree at any thread count.
+                assert_eq!(
+                    sharded.metrics.first_divergence(&four.metrics),
+                    None,
+                    "shards={shards}"
+                );
+                assert_eq!(sharded.surviving, four.surviving, "shards={shards}");
                 assert_eq!(reference.surviving, sharded.surviving, "shards={shards}");
                 assert_eq!(
                     reference.in_neighbors, sharded.in_neighbors,

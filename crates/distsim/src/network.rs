@@ -72,13 +72,23 @@
 //!
 //! ## Threads
 //!
-//! The thread count is not a mode: dense rounds and pull rounds run through
-//! the rayon pipeline, and a mailbox round splits the nodes into
-//! [`rayon::current_num_threads`] shards for that round, shard 0 on the
-//! calling thread. Run a network inside
-//! `rayon::ThreadPoolBuilder::new().num_threads(n).build()?.install(..)` to
-//! pin the count; one thread runs every round inline on the caller. The
-//! deterministic counters never depend on it.
+//! The thread count is not a mode. Three steps run on the rayon pool:
+//!
+//! * the broadcast of a dense round, and the gather and step of dense and
+//!   pull rounds, where the calling thread and the workers claim small
+//!   blocks of nodes, so a block of hubs holds up only its own share of the
+//!   round;
+//! * a sharded round's boundary accounting, one task per source shard
+//!   (`Network::account_boundary`);
+//! * a mailbox round, which splits the nodes into
+//!   [`rayon::current_num_threads`] contiguous shards for that round, shard
+//!   0 on the calling thread.
+//!
+//! A push round's scatter and steps run on the calling thread. Run a network
+//! inside `rayon::ThreadPoolBuilder::new().num_threads(n).build()?.install(..)`
+//! to pin the count; one thread runs every round inline on the caller. The
+//! deterministic counters never depend on it: each node's or source shard's
+//! result lands in its own slot, and the slots are merged in a fixed order.
 //!
 //! ## One round loop
 //!
@@ -307,9 +317,11 @@ pub struct ExecutorBufferStats {
     /// Summed capacity of the push rounds' staging buffers: the copies and
     /// their receivers (0 under dense rounds).
     pub staged_capacity_total: usize,
-    /// Summed capacity of a sharded network's owner table, per-pair record
-    /// buffers and sender scratch (0 unsharded). The record buffers hold
-    /// one round's cross-shard copies.
+    /// Summed capacity of a sharded network's owner table and of each
+    /// source shard's frontier bucket, per-destination record buffers and
+    /// sender-count scratch (0 unsharded). The record buffers hold one
+    /// round's cross-shard copies. The workers' multicast stamps are not
+    /// counted: they live for one round, and only when a sender multicasts.
     pub boundary_capacity_total: usize,
     /// Summed capacity of the mailbox backend's per-node inboxes and its
     /// shards' pending-frame buffers (0 under the other modes).
@@ -332,20 +344,33 @@ impl ExecutorBufferStats {
 }
 
 /// State of a sharded network ([`NetworkBuilder::shards`]): the
-/// deterministic node → shard assignment plus the per-pair record buffers
-/// that [`Network::account_boundary`] fills and drains within a round, so
-/// they are empty at round boundaries and never appear in checkpoints.
+/// deterministic node → shard assignment plus one [`SourceShard`] per shard,
+/// whose buffers [`Network::account_boundary`] fills and drains within a
+/// round, so they never appear in checkpoints.
 struct ShardState<M> {
-    /// Number of shards (≥ 1; a single shard has no cut and charges nothing).
-    num_shards: usize,
     /// `owner[v]` is the shard owning node `v` (the `Partitioner::shard_of`
     /// table materialized once at install time).
     owner: Vec<u32>,
-    /// Per ordered shard pair `(src, dst)` (indexed `src * num_shards + dst`)
-    /// the round's cross-shard records, encoded as one frame per pair.
-    pair_bufs: Vec<Vec<BoundaryRecord<M>>>,
-    /// Scratch for counting the round's distinct cross-shard senders.
-    senders_scratch: Vec<u32>,
+    /// One per shard (≥ 1; a single shard has no cut and charges nothing),
+    /// in shard order.
+    sources: Vec<SourceShard<M>>,
+}
+
+/// One source shard's part of a round's boundary accounting: the task that
+/// walks its frontier senders' copies and builds, checks and charges its
+/// frames to every other shard.
+struct SourceShard<M> {
+    /// The round's frontier senders this shard owns, ascending.
+    senders: Vec<u32>,
+    /// Per destination shard, the round's records from this shard's senders
+    /// to its nodes, encoded as one frame.
+    records: Vec<Vec<BoundaryRecord<M>>>,
+    /// Scratch for counting the distinct senders of the decoded frames.
+    decoded_senders: Vec<u32>,
+    /// This shard's share of the round's [`RoundStats::boundary_bits`].
+    bits: usize,
+    /// This shard's share of the round's [`RoundStats::boundary_nodes`].
+    nodes: usize,
 }
 
 /// A simulated synchronous network: a topology plus one [`NodeProgram`] per
@@ -380,8 +405,9 @@ pub struct Network<P: NodeProgram> {
     /// own (cache-resident) arc range; receivers translate through
     /// [`CsrGraph::reverse_arc`]. Stamping avoids an O(arcs) clear per round;
     /// round numbers start at 1 so the zero-initialized array never
-    /// false-positives. (The sparse copy walk, [`RoundCopies::for_each`], reuses the
-    /// same array to deduplicate repeated multicast target entries.)
+    /// false-positives. (A push round's copy walk, [`RoundCopies::for_each`],
+    /// reuses the same array to deduplicate repeated multicast target
+    /// entries; the boundary accounting's workers stamp arrays of their own.)
     multicast_stamps: Vec<u64>,
     // Frontier-round state (unused under dense rounds).
     /// Nodes that broadcast this round, ascending.
@@ -786,6 +812,96 @@ impl<M: Clone + Tamper> Gather<'_, M> {
     }
 }
 
+/// What every source shard's task of a sharded round's boundary accounting
+/// reads (see [`Network::account_boundary`]).
+struct BoundaryRound<'a, M> {
+    /// The round's copy rules: link drops, tamper salts and spam factors.
+    copies: RoundCopies<'a>,
+    outboxes: &'a [Outgoing<M>],
+    /// The node → shard owner table.
+    owner: &'a [u32],
+}
+
+impl<M: Clone + Tamper + WireCodec> BoundaryRound<'_, M> {
+    /// Source shard `src`'s task: fills its record buffers from its
+    /// senders' cross-shard copies, then encodes, strictly decodes and
+    /// validates one frame per nonempty buffer, and leaves its charges in
+    /// `source.bits` and `source.nodes`. `stamps` is the worker's multicast
+    /// stamp array (see [`RoundCopies::for_each`]); each sender is walked
+    /// once per round, so the round number is a fresh stamp.
+    fn account(&self, src: u32, source: &mut SourceShard<M>, stamps: &mut Vec<u64>) {
+        let RoundCopies { graph, round, .. } = self.copies;
+        let SourceShard {
+            senders,
+            records,
+            decoded_senders,
+            bits,
+            nodes,
+        } = source;
+        for &u in senders.iter() {
+            let sender = NodeId(u);
+            let spam = self.copies.spam(sender);
+            let outgoing = &self.outboxes[u as usize];
+            self.copies
+                .for_each(sender, outgoing, stamps, round as u64, |q, v, m| {
+                    let dst = self.owner[v.index()];
+                    if dst == src {
+                        return;
+                    }
+                    let (pos, msg) = self.copies.received(sender, q, v, m);
+                    let record = |msg| BoundaryRecord {
+                        sender: u,
+                        receiver: v.0,
+                        pos,
+                        msg,
+                    };
+                    let buf = &mut records[dst as usize];
+                    for _ in 1..spam {
+                        buf.push(record(msg.clone()));
+                    }
+                    buf.push(record(msg));
+                });
+        }
+        *bits = 0;
+        decoded_senders.clear();
+        for (dst, buf) in records.iter_mut().enumerate() {
+            if buf.is_empty() {
+                continue;
+            }
+            let delta = BoundaryDelta {
+                src_shard: src,
+                dst_shard: dst as u32,
+                round: round as u64,
+                records: std::mem::take(buf),
+            };
+            let frame = crate::wire::encode_frame(&delta);
+            *bits += 8 * frame.len();
+            // A boundary frame aggregates a whole cut's frontier, so it is
+            // not subject to the per-node-message frame cap; both checks are
+            // infallible here because the frame was encoded in this very
+            // loop.
+            let decoded: BoundaryDelta<M> = crate::wire::decode_frame(&frame, usize::MAX)
+                .expect("self-encoded boundary frame decodes");
+            decoded
+                .validate(src, dst as u32, round as u64, graph, self.owner)
+                .expect("self-built boundary frame validates");
+            // A sender's records are consecutive, so the scratch takes one
+            // entry per sender and destination shard.
+            for r in &decoded.records {
+                if decoded_senders.last() != Some(&r.sender) {
+                    decoded_senders.push(r.sender);
+                }
+            }
+            // Hand the drained buffer's capacity back for reuse.
+            *buf = delta.records;
+            buf.clear();
+        }
+        decoded_senders.sort_unstable();
+        decoded_senders.dedup();
+        *nodes = decoded_senders.len();
+    }
+}
+
 /// Fluent construction of a [`Network`]: the one entry point selecting the
 /// execution mode, fault plan, sharding, and mailbox configuration.
 ///
@@ -967,8 +1083,8 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Installs the deterministic shard partition for sharded execution:
-    /// materializes the `Partitioner::shard_of` owner table and the per-pair
-    /// record buffers.
+    /// materializes the `Partitioner::shard_of` owner table and each source
+    /// shard's record buffers, one per destination shard.
     ///
     /// # Panics
     ///
@@ -979,12 +1095,16 @@ impl<P: NodeProgram> Network<P> {
         let owner = (0..self.graph.num_nodes())
             .map(|i| part.shard_of(NodeId::new(i)) as u32)
             .collect();
-        self.shard = Some(ShardState {
-            num_shards,
-            owner,
-            pair_bufs: (0..num_shards * num_shards).map(|_| Vec::new()).collect(),
-            senders_scratch: Vec::new(),
-        });
+        let sources = (0..num_shards)
+            .map(|_| SourceShard {
+                senders: Vec::new(),
+                records: (0..num_shards).map(|_| Vec::new()).collect(),
+                decoded_senders: Vec::new(),
+                bits: 0,
+                nodes: 0,
+            })
+            .collect();
+        self.shard = Some(ShardState { owner, sources });
     }
 
     /// Installs a fault plan in place (shared with [`NetworkBuilder`]). A
@@ -1049,8 +1169,14 @@ impl<P: NodeProgram> Network<P> {
             staged_capacity_total: self.staged.capacity() + self.staged_to.capacity(),
             boundary_capacity_total: self.shard.as_ref().map_or(0, |st| {
                 st.owner.capacity()
-                    + st.pair_bufs.iter().map(Vec::capacity).sum::<usize>()
-                    + st.senders_scratch.capacity()
+                    + st.sources
+                        .iter()
+                        .map(|src| {
+                            src.senders.capacity()
+                                + src.records.iter().map(Vec::capacity).sum::<usize>()
+                                + src.decoded_senders.capacity()
+                        })
+                        .sum::<usize>()
             }),
             mailbox_capacity_total: self.mailbox.capacity_total(),
         }
@@ -1273,86 +1399,47 @@ impl<P: NodeProgram> Network<P> {
 
     /// Charges a sharded round's cross-shard copies to
     /// [`RoundStats::boundary_bits`] and [`RoundStats::boundary_nodes`]; a
-    /// no-op unless the network has more than one shard. The frontier's
-    /// copies between nodes of different shards, walked in ascending sender
-    /// order and tampered and multiplied as they are delivered, fill one
-    /// record buffer per ordered shard pair. Each nonempty buffer is encoded
-    /// as one length-prefixed [`BoundaryDelta`] frame, whose bytes are the
-    /// charge, then decoded and validated against the owner table as a
-    /// remote peer's frame would be. Delivery stays with the round's push or
-    /// pull, which delivers these same copies; so a copy to a crashed or
-    /// halted receiver is charged here and dropped there.
+    /// no-op unless the network has more than one shard. The ascending
+    /// frontier is first bucketed by owner, stably, so each source shard
+    /// holds its own senders in ascending order. Then one task per source
+    /// shard runs on the rayon pool ([`BoundaryRound::account`]): it walks
+    /// only its own senders' copies to nodes of other shards, tampered and
+    /// multiplied as they are delivered, into one record buffer per
+    /// destination shard, and encodes each nonempty buffer as one
+    /// length-prefixed [`BoundaryDelta`] frame, whose bytes are the charge.
+    /// It then decodes and validates the frame against the owner table as a
+    /// remote peer would, and counts the frames' distinct senders. Senders
+    /// of different source shards are disjoint, so the round's charges are
+    /// the sums of the tasks'. Delivery stays with the round's push or pull,
+    /// which delivers these same copies; so a copy to a crashed or halted
+    /// receiver is charged here and dropped there.
     fn account_boundary(&mut self, stats: &mut RoundStats) {
-        let Some(st) = self.shard.as_mut().filter(|s| s.num_shards > 1) else {
+        let Some(st) = self.shard.as_mut().filter(|s| s.sources.len() > 1) else {
             return;
         };
-        let round = self.round;
-        let copies = RoundCopies::new(&self.graph, self.faults, round);
-        let s = st.num_shards;
-        // The delivery that follows stamps multicast arcs with `round`, so
-        // this walk marks them with a stamp no round number reaches.
-        let stamp = u64::MAX - round as u64;
-        let stamps = &mut self.multicast_stamps;
+        for source in &mut st.sources {
+            source.senders.clear();
+        }
         for &u in &self.frontier {
-            let sender = NodeId(u);
-            let su = st.owner[u as usize] as usize;
-            let spam = copies.spam(sender);
-            let outgoing = &self.outboxes[u as usize];
-            copies.for_each(sender, outgoing, stamps, stamp, |q, v, m| {
-                let sv = st.owner[v.index()] as usize;
-                if su == sv {
-                    return;
-                }
-                let (pos, msg) = copies.received(sender, q, v, m);
-                let record = |msg| BoundaryRecord {
-                    sender: u,
-                    receiver: v.0,
-                    pos,
-                    msg,
-                };
-                let buf = &mut st.pair_bufs[su * s + sv];
-                for _ in 1..spam {
-                    buf.push(record(msg.clone()));
-                }
-                buf.push(record(msg));
+            st.sources[st.owner[u as usize] as usize].senders.push(u);
+        }
+        let boundary = BoundaryRound {
+            copies: RoundCopies::new(&self.graph, self.faults, self.round),
+            outboxes: &self.outboxes,
+            owner: &st.owner,
+        };
+        // Each worker dedupes multicast targets in stamps of its own, which
+        // the walk allocates (one slot per arc) only if a sender multicasts.
+        st.sources
+            .par_iter_mut()
+            .enumerate()
+            .for_each_init(Vec::new, |stamps, (src, source)| {
+                boundary.account(src as u32, source, stamps)
             });
+        for source in &st.sources {
+            stats.boundary_bits += source.bits;
+            stats.boundary_nodes += source.nodes;
         }
-        st.senders_scratch.clear();
-        for src in 0..s {
-            for dst in 0..s {
-                let pair = src * s + dst;
-                if st.pair_bufs[pair].is_empty() {
-                    continue;
-                }
-                let delta = BoundaryDelta {
-                    src_shard: src as u32,
-                    dst_shard: dst as u32,
-                    round: round as u64,
-                    records: std::mem::take(&mut st.pair_bufs[pair]),
-                };
-                let frame = crate::wire::encode_frame(&delta);
-                stats.boundary_bits += 8 * frame.len();
-                // A boundary frame aggregates a whole cut's frontier, so it
-                // is not subject to the per-node-message frame cap; both
-                // checks are infallible here because the frame was encoded
-                // in this very loop.
-                let decoded: BoundaryDelta<P::Message> =
-                    crate::wire::decode_frame(&frame, usize::MAX)
-                        .expect("self-encoded boundary frame decodes");
-                decoded
-                    .validate(src as u32, dst as u32, round as u64, &self.graph, &st.owner)
-                    .expect("self-built boundary frame validates");
-                st.senders_scratch
-                    .extend(decoded.records.iter().map(|r| r.sender));
-                // Hand the drained buffer's capacity back for reuse.
-                let mut records = delta.records;
-                records.clear();
-                st.pair_bufs[pair] = records;
-            }
-        }
-        st.senders_scratch.sort_unstable();
-        st.senders_scratch.dedup();
-        stats.boundary_nodes = st.senders_scratch.len();
     }
 
     /// A push round's delivery and steps: the frontier's copies are staged
@@ -1734,7 +1821,7 @@ mod tests {
 
     /// Each mode on one thread and on four (the mailbox backend only on
     /// four shards), so the data-parallel paths run even on one CPU.
-    const ALL_LEGS: [Leg; 6] = [
+    const ALL_LEGS: [Leg; 7] = [
         leg(Dense, 1),
         leg(Dense, 4),
         leg(Auto, 1),
@@ -1746,6 +1833,12 @@ mod tests {
             mode: Auto,
             threads: 1,
             shards: 1,
+        },
+        // Four source shards' boundary tasks on four threads.
+        Leg {
+            mode: Auto,
+            threads: 4,
+            shards: 4,
         },
     ];
 
@@ -1809,8 +1902,9 @@ mod tests {
 
     /// Runs every leg for `rounds` rounds under `plan`: all agree on every
     /// node's value, and each activation's counters agree at any thread
-    /// count and shard count (dense on one thread is the mailbox reference
-    /// too).
+    /// count and with one shard (dense on one thread is the mailbox
+    /// reference too). A leg of several shards charges boundary traffic, so
+    /// its counters are held to the same sharding on one thread.
     fn assert_all_legs_agree(g: &WeightedGraph, plan: FaultPlan, rounds: usize) {
         let dense = min_id_ran(g, leg(Dense, 1), plan, rounds);
         let frontier = min_id_ran(g, leg(Auto, 1), plan, rounds);
@@ -1819,7 +1913,15 @@ mod tests {
             for v in g.nodes() {
                 assert_eq!(dense.program(v).best, net.program(v).best, "{leg:?}");
             }
-            let same = if leg.mode == Auto { &frontier } else { &dense };
+            let one_thread;
+            let same = if leg.shards > 1 {
+                one_thread = min_id_ran(g, Leg { threads: 1, ..leg }, plan, rounds);
+                &one_thread
+            } else if leg.mode == Auto {
+                &frontier
+            } else {
+                &dense
+            };
             assert_eq!(
                 same.metrics().first_divergence(net.metrics()),
                 None,
@@ -2186,15 +2288,23 @@ mod tests {
     fn sparse_buffer_reuse_after_warmup() {
         let g = path_graph(24);
         for threads in [1, 4] {
-            let mut net = min_id_network(&g, Auto);
-            on_threads(threads, || net.run(4));
-            let warm = net.buffer_stats();
-            on_threads(threads, || net.run(40));
-            assert_eq!(
-                net.buffer_stats(),
-                warm,
-                "steady-state sparse rounds must not grow executor buffers ({threads} threads)"
-            );
+            for shards in [0, 4] {
+                let leg = Leg {
+                    mode: Auto,
+                    threads,
+                    shards,
+                };
+                let mut net = min_id_network(&g, leg);
+                leg.install(|| net.run(4));
+                let warm = net.buffer_stats();
+                assert_eq!(warm.boundary_capacity_total > 0, shards > 0, "{leg:?}");
+                leg.install(|| net.run(40));
+                assert_eq!(
+                    net.buffer_stats(),
+                    warm,
+                    "steady-state sparse rounds must not grow executor buffers ({leg:?})"
+                );
+            }
         }
     }
 
@@ -2802,7 +2912,7 @@ mod tests {
                 .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
             let part = Partitioner::new(shards, 42);
             let st = net.shard.as_ref().unwrap();
-            assert_eq!(st.num_shards, shards);
+            assert_eq!(st.sources.len(), shards);
             assert!(g
                 .nodes()
                 .all(|v| st.owner[v.index()] as usize == part.shard_of(v)));
@@ -2851,6 +2961,145 @@ mod tests {
             // Boundary senders are frontier members that own a cut arc.
             assert!(r.boundary_nodes <= r.sending_nodes, "round {}", r.round);
         }
+    }
+
+    /// [`MinIdFlood`] by multicast: each node sends its best id to every
+    /// neighbour, listed twice (forwards, then backwards), so every walk of
+    /// its copies must skip the repeated entries. Delta-driven like the
+    /// flood, whose copies it delivers.
+    struct TwiceListedFlood {
+        best: u32,
+    }
+
+    impl NodeProgram for TwiceListedFlood {
+        type Message = u32;
+
+        const DELTA_DRIVEN: bool = true;
+
+        fn broadcast(&mut self, ctx: &NodeContext<'_>) -> Outgoing<u32> {
+            let nbrs = ctx.neighbors();
+            let targets = nbrs.iter().chain(nbrs.iter().rev()).copied().collect();
+            Outgoing::Multicast(self.best, targets)
+        }
+
+        fn receive(&mut self, _ctx: &NodeContext<'_>, inbox: &[Delivery<u32>]) -> bool {
+            let before = self.best;
+            for d in inbox {
+                self.best = self.best.min(d.msg);
+            }
+            self.best != before
+        }
+    }
+
+    /// A sharded program that multicasts with repeated targets: its boundary
+    /// frames hold one record per cut arc, as counted by hand for round 1
+    /// and as a broadcast's frames hold in every round, at one thread and
+    /// at four.
+    #[test]
+    fn boundary_frames_skip_repeated_multicast_targets() {
+        let g = grid_graph(4, 4);
+        let csr = CsrGraph::from_graph(&g);
+        let owner: Vec<usize> = {
+            let part = Partitioner::new(4, 0);
+            g.nodes().map(|v| part.shard_of(v)).collect()
+        };
+        // Round 1: every node sends to every neighbour. A frame per ordered
+        // shard pair with r > 0 records: a 4-byte header, shard pair, round
+        // and record count (20 bytes), and 16 bytes per u32 record.
+        let mut records = [[0usize; 4]; 4];
+        let mut boundary_senders = 0;
+        for u in g.nodes() {
+            let cut = csr
+                .neighbors(u)
+                .iter()
+                .filter(|v| owner[v.index()] != owner[u.index()]);
+            for v in cut.clone() {
+                records[owner[u.index()]][owner[v.index()]] += 1;
+            }
+            boundary_senders += usize::from(cut.count() > 0);
+        }
+        let bits: usize = records
+            .iter()
+            .flatten()
+            .filter(|&&r| r > 0)
+            .map(|&r| 8 * (crate::wire::FRAME_HEADER_BYTES + 20 + 16 * r))
+            .sum();
+        assert!(bits > 0 && boundary_senders > 0, "the grid has cut arcs");
+
+        let flood = min_id_ran(
+            &g,
+            Leg {
+                mode: Auto,
+                threads: 1,
+                shards: 4,
+            },
+            FaultPlan::none(),
+            8,
+        );
+        let [one, four] = [1, 4].map(|threads| {
+            on_threads(threads, || {
+                let mut net = NetworkBuilder::new()
+                    .shards(4)
+                    .build(&g, |ctx| TwiceListedFlood { best: ctx.node().0 });
+                net.run(8);
+                net
+            })
+        });
+        assert_eq!(one.metrics().first_divergence(four.metrics()), None);
+        let first = one.metrics().rounds()[0];
+        assert_eq!(
+            (first.boundary_bits, first.boundary_nodes),
+            (bits, boundary_senders)
+        );
+        for (a, b) in flood.metrics().rounds().iter().zip(one.metrics().rounds()) {
+            assert_eq!(
+                (a.boundary_bits, a.boundary_nodes),
+                (b.boundary_bits, b.boundary_nodes),
+                "round {}",
+                a.round
+            );
+        }
+        for v in g.nodes() {
+            assert_eq!(one.program(v).best, 0);
+            assert_eq!(four.program(v).best, 0);
+        }
+    }
+
+    /// At `MAX_SHARDS` shards a round's boundary tasks still walk each
+    /// frontier sender once: the owner buckets partition the round's
+    /// frontier, each ascending and owned by its shard, so no task scans
+    /// the whole frontier.
+    #[test]
+    fn boundary_walk_takes_each_frontier_sender_once_at_max_shards() {
+        let g = grid_graph(8, 8);
+        let leg = Leg {
+            mode: Auto,
+            threads: 2,
+            shards: MAX_SHARDS,
+        };
+        let mut net = min_id_network(&g, leg);
+        let mut frontier: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let mut rounds = 0;
+        while !frontier.is_empty() {
+            let stats = leg.install(|| net.run_round());
+            rounds += 1;
+            assert!(stats.boundary_bits > 0, "round {}", stats.round);
+            let st = net.shard.as_ref().unwrap();
+            assert_eq!(st.sources.len(), MAX_SHARDS);
+            let mut walked = Vec::new();
+            for (src, source) in st.sources.iter().enumerate() {
+                assert!(source.senders.windows(2).all(|w| w[0] < w[1]));
+                assert!(source
+                    .senders
+                    .iter()
+                    .all(|&u| st.owner[u as usize] as usize == src));
+                walked.extend_from_slice(&source.senders);
+            }
+            walked.sort_unstable();
+            assert_eq!(walked, frontier, "round {}", stats.round);
+            frontier.clone_from(&net.frontier);
+        }
+        assert!(rounds > 10, "the flood crosses the grid");
     }
 
     #[test]

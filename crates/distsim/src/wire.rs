@@ -566,13 +566,24 @@ pub fn payload_len<M: Serialize + ?Sized>(msg: &M) -> usize {
 }
 
 /// Encodes a complete frame: `u32` little-endian payload length + payload.
+///
+/// The frame is one allocation of its exact size ([`payload_len`] first),
+/// never grown by reallocation: glibc reallocates a block inside the arena
+/// it came from, so on a worker thread a growing buffer can move into the
+/// main thread's arena and contend for its lock. With boundary frames
+/// encoded on two threads, a 1,024-shard run over a 100k-node Chung–Lu
+/// graph blocked on a lock about 110k times with a growing buffer and
+/// 13k–17k times with this one (3.3–3.8 s against 1.4–1.7 s; 2-vCPU VM).
 pub fn encode_frame<M: Serialize + ?Sized>(msg: &M) -> Vec<u8> {
-    let payload = encode_payload(msg);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let mut w = WireWriter::with_capacity(FRAME_HEADER_BYTES + payload_len(msg));
+    w.write_bytes(&[0; FRAME_HEADER_BYTES]);
+    // lint: allow(D04) — encode side: WireWriter appends to an in-memory Vec and never returns Err
+    msg.serialize(&mut w).expect("wire encoding is infallible");
+    let mut frame = w.into_bytes();
+    let payload = frame.len() - FRAME_HEADER_BYTES;
     // lint: allow(D04) — encode side: CONGEST payloads are O(log n) bits; a >4 GiB payload is a sender bug
-    let len = u32::try_from(payload.len()).expect("payload length exceeds u32 wire range");
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let len = u32::try_from(payload).expect("payload length exceeds u32 wire range");
+    frame[..FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
     frame
 }
 

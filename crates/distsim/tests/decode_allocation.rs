@@ -15,6 +15,8 @@
 //! * a warmed dense round on one thread under a plan with every byzantine
 //!   behaviour and quarantine. Its per-copy fault decisions may not
 //!   allocate, so the count stays the same whatever the copies number.
+//! * the encoding of a 1,000-record `BoundaryDelta` frame: one allocation of
+//!   the frame's exact size, never a buffer grown by reallocation.
 //!
 //! Only the measuring thread's allocations count, so the test harness's own
 //! threads do not disturb the figures.
@@ -228,6 +230,36 @@ fn every_byte_of_a_boundary_frame_decodes_or_is_rejected() {
     // The unmodified frame decodes and validates.
     let delta: BoundaryDelta<QuantizedValue> = decode_frame(frame, usize::MAX).unwrap();
     delta.validate(*src, *dst, 1, graph, &owner).unwrap();
+}
+
+/// `encode_frame` sizes a frame before it writes it, so even a large one is
+/// one allocation (a reallocation counts as another here) of exactly its
+/// length.
+#[test]
+fn a_frame_is_encoded_in_one_allocation_of_its_size() {
+    let records = (0..1000)
+        .map(|i| BoundaryRecord {
+            sender: i,
+            receiver: i + 1,
+            pos: i % 7,
+            msg: QuantizedValue {
+                value: f64::from(i),
+                bits: 32,
+            },
+        })
+        .collect();
+    let delta = BoundaryDelta {
+        src_shard: 0,
+        dst_shard: 1,
+        round: 3,
+        records,
+    };
+    let (frame, made) = measure(|| encode_frame(&delta));
+    assert_eq!((made.count, made.largest), (1, frame.len()));
+    assert_eq!(
+        decode_frame::<BoundaryDelta<QuantizedValue>>(&frame, usize::MAX),
+        Ok(delta)
+    );
 }
 
 /// Under a plan with every byzantine behaviour and quarantine, a warmed
