@@ -11,12 +11,11 @@
 //! weak densest-subset guarantee go through.
 
 use dkc_distsim::message::{MessageSize, Tamper};
-use dkc_distsim::wire::{WireCodec, WireError, WireReader};
+use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{
     Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
 use dkc_graph::{NodeId, WeightedGraph};
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 
 /// A leader key `(b_v, v)`, ordered by `b` descending with ties broken by the
 /// global node ordering (smaller id wins).
@@ -41,16 +40,12 @@ impl MessageSize for LeaderKey {
     }
 }
 
-impl Serialize for LeaderKey {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("LeaderKey", 2)?;
-        s.serialize_field("b", &self.b)?;
-        s.serialize_field("id", &self.id.0)?;
-        s.end()
-    }
-}
-
 impl WireCodec for LeaderKey {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.b.encode(s);
+        self.id.0.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let b = r.read_f64()?;
         let id = NodeId(r.read_u32()?);
@@ -78,31 +73,21 @@ impl MessageSize for BfsMessage {
     }
 }
 
-impl Serialize for BfsMessage {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+impl WireCodec for BfsMessage {
+    fn encode<S: WireSink>(&self, s: &mut S) {
         match self {
             BfsMessage::Leader(k) => {
-                let mut s = serializer.serialize_struct("BfsMessage", 2)?;
-                s.serialize_field("tag", &0u8)?;
-                s.serialize_field("key", k)?;
-                s.end()
+                0u8.encode(s);
+                k.encode(s);
             }
             BfsMessage::Request(k) => {
-                let mut s = serializer.serialize_struct("BfsMessage", 2)?;
-                s.serialize_field("tag", &1u8)?;
-                s.serialize_field("key", k)?;
-                s.end()
+                1u8.encode(s);
+                k.encode(s);
             }
-            BfsMessage::Ack => {
-                let mut s = serializer.serialize_struct("BfsMessage", 1)?;
-                s.serialize_field("tag", &2u8)?;
-                s.end()
-            }
+            BfsMessage::Ack => 2u8.encode(s),
         }
     }
-}
 
-impl WireCodec for BfsMessage {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.read_u8()? {
             0 => Ok(BfsMessage::Leader(LeaderKey::decode(r)?)),

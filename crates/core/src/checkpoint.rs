@@ -19,7 +19,6 @@ use dkc_distsim::wire::{WireCodec, WireReader, WireWriter};
 use dkc_distsim::{ExecutionMode, FaultPlan};
 use dkc_graph::partition::splitmix64 as splitmix;
 use dkc_graph::CsrGraph;
-use serde::ser::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Where and how often a run writes checkpoints.
@@ -91,25 +90,21 @@ pub struct RunPreamble {
 impl RunPreamble {
     /// Encodes the preamble section bytes.
     pub fn encode(&self) -> Vec<u8> {
-        fn put<T: Serialize>(w: &mut WireWriter, v: &T) {
-            // lint: allow(D04) — encode side: WireWriter appends to an in-memory Vec and never errors for these field types
-            v.serialize(&mut *w).expect("encode is infallible");
-        }
         let mut w = WireWriter::new();
-        put(&mut w, &self.nodes);
-        put(&mut w, &self.arcs);
-        put(&mut w, &self.fingerprint);
-        put(&mut w, &self.rounds_target);
+        self.nodes.encode(&mut w);
+        self.arcs.encode(&mut w);
+        self.fingerprint.encode(&mut w);
+        self.rounds_target.encode(&mut w);
         match self.threshold_set {
-            ThresholdSet::Reals => put(&mut w, &0u8),
+            ThresholdSet::Reals => 0u8.encode(&mut w),
             ThresholdSet::PowerGrid { lambda } => {
-                put(&mut w, &1u8);
-                put(&mut w, &lambda);
+                1u8.encode(&mut w);
+                lambda.encode(&mut w);
             }
         }
-        put(&mut w, &self.faults);
-        put(&mut w, &self.shards);
-        put(&mut w, &self.shard_seed);
+        self.faults.encode(&mut w);
+        self.shards.encode(&mut w);
+        self.shard_seed.encode(&mut w);
         w.into_bytes()
     }
 

@@ -35,13 +35,12 @@ use crate::checkpoint::{CheckpointConfig, RunPreamble, MAX_SHARDS};
 use crate::threshold::ThresholdSet;
 use crate::update::{suffix_scan, UpdateOrder};
 use dkc_distsim::message::QuantizedValue;
-use dkc_distsim::wire::{WireError, WireReader, WireWriter};
+use dkc_distsim::wire::{WireCodec, WireReader, WireWriter};
 use dkc_distsim::{
     CheckpointError, Delivery, ExecutionMode, FaultPlan, Network, NetworkBuilder, NodeContext,
     NodeProgram, Outgoing, RunMetrics, SnapshotState,
 };
 use dkc_graph::{CsrGraph, NodeId};
-use serde::ser::Serialize;
 use std::fmt;
 
 /// Structure-of-arrays storage for every node's elimination state, indexed
@@ -339,15 +338,13 @@ impl NodeProgram for CompactNode<'_> {
 /// workspace, and the message-bit/threshold parameters are rebuilt from the
 /// graph.
 impl SnapshotState for CompactNode<'_> {
-    fn save_state(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        let deg = self.values.len() as u32;
-        deg.serialize(&mut *w)?;
-        self.b.serialize(&mut *w)?;
-        self.last_update_round.serialize(&mut *w)?;
-        (self.cut() as u32).serialize(&mut *w)?;
+    fn save_state(&self, w: &mut WireWriter) {
+        (self.values.len() as u32).encode(w);
+        self.b.encode(w);
+        self.last_update_round.encode(w);
+        (self.cut() as u32).encode(w);
         w.write_f64s(self.values);
         w.write_u32s(self.order);
-        Ok(())
     }
 
     fn load_state(&mut self, r: &mut WireReader<'_>) -> Result<(), CheckpointError> {
@@ -687,6 +684,65 @@ mod tests {
     use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The checkpoint payload of one node.
+    fn snapshot(node: &CompactNode<'_>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        node.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A node's checkpoint payload (format v4) is `deg`, `b`,
+    /// `last_update_round` and the cut, then the `values` and `order` slabs,
+    /// and it restores the node it was taken from.
+    #[test]
+    fn snapshot_layout_is_pinned() {
+        let (mut b, mut last) = (2.5, 4u32);
+        let mut values = [3.0, 1.0, 2.5];
+        let mut order = [1u32, 2, 0];
+        let mut inv = [2u32, 0, 1];
+        // Position 1 left `N_v` at the last update (round 4): the cut is 1.
+        let mut in_stamp = [4u32, 3, 4];
+        let mut scratch = [0u32; 3];
+        let node = CompactNode {
+            b: &mut b,
+            last_update_round: &mut last,
+            values: &mut values,
+            order: &mut order,
+            inv: &mut inv,
+            in_stamp: &mut in_stamp,
+            scratch: &mut scratch,
+            threshold_set: ThresholdSet::Reals,
+            message_bits: 64,
+        };
+        let bytes = snapshot(&node);
+        let expected = [
+            &3u32.to_le_bytes()[..],
+            &2.5f64.to_le_bytes(),
+            &4u32.to_le_bytes(),
+            &1u32.to_le_bytes(),
+            &3.0f64.to_le_bytes(),
+            &1.0f64.to_le_bytes(),
+            &2.5f64.to_le_bytes(),
+            &1u32.to_le_bytes(),
+            &2u32.to_le_bytes(),
+            &0u32.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(bytes, expected);
+
+        let mut arena = CompactArena::new(&CsrGraph::from(&complete_graph(4)), ThresholdSet::Reals);
+        let mut programs = arena.programs();
+        let mut r = WireReader::new(&bytes);
+        programs[0].load_state(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        let back = &programs[0];
+        assert_eq!((*back.b, *back.last_update_round), (2.5, 4));
+        assert_eq!(&*back.values, &[3.0, 1.0, 2.5]);
+        assert_eq!((&*back.order, &*back.inv), (&[1, 2, 0][..], &[2, 0, 1][..]));
+        assert_eq!(&*back.in_stamp, &[4, 0, 4]);
+        assert_eq!(snapshot(back), expected);
+    }
 
     /// Runs `spec`, which writes no checkpoint and so cannot fail.
     fn run(g: &WeightedGraph, spec: RunSpec) -> CompactOutcome {

@@ -18,12 +18,11 @@ use crate::bfs::{run_bfs_construction, BfsForest};
 use crate::compact::{run_compact_elimination, RunSpec};
 use crate::tree_elim::{run_tree_elimination, TreeElimOutcome};
 use dkc_distsim::message::{MessageSize, Tamper};
-use dkc_distsim::wire::{WireCodec, WireError, WireReader};
+use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{
     Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
 use dkc_graph::{NodeId, WeightedGraph};
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 
 /// Messages of the aggregation phase.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,38 +42,27 @@ impl MessageSize for AggMessage {
     }
 }
 
-impl Serialize for AggMessage {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+impl WireCodec for AggMessage {
+    fn encode<S: WireSink>(&self, s: &mut S) {
         match self {
             AggMessage::Up(num, deg) => {
                 // The two arrays are indexed by the same rounds, so the wire
                 // form shares one length prefix instead of framing each
                 // array separately.
                 debug_assert_eq!(num.len(), deg.len(), "Up arrays must be aligned");
-                let len = u32::try_from(num.len()).expect("Up array too long for wire format");
-                let mut s = serializer.serialize_struct("AggMessage", 2 + 2 * num.len())?;
-                s.serialize_field("tag", &0u8)?;
-                s.serialize_field("len", &len)?;
-                for x in num {
-                    s.serialize_field("num", x)?;
-                }
-                for x in deg {
-                    s.serialize_field("deg", x)?;
-                }
-                s.end()
+                0u8.encode(s);
+                s.put_len(num.len());
+                num.iter().for_each(|x| x.encode(s));
+                deg.iter().for_each(|x| x.encode(s));
             }
             AggMessage::Down(t, density) => {
-                let mut s = serializer.serialize_struct("AggMessage", 3)?;
-                s.serialize_field("tag", &1u8)?;
-                s.serialize_field("t", t)?;
-                s.serialize_field("density", density)?;
-                s.end()
+                1u8.encode(s);
+                t.encode(s);
+                density.encode(s);
             }
         }
     }
-}
 
-impl WireCodec for AggMessage {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.read_u8()? {
             0 => {

@@ -13,10 +13,9 @@ use crate::bfs::BfsForest;
 use crate::densest::AggregationOutcome;
 use crate::tree_elim::TreeElimOutcome;
 use dkc_distsim::message::{MessageSize, Tamper};
-use dkc_distsim::wire::{WireCodec, WireError, WireReader};
+use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing};
 use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 
 /// Messages of the pipelined aggregation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,29 +35,23 @@ impl MessageSize for PipelinedMessage {
     }
 }
 
-impl Serialize for PipelinedMessage {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+impl WireCodec for PipelinedMessage {
+    fn encode<S: WireSink>(&self, s: &mut S) {
         match self {
             PipelinedMessage::UpEntry(t, num, deg) => {
-                let mut s = serializer.serialize_struct("PipelinedMessage", 4)?;
-                s.serialize_field("tag", &0u8)?;
-                s.serialize_field("t", t)?;
-                s.serialize_field("num", num)?;
-                s.serialize_field("deg", deg)?;
-                s.end()
+                0u8.encode(s);
+                t.encode(s);
+                num.encode(s);
+                deg.encode(s);
             }
             PipelinedMessage::Down(t, density) => {
-                let mut s = serializer.serialize_struct("PipelinedMessage", 3)?;
-                s.serialize_field("tag", &1u8)?;
-                s.serialize_field("t", t)?;
-                s.serialize_field("density", density)?;
-                s.end()
+                1u8.encode(s);
+                t.encode(s);
+                density.encode(s);
             }
         }
     }
-}
 
-impl WireCodec for PipelinedMessage {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.read_u8()? {
             0 => Ok(PipelinedMessage::UpEntry(

@@ -18,12 +18,11 @@
 
 use crate::bfs::BfsForest;
 use dkc_distsim::message::{MessageSize, Tamper};
-use dkc_distsim::wire::{WireCodec, WireError, WireReader};
+use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{
     Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
 use dkc_graph::{NodeId, WeightedGraph};
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 
 /// Message of the per-tree elimination: the sender's leader id (the sender is
 /// implicitly "still active", otherwise it would be silent).
@@ -39,15 +38,11 @@ impl MessageSize for ActiveMsg {
     }
 }
 
-impl Serialize for ActiveMsg {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("ActiveMsg", 1)?;
-        s.serialize_field("leader", &self.leader.0)?;
-        s.end()
-    }
-}
-
 impl WireCodec for ActiveMsg {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.leader.0.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(ActiveMsg {
             leader: NodeId(r.read_u32()?),

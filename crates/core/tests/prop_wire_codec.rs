@@ -1,6 +1,7 @@
 //! Property tests for the wire codec over every protocol message type:
-//! encode → decode is the identity, the measured frame length is what the
-//! accounting charges, corrupted frames (truncated at every byte boundary,
+//! each encodes to the bytes its layout pins (written out field by field
+//! here, independently of the encoders), encode → decode is the identity,
+//! the measured frame length is what the accounting charges, corrupted frames (truncated at every byte boundary,
 //! over the payload cap, carrying trailing garbage, or with an unknown enum
 //! tag) are rejected with an error, and every byte of a frame flipped three
 //! ways or stamped with `u32::MAX` decodes or is rejected — never a panic,
@@ -12,17 +13,19 @@
 //! figures.
 
 use dkc_core::bfs::{BfsMessage, LeaderKey};
+use dkc_core::checkpoint::RunPreamble;
 use dkc_core::densest::AggMessage;
 use dkc_core::pipelined::PipelinedMessage;
 use dkc_core::tree_elim::ActiveMsg;
+use dkc_core::ThresholdSet;
 use dkc_distsim::message::{MessageSize, QuantizedValue};
 use dkc_distsim::wire::{
     decode_frame, encode_frame, frame_bits, payload_len, WireCodec, FRAME_HEADER_BYTES,
     WIRE_SLACK_BITS,
 };
+use dkc_distsim::{BoundaryDelta, BoundaryRecord, CrashModel, FaultPlan, LossModel};
 use dkc_graph::NodeId;
 use proptest::prelude::*;
-use serde::ser::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
@@ -75,17 +78,35 @@ fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (out, largest)
 }
 
-/// Exercises the full contract for one message value.
-fn check_codec<M>(msg: &M)
-where
-    M: Serialize + WireCodec + MessageSize + PartialEq + Debug,
-{
-    let frame = encode_frame(msg);
-    assert_eq!(frame.len(), FRAME_HEADER_BYTES + payload_len(msg));
+/// The little-endian bytes of each value in turn.
+macro_rules! le {
+    ($($x:expr),* $(,)?) => {{
+        let mut out = Vec::<u8>::new();
+        $(out.extend_from_slice(&$x.to_le_bytes());)*
+        out
+    }};
+}
 
-    // Round trip is the identity.
+/// `value`'s frame is the `u32` length of `payload` followed by `payload`,
+/// [`payload_len`] counts exactly those bytes, and the frame decodes back to
+/// `value`.
+fn check_bytes<M: WireCodec + PartialEq + Debug>(value: &M, payload: &[u8]) {
+    let frame = encode_frame(value);
+    assert_eq!(&frame[..FRAME_HEADER_BYTES], le!(payload.len() as u32));
+    assert_eq!(&frame[FRAME_HEADER_BYTES..], payload, "{value:?}");
+    assert_eq!(payload_len(value), payload.len());
     let back: M = decode_frame(&frame, MAX_PAYLOAD).expect("well-formed frame must decode");
-    assert_eq!(&back, msg);
+    assert_eq!(&back, value);
+}
+
+/// Exercises the full contract for one message value, whose payload must be
+/// exactly `payload`.
+fn check_codec<M>(msg: &M, payload: &[u8])
+where
+    M: WireCodec + MessageSize + PartialEq + Debug,
+{
+    check_bytes(msg, payload);
+    let frame = encode_frame(msg);
 
     // The measured wire size never exceeds the MessageSize estimate plus the
     // fixed framing slack — the (debug-asserted) accounting invariant.
@@ -154,7 +175,7 @@ fn check_mutations<M: WireCodec>(frame: &[u8]) {
 /// Flips the first payload byte (the enum tag) to an invalid value.
 fn check_bad_tag<M>(msg: &M)
 where
-    M: Serialize + WireCodec + MessageSize + PartialEq + Debug,
+    M: WireCodec + MessageSize + PartialEq + Debug,
 {
     let mut frame = encode_frame(msg);
     frame[FRAME_HEADER_BYTES] = 0xFF;
@@ -180,13 +201,15 @@ proptest! {
         variant in 0usize..3,
     ) {
         let key = LeaderKey { b: finite(b_raw), id: NodeId(id) };
-        check_codec(&key);
-        let msg = match variant {
-            0 => BfsMessage::Leader(key),
-            1 => BfsMessage::Request(key),
-            _ => BfsMessage::Ack,
+        let key_bytes = le!(finite(b_raw), id);
+        check_codec(&key, &key_bytes);
+        let (msg, tag) = match variant {
+            0 => (BfsMessage::Leader(key), 0u8),
+            1 => (BfsMessage::Request(key), 1),
+            _ => (BfsMessage::Ack, 2),
         };
-        check_codec(&msg);
+        let key_bytes = if tag == 2 { vec![] } else { key_bytes };
+        check_codec(&msg, &[&[tag][..], &key_bytes].concat());
         check_bad_tag(&msg);
     }
 
@@ -204,7 +227,7 @@ proptest! {
 
     #[test]
     fn active_msg_round_trips(leader in 0u32..1_000_000) {
-        check_codec(&ActiveMsg { leader: NodeId(leader) });
+        check_codec(&ActiveMsg { leader: NodeId(leader) }, &le!(leader));
     }
 
     #[test]
@@ -217,11 +240,15 @@ proptest! {
     ) {
         let num: Vec<u32> = (0..len).map(|i| num_seed.wrapping_mul(i as u32 + 1)).collect();
         let deg: Vec<f64> = (0..len).map(|i| finite(deg_seed + i as u64)).collect();
+        // The tag, one shared length, then the two arrays.
+        let mut up_bytes = le!(0u8, len as u32);
+        num.iter().for_each(|x| up_bytes.extend(le!(x)));
+        deg.iter().for_each(|x| up_bytes.extend(le!(x)));
         let up = AggMessage::Up(num, deg);
-        check_codec(&up);
+        check_codec(&up, &up_bytes);
         check_bad_tag(&up);
         let down = AggMessage::Down(down_t, finite(down_raw));
-        check_codec(&down);
+        check_codec(&down, &le!(1u8, down_t, finite(down_raw)));
         check_bad_tag(&down);
     }
 
@@ -232,11 +259,11 @@ proptest! {
         raw in 0u64..1_000_000,
         variant in 0usize..2,
     ) {
-        let msg = match variant {
-            0 => PipelinedMessage::UpEntry(t, num, finite(raw)),
-            _ => PipelinedMessage::Down(t, finite(raw)),
+        let (msg, bytes) = match variant {
+            0 => (PipelinedMessage::UpEntry(t, num, finite(raw)), le!(0u8, t, num, finite(raw))),
+            _ => (PipelinedMessage::Down(t, finite(raw)), le!(1u8, t, finite(raw))),
         };
-        check_codec(&msg);
+        check_codec(&msg, &bytes);
         check_bad_tag(&msg);
     }
 }
@@ -252,4 +279,89 @@ fn agg_up_with_hostile_interior_length_is_rejected() {
     let len_at = FRAME_HEADER_BYTES + 1;
     frame[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(decode_frame::<AggMessage>(&frame, MAX_PAYLOAD).is_err());
+}
+
+/// One row per message type and enum variant: each encodes to the bytes its
+/// layout pins.
+#[test]
+fn every_message_type_encodes_to_its_pinned_bytes() {
+    let q = |value, bits| QuantizedValue { value, bits };
+    check_codec(&q(0.75, 64), &le!(64u8, 0.75f64));
+    let key = LeaderKey {
+        b: 2.5,
+        id: NodeId(7),
+    };
+    check_codec(&key, &le!(2.5f64, 7u32));
+    check_codec(&BfsMessage::Leader(key), &le!(0u8, 2.5f64, 7u32));
+    check_codec(&BfsMessage::Request(key), &le!(1u8, 2.5f64, 7u32));
+    check_codec(&BfsMessage::Ack, &[2]);
+    check_codec(
+        &AggMessage::Up(vec![1, 2], vec![0.5, 1.5]),
+        &le!(0u8, 2u32, 1u32, 2u32, 0.5f64, 1.5f64),
+    );
+    check_codec(&AggMessage::Down(3, 0.25), &le!(1u8, 3u32, 0.25f64));
+    check_codec(&ActiveMsg { leader: NodeId(11) }, &le!(11u32));
+    check_codec(
+        &PipelinedMessage::UpEntry(4, 5, 6.5),
+        &le!(0u8, 4u32, 5u32, 6.5f64),
+    );
+    check_codec(&PipelinedMessage::Down(4, 0.125), &le!(1u8, 4u32, 0.125f64));
+    let record = |sender, receiver, pos, msg| BoundaryRecord {
+        sender,
+        receiver,
+        pos,
+        msg,
+    };
+    let delta = BoundaryDelta {
+        src_shard: 1,
+        dst_shard: 2,
+        round: 3,
+        records: vec![record(4, 5, 0, q(1.5, 6)), record(7, 8, 2, q(2.0, 6))],
+    };
+    // Shards, round, record count, then each record's sender, receiver and
+    // position ahead of its message.
+    let records = [
+        le!(4u32, 5u32, 0u32, 6u8, 1.5f64),
+        le!(7u32, 8u32, 2u32, 6u8, 2.0f64),
+    ];
+    check_bytes(
+        &delta,
+        &[le!(1u32, 2u32, 3u64, 2u32), records.concat()].concat(),
+    );
+}
+
+/// The checkpoint preamble under each threshold set: graph identity, round
+/// target, the threshold-set tag (and λ), the fault plan, then the shards.
+#[test]
+fn run_preambles_encode_to_their_pinned_bytes() {
+    let reals = RunPreamble {
+        nodes: 5,
+        arcs: 12,
+        fingerprint: 0x0123_4567_89AB_CDEF,
+        rounds_target: 10,
+        threshold_set: ThresholdSet::Reals,
+        faults: FaultPlan::none(),
+        shards: 0,
+        shard_seed: 0,
+    };
+    let head = le!(5u64, 12u64, 0x0123_4567_89AB_CDEFu64, 10u64);
+    let reals_bytes = [&head[..], &[0], &[0; 5], &le!(0u64, 0u64)].concat();
+    let grid = RunPreamble {
+        threshold_set: ThresholdSet::power_grid(0.5),
+        faults: FaultPlan::from_loss(LossModel::new(0.05, 9))
+            .with_crash(CrashModel::new(0.1, 2, 9, 4)),
+        shards: 2,
+        shard_seed: 3,
+        ..reals
+    };
+    let faults = [
+        le!(1u8, 0.05f64, 9u64, 0u8),
+        le!(1u8, 0.1f64, 2u64, 9u64, 4u64, 0u8, 0u8),
+    ]
+    .concat();
+    let grid_bytes = [&head[..], &le!(1u8, 0.5f64), &faults, &le!(2u64, 3u64)].concat();
+    for (preamble, bytes) in [(reals, reals_bytes), (grid, grid_bytes)] {
+        assert_eq!(preamble.encode(), bytes);
+        assert_eq!(RunPreamble::decode(&bytes).unwrap(), preamble);
+    }
 }

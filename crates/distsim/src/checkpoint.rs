@@ -61,10 +61,9 @@ use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::faults::{BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, PartitionModel};
-use crate::metrics::{RoundStats, COUNTERS};
+use crate::metrics::RoundStats;
 use crate::network::MAX_ROUNDS;
-use crate::wire::{WireCodec, WireError, WireReader, WireWriter};
-use serde::ser::{Serialize, SerializeStruct, Serializer};
+use crate::wire::{WireCodec, WireError, WireReader, WireSink, WireWriter};
 
 /// Magic bytes identifying a checkpoint file (sibling of the graph loader's
 /// `b"DKCB"`).
@@ -138,15 +137,17 @@ impl From<WireError> for CheckpointError {
 
 /// Per-node protocol state that can round-trip through a checkpoint.
 ///
-/// `save_state` writes the node's live state with the wire-format encoding
-/// rules; `load_state` reads the same bytes back into a freshly constructed
-/// program (the embedder rebuilds the arena/topology first, then restores
-/// values into it). Implementations must write and read *exactly* the same
-/// byte count — the container detects any disagreement as trailing bytes or
-/// truncation across the whole state section.
+/// `save_state` writes the node's live state into the checkpoint buffer,
+/// through its fields' [`WireCodec::encode`] and the writer's slab writes;
+/// like every encoder it cannot fail. `load_state` reads the same bytes back
+/// into a freshly constructed program (the embedder rebuilds the
+/// arena/topology first, then restores values into it). Implementations
+/// must write and read *exactly* the same byte count — the container
+/// detects any disagreement as trailing bytes or truncation across the
+/// whole state section.
 pub trait SnapshotState {
     /// Appends this node's state to the checkpoint payload.
-    fn save_state(&self, w: &mut WireWriter) -> Result<(), WireError>;
+    fn save_state(&self, w: &mut WireWriter);
     /// Restores this node's state from the checkpoint payload.
     fn load_state(&mut self, r: &mut WireReader<'_>) -> Result<(), CheckpointError>;
 }
@@ -238,11 +239,11 @@ fn write_image<W: Write + Seek>(
     let (len_at, state_len) = {
         let mut s = StateWriter::new(out);
         let w = s.wire();
-        w.write_bytes(&CHECKPOINT_MAGIC);
-        w.write_bytes(&CHECKPOINT_VERSION.to_le_bytes());
-        w.write_bytes(&(preamble.len() as u64).to_le_bytes());
-        w.write_bytes(preamble);
-        w.write_bytes(&0u64.to_le_bytes());
+        w.put(&CHECKPOINT_MAGIC);
+        CHECKPOINT_VERSION.encode(w);
+        (preamble.len() as u64).encode(w);
+        w.put(preamble);
+        0u64.encode(w);
         let state_from = s.position();
         state(&mut s)?;
         let state_len = s.position() - state_from;
@@ -390,20 +391,16 @@ pub fn state_is_sparse(state: &[u8]) -> Result<bool, CheckpointError> {
 //
 // The fault components are pure functions of their parameters (splitmix64
 // hashing of round/link/node — there are no RNG cursors to persist), so
-// serializing the parameters plus the round counter captures the *entire*
+// encoding the parameters plus the round counter captures the *entire*
 // fault state of a run. Restore validates the stored plan against the plan
 // installed in the rebuilt network, catching resumes under the wrong flags.
 
-impl Serialize for LossModel {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("LossModel", 2)?;
-        s.serialize_field("probability", &self.probability)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.end()
-    }
-}
-
 impl WireCodec for LossModel {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.probability.encode(s);
+        self.seed.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(LossModel {
             probability: r.read_f64()?,
@@ -412,17 +409,13 @@ impl WireCodec for LossModel {
     }
 }
 
-impl Serialize for BurstLoss {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("BurstLoss", 3)?;
-        s.serialize_field("period", &self.period)?;
-        s.serialize_field("burst_len", &self.burst_len)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.end()
-    }
-}
-
 impl WireCodec for BurstLoss {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.period.encode(s);
+        self.burst_len.encode(s);
+        self.seed.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(BurstLoss {
             period: usize::decode(r)?,
@@ -432,18 +425,14 @@ impl WireCodec for BurstLoss {
     }
 }
 
-impl Serialize for CrashModel {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("CrashModel", 4)?;
-        s.serialize_field("probability", &self.probability)?;
-        s.serialize_field("first_round", &self.first_round)?;
-        s.serialize_field("last_round", &self.last_round)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.end()
-    }
-}
-
 impl WireCodec for CrashModel {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.probability.encode(s);
+        self.first_round.encode(s);
+        self.last_round.encode(s);
+        self.seed.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(CrashModel {
             probability: r.read_f64()?,
@@ -454,18 +443,14 @@ impl WireCodec for CrashModel {
     }
 }
 
-impl Serialize for PartitionModel {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("PartitionModel", 4)?;
-        s.serialize_field("fraction", &self.fraction)?;
-        s.serialize_field("first_round", &self.first_round)?;
-        s.serialize_field("last_round", &self.last_round)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.end()
-    }
-}
-
 impl WireCodec for PartitionModel {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.fraction.encode(s);
+        self.first_round.encode(s);
+        self.last_round.encode(s);
+        self.seed.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(PartitionModel {
             fraction: r.read_f64()?,
@@ -476,21 +461,17 @@ impl WireCodec for PartitionModel {
     }
 }
 
-impl Serialize for ByzantineModel {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("ByzantineModel", 7)?;
-        s.serialize_field("fraction", &self.fraction)?;
-        s.serialize_field("behaviors", &self.behaviors)?;
-        s.serialize_field("first_round", &self.first_round)?;
-        s.serialize_field("last_round", &self.last_round)?;
-        s.serialize_field("detect", &self.detect)?;
-        s.serialize_field("quarantine", &self.quarantine)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.end()
-    }
-}
-
 impl WireCodec for ByzantineModel {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.fraction.encode(s);
+        self.behaviors.encode(s);
+        self.first_round.encode(s);
+        self.last_round.encode(s);
+        self.detect.encode(s);
+        self.quarantine.encode(s);
+        self.seed.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(ByzantineModel {
             fraction: r.read_f64()?,
@@ -504,19 +485,15 @@ impl WireCodec for ByzantineModel {
     }
 }
 
-impl Serialize for FaultPlan {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("FaultPlan", 5)?;
-        s.serialize_field("loss", &self.loss)?;
-        s.serialize_field("burst", &self.burst)?;
-        s.serialize_field("crash", &self.crash)?;
-        s.serialize_field("partition", &self.partition)?;
-        s.serialize_field("byzantine", &self.byzantine)?;
-        s.end()
-    }
-}
-
 impl WireCodec for FaultPlan {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.loss.encode(s);
+        self.burst.encode(s);
+        self.crash.encode(s);
+        self.partition.encode(s);
+        self.byzantine.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(FaultPlan {
             loss: Option::decode(r)?,
@@ -574,17 +551,13 @@ pub fn validate_plan(plan: &FaultPlan) -> Result<(), CheckpointError> {
 
 /// `RoundStats` in checkpoints: every counter of the table as a
 /// little-endian u64, in [`crate::metrics::COUNTERS`] order.
-impl Serialize for RoundStats {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("RoundStats", COUNTERS.len())?;
-        for (c, v) in COUNTERS.iter().zip(self.values()) {
-            s.serialize_field(c.name, &v)?;
-        }
-        s.end()
-    }
-}
-
 impl WireCodec for RoundStats {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        for v in self.values() {
+            v.encode(s);
+        }
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut stats = RoundStats::default();
         for v in stats.values_mut() {
@@ -598,11 +571,14 @@ impl WireCodec for RoundStats {
 mod tests {
     use super::*;
     use crate::faults::Behavior;
-    use crate::wire::encode_payload;
+    use crate::wire::{encode_payload, le_bytes, payload_len};
 
-    fn round_trip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T) {
-        let bytes = encode_payload(value);
-        let mut r = WireReader::new(&bytes);
+    /// `value` encodes to exactly `bytes`, [`payload_len`] counts them, and
+    /// they decode back to `value`, every byte consumed.
+    fn round_trip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T, bytes: &[u8]) {
+        assert_eq!(encode_payload(value), bytes);
+        assert_eq!(payload_len(value), bytes.len());
+        let mut r = WireReader::new(bytes);
         let back = T::decode(&mut r).expect("decode");
         assert_eq!(r.remaining(), 0, "decode must consume every byte");
         assert_eq!(&back, value);
@@ -610,16 +586,39 @@ mod tests {
 
     #[test]
     fn fault_models_round_trip() {
-        round_trip(&LossModel::new(0.25, 77));
-        round_trip(&BurstLoss::new(6, 2, 0xB0));
-        round_trip(&CrashModel::new(0.1, 2, 9, 0xC0));
-        round_trip(&PartitionModel::new(0.3, 4, 8, 0xD0));
+        let loss = le_bytes!(0.25f64, 77u64);
+        round_trip(&LossModel::new(0.25, 77), &loss);
+        let burst = le_bytes!(6u64, 2u64, 0xB0u64);
+        round_trip(&BurstLoss::new(6, 2, 0xB0), &burst);
+        let crash = le_bytes!(0.1f64, 2u64, 9u64, 0xC0u64);
+        round_trip(&CrashModel::new(0.1, 2, 9, 0xC0), &crash);
+        let partition = le_bytes!(0.3f64, 4u64, 8u64, 0xD0u64);
+        round_trip(&PartitionModel::new(0.3, 4, 8, 0xD0), &partition);
+        // fraction, behaviors, window, detect, quarantine, seed.
+        let byzantine = le_bytes!(0.2f64, 0b1111u8, 2u64, 11u64, 0.75f64, 3u32, 0xE0u64);
         round_trip(
             &ByzantineModel::new(0.2, ByzantineModel::ALL_BEHAVIORS, 2, 11, 0xE0)
                 .with_detect(0.75)
                 .with_quarantine(3),
+            &byzantine,
         );
-        round_trip(&FaultPlan::none());
+        // One `Option` flag per part: loss, burst, crash, partition,
+        // byzantine.
+        round_trip(&FaultPlan::none(), &[0; 5]);
+        let every_part = [
+            &[1][..],
+            &le_bytes!(0.5f64, 7u64),
+            &[1],
+            &le_bytes!(4u64, 1u64, 8u64),
+            &[1],
+            &le_bytes!(0.2f64, 2u64, 9u64, 3u64),
+            &[1],
+            &le_bytes!(0.3f64, 4u64, 7u64, 4u64),
+            &[1],
+            // Lie | Spam, and the default detect probability.
+            &le_bytes!(0.15f64, 0b1001u8, 3u64, 8u64, 0.5f64, 2u32, 5u64),
+        ]
+        .concat();
         round_trip(
             &FaultPlan::from_loss(LossModel::new(0.5, 7))
                 .with_burst(BurstLoss::new(4, 1, 8))
@@ -629,12 +628,13 @@ mod tests {
                     ByzantineModel::new(0.15, Behavior::Lie.bit() | Behavior::Spam.bit(), 3, 8, 5)
                         .with_quarantine(2),
                 ),
+            &every_part,
         );
     }
 
     #[test]
     fn round_stats_round_trip() {
-        round_trip(&RoundStats {
+        let stats = RoundStats {
             round: 3,
             messages: 14,
             payload_bits: 896,
@@ -652,8 +652,13 @@ mod tests {
             quarantined_nodes: 2,
             boundary_bits: 544,
             boundary_nodes: 3,
-        });
-        round_trip(&RoundStats::default());
+        };
+        let counters = [
+            3u64, 14, 896, 1024, 128, 5, 4, 6, 1, 2, 3, 4, 1, 5, 2, 544, 3,
+        ];
+        let bytes: Vec<u8> = counters.into_iter().flat_map(u64::to_le_bytes).collect();
+        round_trip(&stats, &bytes);
+        round_trip(&RoundStats::default(), &[0; 17 * 8]);
     }
 
     /// The checkpoint layout of `RoundStats` is pinned: 17 little-endian
@@ -681,10 +686,7 @@ mod tests {
             boundary_nodes: 17,
         };
         let golden: Vec<u8> = (1u64..=17).flat_map(u64::to_le_bytes).collect();
-        assert_eq!(encode_payload(&stats), golden);
-        let mut r = WireReader::new(&golden);
-        assert_eq!(RoundStats::decode(&mut r).unwrap(), stats);
-        assert_eq!(r.remaining(), 0);
+        round_trip(&stats, &golden);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!
 //! * Send-side fault decisions and accounting reuse the `produce_outgoing`
 //!   every executor runs, so every send counter agrees by construction (the
-//!   measured `wire_bits` uses the counting serializer, whose output length
-//!   equals the encoder's).
+//!   measured `wire_bits` runs the frame's own encoder into a byte count,
+//!   [`crate::wire::payload_len`]).
 //! * A sender's copies are the ones [`RoundCopies::for_each`] walks, with
 //!   the positions, tamper salts and spam factors [`RoundCopies`] gives every
 //!   executor. A message is encoded once and its frame shared by its copies;

@@ -104,10 +104,9 @@ use crate::message::{MessageSize, Tamper};
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::program::{Delivery, NodeContext, NodeProgram, Outgoing};
 use crate::shard::{BoundaryDelta, BoundaryRecord};
-use crate::wire::{WireCodec, WireReader};
+use crate::wire::{encode_seq, WireCodec, WireReader};
 use dkc_graph::{CsrGraph, NodeId, Partitioner, WeightedGraph};
 use rayon::prelude::*;
-use serde::ser::Serialize;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -1620,7 +1619,7 @@ impl<P: NodeProgram> Network<P> {
 /// for the container format). Available for programs that implement
 /// [`SnapshotState`].
 impl<P: NodeProgram + SnapshotState> Network<P> {
-    /// Serializes the complete resumable state of this network — round
+    /// Encodes the complete resumable state of this network — round
     /// counter, sparse frontier, metrics, decode-fault attribution, the
     /// installed fault plan (its splitmix64 decisions are pure functions of
     /// the parameters and round, so parameters + round counter *are* the
@@ -1635,18 +1634,18 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     /// buffered bytes on after every node that fills the buffer.
     fn write_state(&self, s: &mut StateWriter<'_>) -> Result<(), CheckpointError> {
         let w = s.wire();
-        (self.programs.len() as u64).serialize(&mut *w)?;
-        (self.graph.num_arcs() as u64).serialize(&mut *w)?;
-        self.faults.unwrap_or_default().serialize(&mut *w)?;
-        self.frontier_rounds().serialize(&mut *w)?;
-        (self.round as u64).serialize(&mut *w)?;
-        self.frontier.serialize(&mut *w)?;
-        self.decode_faults.serialize(&mut *w)?;
-        (self.metrics.elapsed().as_nanos() as u64).serialize(&mut *w)?;
-        self.metrics.rounds().serialize(&mut *w)?;
+        (self.programs.len() as u64).encode(w);
+        (self.graph.num_arcs() as u64).encode(w);
+        self.faults.unwrap_or_default().encode(w);
+        self.frontier_rounds().encode(w);
+        (self.round as u64).encode(w);
+        self.frontier.encode(w);
+        self.decode_faults.encode(w);
+        (self.metrics.elapsed().as_nanos() as u64).encode(w);
+        encode_seq(self.metrics.rounds(), w);
         for program in &self.programs {
             s.flush_if_full()?;
-            program.save_state(s.wire())?;
+            program.save_state(s.wire());
         }
         Ok(())
     }
@@ -3227,13 +3226,11 @@ mod tests {
     #[derive(Clone)]
     struct Garbled(u32);
 
-    impl Serialize for Garbled {
-        fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            self.0.serialize(s)
-        }
-    }
-
     impl WireCodec for Garbled {
+        fn encode<S: crate::wire::WireSink>(&self, s: &mut S) {
+            self.0.encode(s);
+        }
+
         fn decode(_: &mut WireReader<'_>) -> Result<Self, crate::wire::WireError> {
             Err(crate::wire::WireError::BadTag {
                 ty: "Garbled",
@@ -3271,8 +3268,8 @@ mod tests {
     }
 
     impl SnapshotState for GarbledFlood {
-        fn save_state(&self, w: &mut WireWriter) -> Result<(), crate::wire::WireError> {
-            self.0.save_state(w)
+        fn save_state(&self, w: &mut WireWriter) {
+            self.0.save_state(w);
         }
 
         fn load_state(&mut self, r: &mut WireReader<'_>) -> Result<(), CheckpointError> {
@@ -3319,8 +3316,8 @@ mod tests {
     // -----------------------------------------------------------------------
 
     impl SnapshotState for MinIdFlood {
-        fn save_state(&self, w: &mut WireWriter) -> Result<(), crate::wire::WireError> {
-            self.best.serialize(w)
+        fn save_state(&self, w: &mut WireWriter) {
+            self.best.encode(w);
         }
 
         fn load_state(&mut self, r: &mut WireReader<'_>) -> Result<(), CheckpointError> {

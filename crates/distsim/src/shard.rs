@@ -18,12 +18,11 @@
 //! never a panic. This is the same tofn-style defensive-decode discipline the
 //! mailbox executor applies to node frames.
 
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 use std::fmt;
 
 use dkc_graph::{CsrGraph, NodeId};
 
-use crate::wire::{WireCodec, WireError, WireReader};
+use crate::wire::{WireCodec, WireError, WireReader, WireSink};
 
 /// One cross-shard delivery: the sending boundary node, the receiving node on
 /// the destination shard, the receiver-local adjacency position of the arc the
@@ -41,18 +40,14 @@ pub struct BoundaryRecord<M> {
     pub msg: M,
 }
 
-impl<M: Serialize> Serialize for BoundaryRecord<M> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("BoundaryRecord", 4)?;
-        s.serialize_field("sender", &self.sender)?;
-        s.serialize_field("receiver", &self.receiver)?;
-        s.serialize_field("pos", &self.pos)?;
-        s.serialize_field("msg", &self.msg)?;
-        s.end()
-    }
-}
-
 impl<M: WireCodec> WireCodec for BoundaryRecord<M> {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.sender.encode(s);
+        self.receiver.encode(s);
+        self.pos.encode(s);
+        self.msg.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let sender = r.read_u32()?;
         let receiver = r.read_u32()?;
@@ -82,18 +77,14 @@ pub struct BoundaryDelta<M> {
     pub records: Vec<BoundaryRecord<M>>,
 }
 
-impl<M: Serialize> Serialize for BoundaryDelta<M> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("BoundaryDelta", 4)?;
-        s.serialize_field("src_shard", &self.src_shard)?;
-        s.serialize_field("dst_shard", &self.dst_shard)?;
-        s.serialize_field("round", &self.round)?;
-        s.serialize_field("records", &self.records)?;
-        s.end()
-    }
-}
-
 impl<M: WireCodec> WireCodec for BoundaryDelta<M> {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        self.src_shard.encode(s);
+        self.dst_shard.encode(s);
+        self.round.encode(s);
+        self.records.encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let src_shard = r.read_u32()?;
         let dst_shard = r.read_u32()?;

@@ -2,33 +2,32 @@
 //!
 //! Where [`crate::message::MessageSize`] *estimates* the CONGEST cost of a
 //! message in bits, this module *measures* it: every message type encodes to
-//! a deterministic, untagged, little-endian byte payload via the (vendored)
-//! serde [`Serialize`] trait, and frames on the wire carry a `u32` length
-//! prefix ahead of that payload. The mailbox executor exchanges exactly
-//! these frames between shard threads; the lockstep executors run the same
-//! encoder through a counting serializer so `wire_bits` is byte-identical in
-//! every execution mode.
+//! a deterministic, untagged, little-endian byte payload through its
+//! [`WireCodec::encode`], and frames on the wire carry a `u32` length prefix
+//! ahead of that payload. The mailbox executor exchanges exactly these
+//! frames between shard threads; the lockstep executors run the same
+//! encoders into a byte count ([`payload_len`]) so `wire_bits` is
+//! byte-identical in every execution mode.
 //!
-//! Encoding rules (fixed, no self-description):
+//! Each type's layout is its `encode`, written beside the `decode` that
+//! reads the same bytes back. The layouts follow fixed rules, with no
+//! self-description:
 //! - integers and floats: fixed width, little-endian (`u8` = 1 byte, `u32` =
 //!   4 bytes, `u64`/`usize` = 8 bytes, `f64` = 8 bytes, ...)
 //! - `bool`: 1 byte, `0` or `1` (anything else is rejected on decode)
 //! - `()`: zero bytes
 //! - `Option<T>`: 1 flag byte (`0`/`1`) then the payload if present
-//! - sequences (`Vec<T>`, slices): `u32` element count then the elements
+//! - sequences (`Vec<T>`): `u32` element count then the elements
 //! - slabs ([`WireWriter::write_f64s`], [`WireWriter::write_u32s`]): the
 //!   elements back to back with no count; the reader knows the length (a
 //!   checkpointed node's slabs are as long as its degree)
 //! - structs: fields in declaration order, no names or framing
-//! - enums: a `u8` discriminant written as the first struct field (by each
-//!   type's hand-written impl), then the variant's fields
-//! - `&str`/`String`: `u32` byte length then the UTF-8 bytes
+//! - enums: a `u8` discriminant, then the variant's fields
 //!
 //! Decoding is strict in the tofn style: a frame that is truncated, longer
 //! than the configured cap, carries trailing garbage, or contains an invalid
 //! byte is a [`WireError`] attributed to the sending peer — never a panic.
 
-use serde::ser::{Serialize, SerializeSeq, SerializeStruct, Serializer};
 use std::fmt;
 use std::io::Write;
 
@@ -80,18 +79,37 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A message that can round-trip through the wire format: serde-encodable
-/// and hand-decodable from the byte layout documented at module level.
-pub trait WireCodec: Serialize + Sized {
+/// A message that can round-trip through the wire format. `encode` writes
+/// the byte layout (see the module rules) that `decode` reads back, and the
+/// pair is the only statement of that layout: framing, sizing and
+/// checkpointing all run `encode`.
+pub trait WireCodec: Sized {
+    /// Writes this value's bytes to `s`. Encoding cannot fail.
+    fn encode<S: WireSink>(&self, s: &mut S);
     /// Decodes one value from the reader, consuming exactly its bytes.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 }
 
 // ---------------------------------------------------------------------------
-// Encoding: a byte-buffer serializer and its size-counting twin.
+// Encoding: a byte buffer, or a count of the bytes.
 // ---------------------------------------------------------------------------
 
-/// Serializer producing the wire payload bytes.
+/// Where [`WireCodec::encode`] puts its bytes: a [`WireWriter`] keeps them,
+/// while the count behind [`payload_len`] only adds up their lengths.
+pub trait WireSink {
+    /// Appends raw bytes, with no length prefix.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends a `u32` sequence length, the count [`WireReader::read_len`]
+    /// reads back.
+    fn put_len(&mut self, len: usize) {
+        // lint: allow(D04) — encode side: a >u32::MAX-element message is a sender bug caught before bytes hit the wire
+        let len = u32::try_from(len).expect("sequence length exceeds u32 wire range");
+        self.put(&len.to_le_bytes());
+    }
+}
+
+/// The wire payload bytes written so far.
 #[derive(Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -122,13 +140,8 @@ impl WireWriter {
         self.buf.len()
     }
 
-    /// Appends raw bytes, with no length prefix.
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a slab of little-endian `f64`s: the bytes serde writes value
-    /// by value, in one pass and with no length prefix.
+    /// Appends a slab of little-endian `f64`s: the bytes each value's
+    /// `encode` writes, in one pass and with no length prefix.
     pub fn write_f64s(&mut self, xs: &[f64]) {
         put_slab(&mut self.buf, xs, f64::to_le_bytes);
     }
@@ -147,6 +160,17 @@ impl WireWriter {
     }
 }
 
+// Inlined into the encoders of other crates, so that each fixed-width field
+// is a store of known length rather than a call and a copy of unknown
+// length: without it, encoding a 5,000-record boundary frame took about
+// 165 µs instead of 40 µs (2-vCPU VM).
+impl WireSink for WireWriter {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+}
+
 fn put_slab<T: Copy, const N: usize>(buf: &mut Vec<u8>, xs: &[T], le: fn(T) -> [u8; N]) {
     let start = buf.len();
     buf.resize(start + N * xs.len(), 0);
@@ -155,282 +179,13 @@ fn put_slab<T: Copy, const N: usize>(buf: &mut Vec<u8>, xs: &[T], le: fn(T) -> [
     }
 }
 
-fn seq_count(len: Option<usize>) -> u32 {
-    // lint: allow(D04) — encode side: all in-tree Serialize impls pass Some(len); a None is a local bug, not hostile input
-    let n = len.expect("wire format requires sized sequences");
-    // lint: allow(D04) — encode side: a >u32::MAX-element message is a sender bug caught before bytes hit the wire
-    u32::try_from(n).expect("sequence length exceeds u32 wire range")
-}
+/// The sink of [`payload_len`]: how many bytes an encoding takes.
+struct ByteCount(usize);
 
-impl<'a> Serializer for &'a mut WireWriter {
-    type Ok = ();
-    // Encoding into memory cannot fail; the error type exists only to share
-    // the `Result` shape with decoding.
-    type Error = WireError;
-    type SerializeSeq = &'a mut WireWriter;
-    type SerializeStruct = &'a mut WireWriter;
-
-    fn serialize_bool(self, v: bool) -> Result<(), WireError> {
-        self.buf.push(v as u8);
-        Ok(())
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), WireError> {
-        // lint: allow(D04) — encode side: sender-controlled string length, not hostile decode input
-        let len = u32::try_from(v.len()).expect("string length exceeds u32 wire range");
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), WireError> {
-        self.buf.push(0);
-        Ok(())
-    }
-
-    fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), WireError> {
-        self.buf.push(1);
-        value.serialize(&mut *self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq, WireError> {
-        self.buf.extend_from_slice(&seq_count(len).to_le_bytes());
-        Ok(self)
-    }
-
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStruct, WireError> {
-        Ok(self)
-    }
-
-    fn serialize_i8(self, v: i8) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_i16(self, v: i16) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_i32(self, v: i32) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u8(self, v: u8) -> Result<(), WireError> {
-        self.buf.push(v);
-        Ok(())
-    }
-
-    fn serialize_u16(self, v: u16) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u32(self, v: u32) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_f32(self, v: f32) -> Result<(), WireError> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_unit(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl SerializeSeq for &mut WireWriter {
-    type Ok = ();
-    type Error = WireError;
-
-    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), WireError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl SerializeStruct for &mut WireWriter {
-    type Ok = ();
-    type Error = WireError;
-
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), WireError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-/// Counting twin of [`WireWriter`]: computes the encoded payload size
-/// without materialising bytes, so lockstep executors can charge measured
-/// `wire_bits` with no allocation per message.
-#[derive(Default)]
-pub struct WireSizer {
-    bytes: usize,
-}
-
-impl WireSizer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl<'a> Serializer for &'a mut WireSizer {
-    type Ok = ();
-    type Error = WireError;
-    type SerializeSeq = &'a mut WireSizer;
-    type SerializeStruct = &'a mut WireSizer;
-
-    fn serialize_bool(self, _v: bool) -> Result<(), WireError> {
-        self.bytes += 1;
-        Ok(())
-    }
-
-    fn serialize_i64(self, _v: i64) -> Result<(), WireError> {
-        self.bytes += 8;
-        Ok(())
-    }
-
-    fn serialize_u64(self, _v: u64) -> Result<(), WireError> {
-        self.bytes += 8;
-        Ok(())
-    }
-
-    fn serialize_f64(self, _v: f64) -> Result<(), WireError> {
-        self.bytes += 8;
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), WireError> {
-        self.bytes += 4 + v.len();
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), WireError> {
-        self.bytes += 1;
-        Ok(())
-    }
-
-    fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), WireError> {
-        self.bytes += 1;
-        value.serialize(&mut *self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq, WireError> {
-        let _ = seq_count(len);
-        self.bytes += 4;
-        Ok(self)
-    }
-
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStruct, WireError> {
-        Ok(self)
-    }
-
-    fn serialize_i8(self, _v: i8) -> Result<(), WireError> {
-        self.bytes += 1;
-        Ok(())
-    }
-
-    fn serialize_i16(self, _v: i16) -> Result<(), WireError> {
-        self.bytes += 2;
-        Ok(())
-    }
-
-    fn serialize_i32(self, _v: i32) -> Result<(), WireError> {
-        self.bytes += 4;
-        Ok(())
-    }
-
-    fn serialize_u8(self, _v: u8) -> Result<(), WireError> {
-        self.bytes += 1;
-        Ok(())
-    }
-
-    fn serialize_u16(self, _v: u16) -> Result<(), WireError> {
-        self.bytes += 2;
-        Ok(())
-    }
-
-    fn serialize_u32(self, _v: u32) -> Result<(), WireError> {
-        self.bytes += 4;
-        Ok(())
-    }
-
-    fn serialize_f32(self, _v: f32) -> Result<(), WireError> {
-        self.bytes += 4;
-        Ok(())
-    }
-
-    fn serialize_unit(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl SerializeSeq for &mut WireSizer {
-    type Ok = ();
-    type Error = WireError;
-
-    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), WireError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl SerializeStruct for &mut WireSizer {
-    type Ok = ();
-    type Error = WireError;
-
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), WireError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
+impl WireSink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 
@@ -444,7 +199,8 @@ pub struct WireReader<'a> {
     pos: usize,
 }
 
-macro_rules! reader_int {
+/// Fixed-width little-endian readers, one per number type the layouts use.
+macro_rules! reader_le {
     ($($name:ident => $t:ty),* $(,)?) => {$(
         pub fn $name(&mut self) -> Result<$t, WireError> {
             const N: usize = std::mem::size_of::<$t>();
@@ -474,25 +230,12 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    reader_int! {
+    reader_le! {
         read_u8 => u8,
-        read_u16 => u16,
         read_u32 => u32,
         read_u64 => u64,
-        read_i8 => i8,
-        read_i16 => i16,
-        read_i32 => i32,
-        read_i64 => i64,
-    }
-
-    pub fn read_f32(&mut self) -> Result<f32, WireError> {
-        // lint: allow(D04) — take(4) either errs or returns exactly 4 bytes, so try_into cannot fail
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("len")))
-    }
-
-    pub fn read_f64(&mut self) -> Result<f64, WireError> {
-        // lint: allow(D04) — take(8) either errs or returns exactly 8 bytes, so try_into cannot fail
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len")))
+        read_f32 => f32,
+        read_f64 => f64,
     }
 
     pub fn read_bool(&mut self) -> Result<bool, WireError> {
@@ -550,41 +293,39 @@ impl<'a> WireReader<'a> {
 // ---------------------------------------------------------------------------
 
 /// Encodes a message's payload bytes (no length prefix).
-pub fn encode_payload<M: Serialize + ?Sized>(msg: &M) -> Vec<u8> {
+pub fn encode_payload<M: WireCodec>(msg: &M) -> Vec<u8> {
     let mut w = WireWriter::new();
-    // lint: allow(D04) — encode side: WireWriter appends to an in-memory Vec and never returns Err
-    msg.serialize(&mut w).expect("wire encoding is infallible");
+    msg.encode(&mut w);
     w.into_bytes()
 }
 
-/// Measures a message's encoded payload size in bytes without encoding.
-pub fn payload_len<M: Serialize + ?Sized>(msg: &M) -> usize {
-    let mut s = WireSizer::new();
-    // lint: allow(D04) — encode side: WireSizer only counts bytes and never returns Err
-    msg.serialize(&mut s).expect("wire sizing is infallible");
-    s.bytes()
+/// Measures a message's encoded payload size in bytes: its encoder runs into
+/// a byte count, so nothing is allocated.
+pub fn payload_len<M: WireCodec>(msg: &M) -> usize {
+    let mut count = ByteCount(0);
+    msg.encode(&mut count);
+    count.0
 }
 
 /// Encodes a complete frame: `u32` little-endian payload length + payload.
 ///
-/// The frame is one allocation of its exact size ([`payload_len`] first),
-/// never grown by reallocation: glibc reallocates a block inside the arena
-/// it came from, so on a worker thread a growing buffer can move into the
-/// main thread's arena and contend for its lock. With boundary frames
+/// The message's encoder runs twice: into a byte count ([`payload_len`]),
+/// which gives the length header, then into the frame. So the frame is one
+/// allocation of its exact size, never grown by reallocation: glibc
+/// reallocates a block inside the arena it came from, so on a worker thread
+/// a growing buffer can move into the main thread's arena and contend for
+/// its lock. With boundary frames
 /// encoded on two threads, a 1,024-shard run over a 100k-node Chung–Lu
 /// graph blocked on a lock about 110k times with a growing buffer and
 /// 13k–17k times with this one (3.3–3.8 s against 1.4–1.7 s; 2-vCPU VM).
-pub fn encode_frame<M: Serialize + ?Sized>(msg: &M) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(FRAME_HEADER_BYTES + payload_len(msg));
-    w.write_bytes(&[0; FRAME_HEADER_BYTES]);
-    // lint: allow(D04) — encode side: WireWriter appends to an in-memory Vec and never returns Err
-    msg.serialize(&mut w).expect("wire encoding is infallible");
-    let mut frame = w.into_bytes();
-    let payload = frame.len() - FRAME_HEADER_BYTES;
+pub fn encode_frame<M: WireCodec>(msg: &M) -> Vec<u8> {
+    let payload = payload_len(msg);
     // lint: allow(D04) — encode side: CONGEST payloads are O(log n) bits; a >4 GiB payload is a sender bug
     let len = u32::try_from(payload).expect("payload length exceeds u32 wire range");
-    frame[..FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
-    frame
+    let mut w = WireWriter::with_capacity(FRAME_HEADER_BYTES + payload);
+    len.encode(&mut w);
+    msg.encode(&mut w);
+    w.into_bytes()
 }
 
 /// Decodes one complete frame, enforcing the payload-length cap and exact
@@ -631,7 +372,7 @@ pub fn frame_bits(payload_len: usize) -> usize {
 /// undercount its measured encoding beyond [`WIRE_SLACK_BITS`] of framing
 /// slack. Release builds compile this away.
 #[inline]
-pub fn debug_assert_estimate_covers<M: Serialize + MessageSize>(msg: &M) {
+pub fn debug_assert_estimate_covers<M: WireCodec + MessageSize>(msg: &M) {
     if cfg!(debug_assertions) {
         let measured = 8 * payload_len(msg);
         let allowed = msg.size_bits().next_multiple_of(8) + WIRE_SLACK_BITS;
@@ -643,53 +384,82 @@ pub fn debug_assert_estimate_covers<M: Serialize + MessageSize>(msg: &M) {
     }
 }
 
+/// Encodes a sequence as `Vec<T>` does: the `u32` element count, then each
+/// element.
+pub(crate) fn encode_seq<T: WireCodec, S: WireSink>(xs: &[T], s: &mut S) {
+    s.put_len(xs.len());
+    for x in xs {
+        x.encode(s);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Codec impls for primitive message types.
 // ---------------------------------------------------------------------------
 
-impl WireCodec for bool {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.read_bool()
-    }
+/// Fixed-width numbers: their little-endian bytes, read back by `$read`.
+macro_rules! le_codec {
+    ($($t:ty => $read:ident),* $(,)?) => {$(
+        impl WireCodec for $t {
+            fn encode<S: WireSink>(&self, s: &mut S) {
+                s.put(&self.to_le_bytes());
+            }
+
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$read()
+            }
+        }
+    )*};
 }
 
-impl WireCodec for u32 {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.read_u32()
-    }
+le_codec! {
+    u8 => read_u8,
+    u32 => read_u32,
+    u64 => read_u64,
+    f32 => read_f32,
+    f64 => read_f64,
 }
 
-impl WireCodec for u64 {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.read_u64()
-    }
-}
-
+/// A `usize` travels as a `u64`, whatever the platform's width.
 impl WireCodec for usize {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        (*self as u64).encode(s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(r.read_u64()? as usize)
     }
 }
 
-impl WireCodec for f32 {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.read_f32()
+impl WireCodec for bool {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        u8::from(*self).encode(s);
     }
-}
 
-impl WireCodec for f64 {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.read_f64()
+        r.read_bool()
     }
 }
 
 impl WireCodec for () {
+    fn encode<S: WireSink>(&self, _s: &mut S) {}
+
     fn decode(_r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(())
     }
 }
 
 impl<T: WireCodec> WireCodec for Option<T> {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        match self {
+            Some(v) => {
+                1u8.encode(s);
+                v.encode(s);
+            }
+            None => 0u8.encode(s),
+        }
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         if r.read_option_flag()? {
             Ok(Some(T::decode(r)?))
@@ -700,6 +470,10 @@ impl<T: WireCodec> WireCodec for Option<T> {
 }
 
 impl<T: WireCodec> WireCodec for Vec<T> {
+    fn encode<S: WireSink>(&self, s: &mut S) {
+        encode_seq(self, s);
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.read_len()?;
         // A hostile length cannot force a huge allocation: the reservation
@@ -717,18 +491,14 @@ impl<T: WireCodec> WireCodec for Vec<T> {
 // `bits` rides in one byte: it is `⌈log₂ |Λ|⌉`, far below 256 for any real
 // parameterisation, and a single byte keeps the measured encoding within
 // `WIRE_SLACK_BITS` of the analytical per-message charge.
-impl Serialize for QuantizedValue {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+impl WireCodec for QuantizedValue {
+    fn encode<S: WireSink>(&self, s: &mut S) {
         // lint: allow(D04) — encode side: bits = ⌈log₂ |Λ|⌉ < 256 by construction; decode reads the byte fallibly
         let bits = u8::try_from(self.bits).expect("QuantizedValue.bits exceeds wire range");
-        let mut s = serializer.serialize_struct("QuantizedValue", 2)?;
-        s.serialize_field("bits", &bits)?;
-        s.serialize_field("value", &self.value)?;
-        s.end()
+        bits.encode(s);
+        self.value.encode(s);
     }
-}
 
-impl WireCodec for QuantizedValue {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let bits = r.read_u8()? as usize;
         let value = r.read_f64()?;
@@ -736,28 +506,49 @@ impl WireCodec for QuantizedValue {
     }
 }
 
+/// The little-endian bytes of each value in turn. Tests write a pinned
+/// encoding out field by field with it, independently of the encoders.
+#[cfg(test)]
+macro_rules! le_bytes {
+    ($($x:expr),* $(,)?) => {{
+        let mut out = Vec::<u8>::new();
+        $(out.extend_from_slice(&$x.to_le_bytes());)*
+        out
+    }};
+}
+#[cfg(test)]
+pub(crate) use le_bytes;
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip<M: WireCodec + PartialEq + std::fmt::Debug>(msg: &M) {
+    /// `msg` encodes to exactly `payload`, [`payload_len`] counts its bytes,
+    /// and its frame (the `u32` length, then `payload`) decodes back to it.
+    fn round_trip<M: WireCodec + PartialEq + std::fmt::Debug>(msg: &M, payload: &[u8]) {
+        assert_eq!(encode_payload(msg), payload);
+        assert_eq!(payload_len(msg), payload.len());
         let frame = encode_frame(msg);
+        assert_eq!(
+            frame,
+            [&le_bytes!(payload.len() as u32)[..], payload].concat()
+        );
         let back: M = decode_frame(&frame, 1 << 20).expect("decode");
         assert_eq!(&back, msg);
-        assert_eq!(frame.len(), FRAME_HEADER_BYTES + payload_len(msg));
     }
 
     #[test]
     fn primitives_round_trip() {
-        round_trip(&0u32);
-        round_trip(&u32::MAX);
-        round_trip(&u64::MAX);
-        round_trip(&usize::MAX);
-        round_trip(&1.5f32);
-        round_trip(&-0.0f64);
-        round_trip(&true);
-        round_trip(&false);
-        round_trip(&());
+        round_trip(&0u32, &[0; 4]);
+        round_trip(&u32::MAX, &[0xFF; 4]);
+        round_trip(&u64::MAX, &[0xFF; 8]);
+        round_trip(&usize::MAX, &[0xFF; 8]);
+        round_trip(&0x0102_0304u32, &[4, 3, 2, 1]);
+        round_trip(&1.5f32, &le_bytes!(1.5f32));
+        round_trip(&-0.0f64, &le_bytes!(-0.0f64));
+        round_trip(&true, &[1]);
+        round_trip(&false, &[0]);
+        round_trip(&(), &[]);
     }
 
     #[test]
@@ -769,11 +560,14 @@ mod tests {
 
     #[test]
     fn options_and_vecs_round_trip() {
-        round_trip(&Some(7u32));
-        round_trip(&Option::<u32>::None);
-        round_trip(&vec![1u64, 2, 3]);
-        round_trip(&Vec::<f64>::new());
-        round_trip(&vec![Some(1u32), None, Some(3)]);
+        round_trip(&Some(7u32), &le_bytes!(1u8, 7u32));
+        round_trip(&Option::<u32>::None, &[0]);
+        round_trip(&vec![1u64, 2, 3], &le_bytes!(3u32, 1u64, 2u64, 3u64));
+        round_trip(&Vec::<f64>::new(), &le_bytes!(0u32));
+        round_trip(
+            &vec![Some(1u32), None, Some(3)],
+            &le_bytes!(3u32, 1u8, 1u32, 0u8, 1u8, 3u32),
+        );
     }
 
     #[test]
@@ -782,7 +576,7 @@ mod tests {
             value: 123.456,
             bits: 17,
         };
-        round_trip(&q);
+        round_trip(&q, &le_bytes!(17u8, 123.456f64));
         assert_eq!(8 * payload_len(&q), 72);
         debug_assert_estimate_covers(&q);
     }

@@ -1,6 +1,5 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node identifier: a dense index in `0..n`.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Stored as `u32` to keep hot per-node structures compact (see the type-size
 /// guidance in the Rust Performance Book); graphs with more than `u32::MAX`
 /// nodes are out of scope for a single-machine simulation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -1,7 +1,6 @@
 //! Mutable adjacency-list representation of an undirected, edge-weighted graph.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// An undirected, edge-weighted graph with non-negative `f64` weights and
@@ -16,7 +15,7 @@ use std::collections::HashSet;
 ///   adjacency entries; use [`crate::GraphBuilder`] to merge them by summing
 ///   weights (the paper's model treats parallel edges equivalently to a single
 ///   edge of the summed weight for all three problems).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WeightedGraph {
     adj: Vec<Vec<(NodeId, f64)>>,
     self_loops: Vec<f64>,
