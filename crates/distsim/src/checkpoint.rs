@@ -47,18 +47,35 @@
 //! [`CheckpointError`] — never a panic, and never a partially-applied
 //! restore into a network that then runs.
 //!
-//! Writes **stream** and are **atomic**. [`crate::Network::write_checkpoint`]
-//! sends the image through one [`WRITE_BUFFER_BYTES`] buffer into a
-//! temporary sibling file, patches the state length in place, fsyncs the
-//! file, renames it over the target and fsyncs the directory. A process
-//! killed mid-write (the exact scenario checkpoints exist for) therefore
-//! never leaves a truncated file at the checkpoint path, and an OS crash
-//! after a reported write cannot undo the rename.
+//! Writes **stream**, are **atomic**, and are **pipelined** behind the
+//! rounds. [`crate::Network::run_with_checkpoints`] runs inside one pipeline
+//! of two threads:
+//! - The round thread only encodes. At a boundary it takes image k−1's
+//!   write result and waits until image k−2 has been renamed, which frees
+//!   its temp slot. Then it encodes image k into [`WRITE_BUFFER_BYTES`]
+//!   buffers, two of which circulate between it and the writer, and goes
+//!   back to the rounds.
+//! - The writer streams each image into one of two temp siblings
+//!   (`<path>.tmp` and `<path>.tmp1`, in turn) and patches the state length
+//!   in place.
+//! - The syncer, strictly in image order, fsyncs the file, renames it over
+//!   the target and fsyncs the directory.
+//!
+//! A process killed mid-run (the exact scenario checkpoints exist for)
+//! therefore leaves at the checkpoint path an image up to two boundaries
+//! old, or none, but never a truncated one, and an OS crash after a
+//! reported rename cannot undo it. The run returns once its last image is
+//! committed: `Ok` means that image is durable, and an error is the first
+//! in image order. [`crate::Network::write_checkpoint`] is the same
+//! pipeline for one image, and [`write_checkpoint_atomic`] commits an
+//! in-memory image the same way.
 
 use std::fmt;
 use std::fs;
-use std::io::{Cursor, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::thread;
 
 use crate::faults::{BurstLoss, ByzantineModel, CrashModel, FaultPlan, LossModel, PartitionModel};
 use crate::metrics::RoundStats;
@@ -73,10 +90,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DKCK";
 /// versions are rejected (see the version history in the module doc).
 pub const CHECKPOINT_VERSION: u32 = 4;
 
-/// Size of the one buffer a checkpoint write goes through: the state is
-/// encoded into it and handed to the file once it holds this many bytes,
-/// checked between nodes. The executor head (frontier, round history) or a
-/// single node payload larger than this grows the buffer to fit.
+/// Size of each buffer a checkpoint image is encoded into: the state is
+/// handed to the writer thread once a buffer holds this many bytes, checked
+/// between nodes. The executor head (frontier, round history) or a single
+/// node payload larger than this grows the buffer to fit.
 pub const WRITE_BUFFER_BYTES: usize = 1 << 20;
 
 /// Why a checkpoint could not be written, read, or applied.
@@ -160,109 +177,31 @@ fn io_error(what: &str, path: &Path, e: std::io::Error) -> CheckpointError {
     CheckpointError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// The state section of a checkpoint being written: a [`WireWriter`] buffer
-/// that the state's encoder fills and [`StateWriter::flush_if_full`] hands
-/// on to the output every [`WRITE_BUFFER_BYTES`].
-pub(crate) struct StateWriter<'a> {
-    wire: WireWriter,
-    out: &'a mut dyn Write,
-    flushed: u64,
-}
+/// Bytes of an image that are not section payload: magic, version and the
+/// two `u64` section lengths.
+const HEAD_BYTES: usize = 24;
 
-impl<'a> StateWriter<'a> {
-    fn new(out: &'a mut dyn Write) -> Self {
-        StateWriter {
-            wire: WireWriter::with_capacity(WRITE_BUFFER_BYTES),
-            out,
-            flushed: 0,
-        }
-    }
-
-    /// The buffer the next bytes go into.
-    pub fn wire(&mut self) -> &mut WireWriter {
-        &mut self.wire
-    }
-
-    /// Hands the buffered bytes to the output once they fill the buffer.
-    pub fn flush_if_full(&mut self) -> Result<(), CheckpointError> {
-        if self.wire.len() >= WRITE_BUFFER_BYTES {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Bytes written so far, buffered or not.
-    fn position(&self) -> u64 {
-        self.flushed + self.wire.len() as u64
-    }
-
-    fn flush(&mut self) -> Result<(), CheckpointError> {
-        self.flushed += self.wire.len() as u64;
-        self.wire.drain_into(self.out).map_err(write_error)
-    }
-
-    /// Appends bytes that are already encoded, past the buffer.
-    fn write_encoded(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.flush()?;
-        self.out.write_all(bytes).map_err(write_error)?;
-        self.flushed += bytes.len() as u64;
-        Ok(())
-    }
-}
-
-fn write_error(e: std::io::Error) -> CheckpointError {
-    CheckpointError::Io(format!("write checkpoint: {e}"))
-}
-
-/// Encodes an executor state section by running `state` over a buffer that
-/// keeps every byte: the in-memory form of what [`write_checkpoint`]
-/// streams.
-pub(crate) fn encode_state(
-    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
-) -> Result<Vec<u8>, CheckpointError> {
-    let mut out = Vec::new();
-    let mut s = StateWriter::new(&mut out);
-    state(&mut s)?;
-    s.flush()?;
-    Ok(out)
-}
-
-/// Streams one checkpoint image into `out`, which must be empty: magic,
-/// version, the preamble section, then the state section that `state`
-/// writes. The state length goes out as a placeholder and is patched once
-/// the section is complete, so `out` must seek.
-fn write_image<W: Write + Seek>(
-    out: &mut W,
-    preamble: &[u8],
-    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
-) -> Result<(), CheckpointError> {
-    let (len_at, state_len) = {
-        let mut s = StateWriter::new(out);
-        let w = s.wire();
-        w.put(&CHECKPOINT_MAGIC);
-        CHECKPOINT_VERSION.encode(w);
-        (preamble.len() as u64).encode(w);
-        w.put(preamble);
-        0u64.encode(w);
-        let state_from = s.position();
-        state(&mut s)?;
-        let state_len = s.position() - state_from;
-        s.flush()?;
-        (state_from - 8, state_len)
-    };
-    out.seek(SeekFrom::Start(len_at))
-        .and_then(|_| out.write_all(&state_len.to_le_bytes()))
-        .map_err(write_error)
+/// Writes an image's head: magic, version, the preamble section, then
+/// `state_len` as the state section's length, whose offset in the image it
+/// returns.
+fn put_head(w: &mut WireWriter, preamble: &[u8], state_len: u64) -> u64 {
+    w.put(&CHECKPOINT_MAGIC);
+    CHECKPOINT_VERSION.encode(w);
+    (preamble.len() as u64).encode(w);
+    w.put(preamble);
+    let len_at = w.len() as u64;
+    state_len.encode(w);
+    len_at
 }
 
 /// Assembles a complete checkpoint file image from the embedder preamble and
-/// an executor state payload, with the same encoder
-/// [`crate::Network::write_checkpoint`] streams through.
+/// an executor state payload, with the head
+/// [`crate::Network::write_checkpoint`] streams ahead of the state.
 pub fn encode_checkpoint(preamble: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut out = Cursor::new(Vec::with_capacity(24 + preamble.len() + state.len()));
-    // lint: allow(D04) — encode side: writes into an in-memory Vec cannot fail
-    write_image(&mut out, preamble, |s| s.write_encoded(state)).expect("in-memory write");
-    out.into_inner()
+    let mut w = WireWriter::with_capacity(HEAD_BYTES + preamble.len() + state.len());
+    put_head(&mut w, preamble, state.len() as u64);
+    w.put(state);
+    w.into_bytes()
 }
 
 fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CheckpointError> {
@@ -311,24 +250,82 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(&[u8], &[u8]), CheckpointError
     Ok((preamble, state))
 }
 
-/// Atomically replaces `path` with what `fill` writes: the bytes go to a
-/// `.tmp` sibling, which is fsynced and renamed over the target, and then
-/// the directory is fsynced so the rename is durable too. A SIGKILL
-/// mid-write leaves either the previous checkpoint or none — never a
-/// truncated one.
-fn write_atomic(
-    path: &Path,
-    fill: impl FnOnce(&mut fs::File) -> Result<(), CheckpointError>,
-) -> Result<(), CheckpointError> {
+// ---------------------------------------------------------------------------
+// Writes: the state encoder, the commit, and the pipeline.
+// ---------------------------------------------------------------------------
+
+/// The state section of a checkpoint being encoded: a [`WireWriter`]
+/// buffer that the state's encoder fills. In a [`Pipeline`],
+/// [`StateWriter::flush_if_full`] hands the buffer to the writer thread once
+/// it holds [`WRITE_BUFFER_BYTES`] and goes on in an empty one; in memory
+/// ([`encode_state`]) it keeps every byte.
+pub(crate) struct StateWriter<'a> {
+    wire: WireWriter,
+    /// The writer thread's feed, or `None` to keep every byte in `wire`.
+    feed: Option<&'a mut Feed>,
+    /// Bytes handed to the feed so far.
+    flushed: u64,
+}
+
+impl StateWriter<'_> {
+    /// The buffer the next bytes go into.
+    pub fn wire(&mut self) -> &mut WireWriter {
+        &mut self.wire
+    }
+
+    /// Hands the buffered bytes to the writer thread once they fill the
+    /// buffer.
+    pub fn flush_if_full(&mut self) -> Result<(), CheckpointError> {
+        if let Some(feed) = &mut self.feed {
+            if self.wire.len() >= WRITE_BUFFER_BYTES {
+                let full = self.wire.replace_buffer(feed.buffer()?);
+                self.flushed += full.len() as u64;
+                feed.send(Chunk::Bytes(full))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes written so far, buffered or not.
+    fn position(&self) -> u64 {
+        self.flushed + self.wire.len() as u64
+    }
+}
+
+/// Encodes an executor state section in memory: `state` runs over a buffer
+/// that keeps every byte, the bytes a [`Pipeline`] streams.
+pub(crate) fn encode_state(
+    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
+) -> Result<Vec<u8>, CheckpointError> {
+    let mut s = StateWriter {
+        wire: WireWriter::with_capacity(WRITE_BUFFER_BYTES),
+        feed: None,
+        flushed: 0,
+    };
+    state(&mut s)?;
+    Ok(s.wire.into_bytes())
+}
+
+/// The temp sibling an image is staged in before its rename: `<path>.tmp`
+/// for slot 0 and `<path>.tmp1` for slot 1.
+fn temp_slot(path: &Path, slot: usize) -> PathBuf {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_error("create", &tmp, e))?;
-        fill(&mut f)?;
-        f.sync_all().map_err(|e| io_error("sync", &tmp, e))?;
+    if slot > 0 {
+        tmp.push(slot.to_string());
     }
-    fs::rename(&tmp, path).map_err(|e| io_error("rename into", path, e))?;
+    PathBuf::from(tmp)
+}
+
+/// Makes the image staged in `tmp` the checkpoint at `path`: fsyncs the
+/// file, renames it over `path`, then fsyncs the directory so the rename is
+/// durable too. A SIGKILL before the rename leaves the previous checkpoint
+/// or none, never a truncated one. The pipeline's syncer and
+/// [`write_checkpoint_atomic`] both end here.
+fn commit(file: fs::File, tmp: &Path, path: &Path) -> Result<(), CheckpointError> {
+    file.sync_all().map_err(|e| io_error("sync", tmp, e))?;
+    drop(file);
+    fs::rename(tmp, path).map_err(|e| io_error("rename into", path, e))?;
     sync_parent_dir(path)
 }
 
@@ -348,23 +345,262 @@ fn sync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Atomically writes a checkpoint image that is already in memory: temp
-/// file, fsync, rename, directory fsync, as for a streamed image.
+/// Atomically writes a checkpoint image that is already in memory: into the
+/// `.tmp` sibling, then fsynced, renamed and its directory fsynced by the
+/// commit that ends every pipelined image.
 pub fn write_checkpoint_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    write_atomic(path, |f| {
-        f.write_all(bytes).map_err(|e| io_error("write", path, e))
+    let tmp = temp_slot(path, 0);
+    let mut file = fs::File::create(&tmp).map_err(|e| io_error("create", &tmp, e))?;
+    file.write_all(bytes)
+        .map_err(|e| io_error("write", &tmp, e))?;
+    commit(file, &tmp, path)
+}
+
+/// How many [`WRITE_BUFFER_BYTES`] buffers an image's encode circulates:
+/// the round thread fills one while the writer thread writes the other.
+const WRITE_BUFFERS: usize = 2;
+
+/// How many temp files images are staged in: image k goes to slot k mod 2,
+/// so the writer fills one while the syncer commits the image before.
+const TEMP_SLOTS: usize = 2;
+
+/// What the round thread sends the writer thread.
+enum Chunk {
+    /// The current image's next bytes.
+    Bytes(Vec<u8>),
+    /// The current image is complete; its state length goes at `len_at`.
+    End { len_at: u64, state_len: u64 },
+}
+
+/// The round thread's end of the writer thread: full buffers go out over a
+/// channel of [`WRITE_BUFFERS`], and written ones come back to be refilled.
+struct Feed {
+    chunks: SyncSender<Chunk>,
+    spent: Receiver<Vec<u8>>,
+    /// Buffers allocated so far.
+    buffers: usize,
+    /// The checkpoint path, for errors.
+    path: PathBuf,
+}
+
+impl Feed {
+    /// An empty buffer: a new one while fewer than [`WRITE_BUFFERS`] exist,
+    /// else the next one the writer has written out.
+    fn buffer(&mut self) -> Result<Vec<u8>, CheckpointError> {
+        if self.buffers < WRITE_BUFFERS {
+            self.buffers += 1;
+            return Ok(Vec::with_capacity(WRITE_BUFFER_BYTES));
+        }
+        self.spent.recv().map_err(|_| stopped(&self.path))
+    }
+
+    fn send(&self, chunk: Chunk) -> Result<(), CheckpointError> {
+        self.chunks.send(chunk).map_err(|_| stopped(&self.path))
+    }
+}
+
+/// The error for a pipeline thread that went away before the run ended.
+fn stopped(path: &Path) -> CheckpointError {
+    CheckpointError::Io(format!(
+        "write {}: the checkpoint writer stopped",
+        path.display()
+    ))
+}
+
+/// One result per image, from a pipeline thread.
+type Results = Receiver<Result<(), CheckpointError>>;
+
+/// The round thread's handle on a checkpoint pipeline (see
+/// [`with_pipeline`]).
+pub(crate) struct Pipeline<'p> {
+    preamble: &'p [u8],
+    feed: Feed,
+    /// Each image's write result, from the writer.
+    write_results: Results,
+    /// Each written image's commit result, in image order, from the syncer.
+    commit_results: Results,
+    /// Whether the last image sent to the writer has a write result to take.
+    writing: bool,
+    /// Images written without error, so handed to the syncer.
+    staged: usize,
+    /// Images whose commit result has been taken.
+    committed: usize,
+}
+
+impl Pipeline<'_> {
+    /// Writes the next image, whose state section `state` encodes. It takes
+    /// the previous image's write result, which also means the writer holds
+    /// none of its buffers, and waits until the image before that is
+    /// committed, which frees its temp slot for this one. Then it encodes
+    /// the image into the writer's buffers and returns, while the write, the
+    /// fsync and the rename go on. An error is the first in image order
+    /// among the earlier images.
+    pub fn write(
+        &mut self,
+        state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        self.settle(TEMP_SLOTS - 1)?;
+        let mut wire = WireWriter::from_buffer(self.feed.buffer()?);
+        let len_at = put_head(&mut wire, self.preamble, 0);
+        let mut s = StateWriter {
+            wire,
+            feed: Some(&mut self.feed),
+            flushed: 0,
+        };
+        let state_from = s.position();
+        state(&mut s)?;
+        let state_len = s.position() - state_from;
+        let last = s.wire.into_bytes();
+        self.feed.send(Chunk::Bytes(last))?;
+        self.feed.send(Chunk::End { len_at, state_len })?;
+        self.writing = true;
+        Ok(())
+    }
+
+    /// Takes the last image's write result if it is still to be taken, then
+    /// waits until at most `in_flight` written images await their commit.
+    /// Commit results come in image order and a failed write never reaches
+    /// the syncer, so every commit waited for is of an earlier image than a
+    /// failed write: the error returned is the first in image order.
+    fn settle(&mut self, in_flight: usize) -> Result<(), CheckpointError> {
+        let mut written = Ok(());
+        let mut keep = 0;
+        if std::mem::take(&mut self.writing) {
+            written = take_result(&self.write_results, &self.feed.path);
+            if written.is_ok() {
+                self.staged += 1;
+                keep = in_flight;
+            }
+        }
+        while self.committed + keep < self.staged {
+            self.committed += 1;
+            take_result(&self.commit_results, &self.feed.path)?;
+        }
+        written
+    }
+}
+
+fn take_result(results: &Results, path: &Path) -> Result<(), CheckpointError> {
+    results.recv().map_err(|_| stopped(path))?
+}
+
+/// Runs `run` with a checkpoint pipeline into `path` whose images carry
+/// `preamble`, and returns once every image it wrote is committed, so `Ok`
+/// means the last one is durable at `path`. The first error in image order
+/// wins, and no error leaves a thread behind.
+///
+/// The pipeline is two threads for the whole run. The writer streams each
+/// image's buffers into temp slot k mod 2, patches its state length and
+/// hands the file on; the syncer commits the images strictly in order
+/// (fsync, rename over `path`, directory fsync). The round thread only
+/// encodes (see [`Pipeline::write`]), so a kill leaves at `path` an image
+/// up to two boundaries old, or none, but never a truncated one.
+pub(crate) fn with_pipeline<R>(
+    path: &Path,
+    preamble: &[u8],
+    run: impl FnOnce(&mut Pipeline<'_>) -> Result<R, CheckpointError>,
+) -> Result<R, CheckpointError> {
+    thread::scope(|scope| {
+        let (chunks, chunks_rx) = mpsc::sync_channel(WRITE_BUFFERS);
+        let (spent_tx, spent) = mpsc::channel();
+        let (written_tx, write_results) = mpsc::channel();
+        let (staged_tx, staged) = mpsc::channel();
+        let (committed_tx, commit_results) = mpsc::channel();
+        spawn(scope, "dkc-checkpoint-writer", path, move || {
+            write_images(path, chunks_rx, spent_tx, written_tx, staged_tx)
+        })?;
+        spawn(scope, "dkc-checkpoint-syncer", path, move || {
+            for (tmp, file) in staged {
+                // Nothing waits for a result once the round thread stopped.
+                let _ = committed_tx.send(commit(file, &tmp, path));
+            }
+        })?;
+        let mut pipeline = Pipeline {
+            preamble,
+            feed: Feed {
+                chunks,
+                spent,
+                buffers: 0,
+                path: path.to_path_buf(),
+            },
+            write_results,
+            commit_results,
+            writing: false,
+            staged: 0,
+            committed: 0,
+        };
+        // The pipeline drops here, on success, error or panic alike: that
+        // closes the channels and ends both threads' loops, so the scope's
+        // join never waits on a thread that waits on this one.
+        run(&mut pipeline).and_then(|r| pipeline.settle(0).map(|()| r))
     })
 }
 
-/// Streams a checkpoint image straight into `path`, atomically: the
-/// preamble, then the state section that `state` writes through one
-/// [`WRITE_BUFFER_BYTES`] buffer.
-pub(crate) fn write_checkpoint(
+fn spawn<'scope>(
+    scope: &'scope thread::Scope<'scope, '_>,
+    name: &str,
     path: &Path,
-    preamble: &[u8],
-    state: impl FnOnce(&mut StateWriter<'_>) -> Result<(), CheckpointError>,
+    f: impl FnOnce() + Send + 'scope,
 ) -> Result<(), CheckpointError> {
-    write_atomic(path, |f| write_image(f, preamble, state))
+    thread::Builder::new()
+        .name(name.to_string())
+        .spawn_scoped(scope, f)
+        .map(drop)
+        .map_err(|e| io_error("start a thread to write", path, e))
+}
+
+/// An image's temp file while the writer fills it.
+type Slot = Result<(PathBuf, fs::File), CheckpointError>;
+
+/// The writer thread: streams each image's buffers into its temp slot,
+/// sending every buffer back once written, patches the state length, and
+/// hands the file to the syncer. A failed image is reported, never
+/// committed, and the next one starts afresh.
+fn write_images(
+    path: &Path,
+    chunks: Receiver<Chunk>,
+    spent: Sender<Vec<u8>>,
+    written: Sender<Result<(), CheckpointError>>,
+    staged: Sender<(PathBuf, fs::File)>,
+) {
+    let mut image = 0;
+    let mut slot: Option<Slot> = None;
+    for chunk in chunks {
+        let open = slot.take().unwrap_or_else(|| {
+            let tmp = temp_slot(path, image % TEMP_SLOTS);
+            match fs::File::create(&tmp) {
+                Ok(file) => Ok((tmp, file)),
+                Err(e) => Err(io_error("create", &tmp, e)),
+            }
+        });
+        match chunk {
+            Chunk::Bytes(mut bytes) => {
+                slot = Some(
+                    open.and_then(|(tmp, mut file)| match file.write_all(&bytes) {
+                        Ok(()) => Ok((tmp, file)),
+                        Err(e) => Err(io_error("write", &tmp, e)),
+                    }),
+                );
+                // A buffer that an outsized head or node grew goes back to
+                // the common size, so the pipeline keeps no more than
+                // `WRITE_BUFFERS` of them between images.
+                bytes.clear();
+                bytes.shrink_to(WRITE_BUFFER_BYTES);
+                // Nothing waits for the buffer once the round thread stopped.
+                let _ = spent.send(bytes);
+            }
+            Chunk::End { len_at, state_len } => {
+                let done = open.and_then(|(tmp, mut file)| {
+                    file.seek(SeekFrom::Start(len_at))
+                        .and_then(|_| file.write_all(&state_len.to_le_bytes()))
+                        .map_err(|e| io_error("write", &tmp, e))?;
+                    staged.send((tmp, file)).map_err(|_| stopped(path))
+                });
+                let _ = written.send(done);
+                image += 1;
+            }
+        }
+    }
 }
 
 /// Reads a checkpoint file image from disk.
@@ -721,31 +957,80 @@ mod tests {
         }
     }
 
-    /// A state larger than the write buffer streams to disk in several
-    /// flushes, with its length patched in afterwards: the file is the image
-    /// `encode_checkpoint` builds in memory.
-    #[test]
-    fn streamed_write_matches_the_in_memory_image() {
-        let dir = std::env::temp_dir().join(format!("dkc-ckpt-stream-{}", std::process::id()));
+    /// A scratch directory of this test process, empty.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dkc-ckpt-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.dkck");
-        let chunk: Vec<u32> = (0..100_000).collect();
-        let state = |s: &mut StateWriter<'_>| {
+        dir
+    }
+
+    /// Image `k`'s state: seven slabs of 100,000 `u32`s, 2.8 MB, so it
+    /// streams through several buffers.
+    fn slabs(k: u32) -> impl Fn(&mut StateWriter<'_>) -> Result<(), CheckpointError> {
+        let chunk: Vec<u32> = (0..100_000).map(|i| i ^ k).collect();
+        move |s: &mut StateWriter<'_>| {
             for _ in 0..7 {
                 s.flush_if_full()?;
                 s.wire().write_u32s(&chunk);
             }
             Ok(())
-        };
-        write_checkpoint(&path, b"preamble", state).unwrap();
-        let bytes = encode_state(state).unwrap();
-        assert!(bytes.len() > 2 * WRITE_BUFFER_BYTES);
-        let image = encode_checkpoint(b"preamble", &bytes);
-        assert_eq!(read_checkpoint_bytes(&path).unwrap(), image);
-        assert_eq!(
-            decode_checkpoint(&image).unwrap(),
-            (&b"preamble"[..], &bytes[..])
-        );
+        }
+    }
+
+    /// States larger than the write buffer stream through the pipeline, one
+    /// image after another, with their lengths patched in afterwards. Each
+    /// write returns only once the image two before it is committed, whose
+    /// temp slot it takes, so the file is then a whole image of one of the
+    /// last three. Once the pipeline returns it is the last,
+    /// `encode_checkpoint`'s image of it, with both temp slots gone.
+    #[test]
+    fn pipelined_images_match_the_in_memory_ones() {
+        let dir = scratch_dir("pipeline");
+        let path = dir.join("run.dkck");
+        let images: Vec<Vec<u8>> = (0..5)
+            .map(|k| encode_checkpoint(b"preamble", &encode_state(slabs(k)).unwrap()))
+            .collect();
+        assert!(images[0].len() > 2 * WRITE_BUFFER_BYTES);
+        with_pipeline(&path, b"preamble", |pipeline| {
+            for k in 0..images.len() {
+                pipeline.write(slabs(k as u32))?;
+                assert_eq!(pipeline.committed, k.saturating_sub(1), "image {k}");
+                if k >= 2 {
+                    let on_disk = read_checkpoint_bytes(&path)?;
+                    assert!(images[k - 2..=k].contains(&on_disk), "after image {k}");
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(read_checkpoint_bytes(&path).unwrap(), images[4]);
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(left, [path]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rename that fails (the path is a non-empty directory) fails the
+    /// first image's commit; that error is the one returned, and the
+    /// pipeline stops instead of waiting on images that never commit.
+    #[test]
+    fn the_first_failed_commit_is_returned() {
+        let dir = scratch_dir("commit");
+        let path = dir.join("run.dkck");
+        fs::create_dir_all(path.join("occupied")).unwrap();
+        for images in [1, 2, 5] {
+            let err = with_pipeline(&path, b"pre", |pipeline| {
+                (0..images).try_for_each(|k| pipeline.write(slabs(k)))
+            })
+            .unwrap_err();
+            let CheckpointError::Io(msg) = &err else {
+                panic!("{images} images: {err:?}");
+            };
+            assert!(msg.starts_with("rename into"), "{msg}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -901,9 +1186,7 @@ mod tests {
         write_checkpoint_atomic(&path, &second).unwrap();
         assert_eq!(read_checkpoint_bytes(&path).unwrap(), second);
         // No temp file is left behind.
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!std::path::Path::new(&tmp).exists());
+        assert!(!temp_slot(&path, 0).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

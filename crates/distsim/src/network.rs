@@ -465,7 +465,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
         return (Outgoing::Silent, SendAccount::default());
     }
     let ctx = NodeContext::new(graph, sender, round);
-    let out = program.broadcast(&ctx);
+    let mut out = program.broadcast(&ctx);
     let mut acct = SendAccount::default();
     // An active byzantine spammer transmits every outgoing frame `spam` times;
     // the duplicates share the original's drop decision, so both the
@@ -478,7 +478,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
     // scratch array written under the parallel map. Fault-free runs and
     // crash-only plans (`link_faults == None`) skip both.
     let link_faults = faults.filter(FaultPlan::affects_links);
-    match &out {
+    match &mut out {
         Outgoing::Silent => {}
         Outgoing::Broadcast(m) => {
             let degree = graph.unweighted_degree(sender);
@@ -508,19 +508,25 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
                 targets.iter().all(|&t| graph.has_neighbor(sender, t)),
                 "multicast target is not a neighbour of {sender}"
             );
-            let copies = match link_faults {
-                None => targets.len() * spam,
-                Some(f) => {
-                    let mut delivered = 0usize;
-                    for &t in targets {
-                        match f.drop_cause(round, sender, t, 0) {
-                            None => delivered += spam,
-                            Some(cause) => acct.record_drops(cause, spam),
-                        }
-                    }
-                    delivered
+            // Delivery puts one copy on each arc to each distinct target
+            // (see `RoundCopies::for_each`), so that is what is charged. The
+            // targets are sorted and deduplicated in place, which changes no
+            // delivery: a receiver's copies from one sender come in arc order
+            // whatever the order of the list.
+            targets.sort_unstable();
+            targets.dedup();
+            let mut copies = 0;
+            for &t in targets.iter() {
+                let arcs = if graph.has_parallel_arcs() {
+                    graph.neighbor_positions(sender, t).count()
+                } else {
+                    1
+                };
+                match link_faults.and_then(|f| f.drop_cause(round, sender, t, 0)) {
+                    None => copies += arcs * spam,
+                    Some(cause) => acct.record_drops(cause, arcs * spam),
                 }
-            };
+            }
             if copies > 0 {
                 let bits = m.size_bits();
                 acct.messages = copies;
@@ -1733,21 +1739,29 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     }
 
     /// Writes a complete checkpoint image for the current state to `path`,
-    /// with `preamble` as the embedder section. The state streams into the
-    /// file through one [`checkpoint::WRITE_BUFFER_BYTES`] buffer, and the
-    /// write is atomic: temp file + rename, so a kill mid-write can never
-    /// leave a truncated checkpoint.
+    /// with `preamble` as the embedder section, and returns once it is
+    /// durable: the pipeline of [`Network::run_with_checkpoints`], for one
+    /// image. The write is atomic (temp file, fsync, rename), so a kill
+    /// mid-write can never leave a truncated checkpoint.
     pub fn write_checkpoint(&self, path: &Path, preamble: &[u8]) -> Result<(), CheckpointError> {
-        checkpoint::write_checkpoint(path, preamble, |s| self.write_state(s))
+        checkpoint::with_pipeline(path, preamble, |images| {
+            images.write(|s| self.write_state(s))
+        })
     }
 
     /// Runs exactly `rounds` rounds like [`Network::run`], writing a
-    /// checkpoint to `path` (see [`Network::write_checkpoint`]) every `every`
-    /// rounds (0 counts as 1) — counted in *absolute* round numbers, so a
-    /// resumed run checkpoints at the same boundaries as an uninterrupted
-    /// one. `preamble` is the embedder-defined section stored ahead of the
-    /// executor state (run parameters, graph identity, ...; see
-    /// [`crate::checkpoint`]).
+    /// checkpoint to `path` every `every` rounds (0 counts as 1) — counted
+    /// in *absolute* round numbers, so a resumed run checkpoints at the same
+    /// boundaries as an uninterrupted one. `preamble` is the
+    /// embedder-defined section stored ahead of the executor state (run
+    /// parameters, graph identity, ...; see [`crate::checkpoint`]).
+    ///
+    /// The images are pipelined: this thread only encodes each one, while
+    /// two threads of the run write it to a temp file and commit it (fsync,
+    /// rename, directory fsync) during the next rounds. So a kill leaves at
+    /// `path` an image up to two boundaries old, or none, but never a
+    /// truncated one. `Ok` means the last image is durable; an error is the
+    /// first in image order.
     pub fn run_with_checkpoints(
         &mut self,
         rounds: usize,
@@ -1757,14 +1771,16 @@ impl<P: NodeProgram + SnapshotState> Network<P> {
     ) -> Result<(), CheckpointError> {
         let every = every.max(1);
         let target = self.round + rounds;
-        while self.round < target {
-            let stop = ((self.round / every + 1) * every).min(target);
-            self.run_rounds(stop - self.round, false);
-            if self.round.is_multiple_of(every) {
-                self.write_checkpoint(path, preamble)?;
+        checkpoint::with_pipeline(path, preamble, |images| {
+            while self.round < target {
+                let stop = ((self.round / every + 1) * every).min(target);
+                self.run_rounds(stop - self.round, false);
+                if self.round.is_multiple_of(every) {
+                    images.write(|s| self.write_state(s))?;
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -2205,9 +2221,9 @@ mod tests {
     #[test]
     fn multicast_delivery_covers_parallel_edges() {
         // Node 0 and node 1 are joined by two parallel edges; a multicast
-        // naming the neighbour once must be delivered once per parallel arc
-        // (the receiver scans its neighbour list), exactly like the old
-        // `targets.contains` path.
+        // naming the neighbour once must be delivered, and charged, once
+        // per parallel arc (the receiver scans its neighbour list), exactly
+        // like the old `targets.contains` path.
         let mut g = WeightedGraph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
@@ -2234,7 +2250,7 @@ mod tests {
                 .mode(mode)
                 .build(&g, |_| ZeroMulticasts { received: 0 });
             let stats = net.run_round();
-            assert_eq!(stats.messages, 1, "accounting counts target entries");
+            assert_eq!(stats.messages, 2, "one copy charged per parallel arc");
             assert_eq!(
                 net.program(NodeId(1)).received,
                 2,
@@ -2987,6 +3003,40 @@ mod tests {
                 self.best = self.best.min(d.msg);
             }
             self.best != before
+        }
+    }
+
+    /// A multicast is charged for the copies its delivery puts on the wire,
+    /// one per arc to each distinct target: [`TwiceListedFlood`], which lists
+    /// every neighbour twice, is charged what [`MinIdFlood`]'s broadcast is,
+    /// in every round and every leg, with and without lost copies. On the
+    /// 4×4 grid's 48 arcs, round 1 is 48 copies of a 4-byte frame header
+    /// and a 4-byte `u32`.
+    #[test]
+    fn multicasts_are_charged_one_copy_per_arc_to_each_distinct_target() {
+        let g = grid_graph(4, 4);
+        for plan in [FaultPlan::none(), checkpoint_plan()] {
+            for leg in ALL_LEGS {
+                let flood = min_id_ran(&g, leg, plan, 8);
+                let twice = leg.install(|| {
+                    let mut net = NetworkBuilder::new()
+                        .mode(leg.mode)
+                        .shards(leg.shards)
+                        .faults(plan)
+                        .build(&g, |ctx| TwiceListedFlood { best: ctx.node().0 });
+                    net.run(8);
+                    net
+                });
+                let first = twice.metrics().rounds()[0];
+                if plan == FaultPlan::none() {
+                    assert_eq!((first.messages, first.wire_bits), (48, 3072), "{leg:?}");
+                }
+                assert_eq!(
+                    flood.metrics().rounds(),
+                    twice.metrics().rounds(),
+                    "{leg:?}"
+                );
+            }
         }
     }
 

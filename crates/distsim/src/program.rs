@@ -100,7 +100,8 @@ pub enum Outgoing<M> {
     Broadcast(M),
     /// Send the same message to the listed subset of neighbours (still within
     /// the broadcast model: "a node sends the same message to (a subset of) its
-    /// neighbors").
+    /// neighbors"). Each distinct target gets one copy per arc to it, and is
+    /// charged for those: a repeated entry adds nothing.
     Multicast(M, Vec<NodeId>),
     /// Point-to-point messages (used by the convergecast of Algorithm 6, where
     /// a node talks only to its BFS parent/children).

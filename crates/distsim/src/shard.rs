@@ -41,6 +41,8 @@ pub struct BoundaryRecord<M> {
 }
 
 impl<M: WireCodec> WireCodec for BoundaryRecord<M> {
+    const MIN_WIRE_BYTES: usize = 12 + M::MIN_WIRE_BYTES;
+
     fn encode<S: WireSink>(&self, s: &mut S) {
         self.sender.encode(s);
         self.receiver.encode(s);

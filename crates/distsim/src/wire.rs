@@ -29,7 +29,6 @@
 //! byte is a [`WireError`] attributed to the sending peer — never a panic.
 
 use std::fmt;
-use std::io::Write;
 
 use crate::message::{MessageSize, QuantizedValue};
 
@@ -84,6 +83,14 @@ impl std::error::Error for WireError {}
 /// pair is the only statement of that layout: framing, sizing and
 /// checkpointing all run `encode`.
 pub trait WireCodec: Sized {
+    /// How many input bytes a decoded `Vec<Self>` counts per element when it
+    /// reserves: at most one element per this many bytes left. Set to the
+    /// fewest bytes a value encodes to, a valid sequence is reserved once,
+    /// and a hostile length reserves at most `size_of::<Self>()` /
+    /// `MIN_WIRE_BYTES` times the input. The default, the value's size in
+    /// memory, keeps any reservation within the input.
+    const MIN_WIRE_BYTES: usize = std::mem::size_of::<Self>();
+
     /// Writes this value's bytes to `s`. Encoding cannot fail.
     fn encode<S: WireSink>(&self, s: &mut S);
     /// Decodes one value from the reader, consuming exactly its bytes.
@@ -151,12 +158,14 @@ impl WireWriter {
         put_slab(&mut self.buf, xs, u32::to_le_bytes);
     }
 
-    /// Hands the buffered bytes to `out` and empties the buffer, keeping its
-    /// capacity for the next bytes.
-    pub(crate) fn drain_into(&mut self, out: &mut dyn Write) -> std::io::Result<()> {
-        out.write_all(&self.buf)?;
-        self.buf.clear();
-        Ok(())
+    /// A writer that appends to `buf`, keeping its capacity.
+    pub(crate) fn from_buffer(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+
+    /// Hands over the bytes written so far and goes on writing into `next`.
+    pub(crate) fn replace_buffer(&mut self, next: Vec<u8>) -> Vec<u8> {
+        std::mem::replace(&mut self.buf, next)
     }
 }
 
@@ -477,9 +486,9 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.read_len()?;
         // A hostile length cannot force a huge allocation: the reservation
-        // is bounded by the bytes actually present, counted in elements, so
-        // it never takes more memory than the input itself.
-        let fit = r.remaining() / std::mem::size_of::<T>().max(1);
+        // is bounded by the elements the bytes actually present can hold
+        // (see `WireCodec::MIN_WIRE_BYTES`).
+        let fit = r.remaining() / T::MIN_WIRE_BYTES.max(1);
         let mut out = Vec::with_capacity(len.min(fit));
         for _ in 0..len {
             out.push(T::decode(r)?);
@@ -492,6 +501,8 @@ impl<T: WireCodec> WireCodec for Vec<T> {
 // parameterisation, and a single byte keeps the measured encoding within
 // `WIRE_SLACK_BITS` of the analytical per-message charge.
 impl WireCodec for QuantizedValue {
+    const MIN_WIRE_BYTES: usize = 9;
+
     fn encode<S: WireSink>(&self, s: &mut S) {
         // lint: allow(D04) — encode side: bits = ⌈log₂ |Λ|⌉ < 256 by construction; decode reads the byte fallibly
         let bits = u8::try_from(self.bits).expect("QuantizedValue.bits exceeds wire range");
@@ -578,6 +589,7 @@ mod tests {
         };
         round_trip(&q, &le_bytes!(17u8, 123.456f64));
         assert_eq!(8 * payload_len(&q), 72);
+        assert_eq!(QuantizedValue::MIN_WIRE_BYTES, payload_len(&q));
         debug_assert_estimate_covers(&q);
     }
 
@@ -706,8 +718,7 @@ mod tests {
         assert_eq!(r.read_u32s_into(&mut [0u32; 3]), Err(WireError::Truncated));
         assert_eq!(r.remaining(), 8);
 
-        let mut out = Vec::new();
-        w.drain_into(&mut out).unwrap();
+        let out = w.replace_buffer(Vec::new());
         assert!(w.as_bytes().is_empty());
         assert_eq!(out, by_value);
     }

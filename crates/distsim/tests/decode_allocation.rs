@@ -16,7 +16,10 @@
 //!   behaviour and quarantine. Its per-copy fault decisions may not
 //!   allocate, so the count stays the same whatever the copies number.
 //! * the encoding of a 1,000-record `BoundaryDelta` frame: one allocation of
-//!   the frame's exact size, never a buffer grown by reallocation.
+//!   the frame's exact size, never a buffer grown by reallocation. Its
+//!   decoding: one allocation for the records, at most twice the frame's
+//!   bytes, since a record's reservation counts its 21 wire bytes
+//!   (`WireCodec::MIN_WIRE_BYTES`), not its 32 in memory.
 //!
 //! Only the measuring thread's allocations count, so the test harness's own
 //! threads do not disturb the figures.
@@ -133,9 +136,9 @@ impl NodeProgram for MinFlood {
 /// Every byte of a boundary frame that a sharded round charged, flipped
 /// three ways and stamped with `u32::MAX`, and every truncation: each variant
 /// decodes and validates to a typed error or a valid frame, without a panic.
-/// A frame's records take 32 B in memory against 21 on the wire, so a valid
-/// one regrows its reservation (at most the input's bytes) once; no variant
-/// may allocate more than twice its bytes, or a `Vec`'s first four records.
+/// A frame's records take 32 B in memory against 21 on the wire, and their
+/// reservation is one record per 21 bytes left, so no variant may allocate
+/// more than twice its bytes, or a `Vec`'s first four records.
 #[test]
 fn every_byte_of_a_boundary_frame_decodes_or_is_rejected() {
     let (shards, seed) = (2, 7);
@@ -232,11 +235,8 @@ fn every_byte_of_a_boundary_frame_decodes_or_is_rejected() {
     delta.validate(*src, *dst, 1, graph, &owner).unwrap();
 }
 
-/// `encode_frame` sizes a frame before it writes it, so even a large one is
-/// one allocation (a reallocation counts as another here) of exactly its
-/// length.
-#[test]
-fn a_frame_is_encoded_in_one_allocation_of_its_size() {
+/// A 1,000-record boundary frame.
+fn thousand_records() -> BoundaryDelta<QuantizedValue> {
     let records = (0..1000)
         .map(|i| BoundaryRecord {
             sender: i,
@@ -248,17 +248,47 @@ fn a_frame_is_encoded_in_one_allocation_of_its_size() {
             },
         })
         .collect();
-    let delta = BoundaryDelta {
+    BoundaryDelta {
         src_shard: 0,
         dst_shard: 1,
         round: 3,
         records,
-    };
+    }
+}
+
+/// `encode_frame` sizes a frame before it writes it, so even a large one is
+/// one allocation (a reallocation counts as another here) of exactly its
+/// length.
+#[test]
+fn a_frame_is_encoded_in_one_allocation_of_its_size() {
+    let delta = thousand_records();
     let (frame, made) = measure(|| encode_frame(&delta));
     assert_eq!((made.count, made.largest), (1, frame.len()));
     assert_eq!(
         decode_frame::<BoundaryDelta<QuantizedValue>>(&frame, usize::MAX),
         Ok(delta)
+    );
+}
+
+/// Decoding the frame reserves its records once, by their wire size: one
+/// allocation, never regrown, of at most twice the frame's bytes.
+#[test]
+fn a_frame_is_decoded_in_one_allocation_of_its_records() {
+    let delta = thousand_records();
+    let frame = encode_frame(&delta);
+    let (decoded, made) =
+        measure(|| decode_frame::<BoundaryDelta<QuantizedValue>>(&frame, usize::MAX));
+    assert_eq!(decoded, Ok(delta));
+    assert_eq!(made.count, 1, "the records' reservation was regrown");
+    assert!(
+        made.largest <= 2 * frame.len(),
+        "decoding {} frame bytes reserved {} bytes",
+        frame.len(),
+        made.largest
+    );
+    assert_eq!(
+        BoundaryRecord::<QuantizedValue>::MIN_WIRE_BYTES,
+        (frame.len() - 24) / 1000
     );
 }
 

@@ -39,6 +39,8 @@ pub struct CsrGraph {
     /// `v → u` matching arc `p = (u → v)`. Parallel edges pair the k-th
     /// occurrence on each side, so the map is an involution.
     reverse_arc: Vec<u32>,
+    /// Whether some node has two arcs to one neighbour (a parallel edge).
+    parallel_arcs: bool,
 }
 
 impl CsrGraph {
@@ -159,6 +161,7 @@ impl CsrGraph {
         let n = offsets.len() - 1;
         let arcs = targets.len();
         let mut rank_by_target = vec![0u32; arcs];
+        let mut parallel_arcs = false;
         for v in 0..n {
             let (lo, hi) = (offsets[v], offsets[v + 1]);
             let perm = &mut rank_by_target[lo..hi];
@@ -168,6 +171,9 @@ impl CsrGraph {
             // Ties (parallel edges) stay in position order so
             // `neighbor_positions` yields ascending positions.
             perm.sort_unstable_by_key(|&i| (targets[lo + i as usize], i));
+            parallel_arcs |= perm
+                .windows(2)
+                .any(|w| targets[lo + w[0] as usize] == targets[lo + w[1] as usize]);
         }
         // `cursor[t]` is the next unpaired entry of `t`'s rank list.
         let mut cursor = offsets[..n].to_vec();
@@ -195,6 +201,7 @@ impl CsrGraph {
             num_plain_edges,
             rank_by_target,
             reverse_arc,
+            parallel_arcs,
         }
     }
 
@@ -307,6 +314,13 @@ impl CsrGraph {
         perm[lo..hi].iter().map(|&i| i as usize)
     }
 
+    /// Whether two arcs of some node lead to the same neighbour (a parallel
+    /// edge). Without one, [`CsrGraph::neighbor_positions`] yields at most
+    /// one position.
+    pub fn has_parallel_arcs(&self) -> bool {
+        self.parallel_arcs
+    }
+
     /// Whether `u` is a neighbour of `v`, in O(log deg(v)).
     pub fn has_neighbor(&self, v: NodeId, u: NodeId) -> bool {
         self.neighbor_positions(v, u).next().is_some()
@@ -411,6 +425,8 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 2.0);
         g.add_edge(NodeId(0), NodeId(2), 3.0);
         let csr = CsrGraph::from_graph(&g);
+        assert!(csr.has_parallel_arcs());
+        assert!(!CsrGraph::from_graph(&sample()).has_parallel_arcs());
         let positions: Vec<usize> = csr.neighbor_positions(NodeId(0), NodeId(1)).collect();
         assert_eq!(positions.len(), 2);
         for &q in &positions {

@@ -22,6 +22,10 @@
 #    misbehaviour window still open at the first checkpoint: the resumed
 #    run rebuilds each node's quarantine round from the plan in the
 #    checkpoint, and must silence the same senders in the same rounds.
+# 5. Repeats steps 1-3 on a generated 300x300 grid, whose ~6 MB images
+#    span several write buffers: the kill lands while later images are
+#    still being written and committed behind the rounds, and the resumed
+#    run must print every node's value as the reference does.
 #
 # Uses the release binaries directly — NOT `cargo run` — so the SIGKILL hits
 # the simulator process itself instead of orphaning it behind cargo.
@@ -40,6 +44,8 @@ done
 fixture=bench/fixtures/web-tiny.edges
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
+grid="$workdir/grid300.edges"
+"$DKC" generate grid --rows 300 --cols 300 --out "$grid" > /dev/null
 
 # Enough rounds that thousands of fsynced checkpoint writes keep the
 # background run alive well past the kill; the run parameters (rounds,
@@ -49,11 +55,14 @@ base_flags=(--rounds 20000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7)
 # The printed per-node values: the `top K` header and its node lines.
 top_block() { grep -E '^(top [0-9]+ nodes by|  node )'; }
 
-# kill_and_resume LEG FLAGS...: the reference run, the SIGKILLed
-# checkpointed run and the resume, all under FLAGS.
+# kill_and_resume LEG INPUT TOP FLAGS...: the reference run, the SIGKILLed
+# checkpointed run and the resume of INPUT, all under FLAGS, printing the
+# TOP largest values.
 kill_and_resume() {
     local leg=$1
-    shift
+    local input=$2
+    local top=$3
+    shift 3
     local flags=("$@")
     local ck="$workdir/$leg.dkck"
     local ref="$workdir/$leg.reference.json"
@@ -62,10 +71,10 @@ kill_and_resume() {
     local interrupted="$workdir/$leg.interrupted.json"
 
     echo "crash_recovery_smoke [$leg]: uninterrupted reference run"
-    "$DKC" coreness "$fixture" "${flags[@]}" --top 20 --json "$ref" > "$ref_out"
+    "$DKC" coreness "$input" "${flags[@]}" --top "$top" --json "$ref" > "$ref_out"
 
     echo "crash_recovery_smoke [$leg]: starting checkpointed run (SIGKILL incoming)"
-    "$DKC" coreness "$fixture" "${flags[@]}" \
+    "$DKC" coreness "$input" "${flags[@]}" \
         --checkpoint "$ck" --checkpoint-every 2 --json "$interrupted" > /dev/null &
     local pid=$!
 
@@ -91,7 +100,7 @@ kill_and_resume() {
          "($(wc -c < "$ck") bytes)"
 
     local out
-    out=$("$DKC" coreness "$fixture" --resume "$ck" --top 20 --json "$resumed")
+    out=$("$DKC" coreness "$input" --resume "$ck" --top "$top" --json "$resumed")
     if ! grep -q "resumed from checkpoint at round" <<<"$out"; then
         echo "crash_recovery_smoke [$leg]: resume did not report its resume round:" >&2
         echo "$out" >&2
@@ -99,13 +108,13 @@ kill_and_resume() {
     fi
     grep "resumed from checkpoint at round" <<<"$out"
 
-    echo "crash_recovery_smoke [$leg]: diffing the top-20 values (resumed vs reference)"
+    echo "crash_recovery_smoke [$leg]: diffing the top-$top values (resumed vs reference)"
     if ! diff <(top_block <<<"$out") <(top_block < "$ref_out"); then
         echo "crash_recovery_smoke [$leg]: the resumed run printed different values" >&2
         exit 1
     fi
     if [[ $(top_block < "$ref_out" | wc -l) -lt 2 ]]; then
-        echo "crash_recovery_smoke [$leg]: the reference printed no top-20 block" >&2
+        echo "crash_recovery_smoke [$leg]: the reference printed no top-$top block" >&2
         exit 1
     fi
 
@@ -113,6 +122,9 @@ kill_and_resume() {
     "$GATE" check "$resumed" "$ref"
 }
 
-kill_and_resume crash "${base_flags[@]}"
-kill_and_resume byzantine "${base_flags[@]}" --byzantine 0.3:all:2:40 --quarantine 2
-echo "crash_recovery_smoke: OK — both killed runs resumed byte-identically"
+kill_and_resume crash "$fixture" 20 "${base_flags[@]}"
+kill_and_resume byzantine "$fixture" 20 "${base_flags[@]}" \
+    --byzantine 0.3:all:2:40 --quarantine 2
+# A thousand rounds of 6 MB images keep the run going for seconds.
+kill_and_resume grid "$grid" 90000 --rounds 1000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7
+echo "crash_recovery_smoke: OK — all three killed runs resumed byte-identically"
