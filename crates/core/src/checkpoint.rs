@@ -13,7 +13,8 @@
 use crate::compact::{execute, CompactOutcome, RunSpec};
 use crate::threshold::ThresholdSet;
 use dkc_distsim::checkpoint::{
-    decode_checkpoint, read_checkpoint_bytes, state_is_sparse, validate_plan, CheckpointError,
+    decode_checkpoint, read_checkpoint_bytes, remove_temp_slots, state_is_sparse, validate_plan,
+    CheckpointError,
 };
 use dkc_distsim::wire::{WireCodec, WireReader, WireWriter};
 use dkc_distsim::{ExecutionMode, FaultPlan};
@@ -205,7 +206,9 @@ pub struct ResumedRun {
 /// so a dense state under a sharded preamble fails the executor's activation
 /// check. The caller only chooses whether to keep checkpointing, via `cfg`.
 /// Like [`crate::compact::run_compact_elimination`], the run takes `g` (a
-/// [`CsrGraph`], or a `&WeightedGraph` to convert) as its topology.
+/// [`CsrGraph`], or a `&WeightedGraph` to convert) as its topology. A
+/// finished run removes the temp slots that the killed run may have left
+/// beside `path` ([`remove_temp_slots`]), checkpointing or not.
 pub fn resume_compact_elimination(
     g: impl Into<CsrGraph>,
     path: &Path,
@@ -246,6 +249,7 @@ pub fn resume_compact_elimination(
         checkpoint: cfg.cloned(),
     };
     let (outcome, resumed_from) = execute(csr, &spec, Some((preamble_bytes, state)))?;
+    remove_temp_slots(path)?;
     Ok(ResumedRun {
         outcome,
         resumed_from,
@@ -368,7 +372,14 @@ mod tests {
         assert_eq!(plain.metrics.rounds(), checkpointed.metrics.rounds());
 
         // The file now holds the round-12 boundary; resume finishes 13..14.
+        // A killed run can leave both temp slots beside it, and the resume,
+        // which does not checkpoint, removes them.
+        let slots = ["run.dkck.tmp", "run.dkck.tmp1"].map(|slot| dir.join(slot));
+        for slot in &slots {
+            std::fs::write(slot, b"stale").unwrap();
+        }
         let resumed = resume_compact_elimination(&g, &cfg.path, None).unwrap();
+        assert!(slots.iter().all(|slot| !slot.exists()));
         assert_eq!(resumed.resumed_from, 12);
         assert_eq!(resumed.spec.rounds, 14);
         assert_eq!(resumed.spec.threshold_set, threshold);

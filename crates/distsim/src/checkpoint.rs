@@ -64,7 +64,9 @@
 //! A process killed mid-run (the exact scenario checkpoints exist for)
 //! therefore leaves at the checkpoint path an image up to two boundaries
 //! old, or none, but never a truncated one, and an OS crash after a
-//! reported rename cannot undo it. The run returns once its last image is
+//! reported rename cannot undo it. It can also leave a temp slot beside
+//! the image, which the next pipeline to return `Ok`, or a resume, removes
+//! ([`remove_temp_slots`]). The run returns once its last image is
 //! committed: `Ok` means that image is durable, and an error is the first
 //! in image order. [`crate::Network::write_checkpoint`] is the same
 //! pipeline for one image, and [`write_checkpoint_atomic`] commits an
@@ -317,6 +319,23 @@ fn temp_slot(path: &Path, slot: usize) -> PathBuf {
     PathBuf::from(tmp)
 }
 
+/// Removes both temp slots of `path`, which a killed run can leave behind
+/// beside the checkpoint. A slot that does not exist is fine; any other
+/// failure is an I/O error naming the slot. A pipeline that returns `Ok`
+/// ends here, and so does a resumed run.
+pub fn remove_temp_slots(path: &Path) -> Result<(), CheckpointError> {
+    for slot in 0..TEMP_SLOTS {
+        let tmp = temp_slot(path, slot);
+        match fs::remove_file(&tmp) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(io_error("remove", &tmp, e));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 /// Makes the image staged in `tmp` the checkpoint at `path`: fsyncs the
 /// file, renames it over `path`, then fsyncs the directory so the rename is
 /// durable too. A SIGKILL before the rename leaves the previous checkpoint
@@ -486,8 +505,10 @@ fn take_result(results: &Results, path: &Path) -> Result<(), CheckpointError> {
 
 /// Runs `run` with a checkpoint pipeline into `path` whose images carry
 /// `preamble`, and returns once every image it wrote is committed, so `Ok`
-/// means the last one is durable at `path`. The first error in image order
-/// wins, and no error leaves a thread behind.
+/// means the last one is durable at `path`, and that neither temp slot is
+/// left beside it, not even one a killed earlier run left (see
+/// [`remove_temp_slots`]). The first error in image order wins, and no
+/// error leaves a thread behind.
 ///
 /// The pipeline is two threads for the whole run. The writer streams each
 /// image's buffers into temp slot k mod 2, patches its state length and
@@ -534,6 +555,7 @@ pub(crate) fn with_pipeline<R>(
         // join never waits on a thread that waits on this one.
         run(&mut pipeline).and_then(|r| pipeline.settle(0).map(|()| r))
     })
+    .and_then(|r| remove_temp_slots(path).map(|()| r))
 }
 
 fn spawn<'scope>(

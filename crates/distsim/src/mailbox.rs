@@ -8,8 +8,8 @@
 //! (see [`crate::wire`]) through that shard's bounded channel; there is no
 //! shared outbox snapshot. It hands back the round's [`RoundStats`]; the
 //! round loop every mode shares (`Network::step_round`) owns the rest. The
-//! per-node inboxes and each shard's multicast stamps and pending frames
-//! persist between rounds ([`MailboxScratch`]).
+//! per-node inboxes and each shard's pending frames persist between rounds
+//! ([`MailboxScratch`]).
 //!
 //! ## Why results are byte-identical to dense rounds
 //!
@@ -83,9 +83,6 @@ pub(crate) struct MailboxScratch<M> {
 /// One shard's scratch, and its share of the round's outcome.
 #[derive(Default)]
 struct ShardScratch {
-    /// Arc-indexed multicast stamps (see [`RoundCopies::for_each`]); the
-    /// shard only stamps its own senders' arcs.
-    stamps: Vec<u64>,
     /// Frames drained from the shard's own mailbox while a send was blocked.
     pending: Vec<Frame>,
     /// The shard's share of the round's statistics.
@@ -104,11 +101,6 @@ impl<M> Default for MailboxScratch<M> {
 }
 
 impl<M> MailboxScratch<M> {
-    /// Summed length of the shards' multicast stamp arrays.
-    pub(crate) fn stamp_slots(&self) -> usize {
-        self.shards.iter().map(|s| s.stamps.len()).sum()
-    }
-
     /// Summed capacity of the inboxes and the shards' pending buffers.
     pub(crate) fn capacity_total(&self) -> usize {
         self.inboxes.capacity()
@@ -272,7 +264,6 @@ impl<P: NodeProgram> Shard<'_, P> {
             chunk,
         } = *ctx;
         let ShardScratch {
-            stamps,
             pending,
             stats,
             faulters,
@@ -290,7 +281,7 @@ impl<P: NodeProgram> Shard<'_, P> {
             // over a broadcast's or multicast's copies, and a unicast entry's
             // parallel copies, one after another with the same `&M`.
             let mut shared: Option<(&P::Message, Arc<[u8]>)> = None;
-            copies.for_each(sender, &out, stamps, round as u64, |q, v, m| {
+            copies.for_each(sender, &out, |q, v, m| {
                 let bytes: Arc<[u8]> = match copies.salt(sender, v) {
                     Some(salt) => {
                         let frame = encode_frame(&m.tamper(salt));

@@ -21,14 +21,15 @@
 //!   order), and every touched node steps on its own slice. The staging
 //!   buffers are reserved in round 1 for the `num_arcs / `[`PULL_DIVISOR`]
 //!   copies a push round puts on the wire.
-//! * Multicast delivery is resolved through a stamp array indexed by CSR arc
-//!   position (scattered once per round by the senders), replacing the
-//!   per-receiver `targets.contains(&v)` scan.
+//! * A multicast's target list is sorted and deduplicated as it is produced
+//!   (`produce_outgoing`). A copy walk (`RoundCopies::for_each`) takes each
+//!   listed target's arcs once, and a gathering receiver finds itself in a
+//!   sender's list by binary search, `O(log |targets|)` per arc.
 //!
 //! [`Network::buffer_stats`] reports every persistent scratch buffer: O(n)
-//! entries plus the push staging and, for multicasts, the arc stamps (and
-//! under the mailbox backend its inboxes and per-shard stamps). After a
-//! warm-up round none of them grows (see the `buffer_reuse` tests).
+//! entries plus the push staging (and under the mailbox backend its
+//! inboxes). After a warm-up round none of them grows (see the
+//! `buffer_reuse` tests).
 //!
 //! ## Dense vs frontier rounds
 //!
@@ -303,10 +304,6 @@ pub struct ExecutorBufferStats {
     pub account_capacity: usize,
     /// Capacity of the step-result array.
     pub changed_capacity: usize,
-    /// Summed length of the arc-indexed multicast stamp arrays: the
-    /// network's, and each mailbox shard's (0 until the first multicast
-    /// round).
-    pub multicast_stamp_slots: usize,
     /// Summed capacity of the frontier rounds' frontier / touch / resend
     /// worklists (0 under dense rounds).
     pub frontier_capacity_total: usize,
@@ -319,8 +316,7 @@ pub struct ExecutorBufferStats {
     /// Summed capacity of a sharded network's owner table and of each
     /// source shard's frontier bucket, per-destination record buffers and
     /// sender-count scratch (0 unsharded). The record buffers hold one
-    /// round's cross-shard copies. The workers' multicast stamps are not
-    /// counted: they live for one round, and only when a sender multicasts.
+    /// round's cross-shard copies.
     pub boundary_capacity_total: usize,
     /// Summed capacity of the mailbox backend's per-node inboxes and its
     /// shards' pending-frame buffers (0 under the other modes).
@@ -333,7 +329,6 @@ impl ExecutorBufferStats {
         self.outbox_capacity
             + self.account_capacity
             + self.changed_capacity
-            + self.multicast_stamp_slots
             + self.frontier_capacity_total
             + self.bucket_slots
             + self.staged_capacity_total
@@ -399,15 +394,6 @@ pub struct Network<P: NodeProgram> {
     /// A dense round's per-sender accounting rows, aligned with `outboxes`.
     accounts: Vec<SendAccount>,
     step_results: Vec<StepResult>,
-    /// `multicast_stamps[arc] == round` ⇔ the arc's **source** node listed the
-    /// arc's destination as a multicast target this round. Senders stamp their
-    /// own (cache-resident) arc range; receivers translate through
-    /// [`CsrGraph::reverse_arc`]. Stamping avoids an O(arcs) clear per round;
-    /// round numbers start at 1 so the zero-initialized array never
-    /// false-positives. (A push round's copy walk, [`RoundCopies::for_each`],
-    /// reuses the same array to deduplicate repeated multicast target
-    /// entries; the boundary accounting's workers stamp arrays of their own.)
-    multicast_stamps: Vec<u64>,
     // Frontier-round state (unused under dense rounds).
     /// Nodes that broadcast this round, ascending.
     frontier: Vec<u32>,
@@ -560,38 +546,6 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
     (out, acct)
 }
 
-/// Stamps the sender-side arcs of every multicast target of `senders` with
-/// `round`, so a gathering receiver resolves membership with one O(1) stamp
-/// load per arc (each sender stamps its own cache-resident arc range, found
-/// through its neighbour-rank map) instead of scanning the target list. The
-/// stamp array is allocated on the first non-empty multicast.
-fn stamp_multicasts<M>(
-    graph: &CsrGraph,
-    outboxes: &[Outgoing<M>],
-    stamps: &mut Vec<u64>,
-    senders: impl Iterator<Item = usize>,
-    round: usize,
-) {
-    for i in senders {
-        let Outgoing::Multicast(_, targets) = &outboxes[i] else {
-            continue;
-        };
-        if targets.is_empty() {
-            continue;
-        }
-        if stamps.len() != graph.num_arcs() {
-            *stamps = vec![0; graph.num_arcs()];
-        }
-        let sender = NodeId::new(i);
-        let base = graph.arc_offset(sender);
-        for &t in targets {
-            for q in graph.neighbor_positions(sender, t) {
-                stamps[base + q] = round as u64;
-            }
-        }
-    }
-}
-
 /// What a round's copies are: the arcs the senders' outboxes put a copy on,
 /// after the link faults' drops, and what each copy hands its receiver under
 /// the active byzantine model. A push round and a mailbox round deliver
@@ -652,57 +606,37 @@ impl<'a> RoundCopies<'a> {
     /// Calls `f(q, v, m)` for each copy `sender`'s outbox puts on an arc:
     /// `q` is the arc's position in `sender`'s neighbour list and `v` its
     /// receiver. Copies the link faults drop are skipped. A broadcast puts a
-    /// copy on every arc and a unicast on every parallel arc to its target.
-    /// A multicast does the same per target, but a repeated target entry
-    /// adds no copy (dense delivery is idempotent in them): the walk marks
-    /// each arc it takes by writing `stamp` into `stamps`, so two walks in
-    /// one round must use different stamps.
+    /// copy on every arc, and a unicast or multicast on every parallel arc
+    /// to each of its targets, a multicast's at batch position 0. A repeated
+    /// multicast target adds no copy because `produce_outgoing` has already
+    /// deduplicated the list.
     pub(crate) fn for_each<'o, M>(
         &self,
         sender: NodeId,
         outgoing: &'o Outgoing<M>,
-        stamps: &mut Vec<u64>,
-        stamp: u64,
         mut f: impl FnMut(usize, NodeId, &'o M),
     ) {
         let graph = self.graph;
-        let dropped = |to: NodeId, idx: usize| self.drops(sender, to, idx);
+        let mut to = |t: NodeId, idx: usize, m: &'o M| {
+            if !self.drops(sender, t, idx) {
+                for q in graph.neighbor_positions(sender, t) {
+                    f(q, t, m);
+                }
+            }
+        };
         match outgoing {
             Outgoing::Silent => {}
             Outgoing::Broadcast(m) => {
                 for (q, &v) in graph.neighbors(sender).iter().enumerate() {
-                    if !dropped(v, 0) {
+                    if !self.drops(sender, v, 0) {
                         f(q, v, m);
                     }
                 }
             }
-            Outgoing::Multicast(m, targets) => {
-                if targets.is_empty() {
-                    return;
-                }
-                if stamps.len() != graph.num_arcs() {
-                    *stamps = vec![0; graph.num_arcs()];
-                }
-                let base = graph.arc_offset(sender);
-                for &t in targets {
-                    if dropped(t, 0) {
-                        continue;
-                    }
-                    for q in graph.neighbor_positions(sender, t) {
-                        if stamps[base + q] != stamp {
-                            stamps[base + q] = stamp;
-                            f(q, t, m);
-                        }
-                    }
-                }
-            }
+            Outgoing::Multicast(m, targets) => targets.iter().for_each(|&t| to(t, 0, m)),
             Outgoing::Unicast(msgs) => {
                 for (idx, (t, m)) in msgs.iter().enumerate() {
-                    if !dropped(*t, idx) {
-                        for q in graph.neighbor_positions(sender, *t) {
-                            f(q, *t, m);
-                        }
-                    }
+                    to(*t, idx, m);
                 }
             }
         }
@@ -727,8 +661,6 @@ struct Gather<'a, M> {
     /// The round's copy rules: link drops, tamper salts and spam factors.
     copies: RoundCopies<'a>,
     outboxes: &'a [Outgoing<M>],
-    /// The round's multicast arc stamps (see [`stamp_multicasts`]).
-    stamps: &'a [u64],
     faults: Option<FaultPlan>,
     /// Whether a node that receives nothing still steps: every dense round,
     /// and round 1 of a sparse run (whose step initializes every node).
@@ -749,7 +681,6 @@ impl<M: Clone + Tamper> Gather<'_, M> {
         if program.halted() || self.faults.is_some_and(|f| f.crashed(round, v)) {
             return StepResult::default();
         }
-        let arc_base = graph.arc_offset(v);
         inbox.clear();
         for (q, &u) in graph.neighbors(v).iter().enumerate() {
             // The outbox holds the sender's true message, so a byzantine
@@ -783,15 +714,7 @@ impl<M: Clone + Tamper> Gather<'_, M> {
                     }
                 }
                 Outgoing::Multicast(m, targets) => {
-                    // The paired sender-side arc (u → v) carries the stamp.
-                    // The emptiness check both short-circuits no-op
-                    // multicasts and guarantees the stamp array was
-                    // allocated (the stamping allocates on the first
-                    // non-empty multicast).
-                    if !targets.is_empty()
-                        && self.stamps[graph.reverse_arc(arc_base + q)] == round as u64
-                        && !self.copies.drops(u, v, 0)
-                    {
+                    if lists(targets, v) && !self.copies.drops(u, v, 0) {
                         deliver(inbox, m);
                     }
                 }
@@ -817,6 +740,16 @@ impl<M: Clone + Tamper> Gather<'_, M> {
     }
 }
 
+/// Whether a multicast's target list, which `produce_outgoing` sorted, names
+/// `v`. Out of line on purpose: inlined, the search changes the code of
+/// [`Gather::receive`]'s per-arc loop for every message type. On a
+/// 100k-node BA graph (2-vCPU VM) that slowed `dkc densest`'s tree
+/// elimination, which never multicasts, from 1.07 to 1.43 s.
+#[inline(never)]
+fn lists(targets: &[NodeId], v: NodeId) -> bool {
+    targets.binary_search(&v).is_ok()
+}
+
 /// What every source shard's task of a sharded round's boundary accounting
 /// reads (see [`Network::account_boundary`]).
 struct BoundaryRound<'a, M> {
@@ -831,10 +764,8 @@ impl<M: Clone + Tamper + WireCodec> BoundaryRound<'_, M> {
     /// Source shard `src`'s task: fills its record buffers from its
     /// senders' cross-shard copies, then encodes, strictly decodes and
     /// validates one frame per nonempty buffer, and leaves its charges in
-    /// `source.bits` and `source.nodes`. `stamps` is the worker's multicast
-    /// stamp array (see [`RoundCopies::for_each`]); each sender is walked
-    /// once per round, so the round number is a fresh stamp.
-    fn account(&self, src: u32, source: &mut SourceShard<M>, stamps: &mut Vec<u64>) {
+    /// `source.bits` and `source.nodes`.
+    fn account(&self, src: u32, source: &mut SourceShard<M>) {
         let RoundCopies { graph, round, .. } = self.copies;
         let SourceShard {
             senders,
@@ -847,25 +778,24 @@ impl<M: Clone + Tamper + WireCodec> BoundaryRound<'_, M> {
             let sender = NodeId(u);
             let spam = self.copies.spam(sender);
             let outgoing = &self.outboxes[u as usize];
-            self.copies
-                .for_each(sender, outgoing, stamps, round as u64, |q, v, m| {
-                    let dst = self.owner[v.index()];
-                    if dst == src {
-                        return;
-                    }
-                    let (pos, msg) = self.copies.received(sender, q, v, m);
-                    let record = |msg| BoundaryRecord {
-                        sender: u,
-                        receiver: v.0,
-                        pos,
-                        msg,
-                    };
-                    let buf = &mut records[dst as usize];
-                    for _ in 1..spam {
-                        buf.push(record(msg.clone()));
-                    }
-                    buf.push(record(msg));
-                });
+            self.copies.for_each(sender, outgoing, |q, v, m| {
+                let dst = self.owner[v.index()];
+                if dst == src {
+                    return;
+                }
+                let (pos, msg) = self.copies.received(sender, q, v, m);
+                let record = |msg| BoundaryRecord {
+                    sender: u,
+                    receiver: v.0,
+                    pos,
+                    msg,
+                };
+                let buf = &mut records[dst as usize];
+                for _ in 1..spam {
+                    buf.push(record(msg.clone()));
+                }
+                buf.push(record(msg));
+            });
         }
         *bits = 0;
         decoded_senders.clear();
@@ -1067,7 +997,6 @@ impl<P: NodeProgram> Network<P> {
             outboxes: Vec::new(),
             accounts: Vec::new(),
             step_results: Vec::new(),
-            multicast_stamps: Vec::new(),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
             touch_list: Vec::new(),
@@ -1165,7 +1094,6 @@ impl<P: NodeProgram> Network<P> {
             outbox_capacity: self.outboxes.capacity(),
             account_capacity: self.accounts.capacity(),
             changed_capacity: self.step_results.capacity(),
-            multicast_stamp_slots: self.multicast_stamps.len() + self.mailbox.stamp_slots(),
             frontier_capacity_total: self.frontier.capacity()
                 + self.next_frontier.capacity()
                 + self.touch_list.capacity()
@@ -1274,14 +1202,6 @@ impl<P: NodeProgram> Network<P> {
         for acct in &self.accounts {
             stats.merge(&acct.row());
         }
-
-        stamp_multicasts(
-            &self.graph,
-            &self.outboxes,
-            &mut self.multicast_stamps,
-            0..self.programs.len(),
-            round,
-        );
 
         // Phase 2: every (non-halted, non-crashed) node gathers the copies
         // addressed to it and steps. Delivery order guarantee (dense rounds
@@ -1433,14 +1353,10 @@ impl<P: NodeProgram> Network<P> {
             outboxes: &self.outboxes,
             owner: &st.owner,
         };
-        // Each worker dedupes multicast targets in stamps of its own, which
-        // the walk allocates (one slot per arc) only if a sender multicasts.
         st.sources
             .par_iter_mut()
             .enumerate()
-            .for_each_init(Vec::new, |stamps, (src, source)| {
-                boundary.account(src as u32, source, stamps)
-            });
+            .for_each(|(src, source)| boundary.account(src as u32, source));
         for source in &st.sources {
             stats.boundary_bits += source.bits;
             stats.boundary_nodes += source.nodes;
@@ -1465,7 +1381,6 @@ impl<P: NodeProgram> Network<P> {
                 graph,
                 programs,
                 outboxes,
-                multicast_stamps: stamps,
                 touch_list,
                 bucket,
                 staged,
@@ -1498,7 +1413,7 @@ impl<P: NodeProgram> Network<P> {
                 let sender = NodeId(u);
                 let spam = copies.spam(sender);
                 let outgoing = &outboxes[u as usize];
-                copies.for_each(sender, outgoing, stamps, round as u64, |q, v, m| {
+                copies.for_each(sender, outgoing, |q, v, m| {
                     if !touch(v, spam) {
                         return;
                     }
@@ -1568,13 +1483,6 @@ impl<P: NodeProgram> Network<P> {
     /// in a dense round; the nodes that received a copy step (every node in
     /// round 1), and those that change join the next frontier.
     fn pull(&mut self, stats: &mut RoundStats) {
-        stamp_multicasts(
-            &self.graph,
-            &self.outboxes,
-            &mut self.multicast_stamps,
-            self.frontier.iter().map(|&u| u as usize),
-            self.round,
-        );
         self.gather_and_step(self.round == 1);
         for (v, r) in self.step_results.iter().enumerate() {
             stats.node_updates += usize::from(r.ran);
@@ -1591,7 +1499,6 @@ impl<P: NodeProgram> Network<P> {
         let gather = Gather {
             copies: RoundCopies::new(&self.graph, self.faults, self.round),
             outboxes: &self.outboxes,
-            stamps: &self.multicast_stamps,
             faults: self.faults,
             step_empty,
         };
@@ -2169,8 +2076,9 @@ mod tests {
         }
     }
 
-    /// Every node multicasts to a rotating subset of its neighbours — keeps
-    /// the multicast stamp path busy across rounds.
+    /// Every node multicasts to a rotating subset of its neighbours, listed
+    /// from a rotating start, so the sort of each list and the receivers'
+    /// search of it run with a different subset every round.
     struct RotatingMulticast {
         heard: Vec<(u32, u32)>,
     }
@@ -2278,16 +2186,13 @@ mod tests {
             let warm = net.buffer_stats();
             let arcs = net.graph().num_arcs();
             if leg.mode == Mailbox {
-                // The 12 per-node inboxes and every shard's multicast
-                // stamps persist, and a mailbox round keeps no outbox
-                // array. Round 11 multicasts to every neighbour, so each
-                // inbox has held its node's whole degree.
+                // The 12 per-node inboxes persist, and a mailbox round keeps
+                // no outbox array. Round 11 multicasts to every neighbour,
+                // so each inbox has held its node's whole degree.
                 assert!(warm.mailbox_capacity_total >= 12 + arcs, "{leg:?}");
-                assert_eq!(warm.multicast_stamp_slots, leg.threads * arcs);
                 assert_eq!(warm.outbox_capacity, 0);
             } else {
                 assert!(warm.outbox_capacity >= 12);
-                assert!(warm.multicast_stamp_slots == arcs);
                 assert_eq!(warm.mailbox_capacity_total, 0);
             }
             leg.install(|| net.run(24));
@@ -2379,9 +2284,9 @@ mod tests {
 
     #[test]
     fn empty_multicast_is_silent_and_does_not_panic() {
-        // Regression: an empty-target multicast in a round with no other
-        // multicast used to index the unallocated stamp array in the receive
-        // phase.
+        // An empty-target multicast puts no copy on the wire, is charged
+        // nothing, and the receivers' search of its empty list finds none
+        // of them.
         struct EmptyMulticast {
             received: usize,
         }

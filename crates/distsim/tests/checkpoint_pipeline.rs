@@ -2,8 +2,8 @@
 //! round thread only encodes each one, and two threads of the run write it
 //! to a temp slot and commit it (fsync, rename, directory fsync) while the
 //! next rounds run. These tests hold that the pipeline changes no byte of an
-//! image, leaves no temp file behind, and ends in a typed error, never a
-//! hang or a panic.
+//! image, leaves no temp file behind, not even one a killed run left, and
+//! ends in a typed error, never a hang or a panic.
 //!
 //! That a checkpoint an earlier build wrote still resumes to that build's
 //! output is `crates/cli/tests/resume_parent_checkpoint.rs`; here the same
@@ -15,8 +15,8 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use dkc_distsim::checkpoint::{
-    decode_checkpoint, encode_checkpoint, read_checkpoint_bytes, CheckpointError, SnapshotState,
-    WRITE_BUFFER_BYTES,
+    decode_checkpoint, encode_checkpoint, read_checkpoint_bytes, remove_temp_slots,
+    CheckpointError, SnapshotState, WRITE_BUFFER_BYTES,
 };
 use dkc_distsim::wire::{WireCodec, WireReader, WireWriter};
 use dkc_distsim::{
@@ -144,6 +144,30 @@ fn every_boundary_writes_the_image_of_its_state() {
         .restore_state(decode_checkpoint(&on_disk).unwrap().1)
         .unwrap();
     assert_eq!(resumed.round(), 9);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A killed run can leave either temp slot beside the checkpoint. A
+/// one-image pipeline writes through slot 0 only, and once it returns `Ok`
+/// neither slot is left. A slot that cannot be removed, here a directory,
+/// is an I/O error naming it.
+#[test]
+fn stale_temp_slots_are_gone_after_a_pipeline() {
+    let dir = scratch_dir("stale");
+    let path = dir.join("run.dkck");
+    let slots = ["run.dkck.tmp", "run.dkck.tmp1"].map(|slot| dir.join(slot));
+    for slot in &slots {
+        std::fs::write(slot, b"stale").unwrap();
+    }
+    logged_network().write_checkpoint(&path, b"p").unwrap();
+    assert_eq!(listing(&dir), std::slice::from_ref(&path));
+
+    std::fs::create_dir(&slots[1]).unwrap();
+    let err = remove_temp_slots(&path).unwrap_err();
+    let CheckpointError::Io(msg) = &err else {
+        panic!("not an I/O error: {err:?}");
+    };
+    assert!(msg.contains(&slots[1].display().to_string()), "{msg}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

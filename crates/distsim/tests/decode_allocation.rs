@@ -20,6 +20,9 @@
 //!   decoding: one allocation for the records, at most twice the frame's
 //!   bytes, since a record's reservation counts its 21 wire bytes
 //!   (`WireCodec::MIN_WIRE_BYTES`), not its 32 in memory.
+//! * the first multicast round on K_200 on one thread, under dense rounds,
+//!   a pull round and a sharded round: no allocation of 8 B per arc, so no
+//!   arc-indexed array resolves its targets.
 //!
 //! Only the measuring thread's allocations count, so the test harness's own
 //! threads do not disturb the figures.
@@ -31,7 +34,7 @@ use dkc_distsim::{
     NetworkBuilder, NodeContext, NodeProgram, Outgoing, RoundStats,
 };
 use dkc_graph::generators::{complete_graph, grid_graph};
-use dkc_graph::Partitioner;
+use dkc_graph::{NodeId, Partitioner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -319,6 +322,69 @@ fn byzantine_rounds_allocate_independently_of_their_copies() {
             made.count <= BOUND,
             "a round of {copies} copies allocated {} times",
             made.count
+        );
+    }
+}
+
+/// Floods the smallest node id by multicasting it to every neighbour, each
+/// listed twice, so the round's target lists are deduplicated before any
+/// copy moves.
+struct MulticastMinFlood(u32);
+
+impl NodeProgram for MulticastMinFlood {
+    type Message = u32;
+
+    const DELTA_DRIVEN: bool = true;
+
+    fn broadcast(&mut self, ctx: &NodeContext<'_>) -> Outgoing<u32> {
+        let nbrs = ctx.neighbors();
+        let targets: Vec<NodeId> = nbrs.iter().chain(nbrs).copied().collect();
+        Outgoing::Multicast(self.0, targets)
+    }
+
+    fn receive(&mut self, _ctx: &NodeContext<'_>, inbox: &[Delivery<u32>]) -> bool {
+        let before = self.0;
+        for d in inbox {
+            self.0 = self.0.min(d.msg);
+        }
+        self.0 != before
+    }
+}
+
+/// The first multicast round on K_200 (39,800 arcs) on one thread: under
+/// `Dense`, under `Auto` (whose round 1 pulls, every arc carrying a copy)
+/// and under `Auto` with 4 shards. Its largest single allocation stays
+/// below 8 B per arc, the size of an arc-indexed `u64` array. The mailbox
+/// backend is left out: on one thread its pending buffer rightly holds a
+/// whole round's frames.
+#[test]
+fn a_multicast_round_allocates_nothing_per_arc() {
+    let g = complete_graph(200);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    for (mode, shards) in [
+        (ExecutionMode::Dense, 0),
+        (ExecutionMode::Auto, 0),
+        (ExecutionMode::Auto, 4),
+    ] {
+        let mut net = NetworkBuilder::new()
+            .mode(mode)
+            .shards(shards)
+            .build(&g, |ctx| MulticastMinFlood(ctx.node().0));
+        let arcs = net.graph().num_arcs();
+        assert_eq!(arcs, 39_800);
+        let (stats, largest) = pool.install(|| largest_allocation(|| net.run_round()));
+        assert_eq!(stats.messages, arcs, "{mode:?}, {shards} shards");
+        assert_eq!(
+            stats.boundary_bits > 0,
+            shards > 0,
+            "{mode:?}, {shards} shards"
+        );
+        assert!(
+            largest < 8 * arcs,
+            "{mode:?}, {shards} shards: a round over {arcs} arcs allocated {largest} bytes at once"
         );
     }
 }

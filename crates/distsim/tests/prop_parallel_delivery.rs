@@ -4,8 +4,9 @@
 //! (including the measured wire bits and per-component drop counters) —
 //! across random graphs, random broadcast/multicast/unicast mixes, random
 //! fault plans, and random mailbox shard (thread) counts. This pins the hot-path rewrite (buffer
-//! reuse, stamp-scatter multicast delivery, fused accounting) and the
-//! message-passing backend to the simple executor semantics.
+//! reuse, multicast delivery from the sender's sorted target list, fused
+//! accounting) and the message-passing backend to the simple executor
+//! semantics.
 
 use dkc_distsim::{
     BurstLoss, CrashModel, Delivery, ExecutionMode, FaultPlan, LossModel, NetworkBuilder,

@@ -17,7 +17,8 @@
 #    byte-identical. Resume rebuilds part of the node state (the inverse
 #    update order and the N_v stamps), so values are checked, not only
 #    counters. The crash-stop window opens at round 2, so the checkpoint
-#    holds frozen nodes.
+#    holds frozen nodes. The kill can leave a temp slot (`<checkpoint>.tmp`
+#    or `.tmp1`) beside the checkpoint; none may remain after the resume.
 # 4. Repeats steps 1-3 with byzantine faults and quarantine added, a
 #    misbehaviour window still open at the first checkpoint: the resumed
 #    run rebuilds each node's quarantine round from the plan in the
@@ -117,6 +118,14 @@ kill_and_resume() {
         echo "crash_recovery_smoke [$leg]: the reference printed no top-$top block" >&2
         exit 1
     fi
+
+    local slot
+    for slot in "$ck".tmp*; do
+        if [[ -e "$slot" ]]; then
+            echo "crash_recovery_smoke [$leg]: the resume left $slot behind" >&2
+            exit 1
+        fi
+    done
 
     echo "crash_recovery_smoke [$leg]: diffing deterministic counters (resumed vs reference)"
     "$GATE" check "$resumed" "$ref"
