@@ -3,13 +3,19 @@
 //! Pass `--scale tiny` for a fast smoke run of the whole suite, and
 //! `--json <path>` to aggregate every experiment's records into one report
 //! (this is what CI's perf-smoke job diffs against the committed baseline).
+//! `--shards <n>` and `--shard-seed <seed>` narrow E15 as they do
+//! `exp_sharding`. The fault flags are rejected: E13–E15 run their own
+//! fault scenarios here.
 
 #![deny(deprecated)]
 use dkc_bench::experiments::{self, fig1_sizes, lower_bound_runs};
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads {
+        shards: true,
+        ..Reads::COMMON
+    });
     let scale = args.scale;
     let mut report = Report::new("exp_all", scale);
     let mut run = |out: experiments::ExperimentOutput| {
@@ -40,6 +46,11 @@ fn main() {
     run(experiments::exp_frontier(scale));
     run(experiments::exp_faults(scale, None));
     run(experiments::exp_byzantine(scale, None));
-    run(experiments::exp_sharding(scale, None, args.shards, None));
+    run(experiments::exp_sharding(
+        scale,
+        None,
+        args.shards,
+        args.shard_seed,
+    ));
     args.write_report(&report);
 }

@@ -10,10 +10,13 @@
 //! ```
 
 #![deny(deprecated)]
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads {
+        faults: true,
+        ..Reads::COMMON
+    });
     let custom = (!args.faults.is_trivial()).then_some(args.faults);
     let mut report = Report::new("exp_faults", args.scale);
     let out = dkc_bench::experiments::exp_faults(args.scale, custom);

@@ -2,10 +2,10 @@
 
 #![deny(deprecated)]
 use dkc_bench::experiments::fig1_sizes;
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads::COMMON);
     let mut report = Report::new("exp_fig1", args.scale);
     let out = dkc_bench::experiments::exp_fig1(fig1_sizes(args.scale));
     out.print();

@@ -4,10 +4,10 @@
 //! `bench/baselines/tiny.json`).
 
 #![deny(deprecated)]
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads::COMMON);
     let mut report = Report::new("exp_frontier", args.scale);
     let out = dkc_bench::experiments::exp_frontier(args.scale);
     out.print();

@@ -3,10 +3,10 @@
 //! deterministic counters for the CI baseline gate.
 
 #![deny(deprecated)]
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads::COMMON);
     let mut report = Report::new("exp_ingest", args.scale);
     let out = dkc_bench::experiments::exp_ingest(args.scale);
     out.print();

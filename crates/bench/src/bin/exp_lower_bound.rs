@@ -2,10 +2,10 @@
 
 #![deny(deprecated)]
 use dkc_bench::experiments::lower_bound_runs;
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads::COMMON);
     let mut report = Report::new("exp_lower_bound", args.scale);
     for &(gammas, depth) in lower_bound_runs(args.scale) {
         let out = dkc_bench::experiments::exp_lower_bound(gammas, depth);

@@ -1,10 +1,10 @@
 //! E3: empirical rounds to reach the target approximation ratio.
 
 #![deny(deprecated)]
-use dkc_bench::{ExpArgs, Report, WorkloadScale};
+use dkc_bench::{ExpArgs, Reads, Report, WorkloadScale};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads::COMMON);
     let mut report = Report::new("exp_rounds_to_target", args.scale);
     let out = dkc_bench::experiments::exp_rounds_to_target(args.scale, 0.1);
     out.print();

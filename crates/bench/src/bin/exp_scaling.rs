@@ -2,10 +2,10 @@
 //! throughput on the compact elimination and a dense multicast stress.
 
 #![deny(deprecated)]
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads::COMMON);
     let mut report = Report::new("exp_scaling", args.scale);
     let out = dkc_bench::experiments::exp_scaling(args.scale);
     out.print();

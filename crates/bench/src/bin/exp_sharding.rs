@@ -1,6 +1,6 @@
 //! E15: shard-partitioned execution — the compact elimination under
-//! sharded execution (cross-shard copies charged as `BoundaryDelta` wire
-//! frames) vs the unsharded sparse lockstep reference,
+//! sharded execution (cross-shard copies charged as the `BoundaryDelta` wire
+//! frames they would travel in) vs the unsharded sparse lockstep reference,
 //! asserted byte-identical on every deterministic counter and gated in CI on
 //! the `boundary_bits`/`boundary_nodes` counters (its `E15` records in
 //! `bench/baselines/tiny.json`).
@@ -14,14 +14,17 @@
 //! ```
 
 #![deny(deprecated)]
-use dkc_bench::{ExpArgs, Report};
+use dkc_bench::{ExpArgs, Reads, Report};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(Reads {
+        faults: true,
+        shards: true,
+    });
     let custom = (!args.faults.is_trivial()).then_some(args.faults);
-    let seed = (args.shard_seed != 0).then_some(args.shard_seed);
     let mut report = Report::new("exp_sharding", args.scale);
-    let out = dkc_bench::experiments::exp_sharding(args.scale, custom, args.shards, seed);
+    let out =
+        dkc_bench::experiments::exp_sharding(args.scale, custom, args.shards, args.shard_seed);
     out.print();
     report.extend(out.records);
     args.write_report(&report);

@@ -1297,9 +1297,10 @@ pub fn sharding_fault_plan(budget: usize) -> dkc_distsim::FaultPlan {
 /// run **byte-identical** to the unsharded one on every deterministic
 /// counter — surviving numbers, in-neighbour sets, messages, wire bits, node
 /// updates, and all seven fault counters. What sharding adds is reported in
-/// the two v6 counters CI gates on: `boundary_bits` (encoded `BoundaryDelta`
-/// frame traffic) and `boundary_nodes` (distinct cross-shard senders per
-/// round), alongside the partitioner's per-shard balance and cut-arc ratio.
+/// the two v6 counters CI gates on: `boundary_bits` (`BoundaryDelta` frame
+/// traffic, charged as if encoded; no frame is built) and `boundary_nodes`
+/// (distinct cross-shard senders per round), alongside the partitioner's
+/// per-shard balance and cut-arc ratio.
 pub fn exp_sharding(
     scale: WorkloadScale,
     custom_faults: Option<dkc_distsim::FaultPlan>,

@@ -21,4 +21,4 @@ pub mod workloads;
 pub use experiments::ExperimentOutput;
 pub use report::{ExperimentRecord, Report};
 pub use table::Table;
-pub use workloads::{standard_suite, ExpArgs, Workload, WorkloadScale};
+pub use workloads::{standard_suite, ExpArgs, Reads, Workload, WorkloadScale};

@@ -80,20 +80,23 @@ impl WorkloadScale {
 /// frames — every deterministic counter is identical by construction, so CI
 /// gates a mailbox leg against the same baseline).
 /// All flags accept the `--flag=value` form. Any other argument is rejected
-/// so typos cannot silently fall back to a minutes-long full-scale run.
+/// so typos cannot silently fall back to a minutes-long full-scale run, and
+/// so is a flag of the two groups below that the binary does not read (see
+/// [`Reads`]), so no flag parses only to be ignored.
 ///
-/// Sharding flags (consumed by E15 / `exp_sharding`, ignored by experiments
-/// that run unsharded; see `dkc_distsim::NetworkBuilder::shards`):
+/// Sharding flags (read by `exp_sharding` and by `exp_all` for E15; see
+/// `dkc_distsim::NetworkBuilder::shards`):
 ///
 /// * `--shards <n>` — run under the shard-partitioned executor with `n`
 ///   shards (`1..=MAX_SHARDS`). Rejected together with `--mode mailbox`:
 ///   the mailbox backend is its own sharded runtime and the two do not
 ///   compose.
 /// * `--shard-seed <seed>` — seed of the deterministic hash partitioner
-///   (default 0)
+///   (default: the experiment's own)
 ///
-/// Fault-injection flags (consumed by E13 / `exp_faults`, ignored by
-/// experiments that run fault-free; see `dkc_distsim::FaultPlan`):
+/// Fault-injection flags (read by `exp_faults`, `exp_byzantine` and
+/// `exp_sharding`, whose custom scenario they build; see
+/// `dkc_distsim::FaultPlan`):
 ///
 /// * `--loss <p>` — i.i.d. per-message loss probability in `[0, 1]`
 /// * `--burst <period>:<len>` — per-link outages: `len` dark rounds per
@@ -124,9 +127,41 @@ pub struct ExpArgs {
     /// Shard count for the shard-partitioned executor (`--shards`; `None` =
     /// unsharded execution).
     pub shards: Option<usize>,
-    /// Seed of the deterministic hash partitioner (`--shard-seed`).
-    pub shard_seed: u64,
+    /// Seed of the deterministic hash partitioner (`--shard-seed`; `None` =
+    /// the experiment's default).
+    pub shard_seed: Option<u64>,
 }
+
+/// The flag groups an `exp_*` binary reads beyond the common `--scale`,
+/// `--json`, `--threads` and `--mode`. [`ExpArgs::parse`] rejects a flag of
+/// a group the binary does not read with exit status 2, naming the flag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reads {
+    /// `--loss`, `--burst`, `--crash`, `--partition`, `--byzantine`,
+    /// `--quarantine` and `--fault-seed`.
+    pub faults: bool,
+    /// `--shards` and `--shard-seed`.
+    pub shards: bool,
+}
+
+impl Reads {
+    /// The common flags only.
+    pub const COMMON: Reads = Reads {
+        faults: false,
+        shards: false,
+    };
+}
+
+/// The fault flags, which [`Reads::faults`] admits.
+const FAULT_FLAGS: [&str; 7] = [
+    "loss",
+    "burst",
+    "crash",
+    "partition",
+    "byzantine",
+    "quarantine",
+    "fault-seed",
+];
 
 impl Default for ExpArgs {
     fn default() -> Self {
@@ -138,16 +173,17 @@ impl Default for ExpArgs {
             mode: dkc_distsim::ExecutionMode::Dense,
             faults: dkc_distsim::FaultPlan::default(),
             shards: None,
-            shard_seed: 0,
+            shard_seed: None,
         }
     }
 }
 
 impl ExpArgs {
-    /// Parses `std::env::args`, exiting with status 2 on any unknown flag,
-    /// and installs the `--threads` override into the global rayon pool.
-    pub fn parse() -> Self {
-        let parsed = Self::try_parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| {
+    /// Parses `std::env::args`, exiting with status 2 on any unknown flag
+    /// or any flag outside the common ones and `reads`, and installs the
+    /// `--threads` override into the global rayon pool.
+    pub fn parse(reads: Reads) -> Self {
+        let parsed = Self::try_parse_from(std::env::args().skip(1), reads).unwrap_or_else(|msg| {
             eprintln!("{msg}");
             std::process::exit(2);
         });
@@ -165,7 +201,7 @@ impl ExpArgs {
     /// so rejection behaviour is unit-testable. Fault specs are parsed by
     /// the shared grammar in `dkc_distsim::faults::spec`, the same one the
     /// `dkc` CLI uses.
-    fn try_parse_from(args: impl Iterator<Item = String>) -> Result<Self, String> {
+    fn try_parse_from(args: impl Iterator<Item = String>, reads: Reads) -> Result<Self, String> {
         use dkc_distsim::faults::spec;
 
         let parse_scale = |value: &str| {
@@ -184,7 +220,7 @@ impl ExpArgs {
         // `--threads` and `--shards` take a count in 1..=MAX_SHARDS. Zero is
         // neither "auto" nor a usable size (the thread-pool builder's
         // behaviour would be backend-defined), and a larger count would
-        // start that many threads per round, or N² boundary buffers.
+        // start that many threads per round, or N² boundary counters.
         let parse_count = |flag: &str, value: &str, omitted: &str| -> Result<usize, String> {
             let n: usize = value
                 .parse()
@@ -230,6 +266,18 @@ impl ExpArgs {
                 },
                 None => (String::new(), None),
             };
+            if FAULT_FLAGS.contains(&flag.as_str()) && !reads.faults {
+                return Err(format!(
+                    "--{flag} is not read by this binary; the fault flags are read by \
+                     exp_faults, exp_byzantine and exp_sharding"
+                ));
+            }
+            if matches!(flag.as_str(), "shards" | "shard-seed") && !reads.shards {
+                return Err(format!(
+                    "--{flag} is not read by this binary; the shard flags are read by \
+                     exp_sharding and exp_all"
+                ));
+            }
             match flag.as_str() {
                 "scale" => {
                     let v = next_value("scale", &mut args, inline.as_deref())?;
@@ -271,20 +319,29 @@ impl ExpArgs {
                 }
                 "shard-seed" => {
                     let v = next_value("shard-seed", &mut args, inline.as_deref())?;
-                    parsed.shard_seed = v
-                        .parse()
-                        .map_err(|_| format!("--shard-seed expects an integer, got {v:?}"))?;
+                    parsed.shard_seed = Some(
+                        v.parse()
+                            .map_err(|_| format!("--shard-seed expects an integer, got {v:?}"))?,
+                    );
                 }
                 _ => {
+                    let mut supported = String::from(
+                        "--scale <tiny|small|medium>, --json <path>, --threads <n>, \
+                         --mode <lockstep|mailbox>",
+                    );
+                    if reads.shards {
+                        supported.push_str(", --shards <n>, --shard-seed <seed>");
+                    }
+                    if reads.faults {
+                        supported.push_str(
+                            ", --loss <p>, --burst <period>:<len>, --crash <p>:<first>:<last>, \
+                             --partition <f>:<first>:<last>, \
+                             --byzantine <f>:<behaviors>:<first>:<last>, \
+                             --quarantine <threshold>, --fault-seed <seed>",
+                        );
+                    }
                     return Err(format!(
-                        "unrecognized argument {arg:?}; supported flags: \
-                         --scale <tiny|small|medium>, --json <path>, --threads <n>, \
-                         --mode <lockstep|mailbox>, \
-                         --shards <n>, --shard-seed <seed>, \
-                         --loss <p>, --burst <period>:<len>, --crash <p>:<first>:<last>, \
-                         --partition <f>:<first>:<last>, \
-                         --byzantine <f>:<behaviors>:<first>:<last>, \
-                         --quarantine <threshold>, --fault-seed <seed>"
+                        "unrecognized argument {arg:?}; supported flags: {supported}"
                     ));
                 }
             }
@@ -480,12 +537,18 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// Every flag group: what `exp_sharding` reads.
+    const ALL: Reads = Reads {
+        faults: true,
+        shards: true,
+    };
+
     fn parse_ok(v: &[&str]) -> ExpArgs {
-        ExpArgs::try_parse_from(s(v).into_iter()).expect("arguments should parse")
+        ExpArgs::try_parse_from(s(v).into_iter(), ALL).expect("arguments should parse")
     }
 
     fn parse_err(v: &[&str]) -> String {
-        ExpArgs::try_parse_from(s(v).into_iter()).expect_err("arguments should be rejected")
+        ExpArgs::try_parse_from(s(v).into_iter(), ALL).expect_err("arguments should be rejected")
     }
 
     #[test]
@@ -500,7 +563,7 @@ mod tests {
                 mode: ExecutionMode::Dense,
                 faults: dkc_distsim::FaultPlan::none(),
                 shards: None,
-                shard_seed: 0,
+                shard_seed: None,
             }
         );
         assert_eq!(
@@ -512,7 +575,7 @@ mod tests {
                 mode: ExecutionMode::Dense,
                 faults: dkc_distsim::FaultPlan::none(),
                 shards: None,
-                shard_seed: 0,
+                shard_seed: None,
             }
         );
         assert_eq!(
@@ -524,7 +587,7 @@ mod tests {
                 mode: ExecutionMode::Dense,
                 faults: dkc_distsim::FaultPlan::none(),
                 shards: None,
-                shard_seed: 0,
+                shard_seed: None,
             }
         );
         assert_eq!(parse_ok(&["--threads=2"]).threads, Some(2));
@@ -547,14 +610,15 @@ mod tests {
     #[test]
     fn exp_args_parse_shards() {
         assert_eq!(parse_ok(&[]).shards, None);
-        assert_eq!(parse_ok(&[]).shard_seed, 0);
+        assert_eq!(parse_ok(&[]).shard_seed, None);
         assert_eq!(parse_ok(&["--shards", "4"]).shards, Some(4));
         assert_eq!(parse_ok(&["--shards=1"]).shards, Some(1));
         let both = parse_ok(&["--shards=8", "--shard-seed", "77"]);
         assert_eq!(both.shards, Some(8));
-        assert_eq!(both.shard_seed, 77);
-        // A shard seed without --shards parses (it is simply unused).
-        assert_eq!(parse_ok(&["--shard-seed=9"]).shard_seed, 9);
+        assert_eq!(both.shard_seed, Some(77));
+        // A shard seed without --shards parses (it moves E15's partition).
+        assert_eq!(parse_ok(&["--shard-seed=9"]).shard_seed, Some(9));
+        assert_eq!(parse_ok(&["--shard-seed=0"]).shard_seed, Some(0));
         assert!(parse_err(&["--shards", "0"]).contains("--shards must be at least 1"));
         assert!(parse_err(&["--shards", "many"]).contains("expects a count"));
         assert!(parse_err(&["--shard-seed", "abc"]).contains("expects an integer"));
@@ -602,6 +666,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A binary rejects every flag of a group it does not read, naming the
+    /// flag, whether or not the value would parse; the groups it reads parse.
+    #[test]
+    fn exp_args_reject_the_flags_a_binary_does_not_read() {
+        let parse = |reads: Reads, v: &[&str]| ExpArgs::try_parse_from(s(v).into_iter(), reads);
+        let faults = FAULT_FLAGS.map(|flag| format!("--{flag}=0.1"));
+        let shards = ["--shards=2", "--shard-seed=3"].map(String::from);
+        let only_faults = Reads {
+            faults: true,
+            ..Reads::COMMON
+        };
+        let only_shards = Reads {
+            shards: true,
+            ..Reads::COMMON
+        };
+        for (reads, rejected) in [
+            (Reads::COMMON, [&faults[..], &shards[..]].concat()),
+            (only_faults, shards.to_vec()),
+            (only_shards, faults.to_vec()),
+        ] {
+            for arg in rejected {
+                let err = parse(reads, &[&arg]).expect_err(&arg);
+                let flag = arg.split('=').next().unwrap();
+                assert!(
+                    err.starts_with(&format!("{flag} is not read by this binary")),
+                    "{err}"
+                );
+            }
+        }
+        assert!(parse(Reads::COMMON, &["--loss", "0.1"])
+            .unwrap_err()
+            .contains("--loss is not read"));
+        assert_eq!(
+            parse(only_shards, &["--shards=2", "--shard-seed=3"]),
+            Ok(ExpArgs {
+                shards: Some(2),
+                shard_seed: Some(3),
+                ..ExpArgs::default()
+            })
+        );
+        let custom = parse(only_faults, &["--crash=0.3:2:6", "--fault-seed=9"]).unwrap();
+        assert!(!custom.faults.is_trivial());
+        let plain = parse(
+            Reads::COMMON,
+            &["--scale=tiny", "--mode=mailbox", "--threads=2"],
+        );
+        assert_eq!(plain.unwrap().threads, Some(2));
+        let err = parse(Reads::COMMON, &["--sclae=tiny"]).unwrap_err();
+        assert!(err.contains("unrecognized argument"), "{err}");
+        assert!(
+            !err.contains("--loss") && !err.contains("--shards"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -48,6 +48,7 @@ smoke_tests! {
     exp_frontier_runs_tiny => "exp_frontier",
     exp_faults_runs_tiny => "exp_faults",
     exp_byzantine_runs_tiny => "exp_byzantine",
+    exp_sharding_runs_tiny => "exp_sharding",
     exp_all_runs_tiny => "exp_all",
 }
 
@@ -104,6 +105,7 @@ smoke_json_tests! {
     exp_frontier_honors_json => "exp_frontier",
     exp_faults_honors_json => "exp_faults",
     exp_byzantine_honors_json => "exp_byzantine",
+    exp_sharding_honors_json => "exp_sharding",
     exp_all_honors_json => "exp_all",
 }
 
@@ -230,6 +232,113 @@ fn exp_faults_accepts_and_rejects_fault_flags() {
         .expect("failed to spawn exp_faults");
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("[0, 1]"));
+}
+
+/// A binary rejects every flag it does not read, with the usage-error
+/// status and the flag's name: the fault and shard flags outside the
+/// binaries that read them, so a run never prints what it would have
+/// printed without them. `exp_sharding` reads both groups.
+#[test]
+fn exp_binaries_reject_the_flags_they_do_not_read() {
+    for (bin, name, flag, value) in [
+        (
+            env!("CARGO_BIN_EXE_exp_coreness_ratio"),
+            "exp_coreness_ratio",
+            "--loss",
+            "0.1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_coreness_ratio"),
+            "exp_coreness_ratio",
+            "--shards",
+            "8",
+        ),
+        (env!("CARGO_BIN_EXE_exp_all"), "exp_all", "--loss", "0.1"),
+        (
+            env!("CARGO_BIN_EXE_exp_all"),
+            "exp_all",
+            "--fault-seed",
+            "9",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_faults"),
+            "exp_faults",
+            "--shards",
+            "2",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_byzantine"),
+            "exp_byzantine",
+            "--shard-seed",
+            "3",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_fig1"),
+            "exp_fig1",
+            "--crash",
+            "0.3:2:6",
+        ),
+    ] {
+        let output = Command::new(bin)
+            .args(["--scale", "tiny", flag, value])
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{name} {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} is not read")),
+            "{name} {flag}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{name} {flag} ran anyway");
+    }
+    let output = Command::new(env!("CARGO_BIN_EXE_exp_sharding"))
+        .args(["--scale", "tiny", "--shards", "2", "--shard-seed", "3"])
+        .args(["--loss", "0.1", "--fault-seed", "9"])
+        .output()
+        .expect("failed to spawn exp_sharding");
+    assert!(
+        output.status.success(),
+        "exp_sharding rejected the flags it reads: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(String::from_utf8_lossy(&output.stdout).contains("custom"));
+}
+
+/// `exp_all` reads `--shards` and `--shard-seed` and hands both to E15:
+/// its E15 records are `exp_sharding`'s under the same flags, and the seed
+/// moves the boundary counters.
+#[test]
+fn exp_all_passes_the_shard_flags_to_e15() {
+    let dir = std::env::temp_dir().join("dkc_exp_smoke_json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let e15 = |bin: &str, name: &str, flags: &[&str]| {
+        let path = dir.join(format!("{name}_e15_{}.json", flags.join("_")));
+        let output = Command::new(bin)
+            .args(["--scale", "tiny", "--json"])
+            .arg(&path)
+            .args(flags)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        assert!(
+            output.status.success(),
+            "{name} {flags:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let report = dkc_bench::Report::read_from(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        report
+            .records
+            .into_iter()
+            .filter(|r| r.experiment == "E15")
+            .map(|r| (r.workload, r.counters))
+            .collect::<Vec<_>>()
+    };
+    let sharding = env!("CARGO_BIN_EXE_exp_sharding");
+    let seeded = ["--shards", "2", "--shard-seed", "5"];
+    let all = e15(env!("CARGO_BIN_EXE_exp_all"), "exp_all", &seeded);
+    assert!(all.iter().any(|(w, _)| w.ends_with("-shards2")), "{all:?}");
+    assert_eq!(all, e15(sharding, "exp_sharding", &seeded));
+    assert_ne!(all, e15(sharding, "exp_sharding", &seeded[..2]));
 }
 
 /// The exp_byzantine binary accepts a custom byzantine plan through the

@@ -521,8 +521,8 @@ pub enum RunError {
     /// the run keeps one `RoundStats` per round, so the bound keeps its
     /// history bounded. Nothing was built.
     Rounds(RoundsOutOfRange),
-    /// [`RunSpec::shards`] exceeds [`MAX_SHARDS`]: a sharded run allocates
-    /// one record buffer per ordered shard pair. Nothing was built.
+    /// [`RunSpec::shards`] exceeds [`MAX_SHARDS`]: a sharded run keeps one
+    /// byte counter per ordered shard pair. Nothing was built.
     Shards(usize),
     /// Writing a checkpoint failed.
     Checkpoint(CheckpointError),
@@ -571,9 +571,10 @@ impl From<CheckpointError> for RunError {
 /// while a crashed node leaves the frontier for good — so sparse and dense
 /// runs remain result-identical under every fault class.
 ///
-/// **Sharding.** With `shards > 0` each round also encodes, decodes and
-/// validates the `BoundaryDelta` frames its cross-shard copies would travel
-/// in between shard hosts, and charges them to the boundary counters. The
+/// **Sharding.** With `shards > 0` each round also charges the
+/// `BoundaryDelta` frames its cross-shard copies would travel in between
+/// shard hosts to the boundary counters, at their encoded length, without
+/// building them. The
 /// run itself is the unsharded one: node values, rounds, `node_updates`,
 /// `wire_bits` and all fault counters are byte-identical, pinned by
 /// `prop_sharded` and the E15 experiment.
@@ -1132,7 +1133,7 @@ mod tests {
 
     /// A library caller's shard count is bounded like the CLI's and a
     /// checkpoint's: one past `MAX_SHARDS` is a typed error before anything
-    /// is built (instead of N² pair buffers), and `MAX_SHARDS` itself runs.
+    /// is built (instead of N² pair counters), and `MAX_SHARDS` itself runs.
     #[test]
     fn shard_count_is_capped_at_max_shards() {
         let g = path_graph(8);

@@ -32,10 +32,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
+/// A case's checkpoint path, directly under the temp directory, so that
+/// removing the file (as each test does) leaves nothing behind.
 fn tmp_file(tag: &str, case: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dkc-prop-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{case}.dkck"))
+    let pid = std::process::id();
+    std::env::temp_dir().join(format!("dkc-prop-ckpt-{pid}-{tag}-{case}.dkck"))
 }
 
 /// Each mode with the rayon pool size it runs under.

@@ -27,10 +27,11 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// A case's checkpoint path, directly under the temp directory, so that
+/// removing the file (as each test does) leaves nothing behind.
 fn tmp_file(tag: &str, case: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dkc-prop-shard-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{case}.dkck"))
+    let pid = std::process::id();
+    std::env::temp_dir().join(format!("dkc-prop-shard-{pid}-{tag}-{case}.dkck"))
 }
 
 fn surviving_bits(o: &CompactOutcome) -> Vec<u64> {

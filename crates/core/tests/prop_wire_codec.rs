@@ -1,7 +1,9 @@
 //! Property tests for the wire codec over every protocol message type:
 //! each encodes to the bytes its layout pins (written out field by field
 //! here, independently of the encoders), encode → decode is the identity,
-//! the measured frame length is what the accounting charges, corrupted frames (truncated at every byte boundary,
+//! the measured frame length is what the accounting charges, a tampered
+//! copy keeps its message's lengths, a boundary frame's charged length is
+//! its encoded length, corrupted frames (truncated at every byte boundary,
 //! over the payload cap, carrying trailing garbage, or with an unknown enum
 //! tag) are rejected with an error, and every byte of a frame flipped three
 //! ways or stamped with `u32::MAX` decodes or is rejected — never a panic,
@@ -18,7 +20,7 @@ use dkc_core::densest::AggMessage;
 use dkc_core::pipelined::PipelinedMessage;
 use dkc_core::tree_elim::ActiveMsg;
 use dkc_core::ThresholdSet;
-use dkc_distsim::message::{MessageSize, QuantizedValue};
+use dkc_distsim::message::{MessageSize, QuantizedValue, Tamper};
 use dkc_distsim::wire::{
     decode_frame, encode_frame, frame_bits, payload_len, WireCodec, FRAME_HEADER_BYTES,
     WIRE_SLACK_BITS,
@@ -185,6 +187,45 @@ where
     );
 }
 
+/// The length half of the `Tamper` contract: under several salts, a
+/// tampered copy of `msg` has its payload length and its `size_bits`. The
+/// `wire_bits` and `boundary_bits` counters size a byzantine sender's true
+/// message for every copy, tampered or not.
+fn check_tamper<M: Tamper + WireCodec + MessageSize + Debug>(msg: &M) {
+    for salt in [0, 1, 42, 0xDEAD_BEEF, u64::MAX] {
+        let lie = msg.tamper(salt);
+        assert_eq!(payload_len(&lie), payload_len(msg), "salt {salt}: {lie:?}");
+        assert_eq!(lie.size_bits(), msg.size_bits(), "salt {salt}: {lie:?}");
+    }
+}
+
+/// A boundary frame of one record per message is as long as the charge
+/// sums it: [`BoundaryDelta::frame_len`] of its records'
+/// [`BoundaryRecord::wire_len`].
+fn check_frame_len<M: WireCodec>(msgs: Vec<M>) {
+    let record_bytes = msgs.iter().map(BoundaryRecord::wire_len).sum();
+    let records = msgs
+        .into_iter()
+        .enumerate()
+        .map(|(i, msg)| BoundaryRecord {
+            sender: i as u32,
+            receiver: i as u32 + 1,
+            pos: 0,
+            msg,
+        })
+        .collect();
+    let delta = BoundaryDelta {
+        src_shard: 0,
+        dst_shard: 1,
+        round: 7,
+        records,
+    };
+    assert_eq!(
+        encode_frame(&delta).len(),
+        BoundaryDelta::<M>::frame_len(record_bytes)
+    );
+}
+
 /// Deterministic finite f64 derived from integer entropy (NaN would break
 /// the PartialEq round-trip check).
 fn finite(x: u64) -> f64 {
@@ -211,6 +252,7 @@ proptest! {
         let key_bytes = if tag == 2 { vec![] } else { key_bytes };
         check_codec(&msg, &[&[tag][..], &key_bytes].concat());
         check_bad_tag(&msg);
+        check_tamper(&msg);
     }
 
     /// The compact elimination's, Montresor's and single-threshold's
@@ -220,14 +262,19 @@ proptest! {
         raw in 0u64..1_000_000,
         bits in 1usize..65,
     ) {
-        check_mutations::<QuantizedValue>(&encode_frame(&QuantizedValue { value: finite(raw), bits }));
+        let q = QuantizedValue { value: finite(raw), bits };
+        check_mutations::<QuantizedValue>(&encode_frame(&q));
         check_mutations::<f64>(&encode_frame(&finite(raw)));
         check_mutations::<()>(&encode_frame(&()));
+        check_tamper(&q);
+        check_tamper(&finite(raw));
     }
 
     #[test]
     fn active_msg_round_trips(leader in 0u32..1_000_000) {
-        check_codec(&ActiveMsg { leader: NodeId(leader) }, &le!(leader));
+        let msg = ActiveMsg { leader: NodeId(leader) };
+        check_codec(&msg, &le!(leader));
+        check_tamper(&msg);
     }
 
     #[test]
@@ -247,9 +294,11 @@ proptest! {
         let up = AggMessage::Up(num, deg);
         check_codec(&up, &up_bytes);
         check_bad_tag(&up);
+        check_tamper(&up);
         let down = AggMessage::Down(down_t, finite(down_raw));
         check_codec(&down, &le!(1u8, down_t, finite(down_raw)));
         check_bad_tag(&down);
+        check_tamper(&down);
     }
 
     #[test]
@@ -265,6 +314,27 @@ proptest! {
         };
         check_codec(&msg, &bytes);
         check_bad_tag(&msg);
+        check_tamper(&msg);
+    }
+
+    /// The boundary charge's lengths match the encoded frame for a
+    /// fixed-length message and for `AggMessage::Up` at random lengths.
+    #[test]
+    fn boundary_frame_lengths_are_the_encoded_ones(
+        lens in proptest::collection::vec(0usize..24, 0..12),
+        raw in 0u64..1_000_000,
+        bits in 1usize..65,
+    ) {
+        check_frame_len(
+            lens.iter()
+                .map(|&len| AggMessage::Up(vec![raw as u32; len], vec![finite(raw); len]))
+                .collect(),
+        );
+        check_frame_len(
+            lens.iter()
+                .map(|_| QuantizedValue { value: finite(raw), bits })
+                .collect(),
+        );
     }
 }
 

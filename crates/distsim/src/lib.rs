@@ -29,9 +29,9 @@
 //!   so a run killed at any round resumes byte-identically.
 //! * [`shard`] — the [`shard::BoundaryDelta`] wire frame behind
 //!   sharded execution ([`NetworkBuilder::shards`]): each round's
-//!   frontier ∩ boundary copies per ordered shard pair, encoded, then
-//!   decoded with defensive structural validation, and charged to the
-//!   boundary counters.
+//!   frontier ∩ boundary copies per ordered shard pair are charged to the
+//!   boundary counters at the length that frame would have, without
+//!   building it.
 
 #![deny(deprecated)]
 
@@ -59,5 +59,5 @@ pub use network::{
     PULL_DIVISOR,
 };
 pub use program::{Delivery, NodeContext, NodeProgram, Outgoing};
-pub use shard::{BoundaryDelta, BoundaryRecord, ShardFrameError};
+pub use shard::{BoundaryDelta, BoundaryRecord};
 pub use wire::{WireCodec, WireError};

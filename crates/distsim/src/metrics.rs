@@ -147,11 +147,12 @@ counter_table! {
     /// Number of nodes quarantined as of this round (cumulative, monotone
     /// non-decreasing; schedule-driven and identical across all modes).
     quarantined_nodes: Last => "quarantined_nodes";
-    /// Measured wire bits of the cross-shard `BoundaryDelta` frames exchanged
-    /// this round under sharded execution ([`crate::NetworkBuilder::shards`];
-    /// frame overhead and record encodings — the per-copy bits of the
+    /// Wire bits of the cross-shard `BoundaryDelta` frames this round would
+    /// exchange under sharded execution ([`crate::NetworkBuilder::shards`]):
+    /// each frame's length prefix, header and records, charged as if encoded
+    /// (see [`crate::shard`]); no frame is built. The per-copy bits of the
     /// deliveries themselves are already in [`RoundStats::wire_bits`],
-    /// identically to unsharded execution). Zero when unsharded and with a
+    /// identically to unsharded execution. Zero when unsharded and with a
     /// single shard.
     boundary_bits: Sum => "boundary_bits";
     /// Number of distinct boundary nodes whose updates crossed a shard cut
@@ -274,7 +275,7 @@ impl RunMetrics {
         self.totals().crashed_nodes
     }
 
-    /// Total cross-shard `BoundaryDelta` wire bits across all rounds (see
+    /// Total cross-shard `BoundaryDelta` frame bits across all rounds (see
     /// [`RoundStats::boundary_bits`]).
     pub fn total_boundary_bits(&self) -> usize {
         self.totals().boundary_bits

@@ -63,7 +63,8 @@
 //! Both directions deliver exactly the same copies, so the choice never
 //! shows in a counter, a node's state, or a checkpoint. A sharded network
 //! ([`NetworkBuilder::shards`]) delivers the same way; before delivering, it
-//! charges the copies that cross a shard cut as boundary frames.
+//! charges the copies that cross a shard cut as the boundary frames they
+//! would travel in between shard hosts, sized as if encoded and never built.
 //!
 //! Frontier rounds are result-identical to dense rounds for programs that
 //! satisfy the delta-driven contract, and every other program runs dense
@@ -137,8 +138,8 @@ pub enum ExecutionMode {
 }
 
 /// The largest shard count a network may be built with
-/// ([`NetworkBuilder::shards`]). Sharded execution allocates one boundary
-/// record buffer per ordered shard pair, N² in all.
+/// ([`NetworkBuilder::shards`]). Sharded execution keeps one boundary byte
+/// counter per ordered shard pair, N² in all: 8 MiB at the cap.
 pub const MAX_SHARDS: usize = 1024;
 
 /// The largest round count T a run may be asked for, wherever T comes from
@@ -314,9 +315,8 @@ pub struct ExecutorBufferStats {
     /// their receivers (0 under dense rounds).
     pub staged_capacity_total: usize,
     /// Summed capacity of a sharded network's owner table and of each
-    /// source shard's frontier bucket, per-destination record buffers and
-    /// sender-count scratch (0 unsharded). The record buffers hold one
-    /// round's cross-shard copies.
+    /// source shard's frontier bucket and per-destination byte counters (0
+    /// unsharded).
     pub boundary_capacity_total: usize,
     /// Summed capacity of the mailbox backend's per-node inboxes and its
     /// shards' pending-frame buffers (0 under the other modes).
@@ -341,26 +341,24 @@ impl ExecutorBufferStats {
 /// deterministic node → shard assignment plus one [`SourceShard`] per shard,
 /// whose buffers [`Network::account_boundary`] fills and drains within a
 /// round, so they never appear in checkpoints.
-struct ShardState<M> {
+struct ShardState {
     /// `owner[v]` is the shard owning node `v` (the `Partitioner::shard_of`
     /// table materialized once at install time).
     owner: Vec<u32>,
     /// One per shard (≥ 1; a single shard has no cut and charges nothing),
     /// in shard order.
-    sources: Vec<SourceShard<M>>,
+    sources: Vec<SourceShard>,
 }
 
 /// One source shard's part of a round's boundary accounting: the task that
-/// walks its frontier senders' copies and builds, checks and charges its
-/// frames to every other shard.
-struct SourceShard<M> {
+/// walks its frontier senders' copies and charges its frames to every other
+/// shard.
+struct SourceShard {
     /// The round's frontier senders this shard owns, ascending.
     senders: Vec<u32>,
-    /// Per destination shard, the round's records from this shard's senders
-    /// to its nodes, encoded as one frame.
-    records: Vec<Vec<BoundaryRecord<M>>>,
-    /// Scratch for counting the distinct senders of the decoded frames.
-    decoded_senders: Vec<u32>,
+    /// Per destination shard, the wire bytes of the round's records from
+    /// this shard's senders to its nodes.
+    record_bytes: Vec<usize>,
     /// This shard's share of the round's [`RoundStats::boundary_bits`].
     bits: usize,
     /// This shard's share of the round's [`RoundStats::boundary_nodes`].
@@ -411,9 +409,9 @@ pub struct Network<P: NodeProgram> {
     staged_to: Vec<u32>,
     /// Frontier senders with loss-dropped copies (they re-send next round).
     resend: Vec<u32>,
-    /// Shard partition + boundary-frame buffers; `Some` ⇔ the network
+    /// Shard partition + boundary byte counters; `Some` ⇔ the network
     /// was built with [`NetworkBuilder::shards`] > 0.
-    shard: Option<ShardState<P::Message>>,
+    shard: Option<ShardState>,
     /// Overrides the push/pull choice of every sparse round: `Some(true)`
     /// pulls, `Some(false)` pushes.
     #[cfg(test)]
@@ -753,87 +751,46 @@ fn lists(targets: &[NodeId], v: NodeId) -> bool {
 /// What every source shard's task of a sharded round's boundary accounting
 /// reads (see [`Network::account_boundary`]).
 struct BoundaryRound<'a, M> {
-    /// The round's copy rules: link drops, tamper salts and spam factors.
+    /// The round's copy rules: link drops and spam factors.
     copies: RoundCopies<'a>,
     outboxes: &'a [Outgoing<M>],
     /// The node → shard owner table.
     owner: &'a [u32],
 }
 
-impl<M: Clone + Tamper + WireCodec> BoundaryRound<'_, M> {
-    /// Source shard `src`'s task: fills its record buffers from its
-    /// senders' cross-shard copies, then encodes, strictly decodes and
-    /// validates one frame per nonempty buffer, and leaves its charges in
-    /// `source.bits` and `source.nodes`.
-    fn account(&self, src: u32, source: &mut SourceShard<M>) {
-        let RoundCopies { graph, round, .. } = self.copies;
+impl<M: WireCodec> BoundaryRound<'_, M> {
+    /// Source shard `src`'s task: adds each of its senders' cross-shard
+    /// copies, by their [`BoundaryRecord::wire_len`], to the byte count of
+    /// the copy's destination shard, then leaves its charges in
+    /// `source.bits` (one [`BoundaryDelta::frame_len`] per nonempty count)
+    /// and `source.nodes` (the senders with a copy across a cut).
+    fn account(&self, src: u32, source: &mut SourceShard) {
         let SourceShard {
             senders,
-            records,
-            decoded_senders,
+            record_bytes,
             bits,
             nodes,
         } = source;
+        *nodes = 0;
         for &u in senders.iter() {
             let sender = NodeId(u);
             let spam = self.copies.spam(sender);
-            let outgoing = &self.outboxes[u as usize];
-            self.copies.for_each(sender, outgoing, |q, v, m| {
-                let dst = self.owner[v.index()];
-                if dst == src {
-                    return;
-                }
-                let (pos, msg) = self.copies.received(sender, q, v, m);
-                let record = |msg| BoundaryRecord {
-                    sender: u,
-                    receiver: v.0,
-                    pos,
-                    msg,
-                };
-                let buf = &mut records[dst as usize];
-                for _ in 1..spam {
-                    buf.push(record(msg.clone()));
-                }
-                buf.push(record(msg));
-            });
+            let mut crosses = false;
+            self.copies
+                .for_each(sender, &self.outboxes[u as usize], |_, v, m| {
+                    let dst = self.owner[v.index()];
+                    if dst != src {
+                        record_bytes[dst as usize] += spam * BoundaryRecord::wire_len(m);
+                        crosses = true;
+                    }
+                });
+            *nodes += usize::from(crosses);
         }
         *bits = 0;
-        decoded_senders.clear();
-        for (dst, buf) in records.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            let delta = BoundaryDelta {
-                src_shard: src,
-                dst_shard: dst as u32,
-                round: round as u64,
-                records: std::mem::take(buf),
-            };
-            let frame = crate::wire::encode_frame(&delta);
-            *bits += 8 * frame.len();
-            // A boundary frame aggregates a whole cut's frontier, so it is
-            // not subject to the per-node-message frame cap; both checks are
-            // infallible here because the frame was encoded in this very
-            // loop.
-            let decoded: BoundaryDelta<M> = crate::wire::decode_frame(&frame, usize::MAX)
-                .expect("self-encoded boundary frame decodes");
-            decoded
-                .validate(src, dst as u32, round as u64, graph, self.owner)
-                .expect("self-built boundary frame validates");
-            // A sender's records are consecutive, so the scratch takes one
-            // entry per sender and destination shard.
-            for r in &decoded.records {
-                if decoded_senders.last() != Some(&r.sender) {
-                    decoded_senders.push(r.sender);
-                }
-            }
-            // Hand the drained buffer's capacity back for reuse.
-            *buf = delta.records;
-            buf.clear();
+        for bytes in record_bytes.iter_mut().filter(|bytes| **bytes > 0) {
+            *bits += 8 * BoundaryDelta::<M>::frame_len(*bytes);
+            *bytes = 0;
         }
-        decoded_senders.sort_unstable();
-        decoded_senders.dedup();
-        *nodes = decoded_senders.len();
     }
 }
 
@@ -900,8 +857,8 @@ impl NetworkBuilder {
     /// the deterministic `dkc_graph::Partitioner` assignment. Every round
     /// then charges the copies that cross a shard cut as they would travel
     /// between shard hosts: one [`crate::shard::BoundaryDelta`] wire frame per
-    /// ordered shard pair, encoded, then decoded and validated as a peer's
-    /// frame would be. The frames are reported as
+    /// ordered shard pair, charged at its encoded length without being
+    /// built. The frames are reported as
     /// [`RoundStats::boundary_bits`] / [`RoundStats::boundary_nodes`];
     /// delivery is the frontier round's push or pull, so every other
     /// counter, every node's state and every checkpoint is byte-identical to
@@ -1018,7 +975,7 @@ impl<P: NodeProgram> Network<P> {
 
     /// Installs the deterministic shard partition for sharded execution:
     /// materializes the `Partitioner::shard_of` owner table and each source
-    /// shard's record buffers, one per destination shard.
+    /// shard's byte counters, one per destination shard.
     ///
     /// # Panics
     ///
@@ -1032,8 +989,7 @@ impl<P: NodeProgram> Network<P> {
         let sources = (0..num_shards)
             .map(|_| SourceShard {
                 senders: Vec::new(),
-                records: (0..num_shards).map(|_| Vec::new()).collect(),
-                decoded_senders: Vec::new(),
+                record_bytes: vec![0; num_shards],
                 bits: 0,
                 nodes: 0,
             })
@@ -1104,11 +1060,7 @@ impl<P: NodeProgram> Network<P> {
                 st.owner.capacity()
                     + st.sources
                         .iter()
-                        .map(|src| {
-                            src.senders.capacity()
-                                + src.records.iter().map(Vec::capacity).sum::<usize>()
-                                + src.decoded_senders.capacity()
-                        })
+                        .map(|src| src.senders.capacity() + src.record_bytes.capacity())
                         .sum::<usize>()
             }),
             mailbox_capacity_total: self.mailbox.capacity_total(),
@@ -1328,16 +1280,15 @@ impl<P: NodeProgram> Network<P> {
     /// frontier is first bucketed by owner, stably, so each source shard
     /// holds its own senders in ascending order. Then one task per source
     /// shard runs on the rayon pool ([`BoundaryRound::account`]): it walks
-    /// only its own senders' copies to nodes of other shards, tampered and
-    /// multiplied as they are delivered, into one record buffer per
-    /// destination shard, and encodes each nonempty buffer as one
-    /// length-prefixed [`BoundaryDelta`] frame, whose bytes are the charge.
-    /// It then decodes and validates the frame against the owner table as a
-    /// remote peer would, and counts the frames' distinct senders. Senders
-    /// of different source shards are disjoint, so the round's charges are
-    /// the sums of the tasks'. Delivery stays with the round's push or pull,
-    /// which delivers these same copies; so a copy to a crashed or halted
-    /// receiver is charged here and dropped there.
+    /// only its own senders' copies to nodes of other shards, multiplied as
+    /// they are delivered, and sums their record lengths per destination
+    /// shard. Each nonempty sum is charged as one length-prefixed
+    /// [`BoundaryDelta`] frame of that many record bytes, and each sender
+    /// with a copy across a cut as one boundary node. Senders of different
+    /// source shards are disjoint, so the round's charges are the sums of
+    /// the tasks'. Delivery stays with the round's push or pull, which
+    /// delivers these same copies; so a copy to a crashed or halted receiver
+    /// is charged here and dropped there.
     fn account_boundary(&mut self, stats: &mut RoundStats) {
         let Some(st) = self.shard.as_mut().filter(|s| s.sources.len() > 1) else {
             return;
@@ -3017,6 +2968,47 @@ mod tests {
             assert_eq!(one.program(v).best, 0);
             assert_eq!(four.program(v).best, 0);
         }
+    }
+
+    /// A spammer's copies arrive [`ByzantineModel::SPAM_FACTOR`] times, and
+    /// its cross-shard records are charged as often: with every node
+    /// spamming in round 1 of a 4-shard flood on the 4×4 grid, each frame
+    /// holds twice its fault-free records, counted by hand, while the
+    /// boundary senders stay the same.
+    #[test]
+    fn spammed_boundary_copies_are_charged_once_per_arrival() {
+        let g = grid_graph(4, 4);
+        let csr = CsrGraph::from_graph(&g);
+        let part = Partitioner::new(4, 0);
+        let mut records = [[0usize; 4]; 4];
+        for u in csr.nodes() {
+            for &v in csr.neighbors(u) {
+                records[part.shard_of(u)][part.shard_of(v)] += 1;
+            }
+        }
+        // A frame per ordered shard pair with r > 0 records: a 4-byte
+        // header, 20 bytes of shard pair, round and record count, and 16
+        // bytes per u32 record, each spammed copy a record of its own.
+        let bits = |copies: usize| -> usize {
+            (0..4)
+                .flat_map(|src| (0..4).map(move |dst| (src, dst)))
+                .filter(|&(src, dst)| src != dst && records[src][dst] > 0)
+                .map(|(src, dst)| 8 * (4 + 20 + 16 * copies * records[src][dst]))
+                .sum()
+        };
+        let spam = ByzantineModel::new(1.0, Behavior::Spam.bit(), 1, 1, 3);
+        assert_eq!(ByzantineModel::SPAM_FACTOR, 2);
+        let leg = Leg {
+            mode: Auto,
+            threads: 1,
+            shards: 4,
+        };
+        let [plain, spammed] = [FaultPlan::none(), FaultPlan::none().with_byzantine(spam)]
+            .map(|plan| min_id_ran(&g, leg, plan, 1).metrics().rounds()[0]);
+        assert_eq!(spammed.messages, 2 * plain.messages);
+        assert_eq!(plain.boundary_bits, bits(1));
+        assert_eq!(spammed.boundary_bits, bits(2));
+        assert_eq!(spammed.boundary_nodes, plain.boundary_nodes);
     }
 
     /// At `MAX_SHARDS` shards a round's boundary tasks still walk each

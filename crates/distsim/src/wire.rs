@@ -323,10 +323,10 @@ pub fn payload_len<M: WireCodec>(msg: &M) -> usize {
 /// allocation of its exact size, never grown by reallocation: glibc
 /// reallocates a block inside the arena it came from, so on a worker thread
 /// a growing buffer can move into the main thread's arena and contend for
-/// its lock. With boundary frames
-/// encoded on two threads, a 1,024-shard run over a 100k-node Chung–Lu
-/// graph blocked on a lock about 110k times with a growing buffer and
-/// 13k–17k times with this one (3.3–3.8 s against 1.4–1.7 s; 2-vCPU VM).
+/// its lock. When sharded rounds still encoded their boundary frames on two
+/// threads, a 1,024-shard run over a 100k-node Chung–Lu graph blocked on a
+/// lock about 110k times with a growing buffer and 13k–17k times with this
+/// one (3.3–3.8 s against 1.4–1.7 s; 2-vCPU VM).
 pub fn encode_frame<M: WireCodec>(msg: &M) -> Vec<u8> {
     let payload = payload_len(msg);
     // lint: allow(D04) — encode side: CONGEST payloads are O(log n) bits; a >4 GiB payload is a sender bug

@@ -1102,12 +1102,29 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("dkc_ingest_tests")
-            .join(format!("{}-{name}", std::process::id()));
+    /// A test's own directory under the temp directory, removed with its
+    /// files when the test ends.
+    struct TestDir(PathBuf);
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn test_dir(name: &str) -> TestDir {
+        let dir =
+            std::env::temp_dir().join(format!("dkc_ingest_tests-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TestDir(dir)
     }
 
     fn write_text(dir: &Path, name: &str, text: &str) -> PathBuf {

@@ -32,14 +32,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
+/// A case's own directory, directly under the temp directory; the case
+/// removes it when it ends.
 fn case_dir() -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("dkc_prop_build_semantics")
-        .join(format!(
-            "{}-{}",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed)
-        ));
+    let dir = std::env::temp_dir().join(format!(
+        "dkc_prop_build_semantics-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -183,6 +183,7 @@ proptest! {
                 prop_assert_eq!(back.ids.externals(), ds.ids.externals());
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

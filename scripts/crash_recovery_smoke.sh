@@ -27,6 +27,10 @@
 #    span several write buffers: the kill lands while later images are
 #    still being written and committed behind the rounds, and the resumed
 #    run must print every node's value as the reference does.
+# 6. Repeats steps 1-3 on the web-tiny fixture with 4 shards: the resumed
+#    run rebuilds the partition from the checkpoint's preamble, and
+#    `dkc-bench check` holds its `boundary_bits` and `boundary_nodes` to
+#    the uninterrupted sharded run's.
 #
 # Uses the release binaries directly — NOT `cargo run` — so the SIGKILL hits
 # the simulator process itself instead of orphaning it behind cargo.
@@ -136,4 +140,5 @@ kill_and_resume byzantine "$fixture" 20 "${base_flags[@]}" \
     --byzantine 0.3:all:2:40 --quarantine 2
 # A thousand rounds of 6 MB images keep the run going for seconds.
 kill_and_resume grid "$grid" 90000 --rounds 1000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7
-echo "crash_recovery_smoke: OK — all three killed runs resumed byte-identically"
+kill_and_resume sharded "$fixture" 20 "${base_flags[@]}" --shards 4 --shard-seed 3
+echo "crash_recovery_smoke: OK — all four killed runs resumed byte-identically"
