@@ -1,7 +1,7 @@
-//! Experiment implementations E1–E15 (see DESIGN.md §4). Each returns an
-//! [`ExperimentOutput`]: a [`Table`] for human consumption plus the
-//! [`ExperimentRecord`]s feeding the machine-readable report pipeline
-//! (`--json`, see [`crate::report`]).
+//! Experiment implementations E1–E15 (listed in the README's "Benchmarks and
+//! experiments"). Each returns an [`ExperimentOutput`]: a [`Table`] for human
+//! consumption plus the [`ExperimentRecord`]s feeding the machine-readable
+//! report pipeline (`--json`, see [`crate::report`]).
 
 use crate::report::ExperimentRecord;
 use crate::table::{f1, f3, Table};
@@ -1193,8 +1193,8 @@ pub fn exp_ingest(scale: WorkloadScale) -> ExperimentOutput {
             "workload", "format", "nodes", "edges", "KiB", "parse ms", "Medges/s",
         ],
     ));
-    let dir = std::env::temp_dir().join("dkc_exp_ingest").join(format!(
-        "{}-{}",
+    let dir = std::env::temp_dir().join(format!(
+        "dkc_exp_ingest-{}-{}",
         std::process::id(),
         scale.name()
     ));

@@ -1,15 +1,15 @@
 //! # dkc-bench
 //!
-//! The experiment harness that regenerates the paper's evaluation (see
-//! `DESIGN.md` §4 and `EXPERIMENTS.md` for the experiment index E1–E9).
+//! The experiment harness that regenerates the paper's evaluation: E1–E15,
+//! listed in the README's "Benchmarks and experiments".
 //!
 //! Every experiment is a plain function in [`experiments`] returning structured
-//! rows; the `exp_*` binaries print them as tables, and the Criterion benches
-//! in `benches/` time the underlying protocols. The conference version of the
-//! paper defers raw numbers to its full version, so the reproduced quantities
-//! are the theorem guarantees, the lower-bound constructions, and the stated
-//! empirical observation that the approximation ratio converges to ≈ 2 (and on
-//! real-ish graphs to ≈ 1) much faster than the worst-case round bound.
+//! rows, and the `exp_*` binaries print them as tables. The conference version
+//! of the paper defers raw numbers to its full version, so the reproduced
+//! quantities are the theorem guarantees, the lower-bound constructions, and
+//! the stated empirical observation that the approximation ratio converges to
+//! ≈ 2 (and on real-ish graphs to ≈ 1) much faster than the worst-case round
+//! bound.
 
 #![deny(deprecated)]
 

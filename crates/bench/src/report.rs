@@ -545,12 +545,13 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("dkc_report_test");
+        let dir = std::env::temp_dir().join(format!("dkc_report_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.json");
         let report = sample_report();
         report.write_to(&path).unwrap();
         assert_eq!(Report::read_from(&path).unwrap(), report);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

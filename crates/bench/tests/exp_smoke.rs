@@ -2,7 +2,33 @@
 //! run on tiny graphs. This keeps the experiment harness from silently
 //! rotting — the binaries are compiled and *executed* by `cargo test`.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// A test's own directory under the temp directory, removed with its files
+/// when the test ends.
+struct TestDir(PathBuf);
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn test_dir(name: &str) -> TestDir {
+    let dir =
+        std::env::temp_dir().join(format!("dkc_exp_smoke_json-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    TestDir(dir)
+}
 
 /// Runs a compiled workspace binary with `--scale tiny` and asserts it
 /// succeeds and produces table output.
@@ -55,10 +81,8 @@ smoke_tests! {
 /// Runs a binary with `--scale tiny --json <tmp>` and validates the emitted
 /// report: parseable, schema-valid, non-empty, and suite-stamped.
 fn smoke_json(bin_path: &str, name: &str) {
-    let dir = std::env::temp_dir().join("dkc_exp_smoke_json");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = test_dir(name);
     let path = dir.join(format!("{name}.json"));
-    let _ = std::fs::remove_file(&path);
     let output = Command::new(bin_path)
         .args(["--scale", "tiny", "--json"])
         .arg(&path)
@@ -111,8 +135,7 @@ smoke_json_tests! {
 
 #[test]
 fn exp_all_aggregates_every_experiment() {
-    let dir = std::env::temp_dir().join("dkc_exp_smoke_json");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = test_dir("exp_all_aggregates_every_experiment");
     let path = dir.join("exp_all_aggregate.json");
     let output = Command::new(env!("CARGO_BIN_EXE_exp_all"))
         .args(["--scale", "tiny", "--json"])
@@ -139,9 +162,8 @@ fn exp_all_aggregates_every_experiment() {
 
 #[test]
 fn json_reports_are_deterministic_in_counters() {
-    let dir = std::env::temp_dir().join("dkc_exp_smoke_json");
-    std::fs::create_dir_all(&dir).unwrap();
-    let counters = |path: &std::path::Path| {
+    let dir = test_dir("json_reports_are_deterministic_in_counters");
+    let counters = |path: &Path| {
         let report = dkc_bench::Report::read_from(path).unwrap();
         report
             .records
@@ -309,8 +331,7 @@ fn exp_binaries_reject_the_flags_they_do_not_read() {
 /// moves the boundary counters.
 #[test]
 fn exp_all_passes_the_shard_flags_to_e15() {
-    let dir = std::env::temp_dir().join("dkc_exp_smoke_json");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = test_dir("exp_all_passes_the_shard_flags_to_e15");
     let e15 = |bin: &str, name: &str, flags: &[&str]| {
         let path = dir.join(format!("{name}_e15_{}.json", flags.join("_")));
         let output = Command::new(bin)
@@ -325,7 +346,6 @@ fn exp_all_passes_the_shard_flags_to_e15() {
             String::from_utf8_lossy(&output.stderr)
         );
         let report = dkc_bench::Report::read_from(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
         report
             .records
             .into_iter()

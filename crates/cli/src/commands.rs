@@ -527,7 +527,7 @@ fn orientation(parsed: &Parsed) -> Result<String, String> {
     let g = &ds.graph;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
     let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
-    let approx = approximate_orientation_with_rounds(g, rounds, ExecutionMode::Auto);
+    let approx = approximate_orientation_with_rounds(g, rounds);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -594,24 +594,44 @@ fn densest(parsed: &Parsed) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
 
     fn parse(v: &[&str]) -> Parsed {
         Parsed::parse(&v.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn temp_graph() -> String {
-        static GRAPH: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-        GRAPH
-            .get_or_init(|| {
-                let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
-                std::fs::create_dir_all(&dir).unwrap();
-                let path = dir.join(format!("small-{}.edges", std::process::id()));
-                let mut rng = StdRng::seed_from_u64(3);
-                let g = gen::barabasi_albert(80, 3, &mut rng);
-                write_edge_list(&g, &path).unwrap();
-                path.to_string_lossy().to_string()
-            })
-            .clone()
+    /// A test's own directory under the temp directory, removed with its
+    /// files when the test ends.
+    struct TestDir(PathBuf);
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn test_dir(name: &str) -> TestDir {
+        let dir =
+            std::env::temp_dir().join(format!("dkc_cli_cmd_test-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TestDir(dir)
+    }
+
+    /// An 80-node BA edge list in `dir`.
+    fn temp_graph(dir: &Path) -> String {
+        let path = dir.join("small.edges");
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = gen::barabasi_albert(80, 3, &mut rng);
+        write_edge_list(&g, &path).unwrap();
+        path.to_string_lossy().to_string()
     }
 
     #[test]
@@ -628,7 +648,8 @@ mod tests {
 
     #[test]
     fn stats_reports_basic_quantities() {
-        let path = temp_graph();
+        let dir = test_dir("stats_reports_basic_quantities");
+        let path = temp_graph(&dir);
         let out = dispatch(&parse(&["stats", &path])).unwrap();
         assert!(out.contains("nodes: 80"));
         assert!(out.contains("hop diameter"));
@@ -636,7 +657,8 @@ mod tests {
 
     #[test]
     fn coreness_with_quantization_and_exact() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_with_quantization_and_exact");
+        let path = temp_graph(&dir);
         let out = dispatch(&parse(&[
             "coreness",
             &path,
@@ -658,7 +680,8 @@ mod tests {
 
     #[test]
     fn orientation_and_densest_commands() {
-        let path = temp_graph();
+        let dir = test_dir("orientation_and_densest_commands");
+        let path = temp_graph(&dir);
         let o = dispatch(&parse(&["orientation", &path, "--compare"])).unwrap();
         assert!(o.contains("rho*"));
         let d = dispatch(&parse(&["densest", &path, "--exact"])).unwrap();
@@ -673,7 +696,8 @@ mod tests {
 
     #[test]
     fn typoed_flags_are_rejected() {
-        let path = temp_graph();
+        let dir = test_dir("typoed_flags_are_rejected");
+        let path = temp_graph(&dir);
         let err = dispatch(&parse(&["coreness", &path, "--epsilonn", "0.1"])).unwrap_err();
         assert!(err.contains("--epsilonn"), "{err}");
         assert!(err.contains("supported flags"), "{err}");
@@ -685,7 +709,8 @@ mod tests {
 
     #[test]
     fn coreness_fault_flags_run_and_report() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_fault_flags_run_and_report");
+        let path = temp_graph(&dir);
         let out = dispatch(&parse(&[
             "coreness",
             &path,
@@ -708,7 +733,8 @@ mod tests {
 
     #[test]
     fn coreness_fault_flags_are_validated() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_fault_flags_are_validated");
+        let path = temp_graph(&dir);
         let err = dispatch(&parse(&["coreness", &path, "--loss", "1.5"])).unwrap_err();
         assert!(err.contains("[0, 1]"), "{err}");
         let err = dispatch(&parse(&["coreness", &path, "--crash", "0.5"])).unwrap_err();
@@ -730,7 +756,8 @@ mod tests {
 
     #[test]
     fn coreness_shards_match_unsharded_and_report_boundary_traffic() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_shards_match_unsharded_and_report_boundary_traffic");
+        let path = temp_graph(&dir);
         let plain = dispatch(&parse(&["coreness", &path, "--rounds", "6", "--top", "3"])).unwrap();
         let sharded = dispatch(&parse(&[
             "coreness",
@@ -776,7 +803,8 @@ mod tests {
 
     #[test]
     fn coreness_shard_flags_are_validated() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_shard_flags_are_validated");
+        let path = temp_graph(&dir);
         let err = dispatch(&parse(&["coreness", &path, "--shards", "0"])).unwrap_err();
         assert!(err.contains("must be > 0"), "{err}");
         let err = dispatch(&parse(&["coreness", &path, "--shards", "1025"])).unwrap_err();
@@ -793,8 +821,8 @@ mod tests {
     /// run on every deterministic counter, boundary traffic included.
     #[test]
     fn coreness_sharded_checkpoint_and_resume_match() {
-        let path = temp_graph();
-        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
+        let dir = test_dir("coreness_sharded_checkpoint_and_resume_match");
+        let path = temp_graph(&dir);
         let pid = std::process::id();
         let ck = dir.join(format!("shard-resume-{pid}.dkck"));
         let ref_json = dir.join(format!("shard-ckref-{pid}.json"));
@@ -840,7 +868,8 @@ mod tests {
 
     #[test]
     fn coreness_byzantine_flags_run_and_report() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_byzantine_flags_run_and_report");
+        let path = temp_graph(&dir);
         let out = dispatch(&parse(&[
             "coreness",
             &path,
@@ -865,7 +894,8 @@ mod tests {
 
     #[test]
     fn coreness_byzantine_flags_are_validated() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_byzantine_flags_are_validated");
+        let path = temp_graph(&dir);
         let err = dispatch(&parse(&["coreness", &path, "--byzantine", "0.2"])).unwrap_err();
         assert_eq!(
             err,
@@ -939,7 +969,7 @@ mod tests {
             assert!(err.contains("must end by round 65536"), "{flags:?}: {err}");
         }
         // The window's last round stamped with u32::MAX in a checkpoint.
-        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
+        let dir = test_dir("fault_windows_past_max_rounds_are_rejected");
         let ckpt = dir.join(format!("window-{}.dkck", std::process::id()));
         let ckpt_str = ckpt.to_string_lossy().to_string();
         dispatch(&parse(&[
@@ -968,12 +998,12 @@ mod tests {
         std::fs::write(&ckpt, &image).unwrap();
         let err = dispatch(&parse(&["coreness", web_tiny, "--resume", &ckpt_str])).unwrap_err();
         assert!(err.contains("<= MAX_ROUNDS"), "{err}");
-        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]
     fn epsilon_range_is_validated() {
-        let path = temp_graph();
+        let dir = test_dir("epsilon_range_is_validated");
+        let path = temp_graph(&dir);
         for bad in ["-0.5", "0", "nan"] {
             let err = dispatch(&parse(&["coreness", &path, "--epsilon", bad])).unwrap_err();
             assert!(err.contains("must be > 0"), "{bad}: {err}");
@@ -1005,30 +1035,20 @@ mod tests {
         assert!(err.contains(">= 1e-12"), "{err}");
     }
 
-    fn sparse_fixture() -> String {
-        // Written exactly once: the tests sharing this fixture run on
-        // parallel threads, and a concurrent truncate-then-write could hand
-        // a reader a partial file.
-        static FIXTURE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-        FIXTURE
-            .get_or_init(|| {
-                let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
-                std::fs::create_dir_all(&dir).unwrap();
-                let path = dir.join(format!("sparse-{}.edges", std::process::id()));
-                // A triangle plus a pendant, with SNAP-style sparse ids.
-                std::fs::write(
-                    &path,
-                    "# sparse-id fixture\n1000000000 7 1\n7 123456 1\n123456 1000000000 1\n7 99 1\n",
-                )
-                .unwrap();
-                path.to_string_lossy().to_string()
-            })
-            .clone()
+    /// A triangle plus a pendant, with SNAP-style sparse ids, in `dir`.
+    fn sparse_fixture(dir: &Path) -> String {
+        let path = dir.join("sparse.edges");
+        std::fs::write(
+            &path,
+            "# sparse-id fixture\n1000000000 7 1\n7 123456 1\n123456 1000000000 1\n7 99 1\n",
+        )
+        .unwrap();
+        path.to_string_lossy().to_string()
     }
-
     #[test]
     fn sparse_ids_load_and_report_original_ids() {
-        let path = sparse_fixture();
+        let dir = test_dir("sparse_ids_load_and_report_original_ids");
+        let path = sparse_fixture(&dir);
         let stats = dispatch(&parse(&["stats", &path])).unwrap();
         assert!(stats.contains("nodes: 4"), "{stats}");
         assert!(stats.contains("sparse external ids remapped"), "{stats}");
@@ -1046,7 +1066,8 @@ mod tests {
 
     #[test]
     fn stream_stats_matches_materialized_stats() {
-        let path = sparse_fixture();
+        let dir = test_dir("stream_stats_matches_materialized_stats");
+        let path = sparse_fixture(&dir);
         let streamed = dispatch(&parse(&["stats", &path, "--stream"])).unwrap();
         assert!(streamed.contains("nodes: 4"), "{streamed}");
         assert!(streamed.contains("edges: 4"), "{streamed}");
@@ -1056,8 +1077,8 @@ mod tests {
     #[test]
     fn convert_round_trips_with_identical_coreness() {
         use dkc_baselines::weighted_coreness;
-        let sparse = sparse_fixture();
-        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
+        let dir = test_dir("convert_round_trips_with_identical_coreness");
+        let sparse = sparse_fixture(&dir);
         let pid = std::process::id();
         let metis = dir
             .join(format!("conv-{pid}.metis"))
@@ -1094,7 +1115,8 @@ mod tests {
 
     #[test]
     fn convert_rejects_unknown_formats() {
-        let sparse = sparse_fixture();
+        let dir = test_dir("convert_rejects_unknown_formats");
+        let sparse = sparse_fixture(&dir);
         let err = dispatch(&parse(&[
             "convert",
             &sparse,
@@ -1110,8 +1132,8 @@ mod tests {
 
     #[test]
     fn coreness_checkpoint_and_resume_match_uninterrupted_run() {
-        let path = temp_graph();
-        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
+        let dir = test_dir("coreness_checkpoint_and_resume_match_uninterrupted_run");
+        let path = temp_graph(&dir);
         let pid = std::process::id();
         let ck = dir.join(format!("resume-{pid}.dkck"));
         let ref_json = dir.join(format!("ckref-{pid}.json"));
@@ -1170,10 +1192,10 @@ mod tests {
     /// resumes sparse, each finishing exactly like its uninterrupted run.
     #[test]
     fn coreness_resume_follows_the_checkpoint_activation() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_resume_follows_the_checkpoint_activation");
+        let path = temp_graph(&dir);
         let ds = read_dataset(&path, DatasetFormat::EdgeList).unwrap();
         let g = &ds.graph;
-        let dir = std::env::temp_dir().join("dkc_cli_cmd_test");
         let pid = std::process::id();
         let runs = [
             ("dense", RunSpec::new(8).mode(ExecutionMode::Dense)),
@@ -1223,7 +1245,8 @@ mod tests {
 
     #[test]
     fn coreness_checkpoint_flags_are_validated() {
-        let path = temp_graph();
+        let dir = test_dir("coreness_checkpoint_flags_are_validated");
+        let path = temp_graph(&dir);
         // --checkpoint-every needs a path to write to.
         let err = dispatch(&parse(&["coreness", &path, "--checkpoint-every", "2"])).unwrap_err();
         assert!(err.contains("requires --checkpoint"), "{err}");
@@ -1265,10 +1288,9 @@ mod tests {
 
     #[test]
     fn coreness_json_writes_a_valid_report() {
-        let path = temp_graph();
-        let report_path = std::env::temp_dir()
-            .join("dkc_cli_cmd_test")
-            .join("coreness_report.json");
+        let dir = test_dir("coreness_json_writes_a_valid_report");
+        let path = temp_graph(&dir);
+        let report_path = dir.join("coreness_report.json");
         let report_str = report_path.to_string_lossy().to_string();
         let out = dispatch(&parse(&[
             "coreness",

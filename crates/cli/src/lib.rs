@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn generate_stats_coreness_roundtrip() {
-        let dir = std::env::temp_dir().join("dkc_cli_lib_test");
+        let dir = std::env::temp_dir().join(format!("dkc_cli_lib_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
         let path_str = path.to_string_lossy().to_string();
@@ -283,5 +283,6 @@ mod tests {
 
         let densest = run(&s(&["densest", &path_str, "--epsilon", "0.5", "--exact"])).unwrap();
         assert!(densest.contains("best cluster density"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -76,9 +76,9 @@ fn coreness_peak_heap_per_arc_is_bounded() {
         let _ = writeln!(text, "{} {}", id(u), id(v));
     }
     drop(g);
-    let dir = std::env::temp_dir().join("dkc_cli_coreness_heap");
+    let dir = std::env::temp_dir().join(format!("dkc_cli_coreness_heap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("ba-20k-{}.edges", std::process::id()));
+    let path = dir.join("ba-20k.edges");
     std::fs::write(&path, text).unwrap();
     let args = vec!["coreness".to_string(), path.to_string_lossy().into_owned()];
     let pool = rayon::ThreadPoolBuilder::new()
@@ -90,7 +90,7 @@ fn coreness_peak_heap_per_arc_is_bounded() {
     PEAK.store(base, Relaxed);
     let out = pool.install(|| dkc_cli::run(&args)).unwrap();
     let peak = PEAK.load(Relaxed) - base;
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert!(out.contains("top 5 nodes by approximate coreness"), "{out}");
     let per_arc = peak as f64 / arcs as f64;

@@ -4,7 +4,7 @@ use crate::checkpoint::MAX_ROUNDS;
 use crate::compact::{run_compact_elimination, CompactOutcome, RunSpec};
 use crate::orientation::{orientation_from_compact, OrientationResult};
 use crate::threshold::ThresholdSet;
-use dkc_distsim::{ExecutionMode, RunMetrics};
+use dkc_distsim::RunMetrics;
 use dkc_graph::{NodeId, WeightedGraph};
 use std::fmt;
 
@@ -96,18 +96,14 @@ impl CorenessApproximation {
 
 /// Approximates every node's coreness value (and maximal density) within a
 /// factor `2(1+ε)` using `⌈log_{1+ε} n⌉` rounds (Theorem I.1). For any other
-/// round budget, threshold set, fault plan, sharding or checkpointing, build a
-/// [`RunSpec`] and call [`run_compact_elimination`].
+/// round budget, threshold set, execution mode, fault plan, sharding or
+/// checkpointing, build a [`RunSpec`] and call [`run_compact_elimination`].
 ///
 /// # Panics
 ///
 /// Panics if ε is so small that the round count exceeds [`MAX_ROUNDS`].
-pub fn approximate_coreness(
-    g: &WeightedGraph,
-    epsilon: f64,
-    mode: ExecutionMode,
-) -> CorenessApproximation {
-    let spec = RunSpec::new(rounds_for_epsilon(g.num_nodes(), epsilon)).mode(mode);
+pub fn approximate_coreness(g: &WeightedGraph, epsilon: f64) -> CorenessApproximation {
+    let spec = RunSpec::new(rounds_for_epsilon(g.num_nodes(), epsilon));
     let outcome = run_compact_elimination(g, &spec).unwrap_or_else(|e| panic!("{e}"));
     CorenessApproximation::new(g.num_nodes(), spec.threshold_set, outcome)
 }
@@ -132,13 +128,9 @@ pub struct OrientationApproximation {
 
 /// Computes a `2(1+ε)`-approximate min-max edge orientation in
 /// `⌈log_{1+ε} n⌉ + 1` rounds (Theorem I.2).
-pub fn approximate_orientation(
-    g: &WeightedGraph,
-    epsilon: f64,
-    mode: ExecutionMode,
-) -> OrientationApproximation {
+pub fn approximate_orientation(g: &WeightedGraph, epsilon: f64) -> OrientationApproximation {
     let rounds = rounds_for_epsilon(g.num_nodes(), epsilon);
-    approximate_orientation_with_rounds(g, rounds, mode)
+    approximate_orientation_with_rounds(g, rounds)
 }
 
 /// Same as [`approximate_orientation`] with an explicit round budget.
@@ -149,10 +141,9 @@ pub fn approximate_orientation(
 pub fn approximate_orientation_with_rounds(
     g: &WeightedGraph,
     rounds: usize,
-    mode: ExecutionMode,
 ) -> OrientationApproximation {
-    let outcome = run_compact_elimination(g, &RunSpec::new(rounds).mode(mode))
-        .unwrap_or_else(|e| panic!("{e}"));
+    let outcome =
+        run_compact_elimination(g, &RunSpec::new(rounds)).unwrap_or_else(|e| panic!("{e}"));
     let OrientationResult {
         assignment,
         loads,
@@ -204,7 +195,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let g = barabasi_albert(120, 3, &mut rng);
         let epsilon = 0.25;
-        let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
+        let approx = approximate_coreness(&g, epsilon);
         let exact = weighted_coreness(&g);
         assert_eq!(approx.rounds, rounds_for_epsilon(120, epsilon));
         for v in 0..120 {
@@ -225,7 +216,7 @@ mod tests {
         let base = erdos_renyi(80, 0.08, &mut rng);
         let g = with_random_integer_weights(&base, 4, &mut rng);
         let epsilon = 0.5;
-        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Dense);
+        let approx = approximate_orientation(&g, epsilon);
         let rho = fractional_orientation_lower_bound(&g);
         assert!(approx.max_in_degree >= rho - 1e-9);
         assert!(
@@ -241,7 +232,7 @@ mod tests {
     fn sharded_api_matches_unsharded() {
         let mut rng = StdRng::seed_from_u64(74);
         let g = erdos_renyi(50, 0.1, &mut rng);
-        let spec = RunSpec::new(6).mode(ExecutionMode::Auto);
+        let spec = RunSpec::new(6);
         let approx = |spec: &RunSpec| {
             let outcome = run_compact_elimination(&g, spec).unwrap();
             CorenessApproximation::new(g.num_nodes(), spec.threshold_set, outcome)
@@ -260,7 +251,7 @@ mod tests {
     fn densest_api_reexport_works() {
         let mut rng = StdRng::seed_from_u64(73);
         let g = erdos_renyi(50, 0.1, &mut rng);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, 0.5);
         let exact = densest_subgraph(&g).density;
         assert!(result.best_density >= exact / 3.0 - 1e-9);
     }

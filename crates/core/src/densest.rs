@@ -11,8 +11,9 @@
 //! Message-size note: the upward messages carry the two length-`T` arrays in
 //! one message (`Θ(T)` words). The paper observes they can be pipelined one
 //! entry per round to restore `O(log n)`-bit messages at the cost of `T` extra
-//! rounds; the simulator's metrics make the difference visible but we implement
-//! the simple variant.
+//! rounds; this module implements the batched variant only. A pipelined Phase 4
+//! would replace the aggregation program here rather than sit beside it, since
+//! it moves E5's counters and the densest goldens.
 
 use crate::bfs::{run_bfs_construction, BfsForest};
 use crate::compact::{run_compact_elimination, RunSpec};
@@ -325,18 +326,14 @@ pub fn run_aggregation(
 }
 
 /// Runs the full four-phase weak densest-subset protocol with approximation
-/// target `2(1+ε)` (Theorem I.3).
-pub fn weak_densest_subsets(
-    g: &WeightedGraph,
-    epsilon: f64,
-    mode: ExecutionMode,
-) -> WeakDensestResult {
+/// target `2(1+ε)` (Theorem I.3), under [`ExecutionMode::Auto`].
+pub fn weak_densest_subsets(g: &WeightedGraph, epsilon: f64) -> WeakDensestResult {
     let rounds = crate::api::rounds_for_epsilon(g.num_nodes(), epsilon);
-    weak_densest_subsets_with_rounds(g, rounds, mode)
+    weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::Auto)
 }
 
 /// Same as [`weak_densest_subsets`] but with an explicit per-phase round count
-/// `T` (the approximation guarantee is then `2·n^{1/T}`).
+/// `T` (the approximation guarantee is then `2·n^{1/T}`) and execution mode.
 ///
 /// # Panics
 ///
@@ -418,7 +415,7 @@ mod tests {
             let planted = planted_dense_community(80, 15, 0.04, 0.9, &mut rng);
             let g = &planted.graph;
             let exact = densest_subgraph(g).density;
-            let result = weak_densest_subsets(g, epsilon, ExecutionMode::Dense);
+            let result = weak_densest_subsets(g, epsilon);
             assert!(
                 result.best_density >= exact / (2.0 * (1.0 + epsilon)) - 1e-9,
                 "trial {trial}: best cluster density {} below ρ*/(2(1+ε)) = {}",
@@ -437,10 +434,11 @@ mod tests {
     fn sparse_modes_run_the_full_pipeline() {
         let mut rng = StdRng::seed_from_u64(63);
         let g = erdos_renyi(60, 0.1, &mut rng);
-        let dense = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        let rounds = crate::api::rounds_for_epsilon(g.num_nodes(), 0.5);
+        let dense = weak_densest_subsets_with_rounds(&g, rounds, ExecutionMode::Dense);
         for threads in [1, 4] {
             let sparse = on_threads(threads, || {
-                weak_densest_subsets(&g, 0.5, ExecutionMode::Auto)
+                weak_densest_subsets_with_rounds(&g, rounds, ExecutionMode::Auto)
             });
             assert_eq!(dense.membership, sparse.membership, "{threads} threads");
             assert_eq!(dense.best_density, sparse.best_density, "{threads} threads");
@@ -451,7 +449,7 @@ mod tests {
     fn clusters_are_disjoint_and_consistent() {
         let mut rng = StdRng::seed_from_u64(62);
         let g = erdos_renyi(70, 0.08, &mut rng);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, 0.5);
         // Each node belongs to at most one cluster by construction; check the
         // cluster sizes add up to the number of assigned nodes.
         let assigned = result.membership.iter().filter(|m| m.is_some()).count();
@@ -477,7 +475,7 @@ mod tests {
     fn estimated_density_lower_bounds_actual() {
         let mut rng = StdRng::seed_from_u64(63);
         let planted = planted_dense_community(60, 12, 0.05, 0.9, &mut rng);
-        let result = weak_densest_subsets(&planted.graph, 0.2, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&planted.graph, 0.2);
         for cluster in &result.clusters {
             assert!(
                 cluster.estimated_density <= cluster.actual_density + 1e-9,
@@ -492,7 +490,7 @@ mod tests {
     #[test]
     fn clique_is_recovered_exactly() {
         let g = complete_graph(10);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, 0.5);
         assert_eq!(result.clusters.len(), 1);
         let c = &result.clusters[0];
         assert_eq!(c.size, 10);
@@ -505,7 +503,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(64);
         let g = erdos_renyi(100, 0.05, &mut rng);
         let epsilon = 0.5f64;
-        let result = weak_densest_subsets(&g, epsilon, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, epsilon);
         let t = ((100f64).ln() / (1.0 + epsilon).ln()).ceil() as usize;
         // Phases 1–3 use exactly T (plus 2 for the BFS hand-shake); phase 4 is
         // at most 2T + (T + 2) + 4.
@@ -520,9 +518,10 @@ mod tests {
     fn parallel_matches_sequential() {
         let mut rng = StdRng::seed_from_u64(65);
         let planted = planted_dense_community(50, 10, 0.05, 0.9, &mut rng);
+        let rounds = crate::api::rounds_for_epsilon(planted.graph.num_nodes(), 0.3);
         let run = |threads| {
             on_threads(threads, || {
-                weak_densest_subsets(&planted.graph, 0.3, ExecutionMode::Dense)
+                weak_densest_subsets_with_rounds(&planted.graph, rounds, ExecutionMode::Dense)
             })
         };
         let (a, b) = (run(1), run(4));
@@ -533,7 +532,7 @@ mod tests {
     #[test]
     fn path_graph_degenerate_case() {
         let g = path_graph(12);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, 0.5);
         // The densest subset of a path has density (n-1)/n < 1; any non-empty
         // cluster with density >= 1/2 · 11/12 / (1+eps)… just sanity-check the
         // guarantee formula.
@@ -544,7 +543,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = WeightedGraph::new(0);
-        let result = weak_densest_subsets(&g, 0.5, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, 0.5);
         assert!(result.clusters.is_empty());
         assert_eq!(result.best_density, 0.0);
     }

@@ -19,7 +19,7 @@
 //!
 //! There are three ways in:
 //!
-//! * [`approximate_coreness`]`(g, ε, mode)` — Theorem I.1 as stated:
+//! * [`approximate_coreness`]`(g, ε)` — Theorem I.1 as stated:
 //!   `⌈log_{1+ε} n⌉` rounds over Λ = ℝ, fault-free.
 //! * [`run_compact_elimination`]`(g, &spec)` — any [`RunSpec`]: round budget,
 //!   threshold set, execution mode, fault plan, shard partition, and
@@ -31,11 +31,10 @@
 //!
 //! ```
 //! use dkc_core::api::approximate_coreness;
-//! use dkc_distsim::ExecutionMode;
 //! use dkc_graph::generators::complete_graph;
 //!
 //! let g = complete_graph(16);
-//! let approx = approximate_coreness(&g, 0.1, ExecutionMode::Auto);
+//! let approx = approximate_coreness(&g, 0.1);
 //! // Every node of K_16 has coreness 15; the approximation is within 2(1+ε).
 //! for &b in &approx.values {
 //!     assert!(b >= 15.0 && b <= 2.0 * 1.1 * 15.0);
@@ -50,9 +49,7 @@ pub mod checkpoint;
 pub mod compact;
 pub mod densest;
 pub mod orientation;
-pub mod pipelined;
 pub mod ratio;
-pub mod single_threshold;
 pub mod surviving;
 pub mod threshold;
 pub mod tree_elim;

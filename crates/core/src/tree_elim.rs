@@ -7,11 +7,11 @@
 //! records are what Phase 4 aggregates to locate an approximate densest subset
 //! (Lemma IV.4).
 //!
-//! Faithfulness note (also recorded in DESIGN.md): the paper's pseudocode says
-//! nodes communicate only with their BFS parent and children in this phase, but
-//! the density argument of Lemma IV.4 requires degrees to be counted over *all*
-//! graph edges between same-tree active nodes (and the survival of the root
-//! requires exactly the elimination it would experience on the whole graph).
+//! Faithfulness note: the paper's pseudocode says nodes communicate only with
+//! their BFS parent and children in this phase, but the density argument of
+//! Lemma IV.4 requires degrees to be counted over *all* graph edges between
+//! same-tree active nodes (and the survival of the root requires exactly the
+//! elimination it would experience on the whole graph).
 //! We therefore broadcast the (leader, active) pair over every incident edge —
 //! still a single `O(log n)`-bit message per edge per round — and count edges
 //! towards active neighbours with the same leader.

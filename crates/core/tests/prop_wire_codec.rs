@@ -17,7 +17,6 @@
 use dkc_core::bfs::{BfsMessage, LeaderKey};
 use dkc_core::checkpoint::RunPreamble;
 use dkc_core::densest::AggMessage;
-use dkc_core::pipelined::PipelinedMessage;
 use dkc_core::tree_elim::ActiveMsg;
 use dkc_core::ThresholdSet;
 use dkc_distsim::message::{MessageSize, QuantizedValue, Tamper};
@@ -301,22 +300,6 @@ proptest! {
         check_tamper(&down);
     }
 
-    #[test]
-    fn pipelined_messages_round_trip(
-        t in 0u32..10_000,
-        num in 0u32..1_000_000,
-        raw in 0u64..1_000_000,
-        variant in 0usize..2,
-    ) {
-        let (msg, bytes) = match variant {
-            0 => (PipelinedMessage::UpEntry(t, num, finite(raw)), le!(0u8, t, num, finite(raw))),
-            _ => (PipelinedMessage::Down(t, finite(raw)), le!(1u8, t, finite(raw))),
-        };
-        check_codec(&msg, &bytes);
-        check_bad_tag(&msg);
-        check_tamper(&msg);
-    }
-
     /// The boundary charge's lengths match the encoded frame for a
     /// fixed-length message and for `AggMessage::Up` at random lengths.
     #[test]
@@ -371,11 +354,6 @@ fn every_message_type_encodes_to_its_pinned_bytes() {
     );
     check_codec(&AggMessage::Down(3, 0.25), &le!(1u8, 3u32, 0.25f64));
     check_codec(&ActiveMsg { leader: NodeId(11) }, &le!(11u32));
-    check_codec(
-        &PipelinedMessage::UpEntry(4, 5, 6.5),
-        &le!(0u8, 4u32, 5u32, 6.5f64),
-    );
-    check_codec(&PipelinedMessage::Down(4, 0.125), &le!(1u8, 4u32, 0.125f64));
     let record = |sender, receiver, pos, msg| BoundaryRecord {
         sender,
         receiver,

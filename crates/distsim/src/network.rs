@@ -1715,6 +1715,16 @@ mod tests {
         },
     ];
 
+    /// A test protocol that the leg checks start on every node and compare
+    /// by each node's value.
+    trait TestProgram: NodeProgram + Sized {
+        type Value: PartialEq + std::fmt::Debug;
+
+        fn start(ctx: &NodeContext<'_>) -> Self;
+
+        fn value(&self) -> Self::Value;
+    }
+
     /// Toy protocol: every node repeatedly broadcasts the smallest node id it
     /// has heard of. Converges to the global minimum in (eccentricity of the
     /// minimum) rounds — a classic diameter-dependent protocol. Delta-driven:
@@ -1722,6 +1732,18 @@ mod tests {
     /// idempotent and order-insensitive.
     struct MinIdFlood {
         best: u32,
+    }
+
+    impl TestProgram for MinIdFlood {
+        type Value = u32;
+
+        fn start(ctx: &NodeContext<'_>) -> Self {
+            MinIdFlood { best: ctx.node().0 }
+        }
+
+        fn value(&self) -> u32 {
+            self.best
+        }
     }
 
     impl NodeProgram for MinIdFlood {
@@ -1746,49 +1768,68 @@ mod tests {
         min_id_faulty(g, leg, FaultPlan::none())
     }
 
-    fn min_id_faulty(
+    /// `P` started on every node of `g`, in `leg`'s mode and shards, under
+    /// `plan`.
+    fn faulty<P: TestProgram>(
         g: &WeightedGraph,
         leg: impl Into<Leg>,
         plan: FaultPlan,
-    ) -> Network<MinIdFlood> {
+    ) -> Network<P> {
         let Leg { mode, shards, .. } = leg.into();
         NetworkBuilder::new()
             .mode(mode)
             .shards(shards)
             .faults(plan)
-            .build(g, |ctx| MinIdFlood { best: ctx.node().0 })
+            .build(g, P::start)
     }
 
-    /// [`min_id_faulty`] run for `rounds` rounds in `leg`'s pool.
+    /// [`faulty`] run for `rounds` rounds in `leg`'s pool.
+    fn ran<P: TestProgram>(
+        g: &WeightedGraph,
+        leg: Leg,
+        plan: FaultPlan,
+        rounds: usize,
+    ) -> Network<P> {
+        leg.install(|| {
+            let mut net = faulty(g, leg, plan);
+            net.run(rounds);
+            net
+        })
+    }
+
+    fn min_id_faulty(
+        g: &WeightedGraph,
+        leg: impl Into<Leg>,
+        plan: FaultPlan,
+    ) -> Network<MinIdFlood> {
+        faulty(g, leg, plan)
+    }
+
     fn min_id_ran(
         g: &WeightedGraph,
         leg: Leg,
         plan: FaultPlan,
         rounds: usize,
     ) -> Network<MinIdFlood> {
-        leg.install(|| {
-            let mut net = min_id_faulty(g, leg, plan);
-            net.run(rounds);
-            net
-        })
+        ran(g, leg, plan, rounds)
     }
 
-    /// Runs every leg for `rounds` rounds under `plan`: all agree on every
-    /// node's value, and each activation's counters agree at any thread
-    /// count and with one shard (dense on one thread is the mailbox
+    /// Runs `P` on every leg for `rounds` rounds under `plan`: all agree on
+    /// every node's value, and each activation's counters agree at any
+    /// thread count and with one shard (dense on one thread is the mailbox
     /// reference too). A leg of several shards charges boundary traffic, so
     /// its counters are held to the same sharding on one thread.
-    fn assert_all_legs_agree(g: &WeightedGraph, plan: FaultPlan, rounds: usize) {
-        let dense = min_id_ran(g, leg(Dense, 1), plan, rounds);
-        let frontier = min_id_ran(g, leg(Auto, 1), plan, rounds);
+    fn assert_all_legs_agree<P: TestProgram>(g: &WeightedGraph, plan: FaultPlan, rounds: usize) {
+        let dense = ran::<P>(g, leg(Dense, 1), plan, rounds);
+        let frontier = ran::<P>(g, leg(Auto, 1), plan, rounds);
         for leg in ALL_LEGS {
-            let net = min_id_ran(g, leg, plan, rounds);
+            let net = ran::<P>(g, leg, plan, rounds);
             for v in g.nodes() {
-                assert_eq!(dense.program(v).best, net.program(v).best, "{leg:?}");
+                assert_eq!(dense.program(v).value(), net.program(v).value(), "{leg:?}");
             }
             let one_thread;
             let same = if leg.shards > 1 {
-                one_thread = min_id_ran(g, Leg { threads: 1, ..leg }, plan, rounds);
+                one_thread = ran::<P>(g, Leg { threads: 1, ..leg }, plan, rounds);
                 &one_thread
             } else if leg.mode == Auto {
                 &frontier
@@ -1825,7 +1866,7 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        assert_all_legs_agree(&complete_graph(20), FaultPlan::none(), 3);
+        assert_all_legs_agree::<MinIdFlood>(&complete_graph(20), FaultPlan::none(), 3);
     }
 
     #[test]
@@ -1956,6 +1997,134 @@ mod tests {
             assert_eq!(s1.node_updates, 0, "{leg:?}");
             assert_eq!(s2.messages, 0, "{leg:?}");
             assert_eq!(s2.changed_nodes, 0, "{leg:?}");
+        }
+    }
+
+    /// A halting delta-driven protocol: a node dies once fewer than
+    /// [`DeathCascade::K`] of its arcs lead to neighbours not heard to die,
+    /// announces its death once, then halts. A dropped announcement is never
+    /// re-sent, so faults only keep more nodes alive.
+    struct DeathCascade {
+        alive: bool,
+        announced: bool,
+        /// Arcs whose neighbour has not been heard to die.
+        alive_arcs: usize,
+        /// Per arc: whether that neighbour's death has been heard.
+        heard: Vec<bool>,
+    }
+
+    impl DeathCascade {
+        const K: usize = 4;
+    }
+
+    impl TestProgram for DeathCascade {
+        type Value = bool;
+
+        fn start(ctx: &NodeContext<'_>) -> Self {
+            let arcs = ctx.neighbors().len();
+            DeathCascade {
+                alive: true,
+                announced: false,
+                alive_arcs: arcs,
+                heard: vec![false; arcs],
+            }
+        }
+
+        fn value(&self) -> bool {
+            self.alive
+        }
+    }
+
+    impl NodeProgram for DeathCascade {
+        type Message = ();
+
+        const DELTA_DRIVEN: bool = true;
+
+        fn broadcast(&mut self, _ctx: &NodeContext<'_>) -> Outgoing<()> {
+            // The latch is the broadcast's one side effect, and it halts the
+            // node, so no executor calls this again.
+            if self.alive || self.announced {
+                return Outgoing::Silent;
+            }
+            self.announced = true;
+            Outgoing::Broadcast(())
+        }
+
+        fn receive(&mut self, _ctx: &NodeContext<'_>, inbox: &[Delivery<()>]) -> bool {
+            for d in inbox {
+                let heard = &mut self.heard[d.pos as usize];
+                if !*heard {
+                    *heard = true;
+                    self.alive_arcs -= 1;
+                }
+            }
+            let dies = self.alive && self.alive_arcs < Self::K;
+            self.alive &= !dies;
+            dies
+        }
+
+        fn halted(&self) -> bool {
+            self.announced
+        }
+    }
+
+    /// A graph on which [`DeathCascade`] runs for several rounds and leaves a
+    /// core alive, and a plan of loss and crashes.
+    fn cascade_workload() -> (WeightedGraph, FaultPlan) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let g = dkc_graph::generators::erdos_renyi(60, 0.1, &mut StdRng::seed_from_u64(8));
+        let plan = FaultPlan::from_loss(LossModel::new(0.3, 5))
+            .with_crash(CrashModel::new(0.1, 2, 10, 13));
+        (g, plan)
+    }
+
+    /// Halted senders and receivers on every executor path: each dying node
+    /// announces once and halts. Every leg agrees, fault-free and under
+    /// loss and crashes, four shards included, and four shards match the
+    /// unsharded run on every counter but the boundary pair; dense and
+    /// frontier rounds send the same copies while the frontier skips the
+    /// quiescent ones; and faults only keep more nodes alive.
+    #[test]
+    fn halting_cascade_agrees_on_every_leg() {
+        let (g, lossy) = cascade_workload();
+        let four_shards = Leg {
+            mode: Auto,
+            threads: 1,
+            shards: 4,
+        };
+        for plan in [FaultPlan::none(), lossy] {
+            assert_all_legs_agree::<DeathCascade>(&g, plan, 30);
+            let unsharded = ran::<DeathCascade>(&g, leg(Auto, 1), plan, 30);
+            let sharded = ran::<DeathCascade>(&g, four_shards, plan, 30);
+            assert_eq!(
+                strip_boundary(unsharded.metrics().rounds()),
+                strip_boundary(sharded.metrics().rounds())
+            );
+            assert!(sharded.metrics().total_boundary_bits() > 0);
+        }
+        let dense = ran::<DeathCascade>(&g, leg(Dense, 1), FaultPlan::none(), 30);
+        let frontier = ran::<DeathCascade>(&g, leg(Auto, 1), FaultPlan::none(), 30);
+        let survivors = g.nodes().filter(|&v| dense.program(v).alive).count();
+        assert!(
+            survivors > 0 && survivors < g.num_nodes(),
+            "{survivors} alive"
+        );
+        let (d, f) = (dense.metrics(), frontier.metrics());
+        assert!(d.rounds().iter().filter(|r| r.messages > 0).count() > 2);
+        assert_eq!(d.total_messages(), f.total_messages());
+        assert!(
+            f.total_node_updates() < d.total_node_updates() / 4,
+            "frontier stepped {} nodes, dense {}",
+            f.total_node_updates(),
+            d.total_node_updates()
+        );
+        let faulted = ran::<DeathCascade>(&g, leg(Dense, 1), lossy, 30);
+        assert!(faulted.metrics().totals().dropped() > 0);
+        for v in g.nodes() {
+            assert!(
+                faulted.program(v).alive || !dense.program(v).alive,
+                "node {v}"
+            );
         }
     }
 
@@ -2407,7 +2576,7 @@ mod tests {
             .with_partition(PartitionModel::new(0.3, 4, 9, 21));
         // The mailbox backend agrees with dense lockstep on every counter,
         // including the measured wire bits and per-component drop counts.
-        assert_all_legs_agree(&g, plan, 30);
+        assert_all_legs_agree::<MinIdFlood>(&g, plan, 30);
     }
 
     /// The tentpole acceptance at the executor level: under a byzantine plan
@@ -2423,7 +2592,7 @@ mod tests {
         let plan = FaultPlan::none().with_byzantine(
             ByzantineModel::new(0.35, ByzantineModel::ALL_BEHAVIORS, 2, 16, 23).with_quarantine(2),
         );
-        assert_all_legs_agree(&g, plan, 30);
+        assert_all_legs_agree::<MinIdFlood>(&g, plan, 30);
         let reference = min_id_ran(&g, leg(Dense, 1), plan, 30);
         assert!(reference.metrics().totals().byzantine_accusations > 0);
         assert!(reference.metrics().totals().quarantined_nodes > 0);
@@ -3077,28 +3246,19 @@ mod tests {
             .build(&g, |ctx| MinIdFlood { best: ctx.node().0 });
     }
 
-    /// Push and pull rounds deliver the same copies. A 12×12 grid floods
-    /// under loss, crashes and a byzantine lie window that re-activates the
-    /// liars mid-run, on one thread and on four and three ways each: every
-    /// round pushed, every round pulled, and each round choosing by
-    /// [`PULL_DIVISOR`]. Every round's counters and every node's value agree,
-    /// and the unforced run took both directions.
-    #[test]
-    fn push_and_pull_rounds_agree_round_by_round() {
-        let g = grid_graph(12, 12);
-        let lies = ByzantineModel::new(0.1, Behavior::Lie.bit(), 8, 11, 6);
-        assert!(
-            g.nodes()
-                .any(|v| lies.behavior_of(v) == Some(Behavior::Lie)),
-            "seed produced no liars"
-        );
-        let plan = FaultPlan::from_loss(LossModel::new(0.05, 3))
-            .with_crash(CrashModel::new(0.05, 2, 10, 4))
-            .with_byzantine(lies);
+    /// Runs `P` in frontier rounds on one thread and on four, three ways
+    /// each: every round pushed, every round pulled, and each round choosing
+    /// by [`PULL_DIVISOR`]. Every round's counters and every node's value
+    /// agree. Returns the unforced run on one thread.
+    fn assert_push_and_pull_agree<P: TestProgram>(
+        g: &WeightedGraph,
+        plan: FaultPlan,
+        rounds: usize,
+    ) -> Network<P> {
         let run = |threads: usize, force_pull: Option<bool>| {
-            let mut net = min_id_faulty(&g, Auto, plan);
+            let mut net = faulty::<P>(g, Auto, plan);
             net.force_pull = force_pull;
-            on_threads(threads, || net.run(24));
+            on_threads(threads, || net.run(rounds));
             net
         };
         let reference = run(1, None);
@@ -3112,13 +3272,32 @@ mod tests {
                 );
                 for v in g.nodes() {
                     assert_eq!(
-                        net.program(v).best,
-                        reference.program(v).best,
+                        net.program(v).value(),
+                        reference.program(v).value(),
                         "{threads} threads, force_pull={force_pull:?} node {v}"
                     );
                 }
             }
         }
+        reference
+    }
+
+    /// Push and pull rounds deliver the same copies. A 12×12 grid floods
+    /// under loss, crashes and a byzantine lie window that re-activates the
+    /// liars mid-run, and the unforced run took both directions.
+    #[test]
+    fn push_and_pull_rounds_agree_round_by_round() {
+        let g = grid_graph(12, 12);
+        let lies = ByzantineModel::new(0.1, Behavior::Lie.bit(), 8, 11, 6);
+        assert!(
+            g.nodes()
+                .any(|v| lies.behavior_of(v) == Some(Behavior::Lie)),
+            "seed produced no liars"
+        );
+        let plan = FaultPlan::from_loss(LossModel::new(0.05, 3))
+            .with_crash(CrashModel::new(0.05, 2, 10, 4))
+            .with_byzantine(lies);
+        let reference = assert_push_and_pull_agree::<MinIdFlood>(&g, plan, 24);
         let threshold = reference.graph().num_arcs() / PULL_DIVISOR;
         let copies: Vec<usize> = reference
             .metrics()
@@ -3131,6 +3310,16 @@ mod tests {
             copies.iter().any(|&c| c > 0 && c <= threshold),
             "{copies:?}"
         );
+    }
+
+    /// Pushed and pulled rounds of a halting program agree round by round,
+    /// fault-free and under loss and crashes.
+    #[test]
+    fn push_and_pull_rounds_agree_on_a_halting_cascade() {
+        let (g, lossy) = cascade_workload();
+        for plan in [FaultPlan::none(), lossy] {
+            assert_push_and_pull_agree::<DeathCascade>(&g, plan, 30);
+        }
     }
 
     /// Tentpole acceptance (unit form; the cross-crate proptest pins the

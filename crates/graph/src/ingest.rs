@@ -727,47 +727,6 @@ fn read_binary_edges(path: &Path) -> Result<DatasetEdges, ParseError> {
     })
 }
 
-/// Streams a `.dkcb` file's items (internal ids as `u64`), skipping the id
-/// table; used by [`stream_stats`].
-fn stream_binary_items(
-    path: &Path,
-    sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
-) -> Result<(), ParseError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let header = read_binary_header(&mut r)?;
-    if header.has_id_table {
-        for _ in 0..header.n {
-            read_u64(&mut r)?;
-        }
-    }
-    sink(StreamItem::DeclaredNodes(header.n))?;
-    for _ in 0..header.plain_edges {
-        let u = read_u32(&mut r)? as u64;
-        let v = read_u32(&mut r)? as u64;
-        let w = check_binary_weight(read_f64(&mut r)?)?;
-        if u >= v || v >= header.n {
-            return Err(invalid(format!(
-                "binary: bad edge ({u}, {v}) in a {}-node graph",
-                header.n
-            )));
-        }
-        sink(StreamItem::Edge(u, v, w))?;
-    }
-    for _ in 0..header.self_loops {
-        let v = read_u32(&mut r)? as u64;
-        let w = check_binary_weight(read_f64(&mut r)?)?;
-        if v >= header.n {
-            return Err(invalid(format!(
-                "binary: bad self-loop node {v} in a {}-node graph",
-                header.n
-            )));
-        }
-        sink(StreamItem::Edge(v, v, w))?;
-    }
-    expect_eof(&mut r)?;
-    Ok(())
-}
-
 fn stream_items(
     path: &Path,
     format: DatasetFormat,
@@ -776,7 +735,19 @@ fn stream_items(
     match format {
         DatasetFormat::EdgeList => stream_edge_list_items(path, sink),
         DatasetFormat::Metis => stream_metis_items(path, sink),
-        DatasetFormat::Binary => stream_binary_items(path, sink),
+        DatasetFormat::Binary => {
+            // Every check of `read_dataset`, then the records in file
+            // order (internal ids as `u64`).
+            let e = read_binary_edges(path)?;
+            sink(StreamItem::DeclaredNodes(e.nodes as u64))?;
+            for (u, v, w) in e.plain {
+                sink(StreamItem::Edge(u64::from(u.0), u64::from(v.0), w))?;
+            }
+            for (v, w) in e.loops {
+                sink(StreamItem::Edge(u64::from(v.0), u64::from(v.0), w))?;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -1025,9 +996,11 @@ pub struct DatasetStats {
 
 /// Computes [`DatasetStats`] without materializing adjacency lists: memory
 /// is `O(distinct nodes + distinct edges)` (id map, degrees and edge-dedup
-/// set), and the file streams through a bounded buffer. Degrees are kept in
-/// first-seen order and summed in that order, so every call on the same file
-/// returns the same bits.
+/// set), and a text file streams through a bounded buffer. A `.dkcb` file is
+/// read whole by the reader of [`read_dataset`], with all of its checks, so
+/// both accept and reject the same files. Degrees are kept in first-seen
+/// order and summed in that order, so every call on the same file returns
+/// the same bits.
 pub fn stream_stats(
     path: impl AsRef<Path>,
     format: DatasetFormat,
@@ -1332,6 +1305,7 @@ mod tests {
         assert_eq!(back.graph.num_nodes(), 3);
     }
 
+    /// `read_dataset` and `stream_stats` both reject each corruption.
     #[test]
     fn binary_rejects_corruption() {
         let ds = Dataset::from_external_edges(2, [(7, 9, 1.0)]);
@@ -1339,22 +1313,29 @@ mod tests {
         let path = dir.join("g.dkcb");
         write_dataset(&ds, &path, DatasetFormat::Binary).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Truncation.
-        let p = dir.join("trunc.dkcb");
-        std::fs::write(&p, &bytes[..bytes.len() - 4]).unwrap();
-        assert!(read_dataset(&p, DatasetFormat::Binary).is_err());
-        // Trailing garbage.
-        let mut extended = bytes.clone();
-        extended.push(0);
-        let p = dir.join("trail.dkcb");
-        std::fs::write(&p, &extended).unwrap();
-        assert!(read_dataset(&p, DatasetFormat::Binary).is_err());
-        // Bad magic.
-        let mut wrong = bytes.clone();
-        wrong[0] = b'X';
-        let p = dir.join("magic.dkcb");
-        std::fs::write(&p, &wrong).unwrap();
-        assert!(read_dataset(&p, DatasetFormat::Binary).is_err());
+        let truncated = bytes[..bytes.len() - 4].to_vec();
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        let mut magic = bytes.clone();
+        magic[0] = b'X';
+        // The id table follows the 32-byte header: 7 then 9, made 7 twice.
+        let mut duplicate = bytes.clone();
+        assert_eq!(duplicate[40..48], 9u64.to_le_bytes());
+        duplicate[40..48].copy_from_slice(&7u64.to_le_bytes());
+        for (name, variant) in [
+            ("trunc", truncated),
+            ("trail", trailing),
+            ("magic", magic),
+            ("duplicate", duplicate),
+        ] {
+            let p = dir.join(format!("{name}.dkcb"));
+            std::fs::write(&p, &variant).unwrap();
+            assert!(read_dataset(&p, DatasetFormat::Binary).is_err(), "{name}");
+            assert!(stream_stats(&p, DatasetFormat::Binary).is_err(), "{name}");
+        }
+        let p = dir.join("duplicate.dkcb");
+        let err = stream_stats(&p, DatasetFormat::Binary).unwrap_err();
+        assert!(err.to_string().contains("duplicate external id 7"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! flipped three ways (xor 0xFF, 0x01, 0x80) and stamped with `u32::MAX`,
 //! and every truncation of it: each variant reads back, through
 //! `read_dataset` and `stream_stats` alike, as a typed `ParseError` or as a
-//! consistent dataset, never a panic.
+//! consistent dataset, never a panic, and the two read it or reject it
+//! together.
 
 use dkc_graph::ingest::{read_dataset, stream_stats, write_dataset, DatasetFormat};
 use std::panic::catch_unwind;
@@ -17,6 +18,11 @@ fn sweep(image: &[u8], path: &Path, format: DatasetFormat) -> Vec<String> {
         std::fs::write(path, img).unwrap();
         match catch_unwind(|| (read_dataset(path, format), stream_stats(path, format))) {
             Err(_) => failures.push(format!("{format:?} {what}: panicked")),
+            Ok((read, stats)) if read.is_ok() != stats.is_ok() => failures.push(format!(
+                "{format:?} {what}: read_dataset {:?} but stream_stats {:?}",
+                read.err(),
+                stats.err()
+            )),
             Ok((Ok(read), _)) if read.ids.len() != read.graph.num_nodes() => {
                 failures.push(format!(
                     "{format:?} {what}: {} ids for {} nodes",

@@ -37,7 +37,7 @@ fn main() {
 
     // Weak densest-subset protocol.
     let epsilon = 0.25;
-    let result = weak_densest_subsets(g, epsilon, ExecutionMode::Dense);
+    let result = weak_densest_subsets(g, epsilon);
     println!(
         "\nprotocol: {} total rounds across 4 phases {:?}, {} messages",
         result.rounds_total, result.phase_rounds, result.total_messages

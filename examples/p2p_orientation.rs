@@ -37,7 +37,7 @@ fn main() {
     println!("\n      algorithm       | rounds | max load | vs ρ*");
     println!(" ---------------------+--------+----------+------");
     for &epsilon in &[1.0, 0.5, 0.1] {
-        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Dense);
+        let approx = approximate_orientation(&g, epsilon);
         println!(
             " elimination ε = {:<4} | {:>6} | {:>8.1} | {:>4.2}",
             epsilon,
@@ -67,7 +67,7 @@ fn main() {
     // maximum density (phase 1), as the paper describes — quality degrades to
     // 2(2+ε).
     let epsilon = 0.5;
-    let phase1 = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
+    let phase1 = approximate_coreness(&g, epsilon);
     let estimate = phase1.values.iter().fold(0.0f64, |a, &b| a.max(b));
     let be = barenboim_elkin_orientation(&g, estimate, epsilon, 10 * phase1.rounds);
     println!(

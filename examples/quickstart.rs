@@ -24,7 +24,7 @@ fn main() {
 
     // Distributed 2(1+ε)-approximate coreness (Theorem I.1).
     let epsilon = 0.1;
-    let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
+    let approx = approximate_coreness(&g, epsilon);
     println!(
         "compact elimination: {} rounds (guaranteed factor {:.3})",
         approx.rounds, approx.guaranteed_factor

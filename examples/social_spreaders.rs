@@ -32,7 +32,7 @@ fn main() {
 
     // Distributed approximation with ε = 0.2.
     let epsilon = 0.2;
-    let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
+    let approx = approximate_coreness(&g, epsilon);
     println!(
         "distributed protocol: {} rounds (vs. diameter ≥ {}), {} messages",
         approx.rounds,

@@ -27,7 +27,7 @@
 //!
 //! // 2(1+ε)-approximate coreness of every node, in O(log_{1+ε} n) rounds,
 //! // independent of the graph diameter.
-//! let approx = approximate_coreness(&g, 0.1, ExecutionMode::Auto);
+//! let approx = approximate_coreness(&g, 0.1);
 //! assert_eq!(approx.values.len(), 500);
 //!
 //! // Compare against the exact coreness.
@@ -74,7 +74,7 @@ mod tests {
         g.add_unit_edge(NodeId(1), NodeId(2));
         g.add_unit_edge(NodeId(2), NodeId(0));
         g.add_unit_edge(NodeId(2), NodeId(3));
-        let approx = approximate_coreness(&g, 0.5, ExecutionMode::Dense);
+        let approx = approximate_coreness(&g, 0.5);
         assert_eq!(approx.values.len(), 4);
         assert!(approx.values[3] >= 1.0);
     }

@@ -3,6 +3,7 @@
 //! centralized ground truth, including the paper's adversarial constructions.
 
 use dkc::baselines::{montresor_exact_coreness, weighted_coreness};
+use dkc::core::orientation::orientation_from_compact;
 use dkc::core::surviving::surviving_numbers;
 use dkc::flow::{dense_decomposition, densest_subgraph, exact_unit_orientation};
 use dkc::graph::generators::{
@@ -36,7 +37,7 @@ fn workloads() -> Vec<(&'static str, WeightedGraph)> {
 fn coreness_guarantee_across_workloads() {
     let epsilon = 0.25;
     for (name, g) in workloads() {
-        let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
+        let approx = approximate_coreness(&g, epsilon);
         let core = weighted_coreness(&g);
         let decomposition = dense_decomposition(&g);
         for v in 0..g.num_nodes() {
@@ -66,7 +67,7 @@ fn coreness_guarantee_across_workloads() {
 fn orientation_guarantee_across_workloads() {
     let epsilon = 0.25;
     for (name, g) in workloads() {
-        let approx = approximate_orientation(&g, epsilon, ExecutionMode::Dense);
+        let approx = approximate_orientation(&g, epsilon);
         let rho = densest_subgraph(&g).density;
         assert_eq!(
             approx.assignment.len(),
@@ -90,7 +91,7 @@ fn densest_guarantee_across_workloads() {
     let epsilon = 0.25;
     for (name, g) in workloads() {
         let exact = densest_subgraph(&g).density;
-        let result = weak_densest_subsets(&g, epsilon, ExecutionMode::Dense);
+        let result = weak_densest_subsets(&g, epsilon);
         assert!(
             result.best_density >= exact / (2.0 * (1.0 + epsilon)) - 1e-9,
             "{name}: best density {} below ρ*/(2(1+ε)) = {}",
@@ -122,7 +123,7 @@ fn approximate_beats_exact_on_round_count_for_high_diameter_graphs() {
     }
 
     let epsilon = 0.5;
-    let approx = approximate_coreness(&g, epsilon, ExecutionMode::Dense);
+    let approx = approximate_coreness(&g, epsilon);
     assert!(
         approx.rounds < exact_run.rounds,
         "approximate rounds {} should be below exact convergence rounds {}",
@@ -201,23 +202,24 @@ fn lower_bound_tree_requires_depth_rounds() {
     assert!(beta_clique_full > beta_tree_full);
 }
 
-/// The full pipeline behaves identically on one thread and on four, in
-/// dense and in frontier rounds (rounds are barriers).
+/// The compact elimination, and the orientation built from it, behave
+/// identically on one thread and on four, in dense and in frontier rounds
+/// (rounds are barriers).
 #[test]
 fn deterministic_across_execution_modes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(777);
     let g = barabasi_albert(300, 4, &mut rng);
+    let spec = RunSpec::new(rounds_for_epsilon(g.num_nodes(), 0.3));
     let on_threads = |threads: usize, mode: ExecutionMode| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        pool.install(|| {
-            (
-                approximate_coreness(&g, 0.3, mode),
-                approximate_orientation(&g, 0.3, mode),
-            )
-        })
+        let outcome = pool
+            .install(|| run_compact_elimination(&g, &spec.clone().mode(mode)))
+            .unwrap();
+        let orientation = orientation_from_compact(&g, &outcome);
+        (outcome, orientation)
     };
     let (a, oa) = on_threads(1, ExecutionMode::Dense);
     for (threads, mode) in [
@@ -226,7 +228,7 @@ fn deterministic_across_execution_modes() {
         (4, ExecutionMode::Auto),
     ] {
         let (b, ob) = on_threads(threads, mode);
-        assert_eq!(a.values, b.values, "{mode:?} on {threads}");
+        assert_eq!(a.surviving, b.surviving, "{mode:?} on {threads}");
         assert_eq!(oa.assignment, ob.assignment, "{mode:?} on {threads}");
         assert_eq!(oa.max_in_degree, ob.max_in_degree, "{mode:?} on {threads}");
     }
@@ -245,8 +247,8 @@ fn round_budget_is_diameter_independent() {
     assert!(diameter_double_sweep(&csr_long, NodeId(0)) > 100);
     assert!(diameter_double_sweep(&csr_compact, NodeId(0)) < 20);
 
-    let a = approximate_coreness(&long, epsilon, ExecutionMode::Dense);
-    let b = approximate_coreness(&compact_g, epsilon, ExecutionMode::Dense);
+    let a = approximate_coreness(&long, epsilon);
+    let b = approximate_coreness(&compact_g, epsilon);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.rounds, rounds_for_epsilon(900, epsilon));
 }
