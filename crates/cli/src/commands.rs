@@ -19,7 +19,7 @@ use dkc_graph::ingest::{
 };
 use dkc_graph::io::write_edge_list;
 use dkc_graph::properties::{degree_stats, diameter_double_sweep};
-use dkc_graph::{CsrGraph, NodeId, NodeIdMap};
+use dkc_graph::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -57,8 +57,9 @@ fn load(parsed: &Parsed) -> Result<Dataset, String> {
     read_dataset(path, format).map_err(|e| format!("failed to read {path}: {e}"))
 }
 
-/// [`load`] straight into a CSR, for commands that need no adjacency lists.
-fn load_csr(parsed: &Parsed) -> Result<(CsrGraph, NodeIdMap), String> {
+/// [`load`] straight into a CSR, for commands that need no adjacency lists,
+/// with the external id of every node.
+fn load_csr(parsed: &Parsed) -> Result<(CsrGraph, Vec<u64>), String> {
     let path = parsed.positional(0, "input dataset file")?;
     let format = resolve_format(parsed, "format", path)?;
     read_csr(path, format).map_err(|e| format!("failed to read {path}: {e}"))
@@ -389,7 +390,7 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
         "shard-seed",
     ])?;
     let ckpt = checkpoint_config(parsed)?;
-    let (csr, ids) = load_csr(parsed)?;
+    let (csr, externals) = load_csr(parsed)?;
     let n = csr.num_nodes();
     let resume_path = parsed.flag_str("resume", "");
     let fresh = if resume_path.is_empty() {
@@ -487,8 +488,7 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
         let _ = writeln!(
             out,
             "  node {}: beta = {:.3}",
-            ids.external(NodeId::new(v)),
-            approx.values[v]
+            externals[v], approx.values[v]
         );
     }
     if let Some(exact) = exact {

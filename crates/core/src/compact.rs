@@ -11,14 +11,19 @@
 //! ## Flat state arena
 //!
 //! Per-node state does **not** live in per-node heap allocations: the
-//! [`CompactArena`] packs everything into structure-of-arrays slabs indexed by
-//! the [`CsrGraph`] offsets — one contiguous `neighbor_values` slab for the
-//! whole graph, one slab each for the `Update` ordering, its inverse, the
-//! in-neighbour stamps and the scratch area, plus node-indexed slabs for the
-//! surviving numbers. Each [`CompactNode`] program handed to the executor is a
-//! set of disjoint `&mut` slices into those slabs (carved with
-//! `split_at_mut`), so the executor's parallel phases stream through
-//! contiguous memory instead of chasing per-node pointers.
+//! [`CompactArena`] packs it into three slabs. Two are indexed by the
+//! [`CsrGraph`] arc offsets, 16 B per arc in all: one `f64` per arc for the
+//! values heard from the neighbours, and one `u32` slab holding each node's
+//! `Update` ordering followed by its inverse. The third holds one 24 B record
+//! per node: `b_v`, the round of its last update, the cut where `N_v` starts
+//! in the ordering, its message width and its degree. `Update` returns `N_v`
+//! as a suffix of the ordering, `order[cut..]`, and only an update reorders,
+//! so the cut alone keeps `N_v` exact between rounds. Each [`CompactNode`]
+//! program handed to the executor is four references (48 B): its record, its
+//! two arc slices (carved with `split_at_mut`) and the shared threshold set,
+//! so the executor's parallel phases stream through contiguous memory
+//! instead of chasing per-node pointers. The changed-position list of one
+//! step lives in a buffer per thread, not in the arena.
 //!
 //! The receive path is **incremental**: deliveries carry the receiver-local
 //! arc position ([`dkc_distsim::Delivery::pos`]), so merging the inbox writes
@@ -41,146 +46,133 @@ use dkc_distsim::{
     NodeProgram, Outgoing, RunMetrics, SnapshotState,
 };
 use dkc_graph::{CsrGraph, NodeId};
+use std::cell::RefCell;
 use std::fmt;
+use std::ops::Index;
 
-/// Structure-of-arrays storage for every node's elimination state, indexed
-/// by CSR arc offset (arc slabs) and by node (node slabs).
+/// One node's scalar state in a [`CompactArena`].
+#[derive(Clone, Copy, Debug)]
+struct NodeRecord {
+    /// Current surviving number (starts at +∞, as in Algorithm 2).
+    b: f64,
+    /// Round of the last executed update (0 = never).
+    last_update_round: u32,
+    /// Where `N_v` starts in the `Update` ordering: `N_v = order[cut..]`,
+    /// the suffix the last update returned (0, every neighbour, before the
+    /// first update: the paper's initial state).
+    cut: u32,
+    /// Bits charged per transmitted surviving number (fixed per node; see
+    /// [`ThresholdSet::message_bits`]).
+    message_bits: u32,
+    /// Number of arcs: the node's slice length in each arc slab.
+    deg: u32,
+}
+
+/// Structure-of-arrays storage for every node's elimination state: two
+/// slabs indexed by CSR arc offset and one record per node.
 #[derive(Clone, Debug)]
 pub struct CompactArena {
     threshold_set: ThresholdSet,
-    /// Arc offsets (`offsets[v]..offsets[v+1]` is node v's slice).
-    offsets: Vec<usize>,
     /// Arc slab: latest surviving number heard per neighbour (init +∞).
     values: Vec<f64>,
-    /// Arc slab: the `Update` ordering (sorted adjacency positions).
-    order: Vec<u32>,
-    /// Arc slab: inverse of `order`.
-    inv: Vec<u32>,
-    /// Arc slab: round at which the position was last included in `N_v`;
-    /// a position belongs to `N_v` iff its stamp equals the node's
-    /// `last_update_round` (0/0 initially ⇒ all neighbours, matching the
-    /// paper's initial state).
-    in_stamp: Vec<u32>,
-    /// Arc slab: scratch for the changed-position list of one update.
-    scratch: Vec<u32>,
-    /// Node slab: current surviving numbers (init +∞).
-    b: Vec<f64>,
-    /// Node slab: round of the last executed update (0 = never).
-    last_update_round: Vec<u32>,
-    /// Node slab: bits charged per transmitted surviving number.
-    message_bits: Vec<u32>,
+    /// Arc slab, two entries per arc: each node's `Update` ordering (sorted
+    /// adjacency positions) and then its inverse, so node v's `2·deg`
+    /// entries start at twice its arc offset.
+    order_inv: Vec<u32>,
+    /// Node slab: one record per node.
+    nodes: Vec<NodeRecord>,
 }
 
 impl CompactArena {
     /// Builds the initial arena for `graph` under threshold set Λ.
     pub fn new(graph: &CsrGraph, threshold_set: ThresholdSet) -> Self {
-        // The build walks a collected node list: building the same slabs
-        // without it raised the benchmark harness's `peak_rss_mb` by up to
-        // 10%, an allocator artifact (see ROADMAP "Bytes per arc").
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        offsets.push(0usize);
-        for &v in &nodes {
-            offsets.push(offsets.last().expect("non-empty") + graph.neighbors(v).len());
-        }
-        let arcs = *offsets.last().expect("non-empty");
-        let mut order = vec![0u32; arcs];
-        let mut inv = vec![0u32; arcs];
-        for (i, &v) in nodes.iter().enumerate() {
-            let (lo, hi) = (offsets[i], offsets[i + 1]);
-            UpdateOrder {
-                order: &mut order[lo..hi],
-                inv: &mut inv[lo..hi],
-            }
-            .init_by_id(graph.neighbors(v));
-        }
+        let mut order_inv = vec![0u32; 2 * graph.num_arcs()];
+        let nodes = graph
+            .nodes()
+            .map(|v| {
+                let neighbors = graph.neighbors(v);
+                let (lo, deg) = (2 * graph.arc_offset(v), neighbors.len());
+                let (order, inv) = order_inv[lo..lo + 2 * deg].split_at_mut(deg);
+                UpdateOrder { order, inv }.init_by_id(neighbors);
+                NodeRecord {
+                    b: f64::INFINITY,
+                    last_update_round: 0,
+                    cut: 0,
+                    message_bits: threshold_set.message_bits(graph.degree(v).max(1.0)) as u32,
+                    deg: deg as u32,
+                }
+            })
+            .collect();
         CompactArena {
             threshold_set,
-            values: vec![f64::INFINITY; arcs],
-            order,
-            inv,
-            in_stamp: vec![0; arcs],
-            scratch: vec![0; arcs],
-            b: vec![f64::INFINITY; nodes.len()],
-            last_update_round: vec![0; nodes.len()],
-            message_bits: nodes
-                .iter()
-                .map(|&v| threshold_set.message_bits(graph.degree(v).max(1.0)) as u32)
-                .collect(),
-            offsets,
+            values: vec![f64::INFINITY; graph.num_arcs()],
+            order_inv,
+            nodes,
         }
     }
 
     /// Number of nodes the arena was built for.
     pub fn num_nodes(&self) -> usize {
-        self.b.len()
+        self.nodes.len()
     }
 
-    /// Carves the arena into one [`CompactNode`] program per node — disjoint
-    /// mutable slices of the slabs, for
+    /// Carves the arena into one [`CompactNode`] program per node — its
+    /// record and disjoint mutable slices of the arc slabs, for
     /// [`NetworkBuilder::build_from_parts`], which keeps this vector as the
-    /// network's program array. Each program is a bundle of slice handles
-    /// (120 B) over the arena, not a copy of its state. The arena is
-    /// mutably borrowed for as long as the programs live; drop them (e.g.
-    /// via [`Network::into_parts`]) before reading results.
+    /// network's program array. Each program is four references (48 B) into
+    /// the arena, not a copy of its state. The arena is mutably borrowed for
+    /// as long as the programs live; drop them (e.g. via
+    /// [`Network::into_parts`]) before reading results.
     pub fn programs(&mut self) -> Vec<CompactNode<'_>> {
-        let n = self.b.len();
-        let mut out = Vec::with_capacity(n);
         let mut values = self.values.as_mut_slice();
-        let mut order = self.order.as_mut_slice();
-        let mut inv = self.inv.as_mut_slice();
-        let mut in_stamp = self.in_stamp.as_mut_slice();
-        let mut scratch = self.scratch.as_mut_slice();
-        let mut b = self.b.iter_mut();
-        let mut last = self.last_update_round.iter_mut();
-        for v in 0..n {
-            let deg = self.offsets[v + 1] - self.offsets[v];
-            let (values_v, values_rest) = values.split_at_mut(deg);
-            let (order_v, order_rest) = order.split_at_mut(deg);
-            let (inv_v, inv_rest) = inv.split_at_mut(deg);
-            let (in_stamp_v, in_stamp_rest) = in_stamp.split_at_mut(deg);
-            let (scratch_v, scratch_rest) = scratch.split_at_mut(deg);
-            values = values_rest;
-            order = order_rest;
-            inv = inv_rest;
-            in_stamp = in_stamp_rest;
-            scratch = scratch_rest;
-            out.push(CompactNode {
-                b: b.next().expect("node slab length"),
-                last_update_round: last.next().expect("node slab length"),
-                values: values_v,
-                order: order_v,
-                inv: inv_v,
-                in_stamp: in_stamp_v,
-                scratch: scratch_v,
-                threshold_set: self.threshold_set,
-                message_bits: self.message_bits[v],
-            });
-        }
-        out
+        let mut order_inv = self.order_inv.as_mut_slice();
+        let threshold_set = &self.threshold_set;
+        self.nodes
+            .iter_mut()
+            .map(|state| {
+                let deg = state.deg as usize;
+                let (values_v, values_rest) = std::mem::take(&mut values).split_at_mut(deg);
+                let (order_inv_v, order_inv_rest) =
+                    std::mem::take(&mut order_inv).split_at_mut(2 * deg);
+                values = values_rest;
+                order_inv = order_inv_rest;
+                CompactNode {
+                    state,
+                    values: values_v,
+                    order_inv: order_inv_v,
+                    threshold_set,
+                }
+            })
+            .collect()
     }
 
     /// The surviving numbers `b_v` (by node index).
-    pub fn surviving(&self) -> &[f64] {
-        &self.b
+    pub fn surviving(&self) -> Vec<f64> {
+        self.nodes.iter().map(|s| s.b).collect()
     }
 
-    /// Materializes the auxiliary in-neighbour sets `N_v` from the stamp slab
-    /// (by node index).
-    pub fn in_neighbors(&self, graph: &CsrGraph) -> Vec<Vec<NodeId>> {
-        (0..self.b.len())
-            .map(|v| {
-                let lo = self.offsets[v];
-                let last = self.last_update_round[v];
+    /// The auxiliary in-neighbour sets `N_v`, read off each node's cut in one
+    /// pass over the arcs.
+    pub fn in_neighbors(&self, graph: &CsrGraph) -> InNeighbors {
+        let size = self.nodes.iter().map(|s| (s.deg - s.cut) as usize).sum();
+        let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
+        let mut members = Vec::with_capacity(size);
+        offsets.push(0);
+        for (v, s) in graph.nodes().zip(&self.nodes) {
+            let (lo, deg) = (graph.arc_offset(v), s.deg as usize);
+            // Position p is in N_v iff its rank `inv[p]` is at or past the cut.
+            let inv = &self.order_inv[2 * lo + deg..2 * (lo + deg)];
+            members.extend(
                 graph
-                    .neighbors(NodeId::new(v))
+                    .neighbors(v)
                     .iter()
-                    .enumerate()
-                    .filter(|&(pos, _)| self.in_stamp[lo + pos] == last)
-                    .map(|(_, &u)| u)
-                    .collect()
-            })
-            .collect()
+                    .zip(inv)
+                    .filter(|&(_, &rank)| rank >= s.cut)
+                    .map(|(&u, _)| u),
+            );
+            offsets.push(members.len());
+        }
+        InNeighbors { offsets, members }
     }
 }
 
@@ -212,62 +204,67 @@ impl ShardedCompactArena {
 
     /// The surviving numbers `b_v` (by node index).
     pub fn surviving(&self) -> Vec<f64> {
-        self.0.surviving().to_vec()
+        self.0.surviving()
     }
 }
 
-/// Per-node program for the compact elimination procedure: disjoint slices of
-/// a [`CompactArena`]. Delta-driven — valid under the sparse frontier
-/// execution modes.
+/// The auxiliary sets `N_v` of every node in one CSR-shaped list:
+/// `in_neighbors[v]` is node v's set, in adjacency order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InNeighbors {
+    /// `offsets[v]..offsets[v + 1]` is node v's range of `members`.
+    offsets: Vec<usize>,
+    members: Vec<NodeId>,
+}
+
+impl Index<usize> for InNeighbors {
+    type Output = [NodeId];
+
+    fn index(&self, v: usize) -> &[NodeId] {
+        &self.members[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+thread_local! {
+    /// The adjacency positions whose value fell in the step this thread is
+    /// running: one buffer per thread, reused by every step on it.
+    static CHANGED: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Per-node program for the compact elimination procedure: its record and
+/// disjoint slices of a [`CompactArena`]. Delta-driven — valid under the
+/// sparse frontier execution modes.
 #[derive(Debug)]
 pub struct CompactNode<'a> {
-    /// Current surviving number (starts at +∞, as in Algorithm 2).
-    b: &'a mut f64,
-    /// Round of the last executed update (0 = never); doubles as the valid
-    /// stamp value for `in_stamp`.
-    last_update_round: &'a mut u32,
+    /// `b`, the last update round, the `N_v` cut and the message width.
+    state: &'a mut NodeRecord,
     /// Latest surviving numbers heard from each neighbour (by adjacency
     /// position), initialized to +∞.
     values: &'a mut [f64],
-    /// Persistent `Update` ordering (history-encoding neighbour order).
-    order: &'a mut [u32],
-    /// Inverse of `order`.
-    inv: &'a mut [u32],
-    /// `N_v` membership stamps (by adjacency position).
-    in_stamp: &'a mut [u32],
-    /// Scratch for the changed-position list.
-    scratch: &'a mut [u32],
+    /// The persistent `Update` ordering (history-encoding neighbour order)
+    /// and then its inverse, `values.len()` entries each.
+    order_inv: &'a mut [u32],
     /// The threshold set Λ.
-    threshold_set: ThresholdSet,
-    /// Bits charged per transmitted surviving number (fixed per node; see
-    /// [`ThresholdSet::message_bits`]).
-    message_bits: u32,
+    threshold_set: &'a ThresholdSet,
 }
 
 impl CompactNode<'_> {
+    /// The `Update` ordering.
+    fn order(&self) -> &[u32] {
+        &self.order_inv[..self.values.len()]
+    }
+
     /// `Update` over the cached neighbour values in the current `order`: the
     /// surviving number rounded down to Λ, and the position in `order` from
     /// which neighbours belong to `N_v`.
     fn recompute(&self, ctx: &NodeContext<'_>) -> (f64, usize) {
         let (raw, include_from) = suffix_scan(
-            &*self.order,
+            self.order(),
             &*self.values,
             ctx.neighbor_weights(),
             ctx.self_loop(),
         );
         (self.threshold_set.round_down(raw), include_from)
-    }
-
-    /// Where `N_v` starts in `order`: the number of neighbours outside it.
-    /// Positions stamped with the last update round are exactly the suffix
-    /// `order[include_from..]` of that update.
-    fn cut(&self) -> usize {
-        let last = *self.last_update_round;
-        let cut = self.in_stamp.iter().filter(|&&s| s != last).count();
-        debug_assert!(self.order[cut..]
-            .iter()
-            .all(|&p| self.in_stamp[p as usize] == last));
-        cut
     }
 }
 
@@ -281,48 +278,45 @@ impl NodeProgram for CompactNode<'_> {
 
     fn broadcast(&mut self, _ctx: &NodeContext<'_>) -> Outgoing<QuantizedValue> {
         Outgoing::Broadcast(QuantizedValue {
-            value: *self.b,
-            bits: self.message_bits as usize,
+            value: self.state.b,
+            bits: self.state.message_bits as usize,
         })
     }
 
     fn receive(&mut self, ctx: &NodeContext<'_>, inbox: &[Delivery<QuantizedValue>]) -> bool {
         // Merge the received numbers into the per-neighbour value slab,
-        // collecting the positions that actually decreased. Surviving numbers
-        // are monotone non-increasing, so an already-known (or stale) value
-        // never exceeds the cache.
-        let mut changed_count = 0usize;
-        for d in inbox {
-            let pos = d.pos as usize;
-            let v = d.msg.value;
-            if v < self.values[pos] {
-                self.values[pos] = v;
-                self.scratch[changed_count] = d.pos;
-                changed_count += 1;
+        // collecting the positions that actually decreased, and re-sort
+        // those. Surviving numbers are monotone non-increasing, so an
+        // already-known (or stale) value never exceeds the cache.
+        let merged = CHANGED.with_borrow_mut(|changed| {
+            changed.clear();
+            for d in inbox {
+                let pos = d.pos as usize;
+                let v = d.msg.value;
+                if v < self.values[pos] {
+                    self.values[pos] = v;
+                    changed.push(d.pos);
+                }
             }
-        }
-        if changed_count == 0 && *self.last_update_round != 0 {
+            let (order, inv) = self.order_inv.split_at_mut(self.values.len());
+            UpdateOrder { order, inv }.resort_decreased(self.values, changed);
+            !changed.is_empty()
+        });
+        if !merged && self.state.last_update_round != 0 {
             // Nothing new: `Update` would recompute the identical state.
             return false;
         }
-        UpdateOrder {
-            order: &mut *self.order,
-            inv: &mut *self.inv,
-        }
-        .resort_decreased(&*self.values, &mut self.scratch[..changed_count]);
         let (rounded, include_from) = self.recompute(ctx);
+        let state = &mut *self.state;
         debug_assert!(
-            rounded <= *self.b + 1e-9,
+            rounded <= state.b + 1e-9,
             "surviving number increased: {} -> {rounded}",
-            self.b
+            state.b
         );
-        let round = ctx.round() as u32;
-        for &pos in &self.order[include_from..] {
-            self.in_stamp[pos as usize] = round;
-        }
-        *self.last_update_round = round;
-        let changed = (rounded - *self.b).abs() > 1e-12 || self.b.is_infinite();
-        *self.b = rounded;
+        state.last_update_round = ctx.round() as u32;
+        state.cut = include_from as u32;
+        let changed = (rounded - state.b).abs() > 1e-12 || state.b.is_infinite();
+        state.b = rounded;
         changed
     }
 }
@@ -331,20 +325,16 @@ impl NodeProgram for CompactNode<'_> {
 /// `last_update_round` u32 and the cut `deg − |N_v|` u32, then `values` (f64)
 /// and `order` (u32) as little-endian slabs — 20 B plus 12 B per arc. The
 /// degree leads as a cross-check against the arena the state is restored
-/// into. The other slabs are derived, not stored: `inv` is the inverse of
-/// `order`, and `N_v` is the suffix `order[cut..]` stamped at the last
-/// update (every position while the node has never updated), because
-/// `order` changes only inside an update. The scratch slab is per-step
-/// workspace, and the message-bit/threshold parameters are rebuilt from the
-/// graph.
+/// into. `inv` is derived, not stored: it is the inverse of `order`. The
+/// message width and threshold set are rebuilt from the graph.
 impl SnapshotState for CompactNode<'_> {
     fn save_state(&self, w: &mut WireWriter) {
         (self.values.len() as u32).encode(w);
-        self.b.encode(w);
-        self.last_update_round.encode(w);
-        (self.cut() as u32).encode(w);
+        self.state.b.encode(w);
+        self.state.last_update_round.encode(w);
+        self.state.cut.encode(w);
         w.write_f64s(self.values);
-        w.write_u32s(self.order);
+        w.write_u32s(self.order());
     }
 
     fn load_state(&mut self, r: &mut WireReader<'_>) -> Result<(), CheckpointError> {
@@ -355,11 +345,10 @@ impl SnapshotState for CompactNode<'_> {
                 "node degree {saved_deg} in checkpoint, {deg} in this graph"
             )));
         }
-        *self.b = r.read_f64()?;
+        let b = r.read_f64()?;
         let last = r.read_u32()?;
-        *self.last_update_round = last;
-        let cut = r.read_u32()? as usize;
-        if cut > deg {
+        let cut = r.read_u32()?;
+        if cut as usize > deg {
             return Err(CheckpointError::Mismatch(format!(
                 "N_v cut {cut} is past the node degree {deg}"
             )));
@@ -370,13 +359,14 @@ impl SnapshotState for CompactNode<'_> {
             )));
         }
         r.read_f64s_into(self.values)?;
-        r.read_u32s_into(self.order)?;
+        let (order, inv) = self.order_inv.split_at_mut(deg);
+        r.read_u32s_into(order)?;
         // `order` must be a permutation of 0..deg — anything else would make
         // the Update re-sort read out of bounds. Building `inv` as its
         // inverse checks that: an entry out of range or repeated is rejected.
-        self.inv.fill(u32::MAX);
-        for (i, &p) in self.order.iter().enumerate() {
-            match self.inv.get_mut(p as usize) {
+        inv.fill(u32::MAX);
+        for (i, &p) in order.iter().enumerate() {
+            match inv.get_mut(p as usize) {
                 Some(q) if *q == u32::MAX => *q = i as u32,
                 _ => {
                     return Err(CheckpointError::Mismatch(
@@ -385,26 +375,18 @@ impl SnapshotState for CompactNode<'_> {
                 }
             }
         }
-        // Members of N_v carry the last update's stamp. Every other position
-        // gets 0, which no round equals (rounds count from 1), so a later
-        // update that shrinks N_v leaves them out.
-        self.in_stamp.fill(0);
-        for &p in &self.order[cut..] {
-            self.in_stamp[p as usize] = last;
-        }
         // Surviving numbers are non-negative (+∞ before the first update), and
         // `order` keeps `values` sorted ascending between rounds. A NaN would
         // panic the `Update` sort and an unsorted order breaks the incremental
         // re-sort, so both are rejected here rather than panicking later.
         let in_domain = |x: f64| x >= 0.0;
-        if !in_domain(*self.b) || !self.values.iter().all(|&x| in_domain(x)) {
+        if !in_domain(b) || !self.values.iter().all(|&x| in_domain(x)) {
             return Err(CheckpointError::Mismatch(
                 "checkpointed surviving number is NaN or negative".to_string(),
             ));
         }
         let values = &*self.values;
-        if !self
-            .order
+        if !order
             .windows(2)
             .all(|w| values[w[0] as usize] <= values[w[1] as usize])
         {
@@ -412,6 +394,12 @@ impl SnapshotState for CompactNode<'_> {
                 "checkpointed update order does not sort the neighbour values".to_string(),
             ));
         }
+        *self.state = NodeRecord {
+            b,
+            last_update_round: last,
+            cut,
+            ..*self.state
+        };
         Ok(())
     }
 }
@@ -424,7 +412,7 @@ pub struct CompactOutcome {
     pub surviving: Vec<f64>,
     /// `in_neighbors[v]` = the auxiliary subset `N_v` (neighbours whose shared
     /// edge is assigned to `v`). Meaningful for Λ = ℝ (Definition III.7).
-    pub in_neighbors: Vec<Vec<NodeId>>,
+    pub in_neighbors: InNeighbors,
     /// Number of rounds executed.
     pub rounds: usize,
     /// Communication metrics of the run.
@@ -638,7 +626,7 @@ pub(crate) fn execute(
     let (graph, programs, metrics) = net.into_graph_and_parts();
     drop(programs);
     let outcome = CompactOutcome {
-        surviving: arena.surviving().to_vec(),
+        surviving: arena.surviving(),
         in_neighbors: arena.in_neighbors(&graph),
         rounds: spec.rounds,
         metrics,
@@ -646,25 +634,32 @@ pub(crate) fn execute(
     Ok((outcome, started_from))
 }
 
-/// Every executed `Update` leaves `b` and the `N_v` cut equal to what it
-/// computes from the node's values, order and edge weights, and no later
-/// round changes one without the other. A restored node that has updated
-/// (`last_update_round != 0`) and breaks this was not written by a run:
+/// Every executed `Update` runs in a round the image has completed, and
+/// leaves `b` and the `N_v` cut equal to what it computes from the node's
+/// values, order and edge weights; no later round changes one without the
+/// other. A restored node that breaks this was not written by a run:
 /// resuming it would let a surviving number increase or hand out a wrong
 /// orientation, so it is rejected here.
 fn check_restored_surviving(net: &Network<CompactNode<'_>>) -> Result<(), CheckpointError> {
+    let round = net.round();
     for v in net.graph().nodes() {
         let node = net.program(v);
-        if *node.last_update_round == 0 {
+        let last = node.state.last_update_round;
+        if last as usize > round {
+            return Err(CheckpointError::Mismatch(format!(
+                "node {v} last updated in round {last}, past the checkpoint's round {round}"
+            )));
+        }
+        if last == 0 {
             continue;
         }
-        let (b, include_from) = node.recompute(&NodeContext::new(net.graph(), v, net.round()));
-        if b != *node.b {
+        let (b, include_from) = node.recompute(&NodeContext::new(net.graph(), v, round));
+        if b != node.state.b {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpointed surviving number of node {v} disagrees with its neighbour values"
             )));
         }
-        if include_from != node.cut() {
+        if include_from != node.state.cut as usize {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpointed N_v cut of node {v} disagrees with its neighbour values"
             )));
@@ -698,23 +693,22 @@ mod tests {
     /// and it restores the node it was taken from.
     #[test]
     fn snapshot_layout_is_pinned() {
-        let (mut b, mut last) = (2.5, 4u32);
-        let mut values = [3.0, 1.0, 2.5];
-        let mut order = [1u32, 2, 0];
-        let mut inv = [2u32, 0, 1];
         // Position 1 left `N_v` at the last update (round 4): the cut is 1.
-        let mut in_stamp = [4u32, 3, 4];
-        let mut scratch = [0u32; 3];
-        let node = CompactNode {
-            b: &mut b,
-            last_update_round: &mut last,
-            values: &mut values,
-            order: &mut order,
-            inv: &mut inv,
-            in_stamp: &mut in_stamp,
-            scratch: &mut scratch,
-            threshold_set: ThresholdSet::Reals,
+        let mut state = NodeRecord {
+            b: 2.5,
+            last_update_round: 4,
+            cut: 1,
             message_bits: 64,
+            deg: 3,
+        };
+        let mut values = [3.0, 1.0, 2.5];
+        // `order`, then its inverse.
+        let mut order_inv = [1u32, 2, 0, 2, 0, 1];
+        let node = CompactNode {
+            state: &mut state,
+            values: &mut values,
+            order_inv: &mut order_inv,
+            threshold_set: &ThresholdSet::Reals,
         };
         let bytes = snapshot(&node);
         let expected = [
@@ -738,11 +732,45 @@ mod tests {
         programs[0].load_state(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
         let back = &programs[0];
-        assert_eq!((*back.b, *back.last_update_round), (2.5, 4));
+        let s = &*back.state;
+        assert_eq!((s.b, s.last_update_round, s.cut), (2.5, 4, 1));
         assert_eq!(&*back.values, &[3.0, 1.0, 2.5]);
-        assert_eq!((&*back.order, &*back.inv), (&[1, 2, 0][..], &[2, 0, 1][..]));
-        assert_eq!(&*back.in_stamp, &[4, 0, 4]);
+        assert_eq!(&*back.order_inv, &[1, 2, 0, 2, 0, 1]);
         assert_eq!(snapshot(back), expected);
+    }
+
+    /// A program is four references into the arena: its record, its two
+    /// arc slices and the threshold set.
+    #[test]
+    fn a_program_handle_is_48_bytes() {
+        assert!(std::mem::size_of::<CompactNode<'_>>() <= 48);
+        assert!(std::mem::size_of::<NodeRecord>() <= 24);
+    }
+
+    /// `N_v` comes out in adjacency order, one flat list for every node,
+    /// and matches the cut each node's last update left.
+    #[test]
+    fn in_neighbors_follow_each_cut_in_adjacency_order() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let g = with_random_integer_weights(&barabasi_albert(60, 3, &mut rng), 5, &mut rng);
+        let csr = CsrGraph::from(&g);
+        let mut arena = CompactArena::new(&csr, ThresholdSet::Reals);
+        let mut net = NetworkBuilder::new().build_from_parts(csr.clone(), arena.programs());
+        net.run(3);
+        drop(net);
+        let sets = arena.in_neighbors(&csr);
+        for (v, s) in csr.nodes().zip(&arena.nodes) {
+            let lo = 2 * csr.arc_offset(v);
+            let order = &arena.order_inv[lo..lo + s.deg as usize];
+            let mut positions: Vec<usize> = order[s.cut as usize..]
+                .iter()
+                .map(|&p| p as usize)
+                .collect();
+            positions.sort_unstable();
+            let neighbors = csr.neighbors(v);
+            let expected: Vec<NodeId> = positions.iter().map(|&p| neighbors[p]).collect();
+            assert_eq!(&sets[v.index()], &expected[..], "node {v}");
+        }
     }
 
     /// Runs `spec`, which writes no checkpoint and so cannot fail.
@@ -966,7 +994,7 @@ mod tests {
         for mode in [ExecutionMode::Dense, ExecutionMode::Auto] {
             let outcome = run(&g, RunSpec::new(2).mode(mode));
             assert_eq!(outcome.surviving, vec![0.0; 3], "{mode:?}");
-            assert!(outcome.in_neighbors.iter().all(Vec::is_empty));
+            assert!((0..3).all(|v| outcome.in_neighbors[v].is_empty()));
         }
     }
 

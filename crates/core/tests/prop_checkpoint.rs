@@ -244,8 +244,8 @@ fn corrupted_checkpoint_files_are_rejected() {
     assert!(matches!(reject(&bad_magic), CheckpointError::BadMagic));
 
     // An unknown version — a future one, or v3 with its u32 section
-    // lengths and its `inv`/`in_stamp` slabs — is rejected with both
-    // versions named.
+    // lengths and its stored `inv` and per-arc `N_v` slabs — is rejected
+    // with both versions named.
     for found in [CHECKPOINT_VERSION + 1, 3] {
         let mut bad_version = bytes.clone();
         bad_version[4..8].copy_from_slice(&found.to_le_bytes());
@@ -340,6 +340,26 @@ fn corrupted_checkpoint_files_are_rejected() {
     // The magic constant itself is what the file starts with.
     assert_eq!(&bytes[..4], &CHECKPOINT_MAGIC);
     std::fs::remove_file(&path).ok();
+}
+
+/// No run writes a node whose last update is past the image's round, since
+/// its `N_v` cut and stamps would name a round that has not run: such an
+/// image is rejected, not resumed.
+#[test]
+fn a_node_updated_after_the_image_round_is_rejected() {
+    let (mut bytes, path, g) = real_checkpoint("future");
+    let csr = CsrGraph::from_graph(&g);
+    let deg = csr.unweighted_degree(dkc_graph::NodeId::new(csr.num_nodes() - 1));
+    // The last node's payload: degree, `b`, last-update round, cut, slabs.
+    let last_at = bytes.len() - (20 + 12 * deg) + 12;
+    let last = u32::from_le_bytes(bytes[last_at..last_at + 4].try_into().unwrap());
+    assert!((1..=4).contains(&last), "last node updated at {last}");
+    // The image is taken after round 4.
+    bytes[last_at..last_at + 4].copy_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = resume_compact_elimination(&g, &path, None).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
 }
 
 /// Every byte of a real image, flipped three ways and stamped with

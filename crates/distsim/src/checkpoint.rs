@@ -39,8 +39,9 @@
 //! - v3: `RoundStats` gained the sharded-execution
 //!   `boundary_bits`/`boundary_nodes` counters.
 //! - v4: section lengths are u64, and the compact-elimination payload drops
-//!   the `inv` and `in_stamp` slabs, which resume rebuilds from `order` and
-//!   the cut (16 B per node plus 20 B per arc before).
+//!   the `inv` slab, which resume rebuilds from `order`, and the per-arc
+//!   `N_v` membership stamps, which the cut replaces (16 B per node plus
+//!   20 B per arc before).
 //!
 //! The reader is defensive in the `wire.rs` style: truncated files, trailing
 //! garbage, a wrong magic, or an unknown version are each a distinct

@@ -15,7 +15,9 @@
 //!   ends in one exact-size graph build.
 //! * [`read_csr`] takes the same merged edges straight into a [`CsrGraph`],
 //!   arc for arc the CSR of `read_dataset`'s graph, so a caller that only
-//!   needs the CSR never holds the adjacency lists.
+//!   needs the CSR never holds the adjacency lists. It returns the
+//!   internal→external id table alone: the interning hash is freed before
+//!   the CSR is built.
 //! * Three on-disk formats ([`DatasetFormat`]): SNAP-style edge lists, METIS
 //!   adjacency files, and a compact little-endian binary format (`.dkcb`)
 //!   that additionally preserves the id map exactly.
@@ -148,6 +150,11 @@ impl NodeIdMap {
     /// The full internal→external table.
     pub fn externals(&self) -> &[u64] {
         &self.to_external
+    }
+
+    /// The internal→external table alone, freeing the lookup hash.
+    pub fn into_externals(self) -> Vec<u64> {
+        self.to_external
     }
 
     /// Grows the map to `n` nodes by assigning fresh external ids (sequential
@@ -785,16 +792,23 @@ pub fn read_dataset(path: impl AsRef<Path>, format: DatasetFormat) -> Result<Dat
 
 /// [`read_dataset`] straight into a [`CsrGraph`]: the CSR that
 /// [`CsrGraph::from_graph`] makes of `read_dataset`'s graph, arc for arc,
-/// and the same id map, with the same errors, but without ever building
-/// the adjacency lists. A graph with more than `u32::MAX` arcs is
-/// [`ParseError::Idx`].
+/// and the external id of every node ([`NodeIdMap::externals`] of the same
+/// id map), with the same errors, but without ever building the adjacency
+/// lists. The id map's lookup hash is dropped before the CSR is built. A
+/// graph with more than `u32::MAX` arcs is [`ParseError::Idx`].
 pub fn read_csr(
     path: impl AsRef<Path>,
     format: DatasetFormat,
-) -> Result<(CsrGraph, NodeIdMap), ParseError> {
-    let e = read_edges(path.as_ref(), format)?;
-    let csr = CsrGraph::try_from_edges(e.nodes, &e.plain, &e.loops)?;
-    Ok((csr, e.ids))
+) -> Result<(CsrGraph, Vec<u64>), ParseError> {
+    let DatasetEdges {
+        nodes,
+        plain,
+        loops,
+        ids,
+    } = read_edges(path.as_ref(), format)?;
+    let externals = ids.into_externals();
+    let csr = CsrGraph::try_from_edges(nodes, &plain, &loops)?;
+    Ok((csr, externals))
 }
 
 /// Interns an edge list's ids in first-seen order and merges its edges.

@@ -9,7 +9,7 @@
 //! * METIS is positional, so degrees are preserved per internal index;
 //! * `read_csr` gives, in every format, the CSR that `CsrGraph::from_graph`
 //!   makes of `read_dataset`'s graph (every arc, weight bit and reverse-arc
-//!   pairing) and the same id map.
+//!   pairing) and the same external-id table.
 
 use dkc_graph::ingest::{read_csr, read_dataset, write_dataset, Dataset, DatasetFormat};
 use dkc_graph::{weights_close, CsrGraph};
@@ -89,9 +89,9 @@ proptest! {
             write_dataset(&original, &path, fmt).unwrap();
             let back = read_dataset(&path, fmt).unwrap();
             back.graph.check_consistency();
-            let (csr, ids) = read_csr(&path, fmt).unwrap();
+            let (csr, externals) = read_csr(&path, fmt).unwrap();
             assert_same_csr(&csr, &CsrGraph::from_graph(&back.graph));
-            prop_assert_eq!(ids.externals(), back.ids.externals());
+            prop_assert_eq!(&externals[..], back.ids.externals());
             prop_assert_eq!(back.graph.num_nodes(), original.graph.num_nodes());
             prop_assert_eq!(back.graph.num_edges(), original.graph.num_edges());
             prop_assert_eq!(back.graph.num_plain_edges(), original.graph.num_plain_edges());
@@ -136,9 +136,9 @@ proptest! {
         let text: String = edges.iter().map(|(u, v, w)| format!("{u} {v} {w}\n")).collect();
         std::fs::write(&raw, text).unwrap();
         let back = read_dataset(&raw, DatasetFormat::EdgeList).unwrap();
-        let (csr, ids) = read_csr(&raw, DatasetFormat::EdgeList).unwrap();
+        let (csr, externals) = read_csr(&raw, DatasetFormat::EdgeList).unwrap();
         assert_same_csr(&csr, &CsrGraph::from_graph(&back.graph));
-        prop_assert_eq!(ids.externals(), back.ids.externals());
+        prop_assert_eq!(&externals[..], back.ids.externals());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
