@@ -17,7 +17,6 @@ use dkc_graph::generators as gen;
 use dkc_graph::ingest::{
     read_csr, read_dataset, stream_stats, write_dataset, Dataset, DatasetFormat,
 };
-use dkc_graph::io::write_edge_list;
 use dkc_graph::properties::{degree_stats, diameter_double_sweep};
 use dkc_graph::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
@@ -159,11 +158,14 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
         g.total_edge_weight()
     );
     let target = parsed.flag_str("out", "");
-    if !target.is_empty() {
-        write_edge_list(&g, &target).map_err(|e| format!("failed to write {target}: {e}"))?;
-        let _ = writeln!(out, "written to {target}");
-    } else {
+    if target.is_empty() {
         out.push_str(&dkc_graph::io::to_edge_list(&g));
+    } else {
+        // The format follows the extension, as for `dkc convert`.
+        let format = DatasetFormat::from_path_or_default(&target);
+        write_dataset(&Dataset::from_graph(g), &target, format)
+            .map_err(|e| format!("failed to write {target}: {e}"))?;
+        let _ = writeln!(out, "written to {target}");
     }
     Ok(out)
 }
@@ -630,7 +632,7 @@ mod tests {
         let path = dir.join("small.edges");
         let mut rng = StdRng::seed_from_u64(3);
         let g = gen::barabasi_albert(80, 3, &mut rng);
-        write_edge_list(&g, &path).unwrap();
+        write_dataset(&Dataset::from_graph(g), &path, DatasetFormat::EdgeList).unwrap();
         path.to_string_lossy().to_string()
     }
 
@@ -639,6 +641,41 @@ mod tests {
         let out = dispatch(&parse(&["generate", "path", "--nodes", "5"])).unwrap();
         assert!(out.contains("5 nodes"));
         assert!(out.contains("0 1 1"));
+    }
+
+    /// `generate --out` writes the format its extension names: `dkc stats`
+    /// prints the same node, edge, weight and degree lines for each file
+    /// (an edge list's ids are interned in first-seen order, so its other
+    /// lines may differ), and the edge list is the text `generate` prints.
+    #[test]
+    fn generate_writes_the_format_of_the_out_extension() {
+        let dir = test_dir("generate_writes_the_format_of_the_out_extension");
+        let model: Vec<&str> = "generate ba --nodes 200 --attach 3 --weights 4"
+            .split(' ')
+            .collect();
+        let stats: Vec<String> = ["edges", "metis", "dkcb"]
+            .iter()
+            .map(|ext| {
+                let path = dir.join(format!("g.{ext}"));
+                let path = path.to_string_lossy();
+                let mut args = model.clone();
+                args.extend(["--out", &path]);
+                dispatch(&parse(&args)).unwrap();
+                let shared = ["nodes:", "edges:", "total edge weight:", "weighted degree:"];
+                let stats = dispatch(&parse(&["stats", &path])).unwrap();
+                stats
+                    .lines()
+                    .filter(|line| shared.iter().any(|p| line.starts_with(p)))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            })
+            .collect();
+        assert_eq!(stats[0].lines().count(), 4, "{}", stats[0]);
+        assert_eq!(stats[0], stats[1]);
+        assert_eq!(stats[0], stats[2]);
+        let printed = dispatch(&parse(&model)).unwrap();
+        let written = std::fs::read_to_string(dir.join("g.edges")).unwrap();
+        assert!(printed.ends_with(&written));
     }
 
     #[test]

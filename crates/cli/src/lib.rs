@@ -36,6 +36,8 @@ USAGE:
       models: ba (--attach M), er (--prob P), chung-lu (--alpha A --avg-degree D),
               ws (--k K --beta B), grid (--rows R --cols C), path, cycle, complete
       common: --weights W   give edges random integer weights in 1..=W
+              --out FILE    write FILE in the format its extension names
+                            (see convert; an edge list by default)
   dkc stats <file> [--format F] [--stream]
       --stream computes one-pass statistics without materializing the graph
   dkc convert <in> <out> [--from F] [--to F]

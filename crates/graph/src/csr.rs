@@ -7,10 +7,28 @@
 //! straight from an edge list: arcs are placed per node, and each arc is
 //! paired with its reverse by one cursor per node (see
 //! [`CsrGraph::try_from_edges`]).
+//!
+//! A snapshot stores only the arrays its graph needs. Every snapshot keeps
+//! the node offsets (4 B per node) and, per arc, the target and the reverse
+//! arc (8 B per arc). The others exist only when the graph needs them:
+//!
+//! * per-arc weights (8 B per arc), when some arc weighs other than exactly
+//!   1.0. Otherwise one slice of ones, as long as the largest degree, serves
+//!   every node's weights;
+//! * the neighbour-rank map (4 B per arc), when some node's neighbour list
+//!   is not sorted by target;
+//! * the self-loop weights (8 B per node), when some node's self-loop
+//!   weight is not +0.0.
+//!
+//! Every accessor returns the same in each case. Every graph
+//! [`crate::GraphBuilder`] builds, and so every text file the ingest readers
+//! take, has sorted lists, so an unweighted one without self-loops costs
+//! 8 B per arc plus 4 B per node.
 
 use crate::idx::IdxOverflow;
 use crate::node::NodeId;
 use crate::weighted::{check_edge, WeightedGraph};
+use std::ops::Range;
 
 /// Compressed sparse-row view of an undirected weighted graph.
 ///
@@ -18,23 +36,26 @@ use crate::weighted::{check_edge, WeightedGraph};
 /// `v`'s neighbour slice. Self-loops are kept out of the adjacency arrays and
 /// exposed via [`CsrGraph::self_loop`].
 ///
-/// The per-arc cross-index arrays are `u32`, which caps a graph at
-/// 2³² − 1 directed arcs (see [`IdxOverflow`]).
+/// The offsets and the per-arc cross-index arrays are `u32`, which caps a
+/// graph at 2³² − 1 directed arcs (see [`IdxOverflow`]).
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
-    offsets: Vec<usize>,
+    /// `v`'s arcs are the global positions `offsets[v]..offsets[v + 1]`.
+    offsets: Vec<u32>,
     targets: Vec<NodeId>,
-    weights: Vec<f64>,
-    self_loops: Vec<f64>,
+    weights: ArcWeights,
+    /// Self-loop weight per node; `None` when every one is +0.0.
+    self_loops: Option<Vec<f64>>,
     total_edge_weight: f64,
     num_plain_edges: usize,
     /// Per-node permutation of local arc positions sorted by target id — the
     /// neighbour-rank map. `rank_by_target[offsets[v]..offsets[v+1]]` lists
     /// `v`'s local positions ordered so the targets are ascending (ties by
     /// position), enabling O(log deg) membership / position lookup of a
-    /// neighbour id ([`CsrGraph::neighbor_positions`]). The simulator's
-    /// multicast scatter is indexed through this map.
-    rank_by_target: Vec<u32>,
+    /// neighbour id ([`CsrGraph::neighbor_positions`]). `None` when every
+    /// neighbour list is sorted by target: the map would be the identity,
+    /// and the targets are searched directly.
+    rank_by_target: Option<Vec<u32>>,
     /// Cross index: `reverse_arc[p]` is the global position of the arc
     /// `v → u` matching arc `p = (u → v)`. Parallel edges pair the k-th
     /// occurrence on each side, so the map is an involution.
@@ -43,27 +64,53 @@ pub struct CsrGraph {
     parallel_arcs: bool,
 }
 
+/// The weights of a CSR's arcs.
+#[derive(Clone, Debug)]
+enum ArcWeights {
+    /// Every arc weighs exactly 1.0: as many ones as the largest degree,
+    /// whose first `deg(v)` are `v`'s weights.
+    Unit(Vec<f64>),
+    /// One weight per arc, aligned with the targets.
+    PerArc(Vec<f64>),
+}
+
+/// Whether `w` is exactly 1.0, compared by bits.
+fn is_unit(w: f64) -> bool {
+    w.to_bits() == 1.0f64.to_bits()
+}
+
 impl CsrGraph {
     /// Builds a CSR snapshot from a [`WeightedGraph`], returning a typed
     /// [`IdxOverflow`] error when the arc count exceeds `u32::MAX`.
     ///
-    /// Arcs are copied node by node, then the neighbour-rank and reverse-arc
-    /// maps are built as [`CsrGraph::try_from_edges`] builds them.
+    /// Whether the graph needs per-arc or self-loop weights is read off `g`
+    /// before either is allocated. Arcs are then copied node by node, and
+    /// the neighbour-rank and reverse-arc maps are built as
+    /// [`CsrGraph::try_from_edges`] builds them.
     pub fn try_from_graph(g: &WeightedGraph) -> Result<Self, IdxOverflow> {
         let n = g.num_nodes();
         let arcs = checked_arcs(g.nodes().map(|v| g.unweighted_degree(v)).sum())?;
+        let unit = g
+            .nodes()
+            .all(|v| g.neighbors(v).iter().all(|&(_, w)| is_unit(w)));
         let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
+        offsets.push(0);
         let mut targets = Vec::with_capacity(arcs);
-        let mut weights = Vec::with_capacity(arcs);
         for v in g.nodes() {
-            for &(u, w) in g.neighbors(v) {
-                targets.push(u);
-                weights.push(w);
-            }
-            offsets.push(targets.len());
+            targets.extend(g.neighbors(v).iter().map(|&(u, _)| u));
+            offsets.push(targets.len() as u32);
         }
-        let self_loops = (0..n).map(|i| g.self_loop(NodeId::new(i))).collect();
+        let weights = (!unit).then(|| {
+            let mut weights = Vec::with_capacity(arcs);
+            for v in g.nodes() {
+                weights.extend(g.neighbors(v).iter().map(|&(_, w)| w));
+            }
+            weights
+        });
+        let self_loops = g
+            .nodes()
+            .any(|v| g.self_loop(v).to_bits() != 0.0f64.to_bits())
+            .then(|| g.nodes().map(|v| g.self_loop(v)).collect());
         Ok(Self::indexed(
             offsets,
             targets,
@@ -81,15 +128,18 @@ impl CsrGraph {
     /// `loops` adds to `v`'s self-loop. Returns a typed [`IdxOverflow`]
     /// error when the arc count exceeds `u32::MAX`.
     ///
-    /// One pass counts degrees, a second fills the arcs through one cursor
-    /// per node. The neighbour-rank map then sorts each node's positions by
-    /// target, which is linear on the already-sorted lists
-    /// [`crate::GraphBuilder`] merges. Reverse arcs are paired in one pass:
-    /// visiting sources in ascending order, with positions in order within
-    /// each source, meets the arcs into `t` in exactly the order of `t`'s
-    /// rank list (targets ascending, ties by position). So one cursor per
-    /// node walks its rank list, and the k-th `v → t` pairs with the k-th
-    /// `t → v`.
+    /// One pass counts degrees and finds whether some arc weighs other than
+    /// 1.0 and some self-loop more than 0.0, so per-arc and self-loop weights
+    /// are allocated only when the graph has them. A second pass fills the
+    /// arcs through one cursor per node. When some neighbour list is not
+    /// sorted by target, the neighbour-rank map then sorts each node's
+    /// positions by target (the lists [`crate::GraphBuilder`] merges are
+    /// sorted already). Reverse arcs are paired in one pass: visiting
+    /// sources in ascending order, with positions in order within each
+    /// source, meets the arcs into `t` in exactly the order of `t`'s rank
+    /// list (targets ascending, ties by position). So one cursor per node
+    /// walks its rank list, or its own list when that is sorted, and the
+    /// k-th `v → t` pairs with the k-th `t → v`.
     ///
     /// # Panics
     ///
@@ -101,32 +151,53 @@ impl CsrGraph {
         edges: &[(NodeId, NodeId, f64)],
         loops: &[(NodeId, f64)],
     ) -> Result<Self, IdxOverflow> {
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = vec![0u32; n + 1];
+        let mut arcs = 0usize;
+        let mut unit = true;
+        // The weights are finite and non-negative, so a self-loop sums to
+        // +0.0 unless some weight added to it is positive.
+        let mut has_loops = false;
         for &(u, v, w) in edges {
             check_edge(n, u, v, w);
-            if u != v {
-                offsets[u.index() + 1] += 1;
-                offsets[v.index() + 1] += 1;
+            if u == v {
+                has_loops |= w > 0.0;
+            } else {
+                // A count wraps only past `u32::MAX` arcs, which
+                // `checked_arcs` rejects before any count is read.
+                for end in [u, v] {
+                    offsets[end.index() + 1] = offsets[end.index() + 1].wrapping_add(1);
+                }
+                arcs += 2;
+                unit &= is_unit(w);
             }
         }
+        for &(v, w) in loops {
+            assert!(v.index() < n, "node {v} out of range");
+            assert!(w.is_finite() && w >= 0.0);
+            has_loops |= w > 0.0;
+        }
+        let arcs = checked_arcs(arcs)?;
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let arcs = checked_arcs(offsets[n])?;
         let mut cursor = offsets[..n].to_vec();
         let mut targets = vec![NodeId(0); arcs];
-        let mut weights = vec![0.0; arcs];
-        let mut self_loops = vec![0.0; n];
+        let mut weights = (!unit).then(|| vec![0.0; arcs]);
+        let mut self_loops = has_loops.then(|| vec![0.0; n]);
         let mut total_edge_weight = 0.0;
         let mut num_plain_edges = 0;
         for &(u, v, w) in edges {
             if u == v {
-                self_loops[u.index()] += w;
+                if let Some(self_loops) = &mut self_loops {
+                    self_loops[u.index()] += w;
+                }
             } else {
                 for (from, to) in [(u, v), (v, u)] {
                     let slot = &mut cursor[from.index()];
-                    targets[*slot] = to;
-                    weights[*slot] = w;
+                    targets[*slot as usize] = to;
+                    if let Some(weights) = &mut weights {
+                        weights[*slot as usize] = w;
+                    }
                     *slot += 1;
                 }
                 num_plain_edges += 1;
@@ -134,8 +205,9 @@ impl CsrGraph {
             total_edge_weight += w;
         }
         for &(v, w) in loops {
-            assert!(w.is_finite() && w >= 0.0);
-            self_loops[v.index()] += w;
+            if let Some(self_loops) = &mut self_loops {
+                self_loops[v.index()] += w;
+            }
             total_edge_weight += w;
         }
         Ok(Self::indexed(
@@ -148,51 +220,38 @@ impl CsrGraph {
         ))
     }
 
-    /// The CSR over the given arc arrays, with its neighbour-rank and
-    /// reverse-arc maps built (see [`CsrGraph::try_from_edges`]).
+    /// The CSR over the given arc arrays, with unit weights standing in for
+    /// absent per-arc weights, and its neighbour-rank (when some list is
+    /// unsorted) and reverse-arc maps built (see
+    /// [`CsrGraph::try_from_edges`]).
     fn indexed(
-        offsets: Vec<usize>,
+        offsets: Vec<u32>,
         targets: Vec<NodeId>,
-        weights: Vec<f64>,
-        self_loops: Vec<f64>,
+        weights: Option<Vec<f64>>,
+        self_loops: Option<Vec<f64>>,
         total_edge_weight: f64,
         num_plain_edges: usize,
     ) -> Self {
-        let n = offsets.len() - 1;
-        let arcs = targets.len();
-        let mut rank_by_target = vec![0u32; arcs];
-        let mut parallel_arcs = false;
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let perm = &mut rank_by_target[lo..hi];
-            for (i, r) in perm.iter_mut().enumerate() {
-                *r = i as u32;
+        let lists = || offsets.windows(2).map(|w| w[0] as usize..w[1] as usize);
+        let weights = match weights {
+            Some(weights) => ArcWeights::PerArc(weights),
+            None => ArcWeights::Unit(vec![1.0; lists().map(|arcs| arcs.len()).max().unwrap_or(0)]),
+        };
+        let rank_by_target = lists().any(|arcs| !targets[arcs].is_sorted()).then(|| {
+            let mut rank = vec![0u32; targets.len()];
+            for arcs in lists() {
+                let list = &targets[arcs.clone()];
+                let perm = &mut rank[arcs];
+                for (i, r) in perm.iter_mut().enumerate() {
+                    *r = i as u32;
+                }
+                // Ties (parallel edges) stay in position order so
+                // `neighbor_positions` yields ascending positions.
+                perm.sort_unstable_by_key(|&i| (list[i as usize], i));
             }
-            // Ties (parallel edges) stay in position order so
-            // `neighbor_positions` yields ascending positions.
-            perm.sort_unstable_by_key(|&i| (targets[lo + i as usize], i));
-            parallel_arcs |= perm
-                .windows(2)
-                .any(|w| targets[lo + w[0] as usize] == targets[lo + w[1] as usize]);
-        }
-        // `cursor[t]` is the next unpaired entry of `t`'s rank list.
-        let mut cursor = offsets[..n].to_vec();
-        let mut reverse_arc = vec![0u32; arcs];
-        for v in 0..n {
-            let vid = NodeId::new(v);
-            for p in offsets[v]..offsets[v + 1] {
-                let t = targets[p].index();
-                let slot = cursor[t];
-                cursor[t] += 1;
-                // The entry under `t`'s cursor must be an arc back to `v`.
-                let rp = (slot < offsets[t + 1])
-                    .then(|| offsets[t] + rank_by_target[slot] as usize)
-                    .filter(|&rp| targets[rp] == vid)
-                    .expect("undirected arcs come in matched pairs");
-                reverse_arc[p] = rp as u32;
-            }
-        }
-        CsrGraph {
+            rank
+        });
+        let mut csr = CsrGraph {
             offsets,
             targets,
             weights,
@@ -200,9 +259,55 @@ impl CsrGraph {
             total_edge_weight,
             num_plain_edges,
             rank_by_target,
-            reverse_arc,
-            parallel_arcs,
+            reverse_arc: Vec::new(),
+            parallel_arcs: false,
+        };
+        let parallel_arcs = csr.nodes().any(|v| {
+            let list = csr.neighbors(v);
+            let base = csr.arc_offset(v);
+            (1..list.len()).any(|i| list[csr.ranked(base, i - 1)] == list[csr.ranked(base, i)])
+        });
+        csr.parallel_arcs = parallel_arcs;
+        csr.reverse_arc = csr.paired_arcs();
+        csr
+    }
+
+    /// The reverse-arc map (see [`CsrGraph::try_from_edges`]).
+    fn paired_arcs(&self) -> Vec<u32> {
+        // `cursor[t]` is the next unpaired entry of `t`'s rank list.
+        let mut cursor = self.offsets[..self.num_nodes()].to_vec();
+        let mut reverse_arc = vec![0u32; self.num_arcs()];
+        for v in self.nodes() {
+            for p in self.arc_range(v) {
+                let t = self.targets[p];
+                let base = self.arc_offset(t);
+                let slot = cursor[t.index()] as usize;
+                cursor[t.index()] += 1;
+                // The entry under `t`'s cursor must be an arc back to `v`.
+                let rp = (slot < base + self.unweighted_degree(t))
+                    .then(|| base + self.ranked(base, slot - base))
+                    .filter(|&rp| self.targets[rp] == v)
+                    .expect("undirected arcs come in matched pairs");
+                reverse_arc[p] = rp as u32;
+            }
         }
+        reverse_arc
+    }
+
+    /// The local position of the `i`-th arc, in target order, of the node
+    /// whose arcs start at global position `base`.
+    #[inline]
+    fn ranked(&self, base: usize, i: usize) -> usize {
+        match &self.rank_by_target {
+            Some(rank) => rank[base + i] as usize,
+            None => i,
+        }
+    }
+
+    /// The global positions of `v`'s arcs.
+    #[inline]
+    fn arc_range(&self, v: NodeId) -> Range<usize> {
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
     }
 
     /// Builds a CSR snapshot from a [`WeightedGraph`].
@@ -240,13 +345,16 @@ impl CsrGraph {
     /// Neighbour ids of `v` (no self-loops; parallel edges appear individually).
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.targets[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+        &self.targets[self.arc_range(v)]
     }
 
     /// Weights aligned with [`CsrGraph::neighbors`].
     #[inline]
     pub fn neighbor_weights(&self, v: NodeId) -> &[f64] {
-        &self.weights[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+        match &self.weights {
+            ArcWeights::Unit(ones) => &ones[..self.unweighted_degree(v)],
+            ArcWeights::PerArc(weights) => &weights[self.arc_range(v)],
+        }
     }
 
     /// Iterates `(neighbor, weight)` pairs of `v`.
@@ -259,20 +367,30 @@ impl CsrGraph {
     }
 
     /// Self-loop weight at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a node of the graph.
     #[inline]
     pub fn self_loop(&self, v: NodeId) -> f64 {
-        self.self_loops[v.index()]
+        match &self.self_loops {
+            Some(self_loops) => self_loops[v.index()],
+            None => {
+                assert!(v.index() < self.num_nodes(), "node {v} out of range");
+                0.0
+            }
+        }
     }
 
     /// Number of incident non-loop arcs of `v`.
     #[inline]
     pub fn unweighted_degree(&self, v: NodeId) -> usize {
-        self.offsets[v.index() + 1] - self.offsets[v.index()]
+        self.arc_range(v).len()
     }
 
     /// Weighted degree of `v` (self-loop counted once).
     pub fn degree(&self, v: NodeId) -> f64 {
-        self.neighbor_weights(v).iter().sum::<f64>() + self.self_loops[v.index()]
+        self.neighbor_weights(v).iter().sum::<f64>() + self.self_loop(v)
     }
 
     /// Maximum weighted degree over all nodes (0 for the empty graph).
@@ -298,20 +416,24 @@ impl CsrGraph {
     /// `q` maps to global arc `arc_offset(v) + q`.
     #[inline]
     pub fn arc_offset(&self, v: NodeId) -> usize {
-        self.offsets[v.index()]
+        self.offsets[v.index()] as usize
     }
 
     /// The local positions (indices into [`CsrGraph::neighbors`] of `v`) at
     /// which `u` appears, ascending — one entry per parallel edge, empty when
-    /// `u` is not a neighbour of `v`. Backed by the precomputed neighbour-rank
-    /// map: two binary searches, O(log deg(v)) plus the output length, instead
-    /// of a linear scan of the neighbour slice.
+    /// `u` is not a neighbour of `v`. Two binary searches, O(log deg(v)) plus
+    /// the output length, instead of a linear scan of the neighbour slice:
+    /// over the neighbour-rank map, or over the neighbours themselves when
+    /// every list is sorted.
     pub fn neighbor_positions(&self, v: NodeId, u: NodeId) -> impl Iterator<Item = usize> + '_ {
-        let base = self.offsets[v.index()];
-        let perm = &self.rank_by_target[base..self.offsets[v.index() + 1]];
-        let lo = perm.partition_point(|&i| self.targets[base + i as usize] < u);
-        let hi = lo + perm[lo..].partition_point(|&i| self.targets[base + i as usize] == u);
-        perm[lo..hi].iter().map(|&i| i as usize)
+        let arcs = self.arc_range(v);
+        let base = arcs.start;
+        let list = &self.targets[arcs.clone()];
+        let ranks = match &self.rank_by_target {
+            Some(rank) => equal_range(&rank[arcs], |&i| list[i as usize], u),
+            None => equal_range(list, |&t| t, u),
+        };
+        ranks.map(move |i| self.ranked(base, i))
     }
 
     /// Whether two arcs of some node lead to the same neighbour (a parallel
@@ -341,7 +463,14 @@ impl From<&WeightedGraph> for CsrGraph {
     }
 }
 
-/// `arcs` if the `u32` cross-index arrays can address that many arcs.
+/// The indices of the items whose key is `u`, in items sorted by key.
+fn equal_range<T>(items: &[T], key: impl Fn(&T) -> NodeId, u: NodeId) -> Range<usize> {
+    let lo = items.partition_point(|x| key(x) < u);
+    lo..lo + items[lo..].partition_point(|x| key(x) == u)
+}
+
+/// `arcs` if the `u32` offsets and cross-index arrays can address that many
+/// arcs.
 fn checked_arcs(arcs: usize) -> Result<usize, IdxOverflow> {
     if arcs > u32::MAX as usize {
         return Err(IdxOverflow::new(arcs, "arc count"));
@@ -352,6 +481,8 @@ fn checked_arcs(arcs: usize) -> Result<usize, IdxOverflow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> WeightedGraph {
         let mut g = WeightedGraph::new(4);
@@ -396,6 +527,16 @@ mod tests {
         assert_eq!(csr.num_nodes(), 0);
         assert_eq!(csr.max_degree(), 0.0);
         assert_eq!(csr.num_arcs(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn self_loop_of_a_missing_node_panics_without_loops() {
+        let mut g = WeightedGraph::new(2);
+        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        let csr = CsrGraph::from_graph(&g);
+        assert!(csr.self_loops.is_none());
+        csr.self_loop(NodeId(2));
     }
 
     #[test]
@@ -489,8 +630,6 @@ mod tests {
 
     #[test]
     fn cursor_pairing_matches_binary_search_pairing() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         for seed in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(2..30usize);
@@ -513,58 +652,204 @@ mod tests {
         }
     }
 
-    /// Every field of `a` equals `b`'s, weights compared by bits.
-    fn assert_same_csr(a: &CsrGraph, b: &CsrGraph) {
-        let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.targets, b.targets);
-        assert_eq!(bits(&a.weights), bits(&b.weights));
-        assert_eq!(bits(&a.self_loops), bits(&b.self_loops));
-        assert_eq!(a.total_edge_weight.to_bits(), b.total_edge_weight.to_bits());
-        assert_eq!(a.num_plain_edges, b.num_plain_edges);
-        assert_eq!(a.rank_by_target, b.rank_by_target);
-        assert_eq!(a.reverse_arc, b.reverse_arc);
+    /// Which of its optional arrays a CSR stores: the neighbour-rank map,
+    /// per-arc weights and self-loop weights.
+    fn stored(csr: &CsrGraph) -> (bool, bool, bool) {
+        (
+            csr.rank_by_target.is_some(),
+            matches!(csr.weights, ArcWeights::PerArc(_)),
+            csr.self_loops.is_some(),
+        )
     }
 
+    /// `csr` is the CSR of `g`: every accessor agrees with `g`'s adjacency
+    /// lists, weights and degrees compared by bits, and `csr` stores each
+    /// optional array exactly when `g` needs it.
+    fn assert_same_csr(csr: &CsrGraph, g: &WeightedGraph) {
+        let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(csr.num_nodes(), g.num_nodes());
+        assert_eq!(csr.num_plain_edges(), g.num_plain_edges());
+        assert_eq!(
+            csr.total_edge_weight().to_bits(),
+            g.total_edge_weight().to_bits()
+        );
+        let mut offset = 0;
+        for v in g.nodes() {
+            let list = g.neighbors(v);
+            let targets: Vec<NodeId> = list.iter().map(|&(u, _)| u).collect();
+            let weights: Vec<f64> = list.iter().map(|&(_, w)| w).collect();
+            assert_eq!(csr.arc_offset(v), offset, "node {v}");
+            assert_eq!(csr.neighbors(v), targets, "node {v}");
+            assert_eq!(csr.unweighted_degree(v), list.len());
+            assert_eq!(bits(csr.neighbor_weights(v)), bits(&weights), "node {v}");
+            assert_eq!(csr.degree(v).to_bits(), g.degree(v).to_bits(), "node {v}");
+            assert_eq!(csr.self_loop(v).to_bits(), g.self_loop(v).to_bits());
+            for u in g.nodes() {
+                let positions: Vec<usize> = (0..list.len()).filter(|&q| targets[q] == u).collect();
+                assert!(csr.neighbor_positions(v, u).eq(positions.iter().copied()));
+                assert_eq!(csr.has_neighbor(v, u), !positions.is_empty());
+                // The k-th arc `v → u` pairs with the k-th `u → v`.
+                let back: Vec<usize> = (0..g.unweighted_degree(u))
+                    .filter(|&q| g.neighbors(u)[q].0 == v)
+                    .map(|q| csr.arc_offset(u) + q)
+                    .collect();
+                for (k, &q) in positions.iter().enumerate() {
+                    assert_eq!(csr.reverse_arc(offset + q), back[k], "arc {v} → {u}");
+                }
+            }
+            offset += list.len();
+        }
+        assert_eq!(csr.num_arcs(), offset);
+        let mut parallel = false;
+        let mut unsorted = false;
+        for v in g.nodes() {
+            let mut targets: Vec<NodeId> = g.neighbors(v).iter().map(|&(u, _)| u).collect();
+            unsorted |= !targets.is_sorted();
+            targets.sort_unstable();
+            parallel |= targets.windows(2).any(|w| w[0] == w[1]);
+        }
+        assert_eq!(csr.has_parallel_arcs(), parallel);
+        let per_arc = g
+            .nodes()
+            .any(|v| g.neighbors(v).iter().any(|&(_, w)| !is_unit(w)));
+        let loops = g.nodes().any(|v| g.self_loop(v).to_bits() != 0);
+        assert_eq!(stored(csr), (unsorted, per_arc, loops));
+        if let ArcWeights::Unit(ones) = &csr.weights {
+            let max_degree = g.nodes().map(|v| g.unweighted_degree(v)).max();
+            assert_eq!(ones.len(), max_degree.unwrap_or(0));
+        }
+    }
+
+    type Edges = Vec<(NodeId, NodeId, f64)>;
+
+    /// Random edges and self-loops over `n < 25` nodes. Plain weights are
+    /// all 1.0 (`weights == 0`), 1.0 but for one −0.0 (`1`), or tenths
+    /// (`2`). Self-loops are absent (`loops == 0`), all ±0.0 (`1`), or
+    /// positive (`2`). Parallel edges are common when `parallel` holds, and
+    /// absent otherwise.
+    fn random_edges(
+        rng: &mut StdRng,
+        weights: u8,
+        loops: u8,
+        parallel: bool,
+    ) -> (usize, Edges, Vec<(NodeId, f64)>) {
+        let n = rng.gen_range(1..25usize);
+        // Nodes at or past `hot` stay isolated.
+        let hot = rng.gen_range(0..n) + 1;
+        let weight = |rng: &mut StdRng| match weights {
+            2 => rng.gen_range(0..8) as f64 * 0.1, // sums of tenths are inexact
+            _ => 1.0,
+        };
+        let loop_weight = |rng: &mut StdRng| match loops {
+            1 if rng.gen_bool(0.5) => -0.0,
+            1 => 0.0,
+            _ => rng.gen_range(1..4) as f64 * 0.3,
+        };
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0..4 * n) {
+            let u = rng.gen_range(0..hot);
+            let v = match rng.gen_range(0..4) {
+                0 if loops > 0 => u,
+                1 if parallel => (u + 1) % hot, // a favourite pair
+                _ => rng.gen_range(0..hot),
+            };
+            let (u, v) = (NodeId::new(u), NodeId::new(v));
+            let seen = |&(a, b, _): &(NodeId, NodeId, f64)| (a, b) == (u, v) || (a, b) == (v, u);
+            if (u == v && loops == 0) || (u != v && !parallel && edges.iter().any(seen)) {
+                continue;
+            }
+            let w = if u == v {
+                loop_weight(rng)
+            } else {
+                weight(rng)
+            };
+            edges.push((u, v, w));
+        }
+        if weights == 1 {
+            if let Some(e) = edges.iter_mut().find(|(u, v, _)| u != v) {
+                e.2 = -0.0;
+            }
+        }
+        let mut self_loops = Vec::new();
+        if loops > 0 {
+            for _ in 0..rng.gen_range(0..n) {
+                self_loops.push((NodeId::new(rng.gen_range(0..n)), loop_weight(rng)));
+            }
+        }
+        (n, edges, self_loops)
+    }
+
+    /// Both builders give the CSR of the source graph in every
+    /// representation: sorted or unsorted lists, unit or other weights
+    /// (−0.0 included), with or without self-loops and parallel edges.
     #[test]
     fn try_from_edges_is_the_csr_of_from_edges() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..60u64 {
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(0..25usize);
-            let mut edges = Vec::new();
-            let mut loops = Vec::new();
-            if n > 0 {
-                // Nodes at or past `hot` stay isolated.
-                let hot = rng.gen_range(0..n) + 1;
-                for _ in 0..rng.gen_range(0..4 * n) {
-                    let u = rng.gen_range(0..hot);
-                    let v = match rng.gen_range(0..4) {
-                        0 => u,             // a self-loop edge
-                        1 => (u + 1) % hot, // a favourite pair: parallel edges
-                        _ => rng.gen_range(0..hot),
-                    };
-                    // Tenths, so sums of parallel weights are inexact.
-                    let w = rng.gen_range(0..8) as f64 * 0.1;
-                    edges.push((NodeId::new(u), NodeId::new(v), w));
-                }
-                for _ in 0..rng.gen_range(0..n) {
-                    let v = NodeId::new(rng.gen_range(0..n));
-                    loops.push((v, rng.gen_range(0..4) as f64 * 0.3));
+            for weight_mode in 0..3 {
+                for loop_mode in 0..3 {
+                    for parallel in [false, true] {
+                        let (n, edges, loops) =
+                            random_edges(&mut rng, weight_mode, loop_mode, parallel);
+                        // `GraphBuilder`'s order: `(min, max)` pairs,
+                        // ascending, which sorts every list.
+                        let mut sorted: Vec<_> = edges
+                            .iter()
+                            .map(|&(u, v, w)| (u.min(v), u.max(v), w))
+                            .collect();
+                        sorted.sort_by_key(|&(u, v, _)| (u, v));
+                        for edges in [&edges, &sorted] {
+                            let g = WeightedGraph::from_edges(n, edges, &loops);
+                            let from_graph = CsrGraph::from_graph(&g);
+                            let from_edges = CsrGraph::try_from_edges(n, edges, &loops).unwrap();
+                            assert_same_csr(&from_graph, &g);
+                            assert_same_csr(&from_edges, &g);
+                            seen.insert((stored(&from_edges), from_edges.has_parallel_arcs()));
+                        }
+                    }
                 }
             }
-            // `GraphBuilder`'s order: `(min, max)` pairs, ascending.
-            let mut sorted: Vec<_> = edges
-                .iter()
-                .map(|&(u, v, w)| (u.min(v), u.max(v), w))
-                .collect();
-            sorted.sort_by_key(|&(u, v, _)| (u, v));
-            for edges in [&edges, &sorted] {
-                let reference = CsrGraph::from_graph(&WeightedGraph::from_edges(n, edges, &loops));
-                let csr = CsrGraph::try_from_edges(n, edges, &loops).unwrap();
-                assert_same_csr(&csr, &reference);
+        }
+        // Every combination of the three optional arrays and parallel arcs.
+        assert_eq!(seen.len(), 16, "{seen:?}");
+    }
+
+    /// A unit-weight graph with sorted lists and no self-loops keeps 8 B per
+    /// arc (targets and reverse arcs), 4 B per node (offsets) and one slice
+    /// of ones as long as the largest degree.
+    #[test]
+    fn unit_weight_sorted_loop_free_csr_holds_eight_bytes_per_arc() {
+        fn heap_bytes(csr: &CsrGraph) -> usize {
+            let (ArcWeights::Unit(weights) | ArcWeights::PerArc(weights)) = &csr.weights;
+            let f64s = weights.capacity() + csr.self_loops.as_ref().map_or(0, Vec::capacity);
+            let u32s = csr.offsets.capacity()
+                + csr.targets.capacity()
+                + csr.rank_by_target.as_ref().map_or(0, Vec::capacity)
+                + csr.reverse_arc.capacity();
+            8 * f64s + 4 * u32s
+        }
+        let n = 2000usize;
+        let mut rng = StdRng::seed_from_u64(3);
+        // Distinct `(min, max)` pairs in ascending order, as `GraphBuilder`
+        // merges them, so every list is sorted.
+        let mut pairs = std::collections::BTreeSet::new();
+        while pairs.len() < 10_000 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                pairs.insert((NodeId::new(u.min(v)), NodeId::new(u.max(v))));
             }
+        }
+        let plain: Vec<_> = pairs.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
+        let g = WeightedGraph::from_edges(n, &plain, &[]);
+        for csr in [
+            CsrGraph::from_graph(&g),
+            CsrGraph::try_from_edges(n, &plain, &[]).unwrap(),
+        ] {
+            assert_eq!(stored(&csr), (false, false, false));
+            let max_degree = csr.nodes().map(|v| csr.unweighted_degree(v)).max();
+            let bound = 8 * csr.num_arcs() + 4 * (n + 1) + 8 * max_degree.unwrap();
+            assert!(heap_bytes(&csr) <= bound, "{} > {bound}", heap_bytes(&csr));
         }
     }
 

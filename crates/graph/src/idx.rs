@@ -1,6 +1,6 @@
 //! The typed error for a graph that outgrows the `u32` index width.
 //!
-//! Node ids ([`crate::NodeId`]) and the CSR arc cross-indices
+//! Node ids ([`crate::NodeId`]) and the CSR's arc offsets and cross-indices
 //! ([`crate::CsrGraph`]'s neighbour-rank and reverse-arc maps) are `u32`, so
 //! a graph holds at most 2³² − 1 directed arcs and 2³² distinct node ids.
 //! [`crate::CsrGraph::try_from_graph`] and

@@ -361,20 +361,46 @@ fn parse_edge_list_chunk(start_line: usize, text: &str) -> Result<ChunkItems, Pa
 /// `O(threads · CHUNK_BYTES + edges)` regardless of file size.
 const CHUNK_BYTES: usize = 1 << 20;
 
+/// Parses one block of edge-list bytes, whole lines whose first is line
+/// `start_line`, checking its UTF-8 as part of the parse. A block that is
+/// not UTF-8 reports its earliest bad line: a malformed line before the
+/// invalid byte, or else the invalid UTF-8 on the byte's line.
+fn parse_edge_list_block(start_line: usize, block: &[u8]) -> Result<ChunkItems, ParseError> {
+    let e = match std::str::from_utf8(block) {
+        Ok(text) => return parse_edge_list_chunk(start_line, text),
+        Err(e) => e,
+    };
+    let valid = &block[..e.valid_up_to()];
+    let whole_lines = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    if let Ok(text) = std::str::from_utf8(&valid[..whole_lines]) {
+        parse_edge_list_chunk(start_line, text)?;
+    }
+    Err(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!(
+            "invalid UTF-8 on line {}",
+            start_line + count_newlines(valid)
+        ),
+    )
+    .into())
+}
+
 /// Streams an edge list through `sink`, parsing batches of chunks in
 /// parallel while delivering items in file order.
 ///
 /// The file is read in `CHUNK_BYTES` blocks, each cut at its last newline;
 /// the bytes after it open the next block. A chunk is therefore whole lines,
-/// so its UTF-8 is validated once and the next chunk's first line number is
-/// this chunk's plus the newlines in it.
+/// so its UTF-8 is checked once, by its parse, and the next chunk's first
+/// line number is this chunk's plus the newlines in it. The parses' results
+/// are taken in file order, so the error reported is that of the earliest
+/// bad line, whatever the number of threads.
 fn stream_edge_list_items(
     path: &Path,
     sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
     let mut file = File::open(path)?;
     let batch_width = rayon::current_num_threads().max(1);
-    let mut batch: Vec<(usize, String)> = Vec::with_capacity(batch_width);
+    let mut batch: Vec<(usize, Vec<u8>)> = Vec::with_capacity(batch_width);
     let mut next_line = 1usize; // 1-based line number of the next chunk's first line
     let mut carry: Vec<u8> = Vec::new(); // a partial line, never a newline
     let mut eof = false;
@@ -400,24 +426,14 @@ fn stream_edge_list_items(
         };
         carry = block.split_off(cut);
         if !block.is_empty() {
-            let text = String::from_utf8(block).map_err(|e| {
-                let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "invalid UTF-8 on line {}",
-                        next_line + count_newlines(valid)
-                    ),
-                )
-            })?;
-            let lines = count_newlines(text.as_bytes());
-            batch.push((next_line, text));
+            let lines = count_newlines(&block);
+            batch.push((next_line, block));
             next_line += lines;
         }
         if batch.len() == batch_width || (eof && !batch.is_empty()) {
             let parsed: Vec<Result<ChunkItems, ParseError>> = batch
                 .par_iter_mut()
-                .map(|(start, text)| parse_edge_list_chunk(*start, text))
+                .map(|(start, block)| parse_edge_list_block(*start, block))
                 .collect();
             batch.clear();
             for result in parsed {
@@ -1677,6 +1693,44 @@ mod tests {
                 );
             }
             other => panic!("expected Io, got {other:?}"),
+        }
+    }
+
+    /// A malformed line before an invalid byte is the error, whatever the
+    /// pool size: with the byte in a later block, which a pool of two or
+    /// more reads before it parses the first, and in the same block.
+    #[test]
+    fn edge_list_errors_do_not_depend_on_the_thread_count() {
+        let dir = test_dir("utf8-threads");
+        let mut later_block = b"1 x\n".to_vec();
+        while later_block.len() < CHUNK_BYTES + CHUNK_BYTES / 2 {
+            later_block.extend_from_slice(b"1 2\n");
+        }
+        later_block.extend_from_slice(b"3 \xff\n4 5\n");
+        let same_block = b"1 2\n1 x\n3 \xff\n4 5\n".to_vec();
+        for (name, bytes, line) in [("later", later_block, 1), ("same", same_block, 2)] {
+            let path = dir.join(format!("{name}.edges"));
+            std::fs::write(&path, &bytes).unwrap();
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let errors = pool.install(|| {
+                    [
+                        read_dataset(&path, DatasetFormat::EdgeList).err(),
+                        read_csr(&path, DatasetFormat::EdgeList).err(),
+                        stream_stats(&path, DatasetFormat::EdgeList).err(),
+                    ]
+                });
+                for e in errors {
+                    let e = e.expect("the file is malformed");
+                    assert!(
+                        matches!(&e, ParseError::Malformed { line: l, content } if *l == line && content == "1 x"),
+                        "{name}, {threads} threads: {e}"
+                    );
+                }
+            }
         }
     }
 

@@ -8,9 +8,7 @@
 use crate::idx::IdxOverflow;
 use crate::weighted::WeightedGraph;
 use std::fmt::Write as _;
-use std::fs;
 use std::io;
-use std::path::Path;
 
 /// Error raised while parsing a dataset file.
 #[derive(Debug)]
@@ -120,15 +118,10 @@ pub fn to_edge_list(g: &WeightedGraph) -> String {
     out
 }
 
-/// Writes a graph to a file in edge-list format.
-pub fn write_edge_list<P: AsRef<Path>>(g: &WeightedGraph, path: P) -> io::Result<()> {
-    fs::write(path, to_edge_list(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{read_dataset, DatasetFormat};
+    use crate::ingest::{read_dataset, write_dataset, Dataset, DatasetFormat};
     use crate::node::NodeId;
 
     #[test]
@@ -141,9 +134,10 @@ mod tests {
         assert_eq!(content, format!("{}…", "7".repeat(79)));
     }
 
-    /// What `dkc generate` writes, `dkc coreness` reads: every node keeps
-    /// its degree and self-loop through the id map, and the `# nodes:`
-    /// directive keeps the isolated ones.
+    /// What `dkc generate` writes, `dkc coreness` reads: an edge list
+    /// written through the identity id map is [`to_edge_list`]'s text, and
+    /// every node keeps its degree and self-loop through the id map read
+    /// back, while the `# nodes:` directive keeps the isolated ones.
     #[test]
     fn written_edge_lists_read_back_through_the_id_map() {
         let mut g = WeightedGraph::new(6);
@@ -154,7 +148,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dkc_graph_io_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
-        write_edge_list(&g, &path).unwrap();
+        write_dataset(
+            &Dataset::from_graph(g.clone()),
+            &path,
+            DatasetFormat::EdgeList,
+        )
+        .unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), to_edge_list(&g));
         let back = read_dataset(&path, DatasetFormat::EdgeList).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
