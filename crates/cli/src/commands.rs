@@ -94,11 +94,13 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
                     "--attach must satisfy 1 <= attach < nodes (got {attach} with {n} nodes)"
                 ));
             }
+            check_arc_count(model, 2.0 * attach as f64 * n as f64)?;
             gen::barabasi_albert(n, attach, &mut rng)
         }
         "er" => {
             let p: f64 = parsed.flag_num("prob", 0.01)?;
             check_unit("--prob", p)?;
+            check_arc_count(model, p * n as f64 * (n as f64 - 1.0))?;
             gen::erdos_renyi(n, p, &mut rng)
         }
         "chung-lu" => {
@@ -110,6 +112,7 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
             if !(avg.is_finite() && avg > 0.0) {
                 return Err(format!("--avg-degree must be finite and > 0 (got {avg})"));
             }
+            check_arc_count(model, avg * n as f64)?;
             gen::chung_lu_power_law(n, alpha, avg, &mut rng)
         }
         "ws" => {
@@ -121,6 +124,7 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
                 ));
             }
             check_unit("--beta", beta)?;
+            check_arc_count(model, k as f64 * n as f64)?;
             gen::watts_strogatz(n, k, beta, &mut rng)
         }
         "grid" => {
@@ -130,16 +134,25 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
                 .checked_mul(cols)
                 .ok_or_else(|| format!("--rows {rows} x --cols {cols} overflows"))?;
             check_node_count("--rows x --cols", nodes)?;
+            let (r, c) = (rows as f64, cols as f64);
+            check_arc_count(model, 2.0 * (2.0 * r * c - r - c))?;
             gen::grid_graph(rows, cols)
         }
-        "path" => gen::path_graph(n),
+        "path" => {
+            check_arc_count(model, 2.0 * (n as f64 - 1.0))?;
+            gen::path_graph(n)
+        }
         "cycle" => {
             if n < 3 {
                 return Err(format!("a cycle needs --nodes >= 3 (got {n})"));
             }
+            check_arc_count(model, 2.0 * n as f64)?;
             gen::cycle_graph(n)
         }
-        "complete" => gen::complete_graph(n),
+        "complete" => {
+            check_arc_count(model, n as f64 * (n as f64 - 1.0))?;
+            gen::complete_graph(n)
+        }
         other => {
             return Err(format!(
                 "unknown generator model {other:?}\n{}",
@@ -174,6 +187,20 @@ fn generate(parsed: &Parsed) -> Result<String, String> {
 fn check_node_count(what: &str, n: usize) -> Result<(), String> {
     if n > u32::MAX as usize {
         return Err(format!("{what} must be at most {} (got {n})", u32::MAX));
+    }
+    Ok(())
+}
+
+/// Rejects a model whose graph has more directed arcs than a CSR indexes
+/// (`u32::MAX`), which no command could read back. `arcs` is the count the
+/// model's parameters imply, exact or expected, in `f64` so that no product
+/// overflows.
+fn check_arc_count(model: &str, arcs: f64) -> Result<(), String> {
+    if arcs > u32::MAX as f64 {
+        return Err(format!(
+            "a {model} graph with these parameters has about {arcs:.0} arcs, more than the {} a graph may hold",
+            u32::MAX
+        ));
     }
     Ok(())
 }

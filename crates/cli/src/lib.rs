@@ -88,7 +88,9 @@ mod tests {
     }
 
     /// Each of these `generate` flag sets used to trip a generator's
-    /// `assert!` or ask for 2^32 nodes or more; each is a typed error now.
+    /// `assert!`, ask for 2^32 nodes or more, or imply more than `u32::MAX`
+    /// arcs (tens of GiB before the graph could be refused); each is a
+    /// typed error now, before any generator runs.
     #[test]
     fn generate_rejects_what_its_generators_cannot_build() {
         let cases: &[&[&str]] = &[
@@ -120,6 +122,11 @@ mod tests {
             &["grid", "--rows", "65536", "--cols", "65536"],
             &["grid", "--rows", "4294967296", "--cols", "1"],
             &["grid", "--rows", "18446744073709551615", "--cols", "2"],
+            &["path", "--nodes", "4294967295"],
+            &["cycle", "--nodes", "2147483648"],
+            &["complete", "--nodes", "65537"],
+            &["ba", "--nodes", "1000000000", "--attach", "3"],
+            &["grid", "--rows", "65535", "--cols", "65535"],
         ];
         for case in cases {
             let mut args = vec!["generate".to_string()];

@@ -20,10 +20,11 @@ use dkc_core::compact::{run_compact_elimination, CompactArena, CompactOutcome, R
 use dkc_core::graph_fingerprint;
 use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+use dkc_distsim::wire::{WireCodec, WireError, WireReader};
 use dkc_distsim::ExecutionMode::{self, Auto, Dense, Mailbox};
 use dkc_distsim::{
     BurstLoss, ByzantineModel, CheckpointError, CrashModel, FaultPlan, LossModel, NetworkBuilder,
-    PartitionModel,
+    PartitionModel, RoundStats,
 };
 use dkc_graph::generators::erdos_renyi;
 use dkc_graph::CsrGraph;
@@ -202,6 +203,153 @@ fn real_checkpoint(tag: &str) -> (Vec<u8>, PathBuf, dkc_graph::WeightedGraph) {
     (std::fs::read(&path).unwrap(), path, g)
 }
 
+/// Where a field of a node payload sits in an image: its offset and its
+/// length in bytes.
+#[derive(Clone, Copy, Debug)]
+struct Field {
+    at: usize,
+    len: usize,
+}
+
+/// The fields of the last node's payload in a v5 image.
+struct LastNode {
+    deg: Field,
+    b: Field,
+    last: Field,
+    cut: Field,
+    /// One code per neighbour value, by adjacency position.
+    values: Vec<Field>,
+    /// The `Update` order: one entry of `width` bytes per neighbour, from
+    /// `order_at`.
+    order_at: usize,
+    width: usize,
+}
+
+impl LastNode {
+    /// The order's `i`-th entry.
+    fn order(&self, i: usize) -> Field {
+        Field {
+            at: self.order_at + self.width * i,
+            len: self.width,
+        }
+    }
+}
+
+/// The field at `*at`, `len(*at)` bytes long; `*at` moves past it.
+fn take(at: &mut usize, len: impl Fn(usize) -> usize) -> Field {
+    let f = Field {
+        at: *at,
+        len: len(*at),
+    };
+    *at += f.len;
+    f
+}
+
+/// Finds the last node's payload by walking the v5 layout, written out here
+/// apart from the encoder: past the executor head, each node is a varint
+/// degree, the `b` code (a raw `f64` follows code 255), the varint last
+/// update and cut, one code per neighbour value, and the order at 1 B up to
+/// 256 neighbours, 2 B up to 65,536, else 4 B. The walk must end exactly
+/// at the end of the image.
+fn last_node(bytes: &[u8]) -> LastNode {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    // Magic, version, the preamble's length and bytes, the state's length.
+    let mut r = WireReader::new(&bytes[16 + u64_at(8) + 8..]);
+    let nodes = r.read_u64().unwrap() as usize;
+    r.read_u64().unwrap(); // arcs
+    FaultPlan::decode(&mut r).unwrap();
+    r.read_bool().unwrap(); // frontier rounds
+    r.read_u64().unwrap(); // round
+    Vec::<u32>::decode(&mut r).unwrap(); // frontier
+    Vec::<u32>::decode(&mut r).unwrap(); // decode faults
+    r.read_u64().unwrap(); // elapsed ns
+    Vec::<RoundStats>::decode(&mut r).unwrap();
+    let mut at = bytes.len() - r.remaining();
+    let varint_len = |at: usize| 1 + bytes[at..].iter().take_while(|&&b| b >= 0x80).count();
+    let code_len = |at: usize| if bytes[at] == 255 { 9 } else { 1 };
+    let mut node = None;
+    for _ in 0..nodes {
+        let deg = take(&mut at, varint_len);
+        let b = take(&mut at, code_len);
+        let last = take(&mut at, varint_len);
+        let cut = take(&mut at, varint_len);
+        let n = varint(bytes, deg);
+        let values = (0..n).map(|_| take(&mut at, code_len)).collect();
+        let width = match n {
+            0..=256 => 1,
+            257..=65_536 => 2,
+            _ => 4,
+        };
+        let order_at = take(&mut at, |_| width * n).at;
+        node = Some(LastNode {
+            deg,
+            b,
+            last,
+            cut,
+            values,
+            order_at,
+            width,
+        });
+    }
+    assert_eq!(at, bytes.len(), "the node payloads must end the image");
+    node.expect("the image has nodes")
+}
+
+/// The number in a varint field: seven bits per byte, lowest first.
+fn varint(bytes: &[u8], f: Field) -> usize {
+    let raw = &bytes[f.at..f.at + f.len];
+    raw.iter()
+        .rev()
+        .fold(0, |x, &b| x << 7 | (b & 0x7F) as usize)
+}
+
+/// The position in an order entry, little-endian.
+fn entry(bytes: &[u8], f: Field) -> usize {
+    let raw = &bytes[f.at..f.at + f.len];
+    raw.iter().rev().fold(0, |x, &b| x << 8 | b as usize)
+}
+
+/// The value in a value code: 0–253 that integer, 254 +∞, 255 the `f64`
+/// that follows.
+fn value(bytes: &[u8], f: Field) -> f64 {
+    match bytes[f.at] {
+        254 => f64::INFINITY,
+        255 => f64::from_le_bytes(bytes[f.at + 1..f.at + 9].try_into().unwrap()),
+        small => small as f64,
+    }
+}
+
+/// The varint bytes of `x`.
+fn varint_bytes(mut x: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+    out
+}
+
+/// The raw value code of `x`: code 255, then its `f64`.
+fn raw(x: f64) -> Vec<u8> {
+    [&[255u8][..], &x.to_le_bytes()].concat()
+}
+
+/// `bytes` with each field replaced by the bytes given for it, and the
+/// state section's length patched to match.
+fn splice(bytes: &[u8], edits: &[(Field, Vec<u8>)]) -> Vec<u8> {
+    let mut edits = edits.to_vec();
+    edits.sort_by_key(|(f, _)| std::cmp::Reverse(f.at));
+    let mut img = bytes.to_vec();
+    for (f, x) in &edits {
+        img.splice(f.at..f.at + f.len, x.iter().copied());
+    }
+    let len_at = 16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    let state_len = (img.len() - len_at - 8) as u64;
+    img[len_at..len_at + 8].copy_from_slice(&state_len.to_le_bytes());
+    img
+}
+
 #[test]
 fn corrupted_checkpoint_files_are_rejected() {
     let (bytes, path, g) = real_checkpoint("corrupt");
@@ -243,10 +391,11 @@ fn corrupted_checkpoint_files_are_rejected() {
     bad_magic[..4].copy_from_slice(b"DKCB");
     assert!(matches!(reject(&bad_magic), CheckpointError::BadMagic));
 
-    // An unknown version — a future one, or v3 with its u32 section
-    // lengths and its stored `inv` and per-arc `N_v` slabs — is rejected
-    // with both versions named.
-    for found in [CHECKPOINT_VERSION + 1, 3] {
+    // An unknown version — a future one, v4 with its `u32` counts, `f64`
+    // values and `u32` order, or v3 with its u32 section lengths and its
+    // stored `inv` and per-arc `N_v` slabs — is rejected with both
+    // versions named.
+    for found in [CHECKPOINT_VERSION + 1, 4, 3] {
         let mut bad_version = bytes.clone();
         bad_version[4..8].copy_from_slice(&found.to_le_bytes());
         assert_eq!(
@@ -259,83 +408,99 @@ fn corrupted_checkpoint_files_are_rejected() {
     }
 
     // Node state no run can reach is a typed error too, not a panic later
-    // on. The image ends with the last node's payload: degree, `b`,
-    // last-update round and the N_v cut, then the `values` and `order`
-    // slabs (20 B plus 12 B per neighbour).
+    // on. The image ends with the last node's payload, found by walking
+    // the layout.
+    let node = last_node(&bytes);
     let csr = CsrGraph::from_graph(&g);
     let deg = csr.unweighted_degree(dkc_graph::NodeId::new(csr.num_nodes() - 1));
-    assert!(
-        deg >= 2,
-        "the last node needs two neighbours to be unsortable"
+    assert_eq!(
+        varint(&bytes, node.deg),
+        deg,
+        "the walk must land on the last node"
     );
-    let node = bytes.len() - (20 + 12 * deg);
-    let (b_at, last_at, cut_at) = (node + 4, node + 12, node + 16);
-    let (values_at, order_at) = (node + 20, node + 20 + 8 * deg);
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-    assert_eq!(u32_at(node), deg, "the offsets must land on the last node");
-    let (last, cut) = (u32_at(last_at), u32_at(cut_at));
+    assert!(
+        deg >= 2 && node.width == 1,
+        "the last node needs two neighbours to be unsortable, and a narrow order"
+    );
+    let (last, cut) = (varint(&bytes, node.last), varint(&bytes, node.cut));
     assert!(
         (1..=4).contains(&last) && cut <= deg,
         "last node: updated at {last}, cut {cut}"
     );
-    let stamp = |edits: &[(usize, &[u8])]| {
-        let mut img = bytes.clone();
-        for &(at, x) in edits {
-            img[at..at + x.len()].copy_from_slice(x);
-        }
-        resume(&img)
-    };
-    let mismatch = |edits: &[(usize, &[u8])], what: &str| {
+    let stamp = |edits: &[(Field, Vec<u8>)]| resume(&splice(&bytes, edits));
+    let mismatch = |edits: &[(Field, Vec<u8>)], what: &str| {
         let err = stamp(edits).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{what}: {err}");
     };
-    for at in [b_at, values_at, values_at + 8 * (deg - 1)] {
-        mismatch(&[(at, &f64::NAN.to_le_bytes())], &format!("NaN at {at}"));
+    // A NaN or a negative value can only come through the raw code.
+    for f in [node.b, node.values[0], node.values[deg - 1]] {
+        mismatch(&[(f, raw(f64::NAN))], &format!("NaN at {}", f.at));
+        mismatch(&[(f, raw(-1.0))], &format!("-1 at {}", f.at));
     }
-    let (first, last_ranked) = (u32_at(order_at), u32_at(order_at + 4 * (deg - 1)));
-    let first_value = f64::from_le_bytes(bytes[values_at + 8 * first..][..8].try_into().unwrap());
+    let (first, last_ranked) = (
+        entry(&bytes, node.order(0)),
+        entry(&bytes, node.order(deg - 1)),
+    );
     assert!(
-        first_value > 0.0,
+        value(&bytes, node.values[first]) > 0.0,
         "the lowest-ranked value must be positive"
     );
     // Zeroing the highest-ranked value leaves `order` unsorted.
-    mismatch(
-        &[(values_at + 8 * last_ranked, &0f64.to_le_bytes())],
-        "unsorted order",
-    );
+    mismatch(&[(node.values[last_ranked], vec![0])], "unsorted order");
     // A `b` in domain but below what the node's own values give is
     // rejected too, before a resumed round could raise it again.
-    mismatch(
-        &[(b_at, &0f64.to_le_bytes())],
-        "inconsistent surviving number",
-    );
+    mismatch(&[(node.b, vec![0])], "inconsistent surviving number");
     // `order` with a repeated position is no permutation, so `inv` cannot
-    // be rebuilt from it.
+    // be rebuilt from it, and neither can it from a position past the
+    // degree, which a one-byte entry can still hold.
     mismatch(
-        &[(order_at + 4, &(first as u32).to_le_bytes())],
+        &[(node.order(1), vec![first as u8])],
         "repeated position in order",
     );
+    for past in [deg, 255] {
+        mismatch(
+            &[(node.order(0), vec![past as u8])],
+            &format!("position {past} in order"),
+        );
+    }
     // A cut past the degree would slice `order` out of bounds.
     mismatch(
-        &[(cut_at, &(deg as u32 + 1).to_le_bytes())],
+        &[(node.cut, varint_bytes(deg as u64 + 1))],
         "cut past the degree",
     );
     // Any other cut in range disagrees with the node's `Update`.
     for other in (0..=deg).filter(|&c| c != cut) {
         mismatch(
-            &[(cut_at, &(other as u32).to_le_bytes())],
+            &[(node.cut, varint_bytes(other as u64))],
             &format!("cut {other} instead of {cut}"),
         );
     }
     // A node that never updated has all of N_v: a nonzero cut is rejected,
     // while the same node with cut 0 resumes.
-    let never = 0u32.to_le_bytes();
-    let nonzero = (cut.max(1) as u32).to_le_bytes();
+    let never = (node.last, varint_bytes(0));
     mismatch(
-        &[(last_at, &never), (cut_at, &nonzero)],
+        &[never.clone(), (node.cut, varint_bytes(cut.max(1) as u64))],
         "nonzero cut on a node that never updated",
     );
-    stamp(&[(last_at, &never), (cut_at, &0u32.to_le_bytes())]).unwrap();
+    stamp(&[never, (node.cut, varint_bytes(0))]).unwrap();
+    // A varint is at most five bytes and at most `u32::MAX`: a sixth byte
+    // or a larger value is corrupt, while the same number padded to five
+    // bytes still reads.
+    for f in [node.deg, node.last] {
+        let x = varint(&bytes, f) as u8;
+        for (bad, what) in [
+            (vec![x | 0x80, 0x80, 0x80, 0x80, 0x80, 0x00], "six bytes"),
+            (vec![x | 0x80, 0x80, 0x80, 0x80, 0x10], "above u32::MAX"),
+        ] {
+            assert_eq!(
+                stamp(&[(f, bad)]).unwrap_err(),
+                CheckpointError::Corrupt(WireError::BadVarint),
+                "varint at {} of {what}",
+                f.at
+            );
+        }
+        stamp(&[(f, vec![x | 0x80, 0x80, 0x80, 0x80, 0x00])]).unwrap();
+    }
 
     // The magic constant itself is what the file starts with.
     assert_eq!(&bytes[..4], &CHECKPOINT_MAGIC);
@@ -343,20 +508,16 @@ fn corrupted_checkpoint_files_are_rejected() {
 }
 
 /// No run writes a node whose last update is past the image's round, since
-/// its `N_v` cut and stamps would name a round that has not run: such an
-/// image is rejected, not resumed.
+/// its `N_v` cut would name a round that has not run: such an image is
+/// rejected, not resumed.
 #[test]
 fn a_node_updated_after_the_image_round_is_rejected() {
-    let (mut bytes, path, g) = real_checkpoint("future");
-    let csr = CsrGraph::from_graph(&g);
-    let deg = csr.unweighted_degree(dkc_graph::NodeId::new(csr.num_nodes() - 1));
-    // The last node's payload: degree, `b`, last-update round, cut, slabs.
-    let last_at = bytes.len() - (20 + 12 * deg) + 12;
-    let last = u32::from_le_bytes(bytes[last_at..last_at + 4].try_into().unwrap());
+    let (bytes, path, g) = real_checkpoint("future");
+    let node = last_node(&bytes);
+    let last = varint(&bytes, node.last);
     assert!((1..=4).contains(&last), "last node updated at {last}");
     // The image is taken after round 4.
-    bytes[last_at..last_at + 4].copy_from_slice(&5u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(&path, splice(&bytes, &[(node.last, varint_bytes(5))])).unwrap();
     let err = resume_compact_elimination(&g, &path, None).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");

@@ -18,9 +18,12 @@
 //! - `()`: zero bytes
 //! - `Option<T>`: 1 flag byte (`0`/`1`) then the payload if present
 //! - sequences (`Vec<T>`): `u32` element count then the elements
-//! - slabs ([`WireWriter::write_f64s`], [`WireWriter::write_u32s`]): the
-//!   elements back to back with no count; the reader knows the length (a
-//!   checkpointed node's slabs are as long as its degree)
+//! - slabs ([`WireWriter::write_u32s`]): the elements back to back with no
+//!   count; the reader knows the length (a checkpointed node's update order
+//!   is as long as its degree)
+//! - varints ([`WireWriter::write_varint`], checkpoint payloads only): a
+//!   `u32` in LEB128, seven bits per byte from the lowest, the high bit set
+//!   on every byte but the last; at most five bytes
 //! - structs: fields in declaration order, no names or framing
 //! - enums: a `u8` discriminant, then the variant's fields
 //!
@@ -51,6 +54,8 @@ pub enum WireError {
     Oversized { len: usize, max: usize },
     /// Bytes remained after the payload decoded cleanly.
     TrailingBytes { remaining: usize },
+    /// A varint longer than five bytes, or one above `u32::MAX`.
+    BadVarint,
     /// A boolean byte that was neither `0` nor `1`.
     BadBool(u8),
     /// An `Option` flag byte that was neither `0` nor `1`.
@@ -69,6 +74,7 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after payload")
             }
+            WireError::BadVarint => write!(f, "varint longer than five bytes or above u32::MAX"),
             WireError::BadBool(b) => write!(f, "invalid bool byte {b:#04x}"),
             WireError::BadOptionFlag(b) => write!(f, "invalid option flag byte {b:#04x}"),
             WireError::BadTag { ty, tag } => write!(f, "invalid {ty} tag {tag}"),
@@ -147,15 +153,19 @@ impl WireWriter {
         self.buf.len()
     }
 
-    /// Appends a slab of little-endian `f64`s: the bytes each value's
-    /// `encode` writes, in one pass and with no length prefix.
-    pub fn write_f64s(&mut self, xs: &[f64]) {
-        put_slab(&mut self.buf, xs, f64::to_le_bytes);
-    }
-
-    /// Appends a slab of little-endian `u32`s, with no length prefix.
+    /// Appends a slab of little-endian `u32`s, in one pass and with no
+    /// length prefix.
     pub fn write_u32s(&mut self, xs: &[u32]) {
         put_slab(&mut self.buf, xs, u32::to_le_bytes);
+    }
+
+    /// Appends `x` as a LEB128 varint: one byte below 128, at most five.
+    pub fn write_varint(&mut self, mut x: u32) {
+        while x >= 0x80 {
+            self.buf.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        self.buf.push(x as u8);
     }
 
     /// A writer that appends to `buf`, keeping its capacity.
@@ -241,6 +251,7 @@ impl<'a> WireReader<'a> {
 
     reader_le! {
         read_u8 => u8,
+        read_u16 => u16,
         read_u32 => u32,
         read_u64 => u64,
         read_f32 => f32,
@@ -269,16 +280,25 @@ impl<'a> WireReader<'a> {
         Ok(self.read_u32()? as usize)
     }
 
-    /// Fills `out` from a slab of little-endian `f64`s (the layout of
-    /// [`WireWriter::write_f64s`]).
-    pub fn read_f64s_into(&mut self, out: &mut [f64]) -> Result<(), WireError> {
-        self.read_slab(out, f64::from_le_bytes)
-    }
-
     /// Fills `out` from a slab of little-endian `u32`s (the layout of
     /// [`WireWriter::write_u32s`]).
     pub fn read_u32s_into(&mut self, out: &mut [u32]) -> Result<(), WireError> {
         self.read_slab(out, u32::from_le_bytes)
+    }
+
+    /// A varint of [`WireWriter::write_varint`]. Five bytes is the most a
+    /// `u32` takes, so a sixth is [`WireError::BadVarint`], and so is a
+    /// five-byte value above `u32::MAX`.
+    pub fn read_varint(&mut self) -> Result<u32, WireError> {
+        let mut x = 0u64;
+        for shift in (0..35).step_by(7) {
+            let byte = self.read_u8()?;
+            x |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return u32::try_from(x).map_err(|_| WireError::BadVarint);
+            }
+        }
+        Err(WireError::BadVarint)
     }
 
     fn read_slab<T, const N: usize>(
@@ -694,24 +714,17 @@ mod tests {
 
     #[test]
     fn slabs_encode_like_values_and_read_back() {
-        let floats = [1.5f64, -0.0, f64::INFINITY, 3.25];
         let ints = [0u32, 7, u32::MAX];
         let mut w = WireWriter::new();
-        w.write_f64s(&floats);
         w.write_u32s(&ints);
         let mut by_value = Vec::new();
-        floats
-            .iter()
-            .for_each(|x| by_value.extend(encode_payload(x)));
         ints.iter().for_each(|x| by_value.extend(encode_payload(x)));
         assert_eq!(w.as_bytes(), &by_value[..]);
 
         let mut r = WireReader::new(w.as_bytes());
-        let (mut f, mut u) = ([0f64; 4], [0u32; 3]);
-        r.read_f64s_into(&mut f).unwrap();
+        let mut u = [0u32; 3];
         r.read_u32s_into(&mut u).unwrap();
         assert_eq!(r.remaining(), 0);
-        assert_eq!(f.map(f64::to_bits), floats.map(f64::to_bits));
         assert_eq!(u, ints);
         // A slab longer than the input is truncation, and consumes nothing.
         let mut r = WireReader::new(&w.as_bytes()[..8]);
@@ -721,6 +734,45 @@ mod tests {
         let out = w.replace_buffer(Vec::new());
         assert!(w.as_bytes().is_empty());
         assert_eq!(out, by_value);
+    }
+
+    /// Varints take seven bits per byte, lowest first, and read back; a
+    /// sixth byte, a five-byte value past `u32::MAX` and a cut varint are
+    /// errors.
+    #[test]
+    fn varints_are_leb128_of_at_most_five_bytes() {
+        let cases: [(u32, &[u8]); 6] = [
+            (0, &[0]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xAC, 0x02]),
+            (1 << 28, &[0x80, 0x80, 0x80, 0x80, 0x01]),
+            (u32::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+        ];
+        for (x, bytes) in cases {
+            let mut w = WireWriter::new();
+            w.write_varint(x);
+            assert_eq!(w.as_bytes(), bytes, "{x}");
+            let mut r = WireReader::new(bytes);
+            assert_eq!(r.read_varint(), Ok(x));
+            assert_eq!(r.remaining(), 0);
+        }
+        // Padding up to five bytes still reads.
+        let padded = [0x83, 0x80, 0x80, 0x80, 0x00];
+        assert_eq!(WireReader::new(&padded).read_varint(), Ok(3));
+        for bad in [
+            &[0x83, 0x80, 0x80, 0x80, 0x80, 0x00][..],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0x10],
+        ] {
+            assert_eq!(
+                WireReader::new(bad).read_varint(),
+                Err(WireError::BadVarint)
+            );
+        }
+        assert_eq!(
+            WireReader::new(&[0x80, 0x80]).read_varint(),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

@@ -339,7 +339,13 @@ fn parse_edge_list_chunk(start_line: usize, text: &str) -> Result<ChunkItems, Pa
         edges: Vec::new(),
         declared: None,
     };
-    for (offset, raw) in text.lines().enumerate() {
+    for (offset, raw) in text.split('\n').enumerate() {
+        if raw.len() > CHUNK_BYTES {
+            return Err(ParseError::LineTooLong {
+                line: start_line + offset,
+                limit: CHUNK_BYTES,
+            });
+        }
         let line = raw.trim();
         if line.is_empty() {
             continue;
@@ -356,10 +362,12 @@ fn parse_edge_list_chunk(start_line: usize, text: &str) -> Result<ChunkItems, Pa
     Ok(out)
 }
 
-/// Block size of the edge-list reader. Blocks are cut at their last newline
-/// (a longer line grows its block to the line's end), so peak memory is
-/// `O(threads · CHUNK_BYTES + edges)` regardless of file size.
-const CHUNK_BYTES: usize = 1 << 20;
+/// Block size of the edge-list reader, and the longest edge-list line it
+/// reads: a line of more bytes before its newline is
+/// [`ParseError::LineTooLong`]. Blocks are cut at their last newline, so a
+/// block holds at most one line's start from the block before, and peak
+/// memory is `O(threads · CHUNK_BYTES + edges)` regardless of file size.
+pub const CHUNK_BYTES: usize = 1 << 20;
 
 /// Parses one block of edge-list bytes, whole lines whose first is line
 /// `start_line`, checking its UTF-8 as part of the parse. A block that is
@@ -393,7 +401,9 @@ fn parse_edge_list_block(start_line: usize, block: &[u8]) -> Result<ChunkItems, 
 /// so its UTF-8 is checked once, by its parse, and the next chunk's first
 /// line number is this chunk's plus the newlines in it. The parses' results
 /// are taken in file order, so the error reported is that of the earliest
-/// bad line, whatever the number of threads.
+/// bad line, whatever the number of threads. A line still unended past
+/// `CHUNK_BYTES` is [`ParseError::LineTooLong`] once the lines before it
+/// are parsed, so a file without newlines is not read whole.
 fn stream_edge_list_items(
     path: &Path,
     sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
@@ -417,10 +427,17 @@ fn stream_edge_list_items(
         } else {
             match block[fresh..].iter().rposition(|&b| b == b'\n') {
                 Some(i) => fresh + i + 1,
-                None => {
+                None if block.len() <= CHUNK_BYTES => {
                     // No line ends in this block: keep reading the line.
                     carry = block;
                     continue;
+                }
+                None => {
+                    parse_batch(&mut batch, sink)?;
+                    return Err(ParseError::LineTooLong {
+                        line: next_line,
+                        limit: CHUNK_BYTES,
+                    });
                 }
             }
         };
@@ -430,21 +447,31 @@ fn stream_edge_list_items(
             batch.push((next_line, block));
             next_line += lines;
         }
-        if batch.len() == batch_width || (eof && !batch.is_empty()) {
-            let parsed: Vec<Result<ChunkItems, ParseError>> = batch
-                .par_iter_mut()
-                .map(|(start, block)| parse_edge_list_block(*start, block))
-                .collect();
-            batch.clear();
-            for result in parsed {
-                let items = result?;
-                if let Some(n) = items.declared {
-                    sink(StreamItem::DeclaredNodes(n))?;
-                }
-                for (u, v, w) in items.edges {
-                    sink(StreamItem::Edge(u, v, w))?;
-                }
-            }
+        if batch.len() == batch_width || eof {
+            parse_batch(&mut batch, sink)?;
+        }
+    }
+    Ok(())
+}
+
+/// Parses a batch of `(first line, block)` chunks in parallel, then hands
+/// their items to `sink` in file order, stopping at the first chunk's error.
+fn parse_batch(
+    batch: &mut Vec<(usize, Vec<u8>)>,
+    sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let parsed: Vec<Result<ChunkItems, ParseError>> = batch
+        .par_iter_mut()
+        .map(|(start, block)| parse_edge_list_block(*start, block))
+        .collect();
+    batch.clear();
+    for result in parsed {
+        let items = result?;
+        if let Some(n) = items.declared {
+            sink(StreamItem::DeclaredNodes(n))?;
+        }
+        for (u, v, w) in items.edges {
+            sink(StreamItem::Edge(u, v, w))?;
         }
     }
     Ok(())
@@ -1642,9 +1669,10 @@ mod tests {
         }
         pad_to(&mut text, 2 * CHUNK_BYTES - 3);
         text.push_str("# ééé größe\n");
-        // A comment and a data line each longer than a block.
-        text.push_str(&format!("#{}\n", "y".repeat(CHUNK_BYTES + 10)));
-        text.push_str(&" ".repeat(CHUNK_BYTES + 10));
+        // A comment and a data line each as long as a line may be, so
+        // each straddles a block boundary.
+        text.push_str(&format!("#{}\n", "y".repeat(CHUNK_BYTES - 1)));
+        text.push_str(&" ".repeat(CHUNK_BYTES - "4 4000000000 2".len()));
         push(&mut text, 4, 4_000_000_000, 2.0, "\n");
         // The last line has no newline.
         push(&mut text, 5, 6, 1.5, "");
@@ -1708,7 +1736,18 @@ mod tests {
         }
         later_block.extend_from_slice(b"3 \xff\n4 5\n");
         let same_block = b"1 2\n1 x\n3 \xff\n4 5\n".to_vec();
-        for (name, bytes, line) in [("later", later_block, 1), ("same", same_block, 2)] {
+        // A line that never ends is found while the lines before it still
+        // wait in the batch.
+        let mut unended = b"1 x\n".to_vec();
+        while unended.len() < CHUNK_BYTES / 2 {
+            unended.extend_from_slice(b"1 2\n");
+        }
+        unended.resize(4 * CHUNK_BYTES, b'7');
+        for (name, bytes, line) in [
+            ("later", later_block, 1),
+            ("same", same_block, 2),
+            ("unended", unended, 1),
+        ] {
             let path = dir.join(format!("{name}.edges"));
             std::fs::write(&path, &bytes).unwrap();
             for threads in [1, 2, 4] {
@@ -1730,6 +1769,39 @@ mod tests {
                         "{name}, {threads} threads: {e}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A line of more than `CHUNK_BYTES` bytes before its newline is
+    /// rejected with its line number by every reader: one that ends in the
+    /// next block, a data line padded to that length, the last line of the
+    /// file, and a line that never ends. A line of exactly `CHUNK_BYTES`
+    /// still reads (`block_reader_cuts_blocks_at_line_ends`).
+    #[test]
+    fn overlong_lines_are_rejected_with_their_line_number() {
+        let dir = test_dir("overlong");
+        let head = "# nodes: 4\n1 2\n";
+        let long = "y".repeat(CHUNK_BYTES);
+        let cases = [
+            (format!("{head}#{long}\n3 4\n"), 3),
+            (format!("{head}3 4\n {}4 1\n", " ".repeat(CHUNK_BYTES)), 4),
+            (format!("{head}#{long}"), 3),
+            (format!("{head}{long}{long}{long}"), 3),
+        ];
+        for (i, (text, line)) in cases.into_iter().enumerate() {
+            let path = write_text(&dir, &format!("case{i}.edges"), &text);
+            let errors = [
+                read_dataset(&path, DatasetFormat::EdgeList).err(),
+                read_csr(&path, DatasetFormat::EdgeList).err(),
+                stream_stats(&path, DatasetFormat::EdgeList).err(),
+            ];
+            for e in errors {
+                let e = e.expect("the file has an overlong line");
+                assert!(
+                    matches!(e, ParseError::LineTooLong { line: l, limit: CHUNK_BYTES } if l == line),
+                    "case {i}: {e}"
+                );
             }
         }
     }

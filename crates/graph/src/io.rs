@@ -19,6 +19,12 @@ pub enum ParseError {
     /// most the first [`MALFORMED_QUOTE_BYTES`] of its text (a longer line
     /// is cut at a char boundary and its quote ends in `…`).
     Malformed { line: usize, content: String },
+    /// An edge-list line longer than `limit` bytes before its newline
+    /// ([`crate::ingest::CHUNK_BYTES`]), reported with its (1-based) line
+    /// number once the lines before it have parsed. An edge-list line holds
+    /// at most three numbers, so such a line is not data, and the reader
+    /// stops rather than read on to its end.
+    LineTooLong { line: usize, limit: usize },
     /// A structural problem not tied to a single line (bad header, truncated
     /// binary section, asymmetric METIS adjacency, …).
     Invalid(String),
@@ -78,6 +84,9 @@ impl std::fmt::Display for ParseError {
             ParseError::Io(e) => write!(f, "I/O error: {e}"),
             ParseError::Malformed { line, content } => {
                 write!(f, "malformed line {line}: {content:?}")
+            }
+            ParseError::LineTooLong { line, limit } => {
+                write!(f, "line {line} is longer than {limit} bytes")
             }
             ParseError::Invalid(msg) => write!(f, "invalid dataset: {msg}"),
             ParseError::DeclaredNodes { declared, limit } => write!(

@@ -23,10 +23,13 @@
 #    misbehaviour window still open at the first checkpoint: the resumed
 #    run rebuilds each node's quarantine round from the plan in the
 #    checkpoint, and must silence the same senders in the same rounds.
-# 5. Repeats steps 1-3 on a generated 300x300 grid, whose ~6 MB images
+# 5. Repeats steps 1-3 on a generated 700x700 grid, whose ~6 MB images
 #    span several write buffers: the kill lands while later images are
 #    still being written and committed behind the rounds, and the resumed
-#    run must print every node's value as the reference does.
+#    run must print every node's value as the reference does. The leg fails
+#    if the surviving image is not larger than the two 1 MiB write buffers
+#    (`WRITE_BUFFER_BYTES`) together, since then no image would be in
+#    flight across buffers when the kill lands.
 # 6. Repeats steps 1-3 on the web-tiny fixture with 4 shards: the resumed
 #    run rebuilds the partition from the checkpoint's preamble, and
 #    `dkc-bench check` holds its `boundary_bits` and `boundary_nodes` to
@@ -49,8 +52,8 @@ done
 fixture=bench/fixtures/web-tiny.edges
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
-grid="$workdir/grid300.edges"
-"$DKC" generate grid --rows 300 --cols 300 --out "$grid" > /dev/null
+grid="$workdir/grid700.edges"
+"$DKC" generate grid --rows 700 --cols 700 --out "$grid" > /dev/null
 
 # Enough rounds that thousands of fsynced checkpoint writes keep the
 # background run alive well past the kill; the run parameters (rounds,
@@ -139,6 +142,14 @@ kill_and_resume crash "$fixture" 20 "${base_flags[@]}"
 kill_and_resume byzantine "$fixture" 20 "${base_flags[@]}" \
     --byzantine 0.3:all:2:40 --quarantine 2
 # A thousand rounds of 6 MB images keep the run going for seconds.
-kill_and_resume grid "$grid" 90000 --rounds 1000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7
+kill_and_resume grid "$grid" 490000 --rounds 1000 --loss 0.2 --crash 0.3:2:3 --fault-seed 7
+# Two write buffers of WRITE_BUFFER_BYTES (crates/distsim/src/checkpoint.rs).
+two_buffers=$((2 * 1048576))
+grid_image=$(wc -c < "$workdir/grid.dkck")
+if (( grid_image <= two_buffers )); then
+    echo "crash_recovery_smoke [grid]: the surviving image is $grid_image bytes," \
+         "not more than two write buffers ($two_buffers bytes)" >&2
+    exit 1
+fi
 kill_and_resume sharded "$fixture" 20 "${base_flags[@]}" --shards 4 --shard-seed 3
 echo "crash_recovery_smoke: OK — all four killed runs resumed byte-identically"
