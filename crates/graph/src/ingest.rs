@@ -8,11 +8,13 @@
 //!   indices in first-seen order, and keeps the reverse table so output can
 //!   report original ids.
 //! * [`read_dataset`] streams the file through a bounded buffer
-//!   (chunk-at-a-time, no whole-file `String`); edge-list blocks are cut at
-//!   line ends and parsed in parallel via `rayon` before the sequential
-//!   id-interning pass. Every format goes through one merged-edge reader
-//!   (text formats merge parallel edges through [`GraphBuilder`]), which
-//!   ends in one exact-size graph build.
+//!   (chunk-at-a-time, no whole-file `String`). An edge list is read by a
+//!   two-stage pipeline: a reader thread reads each block, cuts it at its
+//!   last newline and parses it, with a byte-level fast path for lines of
+//!   two integer ids and an optional integer weight, while the calling
+//!   thread interns the earlier blocks' ids in file order. Every format
+//!   goes through one merged-edge reader (text formats merge parallel edges
+//!   through [`GraphBuilder`]), which ends in one exact-size graph build.
 //! * [`read_csr`] takes the same merged edges straight into a [`CsrGraph`],
 //!   arc for arc the CSR of `read_dataset`'s graph, so a caller that only
 //!   needs the CSR never holds the adjacency lists. It returns the
@@ -38,11 +40,12 @@ use crate::idx::IdxOverflow;
 use crate::io::ParseError;
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread;
 
 /// Remaps arbitrary sparse external ids (`u64`) to dense internal indices.
 ///
@@ -157,17 +160,19 @@ impl NodeIdMap {
         self.to_external
     }
 
-    /// Grows the map to `n` nodes by assigning fresh external ids (sequential
-    /// past the current maximum, skipping collisions) to the padded nodes.
-    /// Used for isolated nodes declared by a header but absent from the edges.
+    /// Grows the map to `n` nodes by assigning fresh external ids to the
+    /// padded nodes: sequential past the current maximum, wrapping from
+    /// `u64::MAX` to 0, and skipping ids already mapped. A map holds at most
+    /// 2³² ids, so the search always ends. Used for isolated nodes declared
+    /// by a header but absent from the edges.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds 2³² (see [`NodeIdMap::intern`]).
     pub fn pad_to(&mut self, n: usize) {
-        let mut candidate = self.max_external.map_or(0, |m| m.saturating_add(1));
+        let mut candidate = self.max_external.map_or(0, |m| m.wrapping_add(1));
         while self.len() < n {
             while self.get(candidate).is_some() {
-                candidate = candidate
-                    .checked_add(1)
-                    // lint: allow(D04) — u64 id space outlives the u32 node-count guard in intern(); unreachable before it
-                    .expect("external id space exhausted");
+                candidate = candidate.wrapping_add(1);
             }
             self.intern(candidate);
         }
@@ -328,60 +333,166 @@ fn parse_edge_tokens(line: &str, lineno: usize) -> Result<(u64, u64, f64), Parse
     Ok((u, v, w))
 }
 
-/// Output of parsing one chunk of edge-list text.
+/// Output of parsing one block of edge-list text. The pipelined reader
+/// recycles a fixed set of these between its stages, so each keeps the
+/// capacity of the largest block it has held.
+#[derive(Default)]
 struct ChunkItems {
     edges: Vec<(u64, u64, f64)>,
     declared: Option<u64>,
 }
 
-fn parse_edge_list_chunk(start_line: usize, text: &str) -> Result<ChunkItems, ParseError> {
-    let mut out = ChunkItems {
-        edges: Vec::new(),
-        declared: None,
-    };
-    for (offset, raw) in text.split('\n').enumerate() {
-        if raw.len() > CHUNK_BYTES {
-            return Err(ParseError::LineTooLong {
-                line: start_line + offset,
-                limit: CHUNK_BYTES,
-            });
-        }
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') || line.starts_with('%') {
-            if let Some(n) = nodes_directive(line) {
-                out.declared = Some(out.declared.map_or(n, |d: u64| d.max(n)));
-            }
-            continue;
-        }
-        out.edges
-            .push(parse_edge_tokens(line, start_line + offset)?);
-    }
-    Ok(out)
+/// Whether `b` is a byte `char::is_whitespace` accepts, other than the
+/// `\n` that ends a line: `\t`, `\x0b`, `\x0c`, `\r` and the space. (This
+/// is not `u8::is_ascii_whitespace`, which lacks `\x0b`.)
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | 0x0b | 0x0c | b'\r' | b' ')
 }
 
-/// Block size of the edge-list reader, and the longest edge-list line it
-/// reads: a line of more bytes before its newline is
+/// The most digits of an id [`fast_edge`] reads: any 19 digits fit a `u64`.
+const FAST_ID_DIGITS: usize = 19;
+
+/// The most digits of a weight [`fast_edge`] reads: any 15 digits are an
+/// integer below 2^53, which an `f64` holds exactly.
+const FAST_WEIGHT_DIGITS: usize = 15;
+
+/// Reads the line at the start of `text` if it has the shape real edge
+/// lists are made of, and declines every other line: two ids of at most
+/// [`FAST_ID_DIGITS`] ASCII digits, then an optional integer weight of at
+/// most [`FAST_WEIGHT_DIGITS`], apart by [`is_space`] bytes. Returns the
+/// edge and the line's length, up to its `\n` or the end of `text`. An
+/// accepted line is one [`parse_edge_tokens`] reads as the same bits;
+/// comments, signs, fractions, exponents, non-ASCII whitespace, longer
+/// numbers and malformed lines are left to it.
+fn fast_edge(text: &[u8]) -> Option<((u64, u64, f64), usize)> {
+    let at = skip_spaces(text, 0);
+    let (u, at) = fast_number(text, at, FAST_ID_DIGITS)?;
+    let (v, at) = fast_number(text, at, FAST_ID_DIGITS)?;
+    let (w, at) = match text.get(at) {
+        None | Some(b'\n') => (1.0, at),
+        Some(_) => {
+            let (w, at) = fast_number(text, at, FAST_WEIGHT_DIGITS)?;
+            (w as f64, at)
+        }
+    };
+    matches!(text.get(at), None | Some(b'\n')).then_some(((u, v, w), at))
+}
+
+/// The number of 1 to `max_digits` ASCII digits at `text[at..]`, which must
+/// end the line or be followed by a space, and the position past the spaces
+/// after it.
+fn fast_number(text: &[u8], mut at: usize, max_digits: usize) -> Option<(u64, usize)> {
+    let start = at;
+    let mut n = 0u64;
+    while let Some(digit) = text
+        .get(at)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d < 10)
+    {
+        if at - start == max_digits {
+            return None;
+        }
+        n = n * 10 + u64::from(digit);
+        at += 1;
+    }
+    match text.get(at) {
+        _ if at == start => None,
+        None | Some(b'\n') => Some((n, at)),
+        Some(&b) if is_space(b) => Some((n, skip_spaces(text, at))),
+        Some(_) => None,
+    }
+}
+
+fn skip_spaces(text: &[u8], at: usize) -> usize {
+    at + text[at..].iter().take_while(|&&b| is_space(b)).count()
+}
+
+/// Parses one chunk of edge-list text, whole lines whose first is line
+/// `start_line`, into `out`, after clearing it. A line [`fast_edge`] reads
+/// within the `CHUNK_BYTES` limit is an edge; every other line is checked
+/// against the limit and read by the exact tokenizer.
+fn parse_edge_list_chunk(
+    start_line: usize,
+    text: &str,
+    out: &mut ChunkItems,
+) -> Result<(), ParseError> {
+    out.edges.clear();
+    out.declared = None;
+    let mut line_start = 0;
+    for line_no in start_line.. {
+        let rest = &text.as_bytes()[line_start..];
+        let len = match fast_edge(rest) {
+            Some((edge, len)) if len <= CHUNK_BYTES => {
+                out.edges.push(edge);
+                len
+            }
+            _ => {
+                let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+                parse_slow_line(&text[line_start..line_start + len], line_no, out)?;
+                len
+            }
+        };
+        line_start += len + 1;
+        if line_start > text.len() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Reads one line [`fast_edge`] declined into `out`, if it is within the
+/// `CHUNK_BYTES` limit: blank lines and comments add nothing, but for a
+/// `# nodes:` directive, and any other line must be an edge.
+fn parse_slow_line(raw: &str, line_no: usize, out: &mut ChunkItems) -> Result<(), ParseError> {
+    if raw.len() > CHUNK_BYTES {
+        return Err(ParseError::LineTooLong {
+            line: line_no,
+            limit: CHUNK_BYTES,
+        });
+    }
+    let line = raw.trim();
+    if line.is_empty() {
+        return Ok(());
+    }
+    if line.starts_with('#') || line.starts_with('%') {
+        if let Some(n) = nodes_directive(line) {
+            out.declared = Some(out.declared.map_or(n, |d: u64| d.max(n)));
+        }
+        return Ok(());
+    }
+    out.edges.push(parse_edge_tokens(line, line_no)?);
+    Ok(())
+}
+
+/// Block size of the edge-list reader, and the longest line the edge-list
+/// and METIS readers read: a line of more bytes before its newline is
 /// [`ParseError::LineTooLong`]. Blocks are cut at their last newline, so a
 /// block holds at most one line's start from the block before, and peak
 /// memory is `O(threads · CHUNK_BYTES + edges)` regardless of file size.
 pub const CHUNK_BYTES: usize = 1 << 20;
 
+/// Parse buffers of the pipelined edge-list reader: the reader thread fills
+/// one while the calling thread interns the edges of another, and the third
+/// lets the faster stage run a block ahead.
+const PARSE_BUFFERS: usize = 3;
+
 /// Parses one block of edge-list bytes, whole lines whose first is line
-/// `start_line`, checking its UTF-8 as part of the parse. A block that is
-/// not UTF-8 reports its earliest bad line: a malformed line before the
-/// invalid byte, or else the invalid UTF-8 on the byte's line.
-fn parse_edge_list_block(start_line: usize, block: &[u8]) -> Result<ChunkItems, ParseError> {
+/// `start_line`, into `out`, checking its UTF-8 as part of the parse. A
+/// block that is not UTF-8 reports its earliest bad line: a malformed line
+/// before the invalid byte, or else the invalid UTF-8 on the byte's line.
+fn parse_edge_list_block(
+    start_line: usize,
+    block: &[u8],
+    out: &mut ChunkItems,
+) -> Result<(), ParseError> {
     let e = match std::str::from_utf8(block) {
-        Ok(text) => return parse_edge_list_chunk(start_line, text),
+        Ok(text) => return parse_edge_list_chunk(start_line, text, out),
         Err(e) => e,
     };
     let valid = &block[..e.valid_up_to()];
     let whole_lines = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
     if let Ok(text) = std::str::from_utf8(&valid[..whole_lines]) {
-        parse_edge_list_chunk(start_line, text)?;
+        parse_edge_list_chunk(start_line, text, out)?;
     }
     Err(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -393,111 +504,213 @@ fn parse_edge_list_block(start_line: usize, block: &[u8]) -> Result<ChunkItems, 
     .into())
 }
 
-/// Streams an edge list through `sink`, parsing batches of chunks in
-/// parallel while delivering items in file order.
-///
-/// The file is read in `CHUNK_BYTES` blocks, each cut at its last newline;
-/// the bytes after it open the next block. A chunk is therefore whole lines,
-/// so its UTF-8 is checked once, by its parse, and the next chunk's first
-/// line number is this chunk's plus the newlines in it. The parses' results
-/// are taken in file order, so the error reported is that of the earliest
-/// bad line, whatever the number of threads. A line still unended past
-/// `CHUNK_BYTES` is [`ParseError::LineTooLong`] once the lines before it
-/// are parsed, so a file without newlines is not read whole.
-fn stream_edge_list_items(
-    path: &Path,
+/// The first stage of the edge-list reader: reads the file in
+/// `CHUNK_BYTES` blocks, cuts each at its last newline, and parses the
+/// whole lines before the cut. The bytes after it, a partial line and never
+/// a newline, open the next block. A block is therefore whole lines, so its
+/// UTF-8 is checked once, by its parse, and the next block's first line
+/// number is this block's plus the newlines in it.
+struct BlockReader {
+    file: File,
+    /// The partial line carried over, then the block's fresh bytes.
+    text: Vec<u8>,
+    /// The 1-based line number of the next block's first line.
+    next_line: usize,
+    eof: bool,
+}
+
+impl BlockReader {
+    fn open(path: &Path) -> Result<Self, ParseError> {
+        Ok(BlockReader {
+            file: File::open(path)?,
+            text: Vec::new(),
+            next_line: 1,
+            eof: false,
+        })
+    }
+
+    /// Parses the next block into `out`, or returns `false` at the end of
+    /// the file. A line still unended past `CHUNK_BYTES` is
+    /// [`ParseError::LineTooLong`] once every block before it is parsed, so
+    /// a file without newlines is not read whole.
+    fn next_block(&mut self, out: &mut ChunkItems) -> Result<bool, ParseError> {
+        while !self.eof {
+            let fresh = self.text.len();
+            self.text.reserve(CHUNK_BYTES);
+            self.eof = (&mut self.file)
+                .take(CHUNK_BYTES as u64)
+                .read_to_end(&mut self.text)?
+                < CHUNK_BYTES;
+            let cut = if self.eof {
+                self.text.len()
+            } else {
+                match self.text[fresh..].iter().rposition(|&b| b == b'\n') {
+                    Some(i) => fresh + i + 1,
+                    // No line ends in this block: keep reading the line.
+                    None if self.text.len() <= CHUNK_BYTES => continue,
+                    None => {
+                        return Err(ParseError::LineTooLong {
+                            line: self.next_line,
+                            limit: CHUNK_BYTES,
+                        })
+                    }
+                }
+            };
+            if cut > 0 {
+                let block = &self.text[..cut];
+                parse_edge_list_block(self.next_line, block, out)?;
+                self.next_line += count_newlines(block);
+                self.text.drain(..cut);
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// The reader thread of [`stream_edge_list_items`]: parses each block
+    /// into one of [`PARSE_BUFFERS`] buffers, a new one while fewer exist,
+    /// else the next one the interner hands back, and sends it on. It stops
+    /// after the end of the file or the first error, which it sends, or
+    /// once the interner has stopped: then a send or a wait for a buffer
+    /// fails at once.
+    fn feed(
+        mut self,
+        parsed: SyncSender<Result<ChunkItems, ParseError>>,
+        spent: Receiver<ChunkItems>,
+    ) {
+        let mut buffers = 0;
+        loop {
+            let mut items = if buffers < PARSE_BUFFERS {
+                buffers += 1;
+                ChunkItems::default()
+            } else {
+                match spent.recv() {
+                    Ok(items) => items,
+                    Err(_) => return,
+                }
+            };
+            let block = match self.next_block(&mut items) {
+                Ok(false) => return,
+                Ok(true) => Ok(items),
+                Err(e) => Err(e),
+            };
+            let last = block.is_err();
+            if parsed.send(block).is_err() || last {
+                return;
+            }
+        }
+    }
+}
+
+/// Hands one parsed block's items to `sink` in file order.
+fn deliver(
+    items: &ChunkItems,
     sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
-    let mut file = File::open(path)?;
-    let batch_width = rayon::current_num_threads().max(1);
-    let mut batch: Vec<(usize, Vec<u8>)> = Vec::with_capacity(batch_width);
-    let mut next_line = 1usize; // 1-based line number of the next chunk's first line
-    let mut carry: Vec<u8> = Vec::new(); // a partial line, never a newline
-    let mut eof = false;
-    while !eof {
-        let mut block = std::mem::take(&mut carry);
-        let fresh = block.len();
-        block.reserve(CHUNK_BYTES);
-        eof = (&mut file)
-            .take(CHUNK_BYTES as u64)
-            .read_to_end(&mut block)?
-            < CHUNK_BYTES;
-        let cut = if eof {
-            block.len()
-        } else {
-            match block[fresh..].iter().rposition(|&b| b == b'\n') {
-                Some(i) => fresh + i + 1,
-                None if block.len() <= CHUNK_BYTES => {
-                    // No line ends in this block: keep reading the line.
-                    carry = block;
-                    continue;
-                }
-                None => {
-                    parse_batch(&mut batch, sink)?;
-                    return Err(ParseError::LineTooLong {
-                        line: next_line,
-                        limit: CHUNK_BYTES,
-                    });
-                }
-            }
-        };
-        carry = block.split_off(cut);
-        if !block.is_empty() {
-            let lines = count_newlines(&block);
-            batch.push((next_line, block));
-            next_line += lines;
-        }
-        if batch.len() == batch_width || eof {
-            parse_batch(&mut batch, sink)?;
-        }
+    if let Some(n) = items.declared {
+        sink(StreamItem::DeclaredNodes(n))?;
+    }
+    for &(u, v, w) in &items.edges {
+        sink(StreamItem::Edge(u, v, w))?;
     }
     Ok(())
 }
 
-/// Parses a batch of `(first line, block)` chunks in parallel, then hands
-/// their items to `sink` in file order, stopping at the first chunk's error.
-fn parse_batch(
-    batch: &mut Vec<(usize, Vec<u8>)>,
+/// Streams an edge list through `sink`, in file order, as a two-stage
+/// pipeline: a reader thread reads and parses each block ([`BlockReader`])
+/// while the calling thread hands the earlier blocks' items to `sink`,
+/// which interns them. The blocks' parse buffers are allocated once and
+/// recycled between the stages. With a one-thread rayon pool nothing is
+/// spawned, and the caller alternates the two stages.
+///
+/// Either stage stops at its first error. The reader parses the blocks in
+/// order and the caller takes them in order, so the error reported is that
+/// of the earliest bad line, whatever the number of threads. When either
+/// stops, the other's next send or wait fails, so no thread is left
+/// blocked.
+fn stream_edge_list_items(
+    path: &Path,
     sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
-    let parsed: Vec<Result<ChunkItems, ParseError>> = batch
-        .par_iter_mut()
-        .map(|(start, block)| parse_edge_list_block(*start, block))
-        .collect();
-    batch.clear();
-    for result in parsed {
-        let items = result?;
-        if let Some(n) = items.declared {
-            sink(StreamItem::DeclaredNodes(n))?;
+    let mut reader = BlockReader::open(path)?;
+    // Read on this thread: `install` sets the pool size for its own thread
+    // only, so a spawned thread would see the global pool's.
+    if rayon::current_num_threads() <= 1 {
+        let mut items = ChunkItems::default();
+        while reader.next_block(&mut items)? {
+            deliver(&items, sink)?;
         }
-        for (u, v, w) in items.edges {
-            sink(StreamItem::Edge(u, v, w))?;
-        }
+        return Ok(());
     }
-    Ok(())
+    thread::scope(|scope| {
+        let (parsed_tx, parsed) = mpsc::sync_channel(PARSE_BUFFERS);
+        let (spent, spent_rx) = mpsc::channel();
+        thread::Builder::new()
+            .name("dkc-edge-list-reader".to_string())
+            .spawn_scoped(scope, move || reader.feed(parsed_tx, spent_rx))?;
+        // `parsed` and `spent` drop when this returns, on success, error or
+        // panic alike, which ends the reader's loop before the scope joins it.
+        for block in parsed {
+            let items = block?;
+            deliver(&items, sink)?;
+            // Nothing waits for the buffer once the reader has stopped.
+            let _ = spent.send(items);
+        }
+        Ok(())
+    })
 }
 
 fn count_newlines(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
+/// Reads the next line of a METIS file into `buf`, under the edge-list
+/// reader's limit: a line of more than `CHUNK_BYTES` bytes before its
+/// newline is [`ParseError::LineTooLong`] as line `lineno`, found one byte
+/// past the limit, so a line that never ends is not read whole. Returns the
+/// line, newline included, or `None` at the end of the file.
+fn read_metis_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    lineno: usize,
+) -> Result<Option<&'b str>, ParseError> {
+    buf.clear();
+    if reader.take(CHUNK_BYTES as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.len() > CHUNK_BYTES && buf.last() != Some(&b'\n') {
+        return Err(ParseError::LineTooLong {
+            line: lineno,
+            limit: CHUNK_BYTES,
+        });
+    }
+    match std::str::from_utf8(buf) {
+        Ok(line) => Ok(Some(line)),
+        Err(_) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+        .into()),
+    }
+}
+
 /// Streams a METIS adjacency file through `sink` (ids are emitted 0-based;
 /// `DeclaredNodes` comes first). Each non-loop edge is emitted once, from
 /// its smaller endpoint's line; the file's symmetry and the header's edge
-/// count are validated.
+/// count are validated. Lines are read under the edge list's `CHUNK_BYTES`
+/// limit and their tokens are scanned in place.
 fn stream_metis_items(
     path: &Path,
     sink: &mut dyn FnMut(StreamItem) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
     let mut reader = BufReader::new(File::open(path)?);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     let mut lineno = 0usize;
     // Header: first non-comment line is `n m [fmt]`.
     let (n, m, weighted) = loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let Some(line) = read_metis_line(&mut reader, &mut buf, lineno + 1)? else {
             return Err(invalid("metis: missing header line"));
-        }
+        };
         lineno += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('%') {
@@ -527,41 +740,34 @@ fn stream_metis_items(
     let mut forward_weight = 0.0f64;
     let mut backward_weight = 0.0f64;
     let mut loops = 0u64;
+    // One line's `(neighbour, weight)` entries: every token parses before
+    // any edge is emitted.
+    let mut entries: Vec<(u64, f64)> = Vec::new();
     while node < n {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let Some(line) = read_metis_line(&mut reader, &mut buf, lineno + 1)? else {
             return Err(invalid(format!(
                 "metis: expected {n} adjacency lines, found {node}"
             )));
-        }
+        };
         lineno += 1;
         let trimmed = line.trim();
         if trimmed.starts_with('%') {
             continue;
         }
-        let tokens: Vec<&str> = trimmed.split_whitespace().collect();
-        let entries: Vec<(u64, f64)> = if weighted {
-            if !tokens.len().is_multiple_of(2) {
-                return Err(malformed(lineno, trimmed));
-            }
-            tokens
-                .chunks(2)
-                .map(|pair| {
-                    let nbr: u64 = pair[0].parse().map_err(|_| malformed(lineno, trimmed))?;
-                    let w: f64 = pair[1].parse().map_err(|_| malformed(lineno, trimmed))?;
-                    Ok((nbr, w))
-                })
-                .collect::<Result<_, ParseError>>()?
-        } else {
-            tokens
-                .iter()
-                .map(|tok| {
-                    let nbr: u64 = tok.parse().map_err(|_| malformed(lineno, trimmed))?;
-                    Ok((nbr, 1.0))
-                })
-                .collect::<Result<_, ParseError>>()?
-        };
-        for (nbr, w) in entries {
+        let bad = || malformed(lineno, trimmed);
+        entries.clear();
+        let mut tokens = trimmed.split_whitespace();
+        while let Some(tok) = tokens.next() {
+            let nbr: u64 = tok.parse().map_err(|_| bad())?;
+            let w: f64 = if weighted {
+                let tok = tokens.next().ok_or_else(bad)?;
+                tok.parse().map_err(|_| bad())?
+            } else {
+                1.0
+            };
+            entries.push((nbr, w));
+        }
+        for &(nbr, w) in &entries {
             if nbr == 0 || nbr > n {
                 return Err(malformed(lineno, trimmed));
             }
@@ -854,22 +1060,45 @@ pub fn read_csr(
     Ok((csr, externals))
 }
 
+/// Interns the endpoints of edges in first-seen order, `u` before `v`. A
+/// first id equal to the previous edge's takes that edge's internal id
+/// without a hash lookup: in a file grouped by source, as SNAP files sorted
+/// by source and every edge list `dkc generate` writes are, that is most
+/// lines.
+#[derive(Default)]
+struct EdgeInterner {
+    ids: NodeIdMap,
+    /// The previous edge's first id, external and internal.
+    first: Option<(u64, NodeId)>,
+}
+
+impl EdgeInterner {
+    fn intern(&mut self, u: u64, v: u64) -> Result<(NodeId, NodeId), IdxOverflow> {
+        let iu = match self.first {
+            Some((prev, iu)) if prev == u => iu,
+            _ => self.ids.try_intern(u)?,
+        };
+        self.first = Some((u, iu));
+        Ok((iu, self.ids.try_intern(v)?))
+    }
+}
+
 /// Interns an edge list's ids in first-seen order and merges its edges.
 fn read_edge_list_edges(path: &Path) -> Result<DatasetEdges, ParseError> {
-    let mut ids = NodeIdMap::new();
+    let mut interner = EdgeInterner::default();
     let mut builder = GraphBuilder::new(0);
     let mut declared: u64 = 0;
     stream_edge_list_items(path, &mut |item| {
         match item {
             StreamItem::Edge(u, v, w) => {
-                let iu = ids.try_intern(u)?;
-                let iv = ids.try_intern(v)?;
+                let (iu, iv) = interner.intern(u, v)?;
                 builder.add_edge(iu, iv, w);
             }
             StreamItem::DeclaredNodes(n) => declared = declared.max(n),
         }
         Ok(())
     })?;
+    let mut ids = interner.ids;
     let file_len = std::fs::metadata(path)?.len();
     let declared = checked_declared_nodes(declared, ids.len(), file_len)?;
     let (plain, loops) = builder.try_merge()?;
@@ -1063,26 +1292,21 @@ pub fn stream_stats(
     format: DatasetFormat,
 ) -> Result<DatasetStats, ParseError> {
     use std::collections::HashSet;
-    let mut ids = NodeIdMap::new();
+    let mut interner = EdgeInterner::default();
     let mut degrees: Vec<f64> = Vec::new();
     let mut plain_edges: HashSet<(usize, usize)> = HashSet::new();
     let mut loop_weights: HashMap<usize, f64> = HashMap::new();
     let mut total_weight = 0.0;
     let mut declared: u64 = 0;
-    let mut node = |ext: u64, degrees: &mut Vec<f64>| -> Result<usize, ParseError> {
-        let v = ids.try_intern(ext)?.index();
-        if v == degrees.len() {
-            degrees.push(0.0);
-        }
-        Ok(v)
-    };
     let path = path.as_ref();
     let file_len = std::fs::metadata(path)?.len();
     stream_items(path, format, &mut |item| {
         match item {
             StreamItem::Edge(u, v, w) => {
                 total_weight += w;
-                let (u, v) = (node(u, &mut degrees)?, node(v, &mut degrees)?);
+                let (u, v) = interner.intern(u, v)?;
+                let (u, v) = (u.index(), v.index());
+                degrees.resize(interner.ids.len(), 0.0);
                 degrees[u] += w;
                 if u == v {
                     *loop_weights.entry(u).or_insert(0.0) += w;
@@ -1310,10 +1534,12 @@ mod tests {
 
     #[test]
     fn metis_malformed_quotes_are_bounded() {
-        // A 1 MiB adjacency line whose last token is not a number.
+        // An adjacency line as long as a line may be, whose last token is
+        // not a number.
         let dir = test_dir("metis-long-line");
-        let mut line = "2 ".repeat(1 << 19);
-        line.push('x');
+        let mut line = "2 ".repeat((1 << 19) - 1);
+        line.push_str("xx");
+        assert_eq!(line.len(), CHUNK_BYTES);
         let p = write_text(&dir, "long.metis", &format!("2 1\n{line}\n1\n"));
         let err = read_dataset(&p, DatasetFormat::Metis).unwrap_err();
         let ParseError::Malformed { line, content } = &err else {
@@ -1326,6 +1552,198 @@ mod tests {
             "{} bytes",
             err.to_string().len()
         );
+    }
+
+    /// A METIS line is bounded like an edge-list line: one of exactly
+    /// `CHUNK_BYTES` bytes before its newline reads, one byte more is
+    /// `LineTooLong` with its line number, in the header, in an adjacency
+    /// list, in a comment, on the last line and on a line that never ends.
+    #[test]
+    fn metis_lines_are_bounded_like_edge_list_lines() {
+        let dir = test_dir("metis-bounded");
+        let padded = |len: usize| format!("2{}", " ".repeat(len - 1));
+        let fits = write_text(
+            &dir,
+            "fits.metis",
+            &format!("2 1\n{}\n1\n", padded(CHUNK_BYTES)),
+        );
+        let ds = read_dataset(&fits, DatasetFormat::Metis).unwrap();
+        assert_eq!((ds.graph.num_nodes(), ds.graph.num_edges()), (2, 1));
+        let (csr, _) = read_csr(&fits, DatasetFormat::Metis).unwrap();
+        assert_eq!(csr.num_arcs(), 2);
+        let stats = stream_stats(&fits, DatasetFormat::Metis).unwrap();
+        assert_eq!((stats.nodes, stats.edges), (2, 1));
+        let long = padded(CHUNK_BYTES + 1);
+        let cases = [
+            (format!("% c\n{long}\n2 1\n2\n1\n"), 2),
+            (format!("2 1\n{long}\n1\n"), 2),
+            (format!("2 1\n2\n%{long}\n1\n"), 3),
+            (format!("2 1\n2\n{long}"), 3),
+            (format!("% c\n2 1\n{}", "2 ".repeat(2 * CHUNK_BYTES)), 3),
+        ];
+        for (i, (text, line)) in cases.into_iter().enumerate() {
+            let path = write_text(&dir, &format!("case{i}.metis"), &text);
+            for e in [
+                read_dataset(&path, DatasetFormat::Metis).err(),
+                read_csr(&path, DatasetFormat::Metis).err(),
+                stream_stats(&path, DatasetFormat::Metis).err(),
+            ] {
+                let e = e.expect("the file has an overlong line");
+                assert!(
+                    matches!(e, ParseError::LineTooLong { line: l, limit: CHUNK_BYTES } if l == line),
+                    "case {i}: {e}"
+                );
+            }
+        }
+    }
+
+    /// Padding past an id map whose largest id is `u64::MAX` wraps the
+    /// search to 0 instead of panicking, in every reader that pads and in
+    /// `Dataset::from_external_edges`; `stream_stats`, which never pads,
+    /// counts the same nodes.
+    #[test]
+    fn padding_wraps_past_the_largest_external_id() {
+        let mut map = NodeIdMap::new();
+        map.intern(u64::MAX - 1);
+        map.intern(1);
+        map.pad_to(5);
+        assert_eq!(map.externals(), &[u64::MAX - 1, 1, u64::MAX, 0, 2]);
+
+        let expected = [u64::MAX, 0, 1];
+        let ds = Dataset::from_external_edges(3, [(u64::MAX, 0, 1.0)]);
+        assert_eq!(ds.ids.externals(), &expected);
+        assert_eq!(ds.graph.num_nodes(), 3);
+        let dir = test_dir("pad-wrap");
+        let path = write_text(&dir, "p.edges", "# nodes: 3\n18446744073709551615 0\n");
+        let ds = read_dataset(&path, DatasetFormat::EdgeList).unwrap();
+        assert_eq!(ds.ids.externals(), &expected);
+        assert_eq!((ds.graph.num_nodes(), ds.graph.num_edges()), (3, 1));
+        let (csr, externals) = read_csr(&path, DatasetFormat::EdgeList).unwrap();
+        assert_eq!(externals, expected);
+        assert_eq!(csr.num_nodes(), 3);
+        let stats = stream_stats(&path, DatasetFormat::EdgeList).unwrap();
+        assert_eq!((stats.nodes, stats.edges), (3, 1));
+    }
+
+    /// A text of random `pieces`: digit runs, among them ids of 18 to 21
+    /// digits and weights of 14 to 17, the signs, dots, exponents and `x`
+    /// of malformed and non-integer numbers, comment marks, the five ASCII
+    /// bytes `char::is_whitespace` accepts, `\x1c` (which it does not), and
+    /// two non-ASCII spaces.
+    fn random_line(pieces: &[(usize, usize, u64)]) -> String {
+        const SPACES: [char; 5] = ['\t', '\x0b', '\x0c', '\r', ' '];
+        let mut line = String::new();
+        for &(kind, n, seed) in pieces {
+            match kind {
+                0 => line.push_str(&digits(1 + n % 3, seed)),
+                1 => line.push_str(&digits(18 + n % 4, seed)),
+                2 => line.push_str(&digits(14 + n % 4, seed)),
+                3 => line.push_str(&digits(1 + n % 21, seed)),
+                4 | 5 => line.push(SPACES[n % 5]),
+                6 => line.push(['+', '-', '.', 'e', 'x', '#'][n % 6]),
+                7 => line.push('\x1c'),
+                _ => line.push(['\u{a0}', '\u{3000}'][n % 2]),
+            }
+        }
+        line
+    }
+
+    /// `len` pseudo-random decimal digits drawn from `seed`.
+    fn digits(len: usize, seed: u64) -> String {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                char::from(b'0' + ((x >> 33) % 10) as u8)
+            })
+            .collect()
+    }
+
+    /// `fast_edge` agrees with `parse_edge_tokens` on `line`: it declines
+    /// the line, or returns bit for bit what the tokenizer reads from the
+    /// trimmed line, and the line's length. It does so whether the line
+    /// ends the text or a newline and another line follow. Returns whether
+    /// it accepted.
+    fn assert_fast_path_agrees(line: &str) -> bool {
+        let fast = fast_edge(line.as_bytes());
+        let followed = format!("{line}\n1 2 3\n");
+        assert_eq!(fast_edge(followed.as_bytes()), fast, "{line:?}");
+        let Some(((u, v, w), len)) = fast else {
+            return false;
+        };
+        assert_eq!(len, line.len(), "{line:?}");
+        let exact = parse_edge_tokens(line.trim(), 1)
+            .unwrap_or_else(|e| panic!("the fast path read {line:?}, the tokenizer did not: {e}"));
+        assert_eq!(
+            (u, v, w.to_bits()),
+            (exact.0, exact.1, exact.2.to_bits()),
+            "{line:?}"
+        );
+        true
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn fast_path_agrees_with_the_tokenizer(
+            pieces in proptest::collection::vec((0usize..9, 0usize..84, 0u64..u64::MAX), 1..10)
+        ) {
+            assert_fast_path_agrees(&random_line(&pieces));
+        }
+
+        /// Lines of the accepted shape, `u v [w]` apart by any of the five
+        /// spaces, are read exactly when the ids have at most 19 digits and
+        /// the weight at most 15.
+        #[test]
+        fn fast_path_reads_exactly_the_short_integer_lines(
+            lens in (1usize..22, 1usize..22, 0usize..18),
+            spaces in proptest::collection::vec(0usize..5, 4..5),
+            runs in (0usize..3, 1usize..4, 1usize..4, 0usize..3),
+            seed in 0u64..u64::MAX
+        ) {
+            const SPACES: [&str; 5] = ["\t", "\x0b", "\x0c", "\r", " "];
+            let run = |i: usize, n: usize| SPACES[spaces[i]].repeat(n);
+            let (u_len, v_len, w_len) = lens;
+            let mut line = run(0, runs.0) + &digits(u_len, seed) + &run(1, runs.1);
+            line += &digits(v_len, seed ^ 1);
+            if w_len > 0 {
+                line += &(run(2, runs.2) + &digits(w_len, seed ^ 2));
+            }
+            line += &run(3, runs.3);
+            let short = u_len <= FAST_ID_DIGITS && v_len <= FAST_ID_DIGITS && w_len <= FAST_WEIGHT_DIGITS;
+            proptest::prop_assert_eq!(assert_fast_path_agrees(&line), short, "{:?}", line);
+        }
+    }
+
+    /// Every data line of edge lists shaped like the benchmark's two text
+    /// inputs takes the fast path: BA graphs with sparse 30-bit ids, one
+    /// with unit weights and one with integer weights up to 10, as
+    /// `write_dataset` writes them.
+    #[test]
+    fn fast_path_reads_every_data_line_of_generated_edge_lists() {
+        use crate::generators::{barabasi_albert, with_random_integer_weights};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let ba = barabasi_albert(2_500, 4, &mut rng);
+        let weighted = with_random_integer_weights(&ba, 10, &mut rng);
+        let dir = test_dir("fast-path-inputs");
+        for (name, graph) in [("ba", ba), ("wba", weighted)] {
+            let mut ids = NodeIdMap::new();
+            for v in 0..graph.num_nodes() as u64 {
+                ids.intern((v.wrapping_mul(0x9E37_79B1) & ((1 << 30) - 1)) ^ 0x2A5);
+            }
+            let path = dir.join(format!("{name}.edges"));
+            write_dataset(&Dataset { graph, ids }, &path, DatasetFormat::EdgeList).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let data = text.lines().filter(|l| !l.starts_with('#'));
+            assert!(data.clone().count() >= 9_000, "{name}");
+            for line in data {
+                assert!(assert_fast_path_agrees(line), "{name}: {line:?}");
+            }
+        }
     }
 
     #[test]
@@ -1724,9 +2142,33 @@ mod tests {
         }
     }
 
+    /// Runs `f` on a thread of its own and returns its result, failing if
+    /// it has not returned within a minute: a pipeline thread left blocked
+    /// would hold the read forever.
+    fn returns_in_time<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("{what} still runs after a minute"),
+            Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+        }
+    }
+
+    /// `lines` copies of one data line: few lines to a block, so a file of
+    /// several blocks parses quickly in a debug build.
+    fn long_lines(lines: usize) -> Vec<u8> {
+        b"1234567890123456789 987654321098765432 7\n".repeat(lines)
+    }
+
     /// A malformed line before an invalid byte is the error, whatever the
-    /// pool size: with the byte in a later block, which a pool of two or
-    /// more reads before it parses the first, and in the same block.
+    /// pool size: with the byte in a later block, which the reader thread
+    /// may parse before the caller interns the first, and in the same
+    /// block. So is a malformed line after more blocks than the pipeline
+    /// has parse buffers, and every read returns.
     #[test]
     fn edge_list_errors_do_not_depend_on_the_thread_count() {
         let dir = test_dir("utf8-threads");
@@ -1737,30 +2179,40 @@ mod tests {
         later_block.extend_from_slice(b"3 \xff\n4 5\n");
         let same_block = b"1 2\n1 x\n3 \xff\n4 5\n".to_vec();
         // A line that never ends is found while the lines before it still
-        // wait in the batch.
+        // wait to be interned.
         let mut unended = b"1 x\n".to_vec();
         while unended.len() < CHUNK_BYTES / 2 {
             unended.extend_from_slice(b"1 2\n");
         }
         unended.resize(4 * CHUNK_BYTES, b'7');
+        // Every parse buffer has gone round more than once before the bad
+        // line, and good blocks follow it.
+        let before = (PARSE_BUFFERS + 2) * CHUNK_BYTES / long_lines(1).len();
+        let mut late = long_lines(before);
+        late.extend_from_slice(b"1 x\n");
+        late.extend_from_slice(&long_lines(before));
         for (name, bytes, line) in [
             ("later", later_block, 1),
             ("same", same_block, 2),
             ("unended", unended, 1),
+            ("late", late, before + 1),
         ] {
             let path = dir.join(format!("{name}.edges"));
             std::fs::write(&path, &bytes).unwrap();
             for threads in [1, 2, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let errors = pool.install(|| {
-                    [
-                        read_dataset(&path, DatasetFormat::EdgeList).err(),
-                        read_csr(&path, DatasetFormat::EdgeList).err(),
-                        stream_stats(&path, DatasetFormat::EdgeList).err(),
-                    ]
+                let path = path.clone();
+                let errors = returns_in_time(&format!("{name}, {threads} threads"), move || {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    pool.install(|| {
+                        [
+                            read_dataset(&path, DatasetFormat::EdgeList).err(),
+                            read_csr(&path, DatasetFormat::EdgeList).err(),
+                            stream_stats(&path, DatasetFormat::EdgeList).err(),
+                        ]
+                    })
                 });
                 for e in errors {
                     let e = e.expect("the file is malformed");
@@ -1770,6 +2222,62 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Either pipeline stage stopping early ends the read with its error
+    /// and leaves no thread behind: the sink's error (which is how the
+    /// interner's `IdxOverflow` stops it) on the first edge, and on an edge
+    /// after more blocks than there are parse buffers, and an I/O error in
+    /// the reader thread.
+    #[test]
+    fn either_stage_stopping_early_leaves_no_thread_behind() {
+        let dir = test_dir("early-exit");
+        let per_block = CHUNK_BYTES / long_lines(1).len();
+        let path = dir.join("g.edges");
+        std::fs::write(&path, long_lines((PARSE_BUFFERS + 3) * per_block)).unwrap();
+        for threads in [1, 2, 4] {
+            for stop_at in [1, (PARSE_BUFFERS + 1) * per_block] {
+                let path = path.clone();
+                let (result, seen) = returns_in_time(
+                    &format!("{threads} threads, stop at {stop_at}"),
+                    move || {
+                        let pool = rayon::ThreadPoolBuilder::new()
+                            .num_threads(threads)
+                            .build()
+                            .unwrap();
+                        let mut seen = 0;
+                        let result = pool.install(|| {
+                            stream_edge_list_items(&path, &mut |_| {
+                                seen += 1;
+                                if seen == stop_at {
+                                    return Err(invalid("the sink stops"));
+                                }
+                                Ok(())
+                            })
+                        });
+                        (result, seen)
+                    },
+                );
+                assert!(
+                    matches!(&result, Err(ParseError::Invalid(m)) if m == "the sink stops"),
+                    "{threads} threads: {result:?}"
+                );
+                assert_eq!(seen, stop_at, "{threads} threads");
+            }
+            // A directory opens, but its first read fails.
+            let dir_path = dir.to_path_buf();
+            let result = returns_in_time(&format!("{threads} threads, a directory"), move || {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| read_dataset(&dir_path, DatasetFormat::EdgeList).err())
+            });
+            assert!(
+                matches!(result, Some(ParseError::Io(_))),
+                "{threads} threads: {result:?}"
+            );
         }
     }
 

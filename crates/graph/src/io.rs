@@ -19,11 +19,12 @@ pub enum ParseError {
     /// most the first [`MALFORMED_QUOTE_BYTES`] of its text (a longer line
     /// is cut at a char boundary and its quote ends in `…`).
     Malformed { line: usize, content: String },
-    /// An edge-list line longer than `limit` bytes before its newline
-    /// ([`crate::ingest::CHUNK_BYTES`]), reported with its (1-based) line
-    /// number once the lines before it have parsed. An edge-list line holds
-    /// at most three numbers, so such a line is not data, and the reader
-    /// stops rather than read on to its end.
+    /// An edge-list or METIS line longer than `limit` bytes before its
+    /// newline ([`crate::ingest::CHUNK_BYTES`]), reported with its (1-based)
+    /// line number once the lines before it have parsed. An edge-list line
+    /// holds at most three numbers, so such a line is not data; a METIS line
+    /// that long lists a node of about 10⁵ neighbours or more. Either way
+    /// the reader stops rather than read on to its end.
     LineTooLong { line: usize, limit: usize },
     /// A structural problem not tied to a single line (bad header, truncated
     /// binary section, asymmetric METIS adjacency, …).

@@ -1,12 +1,12 @@
-//! The peak live heap of reading an edge list whose one line never ends.
+//! The peak live heap of reading a dataset whose one line never ends.
 //!
 //! A counting global allocator tracks the bytes live on the heap and their
-//! peak. The file is eight `CHUNK_BYTES` long with no newline: each reader
-//! rejects it as `LineTooLong` on line 1 while holding about two blocks,
-//! where a reader that grows the line until it ends holds the whole file.
-//! The test runs in a one-thread rayon pool, as the readers' batch width
-//! follows the pool size.
-
+//! peak, on every thread. Each file is eight `CHUNK_BYTES` long and its
+//! last line has no newline: each reader rejects it as `LineTooLong` while
+//! holding about two blocks, where a reader that grows the line until it
+//! ends holds the whole file. The edge-list readers run on a one-thread
+//! rayon pool, which reads on the caller, and on a two-thread pool, which
+//! reads on a thread of its own; METIS reads on the caller.
 use dkc_graph::ingest::{read_csr, read_dataset, stream_stats, DatasetFormat, CHUNK_BYTES};
 use dkc_graph::io::ParseError;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,40 +65,51 @@ static ALLOCATOR: Counting = Counting;
 fn a_line_without_an_end_is_rejected_within_a_few_blocks() {
     let dir = std::env::temp_dir().join(format!("dkc_edge_list_line_heap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("unended.edges");
-    std::fs::write(&path, vec![b'7'; 8 * CHUNK_BYTES]).unwrap();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
+    let digits = vec![b'7'; 8 * CHUNK_BYTES];
+    let mut adjacency = b"% a comment\n2 1\n".to_vec();
+    adjacency.extend(b"2 ".repeat(4 * CHUNK_BYTES));
+    // (file, format, the unended line)
+    let files = [
+        ("unended.edges", &digits, DatasetFormat::EdgeList, 1),
+        ("unended.metis", &digits, DatasetFormat::Metis, 1),
+        ("adjacency.metis", &adjacency, DatasetFormat::Metis, 3),
+    ];
 
     let mut peaks = Vec::new();
-    for reader in ["read_dataset", "read_csr", "stream_stats"] {
-        let base = LIVE.load(Relaxed);
-        PEAK.store(base, Relaxed);
-        let err = pool.install(|| match reader {
-            "read_dataset" => read_dataset(&path, DatasetFormat::EdgeList).err(),
-            "read_csr" => read_csr(&path, DatasetFormat::EdgeList).err(),
-            _ => stream_stats(&path, DatasetFormat::EdgeList).err(),
-        });
-        peaks.push((reader, PEAK.load(Relaxed) - base, err));
+    for (name, bytes, format, line) in files {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for reader in ["read_dataset", "read_csr", "stream_stats"] {
+                let base = LIVE.load(Relaxed);
+                PEAK.store(base, Relaxed);
+                let err = pool.install(|| match reader {
+                    "read_dataset" => read_dataset(&path, format).err(),
+                    "read_csr" => read_csr(&path, format).err(),
+                    _ => stream_stats(&path, format).err(),
+                });
+                let what = format!("{reader} of {name} on {threads} threads");
+                peaks.push((what, PEAK.load(Relaxed) - base, err, line));
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    for (reader, peak, err) in peaks {
+    for (what, peak, err, line) in peaks {
         assert!(
             matches!(
                 err,
-                Some(ParseError::LineTooLong {
-                    line: 1,
-                    limit: CHUNK_BYTES
-                })
+                Some(ParseError::LineTooLong { line: l, limit: CHUNK_BYTES }) if l == line
             ),
-            "{reader}: {err:?}"
+            "{what}: {err:?}"
         );
         assert!(
             peak <= MAX_PEAK_CHUNKS * CHUNK_BYTES,
-            "{reader} peaked at {peak} B, more than {MAX_PEAK_CHUNKS} blocks of {CHUNK_BYTES} B"
+            "{what} peaked at {peak} B, more than {MAX_PEAK_CHUNKS} blocks of {CHUNK_BYTES} B"
         );
     }
 }
