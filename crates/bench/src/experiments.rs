@@ -324,7 +324,7 @@ pub fn exp_orientation(scale: WorkloadScale, epsilon: f64) -> ExperimentOutput {
             scale.name(),
             &compact.metrics,
         ));
-        let distributed = orientation_from_compact(g, &compact);
+        let distributed = orientation_from_compact(&CsrGraph::from(g), &compact);
         let opt = if workload.weighted {
             "-".to_string()
         } else {

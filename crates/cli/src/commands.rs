@@ -18,7 +18,7 @@ use dkc_graph::ingest::{
     read_csr, read_dataset, stream_stats, write_dataset, Dataset, DatasetFormat,
 };
 use dkc_graph::properties::{degree_stats, diameter_double_sweep};
-use dkc_graph::{CsrGraph, NodeId};
+use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -48,16 +48,18 @@ fn resolve_format(parsed: &Parsed, flag: &str, path: &str) -> Result<DatasetForm
     }
 }
 
-/// Loads the input dataset (positional 0) with sparse external ids remapped
-/// to dense internal indices; command output reports the original ids.
-fn load(parsed: &Parsed) -> Result<Dataset, String> {
+/// Loads the input dataset (positional 0) as adjacency lists, for the
+/// centralized baselines behind `--exact` and `--compare` only.
+fn load(parsed: &Parsed) -> Result<WeightedGraph, String> {
     let path = parsed.positional(0, "input dataset file")?;
     let format = resolve_format(parsed, "format", path)?;
-    read_dataset(path, format).map_err(|e| format!("failed to read {path}: {e}"))
+    let ds = read_dataset(path, format).map_err(|e| format!("failed to read {path}: {e}"))?;
+    Ok(ds.graph)
 }
 
-/// [`load`] straight into a CSR, for commands that need no adjacency lists,
-/// with the external id of every node.
+/// Loads the input dataset (positional 0) as the CSR every protocol runs on,
+/// with sparse external ids remapped to dense internal indices, and the
+/// external id of every node: command output reports the original ids.
 fn load_csr(parsed: &Parsed) -> Result<(CsrGraph, Vec<u64>), String> {
     let path = parsed.positional(0, "input dataset file")?;
     let format = resolve_format(parsed, "format", path)?;
@@ -233,11 +235,9 @@ fn stats(parsed: &Parsed) -> Result<String, String> {
         let _ = writeln!(out, "(streaming pass: diameter and density omitted)");
         return Ok(out);
     }
-    let ds = load(parsed)?;
-    let g = &ds.graph;
-    let csr = CsrGraph::from(g);
-    let deg = degree_stats(g);
-    let diameter = diameter_double_sweep(&csr, NodeId(0));
+    let (g, externals) = load_csr(parsed)?;
+    let deg = degree_stats(&g);
+    let diameter = diameter_double_sweep(&g, NodeId(0));
     let mut out = String::new();
     let _ = writeln!(out, "nodes: {}", g.num_nodes());
     let _ = writeln!(out, "edges: {}", g.num_edges());
@@ -250,7 +250,7 @@ fn stats(parsed: &Parsed) -> Result<String, String> {
     );
     let _ = writeln!(out, "hop diameter (double-sweep lower bound): {diameter}");
     let _ = writeln!(out, "unit weights: {}", g.is_unit_weighted());
-    if !ds.ids.is_identity() {
+    if (0..).zip(&externals).any(|(v, &ext)| ext != v) {
         let _ = writeln!(out, "sparse external ids remapped to 0..{}", g.num_nodes());
     }
     Ok(out)
@@ -552,11 +552,10 @@ fn coreness(parsed: &Parsed) -> Result<String, String> {
 
 fn orientation(parsed: &Parsed) -> Result<String, String> {
     parsed.expect_flags(&["epsilon", "compare", "format"])?;
-    let ds = load(parsed)?;
-    let g = &ds.graph;
+    let (csr, _) = load_csr(parsed)?;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
-    let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
-    let approx = approximate_orientation_with_rounds(g, rounds);
+    let rounds = epsilon_rounds(epsilon, csr.num_nodes())?;
+    let approx = approximate_orientation_with_rounds(csr, rounds);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -564,6 +563,7 @@ fn orientation(parsed: &Parsed) -> Result<String, String> {
         approx.rounds, approx.max_in_degree, approx.guaranteed_factor
     );
     if parsed.switch("compare") {
+        let g = &load(parsed)?;
         let rho = fractional_orientation_lower_bound(g);
         let peel = peeling_orientation(g);
         let greedy = greedy_orientation(g);
@@ -581,12 +581,11 @@ fn orientation(parsed: &Parsed) -> Result<String, String> {
 
 fn densest(parsed: &Parsed) -> Result<String, String> {
     parsed.expect_flags(&["epsilon", "exact", "format"])?;
-    let ds = load(parsed)?;
-    let g = &ds.graph;
+    let (csr, externals) = load_csr(parsed)?;
     let epsilon: f64 = parsed.flag_num_positive("epsilon", 0.25)?;
-    let rounds = epsilon_rounds(epsilon, g.num_nodes())?;
+    let rounds = epsilon_rounds(epsilon, csr.num_nodes())?;
     // Phases that are not delta-driven run dense rounds under `Auto`.
-    let result = weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::Auto);
+    let result = weak_densest_subsets_with_rounds(csr, rounds, ExecutionMode::Auto);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -602,13 +601,13 @@ fn densest(parsed: &Parsed) -> Result<String, String> {
         let _ = writeln!(
             out,
             "  leader {} : size {}, density {:.3}",
-            ds.external(c.leader),
+            externals[c.leader.index()],
             c.size,
             c.actual_density
         );
     }
     if parsed.switch("exact") {
-        let exact = densest_subgraph(g);
+        let exact = densest_subgraph(&load(parsed)?);
         let _ = writeln!(
             out,
             "exact densest subset: density {:.3}, size {} (ratio {:.3})",

@@ -1,11 +1,11 @@
 //! High-level one-call entry points for the three problems.
 
 use crate::checkpoint::MAX_ROUNDS;
-use crate::compact::{run_compact_elimination, CompactOutcome, RunSpec};
+use crate::compact::{eliminate, run_compact_elimination, CompactOutcome, RunSpec};
 use crate::orientation::{orientation_from_compact, OrientationResult};
 use crate::threshold::ThresholdSet;
 use dkc_distsim::RunMetrics;
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId};
 use std::fmt;
 
 pub use crate::densest::{weak_densest_subsets, weak_densest_subsets_with_rounds};
@@ -98,14 +98,18 @@ impl CorenessApproximation {
 /// factor `2(1+ε)` using `⌈log_{1+ε} n⌉` rounds (Theorem I.1). For any other
 /// round budget, threshold set, execution mode, fault plan, sharding or
 /// checkpointing, build a [`RunSpec`] and call [`run_compact_elimination`].
+/// Like it, this takes a [`CsrGraph`] as is and converts a
+/// `&WeightedGraph` first.
 ///
 /// # Panics
 ///
 /// Panics if ε is so small that the round count exceeds [`MAX_ROUNDS`].
-pub fn approximate_coreness(g: &WeightedGraph, epsilon: f64) -> CorenessApproximation {
-    let spec = RunSpec::new(rounds_for_epsilon(g.num_nodes(), epsilon));
-    let outcome = run_compact_elimination(g, &spec).unwrap_or_else(|e| panic!("{e}"));
-    CorenessApproximation::new(g.num_nodes(), spec.threshold_set, outcome)
+pub fn approximate_coreness(g: impl Into<CsrGraph>, epsilon: f64) -> CorenessApproximation {
+    let csr = g.into();
+    let n = csr.num_nodes();
+    let spec = RunSpec::new(rounds_for_epsilon(n, epsilon));
+    let outcome = run_compact_elimination(csr, &spec).unwrap_or_else(|e| panic!("{e}"));
+    CorenessApproximation::new(n, spec.threshold_set, outcome)
 }
 
 /// Output of [`approximate_orientation`].
@@ -128,35 +132,37 @@ pub struct OrientationApproximation {
 
 /// Computes a `2(1+ε)`-approximate min-max edge orientation in
 /// `⌈log_{1+ε} n⌉ + 1` rounds (Theorem I.2).
-pub fn approximate_orientation(g: &WeightedGraph, epsilon: f64) -> OrientationApproximation {
-    let rounds = rounds_for_epsilon(g.num_nodes(), epsilon);
-    approximate_orientation_with_rounds(g, rounds)
+pub fn approximate_orientation(g: impl Into<CsrGraph>, epsilon: f64) -> OrientationApproximation {
+    let csr = g.into();
+    let rounds = rounds_for_epsilon(csr.num_nodes(), epsilon);
+    approximate_orientation_with_rounds(csr, rounds)
 }
 
-/// Same as [`approximate_orientation`] with an explicit round budget.
+/// Same as [`approximate_orientation`] with an explicit round budget. The
+/// elimination runs on the one CSR `g` converts to, and the claim walk
+/// reads the CSR the run hands back.
 ///
 /// # Panics
 ///
 /// Panics if `rounds` is outside `1..=`[`MAX_ROUNDS`].
 pub fn approximate_orientation_with_rounds(
-    g: &WeightedGraph,
+    g: impl Into<CsrGraph>,
     rounds: usize,
 ) -> OrientationApproximation {
-    let outcome =
-        run_compact_elimination(g, &RunSpec::new(rounds)).unwrap_or_else(|e| panic!("{e}"));
+    let (outcome, csr) = eliminate(g.into(), &RunSpec::new(rounds));
     let OrientationResult {
         assignment,
         loads,
         max_in_degree,
         uncovered_edges,
-    } = orientation_from_compact(g, &outcome);
+    } = orientation_from_compact(&csr, &outcome);
     debug_assert_eq!(uncovered_edges, 0, "Λ = ℝ guarantees full edge coverage");
     OrientationApproximation {
         assignment,
         loads,
         max_in_degree,
         rounds: rounds + 1,
-        guaranteed_factor: guaranteed_factor(g.num_nodes(), rounds),
+        guaranteed_factor: guaranteed_factor(csr.num_nodes(), rounds),
         metrics: outcome.metrics,
     }
 }

@@ -9,13 +9,16 @@
 //! Fact IV.2: the node with the globally best key becomes the root of a tree
 //! containing **all** nodes within `T` hops of it — the property that makes the
 //! weak densest-subset guarantee go through.
+//!
+//! Phase 2 of the weak densest-subset pipeline ([`crate::densest`]): it runs
+//! on the [`CsrGraph`] phase 1 handed back and hands it on to phase 3.
 
 use dkc_distsim::message::{MessageSize, Tamper};
 use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{
     Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId};
 
 /// A leader key `(b_v, v)`, ordered by `b` descending with ties broken by the
 /// global node ordering (smaller id wins).
@@ -266,19 +269,20 @@ impl BfsForest {
     }
 }
 
-/// Runs Algorithm 4: `flood_rounds` rounds of leader flooding plus the two
-/// consolidation rounds, using the per-node values `b` (typically the output of
-/// the compact elimination procedure) as leader keys.
+/// Runs Algorithm 4 on `g`: `flood_rounds` rounds of leader flooding plus
+/// the two consolidation rounds, using the per-node values `b` (typically the
+/// output of the compact elimination procedure) as leader keys. The network
+/// runs on `g` and hands it back beside the forest.
 ///
 /// The round-phased protocol is not delta-driven (its behaviour depends on
 /// the round number, not only on received deltas), so it runs dense rounds
 /// under every mode.
 pub fn run_bfs_construction(
-    g: &WeightedGraph,
+    g: CsrGraph,
     b: &[f64],
     flood_rounds: usize,
     mode: ExecutionMode,
-) -> BfsForest {
+) -> (BfsForest, CsrGraph) {
     assert_eq!(b.len(), g.num_nodes());
     let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
         BfsNode::new(
@@ -290,25 +294,27 @@ pub fn run_bfs_construction(
         )
     });
     net.run(flood_rounds + 2);
-    let (programs, metrics) = net.into_parts();
-    let leader = programs.iter().map(|p| p.leader).collect();
-    let parent = programs
-        .iter()
-        .enumerate()
-        .map(|(v, p)| match p.parent {
-            Parent::Root => Some(NodeId::new(v)),
+    let (graph, programs, metrics) = net.into_graph_and_parts();
+    let mut leader = Vec::with_capacity(programs.len());
+    let mut parent = Vec::with_capacity(programs.len());
+    let mut children = Vec::with_capacity(programs.len());
+    for (v, p) in graph.nodes().zip(programs) {
+        leader.push(p.leader);
+        parent.push(match p.parent {
+            Parent::Root => Some(v),
             Parent::Node(u) => Some(u),
             Parent::Orphan => None,
-        })
-        .collect();
-    let children = programs.iter().map(|p| p.children.clone()).collect();
-    BfsForest {
+        });
+        children.push(p.children);
+    }
+    let forest = BfsForest {
         leader,
         parent,
         children,
         rounds: flood_rounds + 2,
         metrics,
-    }
+    };
+    (forest, graph)
 }
 
 #[cfg(test)]
@@ -316,9 +322,14 @@ mod tests {
     use super::*;
     use dkc_graph::generators::{erdos_renyi, grid_graph, path_graph};
     use dkc_graph::properties::bfs_distances;
-    use dkc_graph::CsrGraph;
+    use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The dense-round forest of `g` under keys `b`.
+    fn forest_of(g: &WeightedGraph, b: &[f64], flood_rounds: usize) -> BfsForest {
+        run_bfs_construction(CsrGraph::from(g), b, flood_rounds, ExecutionMode::Dense).0
+    }
 
     #[test]
     fn leader_key_ordering() {
@@ -346,7 +357,7 @@ mod tests {
         let g = path_graph(11);
         let mut b = vec![1.0; 11];
         b[5] = 10.0;
-        let forest = run_bfs_construction(&g, &b, 3, ExecutionMode::Dense);
+        let forest = forest_of(&g, &b, 3);
         let csr = CsrGraph::from(&g);
         let dist = bfs_distances(&csr, NodeId(5));
         for v in 0..11 {
@@ -369,7 +380,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let g = erdos_renyi(80, 0.06, &mut rng);
         let b: Vec<f64> = (0..80).map(|v| (v % 7) as f64).collect();
-        let forest = run_bfs_construction(&g, &b, 4, ExecutionMode::Dense);
+        let forest = forest_of(&g, &b, 4);
         for v in 0..80 {
             let vid = NodeId::new(v);
             match forest.parent[v] {
@@ -403,7 +414,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let g = erdos_renyi(60, 0.08, &mut rng);
         let b: Vec<f64> = (0..60).map(|v| ((v * 13) % 10) as f64).collect();
-        let forest = run_bfs_construction(&g, &b, 5, ExecutionMode::Dense);
+        let forest = forest_of(&g, &b, 5);
         for v in 0..60 {
             let own = LeaderKey {
                 b: b[v],
@@ -420,7 +431,7 @@ mod tests {
     fn zero_flood_rounds_leaves_everyone_as_root() {
         let g = grid_graph(3, 3);
         let b = vec![1.0; 9];
-        let forest = run_bfs_construction(&g, &b, 0, ExecutionMode::Dense);
+        let forest = forest_of(&g, &b, 0);
         assert_eq!(forest.roots().len(), 9);
         for v in 0..9 {
             assert_eq!(forest.leader[v].id, NodeId::new(v));
@@ -433,7 +444,7 @@ mod tests {
         // T hops of it on a small graph.
         let g = grid_graph(3, 3);
         let b = vec![2.0; 9];
-        let forest = run_bfs_construction(&g, &b, 4, ExecutionMode::Dense);
+        let forest = forest_of(&g, &b, 4);
         for v in 0..9 {
             assert_eq!(forest.leader[v].id, NodeId(0), "node {v}");
         }

@@ -248,7 +248,7 @@ pub fn resume_compact_elimination(
         shard_seed: pre.shard_seed,
         checkpoint: cfg.cloned(),
     };
-    let (outcome, resumed_from) = execute(csr, &spec, Some((preamble_bytes, state)))?;
+    let (outcome, resumed_from, _) = execute(csr, &spec, Some((preamble_bytes, state)))?;
     remove_temp_slots(path)?;
     Ok(ResumedRun {
         outcome,

@@ -680,17 +680,30 @@ pub fn run_compact_elimination(
     Ok(execute(g.into(), spec, None)?.0)
 }
 
+/// Phase 1 of a pipeline: [`run_compact_elimination`] of an unsharded spec
+/// without checkpointing, handing `csr` back with the outcome for the next
+/// phase.
+///
+/// # Panics
+///
+/// Panics if `spec.rounds` is outside `1..=`[`crate::checkpoint::MAX_ROUNDS`].
+pub(crate) fn eliminate(csr: CsrGraph, spec: &RunSpec) -> (CompactOutcome, CsrGraph) {
+    checked_rounds(spec.rounds).unwrap_or_else(|e| panic!("{e}"));
+    let (outcome, _, csr) = execute(csr, spec, None).unwrap_or_else(|e| panic!("{e}"));
+    (outcome, csr)
+}
+
 /// Builds the arena and network for `spec` over `csr`, which becomes the
 /// network's topology, restores a checkpoint's `(preamble, executor state)`
-/// if one is given, and runs on to round `spec.rounds`. Returns the outcome
-/// and the round execution started from (0 for a fresh run).
-/// [`run_compact_elimination`] and
-/// [`crate::checkpoint::resume_compact_elimination`] both run through here.
+/// if one is given, and runs on to round `spec.rounds`. Returns the outcome,
+/// the round execution started from (0 for a fresh run) and the topology.
+/// [`run_compact_elimination`], [`eliminate`] and
+/// [`crate::checkpoint::resume_compact_elimination`] all run through here.
 pub(crate) fn execute(
     csr: CsrGraph,
     spec: &RunSpec,
     resume: Option<(&[u8], &[u8])>,
-) -> Result<(CompactOutcome, usize), CheckpointError> {
+) -> Result<(CompactOutcome, usize, CsrGraph), CheckpointError> {
     let mut arena = CompactArena::new(&csr, spec.threshold_set);
     let mut net = NetworkBuilder::new()
         .mode(spec.mode)
@@ -730,7 +743,7 @@ pub(crate) fn execute(
         rounds: spec.rounds,
         metrics,
     };
-    Ok((outcome, started_from))
+    Ok((outcome, started_from, graph))
 }
 
 /// Every executed `Update` runs in a round the image has completed, and

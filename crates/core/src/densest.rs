@@ -14,16 +14,24 @@
 //! rounds; this module implements the batched variant only. A pipelined Phase 4
 //! would replace the aggregation program here rather than sit beside it, since
 //! it moves E5's counters and the densest goldens.
+//!
+//! One graph runs through the pipeline: [`weak_densest_subsets_with_rounds`]
+//! converts its input to a [`CsrGraph`] once, and each phase builds its
+//! network on the CSR the previous phase handed back
+//! (`Network::into_graph_and_parts`). Phase 3's per-round histories move into
+//! Phase 4's programs, and a sender hands its subtree totals to its `Up`
+//! message. The clusters are then assembled in one pass over the arcs,
+//! bucketed by leader, in `O(n + m)` for any number of clusters.
 
 use crate::bfs::{run_bfs_construction, BfsForest};
-use crate::compact::{run_compact_elimination, RunSpec};
+use crate::compact::{eliminate, CompactOutcome, RunSpec};
 use crate::tree_elim::{run_tree_elimination, TreeElimOutcome};
 use dkc_distsim::message::{MessageSize, Tamper};
 use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{
     Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId};
 
 /// Messages of the aggregation phase.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,7 +117,8 @@ impl Tamper for AggMessage {
 struct AggregationNode {
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// Aggregated subtree counts (starts as the node's own records).
+    /// Aggregated subtree counts (starts as the node's own records). A
+    /// non-root hands both to its `Up` message and keeps them empty after.
     num: Vec<u32>,
     deg: Vec<f64>,
     /// Own activity records (membership test at `t*`).
@@ -178,10 +187,8 @@ impl NodeProgram for AggregationNode {
         if !self.sent_up && self.ready_to_aggregate() {
             self.sent_up = true;
             let parent = self.parent.expect("non-root has a parent");
-            return Outgoing::Unicast(vec![(
-                parent,
-                AggMessage::Up(self.num.clone(), self.deg.clone()),
-            )]);
+            let up = AggMessage::Up(std::mem::take(&mut self.num), std::mem::take(&mut self.deg));
+            return Outgoing::Unicast(vec![(parent, up)]);
         }
         // Forward the decision to children once known.
         if let Some((t_star, density)) = self.decision {
@@ -276,35 +283,43 @@ pub struct AggregationOutcome {
     pub metrics: RunMetrics,
 }
 
-/// Runs Algorithm 6 over the forest produced by Algorithms 4–5.
+/// Runs Algorithm 6 on `g` over the forest produced by Algorithms 4–5. Each
+/// node's `num` and `deg` histories move from `elim` into its program. The
+/// network runs on `g` and hands it back beside the outcome.
 ///
 /// The convergecast schedule lives in broadcast-phase side effects, so the
 /// program is not delta-driven and runs dense rounds under every mode.
 pub fn run_aggregation(
-    g: &WeightedGraph,
+    g: CsrGraph,
     forest: &BfsForest,
-    elim: &TreeElimOutcome,
+    elim: TreeElimOutcome,
     mode: ExecutionMode,
-) -> AggregationOutcome {
+) -> (AggregationOutcome, CsrGraph) {
     let rounds_budget = 2 * elim.rounds + forest.rounds + 4;
-    let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
-        let v = ctx.node();
-        let own_num = elim.num[v.index()].clone();
-        AggregationNode {
-            parent: forest.parent[v.index()],
-            children: forest.children[v.index()].clone(),
+    let histories = elim.num.into_iter().zip(elim.deg);
+    let programs = forest
+        .parent
+        .iter()
+        .zip(&forest.children)
+        .zip(histories)
+        .map(|((&parent, children), (own_num, deg))| AggregationNode {
+            parent,
+            children: children.clone(),
             num: own_num.iter().map(|&b| u32::from(b)).collect(),
-            deg: elim.deg[v.index()].clone(),
+            deg,
             own_num,
             children_received: 0,
             sent_up: false,
             decision: None,
             sent_down: false,
             selected: false,
-        }
-    });
+        })
+        .collect();
+    let mut net = NetworkBuilder::new()
+        .mode(mode)
+        .build_from_parts(g, programs);
     let rounds = net.run_until_quiescent(rounds_budget);
-    let (programs, metrics) = net.into_parts();
+    let (graph, programs, metrics) = net.into_graph_and_parts();
     let selected = programs.iter().map(|p| p.selected).collect();
     let decisions = programs
         .iter()
@@ -317,74 +332,68 @@ pub fn run_aggregation(
             }
         })
         .collect();
-    AggregationOutcome {
+    let outcome = AggregationOutcome {
         selected,
         decisions,
         rounds,
         metrics,
-    }
+    };
+    (outcome, graph)
 }
 
 /// Runs the full four-phase weak densest-subset protocol with approximation
-/// target `2(1+ε)` (Theorem I.3), under [`ExecutionMode::Auto`].
-pub fn weak_densest_subsets(g: &WeightedGraph, epsilon: f64) -> WeakDensestResult {
-    let rounds = crate::api::rounds_for_epsilon(g.num_nodes(), epsilon);
-    weak_densest_subsets_with_rounds(g, rounds, ExecutionMode::Auto)
+/// target `2(1+ε)` (Theorem I.3), under [`ExecutionMode::Auto`]. Like
+/// [`crate::compact::run_compact_elimination`], this takes a [`CsrGraph`] as
+/// is and converts a `&WeightedGraph` first.
+pub fn weak_densest_subsets(g: impl Into<CsrGraph>, epsilon: f64) -> WeakDensestResult {
+    let csr = g.into();
+    let rounds = crate::api::rounds_for_epsilon(csr.num_nodes(), epsilon);
+    weak_densest_subsets_with_rounds(csr, rounds, ExecutionMode::Auto)
 }
 
 /// Same as [`weak_densest_subsets`] but with an explicit per-phase round count
 /// `T` (the approximation guarantee is then `2·n^{1/T}`) and execution mode.
+/// The four phases run on the one CSR `g` converts to, each handing it to
+/// the next.
 ///
 /// # Panics
 ///
 /// Panics if `rounds` is outside `1..=`[`crate::checkpoint::MAX_ROUNDS`].
 pub fn weak_densest_subsets_with_rounds(
-    g: &WeightedGraph,
+    g: impl Into<CsrGraph>,
     rounds: usize,
     mode: ExecutionMode,
 ) -> WeakDensestResult {
-    // Phase 1: approximate the maximal densities.
-    let compact = run_compact_elimination(g, &RunSpec::new(rounds).mode(mode))
-        .unwrap_or_else(|e| panic!("{e}"));
+    // Phase 1: approximate the maximal densities. Only `b` goes on.
+    let (compact, csr) = eliminate(g.into(), &RunSpec::new(rounds).mode(mode));
+    let CompactOutcome {
+        surviving,
+        rounds: compact_rounds,
+        metrics: compact_metrics,
+        ..
+    } = compact;
     // Phase 2: leader election / BFS forest.
-    let forest = run_bfs_construction(g, &compact.surviving, rounds, mode);
+    let (forest, csr) = run_bfs_construction(csr, &surviving, rounds, mode);
     // Phase 3: per-tree elimination with history.
-    let elim = run_tree_elimination(g, &forest, rounds, mode);
-    // Phase 4: aggregation.
-    let agg = run_aggregation(g, &forest, &elim, mode);
+    let (elim, csr) = run_tree_elimination(csr, &forest, rounds, mode);
+    let (elim_rounds, elim_messages) = (elim.rounds, elim.metrics.total_messages());
+    // Phase 4: aggregation, which takes Phase 3's histories.
+    let (agg, csr) = run_aggregation(csr, &forest, elim, mode);
 
-    // Assemble clusters: members grouped by their leader.
-    let n = g.num_nodes();
-    let mut membership: Vec<Option<NodeId>> = vec![None; n];
-    for v in 0..n {
-        if agg.selected[v] {
-            membership[v] = Some(forest.leader[v].id);
-        }
-    }
-    let mut clusters = Vec::new();
-    let mut best_density = 0.0f64;
-    for root in forest.roots() {
-        if let Some(Some((t_star, est))) = agg.decisions.get(root.index()).copied() {
-            let members: Vec<bool> = (0..n).map(|v| membership[v] == Some(root)).collect();
-            let size = members.iter().filter(|&&b| b).count();
-            if size == 0 {
-                continue;
-            }
-            let actual = g.density_of(&members).unwrap_or(0.0);
-            best_density = best_density.max(actual);
-            clusters.push(WeakCluster {
-                leader: root,
-                t_star,
-                estimated_density: est,
-                size,
-                actual_density: actual,
-            });
-        }
-    }
-    let phase_rounds = [compact.rounds, forest.rounds, elim.rounds, agg.rounds];
-    let total_messages = compact.metrics.total_messages()
+    let membership: Vec<Option<NodeId>> = forest
+        .leader
+        .iter()
+        .zip(&agg.selected)
+        .map(|(key, &selected)| selected.then_some(key.id))
+        .collect();
+    let clusters = assemble_clusters(&csr, &forest, &agg, &membership);
+    let best_density = clusters
+        .iter()
+        .fold(0.0f64, |best, c| best.max(c.actual_density));
+    let phase_rounds = [compact_rounds, forest.rounds, elim_rounds, agg.rounds];
+    let total_messages = compact_metrics.total_messages()
         + forest.metrics.total_messages()
-        + elim.metrics.total_messages()
+        + elim_messages
         + agg.metrics.total_messages();
     WeakDensestResult {
         membership,
@@ -396,14 +405,120 @@ pub fn weak_densest_subsets_with_rounds(
     }
 }
 
+/// The non-empty cluster of every root that declared a round `t*`, in root
+/// order, with its size and actual density, from one pass over the arcs
+/// bucketed by leader. Each cluster's weight `w(E(S))` is summed in the
+/// order `WeightedGraph::subset_edge_weight` sums it: members ascending,
+/// each member's arcs to later members in list order, then its self-loop.
+fn assemble_clusters(
+    g: &CsrGraph,
+    forest: &BfsForest,
+    agg: &AggregationOutcome,
+    membership: &[Option<NodeId>],
+) -> Vec<WeakCluster> {
+    // `slot[l]`: the cluster of leader `l`, if `l` is a root with a decision.
+    let mut slot = vec![u32::MAX; g.num_nodes()];
+    let mut clusters = Vec::new();
+    for root in forest.roots() {
+        if let Some((t_star, est)) = agg.decisions[root.index()] {
+            slot[root.index()] = clusters.len() as u32;
+            clusters.push(WeakCluster {
+                leader: root,
+                t_star,
+                estimated_density: est,
+                size: 0,
+                actual_density: 0.0,
+            });
+        }
+    }
+    let mut weight = vec![0.0f64; clusters.len()];
+    for v in g.nodes() {
+        let Some(leader) = membership[v.index()] else {
+            continue;
+        };
+        let c = slot[leader.index()] as usize;
+        let Some(cluster) = clusters.get_mut(c) else {
+            continue;
+        };
+        cluster.size += 1;
+        for (u, w) in g.neighbors_with_weights(v) {
+            if v < u && membership[u.index()] == Some(leader) {
+                weight[c] += w;
+            }
+        }
+        weight[c] += g.self_loop(v);
+    }
+    clusters
+        .into_iter()
+        .zip(weight)
+        .filter(|(c, _)| c.size > 0)
+        .map(|(c, w)| WeakCluster {
+            actual_density: w / c.size as f64,
+            ..c
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_legs::on_threads;
     use dkc_flow::densest_subgraph;
     use dkc_graph::generators::{complete_graph, erdos_renyi, path_graph, planted_dense_community};
+    use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// 600 components of 2 to 7 nodes, cliques with some edges left out,
+    /// weights varying with the component: many clusters of different
+    /// densities, one or more per component.
+    fn many_components() -> WeightedGraph {
+        let sizes: Vec<usize> = (0..600).map(|c| 2 + c % 6).collect();
+        let mut g = WeightedGraph::new(sizes.iter().sum());
+        let mut base = 0;
+        for (c, &k) in sizes.iter().enumerate() {
+            for i in 0..k {
+                for j in i + 1..k {
+                    if j == i + 1 || (i + j + c) % 4 != 0 {
+                        let w = 1.0 + ((i * j + c * c) % 13) as f64 + c as f64 / 4096.0;
+                        g.add_edge(NodeId::new(base + i), NodeId::new(base + j), w);
+                    }
+                }
+            }
+            if c % 5 == 0 {
+                g.add_self_loop(NodeId::new(base), 0.5 + c as f64 / 1024.0);
+            }
+            base += k;
+        }
+        g
+    }
+
+    /// The one-pass assembly gives every cluster the size and the density,
+    /// to the bit, that `WeightedGraph::density_of` gives its member set.
+    #[test]
+    fn assembled_clusters_match_density_of() {
+        let g = many_components();
+        let result = weak_densest_subsets(&g, 0.5);
+        assert!(result.clusters.len() >= 600, "{}", result.clusters.len());
+        for c in &result.clusters {
+            let members: Vec<bool> = result
+                .membership
+                .iter()
+                .map(|&m| m == Some(c.leader))
+                .collect();
+            assert_eq!(c.size, members.iter().filter(|&&b| b).count());
+            let expected = g.density_of(&members).unwrap();
+            assert_eq!(
+                c.actual_density.to_bits(),
+                expected.to_bits(),
+                "cluster of {:?}: {} against {expected}",
+                c.leader,
+                c.actual_density
+            );
+        }
+        let best = result.clusters.iter().map(|c| c.actual_density);
+        assert_eq!(result.best_density, best.fold(0.0, f64::max));
+    }
 
     /// Theorem I.3: one of the returned subsets is a 2(1+ε)-approximate densest
     /// subset.

@@ -8,9 +8,13 @@
 //! is claimed by at least one endpoint. A final conflict-resolution step (the
 //! paper's "one more round of communication") drops doubly-claimed edges from
 //! one side, which can only lower loads.
+//!
+//! The claim walk reads the [`CsrGraph`] the elimination ran on, which
+//! [`crate::api::approximate_orientation_with_rounds`] gets back from the
+//! run: each plain edge once, from its smaller endpoint, in arc order.
 
 use crate::compact::CompactOutcome;
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId};
 
 /// A complete edge orientation derived from the augmented elimination
 /// procedure.
@@ -29,23 +33,23 @@ pub struct OrientationResult {
     pub uncovered_edges: usize,
 }
 
-/// Builds the final orientation from a [`CompactOutcome`]: claims from `N_v`
-/// are honoured, double claims are resolved deterministically (the endpoint
-/// with the smaller id keeps the edge), and self-loops are charged to their
-/// node.
-pub fn orientation_from_compact(g: &WeightedGraph, outcome: &CompactOutcome) -> OrientationResult {
+/// Builds the final orientation of `g` from a [`CompactOutcome`] of a run
+/// on it: claims from `N_v` are honoured, double claims are resolved
+/// deterministically (the endpoint with the smaller id keeps the edge), and
+/// self-loops are charged to their node. Edges are listed as
+/// `WeightedGraph::edges` lists them: by smaller endpoint, in arc order.
+pub fn orientation_from_compact(g: &CsrGraph, outcome: &CompactOutcome) -> OrientationResult {
     let n = g.num_nodes();
     assert_eq!(outcome.surviving.len(), n, "outcome does not match graph");
-    let mut loads = vec![0.0f64; n];
-    for v in g.nodes() {
-        loads[v.index()] += g.self_loop(v);
-    }
+    let mut loads: Vec<f64> = g.nodes().map(|v| g.self_loop(v)).collect();
     let mut assignment = Vec::with_capacity(g.num_plain_edges());
     let mut uncovered = 0usize;
-    for (u, v, w) in g.edges() {
-        if u == v {
-            continue;
-        }
+    let plain_edges = g.nodes().flat_map(|u| {
+        g.neighbors_with_weights(u)
+            .filter(move |&(v, _)| u < v)
+            .map(move |(v, w)| (u, v, w))
+    });
+    for (u, v, w) in plain_edges {
         let u_claims = outcome.in_neighbors[u.index()].contains(&v);
         let v_claims = outcome.in_neighbors[v.index()].contains(&u);
         let owner = match (u_claims, v_claims) {
@@ -87,6 +91,7 @@ mod tests {
         barabasi_albert, complete_graph, cycle_graph, erdos_renyi, path_graph,
         with_random_integer_weights,
     };
+    use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -97,7 +102,7 @@ mod tests {
     fn orientation_of(g: &WeightedGraph, rounds: usize) -> OrientationResult {
         let outcome =
             run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
-        orientation_from_compact(g, &outcome)
+        orientation_from_compact(&CsrGraph::from(g), &outcome)
     }
 
     #[test]

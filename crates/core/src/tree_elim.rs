@@ -15,6 +15,12 @@
 //! We therefore broadcast the (leader, active) pair over every incident edge —
 //! still a single `O(log n)`-bit message per edge per round — and count edges
 //! towards active neighbours with the same leader.
+//!
+//! Phase 3 of the weak densest-subset pipeline ([`crate::densest`]): it runs
+//! on the [`CsrGraph`] phase 2 handed back and hands it on to phase 4. Each
+//! node's `num` and `deg` histories move into [`TreeElimOutcome`] when the
+//! run ends, and from there into phase 4's programs, so Θ(n·T) of history is
+//! held once, not copied.
 
 use crate::bfs::BfsForest;
 use dkc_distsim::message::{MessageSize, Tamper};
@@ -22,7 +28,7 @@ use dkc_distsim::wire::{WireCodec, WireError, WireReader, WireSink};
 use dkc_distsim::{
     Delivery, ExecutionMode, NetworkBuilder, NodeContext, NodeProgram, Outgoing, RunMetrics,
 };
-use dkc_graph::{NodeId, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId};
 
 /// Message of the per-tree elimination: the sender's leader id (the sender is
 /// implicitly "still active", otherwise it would be silent).
@@ -140,18 +146,19 @@ pub struct TreeElimOutcome {
     pub metrics: RunMetrics,
 }
 
-/// Runs Algorithm 5 for `rounds` rounds, using the leaders and tree membership
-/// from `forest` and the per-node surviving numbers `b` (the leader's value is
-/// the threshold of its whole tree).
+/// Runs Algorithm 5 on `g` for `rounds` rounds, using the leaders and tree
+/// membership from `forest` (the leader's surviving number is the threshold
+/// of its whole tree). The network runs on `g` and hands it back beside the
+/// outcome.
 ///
 /// Records per-round history (`num[t]`/`deg[t]`), so every node must step
 /// every round: not delta-driven, so it runs dense rounds under every mode.
 pub fn run_tree_elimination(
-    g: &WeightedGraph,
+    g: CsrGraph,
     forest: &BfsForest,
     rounds: usize,
     mode: ExecutionMode,
-) -> TreeElimOutcome {
+) -> (TreeElimOutcome, CsrGraph) {
     let mut net = NetworkBuilder::new().mode(mode).build(g, |ctx| {
         let v = ctx.node();
         let leader_key = forest.leader[v.index()];
@@ -166,25 +173,32 @@ pub fn run_tree_elimination(
         }
     });
     net.run(rounds);
-    let (programs, metrics) = net.into_parts();
-    TreeElimOutcome {
-        num: programs.iter().map(|p| p.num.clone()).collect(),
-        deg: programs.iter().map(|p| p.deg.clone()).collect(),
-        final_active: programs
-            .iter()
-            .map(|p| p.participates && p.active)
-            .collect(),
+    let (graph, programs, metrics) = net.into_graph_and_parts();
+    let mut num = Vec::with_capacity(programs.len());
+    let mut deg = Vec::with_capacity(programs.len());
+    let mut final_active = Vec::with_capacity(programs.len());
+    for p in programs {
+        final_active.push(p.participates && p.active);
+        num.push(p.num);
+        deg.push(p.deg);
+    }
+    let outcome = TreeElimOutcome {
+        num,
+        deg,
+        final_active,
         rounds,
         metrics,
-    }
+    };
+    (outcome, graph)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs::run_bfs_construction;
-    use crate::compact::{run_compact_elimination, RunSpec};
+    use crate::compact::{eliminate, RunSpec};
     use dkc_graph::generators::{complete_graph, path_graph, planted_dense_community};
+    use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -192,10 +206,11 @@ mod tests {
         g: &WeightedGraph,
         rounds: usize,
     ) -> (Vec<f64>, BfsForest, TreeElimOutcome) {
-        let compact =
-            run_compact_elimination(g, &RunSpec::new(rounds).mode(ExecutionMode::Dense)).unwrap();
-        let forest = run_bfs_construction(g, &compact.surviving, rounds, ExecutionMode::Dense);
-        let elim = run_tree_elimination(g, &forest, rounds, ExecutionMode::Dense);
+        let spec = RunSpec::new(rounds).mode(ExecutionMode::Dense);
+        let (compact, csr) = eliminate(CsrGraph::from(g), &spec);
+        let (forest, csr) =
+            run_bfs_construction(csr, &compact.surviving, rounds, ExecutionMode::Dense);
+        let (elim, _) = run_tree_elimination(csr, &forest, rounds, ExecutionMode::Dense);
         (compact.surviving, forest, elim)
     }
 
@@ -291,13 +306,13 @@ mod tests {
         // With zero flood rounds every node is its own root, so everyone
         // participates with its own threshold — sanity-check participation flag
         // wiring via a manual forest instead.
-        let g = path_graph(4);
-        let compact =
-            run_compact_elimination(&g, &RunSpec::new(2).mode(ExecutionMode::Dense)).unwrap();
-        let mut forest = run_bfs_construction(&g, &compact.surviving, 2, ExecutionMode::Dense);
+        let csr = CsrGraph::from(&path_graph(4));
+        let (compact, csr) = eliminate(csr, &RunSpec::new(2).mode(ExecutionMode::Dense));
+        let (mut forest, csr) =
+            run_bfs_construction(csr, &compact.surviving, 2, ExecutionMode::Dense);
         // Artificially orphan node 3.
         forest.parent[3] = None;
-        let elim = run_tree_elimination(&g, &forest, 2, ExecutionMode::Dense);
+        let (elim, _) = run_tree_elimination(csr, &forest, 2, ExecutionMode::Dense);
         assert!(elim.num[3].iter().all(|&x| !x));
         assert!(!elim.final_active[3]);
     }

@@ -107,7 +107,7 @@ use crate::metrics::{RoundStats, RunMetrics};
 use crate::program::{Delivery, NodeContext, NodeProgram, Outgoing};
 use crate::shard::{BoundaryDelta, BoundaryRecord};
 use crate::wire::{encode_seq, WireCodec, WireReader};
-use dkc_graph::{CsrGraph, NodeId, Partitioner, WeightedGraph};
+use dkc_graph::{CsrGraph, NodeId, Partitioner};
 use rayon::prelude::*;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -882,18 +882,20 @@ impl NetworkBuilder {
     }
 
     /// Builds a network over `graph`, instantiating one program per node via
-    /// `factory` (which receives the node's local view at round 0).
+    /// `factory` (which receives the node's local view at round 0). A
+    /// [`CsrGraph`] moves in as the network's topology; a
+    /// `&dkc_graph::WeightedGraph` is converted first.
     ///
     /// # Panics
     ///
     /// Panics if a sharded network would not run frontier rounds, or has more
     /// than [`MAX_SHARDS`] shards (see [`NetworkBuilder::shards`]).
-    pub fn build<P, F>(self, graph: &WeightedGraph, mut factory: F) -> Network<P>
+    pub fn build<P, F>(self, graph: impl Into<CsrGraph>, mut factory: F) -> Network<P>
     where
         P: NodeProgram,
         F: FnMut(&NodeContext<'_>) -> P,
     {
-        let csr = CsrGraph::from_graph(graph);
+        let csr = graph.into();
         let programs = (0..csr.num_nodes())
             .map(|i| factory(&NodeContext::new(&csr, NodeId::new(i), 0)))
             .collect();

@@ -336,10 +336,32 @@ impl CsrGraph {
         self.num_plain_edges
     }
 
+    /// Number of non-loop edges plus the number of nodes carrying a positive
+    /// self-loop, as [`WeightedGraph::num_edges`] counts them.
+    pub fn num_edges(&self) -> usize {
+        let loops = self.self_loops.as_deref().unwrap_or(&[]);
+        self.num_plain_edges + loops.iter().filter(|&&w| w > 0.0).count()
+    }
+
     /// Sum of all edge weights (undirected edges once, self-loops once).
     #[inline]
     pub fn total_edge_weight(&self) -> f64 {
         self.total_edge_weight
+    }
+
+    /// Density of the whole graph: `w(E) / n` (0 for the empty graph).
+    pub fn density(&self) -> f64 {
+        match self.num_nodes() {
+            0 => 0.0,
+            n => self.total_edge_weight / n as f64,
+        }
+    }
+
+    /// Whether every arc weighs 1.0 and no node has a self-loop, as
+    /// [`WeightedGraph::is_unit_weighted`] decides it.
+    pub fn is_unit_weighted(&self) -> bool {
+        let loops = self.self_loops.as_deref().unwrap_or(&[]);
+        matches!(self.weights, ArcWeights::Unit(_)) && loops.iter().all(|&w| w == 0.0)
     }
 
     /// Neighbour ids of `v` (no self-loops; parallel edges appear individually).

@@ -19,12 +19,15 @@
 //!   arc for arc the CSR of `read_dataset`'s graph, so a caller that only
 //!   needs the CSR never holds the adjacency lists. It returns the
 //!   internal→external id table alone: the interning hash is freed before
-//!   the CSR is built.
+//!   the CSR is built. Every `dkc` command that runs a protocol, and
+//!   `dkc stats`, reads its input this way; `read_dataset` serves the
+//!   centralized baselines and `dkc convert`.
 //! * Three on-disk formats ([`DatasetFormat`]): SNAP-style edge lists, METIS
 //!   adjacency files, and a compact little-endian binary format (`.dkcb`)
 //!   that additionally preserves the id map exactly.
 //! * [`stream_stats`] computes summary statistics in one pass without
-//!   materializing adjacency lists.
+//!   materializing adjacency lists, deduplicating edges on one `u64` key
+//!   per edge.
 //!
 //! Id-remapping contract: internal ids are assigned in first-seen order of
 //! the input. The edge-list and binary formats preserve external ids;
@@ -40,8 +43,9 @@ use crate::idx::IdxOverflow;
 use crate::io::ParseError;
 use crate::node::NodeId;
 use crate::weighted::WeightedGraph;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -1280,6 +1284,30 @@ pub struct DatasetStats {
     pub max_degree: f64,
 }
 
+/// Hashes a `u64` key through the splitmix64 finalizer, so every bit of the
+/// key reaches the bits a hash table indexes by.
+#[derive(Default)]
+struct Mix64(u64);
+
+impl Hasher for Mix64 {
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// Computes [`DatasetStats`] without materializing adjacency lists: memory
 /// is `O(distinct nodes + distinct edges)` (id map, degrees and edge-dedup
 /// set), and a text file streams through a bounded buffer. A `.dkcb` file is
@@ -1287,15 +1315,18 @@ pub struct DatasetStats {
 /// both accept and reject the same files. Degrees are kept in first-seen
 /// order and summed in that order, so every call on the same file returns
 /// the same bits.
+///
+/// An edge is one `u64` in the dedup set: its two internal ids, smaller
+/// first. A self-loop enters the set once a copy of it weighs more than 0:
+/// weights are finite and non-negative, so that is when its merged weight
+/// is positive and `WeightedGraph::num_edges` counts it.
 pub fn stream_stats(
     path: impl AsRef<Path>,
     format: DatasetFormat,
 ) -> Result<DatasetStats, ParseError> {
-    use std::collections::HashSet;
     let mut interner = EdgeInterner::default();
     let mut degrees: Vec<f64> = Vec::new();
-    let mut plain_edges: HashSet<(usize, usize)> = HashSet::new();
-    let mut loop_weights: HashMap<usize, f64> = HashMap::new();
+    let mut edges: HashSet<u64, BuildHasherDefault<Mix64>> = HashSet::default();
     let mut total_weight = 0.0;
     let mut declared: u64 = 0;
     let path = path.as_ref();
@@ -1305,14 +1336,13 @@ pub fn stream_stats(
             StreamItem::Edge(u, v, w) => {
                 total_weight += w;
                 let (u, v) = interner.intern(u, v)?;
-                let (u, v) = (u.index(), v.index());
                 degrees.resize(interner.ids.len(), 0.0);
-                degrees[u] += w;
-                if u == v {
-                    *loop_weights.entry(u).or_insert(0.0) += w;
-                } else {
-                    degrees[v] += w;
-                    plain_edges.insert((u.min(v), u.max(v)));
+                degrees[u.index()] += w;
+                if u != v {
+                    degrees[v.index()] += w;
+                }
+                if u != v || w > 0.0 {
+                    edges.insert(u64::from(u.0.min(v.0)) << 32 | u64::from(u.0.max(v.0)));
                 }
             }
             StreamItem::DeclaredNodes(n) => declared = declared.max(n),
@@ -1324,7 +1354,7 @@ pub fn stream_stats(
     let declared = checked_declared_nodes(declared, degrees.len(), file_len)?;
     ParseError::check_weight_total(total_weight)?;
     let nodes = degrees.len().max(declared);
-    let edges = plain_edges.len() + loop_weights.values().filter(|&&w| w > 0.0).count();
+    let edges = edges.len();
     let isolated = nodes - degrees.len();
     let mut min_degree = if isolated > 0 { 0.0 } else { f64::INFINITY };
     let mut max_degree: f64 = 0.0;

@@ -7,7 +7,6 @@
 
 use crate::csr::CsrGraph;
 use crate::node::NodeId;
-use crate::weighted::WeightedGraph;
 use std::collections::VecDeque;
 
 /// BFS hop distances from `source`; unreachable nodes get `usize::MAX`.
@@ -88,7 +87,7 @@ pub struct DegreeStats {
 
 /// Computes weighted-degree statistics (`min = max = mean = 0` for the empty
 /// graph).
-pub fn degree_stats(g: &WeightedGraph) -> DegreeStats {
+pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
     let n = g.num_nodes();
     if n == 0 {
         return DegreeStats {
@@ -117,6 +116,7 @@ pub fn degree_stats(g: &WeightedGraph) -> DegreeStats {
 mod tests {
     use super::*;
     use crate::generators::{cycle_graph, grid_graph, path_graph};
+    use crate::weighted::WeightedGraph;
 
     #[test]
     fn bfs_on_path() {
@@ -162,7 +162,7 @@ mod tests {
         let mut g = WeightedGraph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 2.0);
         g.add_edge(NodeId(1), NodeId(2), 4.0);
-        let stats = degree_stats(&g);
+        let stats = degree_stats(&CsrGraph::from(&g));
         assert_eq!(stats.min, 2.0);
         assert_eq!(stats.max, 6.0);
         assert!((stats.mean - 4.0).abs() < 1e-12);
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn degree_statistics_empty() {
-        let stats = degree_stats(&WeightedGraph::new(0));
+        let stats = degree_stats(&CsrGraph::from(&WeightedGraph::new(0)));
         assert_eq!(stats.max, 0.0);
     }
 }

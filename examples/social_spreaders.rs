@@ -21,7 +21,7 @@ fn main() {
     let g = barabasi_albert(n, 4, &mut rng);
     let csr = CsrGraph::from(&g);
     let diameter_lb = diameter_double_sweep(&csr, NodeId(0));
-    let stats = degree_stats(&g);
+    let stats = degree_stats(&csr);
     println!(
         "social network: {} users, {} ties, max degree {:.0}, hop-diameter ≥ {}",
         g.num_nodes(),

@@ -218,7 +218,7 @@ fn deterministic_across_execution_modes() {
         let outcome = pool
             .install(|| run_compact_elimination(&g, &spec.clone().mode(mode)))
             .unwrap();
-        let orientation = orientation_from_compact(&g, &outcome);
+        let orientation = orientation_from_compact(&CsrGraph::from(&g), &outcome);
         (outcome, orientation)
     };
     let (a, oa) = on_threads(1, ExecutionMode::Dense);

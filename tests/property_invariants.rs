@@ -5,6 +5,7 @@ use dkc::baselines::weighted_coreness;
 use dkc::core::orientation::orientation_from_compact;
 use dkc::core::surviving::surviving_numbers;
 use dkc::flow::{dense_decomposition, densest_subgraph};
+use dkc::graph::CsrGraph;
 use dkc::prelude::*;
 use proptest::prelude::*;
 
@@ -76,7 +77,7 @@ proptest! {
                 "edge {{{u},{v}}} unclaimed"
             );
         }
-        let orientation = orientation_from_compact(&g, &outcome);
+        let orientation = orientation_from_compact(&CsrGraph::from(&g), &outcome);
         prop_assert_eq!(orientation.uncovered_edges, 0);
         let rho = densest_subgraph(&g).density;
         let gamma = 2.0 * (g.num_nodes().max(1) as f64).powf(1.0 / rounds as f64);
